@@ -44,6 +44,7 @@ from .covers import (
     DecompositionTree,
     brick_tree,
     greedy_decomposition,
+    greedy_tree,
     point_finite_transform,
     tree_validate,
 )

@@ -3,31 +3,22 @@
 Exit codes: 0 for pass, 1 for a verification failure, 2 for usage or input
 errors, so CI pipelines can gate on certificates.  All randomness sits
 behind one seeded generator whose seed is recorded in the output metadata;
-a fixed RunConfig reproduces byte-identical files at any worker count.
+the same command line reproduces byte-identical files at any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import jsonio
-from .covers import brick_tree, greedy_decomposition, tree_validate
+from .covers import brick_tree, greedy_tree, tree_validate
 from .errors import CoarseCertError, VerificationFailedError
 from .extend import build_certificate, parse_modulus
 from .verify import cobounded_check, lipschitz_check
-
-
-@dataclass
-class RunConfig:
-    command: str
-    out: Optional[str]
-    seed: int = 0
-    workers: int = 1
 
 
 def _generate_space(args) -> dict:
@@ -82,18 +73,14 @@ def cmd_generate(args) -> int:
 def cmd_decompose(args) -> int:
     space = jsonio.load_space(args.space)
     if args.strategy == "greedy":
-        families = greedy_decomposition(space, float(args.R), float(args.diam))
-        jsonio.save_json(args.out, jsonio.families_to_json(families, R=float(args.R)))
-        print(f"wrote {len(families)} families to {args.out}")
-        return 0
-    if args.strategy == "bricks":
+        tree = greedy_tree(space, float(args.R), float(args.diam))
+    else:
         tree = brick_tree(space, [float(args.R)], float(args.block_scale))
-        check = tree_validate(space, tree)
-        jsonio.save_json(args.out, jsonio.tree_to_json(tree))
-        print(f"wrote depth-{tree.m} tree ({len(tree.nodes)} nodes, "
-              f"leaf bound {check.leaf_bound:g}) to {args.out}")
-        return 0
-    raise CoarseCertError(f"unknown strategy {args.strategy!r}")
+    check = tree_validate(space, tree)
+    jsonio.save_json(args.out, jsonio.tree_to_json(tree))
+    print(f"wrote depth-{tree.m} tree ({len(tree.nodes)} nodes, "
+          f"leaf bound {check.leaf_bound:g}) to {args.out}")
+    return 0
 
 
 def cmd_certify(args) -> int:
@@ -123,6 +110,9 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     space = jsonio.load_space(args.space)
     pou = jsonio.load_pou(args.pou, space)
+    if len(pou.domain) != space.n:
+        missing = next(x for x in range(space.n) if x not in pou)
+        raise VerificationFailedError(f"pou does not cover point {missing}")
     if args.epsilon is not None:
         lam = c = float(args.epsilon)
     else:
@@ -159,7 +149,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    d = sub.add_parser("decompose", help="decompose a space into families or a tree")
+    d = sub.add_parser("decompose", help="decompose a space into a tree")
     d.add_argument("--space", required=True)
     d.add_argument("--strategy", required=True, choices=["greedy", "bricks"])
     d.add_argument("--R", type=float, required=True)

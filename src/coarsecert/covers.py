@@ -269,6 +269,18 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     return families
 
 
+def greedy_tree(space: FiniteMetricSpace, R: float, target_diam: float) -> DecompositionTree:
+    """greedy_decomposition as a depth-2 tree, one leaf per piece.
+
+    Leaves are numbered family by family; the root's families keep the order
+    of greedy_decomposition, so the tree carries exactly its families.
+    """
+    families = greedy_decomposition(space, R, target_diam)
+    pieces = [piece for fam in families for piece in fam]
+    colors = [c for c, fam in enumerate(families) for _ in fam]
+    return _depth2_tree(space, pieces, colors, R, len(families))
+
+
 # ---------------------------------------------------------------------------
 # point-finite cover transform
 # ---------------------------------------------------------------------------
@@ -317,7 +329,7 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
         for ball in enlarged_this_level:
             removed |= ball
 
-    family = CoverFamily(tuple(out_members), claimed_bound=input_bound + 2 * s)
+    family = CoverFamily(tuple(out_members))
 
     masks_cover = np.zeros(space.n, dtype=bool)
     for member in out_members:
@@ -376,6 +388,20 @@ def _grid_shape(space: FiniteMetricSpace):
     return tuple(int(s) for s in shape)
 
 
+def _depth2_tree(space: FiniteMetricSpace, pieces: Sequence[PointSubset],
+                 colors: Sequence[int], R: float, arity: int) -> DecompositionTree:
+    """Root over the whole space with leaf i + 1 = pieces[i].
+
+    The root's families are the color classes 0..arity-1 in ascending color,
+    each listing its leaves in piece order; empty classes are dropped.
+    """
+    nodes = [TreeNode(id=0, level=1, members=space.all_points())]
+    nodes += [TreeNode(id=i + 1, level=2, members=piece) for i, piece in enumerate(pieces)]
+    families = [[i + 1 for i, c in enumerate(colors) if c == k] for k in range(arity)]
+    nodes[0].families = [fam for fam in families if fam]
+    return DecompositionTree(m=2, arity=(arity,), radii=(R,), nodes=nodes)
+
+
 def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
                block_scale: float) -> DecompositionTree:
     """Depth-2 decomposition tree of interval blocks (1-d) or bricks (2-d).
@@ -410,14 +436,7 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
         n = shape[0]
         blocks = [PointSubset(tuple(range(lo, min(lo + b, n))))
                   for lo in range(0, n, b)]
-        fam_a = [i for i in range(len(blocks)) if i % 2 == 0]
-        fam_b = [i for i in range(len(blocks)) if i % 2 == 1]
-        families = [f for f in (fam_a, fam_b) if f]
-        nodes = [TreeNode(id=0, level=1, members=space.all_points())]
-        for i, blk in enumerate(blocks):
-            nodes.append(TreeNode(id=i + 1, level=2, members=blk))
-        nodes[0].families = [[i + 1 for i in fam] for fam in families]
-        tree = DecompositionTree(m=2, arity=(2,), radii=(r1,), nodes=nodes)
+        tree = _depth2_tree(space, blocks, [i % 2 for i in range(len(blocks))], r1, 2)
     else:
         w, h = shape
         b = int(math.floor(block_scale))
@@ -426,8 +445,8 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
                 f"block_scale {block_scale!r} too small for R_1 {r1!r}: "
                 f"same-family brick gap {b // 2 + 2} would not exceed R_1")
         sigma = b // 2
-        bricks: Dict[int, List[int]] = {0: [], 1: [], 2: []}
-        brick_sets: List[Tuple[int, PointSubset]] = []
+        bricks: List[PointSubset] = []
+        colors: List[int] = []
         for t in range((h + b - 1) // b):
             y_lo, y_hi = t * b, min((t + 1) * b, h)
             j_lo = -((sigma * t) // b + 1)
@@ -440,14 +459,9 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
                 ids = tuple(x * h + y
                             for x in range(x_lo, x_hi)
                             for y in range(y_lo, y_hi))
-                brick_sets.append(((j + 2 * t) % 3, PointSubset(ids)))
-        nodes = [TreeNode(id=0, level=1, members=space.all_points())]
-        for i, (color, blk) in enumerate(brick_sets):
-            nodes.append(TreeNode(id=i + 1, level=2, members=blk))
-            bricks[color].append(i + 1)
-        families = [bricks[c] for c in range(3) if bricks[c]]
-        nodes[0].families = families
-        tree = DecompositionTree(m=2, arity=(3,), radii=(r1,), nodes=nodes)
+                bricks.append(PointSubset(ids))
+                colors.append((j + 2 * t) % 3)
+        tree = _depth2_tree(space, bricks, colors, r1, 3)
 
     check = tree_validate(space, tree)
     if not check.passed:

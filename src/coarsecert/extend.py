@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .covers import DecompositionTree, TreeNode, tree_validate
 from .errors import (
     BadEpsilonError,
@@ -55,7 +53,6 @@ from .simplex import (
     SimplexPoint,
     VertexMint,
     convex_combine,
-    global_mint,
     renamespace,
     simplicial_retraction,
     star_preimage_diameters,
@@ -118,29 +115,15 @@ class Modulus:
     constraint eps/3 - 2/(3r) = eps/4.  kind "linear" is E(eps) = eps/c with
     c > 1; linear moduli do not satisfy the pasting inequalities but keep
     deep schedules representable, and the verifier stays authoritative.
-    kind "table" interpolates user breakpoints linearly.
     """
 
     kind: str
     c: float = 4.0
-    table: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
         if self.kind == "linear":
             if not (self.c > 1):
                 raise InvalidInputError(f"linear modulus needs c > 1, got {self.c!r}")
-        elif self.kind == "table":
-            if not self.table:
-                raise InvalidInputError("table modulus needs breakpoints")
-            pts = tuple(sorted((float(x), float(y)) for x, y in self.table))
-            prev_y = 0.0
-            for x, y in pts:
-                if not (0 < y < x):
-                    raise InvalidInputError(f"table breakpoint E({x!r})={y!r} outside (0, x)")
-                if y < prev_y:
-                    raise InvalidInputError("table modulus must be non-decreasing")
-                prev_y = y
-            object.__setattr__(self, "table", pts)
         elif self.kind != "paper":
             raise InvalidInputError(f"unknown modulus kind {self.kind!r}")
 
@@ -149,15 +132,7 @@ class Modulus:
             raise InvalidInputError(f"modulus argument must be > 0, got {eps!r}")
         if self.kind == "paper":
             return eps * eps / (32.0 + 7.0 * eps)
-        if self.kind == "linear":
-            return eps / self.c
-        xs = [p[0] for p in self.table]
-        ys = [p[1] for p in self.table]
-        if eps <= xs[0]:
-            return ys[0] * eps / xs[0]  # scale toward 0 keeping E(x) < x
-        if eps >= xs[-1]:
-            return ys[-1]
-        return float(np.interp(eps, xs, ys))
+        return eps / self.c
 
     def _step_x(self, x: _XFloat) -> _XFloat:
         if self.kind == "paper":
@@ -165,12 +140,7 @@ class Modulus:
             # below float range, a relative error under x/32
             denom = 32.0 + 7.0 * x.to_float()
             return _XFloat(x.m * x.m / denom, 2 * x.e)
-        if self.kind == "linear":
-            return _XFloat(x.m / self.c, x.e)
-        f = x.to_float()
-        if f <= 0:
-            raise UnderflowError_(-1)
-        return _XFloat.from_float(self(f))
+        return _XFloat(x.m / self.c, x.e)
 
     def power(self, eps: float, k: int) -> float:
         """E^k(eps) with extended-range iteration; raises on underflow."""
@@ -191,9 +161,7 @@ class Modulus:
     def spec(self) -> str:
         if self.kind == "paper":
             return "paper"
-        if self.kind == "linear":
-            return f"linear:{self.c:g}"
-        return "table"
+        return f"linear:{self.c:g}"
 
 
 def default_modulus() -> Modulus:
@@ -368,7 +336,7 @@ def paste(f: PartitionOfUnity, g: PartitionOfUnity, r: float, epsilon: float,
 
 
 def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] = None,
-               target: Optional[PointSubset] = None, mint: Optional[VertexMint] = None,
+               target: Optional[PointSubset] = None, *, mint: VertexMint,
                check_inputs: bool = True) -> PartitionOfUnity:
     """Extend an (E(eps), E(eps))-Lipschitz pou to the target at slope eps.
 
@@ -382,7 +350,6 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
     if epsilon <= 0:
         raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
     modulus = modulus or default_modulus()
-    mint = mint or global_mint()
     space = f.space
     target = target if target is not None else space.all_points()
     if not set(f.domain.ids) <= set(target.ids):
@@ -401,7 +368,7 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
 def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: float,
                          modulus: Optional[Modulus] = None,
                          K: Optional[float] = None, Q: Optional[float] = None,
-                         mint: Optional[VertexMint] = None,
+                         *, mint: VertexMint,
                          check_inputs: bool = True) -> Tuple[PartitionOfUnity, float]:
     """Extend keeping coboundedness, by blending against a global cobounded pou.
 
@@ -414,7 +381,6 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
     if epsilon <= 0:
         raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
     modulus = modulus or default_modulus()
-    mint = mint or global_mint()
     space = f.space
     if u.domain.ids != space.all_points().ids:
         raise InvalidInputError("the cobounded pou must cover the whole space")
@@ -444,7 +410,7 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
 
 def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Optional[float],
                               budget: float, modulus: Optional[Modulus] = None,
-                              mint: Optional[VertexMint] = None,
+                              *, mint: VertexMint,
                               piece_bound: Optional[float] = None,
                               input_bound: Optional[float] = None,
                               check_inputs: bool = False):
@@ -463,7 +429,6 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
     if not piece.ids:
         raise EmptySetError("cannot extend over an empty piece")
     modulus = modulus or default_modulus()
-    mint = mint or global_mint()
     space = f.space
     k_piece = diameter(space, piece) if piece_bound is None else float(piece_bound)
     k_in = (measured_bound(f) if input_bound is None else float(input_bound))
@@ -515,7 +480,6 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
                                 input_bound: Optional[float] = None,
                                 strict_budget: bool = True,
                                 verify_family: bool = True,
-                                verify_output: bool = False,
                                 budget_warnings: Optional[list] = None):
     """Extend a pou over every piece of an R-disjoint family and glue.
 
@@ -562,18 +526,7 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
                 glued[x] = g_t(x)
         worst_piece_bound = max(worst_piece_bound, bound_t)
     h = f.merged_with(glued)
-    bound = 2.0 * worst_piece_bound + k_in
-    if verify_output:
-        rep = lipschitz_check(h, budget, budget, mode="full")
-        if not rep.passed:
-            raise VerificationFailedError(
-                f"family glue is not ({budget:g},{budget:g})-Lipschitz",
-                rep.to_json())
-        crep = cobounded_check(h, bound)
-        if not crep.passed:
-            raise VerificationFailedError(
-                f"family glue exceeds composed bound {bound:g}", crep.to_json())
-    return h, bound
+    return h, 2.0 * worst_piece_bound + k_in
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +602,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
                     k_in: float) -> Tuple[PartitionOfUnity, float]:
         if node.level == tree.m:
             g, bound, branch = extend_over_bounded_piece(
-                f, node.members, r_claim, u, modulus, mint,
+                f, node.members, r_claim, u, modulus, mint=mint,
                 piece_bound=leaf_bound, input_bound=k_in)
             counters[f"branch{branch}"] += 1
             return g, bound

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Callable, Dict, Union
 
 from .covers import DecompositionTree
 from .errors import InvalidInputError
-from .metric import FiniteMetricSpace, PointSubset, load_graph, load_matrix, load_points
+from .metric import FiniteMetricSpace, load_graph, load_matrix, load_points
 from .simplex import PartitionOfUnity, SimplexPoint, parse_vertex, vertex_key
 
 SCHEMA_VERSION = 1
@@ -39,6 +39,20 @@ def load_json(path: Union[str, Path]) -> dict:
     if obj.get("v") != SCHEMA_VERSION:
         raise InvalidInputError(f"{path}: unsupported schema version {obj.get('v')!r}")
     return obj
+
+
+def _load(path: Union[str, Path], from_json: Callable, *args):
+    """from_json(load_json(path), *args), naming the file if a field is malformed.
+
+    A missing key or a value of the wrong type or form is an input error,
+    not a verification failure.
+    """
+    obj = load_json(path)
+    try:
+        return from_json(obj, *args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +79,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
 
 
 def load_space(path: Union[str, Path]) -> FiniteMetricSpace:
-    return space_from_json(load_json(path))
+    return _load(path, space_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +111,11 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
 
 
 def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUnity:
-    return pou_from_json(load_json(path), space)
+    return _load(path, pou_from_json, space)
 
 
 # ---------------------------------------------------------------------------
-# trees and families
+# trees
 # ---------------------------------------------------------------------------
 
 def tree_to_json(tree: DecompositionTree) -> dict:
@@ -110,26 +124,8 @@ def tree_to_json(tree: DecompositionTree) -> dict:
     return obj
 
 
-def tree_from_json(obj: dict) -> DecompositionTree:
-    return DecompositionTree.from_json(obj)
-
-
 def load_tree(path: Union[str, Path]) -> DecompositionTree:
-    return tree_from_json(load_json(path))
-
-
-def families_to_json(families: List[List[PointSubset]], R: float = None) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "families",
-        "R": R,
-        "families": [[list(member.ids) for member in fam] for fam in families],
-    }
-
-
-def families_from_json(obj: dict) -> List[List[PointSubset]]:
-    return [[PointSubset(tuple(member)) for member in fam]
-            for fam in obj.get("families", [])]
+    return _load(path, DecompositionTree.from_json)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ is reserved for user-supplied vertices (cover members, explicit inputs) and
 every extension run mints its vertices inside a fresh namespace, which is how
 independently built pieces are guaranteed disjoint carriers.
 
-Everything here is immutable after construction and all operations are pure;
-the namespace counter is the only mutable state and increments atomically.
+Everything here is immutable after construction and all operations are pure.
+Fresh namespaces come from a VertexMint that each construction run creates
+and passes down; its counter increments atomically.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,17 +55,6 @@ class VertexMint:
     def namespace(self) -> int:
         with self._lock:
             return next(self._counter)
-
-    def vertex_run(self, namespace: int) -> Callable[[], VertexId]:
-        c = itertools.count(0)
-        return lambda: (namespace, next(c))
-
-
-_GLOBAL_MINT = VertexMint()
-
-
-def global_mint() -> VertexMint:
-    return _GLOBAL_MINT
 
 
 class SimplexPoint:
@@ -243,9 +232,6 @@ class PartitionOfUnity:
             self._dense_cache = (pts, verts, mat)
         return self._dense_cache
 
-    def restricted(self, region: PointSubset) -> "PartitionOfUnity":
-        return PartitionOfUnity(self.space, {x: self._f[x] for x in region.ids if x in self._f})
-
     def merged_with(self, other: Mapping[int, SimplexPoint]) -> "PartitionOfUnity":
         """New pou equal to self plus assignments for points not already held."""
         f = dict(self._f)
@@ -253,17 +239,6 @@ class PartitionOfUnity:
             if x not in f:
                 f[x] = p
         return PartitionOfUnity(self.space, f)
-
-
-@dataclass(frozen=True)
-class CoboundednessBound:
-    """An upper bound on every star preimage diameter, in metric units."""
-
-    M: float
-
-    def __post_init__(self):
-        if self.M < 0:
-            raise InvalidInputError(f"coboundedness bound {self.M!r} < 0")
 
 
 def carrier_vertices(f: PartitionOfUnity) -> set:
@@ -395,10 +370,3 @@ def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
     }
     return PartitionOfUnity(f.space, out)
 
-
-def assert_sums_hold(f: PartitionOfUnity) -> None:
-    """Invariant guard: every assigned point sums to 1 within tolerance."""
-    for x, p in f.items():
-        s = p.sum()
-        if abs(s - 1.0) > SUM_TOL:
-            raise InvalidInputError(f"weights of point {x} sum to {s!r}")

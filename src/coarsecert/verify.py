@@ -29,11 +29,9 @@ PAIR_CHUNK = 65536
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """A list of nonempty subsets with optional claimed constants."""
+    """A tuple of nonempty subsets."""
 
     members: Tuple[PointSubset, ...]
-    claimed_R: Optional[float] = None
-    claimed_bound: Optional[float] = None
 
     def __post_init__(self):
         members = tuple(
@@ -67,7 +65,6 @@ class LipschitzReport:
     pairs_checked: int
     restricted_radius: Optional[float] = None
     tolerance: float = SLACK_TOL
-    input_assumed: bool = False
 
     @property
     def passed(self) -> bool:

@@ -20,6 +20,7 @@ from coarsecert.cli import main as cli_main
 from coarsecert.covers import brick_tree, greedy_decomposition, net_ball_levels, point_finite_transform
 from coarsecert.extend import Modulus, budget_schedule, default_modulus, extend_pou, measured_bound, paste
 from coarsecert.metric import PointSubset
+from coarsecert.simplex import VertexMint
 from coarsecert.verify import (
     cobounded_check,
     lebesgue_check,
@@ -76,6 +77,7 @@ def scenario2_instances():
     """100 verified (delta, delta)-Lipschitz pous on subsets of P100, extended."""
     p100 = path_space(100)
     E = default_modulus()
+    mint = VertexMint()
     out = []
     for i in range(100):
         eps = 0.5 if i < 50 else 1.0
@@ -83,7 +85,7 @@ def scenario2_instances():
         rng = np.random.default_rng(20_000 + i)
         a = random_subset(100, int(rng.integers(34, 70)), rng)
         f = random_lipschitz_pou(p100, a.ids, delta, rng, n_vertices=4)
-        g = extend_pou(f, eps)  # input check on: instances must meet the gate
+        g = extend_pou(f, eps, mint=mint)  # input check on: instances must meet the gate
         out.append({"space": p100, "eps": eps, "delta": delta, "A": a,
                     "f": f, "g": g})
     return out

@@ -1,8 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coarsecert
 from coarsecert import jsonio
 from coarsecert.cli import main
 from coarsecert.covers import tree_validate
@@ -72,11 +78,21 @@ class TestDecompose:
         assert tree.m == 2
 
     def test_greedy(self, p100_file, tmp_path):
-        out = tmp_path / "fams.json"
+        out = tmp_path / "tree.json"
         assert run("decompose", "--space", p100_file, "--strategy", "greedy",
                    "--R", 2, "--diam", 4, "--out", out) == 0
-        fams = jsonio.families_from_json(json.loads(out.read_text()))
-        assert len(fams) == 2
+        tree = jsonio.load_tree(out)
+        assert tree_validate(jsonio.load_space(p100_file), tree).passed
+        assert len(tree.root.families) == 2
+
+    def test_greedy_tree_certifies(self, p100_file, tmp_path):
+        tree = tmp_path / "tree.json"
+        assert run("decompose", "--space", p100_file, "--strategy", "greedy",
+                   "--R", 159, "--diam", 160, "--out", tree) == 0
+        assert run("certify", "--space", p100_file, "--tree", tree, "--epsilon", 0.2,
+                   "--modulus", "linear:4", "--out", tmp_path / "cert") == 0
+        rep = json.loads((tmp_path / "cert.report.json").read_text())
+        assert rep["pass"] is True
 
     def test_bricks_non_grid(self, tmp_path):
         space = tmp_path / "m.json"
@@ -180,6 +196,62 @@ class TestVerify:
         space, pou = cert
         assert run("verify", "--space", space, "--pou", pou) == 2
 
+    def test_partial_pou_exit_one(self, cert, tmp_path, capsys):
+        space, pou_path = cert
+        obj = json.loads(pou_path.read_text())
+        obj["entries"] = {"0": obj["entries"]["0"]}
+        partial = tmp_path / "partial.pou.json"
+        partial.write_text(json.dumps(obj))
+        assert run("verify", "--space", space, "--pou", partial, "--epsilon", 0.4) == 1
+        assert "does not cover point 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def clean_artifacts(tmp_path_factory):
+    """A small space, tree and certificate pou, written by the CLI."""
+    d = tmp_path_factory.mktemp("clean")
+    run("generate", "--kind", "path", "--n", 40, "--out", d / "space.json")
+    run("decompose", "--space", d / "space.json", "--strategy", "bricks",
+        "--R", 10, "--block-scale", 11, "--out", d / "tree.json")
+    assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
+               "--epsilon", 0.8, "--modulus", "linear:2", "--out", d / "cert") == 0
+    return d
+
+
+MALFORMED = {
+    "pou vertex key": ("cert.pou.json",
+                       lambda obj: obj["entries"].update({"0": [["abc", 1.0]]})),
+    "pou point key": ("cert.pou.json",
+                      lambda obj: obj["entries"].update(x=obj["entries"].pop("0"))),
+    "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes")),
+    "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two")),
+    "graph space data null": ("space.json", lambda obj: obj.update(data=None)),
+    "points space without p": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
+    for name in ("space.json", "tree.json", "cert.pou.json"):
+        shutil.copy(clean_artifacts / name, tmp_path / name)
+    target, edit = MALFORMED[case]
+    obj = json.loads((tmp_path / target).read_text())
+    edit(obj)
+    (tmp_path / target).write_text(json.dumps(obj))
+    if target == "tree.json":
+        args = ["certify", "--space", "space.json", "--tree", "tree.json",
+                "--epsilon", "0.8", "--modulus", "linear:2", "--out", "again"]
+    else:
+        args = ["verify", "--space", "space.json", "--pou", "cert.pou.json",
+                "--epsilon", "0.8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "coarsecert.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "InvalidInputError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 class TestRoundTrips:
     def test_pou_roundtrip_exact(self, p100_file, tmp_path):
@@ -245,3 +317,15 @@ class TestDeterminism:
             outs.append(tuple((tmp_path / f"{tag}{sfx}").read_bytes()
                               for sfx in (".pou.json", ".report.json", ".schedule.json")))
         assert outs[0] == outs[1] == outs[2]
+
+
+def test_bench_tracer_patches_resolve():
+    # the benchmark's traced run looks up every name it wraps in the module
+    # namespace, so an import removed from the program breaks `--trace 1`
+    from bench.tracer import Tracer, layer_patches
+    from coarsecert import cli
+
+    before = cli.brick_tree
+    with layer_patches(Tracer("t")):
+        assert cli.brick_tree is not before
+    assert cli.brick_tree is before

@@ -71,13 +71,6 @@ class TestDefaultModulus:
             Modulus(kind="linear", c=1.0)
         assert Modulus(kind="linear", c=4.0)(1.0) == 0.25
 
-    def test_table_modulus(self):
-        t = Modulus(kind="table", table=((0.5, 0.1), (1.0, 0.2)))
-        assert t(0.75) == pytest.approx(0.15)
-        assert t(0.25) == pytest.approx(0.05)  # scaled below the range
-        with pytest.raises(InvalidInputError):
-            Modulus(kind="table", table=((1.0, 1.5),))  # E(x) >= x
-
     def test_parse(self):
         assert parse_modulus("paper").kind == "paper"
         assert parse_modulus("linear:3").c == 3.0
@@ -176,7 +169,7 @@ class TestExtendPou:
     def test_whole_domain_identity(self, p10):
         rng = np.random.default_rng(2)
         f = random_lipschitz_pou(p10, range(10), 0.05, rng)
-        assert extend_pou(f, 1.0, check_inputs=False) is f
+        assert extend_pou(f, 1.0, mint=VertexMint(), check_inputs=False) is f
 
     def test_constant_input_formula(self, p100):
         a = PointSubset((10, 11, 12))
@@ -196,23 +189,24 @@ class TestExtendPou:
         rng = np.random.default_rng(3)
         a = random_subset(100, 40, rng)
         f = random_lipschitz_pou(p100, a.ids, 1 / 39, rng)
-        g = extend_pou(f, 1.0)
+        g = extend_pou(f, 1.0, mint=VertexMint())
         assert all(g(x) is f(x) for x in a.ids)
 
     def test_rejects_non_lipschitz_input(self, p10):
         f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0)),
                                    1: SimplexPoint.delta((1, 1))})
         with pytest.raises(PreconditionViolatedError):
-            extend_pou(f, 1.0)
+            extend_pou(f, 1.0, mint=VertexMint())
 
     def test_seeded_instances(self, p100):
         E = default_modulus()
+        mint = VertexMint()
         for seed in range(10):
             rng = np.random.default_rng(800 + seed)
             eps = float(rng.choice([0.5, 1.0]))
             a = random_subset(100, int(rng.integers(2, 60)), rng)
             f = random_lipschitz_pou(p100, a.ids, E(eps), rng)
-            g = extend_pou(f, eps)
+            g = extend_pou(f, eps, mint=mint)
             assert lipschitz_check(g, eps, eps).passed
 
 
@@ -226,7 +220,8 @@ class TestExtendPouCobounded:
         rng = np.random.default_rng(4)
         f = random_lipschitz_pou(p10, range(10), 0.05, rng)
         u = PartitionOfUnity.constant(p10, p10.all_points(), (9, 9))
-        g, bound = extend_pou_cobounded(f, u, 1.0, check_inputs=False, K=3.0)
+        g, bound = extend_pou_cobounded(f, u, 1.0, check_inputs=False, K=3.0,
+                                        mint=VertexMint())
         assert g is f and bound == 3.0
 
     def test_brick_cover_instance(self, p200):
@@ -236,7 +231,7 @@ class TestExtendPouCobounded:
         u = barycentric_pou(p200, self.overlap_cover(p200))
         f = PartitionOfUnity(p200, {0: SimplexPoint.delta((50, 0))})
         eps = 0.4
-        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False)
+        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
         assert lipschitz_check(g, eps, eps).passed
         rep = cobounded_check(g, bound)
         assert rep.passed
@@ -246,7 +241,7 @@ class TestExtendPouCobounded:
         u = barycentric_pou(p200, self.overlap_cover(p200))
         f = PartitionOfUnity(p200, {0: SimplexPoint.delta((0, 0))})
         # u also uses namespace 0: without re-namespacing these would collide
-        g, _ = extend_pou_cobounded(f, u, 0.4, check_inputs=False)
+        g, _ = extend_pou_cobounded(f, u, 0.4, check_inputs=False, mint=VertexMint())
         carrier_ns = {v[0] for v in g.carrier()}
         assert 0 in carrier_ns  # f's vertex survives on A
         assert any(ns != 0 for ns in carrier_ns)
@@ -255,7 +250,7 @@ class TestExtendPouCobounded:
         u = barycentric_pou(p200, self.overlap_cover(p200))
         f = PartitionOfUnity(p200, {0: SimplexPoint.delta((50, 0))})
         eps = 0.4
-        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False)
+        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
         assert lipschitz_check(g, eps, eps).passed
         # corrupt one weight on a certificate that passed: push the majority
         # vertex at a triple-overlap point
@@ -280,7 +275,7 @@ class TestExtendOverBoundedPiece:
         f = random_lipschitz_pou(p200, range(50), 0.01, rng)
         piece = PointSubset(tuple(range(150, 161)))
         # d(49, 150) = 101 >= 50: the open neighborhood misses the domain
-        g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5,
+        g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint(),
                                                      input_bound=measured_bound(f))
         assert branch == 1
         assert all(g(x) is f(x) for x in range(50))
@@ -290,7 +285,7 @@ class TestExtendOverBoundedPiece:
         delta = default_modulus()(0.5)
         f = random_lipschitz_pou(p200, range(50), delta, rng)
         piece = PointSubset(tuple(range(60, 71)))
-        g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5)
+        g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint())
         assert branch == 2
         assert all(g(x) is f(x) for x in range(50))
         assert lipschitz_check(g, 0.5, 0.5).passed
@@ -303,7 +298,7 @@ class TestExtendOverBoundedPiece:
         rng = np.random.default_rng(8)
         f = random_lipschitz_pou(p200, range(50), 0.01, rng, namespace=3)
         piece = PointSubset(tuple(range(60, 71)))
-        g, _, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5)
+        g, _, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint())
         assert branch == 2
         assert set(g.carrier()) <= set(f.carrier())
 

@@ -45,6 +45,7 @@ def ball_piece(space, rng, radius):
 class TestBoundedPieceRealization:
     def test_hundred_instances(self, spaces):
         branch_seen = {1: 0, 2: 0}
+        mint = VertexMint()
         for i in range(100):
             rng = np.random.default_rng(50_000 + i)
             space = spaces[i % 3]
@@ -67,7 +68,7 @@ class TestBoundedPieceRealization:
                                      n_vertices=int(rng.integers(2, 5)))
             k_in = measured_bound(f)
             g, bound, branch = extend_over_bounded_piece(
-                f, piece, r_m, u, input_bound=k_in)
+                f, piece, r_m, u, mint=mint, input_bound=k_in)
             branch_seen[branch] += 1
             assert all(g(x) is f(x) for x in a.ids)  # exact on the input
             assert set(g.domain.ids) == set(a.ids) | set(piece.ids)
@@ -131,6 +132,7 @@ class TestDisjointFamilyRealization:
 
 class TestCoboundedExtensionRealization:
     def test_hundred_instances(self, spaces):
+        mint = VertexMint(start=3)  # f and u below use namespaces 1 and 2
         for i in range(100):
             rng = np.random.default_rng(70_000 + i)
             space = spaces[i % 3]
@@ -139,7 +141,7 @@ class TestCoboundedExtensionRealization:
             a = random_subset(space.n, int(rng.integers(5, space.n // 4)), rng)
             f = random_lipschitz_pou(space, a.ids, delta, rng, namespace=1)
             u = random_lipschitz_pou(space, range(space.n), delta, rng, namespace=2)
-            g, bound = extend_pou_cobounded(f, u, eps)
+            g, bound = extend_pou_cobounded(f, u, eps, mint=mint)
             assert all(g(x) is f(x) for x in a.ids)
             assert lipschitz_check(g, eps, eps, mode="full").worst_slack >= -1e-9
             assert cobounded_check(g, bound).passed
