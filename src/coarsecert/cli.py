@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .covers import brick_tree, greedy_tree, tree_validate
-from .errors import CoarseCertError, VerificationFailedError
+from .errors import CoarseCertError, ConstructionFailedError, VerificationFailedError
 from .extend import build_certificate, parse_modulus
 from .verify import cobounded_check, lipschitz_check
 
@@ -77,6 +77,10 @@ def cmd_decompose(args) -> int:
     else:
         tree = brick_tree(space, [float(args.R)], float(args.block_scale))
     check = tree_validate(space, tree)
+    if not check.passed:
+        raise ConstructionFailedError(
+            f"tree failed validation: clause {check.failed_clause}, {check.witness}",
+            check.to_json())
     jsonio.save_json(args.out, jsonio.tree_to_json(tree))
     print(f"wrote depth-{tree.m} tree ({len(tree.nodes)} nodes, "
           f"leaf bound {check.leaf_bound:g}) to {args.out}")

@@ -7,8 +7,10 @@ families is the node), and the leaf level is uniformly bounded.  Trees with
 all arities <= 2 are the straight-decomposition special case.
 
 Constructions here are greedy and deterministic: existence is what matters,
-not optimality, and every output is re-checked by the verify module before
-it is returned.
+not optimality.  Cover and family constructions re-check their output with
+the verify module before returning it.  Trees are checked by tree_validate
+where they are written (`coarsecert decompose`) and where they are read
+(build_certificate), not by the functions that build them.
 """
 
 from __future__ import annotations
@@ -415,7 +417,8 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
     gap is side/2 + 2, which must exceed R_1.
 
     A space whose diameter is at most block_scale gets the trivial depth-1
-    tree (the root itself is the bounded level).
+    tree (the root itself is the bounded level).  The tree is returned
+    unchecked; validate it with tree_validate before use.
     """
     shape = _grid_shape(space)
     if block_scale < 1:
@@ -462,10 +465,4 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
                 bricks.append(PointSubset(ids))
                 colors.append((j + 2 * t) % 3)
         tree = _depth2_tree(space, bricks, colors, r1, 3)
-
-    check = tree_validate(space, tree)
-    if not check.passed:
-        raise ConstructionFailedError(
-            f"brick tree failed validation: clause {check.failed_clause}, "
-            f"{check.witness}", check.to_json())
     return tree

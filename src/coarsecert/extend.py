@@ -16,8 +16,9 @@ family gluing, and the recursive certificate builder with its budget ladder.
 The budget ladder composes a modulus E (E(x) < x, non-decreasing): a node at
 level i with q families is processed in ascending family order at budgets
 E^((q-1)*P(i+1))(u), ..., E^(P(i+1))(u), u, each family glue feeding the next.
-Schedules are computed in extended-range (mantissa, exponent) arithmetic and
-refuse to produce budgets below 1e-300.
+Schedules are computed in plain float arithmetic and stop with an underflow
+error once a budget drops below 1e-300, so every radius 2/E - 1 they derive
+stays finite.
 
 The final verification in build_certificate is mandatory: the verifier, not
 the schedule, is the correctness authority.
@@ -70,41 +71,8 @@ _REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# moduli and extended-range composition
+# moduli and their composition
 # ---------------------------------------------------------------------------
-
-class _XFloat:
-    """Positive real as mantissa * 2**exponent, mantissa in [1, 2)."""
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, m: float, e: int):
-        while m >= 2.0:
-            m /= 2.0
-            e += 1
-        while m < 1.0:
-            m *= 2.0
-            e -= 1
-        self.m, self.e = m, e
-
-    @classmethod
-    def from_float(cls, x: float) -> "_XFloat":
-        if x <= 0 or not math.isfinite(x):
-            raise InvalidInputError(f"extended-range value must be positive finite, got {x!r}")
-        man, ex = math.frexp(x)  # man in [0.5, 1)
-        return cls(man * 2.0, ex - 1)
-
-    def to_float(self) -> float:
-        if self.e < -1100:
-            return 0.0
-        if self.e > 1023:
-            return math.inf
-        return math.ldexp(self.m, self.e)
-
-    def below(self, floor: float) -> bool:
-        f = self.to_float()
-        return f < floor
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -134,29 +102,27 @@ class Modulus:
             return eps * eps / (32.0 + 7.0 * eps)
         return eps / self.c
 
-    def _step_x(self, x: _XFloat) -> _XFloat:
-        if self.kind == "paper":
-            # x^2: exact exponent doubling; the 7x term is dropped once x is
-            # below float range, a relative error under x/32
-            denom = 32.0 + 7.0 * x.to_float()
-            return _XFloat(x.m * x.m / denom, 2 * x.e)
-        return _XFloat(x.m / self.c, x.e)
-
     def power(self, eps: float, k: int) -> float:
-        """E^k(eps) with extended-range iteration; raises on underflow."""
+        """E^k(eps); raises once an iterate drops below BUDGET_FLOOR.
+
+        The floor lies above the smallest normal float, so no iterate that
+        passes it has lost precision to underflow.
+        """
         if k < 0:
             raise InvalidInputError("composition count must be >= 0")
         if k == 0:
             return float(eps)
-        x = _XFloat.from_float(eps)
+        if eps <= 0 or not math.isfinite(eps):
+            raise InvalidInputError(f"modulus argument must be positive finite, got {eps!r}")
+        x = float(eps)
         cap = 10_000_000
         for _ in range(min(int(k), cap)):
-            x = self._step_x(x)
-            if x.below(BUDGET_FLOOR):
+            x = self(x)
+            if x < BUDGET_FLOOR:
                 raise UnderflowError_(-1, f"E^k({eps!r}) below {BUDGET_FLOOR!r}")
         if k > cap:
             raise InvalidInputError(f"composition count {k} too deep to evaluate")
-        return x.to_float()
+        return x
 
     def spec(self) -> str:
         if self.kind == "paper":
@@ -250,20 +216,9 @@ def budget_schedule(tree: DecompositionTree, epsilon: float, modulus: Modulus,
     if m == 1:
         r_required: Tuple[float, ...] = ()
     elif schedule_mode == "conservative":
-        e_p1 = power_at(m, P[0])
-        r = 2.0 / e_p1 - 1.0
-        if not math.isfinite(r):
-            raise UnderflowError_(m, "required radius is not representable")
-        r_required = tuple([r] * m)
+        r_required = tuple([2.0 / power_at(m, P[0]) - 1.0] * m)
     else:
-        rs = []
-        for i in range(1, m + 1):
-            e_ni = power_at(i, N[i - 1])
-            r = 2.0 / e_ni - 1.0
-            if not math.isfinite(r):
-                raise UnderflowError_(i, "required radius is not representable")
-            rs.append(r)
-        r_required = tuple(rs)
+        r_required = tuple(2.0 / power_at(i, N[i - 1]) - 1.0 for i in range(1, m + 1))
 
     return BudgetSchedule(
         epsilon=float(epsilon), mode=schedule_mode, arity=arity,
@@ -296,12 +251,10 @@ def _require_lipschitz(f: PartitionOfUnity, delta: float, who: str) -> None:
 def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> PartitionOfUnity:
     """h = a*g + (1-a)*f(p(.)) over g's domain; exact on A and off B(A, r)."""
     space = f.space
-    a_set = f.domain
-    dist_a = dist_to_set_all(space, a_set)
-    p = nearest_point_retraction(space, a_set)
+    p = nearest_point_retraction(space, f.domain)
     out: Dict[int, SimplexPoint] = {}
     for x in g.domain.ids:
-        alpha = min(dist_a[x] / r, 1.0)
+        alpha = min(p.dist[x] / r, 1.0)
         out[x] = convex_combine(alpha, g(x), f(p(x)))
     return PartitionOfUnity(space, out)
 

@@ -8,7 +8,9 @@ every operation here is a pure function and safe under concurrent readers.
 Distances are stored as a dense float64 table for n <= 4096.  Above that,
 graph-backed spaces answer distance queries by on-demand Dijkstra rows with a
 per-source cache, and radius-limited neighborhood queries run Dijkstra with a
-cutoff, which is what the radius-restricted verification mode needs.
+cutoff, which is what the radius-restricted verification mode needs.  Only
+FiniteMetricSpace chooses between the table and the rows (row, rows, block,
+pair_distances); the set primitives at the end of this module ask it.
 
 Metric axioms are validated eagerly at load: the triangle inequality is
 checked exhaustively for n <= 2000 (the min-plus closure of a valid metric
@@ -88,10 +90,15 @@ class PointSubset:
 
 @dataclass(frozen=True)
 class Retraction:
-    """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A)."""
+    """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A).
+
+    dist holds those distances for every x, so a caller needing both the
+    nearest point and the distance to A scans the |A| x n block once.
+    """
 
     subset: PointSubset
     mapping: np.ndarray  # mapping[x] = p(x), length n
+    dist: np.ndarray     # dist[x] = dist(x, A) = d(x, p(x)), length n
 
     def __call__(self, x: int) -> int:
         return int(self.mapping[x])
@@ -150,10 +157,20 @@ class FiniteMetricSpace:
             return _lp_row(self._coords, x, self._p_norm)
         raise InvalidInputError("space has no backing data for row queries")
 
-    def submatrix(self, ids: np.ndarray) -> np.ndarray:
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances from each id in rows to each id in cols, shape (len(rows), len(cols))."""
         if self._dmat is not None:
-            return self._dmat[np.ix_(ids, ids)]
-        return np.stack([self.row(int(i))[ids] for i in ids])
+            return self._dmat[np.ix_(rows, cols)]
+        return np.stack([self.row(int(i))[cols] for i in rows])
+
+    def submatrix(self, ids: np.ndarray) -> np.ndarray:
+        return self.block(ids, ids)
+
+    def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """d(xs[k], ys[k]) for each k, shape (len(xs),)."""
+        if self._dmat is not None:
+            return self._dmat[xs, ys]
+        return np.array([self.row(int(x))[y] for x, y in zip(xs, ys)], dtype=np.float64)
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Distances from each id in ids to every point, shape (len(ids), n)."""
@@ -304,7 +321,9 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         u, v, w = int(e[0]), int(e[1]), float(e[2])
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-        if w < 0 or not math.isfinite(w):
+        if not math.isfinite(w):
+            raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
+        if w < 0:
             raise NegativeDistanceError(u, v, w)
         if u == v:
             continue
@@ -424,8 +443,6 @@ def dist_to_set(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
     """min over points of a of d(x, .); zero exactly when x is in a."""
     if not a.ids:
         raise EmptySetError("dist_to_set of empty subset")
-    if space.has_table:
-        return float(space.matrix()[x, a.array()].min())
     return float(space.row(x)[a.array()].min())
 
 
@@ -433,10 +450,7 @@ def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset) -> np.ndarray:
     """dist(x, a) for every x, shape (n,).  Uses symmetry: rows from a."""
     if not a.ids:
         raise EmptySetError("dist_to_set of empty subset")
-    ids = a.array()
-    if space.has_table:
-        return space.matrix()[ids].min(axis=0)
-    return space.rows(ids).min(axis=0)
+    return space.rows(a.array()).min(axis=0)
 
 
 def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
@@ -471,12 +485,8 @@ def min_cross_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset)
     if not a.ids or not b.ids:
         raise EmptySetError("min_cross_distance of empty subset")
     ia, ib = a.array(), b.array()
-    if space.has_table:
-        block = space.matrix()[np.ix_(ia, ib)]
-    else:
-        block = space.rows(ia)[:, ib]
-    flat = int(np.argmin(block))
-    i, j = np.unravel_index(flat, block.shape)
+    block = space.block(ia, ib)
+    i, j = np.unravel_index(int(np.argmin(block)), block.shape)
     return float(block[i, j]), (int(ia[i]), int(ib[j]))
 
 
@@ -484,18 +494,17 @@ def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retrac
     """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
 
     argmin over the ascending id array takes the first occurrence, which is
-    the tie-break rule: the smallest point id wins.
+    the tie-break rule: the smallest point id wins.  The same scan yields
+    dist(x, a) for every x, returned as the retraction's dist field.
     """
     if not a.ids:
         raise EmptySetError("retraction onto empty subset")
     ids = a.array()
-    if space.has_table:
-        block = space.matrix()[ids]  # (|a|, n)
-        nearest = ids[np.argmin(block, axis=0)]
-    else:
-        block = space.rows(ids)
-        nearest = ids[np.argmin(block, axis=0)]
-    mapping = np.asarray(nearest, dtype=np.intp)
+    block = space.rows(ids)  # (|a|, n)
+    k = np.argmin(block, axis=0)
+    mapping = ids[k]
     mapping[ids] = ids  # fixes a exactly (d=0 is already the unique min)
     mapping.setflags(write=False)
-    return Retraction(subset=a, mapping=mapping)
+    dist = block[k, np.arange(space.n)]
+    dist.setflags(write=False)
+    return Retraction(subset=a, mapping=mapping, dist=dist)

@@ -28,7 +28,7 @@ from .errors import (
     NotARetractionError,
     SupportEscapesError,
 )
-from .metric import FiniteMetricSpace, PointSubset
+from .metric import FiniteMetricSpace, PointSubset, diameter
 
 SUM_TOL = 1e-9          # invariant: |sum - 1| within this after any op
 RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
@@ -69,6 +69,8 @@ class SimplexPoint:
         w = {}
         for v, x in weights.items():
             x = float(x)
+            if not math.isfinite(x):
+                raise InvalidInputError(f"non-finite weight {x!r} on vertex {v}")
             if x < 0:
                 raise InvalidInputError(f"negative weight {x!r} on vertex {v}")
             if x > 0:
@@ -254,17 +256,8 @@ def star_preimage_diameters(f: PartitionOfUnity):
     """
     if len(f.domain) == 0:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
-    out: Dict[VertexId, float] = {}
-    worst = 0.0
-    for v, pts in f.stars().items():
-        if len(pts) <= 1:
-            out[v] = 0.0
-            continue
-        d = float(f.space.submatrix(pts).max())
-        out[v] = d
-        if d > worst:
-            worst = d
-    return out, worst
+    out = {v: diameter(f.space, PointSubset(tuple(pts))) for v, pts in f.stars().items()}
+    return out, max(out.values(), default=0.0)
 
 
 def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],

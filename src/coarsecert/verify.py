@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BadModeError, EmptySetError, NotACoverError
-from .metric import FiniteMetricSpace, PointSubset
+from .metric import FiniteMetricSpace, PointSubset, diameter, min_cross_distance
 from .simplex import PartitionOfUnity, VertexId, star_preimage_diameters, vertex_key
 
 SLACK_TOL = 1e-9
@@ -195,10 +195,7 @@ def _pair_slack_chunks(space: FiniteMetricSpace, pts: np.ndarray, mat: np.ndarra
         lo, hi = ci * PAIR_CHUNK, min((ci + 1) * PAIR_CHUNK, len(pairs_i))
         ii, jj = pairs_i[lo:hi], pairs_j[lo:hi]
         l1 = np.abs(mat[ii] - mat[jj]).sum(axis=1)
-        if space.has_table:
-            d = space.matrix()[pts[ii], pts[jj]]
-        else:
-            d = np.array([space.d(int(pts[a]), int(pts[b])) for a, b in zip(ii, jj)])
+        d = space.pair_distances(pts[ii], pts[jj])
         slack = lam * d + C - l1
         k = int(np.argmin(slack))  # first occurrence = lexicographic min pair
         return float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
@@ -248,9 +245,11 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     """Check d(f(x), f(y)) <= lam*d(x,y) + C over the domain.
 
     Full mode checks every unordered pair.  Restricted mode requires
-    lam == C == eps and checks only pairs with d(x, y) < 2/eps - 1; pairs at
-    or beyond that radius satisfy eps*d + eps >= 2 >= l1 automatically, so
-    the two modes agree on pass/fail.
+    lam == C == eps and checks only pairs with d(x, y) < 2*s/eps - 1, where
+    s is the largest weight sum of the pou, or 1 when every sum lies within
+    tolerance/4 of 1.  Pairs at or beyond that radius satisfy
+    eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1), so the two
+    modes agree on pass/fail.
     """
     restricted_radius = None
     if mode == "restricted":
@@ -258,11 +257,14 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
             raise BadModeError("restricted mode requires lambda == C")
         if lam <= 0:
             raise BadModeError("restricted mode requires epsilon > 0")
-        restricted_radius = 2.0 / lam - 1.0
     elif mode != "full":
         raise BadModeError(f"unknown mode {mode!r}")
 
     pts, _, mat = f.dense()
+    if mode == "restricted":
+        s_max = float(mat.sum(axis=1).max(initial=0.0))
+        s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
+        restricted_radius = 2.0 * s / lam - 1.0
     m = len(pts)
     if m < 2:
         return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
@@ -308,17 +310,11 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
     best = math.inf
     best_w = None
     for s in range(len(fam.members)):
-        ids_s = fam.members[s].array()
-        rows_s = space.rows(ids_s)
         for t in range(s + 1, len(fam.members)):
-            ids_t = fam.members[t].array()
-            block = rows_s[:, ids_t]
-            flat = int(np.argmin(block))
-            i, j = np.unravel_index(flat, block.shape)
-            d = float(block[i, j])
+            d, (x, y) = min_cross_distance(space, fam.members[s], fam.members[t])
             if d < best:
                 best = d
-                best_w = (int(ids_s[i]), int(ids_t[j]), s, t)
+                best_w = (x, y, s, t)
     if best_w is not None and best <= R:
         return DisjointReport(R=R, min_cross=best, witness=best_w)
     return DisjointReport(R=R, min_cross=best, witness=None)
@@ -327,13 +323,7 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
     """Exact max member diameter (the tight uniform bound)."""
     fam = _as_family(family)
-    diams = []
-    for member in fam.members:
-        ids = member.array()
-        if len(ids) == 1:
-            diams.append(0.0)
-        else:
-            diams.append(float(space.submatrix(ids).max()))
+    diams = [diameter(space, member) for member in fam.members]
     worst = int(np.argmax(diams))
     return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
                              diameters=diams)

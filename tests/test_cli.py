@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import coarsecert
-from coarsecert import jsonio
+from coarsecert import cli, covers, jsonio, metric
 from coarsecert.cli import main
 from coarsecert.covers import tree_validate
 from coarsecert.verify import lipschitz_check
@@ -93,6 +94,35 @@ class TestDecompose:
                    "--modulus", "linear:4", "--out", tmp_path / "cert") == 0
         rep = json.loads((tmp_path / "cert.report.json").read_text())
         assert rep["pass"] is True
+
+    def test_bricks_tree_validated_once(self, p100_file, tmp_path, monkeypatch):
+        calls = []
+        inner = covers.r_disjoint_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(covers, "r_disjoint_check", counted)
+        assert run("decompose", "--space", p100_file, "--strategy", "bricks",
+                   "--R", 10, "--block-scale", 11, "--out", tmp_path / "tree.json") == 0
+        assert len(calls) == 2  # one check per family of the root
+
+    def test_invalid_tree_is_not_written(self, p100_file, tmp_path, monkeypatch, capsys):
+        real = cli.brick_tree
+
+        def too_close(space, R_schedule, block_scale):
+            tree = real(space, R_schedule, block_scale)
+            tree.radii = (50.0,)  # same-family blocks sit 12 apart
+            return tree
+
+        monkeypatch.setattr(cli, "brick_tree", too_close)
+        out = tmp_path / "tree.json"
+        assert run("decompose", "--space", p100_file, "--strategy", "bricks",
+                   "--R", 10, "--block-scale", 11, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "ConstructionFailedError" in err and "clause 2" in err
+        assert not out.exists()
 
     def test_bricks_non_grid(self, tmp_path):
         space = tmp_path / "m.json"
@@ -218,16 +248,29 @@ def clean_artifacts(tmp_path_factory):
     return d
 
 
+# case -> (file to break, edit, text the error message must contain)
 MALFORMED = {
     "pou vertex key": ("cert.pou.json",
-                       lambda obj: obj["entries"].update({"0": [["abc", 1.0]]})),
+                       lambda obj: obj["entries"].update({"0": [["abc", 1.0]]}),
+                       "cert.pou.json"),
     "pou point key": ("cert.pou.json",
-                      lambda obj: obj["entries"].update(x=obj["entries"].pop("0"))),
-    "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes")),
-    "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two")),
-    "graph space data null": ("space.json", lambda obj: obj.update(data=None)),
+                      lambda obj: obj["entries"].update(x=obj["entries"].pop("0")),
+                      "cert.pou.json"),
+    "pou weight NaN": ("cert.pou.json",
+                       lambda obj: obj["entries"].update(
+                           {"0": [["0:0", 1.0], ["0:1", float("nan")]]}),
+                       "non-finite weight nan"),
+    "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes"), "tree.json"),
+    "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two"),
+                                  "tree.json"),
+    "graph space data null": ("space.json", lambda obj: obj.update(data=None),
+                              "space.json"),
+    "graph edge weight NaN": ("space.json",
+                              lambda obj: obj["data"][0].__setitem__(2, float("nan")),
+                              "non-finite weight nan"),
     "points space without p": ("space.json", lambda obj: obj.update(
-        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]})),
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]}),
+        "space.json"),
 }
 
 
@@ -235,7 +278,7 @@ MALFORMED = {
 def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
     for name in ("space.json", "tree.json", "cert.pou.json"):
         shutil.copy(clean_artifacts / name, tmp_path / name)
-    target, edit = MALFORMED[case]
+    target, edit, message = MALFORMED[case]
     obj = json.loads((tmp_path / target).read_text())
     edit(obj)
     (tmp_path / target).write_text(json.dumps(obj))
@@ -250,6 +293,7 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "InvalidInputError" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -317,6 +361,40 @@ class TestDeterminism:
             outs.append(tuple((tmp_path / f"{tag}{sfx}").read_bytes()
                               for sfx in (".pou.json", ".report.json", ".schedule.json")))
         assert outs[0] == outs[1] == outs[2]
+
+
+# sha256 of each artifact of the pipeline in test_artifacts_independent_of_dense_table
+PINNED_DIGESTS = {
+    "tree.json": "bfc980e726cbfbc6e243cc2001462def6902f15ed55ef2916bc03b08688c8955",
+    "cert.pou.json": "af85447acfa20400cdb9fdfd4f569140255080318c8b902f966dff52f74c5548",
+    "cert.report.json": "7a41249731d89552604754b51fa6a9eb7c318e4b12e7f0cc6cb38426b348da44",
+    "cert.schedule.json": "8f68421cebd1d37c3837e88e3d4ff5d3e08376e5661f363d8050b613f801fe11",
+    "verify.restricted.json": "8942b9107b8def5e0a3e58879f1d886501196ff1df14105382e383bf06ba0235",
+    "verify.full.json": "3dfdf1dc92707f40e0109cc9f6fd1f5deb87520376953774c576826ea7b200f1",
+}
+
+
+@pytest.mark.parametrize("table", ["dense", "table-free"])
+def test_artifacts_independent_of_dense_table(table, tmp_path, monkeypatch):
+    # the dense table and Dijkstra rows are two ways to answer one distance
+    # query; every artifact must come out byte-identical either way
+    if table == "table-free":
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "--kind", "path", "--n", 400, "--out", "space.json") == 0
+    assert jsonio.load_space("space.json").has_table == (table == "dense")
+    assert run("decompose", "--space", "space.json", "--strategy", "bricks",
+               "--R", 79, "--block-scale", 80, "--out", "tree.json") == 0
+    assert run("certify", "--space", "space.json", "--tree", "tree.json",
+               "--epsilon", 0.4, "--modulus", "linear:4", "--out", "cert") == 0
+    bound = json.loads(Path("cert.report.json").read_text())["bound"]
+    for mode in ("restricted", "full"):
+        assert run("verify", "--space", "space.json", "--pou", "cert.pou.json",
+                   "--epsilon", 0.4, "--M", repr(bound), "--mode", mode,
+                   "--out", f"verify.{mode}.json") == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in sorted(PINNED_DIGESTS)}
+    assert digests == PINNED_DIGESTS
 
 
 def test_bench_tracer_patches_resolve():

@@ -63,6 +63,18 @@ class TestLipschitz:
         rep = lipschitz_check(f, 1.0, 1.0)
         assert rep.passed and rep.pairs_checked == 0
 
+    def test_restricted_equals_full_on_sums_above_one(self):
+        # sums of 1 + 9e-10 load (within SUM_TOL) and push l1 to 2 + 1.8e-9,
+        # past what eps*d + eps = 2 covers at d = 2/eps - 1 = 3
+        p2 = load_graph(2, [(0, 1, 3.0)])
+        w = 1.0 + 9e-10
+        f = PartitionOfUnity(p2, {0: SimplexPoint({A: w}), 1: SimplexPoint({B: w})})
+        full = lipschitz_check(f, 0.5, 0.5, mode="full")
+        rest = lipschitz_check(f, 0.5, 0.5, mode="restricted")
+        assert not full.passed and not rest.passed
+        assert rest.pairs_checked == 1
+        assert rest.worst_slack == full.worst_slack
+
     def test_restricted_equals_full_passfail(self, p200):
         for seed in range(8):
             rng = np.random.default_rng(100 + seed)
