@@ -72,6 +72,9 @@ class DecompositionTree:
             raise InvalidInputError(
                 f"tree of depth {self.m} needs {self.m - 1} arities and radii"
             )
+        for r in self.radii:
+            if not (0.0 <= r < math.inf):
+                raise InvalidInputError(f"tree radius {r!r} must be finite and >= 0")
 
     def node(self, node_id: int) -> TreeNode:
         return self._index()[node_id]
@@ -162,6 +165,10 @@ def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeVali
             return fail("structure", f"node {nd.id} at level {nd.level}")
         if nd.level == tree.m and nd.families:
             return fail("structure", f"leaf node {nd.id} has children")
+        try:
+            nd.members.validate_against(space)
+        except InvalidInputError as exc:
+            return fail("structure", f"node {nd.id}: {exc}")
         for fam in nd.families:
             for cid in fam:
                 if cid not in index:

@@ -96,11 +96,15 @@ class Modulus:
             raise InvalidInputError(f"unknown modulus kind {self.kind!r}")
 
     def __call__(self, eps: float) -> float:
-        if eps <= 0:
-            raise InvalidInputError(f"modulus argument must be > 0, got {eps!r}")
+        if not (0 < eps < math.inf):
+            raise InvalidInputError(f"modulus argument must be positive finite, got {eps!r}")
         if self.kind == "paper":
-            return eps * eps / (32.0 + 7.0 * eps)
-        return eps / self.c
+            out = eps * eps / (32.0 + 7.0 * eps)
+        else:
+            out = eps / self.c
+        if not math.isfinite(out):
+            raise InvalidInputError(f"modulus value at {eps!r} overflows to {out!r}")
+        return out
 
     def power(self, eps: float, k: int) -> float:
         """E^k(eps); raises once an iterate drops below BUDGET_FLOOR.

@@ -44,13 +44,15 @@ def load_json(path: Union[str, Path]) -> dict:
 def _load(path: Union[str, Path], from_json: Callable, *args):
     """from_json(load_json(path), *args), naming the file if a field is malformed.
 
-    A missing key or a value of the wrong type or form is an input error,
-    not a verification failure.
+    A missing key or a value of the wrong type, form or range is an input
+    error, not a verification failure.
     """
     obj = load_json(path)
     try:
         return from_json(obj, *args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
             f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
@@ -103,6 +105,8 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
         x = int(key)
         if not (0 <= x < space.n):
             raise InvalidInputError(f"pou references unknown point id {x}")
+        if x in assignment:
+            raise InvalidInputError(f"pou assigns point {x} twice")
         weights = {}
         for vk, w in pairs:
             weights[parse_vertex(vk)] = float(w)

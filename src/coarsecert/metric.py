@@ -8,14 +8,15 @@ every operation here is a pure function and safe under concurrent readers.
 Distances are stored as a dense float64 table for n <= 4096.  Above that,
 graph-backed spaces answer distance queries by on-demand Dijkstra rows with a
 per-source cache, and radius-limited neighborhood queries run Dijkstra with a
-cutoff, which is what the radius-restricted verification mode needs.  Only
-FiniteMetricSpace chooses between the table and the rows (row, rows, block,
-pair_distances); the set primitives at the end of this module ask it.
+cutoff, which is what the radius-restricted verification mode needs.  Every
+query goes through FiniteMetricSpace.row, the only reader of the table; the
+set primitives at the end of this module ask the space for rows and blocks.
 
-Metric axioms are validated eagerly at load: the triangle inequality is
-checked exhaustively for n <= 2000 (the min-plus closure of a valid metric
-equals the matrix itself, so one shortest-path closure plus a comparison
-decides it) and by 10*n^2 seeded random triples above that.
+Metric axioms are validated eagerly at load, by one validator for all three
+loaders: the triangle inequality is checked exhaustively for tables of
+n <= 2000 (the min-plus closure of a valid metric equals the matrix itself,
+so one shortest-path closure plus a comparison decides it), and otherwise by
+a seeded pool of rows checked against each other (at least 10*n^2 triples).
 """
 
 from __future__ import annotations
@@ -127,20 +128,11 @@ class FiniteMetricSpace:
     def has_table(self) -> bool:
         return self._dmat is not None
 
-    def matrix(self) -> np.ndarray:
-        if self._dmat is None:
-            raise InvalidInputError(
-                f"space of size {self.n} has no dense table; use row queries"
-            )
-        return self._dmat
-
     def d(self, x: int, y: int) -> float:
-        if self._dmat is not None:
-            return float(self._dmat[x, y])
         return float(self.row(x)[y])
 
     def row(self, x: int) -> np.ndarray:
-        """Distances from x to every point."""
+        """Distances from x to every point; the only reader of the dense table."""
         if self._dmat is not None:
             return self._dmat[x]
         cached = self._row_cache.get(x)
@@ -152,44 +144,41 @@ class FiniteMetricSpace:
 
     def _compute_row(self, x: int) -> np.ndarray:
         if self._graph is not None:
-            return dijkstra(self._graph, directed=False, indices=x)
+            # load_graph stores both directions of every edge, so the directed
+            # search sees the same graph without scipy symmetrizing it per call
+            return dijkstra(self._graph, directed=True, indices=x)
         if self._coords is not None:
             return _lp_row(self._coords, x, self._p_norm)
         raise InvalidInputError("space has no backing data for row queries")
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances from each id in rows to each id in cols, shape (len(rows), len(cols))."""
-        if self._dmat is not None:
-            return self._dmat[np.ix_(rows, cols)]
         return np.stack([self.row(int(i))[cols] for i in rows])
 
     def submatrix(self, ids: np.ndarray) -> np.ndarray:
         return self.block(ids, ids)
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """d(xs[k], ys[k]) for each k, shape (len(xs),)."""
-        if self._dmat is not None:
-            return self._dmat[xs, ys]
-        return np.array([self.row(int(x))[y] for x, y in zip(xs, ys)], dtype=np.float64)
+        """d(xs[k], ys[k]) for each k, shape (len(xs),); one row per run of equal xs."""
+        out = np.empty(len(xs), dtype=np.float64)
+        starts = np.flatnonzero(np.diff(xs, prepend=-1) != 0)
+        for lo, hi in zip(starts, np.append(starts[1:], len(xs))):
+            out[lo:hi] = self.row(int(xs[lo]))[ys[lo:hi]]
+        return out
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Distances from each id in ids to every point, shape (len(ids), n)."""
-        if self._dmat is not None:
-            return self._dmat[ids]
         return np.stack([self.row(int(i)) for i in ids])
 
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
         """Ids y with d(x, y) < radius (strict), ascending, including x."""
-        if self._dmat is not None:
-            return np.flatnonzero(self._dmat[x] < radius)
-        if self._graph is not None:
-            dist = dijkstra(self._graph, directed=False, indices=x, limit=radius)
+        if not self.has_table and self._graph is not None:
+            # directed=True for the reason given in _compute_row
+            dist = dijkstra(self._graph, directed=True, indices=x, limit=radius)
             return np.flatnonzero(dist < radius)
         return np.flatnonzero(self.row(x) < radius)
 
     def diameter(self) -> float:
-        if self._dmat is not None:
-            return float(self._dmat.max())
         return max(float(self.row(x).max()) for x in range(self.n))
 
     def all_points(self) -> PointSubset:
@@ -209,8 +198,13 @@ def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
 # validation
 # ---------------------------------------------------------------------------
 
-def _validate_metric(dmat: np.ndarray, n: int) -> None:
+def _validate(space: FiniteMetricSpace) -> None:
     """Raise the first axiom violation found, with a concrete witness."""
+    dmat, n = space._dmat, space.n
+    if dmat is None:
+        _validate_triangle_sampled(space)
+        return
+
     diag = np.diagonal(dmat)
     bad = np.flatnonzero(diag != 0.0)
     if bad.size:
@@ -235,7 +229,7 @@ def _validate_metric(dmat: np.ndarray, n: int) -> None:
     if n <= EXHAUSTIVE_TRIANGLE_LIMIT:
         _validate_triangle_exhaustive(dmat, n)
     else:
-        _validate_triangle_sampled(dmat, n)
+        _validate_triangle_sampled(space)
 
 
 def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
@@ -266,25 +260,28 @@ def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
     raise TriangleViolationError(x, y, z, float(dmat[x, z]), float(dmat[x, y]), float(dmat[y, z]))
 
 
-def _validate_triangle_sampled(dmat: np.ndarray, n: int) -> None:
+def _validate_triangle_sampled(space: FiniteMetricSpace) -> None:
+    """Sampled triangle validation over distance rows.
+
+    Draws a pool of ceil(sqrt(10n)) seeded sources so that checking every
+    (x, y) pool pair against every z covers at least 10*n^2 triples while
+    computing only pool-many distance rows.
+    """
+    n = space.n
     rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
-    remaining = 10 * n * n
-    chunk = 4_000_000
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        x = rng.integers(0, n, m)
-        y = rng.integers(0, n, m)
-        z = rng.integers(0, n, m)
-        lhs = dmat[x, z]
-        rhs = dmat[x, y] + dmat[y, z]
-        bad = np.flatnonzero(lhs > rhs + METRIC_TOL)
-        if bad.size:
-            i = int(bad[0])
-            raise TriangleViolationError(
-                int(x[i]), int(y[i]), int(z[i]),
-                float(lhs[i]), float(dmat[x[i], y[i]]), float(dmat[y[i], z[i]]),
-            )
+    pool_size = min(n, int(math.ceil(math.sqrt(10.0 * n))))
+    pool = np.sort(rng.choice(n, size=pool_size, replace=False))
+    rows = {int(s): space.row(int(s)) for s in pool}
+    for x in pool:
+        row_x = rows[int(x)]
+        for y in pool:
+            row_y = rows[int(y)]
+            rhs = row_x[int(y)] + row_y
+            bad = np.flatnonzero(row_x > rhs + METRIC_TOL)
+            if bad.size:
+                z = int(bad[0])
+                raise TriangleViolationError(int(x), int(y), z, float(row_x[z]),
+                                             float(row_x[int(y)]), float(row_y[z]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +298,9 @@ def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) 
     n = dmat.shape[0]
     if n == 0:
         raise InvalidInputError("empty matrix")
-    dmat = np.ascontiguousarray(dmat)
-    _validate_metric(dmat, n)
-    return FiniteMetricSpace(n, "matrix", dmat=dmat, meta=meta)
+    space = FiniteMetricSpace(n, "matrix", dmat=np.ascontiguousarray(dmat), meta=meta)
+    _validate(space)
+    return space
 
 
 def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
@@ -355,6 +352,7 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
             stranded = int(np.flatnonzero(labels != labels[0])[0])
             raise DisconnectedError(stranded)
 
+    dmat = None
     if n <= DENSE_LIMIT:
         weights = adj.data
         unweighted = weights.size > 0 and np.all(weights == weights[0])
@@ -367,35 +365,9 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
             # directions are valid path weights, keep the shorter
             dmat = np.minimum(dmat, dmat.T)
         dmat = np.ascontiguousarray(dmat)
-        _validate_metric(dmat, n)
-        return FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
-    space = FiniteMetricSpace(n, "graph", graph=adj, meta=meta)
-    _validate_big_graph(space)
+    space = FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
+    _validate(space)
     return space
-
-
-def _validate_big_graph(space: FiniteMetricSpace) -> None:
-    """Sampled triangle validation for table-free spaces.
-
-    Draws a pool of ceil(sqrt(10n)) seeded sources so that checking every
-    (x, y) pool pair against every z covers at least 10*n^2 triples while
-    computing only pool-many distance rows.
-    """
-    n = space.n
-    rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
-    pool_size = min(n, int(math.ceil(math.sqrt(10.0 * n))))
-    pool = np.sort(rng.choice(n, size=pool_size, replace=False))
-    rows = {int(s): space.row(int(s)) for s in pool}
-    for x in pool:
-        row_x = rows[int(x)]
-        for y in pool:
-            row_y = rows[int(y)]
-            rhs = row_x[int(y)] + row_y
-            bad = np.flatnonzero(row_x > rhs + METRIC_TOL)
-            if bad.size:
-                z = int(bad[0])
-                raise TriangleViolationError(int(x), int(y), z, float(row_x[z]),
-                                             float(row_x[int(y)]), float(row_y[z]))
 
 
 def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict] = None) -> FiniteMetricSpace:
@@ -417,21 +389,11 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
     arr = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInputError("coordinates must be finite")
-    n = arr.shape[0]
-    if n <= DENSE_LIMIT:
-        diff = np.abs(arr[:, None, :] - arr[None, :, :])
-        if math.isinf(p):
-            dmat = diff.max(axis=2)
-        elif p == 1:
-            dmat = diff.sum(axis=2)
-        else:
-            dmat = (diff ** p).sum(axis=2) ** (1.0 / p)
-        np.fill_diagonal(dmat, 0.0)
-        dmat = np.ascontiguousarray(np.minimum(dmat, dmat.T))
-        _validate_metric(dmat, n)
-        return FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=float(p), meta=meta)
-    space = FiniteMetricSpace(n, "points", coords=arr, p_norm=float(p), meta=meta)
-    _validate_big_graph(space)
+    n, p = arr.shape[0], float(p)
+    # |a - b| is exactly |b - a|, so the rows form a symmetric zero-diagonal table
+    dmat = np.stack([_lp_row(arr, x, p) for x in range(n)]) if n <= DENSE_LIMIT else None
+    space = FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=p, meta=meta)
+    _validate(space)
     return space
 
 

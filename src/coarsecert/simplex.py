@@ -41,6 +41,8 @@ def vertex_key(v: VertexId) -> str:
 
 
 def parse_vertex(s: str) -> VertexId:
+    if not isinstance(s, str):
+        raise TypeError(f"vertex key must be a string, got {s!r}")
     ns, _, idx = s.partition(":")
     return (int(ns), int(idx))
 

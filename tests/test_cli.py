@@ -1,13 +1,17 @@
+import copy
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsecert
 from coarsecert import cli, covers, jsonio, metric
@@ -259,15 +263,28 @@ MALFORMED = {
     "pou weight NaN": ("cert.pou.json",
                        lambda obj: obj["entries"].update(
                            {"0": [["0:0", 1.0], ["0:1", float("nan")]]}),
-                       "non-finite weight nan"),
+                       "cert.pou.json: non-finite weight nan"),
+    "pou point assigned twice": ("cert.pou.json",
+                                 lambda obj: obj["entries"].update({"-0": obj["entries"]["0"]}),
+                                 "cert.pou.json: pou assigns point 0 twice"),
     "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes"), "tree.json"),
     "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two"),
                                   "tree.json"),
+    "tree radius NaN": ("tree.json", lambda obj: obj.update(radii=[float("nan")]),
+                        "tree.json: tree radius nan"),
+    "tree member id too large": ("tree.json",
+                                 lambda obj: obj["nodes"][-1]["members"].append(99),
+                                 "point id 99 outside space of size 40"),
+    "tree member id negative": ("tree.json",
+                                lambda obj: obj["nodes"][-1]["members"].insert(0, -3),
+                                "point id -3 outside space of size 40"),
     "graph space data null": ("space.json", lambda obj: obj.update(data=None),
                               "space.json"),
     "graph edge weight NaN": ("space.json",
                               lambda obj: obj["data"][0].__setitem__(2, float("nan")),
-                              "non-finite weight nan"),
+                              "space.json: edge (0,1) has non-finite weight nan"),
+    "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
+                                  "space.json: malformed artifact (IndexError"),
     "points space without p": ("space.json", lambda obj: obj.update(
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]}),
         "space.json"),
@@ -295,6 +312,61 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
     assert "InvalidInputError" in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# values a fuzzed artifact leaf is set to: wrong types, out-of-range ids,
+# non-integers, non-finite floats and containers where scalars belong
+FUZZ_VALUES = [None, -1, 10**6, 1.5, "x", [], {}, float("nan"), float("inf"), [[0, [1]]]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(tmp_path_factory):
+    """A 12-point path, its bricks tree and certificate pou, as parsed JSON."""
+    d = tmp_path_factory.mktemp("fuzz")
+    run("generate", "--kind", "path", "--n", 12, "--out", d / "space.json")
+    run("decompose", "--space", d / "space.json", "--strategy", "bricks",
+        "--R", 3, "--block-scale", 4, "--out", d / "tree.json")
+    assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
+               "--epsilon", 1.9, "--modulus", "linear:1.5", "--out", d / "cert") == 0
+    return {name: json.loads((d / name).read_text())
+            for name in ("space.json", "tree.json", "cert.pou.json")}
+
+
+def _leaf_paths(obj, path=()):
+    """Key/index paths to every scalar in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaf_paths(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+@given(data=st.data())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_fuzzed_artifact_exits_cleanly(fuzz_artifacts, data):
+    # one leaf of one artifact replaced; certify reads the space and tree,
+    # verify the space and pou; every outcome is an exit code, never an escape
+    target = data.draw(st.sampled_from(sorted(fuzz_artifacts)))
+    docs = copy.deepcopy(fuzz_artifacts)
+    *parents, last = data.draw(st.sampled_from(list(_leaf_paths(docs[target]))))
+    node = docs[target]
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(st.sampled_from(FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, doc in docs.items():
+            (d / name).write_text(json.dumps(doc))
+        if target != "cert.pou.json":
+            assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
+                       "--epsilon", 1.9, "--modulus", "linear:1.5",
+                       "--out", d / "again") in (0, 1, 2)
+        if target != "tree.json":
+            assert run("verify", "--space", d / "space.json", "--pou", d / "cert.pou.json",
+                       "--epsilon", 1.9) in (0, 1, 2)
 
 
 class TestRoundTrips:

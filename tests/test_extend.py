@@ -88,6 +88,15 @@ class TestDefaultModulus:
         with pytest.raises(UnderflowError_):
             default_modulus().power(1.0, 8)
 
+    def test_overflow_raises(self):
+        # eps*eps and 7*eps overflow to inf long before the true value would
+        with pytest.raises(InvalidInputError):
+            Modulus("paper").power(1e308, 1)
+        with pytest.raises(InvalidInputError):
+            Modulus("paper")(1e200)
+        with pytest.raises(InvalidInputError):
+            Modulus("linear", 2.0)(float("inf"))
+
 
 class TestPaste:
     def test_whole_space_is_identity(self, p10):

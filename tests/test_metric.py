@@ -47,6 +47,15 @@ class TestLoadMatrix:
         with pytest.raises(TriangleViolationError):
             load_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
+    def test_big_table_gets_sampled_triangle_check(self):
+        # above the exhaustive limit the table is checked by the pooled-row
+        # sample; d(i, j) = (i - j)^2 violates the triangle inequality
+        idx = np.arange(2100, dtype=np.float64)
+        with pytest.raises(TriangleViolationError) as err:
+            load_matrix((idx[:, None] - idx[None, :]) ** 2)
+        x, y, z = err.value.triple
+        assert (x - z) ** 2 > (x - y) ** 2 + (y - z) ** 2 + 1e-9
+
     def test_nonzero_diagonal(self):
         with pytest.raises(NonzeroDiagonalError):
             load_matrix([[1, 1], [1, 0]])
@@ -117,7 +126,7 @@ class TestLoadGraph:
         sp = path_space(137)
         idx = np.arange(137)
         expect = np.abs(idx[:, None] - idx[None, :])
-        assert np.array_equal(sp.matrix(), expect)
+        assert np.array_equal(sp.rows(idx), expect)
 
     def test_edge_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -240,6 +249,18 @@ class TestBigSpaceLane:
         for x in (0, 1234, 4199):
             row = big_path.row(x)
             assert np.array_equal(row, np.abs(np.arange(4200) - x))
+
+    def test_pair_distances_unsorted_repeated(self, big_path, p100):
+        rng = np.random.default_rng(5)
+        for sp in (big_path, p100):
+            assert sp.has_table == (sp is p100)
+            xs = rng.integers(0, 100, 300)
+            xs[50:80] = xs[49]  # a run of repeats
+            ys = rng.integers(0, 100, 300)
+            got = sp.pair_distances(xs, ys)
+            assert got.tolist() == [sp.d(int(x), int(y)) for x, y in zip(xs, ys)]
+        assert big_path.pair_distances(np.array([], dtype=np.intp),
+                                       np.array([], dtype=np.intp)).shape == (0,)
 
     def test_neighbors_within(self, big_path):
         near = big_path.neighbors_within(2100, 5.0)
