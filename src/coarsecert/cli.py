@@ -111,24 +111,38 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _claims(args):
+    """(lam, C, M) from the flags, with --report filling in those not given."""
+    lam, c, m = args.lam, args.C, args.M
+    if args.epsilon is not None:
+        lam = c = args.epsilon
+    if args.report is not None:
+        eps, bound = jsonio.load_claims(args.report)
+        for flag, given, claimed in (("--epsilon", args.epsilon, eps), ("--lam", args.lam, eps),
+                                     ("--C", args.C, eps), ("--M", args.M, bound)):
+            if given is not None and given != claimed:
+                raise CoarseCertError(
+                    f"{flag} {given!r} disagrees with {args.report}, which claims {claimed!r}")
+        lam = c = eps
+        m = bound
+    if lam is None or c is None:
+        raise CoarseCertError("verify needs --epsilon, --report or both --lam and --C")
+    return float(lam), float(c), m
+
+
 def cmd_verify(args) -> int:
+    lam, c, m = _claims(args)
     space = jsonio.load_space(args.space)
     pou = jsonio.load_pou(args.pou, space)
     if len(pou.domain) != space.n:
         missing = next(x for x in range(space.n) if x not in pou)
         raise VerificationFailedError(f"pou does not cover point {missing}")
-    if args.epsilon is not None:
-        lam = c = float(args.epsilon)
-    else:
-        if args.lam is None or args.C is None:
-            raise CoarseCertError("verify needs --epsilon or both --lam and --C")
-        lam, c = float(args.lam), float(args.C)
     reports = []
     lip = lipschitz_check(pou, lam, c, mode=args.mode, workers=int(args.workers))
     reports.append(lip.to_json())
     ok = lip.passed
-    if args.M is not None:
-        cob = cobounded_check(pou, float(args.M))
+    if m is not None:
+        cob = cobounded_check(pou, float(m))
         reports.append(cob.to_json())
         ok = ok and cob.passed
     if args.out:
@@ -180,6 +194,9 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--lam", type=float, default=None)
     v.add_argument("--C", type=float, default=None)
     v.add_argument("--M", type=float, default=None)
+    v.add_argument("--report", default=None,
+                   help="certificate report whose epsilon and bound are the claims "
+                        "to check where --epsilon / --M are not given")
     v.add_argument("--mode", default="full", choices=["full", "restricted"])
     v.add_argument("--workers", type=int, default=1)
     v.add_argument("--out", default=None)

@@ -32,6 +32,7 @@ from .errors import (
 from .metric import (
     FiniteMetricSpace,
     PointSubset,
+    as_int,
     closed_set_ball,
     dist_to_set_all,
 )
@@ -66,7 +67,7 @@ class DecompositionTree:
     nodes: List[TreeNode]
 
     def __post_init__(self):
-        self.arity = tuple(int(a) for a in self.arity)
+        self.arity = tuple(as_int(a, "tree arity") for a in self.arity)
         self.radii = tuple(float(r) for r in self.radii)
         if len(self.arity) != self.m - 1 or len(self.radii) != self.m - 1:
             raise InvalidInputError(
@@ -111,14 +112,14 @@ class DecompositionTree:
     def from_json(cls, obj: dict) -> "DecompositionTree":
         nodes = [
             TreeNode(
-                id=int(nd["id"]),
-                level=int(nd["level"]),
-                members=PointSubset(tuple(nd["members"])),
-                families=[[int(c) for c in fam] for fam in nd.get("families", [])],
+                id=as_int(nd["id"], "node id"),
+                level=as_int(nd["level"], "node level"),
+                members=PointSubset(tuple(as_int(x, "member id") for x in nd["members"])),
+                families=[[as_int(c, "child id") for c in fam] for fam in nd.get("families", [])],
             )
             for nd in obj["nodes"]
         ]
-        return cls(m=int(obj["m"]), arity=tuple(obj.get("arity", [])),
+        return cls(m=as_int(obj["m"], "tree depth"), arity=tuple(obj.get("arity", [])),
                    radii=tuple(obj.get("radii", [])), nodes=nodes)
 
 

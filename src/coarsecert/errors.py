@@ -52,6 +52,26 @@ class TriangleViolationError(MetricError):
         )
 
 
+class ShortestPathViolationError(MetricError):
+    """d(x,y) of a graph table is not the shortest-path distance its edges give.
+
+    edge is the edge (u,y) into y that the entry fails on: too far above
+    d(x,u) + w(u,y), or too far below it while that edge is the closest way in.
+    """
+
+    def __init__(self, x: int, y: int, u: int, w: float, dxy: float, dxu: float):
+        self.pair = (x, y)
+        self.edge = (u, y)
+        self.weight = w
+        self.values = (dxy, dxu)
+        if dxy > dxu + w:
+            claim = f"d({x},{y})={dxy!r} > d({x},{u})+w({u},{y})={dxu!r}+{w!r}"
+        else:
+            claim = (f"d({x},{y})={dxy!r} < d({x},{u})+w({u},{y})={dxu!r}+{w!r}, "
+                     f"the least over the edges into {y}")
+        super().__init__(claim)
+
+
 class DisconnectedError(CoarseCertError):
     def __init__(self, representative: int):
         self.representative = representative

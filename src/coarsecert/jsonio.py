@@ -10,12 +10,13 @@ never exceeded).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Tuple, Union
 
 from .covers import DecompositionTree
 from .errors import InvalidInputError
-from .metric import FiniteMetricSpace, load_graph, load_matrix, load_points
+from .metric import FiniteMetricSpace, as_int, load_graph, load_matrix, load_points
 from .simplex import PartitionOfUnity, SimplexPoint, parse_vertex, vertex_key
 
 SCHEMA_VERSION = 1
@@ -32,8 +33,10 @@ def save_json(path: Union[str, Path], obj: dict) -> None:
 def load_json(path: Union[str, Path]) -> dict:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
     if obj.get("v") != SCHEMA_VERSION:
@@ -68,7 +71,7 @@ def space_to_json(kind: str, n: int, data, meta: dict = None) -> dict:
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
     kind = obj.get("kind")
-    n = int(obj.get("n", 0))
+    n = as_int(obj.get("n", 0), "vertex count")
     data = obj.get("data")
     meta = obj.get("meta") or {}
     if kind == "matrix":
@@ -140,3 +143,15 @@ def report_to_json(report_dict: dict) -> dict:
     out = dict(report_dict)
     out["v"] = SCHEMA_VERSION
     return out
+
+
+def claims_from_json(obj: dict) -> Tuple[float, float]:
+    """(epsilon, bound) that a certificate report claims."""
+    eps, bound = float(obj["epsilon"]), float(obj["bound"])
+    if not (math.isfinite(eps) and math.isfinite(bound)):
+        raise InvalidInputError(f"report claims epsilon {eps!r} and bound {bound!r}")
+    return eps, bound
+
+
+def load_claims(path: Union[str, Path]) -> Tuple[float, float]:
+    return _load(path, claims_from_json)

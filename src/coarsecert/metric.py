@@ -13,10 +13,24 @@ query goes through FiniteMetricSpace.row, the only reader of the table; the
 set primitives at the end of this module ask the space for rows and blocks.
 
 Metric axioms are validated eagerly at load, by one validator for all three
-loaders: the triangle inequality is checked exhaustively for tables of
-n <= 2000 (the min-plus closure of a valid metric equals the matrix itself,
-so one shortest-path closure plus a comparison decides it), and otherwise by
-a seeded pool of rows checked against each other (at least 10*n^2 triples).
+loaders.  The table axioms (zero diagonal, symmetry, positivity) are checked
+on every table.  The triangle inequality is then checked in one of three ways:
+
+- a graph table (load_graph, n <= 4096) is checked against its own edges in
+  O(n*E): every entry off the diagonal must equal, within METRIC_TOL, the
+  least d(x,u) + w(u,y) over the edges (u,y) into y.  That makes the table
+  the graph's shortest-path metric, so it is a metric;
+- any other table of n <= 2000 (load_matrix, load_points) is compared with
+  its own shortest-path closure (Floyd-Warshall), exhaustively;
+- tables above 2000 points and table-free spaces get a seeded pool of rows
+  checked against each other (at least 10*n^2 triples).
+
+The tolerance of the graph check adds up per hop: each edge test allows
+METRIC_TOL, so an accepted table is within h*METRIC_TOL of the graph metric
+on pairs joined by h-edge paths and satisfies the triangle inequality up to
+METRIC_TOL per edge of the paths involved.  That argument needs every edge
+weight above METRIC_TOL; a graph with a lighter edge gets the closure check
+or the sample instead.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from .errors import (
     MixedArityError,
     NegativeDistanceError,
     NonzeroDiagonalError,
+    ShortestPathViolationError,
     TriangleViolationError,
     ZeroOffDiagonalError,
 )
@@ -46,6 +61,15 @@ METRIC_TOL = 1e-9
 DENSE_LIMIT = 4096
 EXHAUSTIVE_TRIANGLE_LIMIT = 2000
 TRIANGLE_SAMPLE_SEED = 0x5EED
+CERTIFICATE_CHUNK_CELLS = 1 << 19
+
+
+def as_int(value, what: str) -> int:
+    """int(value), refusing a value that int() would change (1.5, "3")."""
+    i = int(value)
+    if i != value:
+        raise InvalidInputError(f"{what} {value!r} is not an integer")
+    return i
 
 
 @dataclass(frozen=True)
@@ -226,10 +250,54 @@ def _validate(space: FiniteMetricSpace) -> None:
         x, y = np.unravel_index(int(np.argmax(off_zero)), off_zero.shape)
         raise ZeroOffDiagonalError(int(x), int(y))
 
-    if n <= EXHAUSTIVE_TRIANGLE_LIMIT:
+    graph = space._graph
+    # the edge certificate is sound only for edges heavier than its tolerance
+    if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
+        _validate_shortest_paths(space)
+    elif n <= EXHAUSTIVE_TRIANGLE_LIMIT:
         _validate_triangle_exhaustive(dmat, n)
     else:
         _validate_triangle_sampled(space)
+
+
+def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
+    """Certify a graph table as the shortest-path metric of the graph's edges.
+
+    For every source x and target y != x, with m(x,y) the least
+    d(x,u) + w(u,y) over the edges (u,y) into y, two tests:
+
+    - feasibility, d(x,y) <= m(x,y) + METRIC_TOL: no edge shortens a path;
+    - tightness, d(x,y) >= m(x,y) - METRIC_TOL: some edge attains d(x,y).
+
+    Feasibility along a shortest y-z path of h edges gives
+    d(x,z) <= d(x,y) + d_G(y,z) + h*METRIC_TOL.  Following attaining edges
+    back from z lowers d(y,.) by more than w_min - METRIC_TOL > 0 per step,
+    so it reaches y after some k steps and gives d(y,z) >= d_G(y,z) -
+    k*METRIC_TOL.  Together they give the triangle inequality up to
+    (h + k)*METRIC_TOL, for edge weights above METRIC_TOL.  Sources go in
+    chunks of CERTIFICATE_CHUNK_CELLS edge cells, so the temporaries stay a
+    few MB; the cost is O(n*E).
+    """
+    dmat, n = space._dmat, space.n
+    if n < 2:
+        return
+    into = space._graph.tocsc()  # column y lists the edges (u, y) into y
+    starts, src, w = into.indptr[:-1], into.indices, into.data
+    step = max(1, CERTIFICATE_CHUNK_CELLS // src.size)
+    for lo in range(0, n, step):
+        block = dmat[lo:lo + step]
+        least = np.minimum.reduceat(block[:, src] + w, starts, axis=1)
+        bad = ~(np.abs(block - least) <= METRIC_TOL)  # NaN is bad too
+        diag = np.arange(len(block))
+        bad[diag, lo + diag] = False
+        if bad.any():
+            i, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            x = lo + int(i)
+            edges = np.arange(starts[y], into.indptr[y + 1])
+            k = edges[int(np.argmin(dmat[x, src[edges]] + w[edges]))]
+            u = int(src[k])
+            raise ShortestPathViolationError(x, int(y), u, float(w[k]),
+                                             float(dmat[x, y]), float(dmat[x, u]))
 
 
 def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
@@ -310,12 +378,12 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     otherwise.  A zero-weight edge between distinct points would force a zero
     off-diagonal distance and is rejected outright.
     """
-    n = int(n)
+    n = as_int(n, "vertex count")
     if n <= 0:
         raise InvalidInputError("graph needs at least one vertex")
     us, vs, ws = [], [], []
     for e in edges:
-        u, v, w = int(e[0]), int(e[1]), float(e[2])
+        u, v, w = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint"), float(e[2])
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
         if not math.isfinite(w):

@@ -239,6 +239,42 @@ class TestVerify:
         assert run("verify", "--space", space, "--pou", partial, "--epsilon", 0.4) == 1
         assert "does not cover point 1" in capsys.readouterr().err
 
+    def test_report_supplies_claims(self, cert, tmp_path):
+        space, pou = cert
+        report = tmp_path / "cert.report.json"
+        out = tmp_path / "rep.json"
+        assert run("verify", "--space", space, "--pou", pou, "--report", report,
+                   "--out", out) == 0
+        lip, cob = json.loads(out.read_text())["reports"]
+        claimed = json.loads(report.read_text())
+        assert lip["check"] == "lipschitz" and lip["pass"] is True
+        assert cob["check"] == "cobounded" and cob["bound"] == claimed["bound"]
+        # flags that agree with the report are accepted
+        assert run("verify", "--space", space, "--pou", pou, "--report", report,
+                   "--epsilon", claimed["epsilon"], "--M", repr(claimed["bound"])) == 0
+
+    def test_report_bound_is_checked(self, cert, tmp_path):
+        space, pou = cert
+        report = tmp_path / "cert.report.json"
+        obj = json.loads(report.read_text())
+        obj["bound"] = obj["cobounded"]["tight_bound"] / 2
+        low = tmp_path / "low.report.json"
+        low.write_text(json.dumps(obj))
+        out = tmp_path / "rep.json"
+        assert run("verify", "--space", space, "--pou", pou, "--report", low,
+                   "--out", out) == 1
+        lip, cob = json.loads(out.read_text())["reports"]
+        assert lip["pass"] is True and cob["pass"] is False
+
+    @pytest.mark.parametrize("flag, value", [("--M", 5.0), ("--epsilon", 0.3),
+                                             ("--lam", 0.3), ("--C", 0.5)])
+    def test_report_disagreeing_flag_exit_two(self, cert, tmp_path, capsys, flag, value):
+        space, pou = cert
+        report = tmp_path / "cert.report.json"
+        assert run("verify", "--space", space, "--pou", pou, "--report", report,
+                   flag, value) == 2
+        assert f"{flag} {value!r} disagrees with" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def clean_artifacts(tmp_path_factory):
@@ -272,6 +308,10 @@ MALFORMED = {
                                   "tree.json"),
     "tree radius NaN": ("tree.json", lambda obj: obj.update(radii=[float("nan")]),
                         "tree.json: tree radius nan"),
+    "tree level not an integer": ("tree.json",  # int() would make it the root's level 1
+                                  lambda obj: next(nd for nd in obj["nodes"]
+                                                   if nd["level"] == 1).update(level=1.5),
+                                  "tree.json: node level 1.5 is not an integer"),
     "tree member id too large": ("tree.json",
                                  lambda obj: obj["nodes"][-1]["members"].append(99),
                                  "point id 99 outside space of size 40"),
@@ -285,6 +325,9 @@ MALFORMED = {
                               "space.json: edge (0,1) has non-finite weight nan"),
     "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
                                   "space.json: malformed artifact (IndexError"),
+    "graph edge endpoint not an integer": ("space.json",
+                                           lambda obj: obj["data"][1].__setitem__(0, 1.5),
+                                           "space.json: edge endpoint 1.5 is not an integer"),
     "points space without p": ("space.json", lambda obj: obj.update(
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]}),
         "space.json"),
@@ -305,13 +348,39 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
     else:
         args = ["verify", "--space", "space.json", "--pou", "cert.pou.json",
                 "--epsilon", "0.8"]
+    assert_input_error(tmp_path, args, message)
+
+
+def assert_input_error(cwd, args, message):
+    """The CLI, run as a process in cwd, exits 2 naming the problem, no traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "coarsecert.cli", *args], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-m", "coarsecert.cli", *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "InvalidInputError" in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_missing_input_file_exit_two(clean_artifacts):
+    assert_input_error(clean_artifacts, ["verify", "--space", "space.json",
+                                         "--pou", "nothing.pou.json", "--epsilon", "0.8"],
+                       "nothing.pou.json: cannot read")
+
+
+def test_integral_floats_load(clean_artifacts, tmp_path):
+    # 2.0 is the integer 2; only values that int() would change are refused
+    space = json.loads((clean_artifacts / "space.json").read_text())
+    space["data"][1][:2] = [1.0, 2.0]
+    tree = json.loads((clean_artifacts / "tree.json").read_text())
+    tree["nodes"][-1]["level"] = float(tree["nodes"][-1]["level"])
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    assert run("certify", "--space", tmp_path / "space.json", "--tree", tmp_path / "tree.json",
+               "--epsilon", 0.8, "--modulus", "linear:2", "--out", tmp_path / "again") == 0
+    for sfx in (".report.json", ".schedule.json"):
+        assert ((tmp_path / f"again{sfx}").read_bytes()
+                == (clean_artifacts / f"cert{sfx}").read_bytes())
 
 
 # values a fuzzed artifact leaf is set to: wrong types, out-of-range ids,

@@ -11,13 +11,18 @@ from coarsecert.errors import (
     DisconnectedError,
     EmptySetError,
     InvalidInputError,
+    MetricError,
     MixedArityError,
     NegativeDistanceError,
     NonzeroDiagonalError,
+    ShortestPathViolationError,
     TriangleViolationError,
     ZeroOffDiagonalError,
 )
+from coarsecert import metric
 from coarsecert.metric import (
+    METRIC_TOL,
+    FiniteMetricSpace,
     PointSubset,
     closed_set_ball,
     diameter,
@@ -131,6 +136,106 @@ class TestLoadGraph:
     def test_edge_out_of_range(self):
         with pytest.raises(InvalidInputError):
             load_graph(2, [(0, 5, 1.0)])
+
+
+def random_graph(rng, n):
+    """A connected graph on n points: a random tree plus up to 2n extra edges,
+    weights log-uniform in [1e-3, 1e3]."""
+    edges = [(int(rng.integers(0, i)), i, float(10 ** rng.uniform(-3, 3))) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        u, v = rng.integers(0, n, 2)
+        edges.append((int(u), int(v), float(10 ** rng.uniform(-3, 3))))
+    return load_graph(n, edges)
+
+
+def with_table(sp, table):
+    """A graph space with sp's edges and the given table, not validated."""
+    return FiniteMetricSpace(sp.n, "graph", dmat=table, graph=sp._graph)
+
+
+def corrupted(sp, x, y, factor):
+    table = sp._dmat.copy()
+    table[x, y] = table[y, x] = table[x, y] * factor
+    return table
+
+
+class TestGraphCertificate:
+    """Graph tables are checked against their own edges, not by a closure."""
+
+    # raised: the entry is above a way in; lowered: a neighbor of the entry
+    # is now above a way in through it; slightly lowered: the entry is below
+    # every way in
+    @pytest.mark.parametrize("factor, test", [(1.25, "feasibility"), (0.8, "feasibility"),
+                                              (0.999, "tightness")])
+    def test_corrupted_entry_names_witness(self, factor, test):
+        sp = random_graph(np.random.default_rng(17), 60)
+        a, b = 23, 41
+        bad = with_table(sp, corrupted(sp, a, b, factor))
+        with pytest.raises(ShortestPathViolationError) as err:
+            metric._validate(bad)
+        assert isinstance(err.value, MetricError)
+        (x, y), (u, y_in) = err.value.pair, err.value.edge
+        d = bad._dmat
+        w = err.value.weight
+        assert y_in == y and sp._graph[u, y] == w
+        assert err.value.values == (d[x, y], d[x, u])
+        if test == "feasibility":
+            assert d[x, y] > d[x, u] + w + METRIC_TOL
+        else:  # below the least way in, which the edge attains
+            into = sp._graph[:, y].tocoo()
+            assert d[x, y] < d[x, u] + w - METRIC_TOL
+            assert d[x, u] + w == min(d[x, v] + wv for v, wv in zip(into.row, into.data))
+        # the first bad row is the corrupted pair's, and the witness reads it
+        assert {(x, y), (x, u)} & {(a, b), (b, a)}
+
+    @given(st.integers(2, 40), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_rejects_what_closure_rejects(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sp = random_graph(rng, n)  # the loader's own table is accepted
+        metric._validate_shortest_paths(sp)
+        x, y = (int(v) for v in rng.choice(n, 2, replace=False))
+        rel = 10 ** rng.uniform(-6, 0) * rng.choice([-1.0, 1.0])
+        table = corrupted(sp, x, y, 1.0 + rel)
+        try:
+            metric._validate_triangle_exhaustive(table, n)
+            closure_rejects = False
+        except TriangleViolationError:
+            closure_rejects = True
+        # one changed entry is off by more than the per-edge tolerance from
+        # the edges into it, whether or not it breaks a triangle
+        if closure_rejects or abs(table[x, y] - sp._dmat[x, y]) > 2 * METRIC_TOL:
+            with pytest.raises(ShortestPathViolationError):
+                metric._validate_shortest_paths(with_table(sp, table))
+
+    def test_edges_below_tolerance_get_the_closure_check(self):
+        # three pairs joined by an edge of weight 1e-10, each pair 1 from a
+        # hub 6.  With so light an edge the per-edge tests accept a table
+        # whose pair-to-pair distances are made up: here pairs 0 and 1, and
+        # pairs 0 and 2, sit 0.01 apart while pairs 1 and 2 sit 2 apart
+        eps = 1e-10
+        sp = load_graph(7, [(0, 1, eps), (2, 3, eps), (4, 5, eps),
+                            (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)])
+        table = sp._dmat.copy()
+        for p, q in ((0, 1), (0, 2)):
+            block = np.ix_(range(2 * p, 2 * p + 2), range(2 * q, 2 * q + 2))
+            table[block] = 0.01
+            table.T[block] = 0.01
+        bad = with_table(sp, table)
+        metric._validate_shortest_paths(bad)  # not sound here, so not used
+        with pytest.raises(TriangleViolationError):
+            metric._validate(bad)
+
+    def test_graph_tables_skip_closure_and_sample(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("graph tables are certified by their edges")
+
+        monkeypatch.setattr(metric, "floyd_warshall", boom)
+        monkeypatch.setattr(metric, "_validate_triangle_sampled", boom)
+        for n in (300, 3000):  # both sides of the old exhaustive limit
+            sp = load_graph(n, [(i, i + 1, 1.0 + (i % 3) / 2) for i in range(n - 1)])
+            assert sp.has_table
+            assert sp.d(0, 3) == 4.5
 
 
 class TestLoadPoints:
