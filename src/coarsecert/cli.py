@@ -115,6 +115,11 @@ def _claims(args):
     """(lam, C, M) from the flags, with --report filling in those not given."""
     lam, c, m = args.lam, args.C, args.M
     if args.epsilon is not None:
+        for flag, given in (("--lam", args.lam), ("--C", args.C)):
+            if given is not None and given != args.epsilon:
+                raise CoarseCertError(
+                    f"{flag} {given!r} disagrees with --epsilon {args.epsilon!r}, "
+                    f"which claims lam = C = epsilon")
         lam = c = args.epsilon
     if args.report is not None:
         eps, bound = jsonio.load_claims(args.report)

@@ -9,12 +9,16 @@ Distances are stored as a dense float64 table for n <= 4096.  Above that,
 graph-backed spaces answer distance queries by on-demand Dijkstra rows with a
 per-source cache, and radius-limited neighborhood queries run Dijkstra with a
 cutoff, which is what the radius-restricted verification mode needs.  Every
-query goes through FiniteMetricSpace.row, the only reader of the table; the
-set primitives at the end of this module ask the space for rows and blocks.
+query goes through FiniteMetricSpace.row, the only reader of the table.  The
+set primitives at the end of this module stream rows: distance to a set and
+the nearest-point retraction come from one scan over the set's rows in
+ascending id order that keeps a running minimum, so no |A| x n block is ever
+built and the memory of a set query is O(n).
 
 Metric axioms are validated eagerly at load, by one validator for all three
 loaders.  The table axioms (zero diagonal, symmetry, positivity) are checked
-on every table.  The triangle inequality is then checked in one of three ways:
+on every table, in blocks of rows so that the check allocates no n x n
+temporary.  The triangle inequality is then checked in one of three ways:
 
 - a graph table (load_graph, n <= 4096) is checked against its own edges in
   O(n*E): every entry off the diagonal must equal, within METRIC_TOL, the
@@ -62,6 +66,7 @@ DENSE_LIMIT = 4096
 EXHAUSTIVE_TRIANGLE_LIMIT = 2000
 TRIANGLE_SAMPLE_SEED = 0x5EED
 CERTIFICATE_CHUNK_CELLS = 1 << 19
+TABLE_CHUNK_CELLS = 1 << 19
 
 
 def as_int(value, what: str) -> int:
@@ -118,7 +123,7 @@ class Retraction:
     """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A).
 
     dist holds those distances for every x, so a caller needing both the
-    nearest point and the distance to A scans the |A| x n block once.
+    nearest point and the distance to A streams A's rows once.
     """
 
     subset: PointSubset
@@ -177,7 +182,10 @@ class FiniteMetricSpace:
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances from each id in rows to each id in cols, shape (len(rows), len(cols))."""
-        return np.stack([self.row(int(i))[cols] for i in rows])
+        out = np.empty((len(rows), len(cols)), dtype=np.float64)
+        for k, i in enumerate(rows):
+            out[k] = self.row(int(i))[cols]
+        return out
 
     def submatrix(self, ids: np.ndarray) -> np.ndarray:
         return self.block(ids, ids)
@@ -185,8 +193,7 @@ class FiniteMetricSpace:
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """d(xs[k], ys[k]) for each k, shape (len(xs),); one row per run of equal xs."""
         out = np.empty(len(xs), dtype=np.float64)
-        starts = np.flatnonzero(np.diff(xs, prepend=-1) != 0)
-        for lo, hi in zip(starts, np.append(starts[1:], len(xs))):
+        for lo, hi in equal_runs(xs):
             out[lo:hi] = self.row(int(xs[lo]))[ys[lo:hi]]
         return out
 
@@ -207,6 +214,12 @@ class FiniteMetricSpace:
 
     def all_points(self) -> PointSubset:
         return PointSubset(tuple(range(self.n)))
+
+
+def equal_runs(xs: np.ndarray):
+    """(lo, hi) bounds of each run of equal consecutive values in xs, all >= 0."""
+    starts = np.flatnonzero(np.diff(xs, prepend=-1) != 0)
+    return zip(starts.tolist(), starts[1:].tolist() + [len(xs)])
 
 
 def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
@@ -235,20 +248,33 @@ def _validate(space: FiniteMetricSpace) -> None:
         x = int(bad[0])
         raise NonzeroDiagonalError(x, float(dmat[x, x]))
 
-    asym = np.abs(dmat - dmat.T)
-    if asym.max() > 0.0:
-        x, y = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        raise AsymmetryError(int(x), int(y), float(dmat[x, y]), float(dmat[y, x]))
+    # row blocks of TABLE_CHUNK_CELLS cells; each witness is the one a
+    # whole-table scan names: the largest asymmetry (first in row-major
+    # order on ties), and the first row-major entry for the other checks
+    step = max(1, TABLE_CHUNK_CELLS // n)
+    worst, where = 0.0, None
+    for lo in range(0, n, step):
+        asym = np.abs(dmat[lo:lo + step] - dmat[:, lo:lo + step].T)
+        k = int(np.argmax(asym))
+        if asym.flat[k] > worst:
+            worst, where = asym.flat[k], (lo + k // n, k % n)
+    if where is not None:
+        x, y = where
+        raise AsymmetryError(x, y, float(dmat[x, y]), float(dmat[y, x]))
 
-    neg = dmat < 0.0
-    if neg.any():
-        x, y = np.unravel_index(int(np.argmax(neg)), neg.shape)
-        raise NegativeDistanceError(int(x), int(y), float(dmat[x, y]))
+    for lo in range(0, n, step):
+        neg = dmat[lo:lo + step] < 0.0
+        if neg.any():
+            x, y = divmod(int(np.argmax(neg)), n)
+            raise NegativeDistanceError(lo + x, y, float(dmat[lo + x, y]))
 
-    off_zero = (dmat == 0.0) & ~np.eye(n, dtype=bool)
-    if off_zero.any():
-        x, y = np.unravel_index(int(np.argmax(off_zero)), off_zero.shape)
-        raise ZeroOffDiagonalError(int(x), int(y))
+    for lo in range(0, n, step):
+        off_zero = dmat[lo:lo + step] == 0.0
+        diag = np.arange(len(off_zero))
+        off_zero[diag, lo + diag] = False
+        if off_zero.any():
+            x, y = divmod(int(np.argmax(off_zero)), n)
+            raise ZeroOffDiagonalError(lo + x, y)
 
     graph = space._graph
     # the edge certificate is sound only for edges heavier than its tolerance
@@ -426,13 +452,16 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         unweighted = weights.size > 0 and np.all(weights == weights[0])
         if unweighted:
             dmat = shortest_path(adj, method="D", directed=False, unweighted=True)
-            dmat = dmat * (weights[0] if weights.size else 1.0)
+            dmat *= weights[0]  # in place: the table is shortest_path's own
         else:
             dmat = shortest_path(adj, method="D", directed=False)
             # per-source Dijkstra rounds path sums in different orders; both
-            # directions are valid path weights, keep the shorter
-            dmat = np.minimum(dmat, dmat.T)
-        dmat = np.ascontiguousarray(dmat)
+            # directions are valid path weights, keep the shorter.  In place
+            # by row blocks: a row already lowered still holds the minimum
+            step = max(1, TABLE_CHUNK_CELLS // n)
+            for lo in range(0, n, step):
+                block = dmat[lo:lo + step]
+                np.minimum(block, dmat[:, lo:lo + step].T, out=block)
     space = FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
     _validate(space)
     return space
@@ -477,10 +506,13 @@ def dist_to_set(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
 
 
 def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset) -> np.ndarray:
-    """dist(x, a) for every x, shape (n,).  Uses symmetry: rows from a."""
+    """dist(x, a) for every x, shape (n,), streamed over a's rows (symmetry).
+
+    The same scan as nearest_point_retraction's, so the two agree bit for bit.
+    """
     if not a.ids:
         raise EmptySetError("dist_to_set of empty subset")
-    return space.rows(a.array()).min(axis=0)
+    return _nearest_scan(space, a)[0]
 
 
 def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
@@ -520,21 +552,39 @@ def min_cross_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset)
     return float(block[i, j]), (int(ia[i]), int(ib[j]))
 
 
+def _nearest_scan(space: FiniteMetricSpace, a: PointSubset):
+    """(dist, nearest): dist(x, a) and the smallest-id point of a attaining it.
+
+    Walks a's rows in ascending id order, one space.row at a time, keeping a
+    running minimum and the id that attains it.  A row takes over an entry
+    only where it is strictly smaller, so the smallest id keeps a tie: the
+    result is bit-equal to argmin and min over the stacked |a| x n block,
+    in O(n) memory.
+    """
+    ids = a.ids
+    dist = np.array(space.row(ids[0]), dtype=np.float64)
+    nearest = np.full(space.n, ids[0], dtype=np.intp)
+    closer = np.empty(space.n, dtype=bool)
+    for i in ids[1:]:
+        row = space.row(i)
+        np.less(row, dist, out=closer)
+        np.minimum(dist, row, out=dist)
+        nearest[closer] = i
+    return dist, nearest
+
+
 def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:
     """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
 
-    argmin over the ascending id array takes the first occurrence, which is
-    the tie-break rule: the smallest point id wins.  The same scan yields
-    dist(x, a) for every x, returned as the retraction's dist field.
+    One streamed scan over a's rows (_nearest_scan) gives both the mapping,
+    with the smallest id winning ties, and dist(x, a) for every x, returned
+    as the retraction's dist field.
     """
     if not a.ids:
         raise EmptySetError("retraction onto empty subset")
+    dist, mapping = _nearest_scan(space, a)
     ids = a.array()
-    block = space.rows(ids)  # (|a|, n)
-    k = np.argmin(block, axis=0)
-    mapping = ids[k]
     mapping[ids] = ids  # fixes a exactly (d=0 is already the unique min)
     mapping.setflags(write=False)
-    dist = block[k, np.arange(space.n)]
     dist.setflags(write=False)
     return Retraction(subset=a, mapping=mapping, dist=dist)

@@ -7,7 +7,10 @@ tolerance (-1e-9) is recorded in every report.
 
 Pair enumeration is chunked in lexicographic order with a deterministic
 min-slack reduction (lexicographic witness tie-break), so reports are
-bit-identical regardless of worker count.
+bit-identical regardless of worker count.  Inside a chunk the slack kernel
+streams rows: each run of pairs sharing a first point compares that point's
+weight row with its partners' rows, so the kernel's temporaries are at most
+m x carrier, never chunk x carrier.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BadModeError, EmptySetError, NotACoverError
-from .metric import FiniteMetricSpace, PointSubset, diameter, min_cross_distance
+from .metric import FiniteMetricSpace, PointSubset, diameter, equal_runs, min_cross_distance
 from .simplex import PartitionOfUnity, VertexId, star_preimage_diameters, vertex_key
 
 SLACK_TOL = 1e-9
@@ -185,16 +189,35 @@ class MultiplicityReport:
 # Lipschitz
 # ---------------------------------------------------------------------------
 
+def _upper_pairs(m: int, lo: int, hi: int):
+    """Pairs lo..hi-1 of the lexicographic order of (i, j), i < j < m."""
+    i_all = np.arange(m)
+    starts = i_all * (2 * m - i_all - 1) // 2  # rank of the pair (i, i + 1)
+    k = np.arange(lo, hi)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
+
+
 def _pair_slack_chunks(space: FiniteMetricSpace, pts: np.ndarray, mat: np.ndarray,
-                       pairs_i: np.ndarray, pairs_j: np.ndarray,
-                       lam: float, C: float, workers: int):
-    """Min slack over pair chunks; deterministic reduce in chunk order."""
-    nchunks = max(1, math.ceil(len(pairs_i) / PAIR_CHUNK))
+                       npairs: int, pairs, lam: float, C: float, workers: int):
+    """Min slack over pair chunks; deterministic reduce in chunk order.
+
+    pairs(lo, hi) gives the positions (ii, jj) of pairs lo..hi-1, so only
+    one chunk of pairs per worker is held at a time.
+    """
+    nchunks = max(1, math.ceil(npairs / PAIR_CHUNK))
 
     def run(ci: int):
-        lo, hi = ci * PAIR_CHUNK, min((ci + 1) * PAIR_CHUNK, len(pairs_i))
-        ii, jj = pairs_i[lo:hi], pairs_j[lo:hi]
-        l1 = np.abs(mat[ii] - mat[jj]).sum(axis=1)
+        lo, hi = ci * PAIR_CHUNK, min((ci + 1) * PAIR_CHUNK, npairs)
+        ii, jj = pairs(lo, hi)
+        # one row of mat against its partners per run of equal ii; each l1 is
+        # still one row sum over all carrier columns, so its bits do not
+        # depend on where runs or chunks end
+        l1 = np.empty(hi - lo)
+        for a, b in equal_runs(ii):
+            diff = mat[jj[a:b]]
+            np.subtract(mat[ii[a]], diff, out=diff)
+            l1[a:b] = np.abs(diff, out=diff).sum(axis=1)
         d = space.pair_distances(pts[ii], pts[jj])
         slack = lam * d + C - l1
         k = int(np.argmin(slack))  # first occurrence = lexicographic min pair
@@ -220,9 +243,11 @@ def _restricted_pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: float,
     if gather == "auto":
         gather = "table" if space.has_table else "bfs"
     if gather == "table":
-        sub = space.submatrix(pts)
-        mask = np.triu(sub < radius, k=1)
-        return np.nonzero(mask)
+        # one row at a time: the partners of i are the later points within radius
+        near = [np.flatnonzero(space.row(int(x))[pts[i + 1:]] < radius) + (i + 1)
+                for i, x in enumerate(pts)]
+        out_i = np.repeat(np.arange(len(pts)), [len(js) for js in near])
+        return out_i, np.concatenate(near)
     if gather != "bfs":
         raise BadModeError(f"unknown pair gather mode {gather!r}")
     pos = {int(p): i for i, p in enumerate(pts)}
@@ -270,17 +295,21 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
         return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
 
     if mode == "full":
-        pairs_i, pairs_j = np.triu_indices(m, k=1)
+        npairs = m * (m - 1) // 2
+        pairs = partial(_upper_pairs, m)
     else:
         if restricted_radius <= 0:
             return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
         pairs_i, pairs_j = _restricted_pairs(f.space, pts, restricted_radius, gather)
-        if len(pairs_i) == 0:
+        npairs = len(pairs_i)
+        if npairs == 0:
             return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
 
-    worst, witness = _pair_slack_chunks(f.space, pts, mat, pairs_i, pairs_j,
-                                        lam, C, workers)
-    return LipschitzReport(lam, C, worst, witness, int(len(pairs_i)), restricted_radius)
+        def pairs(lo, hi):
+            return pairs_i[lo:hi], pairs_j[lo:hi]
+
+    worst, witness = _pair_slack_chunks(f.space, pts, mat, npairs, pairs, lam, C, workers)
+    return LipschitzReport(lam, C, worst, witness, npairs, restricted_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,25 @@ class TestVerify:
         assert f"{flag} {value!r} disagrees with" in capsys.readouterr().err
 
 
+    def test_lam_and_C_alone_are_checked(self, cert):
+        space, pou = cert
+        assert run("verify", "--space", space, "--pou", pou,
+                   "--lam", 0.01, "--C", 0.01) == 1
+
+    @pytest.mark.parametrize("flags", [("--lam", 0.01, "--C", 0.01), ("--lam", 0.01),
+                                       ("--C", 0.01)])
+    def test_epsilon_conflicting_with_lam_or_C_exit_two(self, cert, capsys, flags):
+        space, pou = cert
+        assert run("verify", "--space", space, "--pou", pou, "--epsilon", 0.4, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"CoarseCertError: {flags[0]} 0.01 disagrees with --epsilon 0.4" in err
+
+    def test_epsilon_agreeing_with_lam_and_C(self, cert):
+        space, pou = cert
+        assert run("verify", "--space", space, "--pou", pou, "--epsilon", 0.4,
+                   "--lam", 0.4, "--C", 0.4) == 0
+
+
 @pytest.fixture(scope="module")
 def clean_artifacts(tmp_path_factory):
     """A small space, tree and certificate pou, written by the CLI."""

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from coarsecert.errors import (
     AsymmetryError,
@@ -377,3 +379,117 @@ class TestBigSpaceLane:
         assert set_ball(big_path, PointSubset((0,)), 2.0).ids == (0, 1)
         p = nearest_point_retraction(big_path, a)
         assert p(1999) == 0 and p(2001) == 4000 and p(2000) == 0
+
+    def test_set_queries_stream_rows(self, big_path):
+        # 2000 points two apart: every point between two of them ties
+        a = PointSubset(tuple(range(100, 4100, 2)))
+        for i in a.ids:
+            big_path.row(i)  # warm the row cache: measure the scan alone
+        tracemalloc.start()
+        try:
+            p = nearest_point_retraction(big_path, a)
+            dist = dist_to_set_all(big_path, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stacked |a| x n block was 2000 * 4200 * 8 bytes = 67 MB
+        assert peak < 40 * 8 * big_path.n
+        assert p(101) == 100 and p(4099) == 4098 and p(0) == 100 and p(4199) == 4098
+        assert dist[101] == 1.0 and dist[0] == 100.0 and np.array_equal(dist, p.dist)
+
+
+def integer_graph(rng, n):
+    """A connected graph on n points with weights in {1, 2, 3}: many ties."""
+    edges = [(int(rng.integers(0, i)), i, float(rng.integers(1, 4))) for i in range(1, n)]
+    for _ in range(n):
+        u, v = rng.integers(0, n, 2)
+        edges.append((int(u), int(v), float(rng.integers(1, 4))))
+    return load_graph(n, edges)
+
+
+class TestStreamedScan:
+    """The row scan behind the set primitives equals the block formulas."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_equal_to_block_argmin(self, monkeypatch, dense, seed):
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        sp = integer_graph(rng, n)
+        assert sp.has_table == dense
+        ties = 0
+        for size in sorted({1, 2, max(1, n // 3), n}):
+            a = PointSubset(tuple(rng.choice(n, size=size, replace=False).tolist()))
+            ids = a.array()
+            # reference: the stacked |a| x n block, reduced down its columns
+            block = sp.rows(ids)
+            k = np.argmin(block, axis=0)
+            mapping = ids[k]
+            mapping[ids] = ids
+            ties += int(((block == block.min(axis=0)).sum(axis=0) > 1).sum())
+            p = nearest_point_retraction(sp, a)
+            assert np.array_equal(p.mapping, mapping) and p.mapping.dtype == mapping.dtype
+            assert np.array_equal(p.dist, block[k, np.arange(n)])
+            assert not p.mapping.flags.writeable and not p.dist.flags.writeable
+            assert np.array_equal(dist_to_set_all(sp, a), block.min(axis=0))
+        assert ties > 0 or n < 4
+
+
+def table_space(table):
+    """A matrix space over the given table, not validated."""
+    return FiniteMetricSpace(len(table), "matrix", dmat=table)
+
+
+def first_witness(mask):
+    """The first row-major True of a boolean table, as a pair."""
+    return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+class TestAxiomBlocks:
+    """The table-axiom checks run over row blocks and name whole-table witnesses."""
+
+    @pytest.fixture
+    def base(self, monkeypatch):
+        monkeypatch.setattr(metric, "TABLE_CHUNK_CELLS", 3 * 10)  # 3 rows of 10
+        return np.abs(np.arange(10.0)[:, None] - np.arange(10.0)[None, :])
+
+    @pytest.mark.parametrize("edits, expect", [
+        # the largest asymmetry sits in row block 1, its mirror in block 2
+        ({(1, 8): 0.5, (7, 4): 2.0}, (4, 7)),
+        # a tie of the largest: the first in row-major order wins
+        ({(7, 4): 2.0, (0, 9): 2.0, (9, 3): 1.0}, (0, 9)),
+        # a larger one in the last block beats an earlier block's
+        ({(1, 2): 0.25, (9, 5): 0.75}, (5, 9)),
+    ])
+    def test_asymmetry_witness_across_blocks(self, base, edits, expect):
+        for (x, y), add in edits.items():
+            base[x, y] += add
+        asym = np.abs(base - base.T)
+        assert first_witness(asym == asym.max()) == expect
+        with pytest.raises(AsymmetryError) as err:
+            metric._validate(table_space(base))
+        assert err.value.pair == expect
+
+    def test_negative_and_zero_witnesses_across_blocks(self, base):
+        neg = base.copy()
+        for x, y in ((7, 5), (4, 8)):
+            neg[x, y] = neg[y, x] = -1.0
+        with pytest.raises(NegativeDistanceError) as err:
+            metric._validate(table_space(neg))
+        assert err.value.pair == first_witness(neg < 0) == (4, 8)
+        zero = base.copy()
+        for x, y in ((9, 8), (5, 6)):
+            zero[x, y] = zero[y, x] = 0.0
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            metric._validate(table_space(zero))
+        assert err.value.pair == first_witness((zero == 0) & ~np.eye(10, dtype=bool)) == (5, 6)
+
+    def test_graph_tables_equal_whole_table_formulas(self, base):
+        rng = np.random.default_rng(4)
+        sp = random_graph(rng, 10)  # built with 3-row blocks
+        raw = shortest_path(sp._graph, method="D", directed=False)
+        assert np.array_equal(sp._dmat, np.minimum(raw, raw.T))
+        scaled = load_graph(10, [(i, i + 1, 0.3) for i in range(9)])
+        assert np.array_equal(scaled._dmat, base * 0.3)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coarsecert import verify
 from coarsecert.errors import BadModeError, EmptySetError, NotACoverError
 from coarsecert.metric import PointSubset, load_graph
 from coarsecert.simplex import PartitionOfUnity, SimplexPoint, barycentric_pou
@@ -15,6 +17,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
+from .conftest import path_space
 from .genutil import random_lipschitz_pou
 
 A, B = (0, 0), (0, 1)
@@ -143,6 +146,91 @@ class TestLipschitz:
             rep = lipschitz_check(f, eps, eps)
             assert rep.passed
             assert rep.worst_slack >= 0.0
+
+
+def random_pou(space, n_vertices, rng):
+    """A pou on every point with random supports of 1 to n_vertices vertices."""
+    out = {}
+    for x in range(space.n):
+        k = int(rng.integers(1, n_vertices + 1))
+        verts = rng.choice(n_vertices, size=k, replace=False)
+        w = rng.dirichlet(np.ones(k))
+        out[x] = SimplexPoint({(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0})
+    return PartitionOfUnity(space, out)
+
+
+def block_slack(f, lam, C, pairs_i, pairs_j):
+    """The whole-chunk slack formula: one chunk x carrier block per chunk."""
+    pts, _, mat = f.dense()
+    worst, witness = math.inf, None
+    for lo in range(0, len(pairs_i), verify.PAIR_CHUNK):
+        ii = pairs_i[lo:lo + verify.PAIR_CHUNK]
+        jj = pairs_j[lo:lo + verify.PAIR_CHUNK]
+        l1 = np.abs(mat[ii] - mat[jj]).sum(axis=1)
+        slack = lam * f.space.pair_distances(pts[ii], pts[jj]) + C - l1
+        k = int(np.argmin(slack))
+        if slack[k] < worst:
+            worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
+    return worst, witness
+
+
+class TestStreamedSlackKernel:
+    """The run-by-run slack kernel equals the whole-chunk block formula."""
+
+    # 7 columns sum sequentially, 9 with numpy's 8 accumulators, 130 with
+    # its recursive pairwise split; a small chunk splits runs across chunks
+    @pytest.mark.parametrize("carrier", [7, 9, 130])
+    @pytest.mark.parametrize("chunk", [verify.PAIR_CHUNK, 997])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["full", "restricted"])
+    def test_bit_equal_to_block_formula(self, p400, monkeypatch, carrier, chunk,
+                                        workers, mode):
+        monkeypatch.setattr(verify, "PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(carrier)
+        f = random_pou(p400, carrier, rng)
+        pts, verts, mat = f.dense()
+        assert len(verts) == carrier
+        eps = 0.05
+        rep = lipschitz_check(f, eps, eps, mode=mode, workers=workers)
+        if mode == "full":
+            pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
+        else:
+            near = p400.submatrix(pts) < rep.restricted_radius
+            pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
+        assert len(pairs_i) > chunk or mode == "restricted"  # full mode: >= 2 chunks
+        worst, witness = block_slack(f, eps, eps, pairs_i, pairs_j)
+        assert rep.worst_slack == worst
+        assert rep.witness_pair == witness
+        assert rep.pairs_checked == len(pairs_i)
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 400])
+    def test_pair_chunks_follow_triu_order(self, m, p400):
+        ti, tj = np.triu_indices(m, k=1)
+        n = len(ti)
+        for lo, hi in ((0, n), (0, 1), (n - 1, n), (n // 3, n // 2)):
+            i, j = verify._upper_pairs(m, lo, hi)
+            assert np.array_equal(i, ti[lo:hi]) and np.array_equal(j, tj[lo:hi])
+        pts = np.arange(0, 400, 400 // m)[:m]
+        for radius in (0.5, 30.0, 1e9):  # no pair, some pairs, every pair
+            near = p400.submatrix(pts) < radius
+            expect = np.nonzero(np.triu(near, k=1))
+            got = verify._restricted_pairs(p400, pts, radius, "table")
+            assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expect))
+
+    def test_full_mode_memory(self):
+        sp = path_space(600)
+        f = random_pou(sp, 200, np.random.default_rng(2))
+        f.dense()
+        tracemalloc.start()
+        try:
+            rep = lipschitz_check(f, 0.1, 0.1, mode="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == 600 * 599 // 2
+        # one PAIR_CHUNK x 200 block of float64 is 105 MB, and the block
+        # formula held three at once
+        assert peak < 16 * 2**20
 
 
 class TestCobounded:
