@@ -8,8 +8,10 @@ every operation here is a pure function and safe under concurrent readers.
 Distances are stored as a dense float64 table for n <= 4096.  Above that,
 graph-backed spaces answer distance queries by on-demand Dijkstra rows with a
 per-source cache, and radius-limited neighborhood queries run Dijkstra with a
-cutoff, which is what the radius-restricted verification mode needs.  Every
-query goes through FiniteMetricSpace.row, the only reader of the table.  The
+cutoff.  Every distance query goes through FiniteMetricSpace.row, the only
+reader of the table, and every radius query (the restricted verification's
+pairs, the Lebesgue check's balls) through FiniteMetricSpace.neighbors_within,
+so whether a space has a table is decided inside that class alone.  The
 set primitives at the end of this module stream rows: distance to a set and
 the nearest-point retraction come from one scan over the set's rows in
 ascending id order that keeps a running minimum, so no |A| x n block is ever
@@ -65,7 +67,6 @@ METRIC_TOL = 1e-9
 DENSE_LIMIT = 4096
 EXHAUSTIVE_TRIANGLE_LIMIT = 2000
 TRIANGLE_SAMPLE_SEED = 0x5EED
-CERTIFICATE_CHUNK_CELLS = 1 << 19
 TABLE_CHUNK_CELLS = 1 << 19
 
 
@@ -187,9 +188,6 @@ class FiniteMetricSpace:
             out[k] = self.row(int(i))[cols]
         return out
 
-    def submatrix(self, ids: np.ndarray) -> np.ndarray:
-        return self.block(ids, ids)
-
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """d(xs[k], ys[k]) for each k, shape (len(xs),); one row per run of equal xs."""
         out = np.empty(len(xs), dtype=np.float64)
@@ -197,15 +195,11 @@ class FiniteMetricSpace:
             out[lo:hi] = self.row(int(xs[lo]))[ys[lo:hi]]
         return out
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Distances from each id in ids to every point, shape (len(ids), n)."""
-        return np.stack([self.row(int(i)) for i in ids])
-
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
-        """Ids y with d(x, y) < radius (strict), ascending, including x."""
+        """Ids y with d(x, y) < radius (strict), ascending; empty for radius <= 0."""
         if not self.has_table and self._graph is not None:
-            # directed=True for the reason given in _compute_row
-            dist = dijkstra(self._graph, directed=True, indices=x, limit=radius)
+            # directed=True as in _compute_row; scipy refuses a negative limit
+            dist = dijkstra(self._graph, directed=True, indices=x, limit=max(radius, 0.0))
             return np.flatnonzero(dist < radius)
         return np.flatnonzero(self.row(x) < radius)
 
@@ -223,12 +217,19 @@ def equal_runs(xs: np.ndarray):
 
 
 def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
-    diff = np.abs(coords - coords[x])
-    if math.isinf(p):
-        return diff.max(axis=1)
-    if p == 1:
-        return diff.sum(axis=1)
-    return (diff ** p).sum(axis=1) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an overflow is named below instead
+        diff = np.abs(coords - coords[x])
+        if math.isinf(p):
+            row = diff.max(axis=1)
+        elif p == 1:
+            row = diff.sum(axis=1)
+        else:
+            row = (diff ** p).sum(axis=1) ** (1.0 / p)
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        raise InvalidInputError(f"lp distance from point {x} to point {int(bad[0])} "
+                                f"overflows for p={p}")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
     so it reaches y after some k steps and gives d(y,z) >= d_G(y,z) -
     k*METRIC_TOL.  Together they give the triangle inequality up to
     (h + k)*METRIC_TOL, for edge weights above METRIC_TOL.  Sources go in
-    chunks of CERTIFICATE_CHUNK_CELLS edge cells, so the temporaries stay a
+    chunks of TABLE_CHUNK_CELLS edge cells, so the temporaries stay a
     few MB; the cost is O(n*E).
     """
     dmat, n = space._dmat, space.n
@@ -309,7 +310,7 @@ def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
         return
     into = space._graph.tocsc()  # column y lists the edges (u, y) into y
     starts, src, w = into.indptr[:-1], into.indices, into.data
-    step = max(1, CERTIFICATE_CHUNK_CELLS // src.size)
+    step = max(1, TABLE_CHUNK_CELLS // src.size)
     for lo in range(0, n, step):
         block = dmat[lo:lo + step]
         least = np.minimum.reduceat(block[:, src] + w, starts, axis=1)
@@ -539,7 +540,8 @@ def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
         raise EmptySetError("diameter of empty subset")
     if len(a.ids) == 1:
         return 0.0
-    return float(space.submatrix(a.array()).max())
+    ids = a.array()
+    return float(space.block(ids, ids).max())
 
 
 def min_cross_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset):

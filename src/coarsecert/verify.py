@@ -11,6 +11,9 @@ bit-identical regardless of worker count.  Inside a chunk the slack kernel
 streams rows: each run of pairs sharing a first point compares that point's
 weight row with its partners' rows, so the kernel's temporaries are at most
 m x carrier, never chunk x carrier.
+Restricted-mode pairs and Lebesgue balls both come from
+FiniteMetricSpace.neighbors_within; nothing here asks whether a space has a
+distance table.
 """
 
 from __future__ import annotations
@@ -237,36 +240,23 @@ def _pair_slack_chunks(space: FiniteMetricSpace, pts: np.ndarray, mat: np.ndarra
     return worst, witness
 
 
-def _restricted_pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: float,
-                      gather: str):
-    """Lexicographically ordered pairs (by domain position) with d < radius."""
-    if gather == "auto":
-        gather = "table" if space.has_table else "bfs"
-    if gather == "table":
-        # one row at a time: the partners of i are the later points within radius
-        near = [np.flatnonzero(space.row(int(x))[pts[i + 1:]] < radius) + (i + 1)
-                for i, x in enumerate(pts)]
-        out_i = np.repeat(np.arange(len(pts)), [len(js) for js in near])
-        return out_i, np.concatenate(near)
-    if gather != "bfs":
-        raise BadModeError(f"unknown pair gather mode {gather!r}")
-    pos = {int(p): i for i, p in enumerate(pts)}
-    out_i: List[int] = []
-    out_j: List[int] = []
+def _restricted_pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: float):
+    """Lexicographically ordered pairs (by domain position) with d < radius.
+
+    pts and each neighbors_within answer are ascending, so no sort is needed.
+    """
+    pos = np.full(space.n, -1, dtype=np.intp)  # domain position of each id
+    pos[pts] = np.arange(len(pts))
+    near = []
     for i, x in enumerate(pts):
-        near = space.neighbors_within(int(x), radius)
-        for y in near:
-            j = pos.get(int(y))
-            if j is not None and j > i:
-                out_i.append(i)
-                out_j.append(j)
-    order = np.lexsort((np.asarray(out_j, dtype=np.intp), np.asarray(out_i, dtype=np.intp)))
-    return (np.asarray(out_i, dtype=np.intp)[order],
-            np.asarray(out_j, dtype=np.intp)[order])
+        js = pos[space.neighbors_within(int(x), radius)]
+        near.append(js[js > i])
+    out_i = np.repeat(np.arange(len(pts)), [len(js) for js in near])
+    return out_i, np.concatenate(near)
 
 
 def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full",
-                    workers: int = 1, gather: str = "auto") -> LipschitzReport:
+                    workers: int = 1) -> LipschitzReport:
     """Check d(f(x), f(y)) <= lam*d(x,y) + C over the domain.
 
     Full mode checks every unordered pair.  Restricted mode requires
@@ -300,7 +290,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     else:
         if restricted_radius <= 0:
             return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
-        pairs_i, pairs_j = _restricted_pairs(f.space, pts, restricted_radius, gather)
+        pairs_i, pairs_j = _restricted_pairs(f.space, pts, restricted_radius)
         npairs = len(pairs_i)
         if npairs == 0:
             return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
@@ -366,20 +356,19 @@ def _member_masks(space: FiniteMetricSpace, fam: CoverFamily) -> np.ndarray:
 
 
 def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
-    """Pass iff every open M-ball is contained in some cover member."""
+    """Pass iff every open M-ball is contained in some cover member.
+
+    The witness is the first point whose ball escapes every member.
+    """
     fam = _as_family(cover)
     masks = _member_masks(space, fam)
-    if not masks.any(axis=0).all():
-        raise NotACoverError(int(np.flatnonzero(~masks.any(axis=0))[0]))
-    outside = (~masks).astype(np.int32)  # (m, n)
-    chunk = max(1, (1 << 22) // max(1, space.n))
-    for lo in range(0, space.n, chunk):
-        hi = min(lo + chunk, space.n)
-        balls = (space.rows(np.arange(lo, hi)) < M).astype(np.int32)  # (c, n)
-        escapes = balls @ outside.T  # (c, m): ball points outside member k
-        ok = (escapes == 0).any(axis=1)
-        if not ok.all():
-            return LebesgueReport(M=M, witness_point=int(lo + np.flatnonzero(~ok)[0]))
+    covered = masks.any(axis=0)
+    if not covered.all():
+        raise NotACoverError(int(np.flatnonzero(~covered)[0]))
+    for x in range(space.n):
+        ball = space.neighbors_within(x, M)
+        if not masks[:, ball].all(axis=1).any():
+            return LebesgueReport(M=M, witness_point=x)
     return LebesgueReport(M=M, witness_point=None)
 
 

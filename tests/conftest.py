@@ -21,6 +21,15 @@ def grid_space(w, h):
     return load_graph(w * h, edges, meta={"grid_shape": [w, h]})
 
 
+def integer_graph(rng, n):
+    """A connected graph on n points with weights in {1, 2, 3}: many ties."""
+    edges = [(int(rng.integers(0, i)), i, float(rng.integers(1, 4))) for i in range(1, n)]
+    for _ in range(n):
+        u, v = rng.integers(0, n, 2)
+        edges.append((int(u), int(v), float(rng.integers(1, 4))))
+    return load_graph(n, edges)
+
+
 def rgg_space(n, radius, seed):
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))

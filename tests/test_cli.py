@@ -350,6 +350,10 @@ MALFORMED = {
     "points space without p": ("space.json", lambda obj: obj.update(
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]}),
         "space.json"),
+    "points space overflowing lp distance": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"] - 1)] + [[1e200]],
+                             "p": 2}),
+        "space.json: lp distance from point 0 to point 39 overflows for p=2.0"),
 }
 
 

@@ -36,7 +36,7 @@ from coarsecert.metric import (
     nearest_point_retraction,
     set_ball,
 )
-from .conftest import path_space
+from .conftest import integer_graph, path_space
 
 
 class TestLoadMatrix:
@@ -133,7 +133,7 @@ class TestLoadGraph:
         sp = path_space(137)
         idx = np.arange(137)
         expect = np.abs(idx[:, None] - idx[None, :])
-        assert np.array_equal(sp.rows(idx), expect)
+        assert np.array_equal(np.stack([sp.row(x) for x in idx]), expect)
 
     def test_edge_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -260,6 +260,21 @@ class TestLoadPoints:
         with pytest.raises(BadNormError):
             load_points([(0, 0), (1, 1)], p=0.5)
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("coords", [[[0.0], [1e200]], [[0.0], [1e200], [2e200]]])
+    def test_overflowing_distance_rejected(self, monkeypatch, dense, coords):
+        # (1e200)**2 overflows; the third point used to surface as a
+        # TriangleViolationError between two infinite distances
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        with pytest.raises(InvalidInputError, match="point 0 to point 1 overflows for p=2.0"):
+            load_points(coords, p=2)
+
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_huge_coordinates_without_power(self, p):
+        sp = load_points([[0.0], [1e200], [2e200]], p=p)
+        assert sp.d(0, 1) == 1e200 and sp.d(0, 2) == 2e200
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ZeroOffDiagonalError):
             load_points([(1, 1), (1, 1)], p=2)
@@ -373,6 +388,13 @@ class TestBigSpaceLane:
         near = big_path.neighbors_within(2100, 5.0)
         assert near.tolist() == list(range(2096, 2105))
 
+    def test_neighbors_within_nonpositive_radius(self, big_path, p100):
+        # scipy's Dijkstra refuses a negative limit; both lanes answer empty
+        for sp in (big_path, p100):
+            for radius in (-1.0, 0.0):
+                near = sp.neighbors_within(3, radius)
+                assert near.size == 0 and near.dtype == np.intp
+
     def test_primitives(self, big_path):
         a = PointSubset((0, 4000))
         assert dist_to_set(big_path, 1000, a) == 1000.0
@@ -398,15 +420,6 @@ class TestBigSpaceLane:
         assert dist[101] == 1.0 and dist[0] == 100.0 and np.array_equal(dist, p.dist)
 
 
-def integer_graph(rng, n):
-    """A connected graph on n points with weights in {1, 2, 3}: many ties."""
-    edges = [(int(rng.integers(0, i)), i, float(rng.integers(1, 4))) for i in range(1, n)]
-    for _ in range(n):
-        u, v = rng.integers(0, n, 2)
-        edges.append((int(u), int(v), float(rng.integers(1, 4))))
-    return load_graph(n, edges)
-
-
 class TestStreamedScan:
     """The row scan behind the set primitives equals the block formulas."""
 
@@ -424,7 +437,7 @@ class TestStreamedScan:
             a = PointSubset(tuple(rng.choice(n, size=size, replace=False).tolist()))
             ids = a.array()
             # reference: the stacked |a| x n block, reduced down its columns
-            block = sp.rows(ids)
+            block = np.stack([sp.row(x) for x in ids])
             k = np.argmin(block, axis=0)
             mapping = ids[k]
             mapping[ids] = ids

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coarsecert import verify
+from coarsecert import metric, verify
 from coarsecert.errors import BadModeError, EmptySetError, NotACoverError
 from coarsecert.metric import PointSubset, load_graph
 from coarsecert.simplex import PartitionOfUnity, SimplexPoint, barycentric_pou
@@ -17,7 +17,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
-from .conftest import path_space
+from .conftest import integer_graph, path_space
 from .genutil import random_lipschitz_pou
 
 A, B = (0, 0), (0, 1)
@@ -89,7 +89,7 @@ class TestLipschitz:
                 # oracle: direct dense evaluation over the restricted pair set
                 pts, _, mat = f.dense()
                 radius = 2.0 / eps - 1.0
-                dsub = p200.submatrix(pts)
+                dsub = p200.block(pts, pts)
                 worst = math.inf
                 for i in range(len(pts)):
                     for j in range(i + 1, len(pts)):
@@ -99,15 +99,29 @@ class TestLipschitz:
                 assert rest.worst_slack == worst
                 assert rest.restricted_radius == radius
 
-    def test_gather_modes_identical(self, p200):
-        rng = np.random.default_rng(5)
-        f = random_lipschitz_pou(p200, range(200), 0.3, rng)
-        a = lipschitz_check(f, 0.2, 0.2, mode="restricted", gather="table")
-        b = lipschitz_check(f, 0.2, 0.2, mode="restricted", gather="bfs")
-        assert a.to_json() == b.to_json()
+    def test_restricted_same_on_both_lanes(self, p200, monkeypatch):
+        # the pair gather reads the table on p200 and runs limited Dijkstra
+        # on its table-free copy; the pairs and the report must not differ
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        free = path_space(200)
+        assert p200.has_table and not free.has_table
+        f = random_lipschitz_pou(p200, range(200), 0.3, np.random.default_rng(5))
+        g = PartitionOfUnity(free, f.mapping())
+        a = lipschitz_check(f, 0.2, 0.2, mode="restricted")
+        b = lipschitz_check(g, 0.2, 0.2, mode="restricted")
+        assert a.pairs_checked > 0 and a.to_json() == b.to_json()
+        pts = f.dense()[0]
+        for got, expect in zip(verify._restricted_pairs(free, pts, a.restricted_radius),
+                               verify._restricted_pairs(p200, pts, a.restricted_radius)):
+            assert np.array_equal(got, expect) and got.dtype == expect.dtype
 
-    def test_gather_bfs_on_tablefree_space(self):
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_gather_on_subset_domain(self, monkeypatch, dense):
+        # a 60-point domain in a 4150-point path: most neighbours are not in it
+        if dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 4150)
         big = load_graph(4150, [(i, i + 1, 1.0) for i in range(4149)])
+        assert big.has_table == dense
         rng = np.random.default_rng(9)
         ids = sorted(rng.choice(4150, size=60, replace=False).tolist())
         f = random_lipschitz_pou(big, ids, 0.5, rng)
@@ -195,7 +209,7 @@ class TestStreamedSlackKernel:
         if mode == "full":
             pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
         else:
-            near = p400.submatrix(pts) < rep.restricted_radius
+            near = p400.block(pts, pts) < rep.restricted_radius
             pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
         assert len(pairs_i) > chunk or mode == "restricted"  # full mode: >= 2 chunks
         worst, witness = block_slack(f, eps, eps, pairs_i, pairs_j)
@@ -212,9 +226,9 @@ class TestStreamedSlackKernel:
             assert np.array_equal(i, ti[lo:hi]) and np.array_equal(j, tj[lo:hi])
         pts = np.arange(0, 400, 400 // m)[:m]
         for radius in (0.5, 30.0, 1e9):  # no pair, some pairs, every pair
-            near = p400.submatrix(pts) < radius
+            near = p400.block(pts, pts) < radius
             expect = np.nonzero(np.triu(near, k=1))
-            got = verify._restricted_pairs(p400, pts, radius, "table")
+            got = verify._restricted_pairs(p400, pts, radius)
             assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expect))
 
     def test_full_mode_memory(self):
@@ -333,6 +347,46 @@ class TestLebesgue:
                 for x in range(20)
             )
             assert rep.passed == expect
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_random_covers_match_enumeration(self, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        verdicts = []
+        for seed in range(30):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(2, 40))
+            sp = integer_graph(rng, n)
+            assert sp.has_table == dense
+            d = [[sp.d(x, y) for y in range(n)] for x in range(n)]
+            # members are closed balls around random centres, then every
+            # uncovered point joins a random member
+            members = [{y for y in range(n) if d[c][y] <= r}
+                       for c, r in zip(rng.integers(0, n, int(rng.integers(1, 5))),
+                                       rng.integers(0, 6, 4))]
+            for x in set(range(n)).difference(*members):
+                members[int(rng.integers(0, len(members)))].add(x)
+            cover = [PointSubset(tuple(m)) for m in members]
+            m = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
+            # oracle: the first point whose open m-ball lies in no member
+            expect = next((x for x in range(n)
+                           if not any({y for y in range(n) if d[x][y] < m} <= mem
+                                      for mem in members)), None)
+            rep = lebesgue_check(sp, cover, m)
+            assert rep.witness_point == expect and rep.passed == (expect is None)
+            verdicts.append(rep.passed)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_nonpositive_radius_passes(self, monkeypatch, dense):
+        # every open ball of radius <= 0 is empty, on either lane
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        sp = path_space(5)
+        assert sp.has_table == dense
+        for m in (-1.0, 0.0):
+            rep = lebesgue_check(sp, blocks((0, 2), (3, 4)), m)
+            assert rep.passed and rep.witness_point is None
 
 
 class TestMultiplicity:
