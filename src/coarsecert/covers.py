@@ -34,6 +34,7 @@ from .metric import (
     PointSubset,
     as_int,
     closed_set_ball,
+    cross_minima,
     dist_to_set_all,
 )
 from .verify import (
@@ -249,22 +250,20 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
         pieces.append(PointSubset(tuple(int(x) for x in claim)))
         uncovered[claim] = False
 
-    # dist-to-piece rows power both the conflict tests and the assertions
-    dists = np.stack([dist_to_set_all(space, p) for p in pieces])
-    npieces = len(pieces)
-    colors = np.full(npieces, -1, dtype=int)
-    for p in range(npieces):
-        used = set()
-        for q in range(p):
-            if float(dists[q][pieces[p].array()].min()) <= R:
-                used.add(int(colors[q]))
+    # one scan per piece gives its cross minima with every later piece
+    conflicts: List[List[int]] = [[] for _ in pieces]  # earlier pieces within R
+    for q, (_, _, cross) in enumerate(cross_minima(space, pieces)):
+        for p in q + 1 + np.flatnonzero(cross <= R):
+            conflicts[p].append(q)
+    colors: List[int] = []
+    for p in range(len(pieces)):
+        used = {colors[q] for q in conflicts[p]}
         c = 0
         while c in used:
             c += 1
-        colors[p] = c
-    ncolors = int(colors.max()) + 1 if npieces else 0
-    families = [[pieces[p] for p in range(npieces) if colors[p] == c]
-                for c in range(ncolors)]
+        colors.append(c)
+    families = [[pieces[p] for p in range(len(pieces)) if colors[p] == c]
+                for c in range(max(colors) + 1)]
 
     for fam in families:
         rep = r_disjoint_check(space, fam, R)

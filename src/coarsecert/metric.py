@@ -6,16 +6,16 @@ shortest path, point cloud with an lp norm) and are immutable afterwards, so
 every operation here is a pure function and safe under concurrent readers.
 
 Distances are stored as a dense float64 table for n <= 4096.  Above that,
-graph-backed spaces answer distance queries by on-demand Dijkstra rows with a
-per-source cache, and radius-limited neighborhood queries run Dijkstra with a
-cutoff.  Every distance query goes through FiniteMetricSpace.row, the only
-reader of the table, and every radius query (the restricted verification's
-pairs, the Lebesgue check's balls) through FiniteMetricSpace.neighbors_within,
-so whether a space has a table is decided inside that class alone.  The
-set primitives at the end of this module stream rows: distance to a set and
-the nearest-point retraction come from one scan over the set's rows in
-ascending id order that keeps a running minimum, so no |A| x n block is ever
-built and the memory of a set query is O(n).
+spaces answer distance queries by on-demand rows with a per-source cache,
+and radius queries cache nothing (graphs run Dijkstra with a cutoff).
+Every distance query goes through FiniteMetricSpace.row, the only reader of
+the table, and every radius query (the restricted verification's pairs, the
+Lebesgue check's balls) through FiniteMetricSpace.neighbors_within, so
+whether a space has a table is decided inside that class alone.  The set
+primitives at the end of this module stream rows: distance to a set, the
+nearest-point retraction and the cross minima of a family come from one
+scan over a set's rows in ascending id order that keeps a running minimum,
+so no |A| x n block is ever built and a set query holds O(n).
 
 Metric axioms are validated eagerly at load, by one validator for all three
 loaders.  The table axioms (zero diagonal, symmetry, positivity) are checked
@@ -30,6 +30,7 @@ temporary.  The triangle inequality is then checked in one of three ways:
   its own shortest-path closure (Floyd-Warshall), exhaustively;
 - tables above 2000 points and table-free spaces get a seeded pool of rows
   checked against each other (at least 10*n^2 triples).
+A point cloud's lp distances are all checked for overflow, table or not.
 
 The tolerance of the graph check adds up per hop: each edge test allows
 METRIC_TOL, so an accepted table is within h*METRIC_TOL of the graph metric
@@ -181,39 +182,20 @@ class FiniteMetricSpace:
             return _lp_row(self._coords, x, self._p_norm)
         raise InvalidInputError("space has no backing data for row queries")
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances from each id in rows to each id in cols, shape (len(rows), len(cols))."""
-        out = np.empty((len(rows), len(cols)), dtype=np.float64)
-        for k, i in enumerate(rows):
-            out[k] = self.row(int(i))[cols]
-        return out
-
-    def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """d(xs[k], ys[k]) for each k, shape (len(xs),); one row per run of equal xs."""
-        out = np.empty(len(xs), dtype=np.float64)
-        for lo, hi in equal_runs(xs):
-            out[lo:hi] = self.row(int(xs[lo]))[ys[lo:hi]]
-        return out
-
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
         """Ids y with d(x, y) < radius (strict), ascending; empty for radius <= 0."""
         if not self.has_table and self._graph is not None:
             # directed=True as in _compute_row; scipy refuses a negative limit
             dist = dijkstra(self._graph, directed=True, indices=x, limit=max(radius, 0.0))
-            return np.flatnonzero(dist < radius)
-        return np.flatnonzero(self.row(x) < radius)
+        else:  # a cloud's rows stay uncached, or a sweep of queries would hold them all
+            dist = self.row(x) if self.has_table else self._compute_row(x)
+        return np.flatnonzero(dist < radius)
 
     def diameter(self) -> float:
-        return max(float(self.row(x).max()) for x in range(self.n))
+        return diameter(self, self.all_points())
 
     def all_points(self) -> PointSubset:
         return PointSubset(tuple(range(self.n)))
-
-
-def equal_runs(xs: np.ndarray):
-    """(lo, hi) bounds of each run of equal consecutive values in xs, all >= 0."""
-    starts = np.flatnonzero(np.diff(xs, prepend=-1) != 0)
-    return zip(starts.tolist(), starts[1:].tolist() + [len(xs)])
 
 
 def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
@@ -488,6 +470,11 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
     if not np.isfinite(arr).all():
         raise InvalidInputError("coordinates must be finite")
     n, p = arr.shape[0], float(p)
+    try:  # each |a_k - b_k| is within coordinate k's spread, and _lp_row is monotone
+        _lp_row(np.stack([arr.min(axis=0), arr.max(axis=0)]), 0, p)
+    except InvalidInputError:  # some pair may overflow: name the first, uncached
+        for x in range(n):
+            _lp_row(arr, x, p)
     # |a - b| is exactly |b - a|, so the rows form a symmetric zero-diagonal table
     dmat = np.stack([_lp_row(arr, x, p) for x in range(n)]) if n <= DENSE_LIMIT else None
     space = FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=p, meta=meta)
@@ -535,23 +522,13 @@ def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> Point
 
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
-    """Max pairwise distance within a; 0 for singletons."""
+    """Max pairwise distance within a; 0 for singletons.  One row at a time."""
     if not a.ids:
         raise EmptySetError("diameter of empty subset")
     if len(a.ids) == 1:
         return 0.0
-    ids = a.array()
-    return float(space.block(ids, ids).max())
-
-
-def min_cross_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset):
-    """(min distance, witness pair) over a x b; witness lexicographic-minimal."""
-    if not a.ids or not b.ids:
-        raise EmptySetError("min_cross_distance of empty subset")
-    ia, ib = a.array(), b.array()
-    block = space.block(ia, ib)
-    i, j = np.unravel_index(int(np.argmin(block)), block.shape)
-    return float(block[i, j]), (int(ia[i]), int(ib[j]))
+    cols = a.array() if len(a.ids) < space.n else slice(None)  # the whole space: no gather
+    return max(float(space.row(x)[cols].max()) for x in a.ids)
 
 
 def _nearest_scan(space: FiniteMetricSpace, a: PointSubset):
@@ -573,6 +550,22 @@ def _nearest_scan(space: FiniteMetricSpace, a: PointSubset):
         np.minimum(dist, row, out=dist)
         nearest[closer] = i
     return dist, nearest
+
+
+def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
+    """(dist, nearest, cross) per nonempty member s but the last, in order.
+
+    dist and nearest are _nearest_scan(members[s]); cross[k], the min of dist
+    over members[s + 1 + k], is bit-equal to the min over the two members' block.
+    """
+    if len(members) < 2:
+        return
+    ids = np.concatenate([m.array() for m in members])
+    starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+    for s in range(len(members) - 1):
+        dist, nearest = _nearest_scan(space, members[s])
+        lo = starts[s + 1]
+        yield dist, nearest, np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
 
 
 def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:

@@ -5,15 +5,14 @@ actual object, never trusting how the object was built.  Reports always
 carry witnesses so that failures are reproducible by hand, and the slack
 tolerance (-1e-9) is recorded in every report.
 
-Pair enumeration is chunked in lexicographic order with a deterministic
-min-slack reduction (lexicographic witness tie-break), so reports are
-bit-identical regardless of worker count.  Inside a chunk the slack kernel
-streams rows: each run of pairs sharing a first point compares that point's
-weight row with its partners' rows, so the kernel's temporaries are at most
-m x carrier, never chunk x carrier.
-Restricted-mode pairs and Lebesgue balls both come from
-FiniteMetricSpace.neighbors_within; nothing here asks whether a space has a
-distance table.
+Every pairwise check reads each source row once and keeps the first
+minimum under strict <, so witnesses are lexicographically least.  The
+Lipschitz kernel compares one domain position's weight and distance rows
+with its partners' (later positions, or in restricted mode later
+neighbours from FiniteMetricSpace.neighbors_within) at a time, so its
+temporaries are at most m x carrier; worker threads take contiguous blocks
+of positions, reduced in block order, so reports do not depend on the
+worker count.  R-disjointness scans each member once (metric.cross_minima).
 """
 
 from __future__ import annotations
@@ -21,17 +20,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BadModeError, EmptySetError, NotACoverError
-from .metric import FiniteMetricSpace, PointSubset, diameter, equal_runs, min_cross_distance
+from .metric import FiniteMetricSpace, PointSubset, cross_minima, diameter
 from .simplex import PartitionOfUnity, VertexId, star_preimage_diameters, vertex_key
 
 SLACK_TOL = 1e-9
-PAIR_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -192,67 +189,19 @@ class MultiplicityReport:
 # Lipschitz
 # ---------------------------------------------------------------------------
 
-def _upper_pairs(m: int, lo: int, hi: int):
-    """Pairs lo..hi-1 of the lexicographic order of (i, j), i < j < m."""
-    i_all = np.arange(m)
-    starts = i_all * (2 * m - i_all - 1) // 2  # rank of the pair (i, i + 1)
-    k = np.arange(lo, hi)
-    i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
+def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float], positions):
+    """(i, js) per domain position i: the ascending positions j > i paired with i.
 
-
-def _pair_slack_chunks(space: FiniteMetricSpace, pts: np.ndarray, mat: np.ndarray,
-                       npairs: int, pairs, lam: float, C: float, workers: int):
-    """Min slack over pair chunks; deterministic reduce in chunk order.
-
-    pairs(lo, hi) gives the positions (ii, jj) of pairs lo..hi-1, so only
-    one chunk of pairs per worker is held at a time.
-    """
-    nchunks = max(1, math.ceil(npairs / PAIR_CHUNK))
-
-    def run(ci: int):
-        lo, hi = ci * PAIR_CHUNK, min((ci + 1) * PAIR_CHUNK, npairs)
-        ii, jj = pairs(lo, hi)
-        # one row of mat against its partners per run of equal ii; each l1 is
-        # still one row sum over all carrier columns, so its bits do not
-        # depend on where runs or chunks end
-        l1 = np.empty(hi - lo)
-        for a, b in equal_runs(ii):
-            diff = mat[jj[a:b]]
-            np.subtract(mat[ii[a]], diff, out=diff)
-            l1[a:b] = np.abs(diff, out=diff).sum(axis=1)
-        d = space.pair_distances(pts[ii], pts[jj])
-        slack = lam * d + C - l1
-        k = int(np.argmin(slack))  # first occurrence = lexicographic min pair
-        return float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
-
-    if workers > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(nchunks)))
-    else:
-        results = [run(ci) for ci in range(nchunks)]
-
-    worst = math.inf
-    witness = None
-    for s, w in results:
-        if s < worst:
-            worst, witness = s, w
-    return worst, witness
-
-
-def _restricted_pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: float):
-    """Lexicographically ordered pairs (by domain position) with d < radius.
-
-    pts and each neighbors_within answer are ascending, so no sort is needed.
+    All of them without a radius; with one, those with d(pts[i], pts[j]) < radius.
     """
     pos = np.full(space.n, -1, dtype=np.intp)  # domain position of each id
     pos[pts] = np.arange(len(pts))
-    near = []
-    for i, x in enumerate(pts):
-        js = pos[space.neighbors_within(int(x), radius)]
-        near.append(js[js > i])
-    out_i = np.repeat(np.arange(len(pts)), [len(js) for js in near])
-    return out_i, np.concatenate(near)
+    for i in positions:
+        if radius is None:
+            js = np.arange(i + 1, len(pts))
+        else:  # neighbors_within's answers ascend, like pts
+            js = pos[space.neighbors_within(int(pts[i]), radius)]
+        yield i, js[js > i]
 
 
 def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full",
@@ -280,26 +229,30 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
         s_max = float(mat.sum(axis=1).max(initial=0.0))
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
         restricted_radius = 2.0 * s / lam - 1.0
-    m = len(pts)
-    if m < 2:
-        return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
 
-    if mode == "full":
-        npairs = m * (m - 1) // 2
-        pairs = partial(_upper_pairs, m)
+    def run(positions):
+        # an l1 is one row sum over all carrier columns, so its bits do not
+        # depend on how pairs are grouped
+        worst, witness, count = math.inf, None, 0
+        for i, js in _partners(f.space, pts, restricted_radius, positions):
+            if js.size:
+                diff = mat[js]
+                np.subtract(mat[i], diff, out=diff)
+                d = f.space.row(int(pts[i]))[pts[js]]
+                slack = lam * d + C - np.abs(diff, out=diff).sum(axis=1)
+                k = int(np.argmin(slack))
+                count += js.size
+                if slack[k] < worst:
+                    worst, witness = float(slack[k]), (int(pts[i]), int(pts[js[k]]))
+        return worst, witness, count
+
+    if workers > 1:  # contiguous blocks of positions, reduced in block order
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, np.array_split(np.arange(len(pts)), workers)))
     else:
-        if restricted_radius <= 0:
-            return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
-        pairs_i, pairs_j = _restricted_pairs(f.space, pts, restricted_radius)
-        npairs = len(pairs_i)
-        if npairs == 0:
-            return LipschitzReport(lam, C, math.inf, None, 0, restricted_radius)
-
-        def pairs(lo, hi):
-            return pairs_i[lo:hi], pairs_j[lo:hi]
-
-    worst, witness = _pair_slack_chunks(f.space, pts, mat, npairs, pairs, lam, C, workers)
-    return LipschitzReport(lam, C, worst, witness, npairs, restricted_radius)
+        results = [run(range(len(pts)))]
+    worst, witness, _ = min(results, key=lambda r: r[0])  # the first of equal minima
+    return LipschitzReport(lam, C, worst, witness, sum(r[2] for r in results), restricted_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +277,24 @@ def cobounded_check(f: PartitionOfUnity, M: float) -> CoboundedReport:
 # ---------------------------------------------------------------------------
 
 def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointReport:
-    """Check cross-member pairs are at distance > R; witness the closest pair."""
+    """Check cross-member pairs are at distance > R; witness the closest pair.
+
+    The witness (x, y, s, t) has the least distance, then the least (s, t),
+    x and y; it is rebuilt for the winning (s, t) from that scan's nearest.
+    """
     fam = _as_family(family)
-    best = math.inf
-    best_w = None
-    for s in range(len(fam.members)):
-        for t in range(s + 1, len(fam.members)):
-            d, (x, y) = min_cross_distance(space, fam.members[s], fam.members[t])
-            if d < best:
-                best = d
-                best_w = (x, y, s, t)
-    if best_w is not None and best <= R:
-        return DisjointReport(R=R, min_cross=best, witness=best_w)
-    return DisjointReport(R=R, min_cross=best, witness=None)
+    best, win = math.inf, None
+    for s, (dist, nearest, cross) in enumerate(cross_minima(space, fam.members)):
+        k = int(np.argmin(cross))
+        if cross[k] < best:
+            best, win = float(cross[k]), (s, s + 1 + k, dist, nearest)
+    if win is None or not best <= R:
+        return DisjointReport(R=R, min_cross=best, witness=None)
+    s, t, dist, nearest = win
+    ys = fam.members[t].array()
+    ys = ys[dist[ys] == best]
+    x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
+    return DisjointReport(R=R, min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
 
 
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:

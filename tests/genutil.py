@@ -57,7 +57,7 @@ def random_subset(n, size, rng):
 def min_gap_pair(space, ids):
     """The closest pair within a subset (lexicographic tie-break)."""
     arr = np.asarray(sorted(ids), dtype=np.intp)
-    sub = space.block(arr, arr)
+    sub = np.stack([space.row(x)[arr] for x in arr])
     np.fill_diagonal(sub, np.inf)
     i, j = np.unravel_index(int(np.argmin(sub)), sub.shape)
     if i > j:

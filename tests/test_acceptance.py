@@ -170,7 +170,7 @@ def test_criterion_4_restricted_oracle_equivalence(p200, grid20):
             f = random_lipschitz_pou(space, range(space.n), delta, rng,
                                      n_vertices=int(rng.integers(3, 7)))
             pts, _, mat = f.dense()
-            dsub = space.block(pts, pts)
+            dsub = np.stack([space.row(x)[pts] for x in pts])
             for eps in (0.1, 0.5, 1.0):
                 full = lipschitz_check(f, eps, eps, mode="full")
                 rest = lipschitz_check(f, eps, eps, mode="restricted")

@@ -391,6 +391,17 @@ def test_missing_input_file_exit_two(clean_artifacts):
                        "nothing.pou.json: cannot read")
 
 
+def test_table_free_cloud_overflow_exit_two(tmp_path):
+    # above the dense-table limit; the only overflowing pair, 4198-4199, is
+    # one the sampled triangle check does not reach
+    coords = [[float(x)] for x in range(4198)] + [[-1e154], [1e154]]
+    jsonio.save_json(tmp_path / "space.json",
+                     jsonio.space_to_json("points", 4200, {"coords": coords, "p": 2}))
+    assert_input_error(tmp_path, ["decompose", "--space", "space.json", "--strategy", "greedy",
+                                  "--R", "1", "--diam", "4", "--out", "tree.json"],
+                       "space.json: lp distance from point 4198 to point 4199 overflows")
+
+
 def test_integral_floats_load(clean_artifacts, tmp_path):
     # 2.0 is the integer 2; only values that int() would change are refused
     space = json.loads((clean_artifacts / "space.json").read_text())

@@ -270,6 +270,32 @@ class TestLoadPoints:
         with pytest.raises(InvalidInputError, match="point 0 to point 1 overflows for p=2.0"):
             load_points(coords, p=2)
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_overflowing_box_without_overflowing_pair(self, monkeypatch, dense):
+        # the spread box's diagonal overflows (2 * 1.69e308), no pair's does
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        w = 1.3e154
+        sp = load_points([[0.0, w / 2], [w, w / 2], [w / 2, 0.0], [w / 2, w]], p=2)
+        assert sp.d(0, 1) == w and sp.d(2, 3) == w and sp.d(0, 2) == math.hypot(w / 2, w / 2)
+
+    def test_overflow_off_the_sampled_rows_rejected(self):
+        # a table-free cloud whose only overflowing pair is 4198-4199, which
+        # the seeded triangle sample does not reach
+        coords = [[float(x)] for x in range(4198)] + [[-1e154], [1e154]]
+        with pytest.raises(InvalidInputError,
+                           match="point 4198 to point 4199 overflows for p=2.0"):
+            load_points(coords, p=2)
+
+    def test_cloud_radius_queries_cache_no_rows(self):
+        sp = load_points([[float(x)] for x in range(4200)], p=2)
+        assert not sp.has_table
+        cached = len(sp._row_cache)  # the load's triangle sample
+        near = [sp.neighbors_within(x, 5.0) for x in range(4200)]
+        assert len(sp._row_cache) == cached
+        assert near[2100].tolist() == list(range(2096, 2105))
+        assert near[0].tolist() == list(range(5))
+
     @pytest.mark.parametrize("p", [1, math.inf])
     def test_huge_coordinates_without_power(self, p):
         sp = load_points([[0.0], [1e200], [2e200]], p=p)
@@ -371,18 +397,6 @@ class TestBigSpaceLane:
         for x in (0, 1234, 4199):
             row = big_path.row(x)
             assert np.array_equal(row, np.abs(np.arange(4200) - x))
-
-    def test_pair_distances_unsorted_repeated(self, big_path, p100):
-        rng = np.random.default_rng(5)
-        for sp in (big_path, p100):
-            assert sp.has_table == (sp is p100)
-            xs = rng.integers(0, 100, 300)
-            xs[50:80] = xs[49]  # a run of repeats
-            ys = rng.integers(0, 100, 300)
-            got = sp.pair_distances(xs, ys)
-            assert got.tolist() == [sp.d(int(x), int(y)) for x, y in zip(xs, ys)]
-        assert big_path.pair_distances(np.array([], dtype=np.intp),
-                                       np.array([], dtype=np.intp)).shape == (0,)
 
     def test_neighbors_within(self, big_path):
         near = big_path.neighbors_within(2100, 5.0)

@@ -18,7 +18,7 @@ from coarsecert.extend import (
     extend_pou_cobounded,
     measured_bound,
 )
-from coarsecert.metric import PointSubset, closed_set_ball, diameter, min_cross_distance
+from coarsecert.metric import PointSubset, closed_set_ball, diameter
 from coarsecert.simplex import VertexMint
 from coarsecert.verify import cobounded_check, lipschitz_check, r_disjoint_check
 from .conftest import grid_space, path_space, rgg_space
@@ -89,7 +89,7 @@ class TestDisjointFamilyRealization:
                 cand = interval_piece(space, rng, int(rng.integers(6, 20)))
             else:
                 cand = ball_piece(space, rng, diam * float(rng.uniform(0.02, 0.08)))
-            if all(min_cross_distance(space, cand, p)[0] > R for p in pieces):
+            if r_disjoint_check(space, pieces + [cand], R).passed:
                 pieces.append(cand)
             if len(pieces) == 3:
                 break

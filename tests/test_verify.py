@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from coarsecert import metric, verify
+from coarsecert.covers import greedy_decomposition
 from coarsecert.errors import BadModeError, EmptySetError, NotACoverError
-from coarsecert.metric import PointSubset, load_graph
+from coarsecert.metric import PointSubset, diameter, load_graph
 from coarsecert.simplex import PartitionOfUnity, SimplexPoint, barycentric_pou
 from coarsecert.verify import (
     CoverFamily,
@@ -89,7 +90,7 @@ class TestLipschitz:
                 # oracle: direct dense evaluation over the restricted pair set
                 pts, _, mat = f.dense()
                 radius = 2.0 / eps - 1.0
-                dsub = p200.block(pts, pts)
+                dsub = np.stack([p200.row(x)[pts] for x in pts])
                 worst = math.inf
                 for i in range(len(pts)):
                     for j in range(i + 1, len(pts)):
@@ -111,9 +112,11 @@ class TestLipschitz:
         b = lipschitz_check(g, 0.2, 0.2, mode="restricted")
         assert a.pairs_checked > 0 and a.to_json() == b.to_json()
         pts = f.dense()[0]
-        for got, expect in zip(verify._restricted_pairs(free, pts, a.restricted_radius),
-                               verify._restricted_pairs(p200, pts, a.restricted_radius)):
-            assert np.array_equal(got, expect) and got.dtype == expect.dtype
+        everything = range(len(pts))
+        for (i, got), (k, expect) in zip(verify._partners(free, pts, a.restricted_radius, everything),
+                                         verify._partners(p200, pts, a.restricted_radius, everything),
+                                         strict=True):
+            assert i == k and np.array_equal(got, expect) and got.dtype == expect.dtype
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_gather_on_subset_domain(self, monkeypatch, dense):
@@ -173,33 +176,45 @@ def random_pou(space, n_vertices, rng):
     return PartitionOfUnity(space, out)
 
 
-def block_slack(f, lam, C, pairs_i, pairs_j):
-    """The whole-chunk slack formula: one chunk x carrier block per chunk."""
+def distance_block(space, pts):
+    """d(pts[i], pts[j]) for every pair of positions, one row() at a time."""
+    return np.stack([space.row(x)[pts] for x in pts])
+
+
+def block_slack(f, lam, C, pairs_i, pairs_j, chunk):
+    """The whole-block slack formula: one chunk x carrier block per chunk of pairs."""
     pts, _, mat = f.dense()
+    dsub = distance_block(f.space, pts)
     worst, witness = math.inf, None
-    for lo in range(0, len(pairs_i), verify.PAIR_CHUNK):
-        ii = pairs_i[lo:lo + verify.PAIR_CHUNK]
-        jj = pairs_j[lo:lo + verify.PAIR_CHUNK]
+    for lo in range(0, len(pairs_i), chunk):
+        ii = pairs_i[lo:lo + chunk]
+        jj = pairs_j[lo:lo + chunk]
         l1 = np.abs(mat[ii] - mat[jj]).sum(axis=1)
-        slack = lam * f.space.pair_distances(pts[ii], pts[jj]) + C - l1
+        slack = lam * dsub[ii, jj] + C - l1
         k = int(np.argmin(slack))
         if slack[k] < worst:
             worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
     return worst, witness
 
 
-class TestStreamedSlackKernel:
-    """The run-by-run slack kernel equals the whole-chunk block formula."""
+def brute_pairs(space, pts, radius):
+    """(i, j) positions with i < j, and with d(pts[i], pts[j]) < radius if given."""
+    m = len(pts)
+    return [(i, j) for i in range(m) for j in range(i + 1, m)
+            if radius is None or space.d(int(pts[i]), int(pts[j])) < radius]
 
-    # 7 columns sum sequentially, 9 with numpy's 8 accumulators, 130 with
-    # its recursive pairwise split; a small chunk splits runs across chunks
+
+class TestStreamedSlackKernel:
+    """The per-position kernel equals the whole-block formula, bit for bit."""
+
+    # 7 columns sum sequentially, 9 with numpy's 8 accumulators, 130 with its
+    # recursive pairwise split; the oracle sums blocks of `chunk` pairs, a
+    # height that has nothing to do with how the kernel groups pairs
     @pytest.mark.parametrize("carrier", [7, 9, 130])
-    @pytest.mark.parametrize("chunk", [verify.PAIR_CHUNK, 997])
+    @pytest.mark.parametrize("chunk", [65536, 997])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", ["full", "restricted"])
-    def test_bit_equal_to_block_formula(self, p400, monkeypatch, carrier, chunk,
-                                        workers, mode):
-        monkeypatch.setattr(verify, "PAIR_CHUNK", chunk)
+    def test_bit_equal_to_block_formula(self, p400, carrier, chunk, workers, mode):
         rng = np.random.default_rng(carrier)
         f = random_pou(p400, carrier, rng)
         pts, verts, mat = f.dense()
@@ -209,27 +224,30 @@ class TestStreamedSlackKernel:
         if mode == "full":
             pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
         else:
-            near = p400.block(pts, pts) < rep.restricted_radius
+            near = distance_block(p400, pts) < rep.restricted_radius
             pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
         assert len(pairs_i) > chunk or mode == "restricted"  # full mode: >= 2 chunks
-        worst, witness = block_slack(f, eps, eps, pairs_i, pairs_j)
+        worst, witness = block_slack(f, eps, eps, pairs_i, pairs_j, chunk)
         assert rep.worst_slack == worst
         assert rep.witness_pair == witness
         assert rep.pairs_checked == len(pairs_i)
 
     @pytest.mark.parametrize("m", [2, 3, 17, 400])
-    def test_pair_chunks_follow_triu_order(self, m, p400):
-        ti, tj = np.triu_indices(m, k=1)
-        n = len(ti)
-        for lo, hi in ((0, n), (0, 1), (n - 1, n), (n // 3, n // 2)):
-            i, j = verify._upper_pairs(m, lo, hi)
-            assert np.array_equal(i, ti[lo:hi]) and np.array_equal(j, tj[lo:hi])
+    def test_pair_chunks_follow_triu_order(self, m, p400, monkeypatch):
+        # the pairs of any contiguous block of positions, in order, are that
+        # block's stretch of the brute-force enumeration, on both lanes
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        free = path_space(400)
+        assert p400.has_table and not free.has_table
         pts = np.arange(0, 400, 400 // m)[:m]
-        for radius in (0.5, 30.0, 1e9):  # no pair, some pairs, every pair
-            near = p400.block(pts, pts) < radius
-            expect = np.nonzero(np.triu(near, k=1))
-            got = verify._restricted_pairs(p400, pts, radius)
-            assert all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expect))
+        cuts = sorted({0, 1, m // 3, m // 2, m - 1, m})
+        for radius in (None, 0.5, 30.0, 1e9):  # every pair, none, some, every pair
+            expect = brute_pairs(p400, pts, radius)
+            for space in (p400, free):
+                got = [(i, int(j)) for lo, hi in zip(cuts, cuts[1:])
+                       for i, js in verify._partners(space, pts, radius, range(lo, hi))
+                       for j in js]
+                assert got == expect
 
     def test_full_mode_memory(self):
         sp = path_space(600)
@@ -242,8 +260,8 @@ class TestStreamedSlackKernel:
         finally:
             tracemalloc.stop()
         assert rep.pairs_checked == 600 * 599 // 2
-        # one PAIR_CHUNK x 200 block of float64 is 105 MB, and the block
-        # formula held three at once
+        # one 65536-pair x 200 block of float64 is 105 MB, and the block
+        # formula held three at once; a position's partners x 200 is 1 MB
         assert peak < 16 * 2**20
 
 
@@ -285,6 +303,64 @@ class TestRDisjoint:
         rep = r_disjoint_check(p10, fam, 0.0)
         assert not rep.passed
         assert rep.min_cross == 0.0
+
+
+def first_fit_families(space, R, target_diam):
+    """greedy_decomposition by brute force: ball carving, then first-fit colouring."""
+    uncovered = list(range(space.n))
+    pieces = []
+    while uncovered:
+        seed = uncovered[0]
+        pieces.append([x for x in uncovered if space.d(seed, x) <= target_diam / 2.0])
+        uncovered = [x for x in uncovered if x not in pieces[-1]]
+    colors = []
+    for p, piece in enumerate(pieces):
+        used = {colors[q] for q in range(p)
+                if min(space.d(x, y) for x in pieces[q] for y in piece) <= R}
+        colors.append(min(set(range(len(used) + 1)) - used))
+    return [[tuple(pieces[p]) for p in range(len(pieces)) if colors[p] == c]
+            for c in range(max(colors) + 1)]
+
+
+class TestPairwiseOracle:
+    """Row-streamed pairwise reductions against brute force, on both lanes.
+
+    integer_graph's weights in {1, 2, 3} make many distance ties, so the
+    witnesses' tie-breaks are exercised.
+    """
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_r_disjoint_diameter_greedy(self, monkeypatch, dense, seed):
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 50))
+        sp = integer_graph(rng, n)
+        assert sp.has_table == dense
+        ties = 0
+        for _ in range(6):
+            k = int(rng.integers(1, 5))  # single-member families too
+            fam = [PointSubset(tuple(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)),
+                                                replace=False).tolist()))
+                   for _ in range(k)]  # members may overlap
+            cands = sorted((sp.d(x, y), s, t, x, y)
+                           for s in range(k) for t in range(s + 1, k)
+                           for x in fam[s] for y in fam[t])
+            ties += sum(c[0] == cands[0][0] for c in cands[1:])
+            best = cands[0][0] if cands else math.inf
+            for R in (best - 1.0, best, best + 1.0, math.inf):
+                rep = r_disjoint_check(sp, fam, R)
+                assert rep.min_cross == best
+                expect = cands[0][3:] + cands[0][1:3] if cands and best <= R else None
+                assert rep.witness == expect
+            for member in fam:
+                assert diameter(sp, member) == max(sp.d(x, y) for x in member for y in member)
+        assert ties > 0
+        assert sp.diameter() == max(sp.d(x, y) for x in range(n) for y in range(n))
+        for R, target in ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 3.0)):
+            got = [[piece.ids for piece in f] for f in greedy_decomposition(sp, R, target)]
+            assert got == first_fit_families(sp, R, target)
 
 
 class TestUniformlyBounded:
