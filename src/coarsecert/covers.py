@@ -36,6 +36,7 @@ from .metric import (
     closed_set_ball,
     cross_minima,
     dist_to_set_all,
+    row_blocks,
 )
 from .verify import (
     CoverFamily,
@@ -245,14 +246,14 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     radius = target_diam / 2.0
     while uncovered.any():
         seed = int(np.flatnonzero(uncovered)[0])
-        row = space.row(seed)
+        row = space.rows(np.array([seed]), radius)[0]  # exact up to the radius
         claim = np.flatnonzero(uncovered & (row <= radius))
         pieces.append(PointSubset(tuple(int(x) for x in claim)))
         uncovered[claim] = False
 
-    # one scan per piece gives its cross minima with every later piece
+    # one distance to each piece gives its cross minima with every later piece
     conflicts: List[List[int]] = [[] for _ in pieces]  # earlier pieces within R
-    for q, (_, _, cross) in enumerate(cross_minima(space, pieces)):
+    for q, cross in enumerate(cross_minima(space, pieces)):
         for p in q + 1 + np.flatnonzero(cross <= R):
             conflicts[p].append(q)
     colors: List[int] = []
@@ -333,7 +334,7 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
             if trimmed:
                 star = closed_set_ball(space, PointSubset(tuple(trimmed)), s)
                 out_members.append(star)
-            ball = dist_to_set_all(space, member) <= s
+            ball = dist_to_set_all(space, member, s) <= s
             enlarged_this_level.append(ball)
         for ball in enlarged_this_level:
             removed |= ball
@@ -430,7 +431,10 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
     shape = _grid_shape(space)
     if block_scale < 1:
         raise ScaleTooSmallError(f"block_scale must be >= 1, got {block_scale!r}")
-    if space.diameter() <= block_scale:
+    # diameter <= block_scale, from rows cut off at block_scale: the first
+    # block that reaches farther (or not at all) settles it
+    everyone = space.all_points().array()
+    if all(rows.max() <= block_scale for _, rows in row_blocks(space, everyone, block_scale)):
         root = TreeNode(id=0, level=1, members=space.all_points())
         return DecompositionTree(m=1, arity=(), radii=(), nodes=[root])
     if not R_schedule:

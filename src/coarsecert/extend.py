@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .covers import DecompositionTree, TreeNode, tree_validate
 from .errors import (
     BadEpsilonError,
@@ -47,7 +49,8 @@ from .metric import (
     PointSubset,
     dist_to_set_all,
     diameter,
-    nearest_point_retraction,
+    nearest_point_retraction,  # unused here, but bench/tracer.py wraps this name
+    nearest_scan,
 )
 from .simplex import (
     PartitionOfUnity,
@@ -253,13 +256,26 @@ def _require_lipschitz(f: PartitionOfUnity, delta: float, who: str) -> None:
 
 
 def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> PartitionOfUnity:
-    """h = a*g + (1-a)*f(p(.)) over g's domain; exact on A and off B(A, r)."""
+    """h = a*g + (1-a)*f(p(.)) over g's domain, which holds A; exact on A and off B(A, r).
+
+    h is f itself on A (a = 0 there), and g itself wherever dist(x, A) >= r
+    (a = 1, which reads no f(p(x))), so p is needed only on the new points
+    closer than r to A.  Only the points of A within 2r of a new point can
+    be closer than r to one, so only their rows are read, cut off at r.  2r,
+    not r, is a margin for rounding: on a table-free graph d(x, y) and
+    d(y, x) come from different searches and may differ in the last bits.
+    """
     space = f.space
-    p = nearest_point_retraction(space, f.domain)
-    out: Dict[int, SimplexPoint] = {}
-    for x in g.domain.ids:
-        alpha = min(p.dist[x] / r, 1.0)
-        out[x] = convex_combine(alpha, g(x), f(p(x)))
+    a = f.domain.array()
+    new = np.setdiff1d(g.domain.array(), a, assume_unique=True)
+    sources = a[:0]
+    if len(new):
+        sources = a[dist_to_set_all(space, PointSubset(tuple(new.tolist())), 2.0 * r)[a] < 2.0 * r]
+    dist, nearest = nearest_scan(space, sources, r)  # exact below r, as the whole scan
+    out: Dict[int, SimplexPoint] = f.mapping()
+    for x in new.tolist():
+        alpha = min(dist[x] / r, 1.0)
+        out[x] = g(x) if alpha == 1.0 else convex_combine(alpha, g(x), f(int(nearest[x])))
     return PartitionOfUnity(space, out)
 
 
@@ -398,8 +414,9 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
             raise PreconditionViolatedError(
                 "budget >= 2/(r_m + 1)",
                 f"budget={budget!r}, r_m={r_m!r}")
-        dist_piece = dist_to_set_all(space, piece)
-        near_mask = dist_piece < (math.inf if r_m is None else r_m)
+        reach = math.inf if r_m is None else r_m  # only distances below r_m are read
+        dist_piece = dist_to_set_all(space, piece, reach)
+        near_mask = dist_piece < reach
         a_near = [x for x in f.domain.ids if near_mask[x]]
     else:
         a_near = []

@@ -6,16 +6,20 @@ shortest path, point cloud with an lp norm) and are immutable afterwards, so
 every operation here is a pure function and safe under concurrent readers.
 
 Distances are stored as a dense float64 table for n <= 4096.  Above that,
-spaces answer distance queries by on-demand rows with a per-source cache,
-and radius queries cache nothing (graphs run Dijkstra with a cutoff).
-Every distance query goes through FiniteMetricSpace.row, the only reader of
-the table, and every radius query (the restricted verification's pairs, the
-Lebesgue check's balls) through FiniteMetricSpace.neighbors_within, so
-whether a space has a table is decided inside that class alone.  The set
-primitives at the end of this module stream rows: distance to a set, the
-nearest-point retraction and the cross minima of a family come from one
-scan over a set's rows in ascending id order that keeps a running minimum,
-so no |A| x n block is ever built and a set query holds O(n).
+a space keeps no distances at all: FiniteMetricSpace.row computes one row
+and returns it, and a question that needs many rows asks for them in blocks
+(FiniteMetricSpace.rows) cut off at the largest distance it can use.  On a
+table-free graph a block is one Dijkstra call from all of its sources with
+that limit, and a distance to a set is one multi-source Dijkstra call
+(FiniteMetricSpace.distances_to).  Both give the single-source rows' bits
+wherever they answer: a vertex's Dijkstra distance is the least rounded
+d(u) + w(u, v) over its neighbours u, whatever the order of the search.
+A point cloud's block is built a coordinate at a time where that gives the
+rows' bits (_lp_rows).
+Only FiniteMetricSpace reads the table, so whether a space has one is
+decided inside that class alone.  The set primitives at the end of this
+module keep a running minimum over row blocks in ascending id order, so no
+|A| x n block is ever built and a set query holds O(n) plus one block.
 
 Metric axioms are validated eagerly at load, by one validator for all three
 loaders.  The table axioms (zero diagonal, symmetry, positivity) are checked
@@ -69,6 +73,8 @@ DENSE_LIMIT = 4096
 EXHAUSTIVE_TRIANGLE_LIMIT = 2000
 TRIANGLE_SAMPLE_SEED = 0x5EED
 TABLE_CHUNK_CELLS = 1 << 19
+ROW_BLOCK_CELLS = 1 << 16  # cells of one block of distance rows (512 KiB)
+DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccentricity
 
 
 def as_int(value, what: str) -> int:
@@ -149,7 +155,6 @@ class FiniteMetricSpace:
         self._coords = coords
         self._p_norm = p_norm
         self.meta = dict(meta or {})
-        self._row_cache: dict = {}
         if dmat is not None:
             dmat.setflags(write=False)
 
@@ -163,15 +168,10 @@ class FiniteMetricSpace:
         return float(self.row(x)[y])
 
     def row(self, x: int) -> np.ndarray:
-        """Distances from x to every point; the only reader of the dense table."""
+        """Distances from x to every point: a table row, or computed and not kept."""
         if self._dmat is not None:
             return self._dmat[x]
-        cached = self._row_cache.get(x)
-        if cached is None:
-            cached = self._compute_row(x)
-            cached.setflags(write=False)
-            self._row_cache[x] = cached
-        return cached
+        return self._compute_row(x)
 
     def _compute_row(self, x: int) -> np.ndarray:
         if self._graph is not None:
@@ -182,14 +182,37 @@ class FiniteMetricSpace:
             return _lp_row(self._coords, x, self._p_norm)
         raise InvalidInputError("space has no backing data for row queries")
 
+    def rows(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
+        """The rows of ids (an index array), stacked; exact wherever <= limit.
+
+        An entry above limit is exact or inf: a table-free graph runs one
+        Dijkstra call from all of ids, cut off at limit.
+        """
+        if self._dmat is not None:
+            return self._dmat[ids]
+        if self._graph is not None:  # scipy refuses a negative limit
+            return dijkstra(self._graph, directed=True, indices=ids, limit=max(limit, 0.0))
+        if self._coords is not None:
+            return _lp_rows(self._coords, ids, self._p_norm)
+        return np.stack([self._compute_row(x) for x in ids])
+
+    def distances_to(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
+        """dist(x, ids) for every x, the least entry of ids' rows; exact wherever <= limit.
+
+        A table-free graph answers by one multi-source Dijkstra call, others
+        by a running minimum over blocks of rows.  Above limit, exact or inf.
+        """
+        if self._dmat is None and self._graph is not None:
+            return dijkstra(self._graph, directed=True, indices=ids, min_only=True,
+                            limit=max(limit, 0.0))
+        out = np.full(self.n, math.inf)
+        for _, block in row_blocks(self, ids, limit):
+            np.minimum(out, block.min(axis=0), out=out)
+        return out
+
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
         """Ids y with d(x, y) < radius (strict), ascending; empty for radius <= 0."""
-        if not self.has_table and self._graph is not None:
-            # directed=True as in _compute_row; scipy refuses a negative limit
-            dist = dijkstra(self._graph, directed=True, indices=x, limit=max(radius, 0.0))
-        else:  # a cloud's rows stay uncached, or a sweep of queries would hold them all
-            dist = self.row(x) if self.has_table else self._compute_row(x)
-        return np.flatnonzero(dist < radius)
+        return np.flatnonzero(self.rows(np.array([x], dtype=np.intp), radius)[0] < radius)
 
     def diameter(self) -> float:
         return diameter(self, self.all_points())
@@ -212,6 +235,32 @@ def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
         raise InvalidInputError(f"lp distance from point {x} to point {int(bad[0])} "
                                 f"overflows for p={p}")
     return row
+
+
+def _lp_rows(coords: np.ndarray, ids: np.ndarray, p: float) -> np.ndarray:
+    """_lp_row of each of ids, stacked, with its bits, for a loaded cloud.
+
+    With at most two coordinates, or p = inf, the block is built one
+    coordinate at a time, several times faster than row by row: a sum of
+    two non-negative terms, like a max, does not depend on the order.
+    Otherwise it is built row by row.  load_points has ruled out overflow.
+    """
+    if coords.shape[1] > 2 and not math.isinf(p):
+        return np.stack([_lp_row(coords, x, p) for x in ids])
+    block = np.zeros((len(ids), len(coords)))
+    diff = np.empty_like(block)
+    for col in np.ascontiguousarray(coords.T):
+        np.subtract(col[None, :], col[ids, None], out=diff)
+        np.abs(diff, out=diff)
+        if math.isinf(p):
+            np.maximum(block, diff, out=block)
+        else:
+            if p != 1:
+                diff **= p
+            block += diff
+    if not (math.isinf(p) or p == 1):
+        block **= 1.0 / p
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +542,16 @@ def dist_to_set(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
     return float(space.row(x)[a.array()].min())
 
 
-def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset) -> np.ndarray:
-    """dist(x, a) for every x, shape (n,), streamed over a's rows (symmetry).
+def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
+                    limit: float = math.inf) -> np.ndarray:
+    """dist(x, a) for every x, shape (n,): the least entry of a's rows (symmetry).
 
-    The same scan as nearest_point_retraction's, so the two agree bit for bit.
+    Bit-equal to nearest_point_retraction's dist field wherever at most
+    limit; an entry above limit is exact or inf.
     """
     if not a.ids:
         raise EmptySetError("dist_to_set of empty subset")
-    return _nearest_scan(space, a)[0]
+    return space.distances_to(a.array(), limit)
 
 
 def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
@@ -509,7 +560,7 @@ def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
         raise EmptySetError("set_ball of empty subset")
     if r <= 0:
         raise InvalidInputError(f"ball radius must be > 0, got {r!r}")
-    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a) < r)))
+    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a, r) < r)))
 
 
 def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
@@ -518,67 +569,92 @@ def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> Point
         raise EmptySetError("closed_set_ball of empty subset")
     if r < 0:
         raise InvalidInputError(f"ball radius must be >= 0, got {r!r}")
-    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a) <= r)))
+    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a, r) <= r)))
 
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
-    """Max pairwise distance within a; 0 for singletons.  One row at a time."""
+    """Max pairwise distance within a; 0 for singletons.
+
+    The first point's row gives its eccentricity e within a, and every
+    distance within a is at most 2e; the other rows come in blocks cut off
+    a little above 2e.  A row whose entries in a do not all come back
+    (rounding beyond the margin) is computed in full instead.
+    """
     if not a.ids:
         raise EmptySetError("diameter of empty subset")
     if len(a.ids) == 1:
         return 0.0
-    cols = a.array() if len(a.ids) < space.n else slice(None)  # the whole space: no gather
-    return max(float(space.row(x)[cols].max()) for x in a.ids)
+    ids = a.array()
+    cols = ids if len(ids) < space.n else slice(None)  # the whole space: no gather
+    worst = float(space.row(ids[0])[cols].max())
+    rest = ids[1:]
+    for lo, rows in row_blocks(space, rest, 2.0 * worst * (1.0 + DIAMETER_MARGIN)):
+        maxima = rows[:, cols].max(axis=1)
+        for k in np.flatnonzero(np.isinf(maxima)):
+            maxima[k] = space.row(rest[lo + k])[cols].max()
+        worst = max(worst, float(maxima.max()))
+    return worst
 
 
-def _nearest_scan(space: FiniteMetricSpace, a: PointSubset):
-    """(dist, nearest): dist(x, a) and the smallest-id point of a attaining it.
+def row_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
+    """(lo, rows) block by block: rows holds the rows of ids[lo:lo + len(rows)].
 
-    Walks a's rows in ascending id order, one space.row at a time, keeping a
-    running minimum and the id that attains it.  A row takes over an entry
-    only where it is strictly smaller, so the smallest id keeps a tie: the
-    result is bit-equal to argmin and min over the stacked |a| x n block,
-    in O(n) memory.
+    A block holds at most ROW_BLOCK_CELLS cells (at least one row) and is
+    cut off at limit, so its entries above limit may be inf.
     """
-    ids = a.ids
-    dist = np.array(space.row(ids[0]), dtype=np.float64)
-    nearest = np.full(space.n, ids[0], dtype=np.intp)
+    step = max(1, ROW_BLOCK_CELLS // space.n)
+    for lo in range(0, len(ids), step):
+        yield lo, space.rows(ids[lo:lo + step], limit)
+
+
+def nearest_scan(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
+    """(dist, nearest): dist(x, ids) and the smallest id attaining it.
+
+    Both are exact wherever dist(x, ids) <= limit; elsewhere dist is above
+    limit (or inf) and nearest means nothing (-1 where no row reached x).  A
+    running minimum over ids' rows in ascending id order, one block of rows
+    at a time: a row takes over an entry only where it is strictly smaller,
+    so the smallest id keeps a tie, as argmin over the stacked block would.
+    """
+    dist = np.full(space.n, math.inf)
+    nearest = np.full(space.n, -1, dtype=np.intp)
     closer = np.empty(space.n, dtype=bool)
-    for i in ids[1:]:
-        row = space.row(i)
-        np.less(row, dist, out=closer)
-        np.minimum(dist, row, out=dist)
-        nearest[closer] = i
+    for lo, rows in row_blocks(space, ids, limit):
+        for i, row in zip(ids[lo:lo + len(rows)], rows):
+            np.less(row, dist, out=closer)
+            np.minimum(dist, row, out=dist)
+            nearest[closer] = i
     return dist, nearest
 
 
 def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
-    """(dist, nearest, cross) per nonempty member s but the last, in order.
+    """cross per nonempty member s but the last, in order.
 
-    dist and nearest are _nearest_scan(members[s]); cross[k], the min of dist
-    over members[s + 1 + k], is bit-equal to the min over the two members' block.
+    cross[k] is the least distance from members[s] to members[s + 1 + k]
+    over members[s]'s rows: the minimum of dist_to_set_all(members[s]) over
+    the later member, bit-equal to the minimum over the two members' block.
     """
     if len(members) < 2:
         return
     ids = np.concatenate([m.array() for m in members])
     starts = np.cumsum([0] + [len(m) for m in members[:-1]])
     for s in range(len(members) - 1):
-        dist, nearest = _nearest_scan(space, members[s])
+        dist = space.distances_to(members[s].array())
         lo = starts[s + 1]
-        yield dist, nearest, np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
+        yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
 
 
 def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:
     """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
 
-    One streamed scan over a's rows (_nearest_scan) gives both the mapping,
-    with the smallest id winning ties, and dist(x, a) for every x, returned
-    as the retraction's dist field.
+    One scan over a's rows (nearest_scan) gives both the mapping, with the
+    smallest id winning ties, and dist(x, a) for every x, returned as the
+    retraction's dist field.
     """
     if not a.ids:
         raise EmptySetError("retraction onto empty subset")
-    dist, mapping = _nearest_scan(space, a)
     ids = a.array()
+    dist, mapping = nearest_scan(space, ids)
     mapping[ids] = ids  # fixes a exactly (d=0 is already the unique min)
     mapping.setflags(write=False)
     dist.setflags(write=False)

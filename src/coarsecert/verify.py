@@ -8,11 +8,13 @@ tolerance (-1e-9) is recorded in every report.
 Every pairwise check reads each source row once and keeps the first
 minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel compares one domain position's weight and distance rows
-with its partners' (later positions, or in restricted mode later
-neighbours from FiniteMetricSpace.neighbors_within) at a time, so its
-temporaries are at most m x carrier; worker threads take contiguous blocks
-of positions, reduced in block order, so reports do not depend on the
-worker count.  R-disjointness scans each member once (metric.cross_minima).
+with its partners' (later positions, or in restricted mode the later ones
+closer than the radius) at a time, so its temporaries are at most m x
+carrier; the distance rows come in blocks (metric.row_blocks), cut off at
+the restricted radius.  Worker threads take contiguous blocks of positions,
+reduced in block order, so reports do not depend on the worker count.
+R-disjointness takes one distance to each member (metric.cross_minima) and
+scans the rows of one member only to name a witness.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadModeError, EmptySetError, NotACoverError
-from .metric import FiniteMetricSpace, PointSubset, cross_minima, diameter
+from .errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
+from .metric import (
+    FiniteMetricSpace,
+    PointSubset,
+    cross_minima,
+    diameter,
+    nearest_scan,
+    row_blocks,
+)
 from .simplex import PartitionOfUnity, VertexId, star_preimage_diameters, vertex_key
 
 SLACK_TOL = 1e-9
@@ -189,19 +198,33 @@ class MultiplicityReport:
 # Lipschitz
 # ---------------------------------------------------------------------------
 
-def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float], positions):
-    """(i, js) per domain position i: the ascending positions j > i paired with i.
+def _require_finite(**claims) -> None:
+    """A NaN claim passes every comparison and an infinite one every pair."""
+    for name, value in claims.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"claimed {name} = {value!r} is not finite")
 
-    All of them without a radius; with one, those with d(pts[i], pts[j]) < radius.
+
+def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float], positions):
+    """(i, js, d) per domain position i: the ascending positions j > i paired with i.
+
+    All of them without a radius; with one, those with d(pts[i], pts[j]) <
+    radius.  d holds those distances, read from pts[i]'s row, which comes in
+    a block of rows cut off at the radius.
     """
     pos = np.full(space.n, -1, dtype=np.intp)  # domain position of each id
     pos[pts] = np.arange(len(pts))
-    for i in positions:
-        if radius is None:
-            js = np.arange(i + 1, len(pts))
-        else:  # neighbors_within's answers ascend, like pts
-            js = pos[space.neighbors_within(int(pts[i]), radius)]
-        yield i, js[js > i]
+    positions = np.asarray(positions, dtype=np.intp)
+    limit = math.inf if radius is None else radius
+    for lo, rows in row_blocks(space, pts[positions], limit):
+        for i, row in zip(positions[lo:lo + len(rows)], rows):
+            if radius is None:
+                js = np.arange(i + 1, len(pts))
+                yield i, js, row[pts[js]]
+            else:  # ascending ids, so ascending positions
+                near = np.flatnonzero(row < radius)
+                later = pos[near] > i
+                yield i, pos[near[later]], row[near[later]]
 
 
 def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full",
@@ -215,6 +238,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1), so the two
     modes agree on pass/fail.
     """
+    _require_finite(lam=lam, C=C)
     restricted_radius = None
     if mode == "restricted":
         if lam != C:
@@ -234,11 +258,10 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
         # an l1 is one row sum over all carrier columns, so its bits do not
         # depend on how pairs are grouped
         worst, witness, count = math.inf, None, 0
-        for i, js in _partners(f.space, pts, restricted_radius, positions):
+        for i, js, d in _partners(f.space, pts, restricted_radius, positions):
             if js.size:
                 diff = mat[js]
                 np.subtract(mat[i], diff, out=diff)
-                d = f.space.row(int(pts[i]))[pts[js]]
                 slack = lam * d + C - np.abs(diff, out=diff).sum(axis=1)
                 k = int(np.argmin(slack))
                 count += js.size
@@ -261,6 +284,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
 
 def cobounded_check(f: PartitionOfUnity, M: float) -> CoboundedReport:
     """Check every star preimage has diameter at most M; names the worst vertex."""
+    _require_finite(M=M)
     diams, _ = star_preimage_diameters(f)
     worst_v = None
     worst_d = -1.0
@@ -280,17 +304,19 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
     """Check cross-member pairs are at distance > R; witness the closest pair.
 
     The witness (x, y, s, t) has the least distance, then the least (s, t),
-    x and y; it is rebuilt for the winning (s, t) from that scan's nearest.
+    x and y; it is rebuilt for the winning (s, t) from a scan of s's rows
+    cut off at that distance.
     """
     fam = _as_family(family)
     best, win = math.inf, None
-    for s, (dist, nearest, cross) in enumerate(cross_minima(space, fam.members)):
+    for s, cross in enumerate(cross_minima(space, fam.members)):
         k = int(np.argmin(cross))
         if cross[k] < best:
-            best, win = float(cross[k]), (s, s + 1 + k, dist, nearest)
+            best, win = float(cross[k]), (s, s + 1 + k)
     if win is None or not best <= R:
         return DisjointReport(R=R, min_cross=best, witness=None)
-    s, t, dist, nearest = win
+    s, t = win
+    dist, nearest = nearest_scan(space, fam.members[s].array(), best)
     ys = fam.members[t].array()
     ys = ys[dist[ys] == best]
     x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
@@ -323,10 +349,10 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
     covered = masks.any(axis=0)
     if not covered.all():
         raise NotACoverError(int(np.flatnonzero(~covered)[0]))
-    for x in range(space.n):
-        ball = space.neighbors_within(x, M)
-        if not masks[:, ball].all(axis=1).any():
-            return LebesgueReport(M=M, witness_point=x)
+    for lo, rows in row_blocks(space, np.arange(space.n), M):
+        for x, row in enumerate(rows, lo):
+            if not masks[:, np.flatnonzero(row < M)].all(axis=1).any():
+                return LebesgueReport(M=M, witness_point=x)
     return LebesgueReport(M=M, witness_point=None)
 
 

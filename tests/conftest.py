@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coarsecert import metric
 from coarsecert.metric import load_graph
 
 
@@ -28,6 +29,25 @@ def integer_graph(rng, n):
         u, v = rng.integers(0, n, 2)
         edges.append((int(u), int(v), float(rng.integers(1, 4))))
     return load_graph(n, edges)
+
+
+def weighted_graph(rng, n, integral, table=False):
+    """A connected graph on n points, without a distance table unless asked.
+
+    Integral weights in {1, 2, 3} make many distance ties.  Others, drawn
+    from [0.05, 10), make Dijkstra rows that may differ from their
+    transposes in the last bits.
+    """
+    def weight():
+        return float(rng.integers(1, 4)) if integral else float(rng.uniform(0.05, 10.0))
+    edges = [(int(rng.integers(0, i)), i, weight()) for i in range(1, n)]
+    for _ in range(n):
+        u, v = rng.integers(0, n, 2)
+        edges.append((int(u), int(v), weight()))
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(metric, "DENSE_LIMIT", 0)
+        return load_graph(n, edges)
 
 
 def rgg_space(n, radius, seed):

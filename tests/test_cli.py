@@ -276,6 +276,20 @@ class TestVerify:
         assert f"{flag} {value!r} disagrees with" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--lam", "nan", "--C", "nan"), "lam = nan"),
+        (("--epsilon", "nan"), "lam = nan"),
+        (("--lam", 0.4, "--C", "1e400"), "C = inf"),
+        (("--epsilon", 0.4, "--M", "nan"), "M = nan"),
+    ])
+    def test_non_finite_claim_exit_two(self, cert, tmp_path, capsys, flags, named):
+        # these used to pass, NaN or not, and write NaN into the report
+        space, pou = cert
+        out = tmp_path / "n.json"
+        assert run("verify", "--space", space, "--pou", pou, *flags, "--out", out) == 2
+        assert f"InvalidInputError: claimed {named} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lam_and_C_alone_are_checked(self, cert):
         space, pou = cert
         assert run("verify", "--space", space, "--pou", pou,

@@ -15,6 +15,7 @@ from coarsecert.errors import (
     NotTwoSDisjointError,
     ScaleTooSmallError,
 )
+from coarsecert import metric
 from coarsecert.metric import PointSubset, load_matrix
 from coarsecert.verify import (
     lebesgue_check,
@@ -135,6 +136,22 @@ class TestBrickTree1D:
         tree = brick_tree(sp, [3.0], 11.0)
         assert tree.m == 1
         assert tree_validate(sp, tree).passed
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_trivial_tree_up_to_the_diameter(self, monkeypatch, dense):
+        # diameter 11: block_scale 11 gets the trivial tree, 10.5 does not;
+        # the check reads rows cut off at block_scale, never a full row
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        sp = path_space(12)
+        assert sp.has_table == dense
+        full = []
+        compute_row = metric.FiniteMetricSpace._compute_row
+        monkeypatch.setattr(metric.FiniteMetricSpace, "_compute_row",
+                            lambda space, x: full.append(x) or compute_row(space, x))
+        assert brick_tree(sp, [3.0], 11.0).m == 1
+        assert brick_tree(sp, [3.0], 10.5).m == 2
+        assert full == []
 
     def test_scale_too_small(self):
         sp = path_space(100)

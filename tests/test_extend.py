@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarsecert.covers import DecompositionTree, TreeNode, brick_tree
+from coarsecert import metric
+from coarsecert.covers import DecompositionTree, TreeNode, brick_tree, tree_validate
 from coarsecert.errors import (
     BadEpsilonError,
     BudgetTooSmallError,
@@ -16,6 +20,7 @@ from coarsecert.errors import (
 )
 from coarsecert.extend import (
     Modulus,
+    _alpha_blend,
     budget_schedule,
     build_certificate,
     default_modulus,
@@ -33,9 +38,10 @@ from coarsecert.simplex import (
     SimplexPoint,
     VertexMint,
     barycentric_pou,
+    convex_combine,
 )
 from coarsecert.verify import cobounded_check, lipschitz_check
-from .conftest import grid_space, path_space
+from .conftest import grid_space, path_space, weighted_graph
 from .genutil import perturb_weight, random_lipschitz_pou, random_subset
 
 
@@ -535,3 +541,66 @@ class TestBuildCertificate:
         assert res.branch_counts["branch2"] > 0
         assert lipschitz_check(res.pou, 0.8, 0.8, mode="full").passed
         assert measured_bound(res.pou) <= res.bound
+
+
+class TestPieceLocalBlend:
+    @given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_full_domain_formula(self, n, seed, integral, table):
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral, table)
+        full = np.stack([sp.row(x) for x in range(n)])
+        a = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        target = np.union1d(a, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+
+        def simplex_point(namespace, k):
+            picked = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            return SimplexPoint.uniform([(namespace, int(i)) for i in picked])
+
+        f = PartitionOfUnity(sp, {int(x): simplex_point(0, 3) for x in a})
+        g = PartitionOfUnity(sp, {int(x): simplex_point(1, 2) for x in target})
+        r = float(rng.uniform(0.01, 1.2 * full.max()))
+        # the blend before it went piece-local: every point of g's domain,
+        # through the first minimum over all of a's full rows
+        nearest = a[np.argmin(full[a], axis=0)]
+        dist = full[a].min(axis=0)
+        expect = {int(x): convex_combine(min(dist[x] / r, 1.0), g(x), f(int(nearest[x])))
+                  for x in target}
+        got = _alpha_blend(f, g, r)
+        assert got.domain.ids == tuple(expect)
+        assert all(got(x) == expect[x] for x in expect)  # weights compared exactly
+        assert all(got(int(x)) is f(int(x)) for x in a)
+
+
+class TestTableFreeRows:
+    def test_full_rows_stay_few(self, monkeypatch):
+        # tree validation and the restricted slack kernel used to compute a
+        # full Dijkstra row for every point; now the first point of each
+        # diameter is the only one whose full row is read
+        n = 1200
+        tree = brick_tree(path_space(n), [79.0], 80.0)  # the same tree, from a table
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        sp = path_space(n)
+        assert not sp.has_table
+        pool = math.ceil(math.sqrt(10 * n))  # rows of the load's triangle sample
+        pieces = sum(nd.level == tree.m for nd in tree.nodes)
+        computed, unlimited = [], []
+        compute_row, search = metric.FiniteMetricSpace._compute_row, metric.dijkstra
+
+        def counted_row(space, x):
+            computed.append(x)
+            return compute_row(space, x)
+
+        def counted_search(graph, **kw):
+            if (np.size(kw["indices"]) == 1 and kw.get("limit", math.inf) == math.inf
+                    and not kw.get("min_only")):
+                unlimited.append(kw["indices"])
+            return search(graph, **kw)
+
+        monkeypatch.setattr(metric.FiniteMetricSpace, "_compute_row", counted_row)
+        monkeypatch.setattr(metric, "dijkstra", counted_search)
+        assert tree_validate(sp, tree).passed
+        res = build_certificate(sp, tree, 0.4, parse_modulus("linear:4"))
+        rep = lipschitz_check(res.pou, 0.4, 0.4, mode="restricted")
+        assert rep.passed and rep.to_json() == res.lipschitz.to_json()
+        assert 0 < len(computed) <= len(unlimited) < pool + pieces

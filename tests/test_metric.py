@@ -36,7 +36,7 @@ from coarsecert.metric import (
     nearest_point_retraction,
     set_ball,
 )
-from .conftest import integer_graph, path_space
+from .conftest import integer_graph, path_space, weighted_graph
 
 
 class TestLoadMatrix:
@@ -290,11 +290,35 @@ class TestLoadPoints:
     def test_cloud_radius_queries_cache_no_rows(self):
         sp = load_points([[float(x)] for x in range(4200)], p=2)
         assert not sp.has_table
-        cached = len(sp._row_cache)  # the load's triangle sample
-        near = [sp.neighbors_within(x, 5.0) for x in range(4200)]
-        assert len(sp._row_cache) == cached
+        near = {}
+        tracemalloc.start()
+        try:
+            for x in range(4200):
+                ball = sp.neighbors_within(x, 5.0)
+                if x in (0, 2100):
+                    near[x] = ball
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * sp.n  # not one row kept (all 4200 were 141 MB)
         assert near[2100].tolist() == list(range(2096, 2105))
         assert near[0].tolist() == list(range(5))
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 10_000),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    @settings(max_examples=80, deadline=None)
+    def test_cloud_row_blocks_match_rows(self, d, n, seed, p):
+        # a block is built a coordinate at a time up to two coordinates (and
+        # for p = inf), row by row otherwise: the same bits either way
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((n, d)) * 10 ** rng.uniform(-3, 6)
+        if d > 1:
+            coords[:, 0] = np.round(coords[:, 0])  # zero differences in one coordinate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "DENSE_LIMIT", 0)
+            sp = load_points(coords.tolist(), p)
+        ids = rng.choice(n, size=int(rng.integers(1, n + 1)))
+        assert np.array_equal(sp.rows(ids), np.stack([sp.row(int(x)) for x in ids]))
 
     @pytest.mark.parametrize("p", [1, math.inf])
     def test_huge_coordinates_without_power(self, p):
@@ -419,8 +443,6 @@ class TestBigSpaceLane:
     def test_set_queries_stream_rows(self, big_path):
         # 2000 points two apart: every point between two of them ties
         a = PointSubset(tuple(range(100, 4100, 2)))
-        for i in a.ids:
-            big_path.row(i)  # warm the row cache: measure the scan alone
         tracemalloc.start()
         try:
             p = nearest_point_retraction(big_path, a)
@@ -462,6 +484,49 @@ class TestStreamedScan:
             assert not p.mapping.flags.writeable and not p.dist.flags.writeable
             assert np.array_equal(dist_to_set_all(sp, a), block.min(axis=0))
         assert ties > 0 or n < 4
+
+
+class TestCutOffQueries:
+    """Multi-source and cut-off Dijkstra against stacked single-source rows.
+
+    The brute force keeps the first minimum under strict <, so the smallest
+    id wins a tie.  Spaces are table-free graphs with integral weights
+    (ties) or non-integral ones (rows that differ from their transposes).
+    """
+
+    @given(st.integers(2, 30), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_against_full_rows(self, n, seed, integral):
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral)
+        assert not sp.has_table
+        full = np.stack([sp.row(x) for x in range(n)])
+        assert sp.diameter() == full.max()
+        for _ in range(4):
+            ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            a = PointSubset(tuple(ids.tolist()))
+            block = full[ids]
+            least = block.min(axis=0)
+            first = ids[np.argmin(block, axis=0)]
+            assert np.array_equal(dist_to_set_all(sp, a), least)
+            assert diameter(sp, a) == block[:, ids].max()
+            with pytest.MonkeyPatch.context() as mp:  # cut off below the diameter: rows fall back
+                mp.setattr(metric, "DIAMETER_MARGIN", -0.75)
+                assert diameter(sp, a) == block[:, ids].max()
+            for limit in (float(rng.choice(least)), float(rng.uniform(0.0, full.max()))):
+                dist, nearest = metric.nearest_scan(sp, ids, limit)
+                inside = least <= limit
+                assert np.array_equal(dist[inside], least[inside])
+                assert np.array_equal(nearest[inside], first[inside])
+                assert (dist[~inside] > limit).all()
+                cut = dist_to_set_all(sp, a, limit)
+                assert np.array_equal(cut[inside], least[inside]) and (cut[~inside] > limit).all()
+                assert closed_set_ball(sp, a, limit).ids == tuple(np.flatnonzero(inside))
+                if limit > 0:
+                    assert set_ball(sp, a, limit).ids == tuple(np.flatnonzero(least < limit))
+            p = nearest_point_retraction(sp, a)
+            assert np.array_equal(p.dist, least)
+            assert np.array_equal(p.mapping, first) and np.array_equal(p.mapping[ids], ids)
 
 
 def table_space(table):

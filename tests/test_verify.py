@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsecert import metric, verify
 from coarsecert.covers import greedy_decomposition
-from coarsecert.errors import BadModeError, EmptySetError, NotACoverError
+from coarsecert.errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
 from coarsecert.metric import PointSubset, diameter, load_graph
 from coarsecert.simplex import PartitionOfUnity, SimplexPoint, barycentric_pou
 from coarsecert.verify import (
@@ -18,7 +20,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
-from .conftest import integer_graph, path_space
+from .conftest import integer_graph, path_space, weighted_graph
 from .genutil import random_lipschitz_pou
 
 A, B = (0, 0), (0, 1)
@@ -48,6 +50,16 @@ class TestLipschitz:
                 rep = lipschitz_check(f, 1.0, 1.0)
                 assert rep.passed
                 assert rep.worst_slack >= 0.0
+
+    @pytest.mark.parametrize("lam, C", [(math.nan, math.nan), (0.4, math.nan),
+                                        (math.inf, 0.4), (0.4, -math.inf)])
+    @pytest.mark.parametrize("mode", ["full", "restricted"])
+    def test_non_finite_claim_rejected(self, p10, lam, C, mode):
+        # NaN fails every comparison (no slack is ever below it), and an
+        # infinite claim passes every pair: neither is a claim to check
+        f = PartitionOfUnity.constant(p10, p10.all_points(), A)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            lipschitz_check(f, lam, C, mode=mode)
 
     def test_p2_delta_pair_worst_slack(self):
         p2 = load_graph(2, [(0, 1, 1.0)])
@@ -113,10 +125,11 @@ class TestLipschitz:
         assert a.pairs_checked > 0 and a.to_json() == b.to_json()
         pts = f.dense()[0]
         everything = range(len(pts))
-        for (i, got), (k, expect) in zip(verify._partners(free, pts, a.restricted_radius, everything),
-                                         verify._partners(p200, pts, a.restricted_radius, everything),
-                                         strict=True):
+        for (i, got, d), (k, expect, e) in zip(
+                verify._partners(free, pts, a.restricted_radius, everything),
+                verify._partners(p200, pts, a.restricted_radius, everything), strict=True):
             assert i == k and np.array_equal(got, expect) and got.dtype == expect.dtype
+            assert np.array_equal(d, e) and np.array_equal(d, p200.row(int(pts[i]))[pts[got]])
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_gather_on_subset_domain(self, monkeypatch, dense):
@@ -244,10 +257,11 @@ class TestStreamedSlackKernel:
         for radius in (None, 0.5, 30.0, 1e9):  # every pair, none, some, every pair
             expect = brute_pairs(p400, pts, radius)
             for space in (p400, free):
-                got = [(i, int(j)) for lo, hi in zip(cuts, cuts[1:])
-                       for i, js in verify._partners(space, pts, radius, range(lo, hi))
-                       for j in js]
-                assert got == expect
+                got = [(i, int(j), dj) for lo, hi in zip(cuts, cuts[1:])
+                       for i, js, d in verify._partners(space, pts, radius, range(lo, hi))
+                       for j, dj in zip(js, d)]
+                assert [(i, j) for i, j, _ in got] == expect
+                assert all(dj == p400.d(int(pts[i]), int(pts[j])) for i, j, dj in got)
 
     def test_full_mode_memory(self):
         sp = path_space(600)
@@ -276,6 +290,12 @@ class TestCobounded:
         assert not rep.passed
         assert rep.tight_bound == 9.0
         assert rep.worst_vertex == A
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, p10, M):
+        f = PartitionOfUnity.constant(p10, p10.all_points(), A)
+        with pytest.raises(InvalidInputError, match=f"claimed M = {M!r} is not finite"):
+            cobounded_check(f, M)
 
     def test_two_blocks_pass_at_5(self, p10):
         # oracle: preimages are {0..5} and {4..9}, both of diameter 5
@@ -358,6 +378,29 @@ class TestPairwiseOracle:
                 assert diameter(sp, member) == max(sp.d(x, y) for x in member for y in member)
         assert ties > 0
         assert sp.diameter() == max(sp.d(x, y) for x in range(n) for y in range(n))
+        for R, target in ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 3.0)):
+            got = [[piece.ids for piece in f] for f in greedy_decomposition(sp, R, target)]
+            assert got == first_fit_families(sp, R, target)
+
+    @given(st.integers(2, 30), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_r_disjoint_against_full_rows(self, n, seed, integral):
+        # table-free: one multi-source distance per member, and a witness
+        # from the winning member's rows cut off at the least distance
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral)
+        full = np.stack([sp.row(x) for x in range(n)])
+        k = int(rng.integers(2, 5))
+        fam = [PointSubset(tuple(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)),
+                                            replace=False).tolist()))
+               for _ in range(k)]  # members may overlap
+        least = min((full[x, y], s, t, x, y) for s in range(k) for t in range(s + 1, k)
+                    for x in fam[s] for y in fam[t])
+        best = least[0]
+        for R in (best / 2, best, best * (1 + 1e-12), math.inf):
+            rep = r_disjoint_check(sp, fam, R)
+            assert rep.min_cross == best
+            assert rep.witness == (least[3:] + least[1:3] if best <= R else None)
         for R, target in ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 3.0)):
             got = [[piece.ids for piece in f] for f in greedy_decomposition(sp, R, target)]
             assert got == first_fit_families(sp, R, target)
