@@ -239,7 +239,7 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     the conflict graph whose edges join pieces at cross-distance <= R.  One
     family per color.  Both output properties are re-checked before return.
     """
-    if target_diam <= 0:
+    if not target_diam > 0:  # NaN too: it would claim no point, forever
         raise InvalidInputError(f"target_diam must be > 0, got {target_diam!r}")
     uncovered = np.ones(space.n, dtype=bool)
     pieces: List[PointSubset] = []
@@ -429,6 +429,8 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
     unchecked; validate it with tree_validate before use.
     """
     shape = _grid_shape(space)
+    if math.isnan(block_scale):
+        raise InvalidInputError(f"block_scale must be a number, got {block_scale!r}")
     if block_scale < 1:
         raise ScaleTooSmallError(f"block_scale must be >= 1, got {block_scale!r}")
     # diameter <= block_scale, from rows cut off at block_scale: the first

@@ -10,8 +10,11 @@ with disjoint carriers coboundedness degrades by at most 2r + 2.
 On top of the blend sit: single-fresh-vertex extension at r = 8/eps, the
 cobounded variant that blends against a re-namespaced global partition of
 unity, bounded-piece extension with its two branches (far pieces get a fresh
-constant vertex; near pieces get extended then carrier-retracted), disjoint
-family gluing, and the recursive certificate builder with its budget ladder.
+constant vertex; near pieces are blended against one, then carrier-retracted),
+disjoint family gluing, and the recursive certificate builder with its budget
+ladder.  A piece changes the pou only on its own points, so a piece extension
+returns a pou over just the piece's points outside the input domain, and the
+glue reads nothing else.
 
 The budget ladder composes a modulus E (E(x) < x, non-decreasing): a node at
 level i with q families is processed in ascending family order at budgets
@@ -255,28 +258,36 @@ def _require_lipschitz(f: PartitionOfUnity, delta: float, who: str) -> None:
         )
 
 
-def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> PartitionOfUnity:
-    """h = a*g + (1-a)*f(p(.)) over g's domain, which holds A; exact on A and off B(A, r).
+def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Dict[int, SimplexPoint]:
+    """h = a*g + (1-a)*f(p(.)) on the points of g's domain outside A = f's domain.
 
-    h is f itself on A (a = 0 there), and g itself wherever dist(x, A) >= r
-    (a = 1, which reads no f(p(x))), so p is needed only on the new points
-    closer than r to A.  Only the points of A within 2r of a new point can
-    be closer than r to one, so only their rows are read, cut off at r.  2r,
-    not r, is a margin for rounding: on a table-free graph d(x, y) and
-    d(y, x) come from different searches and may differ in the last bits.
+    f extended by h is f itself on A (a = 0 there), and g itself wherever
+    dist(x, A) >= r (a = 1, which reads no f(p(x))), so p is needed only on
+    the new points closer than r to A.  Only the points of A within 2r of a
+    new point can be closer than r to one, so only their rows are read, cut
+    off at r.  2r, not r, is a margin for rounding: on a table-free graph
+    d(x, y) and d(y, x) come from different searches and may differ in the
+    last bits.
     """
     space = f.space
-    a = f.domain.array()
-    new = np.setdiff1d(g.domain.array(), a, assume_unique=True)
-    sources = a[:0]
-    if len(new):
-        sources = a[dist_to_set_all(space, PointSubset(tuple(new.tolist())), 2.0 * r)[a] < 2.0 * r]
+    new = [x for x in g.domain.ids if x not in f]
+    if not new:
+        return {}
+    near = np.flatnonzero(dist_to_set_all(space, PointSubset(tuple(new)), 2.0 * r) < 2.0 * r)
+    sources = np.array([y for y in near.tolist() if y in f], dtype=np.intp)
     dist, nearest = nearest_scan(space, sources, r)  # exact below r, as the whole scan
-    out: Dict[int, SimplexPoint] = f.mapping()
-    for x in new.tolist():
+    out: Dict[int, SimplexPoint] = {}
+    for x in new:
         alpha = min(dist[x] / r, 1.0)
         out[x] = g(x) if alpha == 1.0 else convex_combine(alpha, g(x), f(int(nearest[x])))
-    return PartitionOfUnity(space, out)
+    return out
+
+
+def _blend_fresh(f: PartitionOfUnity, points: PointSubset, epsilon: float,
+                 mint: VertexMint) -> Dict[int, SimplexPoint]:
+    """f blended at r = 8/epsilon against one freshly minted vertex, on points outside f."""
+    v = (mint.namespace(), 0)
+    return _alpha_blend(f, PartitionOfUnity.constant(f.space, points, v), 8.0 / epsilon)
 
 
 def paste(f: PartitionOfUnity, g: PartitionOfUnity, r: float, epsilon: float,
@@ -305,7 +316,7 @@ def paste(f: PartitionOfUnity, g: PartitionOfUnity, r: float, epsilon: float,
     if check_inputs:
         _require_lipschitz(f, delta, "f")
         _require_lipschitz(g, delta, "g")
-    return _alpha_blend(f, g, r)
+    return f.merged_with(_alpha_blend(f, g, r))
 
 
 def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] = None,
@@ -332,10 +343,7 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
         _require_lipschitz(f, delta, "f")
     if f.domain.ids == target.ids:
         return f
-    r = 8.0 / epsilon
-    v = (mint.namespace(), 0)
-    g_const = PartitionOfUnity.constant(space, target, v)
-    return _alpha_blend(f, g_const, r)
+    return f.merged_with(_blend_fresh(f, target, epsilon, mint))
 
 
 def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: float,
@@ -373,7 +381,7 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
     if f.domain.ids == space.all_points().ids:
         return f, K
     u_fresh = renamespace(u, mint.namespace())
-    g = _alpha_blend(f, u_fresh, r)
+    g = f.merged_with(_alpha_blend(f, u_fresh, r))
     return g, max(K, Q) + 2.0 * r + 2.0
 
 
@@ -382,32 +390,32 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
 # ---------------------------------------------------------------------------
 
 def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Optional[float],
-                              budget: float, modulus: Optional[Modulus] = None,
-                              *, mint: VertexMint,
+                              budget: float, *, mint: VertexMint,
                               piece_bound: Optional[float] = None,
-                              input_bound: Optional[float] = None,
-                              check_inputs: bool = False):
+                              input_bound: Optional[float] = None):
     """Extend a pou over one uniformly bounded piece.
 
     Branch 1 (the input domain misses the open r_m-neighborhood of the
     piece, or is empty): the piece maps to one fresh vertex, and cross pairs
-    are handled by the distance gap alone.  Branch 2: extend at the given
-    budget over domain-plus-piece, then retract the carrier over the
-    neighborhood region onto the carrier of f near the piece, sending every
-    new vertex to the smallest-id old one.
+    are handled by the distance gap alone.  Branch 2: blend the piece's new
+    points toward f at r = 8/budget against one fresh vertex, then retract
+    their carrier onto s1, the carrier of f on its points within r_m of the
+    piece, sending every other vertex to min(s1).  The points of f near the
+    piece have support in s1, so the retraction would not move them.
 
-    Returns (pou, bound, branch) with the composed coboundedness formula
-    bound: input + piece bound (+ r_m for branch 2).
+    Returns (pou, bound, branch): the pou holds only the piece's points
+    outside f's domain, and bound is the composed coboundedness formula of
+    f extended by it: input + piece bound (+ r_m for branch 2).
     """
     if not piece.ids:
         raise EmptySetError("cannot extend over an empty piece")
-    modulus = modulus or default_modulus()
     space = f.space
     k_piece = diameter(space, piece) if piece_bound is None else float(piece_bound)
     k_in = (measured_bound(f) if input_bound is None else float(input_bound))
+    new = PointSubset(tuple(x for x in piece.ids if x not in f))
 
-    a_ids = set(f.domain.ids)
-    if a_ids:
+    a_near: List[int] = []
+    if len(f.domain):
         if r_m is not None and budget < (2.0 / (r_m + 1.0)) * (1.0 - _REL_TOL):
             # pairs across the piece's neighborhood boundary sit at distance
             # at least r_m, where only the additive budget covers the gap
@@ -415,37 +423,27 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
                 "budget >= 2/(r_m + 1)",
                 f"budget={budget!r}, r_m={r_m!r}")
         reach = math.inf if r_m is None else r_m  # only distances below r_m are read
-        dist_piece = dist_to_set_all(space, piece, reach)
-        near_mask = dist_piece < reach
-        a_near = [x for x in f.domain.ids if near_mask[x]]
-    else:
-        a_near = []
+        near = np.flatnonzero(dist_to_set_all(space, piece, reach) < reach)
+        a_near = [x for x in near.tolist() if x in f]
 
-    if not a_ids or not a_near:
-        v = (mint.namespace(), 0)
-        d = SimplexPoint.delta(v)
-        new = {x: d for x in piece.ids if x not in a_ids}
-        return f.merged_with(new), k_in + k_piece, 1
+    if not a_near:
+        d = SimplexPoint.delta((mint.namespace(), 0))
+        return PartitionOfUnity(space, {x: d for x in new.ids}), k_in + k_piece, 1
 
     if r_m is None:
         raise InvalidInputError("branch 2 requires the neighborhood radius r_m")
-    if check_inputs:
-        _require_lipschitz(f, modulus(budget), "f")
-    target = f.domain.union(piece)
-    g = extend_pou(f, budget, modulus, target=target, mint=mint, check_inputs=False)
-
-    region_ids = [x for x in target.ids if dist_piece[x] < r_m]
-    region = PointSubset(tuple(region_ids))
+    if not (0.0 < budget < math.inf):
+        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
+    bound = k_in + k_piece + r_m
+    if not new.ids:
+        return PartitionOfUnity.empty(space), bound, 2
+    g = PartitionOfUnity(space, _blend_fresh(f, new, budget, mint))
     s1 = set()
     for x in a_near:
         s1.update(f(x).support())
-    s2 = set()
-    for x in region.ids:
-        s2.update(g(x).support())
     s1_min = min(s1)
-    retract = {v: (v if v in s1 else s1_min) for v in s2}
-    h = simplicial_retraction(g, retract, region)
-    return h, k_in + k_piece + r_m, 2
+    retract = {v: (v if v in s1 else s1_min) for v in g.carrier()}
+    return simplicial_retraction(g, retract, new), bound, 2
 
 
 def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubset],
@@ -458,7 +456,8 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
     """Extend a pou over every piece of an R-disjoint family and glue.
 
     Each piece is extended independently from the same input (extender(f, t,
-    budget) must return a pou over domain-plus-piece-t and its bound); fresh
+    budget) returns a pou holding piece t's new points, and its bound; only
+    those points are read, so a pou over more of the space also does); fresh
     vertices minted per piece must be pairwise disjoint, which is asserted by
     set intersection before the glue.  Gluing is sound when the budget is at
     least 2/(R + 1): cross-piece pairs sit at distance above R, where the
@@ -555,6 +554,8 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
     modulus = modulus or default_modulus()
     if not (0.0 < epsilon < 2.0):
         raise BadEpsilonError(f"epsilon must be in (0, 2), got {epsilon!r}")
+    if workers < 1:  # lipschitz_check would say so, but only after the whole build
+        raise InvalidInputError(f"workers must be >= 1, got {workers!r}")
     validation = tree_validate(space, tree)
     if not validation.passed:
         raise InvalidInputError(
@@ -576,7 +577,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
                     k_in: float) -> Tuple[PartitionOfUnity, float]:
         if node.level == tree.m:
             g, bound, branch = extend_over_bounded_piece(
-                f, node.members, r_claim, u, modulus, mint=mint,
+                f, node.members, r_claim, u, mint=mint,
                 piece_bound=leaf_bound, input_bound=k_in)
             counters[f"branch{branch}"] += 1
             return g, bound

@@ -30,10 +30,20 @@ def save_json(path: Union[str, Path], obj: dict) -> None:
     Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; json.loads alone would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: Union[str, Path]) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a duplicate key
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read ({exc.strerror or exc})") from None
@@ -95,7 +105,7 @@ def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> dict:
     entries: Dict[str, list] = {}
     for x in pou.domain.ids:
         pairs = sorted(pou(x).items())
-        entries[str(x)] = [[vertex_key(v), float(f"{w:.17g}")] for v, w in pairs]
+        entries[str(x)] = [[vertex_key(v), w] for v, w in pairs]
     return {"v": SCHEMA_VERSION, "space": space_ref, "entries": entries}
 
 
@@ -112,7 +122,12 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
             raise InvalidInputError(f"pou assigns point {x} twice")
         weights = {}
         for vk, w in pairs:
-            weights[parse_vertex(vk)] = float(w)
+            v = parse_vertex(vk)
+            if v in weights:
+                raise InvalidInputError(f"point {x} lists vertex {vertex_key(v)} twice")
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise InvalidInputError(f"weight {w!r} of point {x} is not a JSON number")
+            weights[v] = float(w)
         assignment[x] = SimplexPoint(weights)
     return PartitionOfUnity(space, assignment)
 

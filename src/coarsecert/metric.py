@@ -97,13 +97,6 @@ class PointSubset:
             ids = tuple(sorted(set(ids)))
         object.__setattr__(self, "ids", ids)
 
-    @classmethod
-    def of(cls, ids: Iterable[int], space: Optional["FiniteMetricSpace"] = None) -> "PointSubset":
-        sub = cls(tuple(ids))
-        if space is not None:
-            sub.validate_against(space)
-        return sub
-
     def validate_against(self, space: "FiniteMetricSpace") -> None:
         if self.ids and (self.ids[0] < 0 or self.ids[-1] >= space.n):
             bad = self.ids[0] if self.ids[0] < 0 else self.ids[-1]
@@ -121,9 +114,6 @@ class PointSubset:
 
     def array(self) -> np.ndarray:
         return np.asarray(self.ids, dtype=np.intp)
-
-    def union(self, other: "PointSubset") -> "PointSubset":
-        return PointSubset(self.ids + other.ids)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ scans the rows of one member only to name a witness.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -236,9 +237,12 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     s is the largest weight sum of the pou, or 1 when every sum lies within
     tolerance/4 of 1.  Pairs at or beyond that radius satisfy
     eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1), so the two
-    modes agree on pass/fail.
+    modes agree on pass/fail.  The report is the same at any worker count;
+    at most os.cpu_count() threads run.
     """
     _require_finite(lam=lam, C=C)
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers!r}")
     restricted_radius = None
     if mode == "restricted":
         if lam != C:
@@ -269,6 +273,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
                     worst, witness = float(slack[k]), (int(pts[i]), int(pts[js[k]]))
         return worst, witness, count
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:  # contiguous blocks of positions, reduced in block order
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, np.array_split(np.arange(len(pts)), workers)))
@@ -307,6 +312,8 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
     x and y; it is rebuilt for the winning (s, t) from a scan of s's rows
     cut off at that distance.
     """
+    if math.isnan(R):  # no distance compares with NaN, which would read as a pass
+        raise InvalidInputError(f"R = {R!r} is not a number")
     fam = _as_family(family)
     best, win = math.inf, None
     for s, cross in enumerate(cross_minima(space, fam.members)):
@@ -344,6 +351,8 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
 
     The witness is the first point whose ball escapes every member.
     """
+    if math.isnan(M):  # a NaN ball holds no point, which would read as a pass
+        raise InvalidInputError(f"M = {M!r} is not a number")
     fam = _as_family(cover)
     masks = _member_masks(space, fam)
     covered = masks.any(axis=0)

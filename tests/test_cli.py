@@ -333,6 +333,26 @@ MALFORMED = {
                        lambda obj: obj["entries"].update(
                            {"0": [["0:0", 1.0], ["0:1", float("nan")]]}),
                        "cert.pou.json: non-finite weight nan"),
+    "pou vertex listed twice": ("cert.pou.json",
+                                lambda obj: obj["entries"].update(
+                                    {"0": [["0:0", 1.0], ["0:0", 1.0]]}),
+                                "cert.pou.json: point 0 lists vertex 0:0 twice"),
+    "pou vertex listed twice in two spellings": ("cert.pou.json",
+                                                 lambda obj: obj["entries"].update(
+                                                     {"0": [["0:0", 1.0], ["00:0", 1.0]]}),
+                                                 "cert.pou.json: point 0 lists vertex 0:0 twice"),
+    "pou weight a string": ("cert.pou.json",
+                            lambda obj: obj["entries"].update({"0": [["0:0", "1.0"]]}),
+                            "cert.pou.json: weight '1.0' of point 0 is not a JSON number"),
+    "pou weight an exponent string": ("cert.pou.json",
+                                      lambda obj: obj["entries"].update({"0": [["0:0", "1e0"]]}),
+                                      "cert.pou.json: weight '1e0' of point 0 is not a JSON number"),
+    "pou weight a boolean": ("cert.pou.json",
+                             lambda obj: obj["entries"].update({"0": [["0:0", True]]}),
+                             "cert.pou.json: weight True of point 0 is not a JSON number"),
+    "pou point key repeated": ("cert.pou.json",  # json.dumps writes the int key as "0" again
+                               lambda obj: obj["entries"].update({0: [["0:0", 1.0]]}),
+                               "cert.pou.json: not valid JSON (duplicate key '0')"),
     "pou point assigned twice": ("cert.pou.json",
                                  lambda obj: obj["entries"].update({"-0": obj["entries"]["0"]}),
                                  "cert.pou.json: pou assigns point 0 twice"),
@@ -397,6 +417,32 @@ def assert_input_error(cwd, args, message):
     assert "InvalidInputError" in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("greedy", "--R", "10", "--diam", "nan"), "target_diam must be > 0, got nan"),
+    (("greedy", "--R", "nan", "--diam", "10"), "R = nan is not a number"),
+    (("bricks", "--R", "10", "--block-scale", "nan"), "block_scale must be a number, got nan"),
+])
+def test_nan_scale_exit_two(clean_artifacts, tmp_path, flags, message):
+    # a NaN diameter used to keep the greedy carving loop going forever; the
+    # process here runs under a time limit
+    shutil.copy(clean_artifacts / "space.json", tmp_path / "space.json")
+    assert_input_error(tmp_path, ["decompose", "--space", "space.json", "--strategy", *flags,
+                                  "--out", "tree.json"], message)
+    assert not (tmp_path / "tree.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_exit_two(clean_artifacts, tmp_path, capsys, workers):
+    d = clean_artifacts
+    assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
+               "--epsilon", 0.8, "--modulus", "linear:2", "--workers", workers,
+               "--out", tmp_path / "cert") == 2
+    assert run("verify", "--space", d / "space.json", "--pou", d / "cert.pou.json",
+               "--epsilon", 0.8, "--workers", workers) == 2
+    assert capsys.readouterr().err.count(f"workers must be >= 1, got {workers}") == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_input_file_exit_two(clean_artifacts):

@@ -10,6 +10,7 @@ from coarsecert.covers import (
     tree_validate,
 )
 from coarsecert.errors import (
+    InvalidInputError,
     NotACoverError,
     NotAGridError,
     NotTwoSDisjointError,
@@ -46,6 +47,11 @@ class TestGreedy:
             assert r_disjoint_check(p100, fam, 2.0).passed
         assert uniformly_bounded_check(
             p100, [m for fam in families for m in fam]).bound <= 4.0
+
+    def test_nan_diameter_rejected(self, p10):
+        # a NaN radius claims no point, so the carving loop never ended
+        with pytest.raises(InvalidInputError, match="target_diam"):
+            greedy_decomposition(p10, R=1.0, target_diam=float("nan"))
 
     def test_singleton_pieces_match_chromatic_oracle(self, p10):
         # oracle: greedy coloring of the R-proximity graph on single points
@@ -157,6 +163,10 @@ class TestBrickTree1D:
         sp = path_space(100)
         with pytest.raises(ScaleTooSmallError):
             brick_tree(sp, [11.0], 11.0)
+
+    def test_nan_block_scale_rejected(self):
+        with pytest.raises(InvalidInputError, match="block_scale"):
+            brick_tree(path_space(100), [11.0], float("nan"))
 
     def test_not_a_grid(self):
         sp = load_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])

@@ -39,6 +39,7 @@ from coarsecert.simplex import (
     VertexMint,
     barycentric_pou,
     convex_combine,
+    simplicial_retraction,
 )
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph
@@ -293,6 +294,8 @@ class TestExtendOverBoundedPiece:
         g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint(),
                                                      input_bound=measured_bound(f))
         assert branch == 1
+        assert g.domain == piece  # the piece's new points only
+        g = f.merged_with(g.mapping())
         assert all(g(x) is f(x) for x in range(50))
 
     def test_near_piece_branch2(self, p200):
@@ -302,6 +305,8 @@ class TestExtendOverBoundedPiece:
         piece = PointSubset(tuple(range(60, 71)))
         g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint())
         assert branch == 2
+        assert g.domain == piece  # the piece's new points only
+        g = f.merged_with(g.mapping())
         assert all(g(x) is f(x) for x in range(50))
         assert lipschitz_check(g, 0.5, 0.5).passed
         k_in = measured_bound(f)
@@ -316,6 +321,90 @@ class TestExtendOverBoundedPiece:
         g, _, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint())
         assert branch == 2
         assert set(g.carrier()) <= set(f.carrier())
+
+
+def whole_domain_extension(f, piece, r_m, budget, mint):
+    """(pou, branch): a piece extension computed the way it was before it went
+    piece-local, over f's whole domain.
+
+    Branch 2 extends f over its domain and the piece with extend_pou, then
+    retracts the carrier over the piece's open r_m-neighborhood onto the
+    carrier of f there, sending every other vertex to its least vertex.
+    """
+    dist_piece = dist_to_set_all(f.space, piece, r_m)
+    a_near = [x for x in f.domain.ids if dist_piece[x] < r_m]
+    if not a_near:
+        d = SimplexPoint.delta((mint.namespace(), 0))
+        return f.merged_with({x: d for x in piece.ids if x not in f}), 1
+    target = PointSubset(f.domain.ids + piece.ids)
+    g = extend_pou(f, budget, target=target, mint=mint, check_inputs=False)
+    region = PointSubset(tuple(x for x in target.ids if dist_piece[x] < r_m))
+    s1 = set().union(*(f(x).support() for x in a_near))
+    s2 = set().union(*(g(x).support() for x in region.ids))
+    retract = {v: (v if v in s1 else min(s1)) for v in s2}
+    return simplicial_retraction(g, retract, region), 2
+
+
+class TestPieceLocalExtension:
+    @given(st.integers(2, 24), st.integers(0, 10_000), st.booleans(), st.booleans(),
+           st.sampled_from(["any", "inside", "far"]))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_equal_to_whole_domain_formula(self, n, seed, integral, table, layout):
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral, table)
+        a = rng.choice(n, size=int(rng.integers(0 if layout == "any" else 1, n + 1)),
+                       replace=False)
+        rest = np.setdiff1d(np.arange(n), a)
+        if layout == "inside" or (layout == "far" and not len(rest)):
+            pool = a
+        else:
+            pool = rest if layout == "far" else np.arange(n)
+        piece = PointSubset(tuple(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
+                                             replace=False)))
+        vertices = [(0, k) for k in range(4)]
+        f = PartitionOfUnity(sp, {int(x): SimplexPoint.uniform(
+            [vertices[k] for k in rng.choice(4, size=int(rng.integers(1, 5)), replace=False)])
+            for x in a})
+        r_m = float(rng.uniform(0.01, 1.5)) * sp.diameter()
+        if layout == "far" and len(a) and not set(piece.ids) & set(a.tolist()):
+            # at most the gap, so the open neighborhood misses the domain
+            r_m = float(dist_to_set_all(sp, piece)[a].min()) * float(rng.choice([0.5, 1.0]))
+        budget = 2.0 / (r_m + 1.0) * 2.0 ** float(rng.uniform(0.0, 6.0))  # r = 8/budget
+
+        mint_old, mint_new = VertexMint(start=7), VertexMint(start=7)
+        expect, branch_old = whole_domain_extension(f, piece, r_m, budget, mint_old)
+        g, bound, branch = extend_over_bounded_piece(f, piece, r_m, budget, mint=mint_new,
+                                                     piece_bound=1.0, input_bound=2.0)
+        assert branch == branch_old
+        assert bound == (3.0 + r_m if branch == 2 else 3.0)
+        assert set(g.domain.ids) == set(piece.ids) - set(a.tolist())
+        got = f.merged_with(g.mapping())
+        assert got.domain.ids == expect.domain.ids
+        assert all(got(x) == expect(x) for x in expect.domain.ids)  # weights compared exactly
+        assert all(got(x) is f(x) for x in f.domain.ids)
+        assert mint_new.namespace() == mint_old.namespace()
+
+    def test_no_whole_domain_pou_per_piece(self, monkeypatch):
+        # each near piece used to build three pous over the whole domain (the
+        # constant target, the blend and the retraction); now each family's
+        # glue builds the only one
+        n = 1200
+        tree = brick_tree(path_space(n), [79.0], 80.0)
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        sp = path_space(n)
+        assert not sp.has_table
+        sizes = []
+        init = PartitionOfUnity.__init__
+
+        def recorded(self, space, assignment):
+            sizes.append(len(assignment))
+            init(self, space, assignment)
+
+        monkeypatch.setattr(PartitionOfUnity, "__init__", recorded)
+        res = build_certificate(sp, tree, 0.4, parse_modulus("linear:4"))
+        assert res.branch_counts["branch2"] > 0
+        families = sum(len(nd.families) for nd in tree.nodes)
+        assert sum(size >= n / 2 for size in sizes) <= families + 2
 
 
 class TestExtendOverDisjointFamily:
@@ -357,6 +446,7 @@ class TestExtendOverDisjointFamily:
         piece = PointSubset(tuple(range(100, 121)))
         mint_a, mint_b = VertexMint(start=40), VertexMint(start=40)
         direct, _, _ = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=mint_a)
+        direct = f.merged_with(direct.mapping())
         glued, _ = extend_over_disjoint_family(
             f, [piece], R=10.0, budget=0.5,
             extender=lambda ff, t, u: extend_over_bounded_piece(
@@ -566,7 +656,7 @@ class TestPieceLocalBlend:
         dist = full[a].min(axis=0)
         expect = {int(x): convex_combine(min(dist[x] / r, 1.0), g(x), f(int(nearest[x])))
                   for x in target}
-        got = _alpha_blend(f, g, r)
+        got = f.merged_with(_alpha_blend(f, g, r))
         assert got.domain.ids == tuple(expect)
         assert all(got(x) == expect[x] for x in expect)  # weights compared exactly
         assert all(got(int(x)) is f(int(x)) for x in a)

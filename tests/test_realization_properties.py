@@ -70,6 +70,8 @@ class TestBoundedPieceRealization:
             g, bound, branch = extend_over_bounded_piece(
                 f, piece, r_m, u, mint=mint, input_bound=k_in)
             branch_seen[branch] += 1
+            assert set(g.domain.ids) == set(piece.ids) - set(a.ids)  # new points only
+            g = f.merged_with(g.mapping())
             assert all(g(x) is f(x) for x in a.ids)  # exact on the input
             assert set(g.domain.ids) == set(a.ids) | set(piece.ids)
             assert lipschitz_check(g, u, u, mode="full").worst_slack >= -1e-9

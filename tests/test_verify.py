@@ -163,6 +163,37 @@ class TestLipschitz:
         reps = [lipschitz_check(f, 0.4, 0.4, workers=w).to_json() for w in (1, 2, 4)]
         assert reps[0] == reps[1] == reps[2]
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, p10, workers):
+        f = PartitionOfUnity.constant(p10, p10.all_points(), A)
+        with pytest.raises(InvalidInputError, match="workers must be >= 1"):
+            lipschitz_check(f, 0.4, 0.4, workers=workers)
+
+    def test_threads_capped_at_cpu_count(self, p200, monkeypatch):
+        # the pool here records its size and maps inline: no thread starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        rng = np.random.default_rng(18)
+        f = random_lipschitz_pou(p200, range(200), 0.3, rng)
+        rep = lipschitz_check(f, 0.4, 0.4, workers=64)
+        assert sizes == [3]
+        assert rep.to_json() == lipschitz_check(f, 0.4, 0.4, workers=1).to_json()
+
     def test_spread_domain_always_passes(self, p100):
         # every pair at distance >= 2/eps - 1: the additive slack alone
         # covers the maximal simplex distance, any pou passes
@@ -318,6 +349,12 @@ class TestRDisjoint:
         assert not bad.passed
         assert bad.witness == (2, 6, 0, 1)
 
+    def test_nan_radius_rejected(self, p10):
+        # no distance compares with NaN, which read as a pass at distance 1
+        assert not r_disjoint_check(p10, blocks((0, 2), (3, 9)), 1.0).passed
+        with pytest.raises(InvalidInputError, match="R = nan is not a number"):
+            r_disjoint_check(p10, blocks((0, 2), (3, 9)), float("nan"))
+
     def test_overlapping_members_conflict(self, p10):
         fam = blocks((0, 5), (5, 9))
         rep = r_disjoint_check(p10, fam, 0.0)
@@ -440,6 +477,13 @@ class TestLebesgue:
         cover = [PointSubset((x,)) for x in range(10)]
         assert lebesgue_check(p10, cover, 1.0).passed  # open 1-balls are singletons
         assert not lebesgue_check(p10, cover, 1.5).passed
+
+    def test_nan_radius_rejected(self, p10):
+        # a NaN ball held no point, so every cover passed
+        cover = blocks((0, 5), (4, 9))
+        assert not lebesgue_check(p10, cover, 3.0).passed
+        with pytest.raises(InvalidInputError, match="M = nan is not a number"):
+            lebesgue_check(p10, cover, float("nan"))
 
     def test_not_a_cover(self, p10):
         with pytest.raises(NotACoverError):
