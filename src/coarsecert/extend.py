@@ -265,9 +265,9 @@ def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Dict[int
     dist(x, A) >= r (a = 1, which reads no f(p(x))), so p is needed only on
     the new points closer than r to A.  Only the points of A within 2r of a
     new point can be closer than r to one, so only their rows are read, cut
-    off at r.  2r, not r, is a margin for rounding: on a table-free graph
-    d(x, y) and d(y, x) come from different searches and may differ in the
-    last bits.
+    off at r.  2r, not r, is a margin for rounding: on a float-weighted
+    graph, with or without a table, d(x, y) and d(y, x) come from different
+    searches and may differ in the last bits.
     """
     space = f.space
     new = [x for x in g.domain.ids if x not in f]

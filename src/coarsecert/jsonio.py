@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Dict, Tuple, Union
 
 from .covers import DecompositionTree
-from .errors import InvalidInputError
+from .errors import CoarseCertError, InvalidInputError
 from .metric import FiniteMetricSpace, as_int, load_graph, load_matrix, load_points
 from .simplex import PartitionOfUnity, SimplexPoint, parse_vertex, vertex_key
 
@@ -58,13 +58,15 @@ def _load(path: Union[str, Path], from_json: Callable, *args):
     """from_json(load_json(path), *args), naming the file if a field is malformed.
 
     A missing key or a value of the wrong type, form or range is an input
-    error, not a verification failure.
+    error, not a verification failure.  A library error, such as a metric
+    axiom's, keeps its type and witness.
     """
     obj = load_json(path)
     try:
         return from_json(obj, *args)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    except CoarseCertError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
             f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None

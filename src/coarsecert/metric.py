@@ -1,13 +1,19 @@
 """Finite metric spaces and the geometric primitives built on them.
 
 A FiniteMetricSpace is n points with ids 0..n-1 and a validated metric.
-Spaces come from three loaders (explicit matrix, weighted graph via all-pairs
-shortest path, point cloud with an lp norm) and are immutable afterwards, so
-every operation here is a pure function and safe under concurrent readers.
+Spaces come from three loaders (explicit matrix, weighted graph via
+shortest paths, point cloud with an lp norm) and are immutable afterwards,
+so every operation here is a pure function and safe under concurrent
+readers.
 
-Distances are stored as a dense float64 table for n <= 4096.  Above that,
-a space keeps no distances at all: FiniteMetricSpace.row computes one row
-and returns it, and a question that needs many rows asks for them in blocks
+A graph's distance from x is its Dijkstra row from x, and a cloud's its lp
+row (_lp_row).  For n <= 4096 (DENSE_LIMIT) a space keeps these rows
+stacked as a dense float64 table: the same rows, bit for bit, so the limit
+decides what is cached and never what a distance is.  A graph's row may
+differ from its column in the last bits when float weights are summed in
+different orders; nothing here assumes otherwise.  Above the limit a space
+keeps no distances at all: FiniteMetricSpace.row computes one row and
+returns it, and a question that needs many rows asks for them in blocks
 (FiniteMetricSpace.rows) cut off at the largest distance it can use.  On a
 table-free graph a block is one Dijkstra call from all of its sources with
 that limit, and a distance to a set is one multi-source Dijkstra call
@@ -21,20 +27,27 @@ decided inside that class alone.  The set primitives at the end of this
 module keep a running minimum over row blocks in ascending id order, so no
 |A| x n block is ever built and a set query holds O(n) plus one block.
 
-Metric axioms are validated eagerly at load, by one validator for all three
-loaders.  The table axioms (zero diagonal, symmetry, positivity) are checked
-on every table, in blocks of rows so that the check allocates no n x n
-temporary.  The triangle inequality is then checked in one of three ways:
+Metric axioms are validated eagerly at load.  Each loader checks what its
+construction does not already guarantee:
 
-- a graph table (load_graph, n <= 4096) is checked against its own edges in
-  O(n*E): every entry off the diagonal must equal, within METRIC_TOL, the
-  least d(x,u) + w(u,y) over the edges (u,y) into y.  That makes the table
-  the graph's shortest-path metric, so it is a metric;
-- any other table of n <= 2000 (load_matrix, load_points) is compared with
-  its own shortest-path closure (Floyd-Warshall), exhaustively;
+- load_matrix checks the table axioms (zero diagonal, symmetry, signs,
+  positivity off the diagonal) in blocks of rows, allocating no n x n
+  temporary;
+- load_graph needs none of them: positive weights on a connected graph give
+  a zero diagonal and positive distances elsewhere;
+- load_points rules out overflowing distances and points at distance 0
+  (_check_distinct); |a - b| is exactly |b - a|, so its rows are symmetric.
+
+The triangle inequality is then checked in one of three ways:
+
+- a graph table is checked against its own edges in O(n*E): every entry
+  off the diagonal must equal, within METRIC_TOL, the least d(x,u) + w(u,y)
+  over the edges (u,y) into y.  That makes the table the graph's
+  shortest-path metric, so it is a metric;
+- any other table of n <= 2000 is compared with its own shortest-path
+  closure (Floyd-Warshall), exhaustively;
 - tables above 2000 points and table-free spaces get a seeded pool of rows
   checked against each other (at least 10*n^2 triples).
-A point cloud's lp distances are all checked for overflow, table or not.
 
 The tolerance of the graph check adds up per hop: each edge test allows
 METRIC_TOL, so an accepted table is within h*METRIC_TOL of the graph metric
@@ -78,11 +91,26 @@ DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccent
 
 
 def as_int(value, what: str) -> int:
-    """int(value), refusing a value that int() would change (1.5, "3")."""
+    """int(value), refusing a value that int() would change (1.5, "3") and booleans."""
     i = int(value)
-    if i != value:
+    if i != value or isinstance(value, (bool, np.bool_)):
         raise InvalidInputError(f"{what} {value!r} is not an integer")
     return i
+
+
+def _not_a_number(value) -> bool:
+    """A string or a boolean, which float() and np.asarray read as numbers."""
+    return isinstance(value, (str, bool, np.bool_))
+
+
+def _refuse_non_numbers(rows, what: str) -> None:
+    """Name the first string or boolean in a sequence of rows of numbers."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
+        return
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if _not_a_number(value):
+                raise InvalidInputError(f"{what} [{i}][{j}] {value!r} is not a number")
 
 
 @dataclass(frozen=True)
@@ -259,20 +287,34 @@ def _lp_rows(coords: np.ndarray, ids: np.ndarray, p: float) -> np.ndarray:
 
 def _validate(space: FiniteMetricSpace) -> None:
     """Raise the first axiom violation found, with a concrete witness."""
-    dmat, n = space._dmat, space.n
+    dmat, n, graph = space._dmat, space.n, space._graph
     if dmat is None:
         _validate_triangle_sampled(space)
         return
+    if graph is None and space._coords is None:  # a table given as such
+        _validate_table_axioms(dmat, n)
+    # the edge certificate is sound only for edges heavier than its tolerance
+    if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
+        _validate_shortest_paths(space)
+    elif n <= EXHAUSTIVE_TRIANGLE_LIMIT:
+        _validate_triangle_exhaustive(dmat, n)
+    else:
+        _validate_triangle_sampled(space)
 
+
+def _validate_table_axioms(dmat: np.ndarray, n: int) -> None:
+    """Zero diagonal, symmetry, signs and positivity off the diagonal.
+
+    Row blocks of TABLE_CHUNK_CELLS cells; each witness is the one a
+    whole-table scan names: the largest asymmetry (first in row-major order
+    on ties), and the first row-major entry for the other checks.
+    """
     diag = np.diagonal(dmat)
     bad = np.flatnonzero(diag != 0.0)
     if bad.size:
         x = int(bad[0])
         raise NonzeroDiagonalError(x, float(dmat[x, x]))
 
-    # row blocks of TABLE_CHUNK_CELLS cells; each witness is the one a
-    # whole-table scan names: the largest asymmetry (first in row-major
-    # order on ties), and the first row-major entry for the other checks
     step = max(1, TABLE_CHUNK_CELLS // n)
     worst, where = 0.0, None
     for lo in range(0, n, step):
@@ -297,15 +339,6 @@ def _validate(space: FiniteMetricSpace) -> None:
         if off_zero.any():
             x, y = divmod(int(np.argmax(off_zero)), n)
             raise ZeroOffDiagonalError(lo + x, y)
-
-    graph = space._graph
-    # the edge certificate is sound only for edges heavier than its tolerance
-    if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
-        _validate_shortest_paths(space)
-    elif n <= EXHAUSTIVE_TRIANGLE_LIMIT:
-        _validate_triangle_exhaustive(dmat, n)
-    else:
-        _validate_triangle_sampled(space)
 
 
 def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
@@ -351,8 +384,8 @@ def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
 def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
     if n < 3:
         return
-    # A symmetric nonnegative matrix satisfies the triangle inequality iff it
-    # equals its own shortest-path closure (up to tolerance).
+    # A nonnegative zero-diagonal matrix satisfies the triangle inequality iff
+    # it equals its own shortest-path closure (up to tolerance).
     closure = floyd_warshall(dmat)
     gap = dmat - closure
     if gap.max() <= METRIC_TOL:
@@ -406,6 +439,7 @@ def _validate_triangle_sampled(space: FiniteMetricSpace) -> None:
 
 def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space from an explicit n x n distance grid, validating axioms."""
+    _refuse_non_numbers(matrix, "matrix entry")
     dmat = np.asarray(matrix, dtype=np.float64)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise InvalidInputError(f"matrix must be square, got shape {dmat.shape}")
@@ -431,9 +465,12 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         raise InvalidInputError("graph needs at least one vertex")
     us, vs, ws = [], [], []
     for e in edges:
-        u, v, w = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint"), float(e[2])
+        u, v, w = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint"), e[2]
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
+        if _not_a_number(w):
+            raise InvalidInputError(f"edge ({u},{v}) weight {w!r} is not a number")
+        w = float(w)
         if not math.isfinite(w):
             raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
         if w < 0:
@@ -468,22 +505,8 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
             stranded = int(np.flatnonzero(labels != labels[0])[0])
             raise DisconnectedError(stranded)
 
-    dmat = None
-    if n <= DENSE_LIMIT:
-        weights = adj.data
-        unweighted = weights.size > 0 and np.all(weights == weights[0])
-        if unweighted:
-            dmat = shortest_path(adj, method="D", directed=False, unweighted=True)
-            dmat *= weights[0]  # in place: the table is shortest_path's own
-        else:
-            dmat = shortest_path(adj, method="D", directed=False)
-            # per-source Dijkstra rounds path sums in different orders; both
-            # directions are valid path weights, keep the shorter.  In place
-            # by row blocks: a row already lowered still holds the minimum
-            step = max(1, TABLE_CHUNK_CELLS // n)
-            for lo in range(0, n, step):
-                block = dmat[lo:lo + step]
-                np.minimum(block, dmat[:, lo:lo + step].T, out=block)
+    # the rows _compute_row returns, stacked: the same directed search
+    dmat = shortest_path(adj, method="D", directed=True) if n <= DENSE_LIMIT else None
     space = FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
     _validate(space)
     return space
@@ -491,13 +514,13 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
 
 def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space with the lp metric on a coordinate cloud, p in [1, inf]."""
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            p = math.inf
-        else:
-            p = float(p)
+    if isinstance(p, str) and p.lower() in ("inf", "infinity"):
+        p = math.inf
+    elif _not_a_number(p):
+        raise InvalidInputError(f"p {p!r} is neither a number nor 'inf'")
     if not (p >= 1):
         raise BadNormError(f"p must be >= 1, got {p!r}")
+    _refuse_non_numbers(coords, "coordinate")
     rows = [tuple(float(c) for c in pt) for pt in coords]
     if not rows:
         raise InvalidInputError("empty point cloud")
@@ -514,11 +537,41 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
     except InvalidInputError:  # some pair may overflow: name the first, uncached
         for x in range(n):
             _lp_row(arr, x, p)
-    # |a - b| is exactly |b - a|, so the rows form a symmetric zero-diagonal table
+    _check_distinct(arr, p)
+    # |a - b| is exactly |b - a|, so the rows form a symmetric zero-diagonal
+    # table, positive off the diagonal once the points are distinct
     dmat = np.stack([_lp_row(arr, x, p) for x in range(n)]) if n <= DENSE_LIMIT else None
     space = FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=p, meta=meta)
     _validate(space)
     return space
+
+
+def _check_distinct(arr: np.ndarray, p: float) -> None:
+    """Name the first row-major pair of a cloud at lp distance 0, if any.
+
+    Equal points are found exactly by sorting the rows, with -0.0 equal to
+    0.0: x is the least id with a twin and y its least twin.  Distinct
+    points differ in some coordinate by at least the least positive gap g
+    of any coordinate, so for p in {1, inf} they are never at distance 0,
+    nor for 1 < p < inf while g**p is a normal float.  Below that, a power
+    may underflow to 0 and every row is scanned once instead.
+    """
+    key = arr + 0.0  # -0.0 + 0.0 is 0.0
+    if 1 < p < math.inf:
+        g = min((np.diff(np.unique(col)).min(initial=math.inf) for col in key.T),
+                default=math.inf)
+        if g < np.finfo(np.float64).tiny ** (1.0 / p):  # g**p may overflow
+            for x in range(len(arr)):
+                zero = np.flatnonzero(_lp_row(arr, x, p) == 0.0)
+                if zero.size > 1:
+                    raise ZeroOffDiagonalError(x, int(zero[zero != x][0]))
+            return
+    order = np.lexsort([np.arange(len(key)), *key.T[::-1]])  # twins by ascending id
+    same = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    first = np.flatnonzero(same & ~np.concatenate(([False], same[:-1])))
+    if first.size:  # each run of twins starts at its least id
+        k = first[np.argmin(order[first])]
+        raise ZeroOffDiagonalError(int(order[k]), int(order[k + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +587,12 @@ def dist_to_set(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
 
 def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
                     limit: float = math.inf) -> np.ndarray:
-    """dist(x, a) for every x, shape (n,): the least entry of a's rows (symmetry).
+    """dist(x, a) for every x, shape (n,): the least entry of a's rows.
 
     Bit-equal to nearest_point_retraction's dist field wherever at most
-    limit; an entry above limit is exact or inf.
+    limit; an entry above limit is exact or inf.  On a float-weighted graph,
+    with or without a table, a row may differ from its column in the last
+    bits, so an entry may differ there from dist_to_set, which reads x's row.
     """
     if not a.ids:
         raise EmptySetError("dist_to_set of empty subset")

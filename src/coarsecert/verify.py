@@ -9,10 +9,11 @@ Every pairwise check reads each source row once and keeps the first
 minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel compares one domain position's weight and distance rows
 with its partners' (later positions, or in restricted mode the later ones
-closer than the radius) at a time, so its temporaries are at most m x
-carrier; the distance rows come in blocks (metric.row_blocks), cut off at
-the restricted radius.  Worker threads take contiguous blocks of positions,
-reduced in block order, so reports do not depend on the worker count.
+closer than the radius) at a time, in blocks of partners of at most
+metric.ROW_BLOCK_CELLS weight cells; the distance rows come in blocks
+(metric.row_blocks), cut off at the restricted radius.  Worker threads take
+contiguous blocks of positions, reduced in block order, so reports do not
+depend on the worker count.
 R-disjointness takes one distance to each member (metric.cross_minima) and
 scans the rows of one member only to name a witness.
 """
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
 from .metric import (
+    ROW_BLOCK_CELLS,
     FiniteMetricSpace,
     PointSubset,
     cross_minima,
@@ -258,19 +260,21 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
         restricted_radius = 2.0 * s / lam - 1.0
 
+    chunk = max(1, ROW_BLOCK_CELLS // max(1, mat.shape[1]))  # partners per block
+
     def run(positions):
         # an l1 is one row sum over all carrier columns, so its bits do not
         # depend on how pairs are grouped
         worst, witness, count = math.inf, None, 0
         for i, js, d in _partners(f.space, pts, restricted_radius, positions):
-            if js.size:
-                diff = mat[js]
+            count += js.size
+            for lo in range(0, js.size, chunk):
+                diff = mat[js[lo:lo + chunk]]
                 np.subtract(mat[i], diff, out=diff)
-                slack = lam * d + C - np.abs(diff, out=diff).sum(axis=1)
+                slack = lam * d[lo:lo + chunk] + C - np.abs(diff, out=diff).sum(axis=1)
                 k = int(np.argmin(slack))
-                count += js.size
                 if slack[k] < worst:
-                    worst, witness = float(slack[k]), (int(pts[i]), int(pts[js[k]]))
+                    worst, witness = float(slack[k]), (int(pts[i]), int(pts[js[lo + k]]))
         return worst, witness, count
 
     workers = min(workers, os.cpu_count() or 1)

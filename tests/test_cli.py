@@ -388,6 +388,37 @@ MALFORMED = {
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"] - 1)] + [[1e200]],
                              "p": 2}),
         "space.json: lp distance from point 0 to point 39 overflows for p=2.0"),
+    "graph edge weight a string": ("space.json",
+                                   lambda obj: obj["data"][0].__setitem__(2, "2.5"),
+                                   "space.json: edge (0,1) weight '2.5' is not a number"),
+    "graph edge weight a boolean": ("space.json",
+                                    lambda obj: obj["data"][0].__setitem__(2, True),
+                                    "space.json: edge (0,1) weight True is not a number"),
+    "graph edge endpoint a boolean": ("space.json",
+                                      lambda obj: obj["data"][1].__setitem__(0, True),
+                                      "space.json: edge endpoint True is not an integer"),
+    "points coordinate a string": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [["1e0"]] + [[float(x)] for x in range(2, obj["n"] + 1)],
+                             "p": 2}),
+        "space.json: coordinate [0][0] '1e0' is not a number"),
+    "points coordinate a boolean": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[0.0], [True]] + [[float(x)] for x in range(2, obj["n"])],
+                             "p": 2}),
+        "space.json: coordinate [1][0] True is not a number"),
+    "points p a boolean": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])], "p": True}),
+        "space.json: p True is neither a number nor 'inf'"),
+    "points p a numeric string": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])], "p": "2"}),
+        "space.json: p '2' is neither a number nor 'inf'"),
+    "matrix entry a string": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[abs(x - y) if (x, y) != (0, 1) else "1" for y in range(obj["n"])]
+                             for x in range(obj["n"])]),
+        "space.json: matrix entry [0][1] '1' is not a number"),
+    "matrix entry a boolean": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[abs(x - y) if (x, y) != (1, 0) else True for y in range(obj["n"])]
+                             for x in range(obj["n"])]),
+        "space.json: matrix entry [1][0] True is not a number"),
 }
 
 
@@ -408,13 +439,13 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
     assert_input_error(tmp_path, args, message)
 
 
-def assert_input_error(cwd, args, message):
+def assert_input_error(cwd, args, message, error="InvalidInputError"):
     """The CLI, run as a process in cwd, exits 2 naming the problem, no traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "coarsecert.cli", *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert "InvalidInputError" in proc.stderr
+    assert f"error: {error}: " in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -460,6 +491,18 @@ def test_table_free_cloud_overflow_exit_two(tmp_path):
     assert_input_error(tmp_path, ["decompose", "--space", "space.json", "--strategy", "greedy",
                                   "--R", "1", "--diam", "4", "--out", "tree.json"],
                        "space.json: lp distance from point 4198 to point 4199 overflows")
+
+
+def test_table_free_cloud_duplicate_exit_two(tmp_path):
+    # above the dense-table limit, point 4199 repeats point 0
+    coords = [[float(x)] for x in range(4199)] + [[0.0]]
+    jsonio.save_json(tmp_path / "space.json",
+                     jsonio.space_to_json("points", 4200, {"coords": coords, "p": 2}))
+    assert_input_error(tmp_path, ["decompose", "--space", "space.json", "--strategy", "greedy",
+                                  "--R", "1", "--diam", "4", "--out", "tree.json"],
+                       "space.json: d(0,4199)=0 for distinct points 0 != 4199",
+                       error="ZeroOffDiagonalError")
+    assert not (tmp_path / "tree.json").exists()
 
 
 def test_integral_floats_load(clean_artifacts, tmp_path):
@@ -609,27 +652,48 @@ PINNED_DIGESTS = {
 }
 
 
+def pipeline_artifacts(workdir, table):
+    """Each artifact of bricks, certify and both verify modes on workdir/space.json, as bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        if table == "table-free":
+            mp.setattr(metric, "DENSE_LIMIT", 0)
+        mp.chdir(workdir)
+        assert jsonio.load_space("space.json").has_table == (table == "dense")
+        assert run("decompose", "--space", "space.json", "--strategy", "bricks",
+                   "--R", 79, "--block-scale", 80, "--out", "tree.json") == 0
+        assert run("certify", "--space", "space.json", "--tree", "tree.json",
+                   "--epsilon", 0.4, "--modulus", "linear:4", "--out", "cert") == 0
+        bound = json.loads(Path("cert.report.json").read_text())["bound"]
+        for mode in ("restricted", "full"):
+            assert run("verify", "--space", "space.json", "--pou", "cert.pou.json",
+                       "--epsilon", 0.4, "--M", repr(bound), "--mode", mode,
+                       "--out", f"verify.{mode}.json") == 0
+    return {name: (workdir / name).read_bytes() for name in sorted(PINNED_DIGESTS)}
+
+
 @pytest.mark.parametrize("table", ["dense", "table-free"])
-def test_artifacts_independent_of_dense_table(table, tmp_path, monkeypatch):
+def test_artifacts_independent_of_dense_table(table, tmp_path):
     # the dense table and Dijkstra rows are two ways to answer one distance
     # query; every artifact must come out byte-identical either way
-    if table == "table-free":
-        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
-    monkeypatch.chdir(tmp_path)
-    assert run("generate", "--kind", "path", "--n", 400, "--out", "space.json") == 0
-    assert jsonio.load_space("space.json").has_table == (table == "dense")
-    assert run("decompose", "--space", "space.json", "--strategy", "bricks",
-               "--R", 79, "--block-scale", 80, "--out", "tree.json") == 0
-    assert run("certify", "--space", "space.json", "--tree", "tree.json",
-               "--epsilon", 0.4, "--modulus", "linear:4", "--out", "cert") == 0
-    bound = json.loads(Path("cert.report.json").read_text())["bound"]
-    for mode in ("restricted", "full"):
-        assert run("verify", "--space", "space.json", "--pou", "cert.pou.json",
-                   "--epsilon", 0.4, "--M", repr(bound), "--mode", mode,
-                   "--out", f"verify.{mode}.json") == 0
-    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-               for name in sorted(PINNED_DIGESTS)}
+    assert run("generate", "--kind", "path", "--n", 400, "--out", tmp_path / "space.json") == 0
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in pipeline_artifacts(tmp_path, table).items()}
     assert digests == PINNED_DIGESTS
+
+
+def test_float_weighted_artifacts_independent_of_dense_table(tmp_path):
+    # weights in [0.5, 1.5] plus chords: Dijkstra rows that differ from their
+    # transposes in the last bits, which a symmetrized table would not keep
+    rng = np.random.default_rng(0)
+    edges = [[i, i + 1, float(rng.uniform(0.5, 1.5))] for i in range(399)]
+    edges += [[i, i + 3, float(rng.uniform(2.5, 4.5))] for i in range(0, 397, 7)]
+    lanes = []
+    for table in ("dense", "table-free"):
+        (tmp_path / table).mkdir()
+        jsonio.save_json(tmp_path / table / "space.json", jsonio.space_to_json(
+            "graph", 400, edges, {"grid_shape": [400]}))
+        lanes.append(pipeline_artifacts(tmp_path / table, table))
+    assert lanes[0] == lanes[1]
 
 
 def test_bench_tracer_patches_resolve():

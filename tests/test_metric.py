@@ -228,6 +228,26 @@ class TestGraphCertificate:
         with pytest.raises(TriangleViolationError):
             metric._validate(bad)
 
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_table_is_stacked_table_free_rows(self, n, seed, integral):
+        # the dense limit decides whether rows are kept, never what they hold
+        table = weighted_graph(np.random.default_rng(seed), n, integral, table=True)
+        free = weighted_graph(np.random.default_rng(seed), n, integral)
+        assert table.has_table and not free.has_table
+        assert np.array_equal(table._dmat, np.stack([free.row(x) for x in range(n)]))
+
+    def test_graph_tables_skip_table_axiom_scans(self, monkeypatch):
+        # a float-weighted table may differ from its transpose in the last
+        # bits, as table-free rows do; the table scans would name that
+        def boom(*args):
+            raise AssertionError("positive weights make the table axioms hold")
+
+        monkeypatch.setattr(metric, "_validate_table_axioms", boom)
+        sp = random_graph(np.random.default_rng(4), 60)
+        assert not np.array_equal(sp._dmat, sp._dmat.T)
+        assert np.allclose(sp._dmat, sp._dmat.T, rtol=1e-12, atol=0)
+
     def test_graph_tables_skip_closure_and_sample(self, monkeypatch):
         def boom(*args):
             raise AssertionError("graph tables are certified by their edges")
@@ -328,6 +348,62 @@ class TestLoadPoints:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ZeroOffDiagonalError):
             load_points([(1, 1), (1, 1)], p=2)
+
+    def test_table_free_duplicate_rejected(self):
+        # no sampled row need meet the pair, so the rows are sorted instead
+        coords = [[float(x)] for x in range(4199)] + [[0.0]]
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            load_points(coords, p=2)
+        assert err.value.pair == (0, 4199)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_negative_zero_is_a_duplicate(self, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            load_points([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]], p=math.inf)
+        assert err.value.pair == (0, 2)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_points_without_coordinates_coincide(self, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        assert load_points([[]], p=2).n == 1
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            load_points([[], [], []], p=2)
+        assert err.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    def test_underflowing_distance_rejected(self, monkeypatch, dense):
+        # (1e-200)**2 underflows to 0: distinct points at lp distance 0
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        coords = [[1.0], [0.0], [1e-200]]
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            load_points(coords, p=2)
+        assert err.value.pair == (1, 2)
+        assert load_points(coords, p=1).d(1, 2) == 1e-200
+
+    @given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10_000),
+           st.sampled_from([1.0, 2.0, 3.0, math.inf]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_duplicate_witness_is_first_row_major_zero(self, n, d, seed, p, dense):
+        # the witness a scan of the whole table names, on both lanes
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(-2, 3, size=(n, d)).astype(float)
+        coords[rng.random((n, d)) < 0.3] *= -1.0  # -0.0 as well as 0.0
+        if rng.random() < 0.3:  # distinct points; most other clouds repeat one
+            coords[:, 0] += np.arange(n)
+        zero = (np.abs(coords[:, None] - coords[None, :]).max(axis=2) == 0) & ~np.eye(n, dtype=bool)
+        with pytest.MonkeyPatch.context() as mp:
+            if not dense:
+                mp.setattr(metric, "DENSE_LIMIT", 0)
+            if not zero.any():
+                assert load_points(coords.tolist(), p).n == n
+                return
+            with pytest.raises(ZeroOffDiagonalError) as err:
+                load_points(coords.tolist(), p)
+        assert err.value.pair == first_witness(zero)
 
     @given(st.integers(2, 12), st.integers(0, 10_000),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
@@ -578,10 +654,13 @@ class TestAxiomBlocks:
             metric._validate(table_space(zero))
         assert err.value.pair == first_witness((zero == 0) & ~np.eye(10, dtype=bool)) == (5, 6)
 
-    def test_graph_tables_equal_whole_table_formulas(self, base):
-        rng = np.random.default_rng(4)
-        sp = random_graph(rng, 10)  # built with 3-row blocks
-        raw = shortest_path(sp._graph, method="D", directed=False)
-        assert np.array_equal(sp._dmat, np.minimum(raw, raw.T))
+    def test_graph_tables_equal_whole_table_formulas(self):
+        # a graph's table is the directed all-pairs Dijkstra as it comes, not
+        # min(d, d.T), and uniform weights are summed edge by edge, not hop
+        # counts times the weight (6 * 0.3 differs from 0.3 + ... + 0.3)
+        sp = random_graph(np.random.default_rng(4), 10)
+        assert np.array_equal(sp._dmat, shortest_path(sp._graph, method="D", directed=True))
         scaled = load_graph(10, [(i, i + 1, 0.3) for i in range(9)])
-        assert np.array_equal(scaled._dmat, base * 0.3)
+        sums = np.cumsum([0.0] + [0.3] * 9)
+        hops = np.abs(np.arange(10)[:, None] - np.arange(10)[None, :])
+        assert np.array_equal(scaled._dmat, sums[hops]) and sums[6] != 6 * 0.3

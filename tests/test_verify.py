@@ -276,6 +276,39 @@ class TestStreamedSlackKernel:
         assert rep.witness_pair == witness
         assert rep.pairs_checked == len(pairs_i)
 
+    @pytest.mark.parametrize("carrier", [9, 130])
+    @pytest.mark.parametrize("mode", ["full", "restricted"])
+    def test_partner_blocks_bit_equal_to_block_formula(self, p400, carrier, mode, monkeypatch):
+        # blocks of 3 partners: the first minimum survives the cuts
+        rng = np.random.default_rng(carrier)
+        f = random_pou(p400, carrier, rng)
+        pts = f.dense()[0]
+        eps = 0.05
+        expect = lipschitz_check(f, eps, eps, mode=mode)
+        monkeypatch.setattr(verify, "ROW_BLOCK_CELLS", 3 * carrier + 1)
+        rep = lipschitz_check(f, eps, eps, mode=mode, workers=2)
+        assert (rep.worst_slack, rep.witness_pair, rep.pairs_checked) == (
+            expect.worst_slack, expect.witness_pair, expect.pairs_checked)
+        if mode == "full":
+            pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
+            assert block_slack(f, eps, eps, pairs_i, pairs_j, 997) == (
+                rep.worst_slack, rep.witness_pair)
+
+    def test_partner_blocks_bound_memory(self):
+        # 599 partners x a 1000-vertex carrier is 4.8 MB per position; a
+        # block of them holds at most 2^16 cells, 0.5 MB
+        sp = path_space(600)
+        f = random_pou(sp, 1000, np.random.default_rng(3))
+        f.dense()
+        tracemalloc.start()
+        try:
+            rep = lipschitz_check(f, 0.1, 0.1, mode="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == 600 * 599 // 2
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("m", [2, 3, 17, 400])
     def test_pair_chunks_follow_triu_order(self, m, p400, monkeypatch):
         # the pairs of any contiguous block of positions, in order, are that
