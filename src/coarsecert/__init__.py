@@ -24,11 +24,8 @@ from .simplex import (
     VertexId,
     VertexMint,
     barycentric_pou,
-    carrier_vertices,
     convex_combine,
-    l1_distance,
     simplicial_retraction,
-    skeleton_truncate,
     star_preimage_diameters,
 )
 from .verify import (

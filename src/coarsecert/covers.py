@@ -32,6 +32,7 @@ from .errors import (
 from .metric import (
     FiniteMetricSpace,
     PointSubset,
+    as_float,
     as_int,
     closed_set_ball,
     cross_minima,
@@ -70,7 +71,7 @@ class DecompositionTree:
 
     def __post_init__(self):
         self.arity = tuple(as_int(a, "tree arity") for a in self.arity)
-        self.radii = tuple(float(r) for r in self.radii)
+        self.radii = tuple(as_float(r, "tree radius") for r in self.radii)
         if len(self.arity) != self.m - 1 or len(self.radii) != self.m - 1:
             raise InvalidInputError(
                 f"tree of depth {self.m} needs {self.m - 1} arities and radii"

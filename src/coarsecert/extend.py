@@ -258,7 +258,7 @@ def _require_lipschitz(f: PartitionOfUnity, delta: float, who: str) -> None:
         )
 
 
-def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Dict[int, SimplexPoint]:
+def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> PartitionOfUnity:
     """h = a*g + (1-a)*f(p(.)) on the points of g's domain outside A = f's domain.
 
     f extended by h is f itself on A (a = 0 there), and g itself wherever
@@ -272,7 +272,7 @@ def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Dict[int
     space = f.space
     new = [x for x in g.domain.ids if x not in f]
     if not new:
-        return {}
+        return PartitionOfUnity.empty(space)
     near = np.flatnonzero(dist_to_set_all(space, PointSubset(tuple(new)), 2.0 * r) < 2.0 * r)
     sources = np.array([y for y in near.tolist() if y in f], dtype=np.intp)
     dist, nearest = nearest_scan(space, sources, r)  # exact below r, as the whole scan
@@ -280,11 +280,11 @@ def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Dict[int
     for x in new:
         alpha = min(dist[x] / r, 1.0)
         out[x] = g(x) if alpha == 1.0 else convex_combine(alpha, g(x), f(int(nearest[x])))
-    return out
+    return PartitionOfUnity(space, out)
 
 
 def _blend_fresh(f: PartitionOfUnity, points: PointSubset, epsilon: float,
-                 mint: VertexMint) -> Dict[int, SimplexPoint]:
+                 mint: VertexMint) -> PartitionOfUnity:
     """f blended at r = 8/epsilon against one freshly minted vertex, on points outside f."""
     v = (mint.namespace(), 0)
     return _alpha_blend(f, PartitionOfUnity.constant(f.space, points, v), 8.0 / epsilon)
@@ -427,8 +427,7 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
         a_near = [x for x in near.tolist() if x in f]
 
     if not a_near:
-        d = SimplexPoint.delta((mint.namespace(), 0))
-        return PartitionOfUnity(space, {x: d for x in new.ids}), k_in + k_piece, 1
+        return PartitionOfUnity.constant(space, new, (mint.namespace(), 0)), k_in + k_piece, 1
 
     if r_m is None:
         raise InvalidInputError("branch 2 requires the neighborhood radius r_m")
@@ -437,10 +436,8 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
     bound = k_in + k_piece + r_m
     if not new.ids:
         return PartitionOfUnity.empty(space), bound, 2
-    g = PartitionOfUnity(space, _blend_fresh(f, new, budget, mint))
-    s1 = set()
-    for x in a_near:
-        s1.update(f(x).support())
+    g = _blend_fresh(f, new, budget, mint)
+    s1 = set(f.restricted_to(PointSubset(tuple(a_near))).carrier())
     s1_min = min(s1)
     retract = {v: (v if v in s1 else s1_min) for v in g.carrier()}
     return simplicial_retraction(g, retract, new), bound, 2
@@ -483,7 +480,7 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
 
     base_carrier = set(f.carrier())
     seen_new: set = set()
-    glued: Dict[int, SimplexPoint] = {}
+    parts: List[PartitionOfUnity] = []
     worst_piece_bound = 0.0
     for t, piece in enumerate(pieces):
         g_t, bound_t = extender(f, t, budget)[:2]
@@ -494,12 +491,10 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
                 f"carrier discipline violated: vertex {sorted(overlap)[0]} "
                 f"used by two pieces")
         seen_new |= new_vs
-        for x in piece.ids:
-            if x not in f and x not in glued:
-                glued[x] = g_t(x)
+        parts.append(g_t.restricted_to(piece))
         worst_piece_bound = max(worst_piece_bound, bound_t)
-    h = f.merged_with(glued)
-    return h, 2.0 * worst_piece_bound + k_in
+    # a point f holds keeps f's weights; a point of two pieces, the first's
+    return f.merged_with(*parts), 2.0 * worst_piece_bound + k_in
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Tuple, Union
 
 from .covers import DecompositionTree
 from .errors import CoarseCertError, InvalidInputError
-from .metric import FiniteMetricSpace, as_int, load_graph, load_matrix, load_points
-from .simplex import PartitionOfUnity, SimplexPoint, parse_vertex, vertex_key
+from .metric import FiniteMetricSpace, as_float, as_int, load_graph, load_matrix, load_points
+from .simplex import PartitionOfUnity, SimplexPoint, vertex_key
 
 SCHEMA_VERSION = 1
 
@@ -104,11 +104,16 @@ def load_space(path: Union[str, Path]) -> FiniteMetricSpace:
 # ---------------------------------------------------------------------------
 
 def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> dict:
-    entries: Dict[str, list] = {}
-    for x in pou.domain.ids:
-        pairs = sorted(pou(x).items())
-        entries[str(x)] = [[vertex_key(v), w] for v, w in pairs]
+    keys = [vertex_key(v) for v in pou.carrier()]
+    cols, weights, bounds = pou.columns.tolist(), pou.weights.tolist(), pou.indptr.tolist()
+    entries = {str(x): [[keys[j], w] for j, w in sorted(zip(cols[a:b], weights[a:b]))]
+               for x, a, b in zip(pou.domain.ids, bounds, bounds[1:])}
     return {"v": SCHEMA_VERSION, "space": space_ref, "entries": entries}
+
+
+def _plain_decimal(text) -> bool:
+    """A string of ASCII digits; int() alone also reads "1_0", " 1" and "+1"."""
+    return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
 def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
@@ -117,6 +122,8 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
         raise InvalidInputError("pou file needs an 'entries' object")
     assignment = {}
     for key, pairs in entries.items():
+        if not _plain_decimal(key):
+            raise InvalidInputError(f"point id {key!r} is not a plain decimal")
         x = int(key)
         if not (0 <= x < space.n):
             raise InvalidInputError(f"pou references unknown point id {x}")
@@ -124,7 +131,11 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
             raise InvalidInputError(f"pou assigns point {x} twice")
         weights = {}
         for vk, w in pairs:
-            v = parse_vertex(vk)
+            ns, _, idx = vk.partition(":") if isinstance(vk, str) else ("", "", "")
+            if not (_plain_decimal(ns) and _plain_decimal(idx)):
+                raise InvalidInputError(
+                    f"vertex key {vk!r} of point {x} is not two plain decimals joined by ':'")
+            v = (int(ns), int(idx))
             if v in weights:
                 raise InvalidInputError(f"point {x} lists vertex {vertex_key(v)} twice")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
@@ -164,7 +175,7 @@ def report_to_json(report_dict: dict) -> dict:
 
 def claims_from_json(obj: dict) -> Tuple[float, float]:
     """(epsilon, bound) that a certificate report claims."""
-    eps, bound = float(obj["epsilon"]), float(obj["bound"])
+    eps, bound = as_float(obj["epsilon"], "epsilon"), as_float(obj["bound"], "bound")
     if not (math.isfinite(eps) and math.isfinite(bound)):
         raise InvalidInputError(f"report claims epsilon {eps!r} and bound {bound!r}")
     return eps, bound

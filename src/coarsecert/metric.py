@@ -103,6 +103,13 @@ def _not_a_number(value) -> bool:
     return isinstance(value, (str, bool, np.bool_))
 
 
+def as_float(value, what: str) -> float:
+    """float(value), refusing a string or a boolean that float() would read."""
+    if _not_a_number(value):
+        raise InvalidInputError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
 def _refuse_non_numbers(rows, what: str) -> None:
     """Name the first string or boolean in a sequence of rows of numbers."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":

@@ -7,6 +7,11 @@ is reserved for user-supplied vertices (cover members, explicit inputs) and
 every extension run mints its vertices inside a fresh namespace, which is how
 independently built pieces are guaranteed disjoint carriers.
 
+A PartitionOfUnity is stored once, as compressed sparse rows (CSR) over its
+ascending domain, each entry a carrier column and a weight; its carrier,
+stars and dense matrix, and every operation on whole pous, are array
+operations on those rows.
+
 Everything here is immutable after construction and all operations are pure.
 Fresh namespaces come from a VertexMint that each construction run creates
 and passes down; its counter increments atomically.
@@ -17,7 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +44,6 @@ VertexId = Tuple[int, int]  # (namespace, index)
 
 def vertex_key(v: VertexId) -> str:
     return f"{v[0]}:{v[1]}"
-
-
-def parse_vertex(s: str) -> VertexId:
-    if not isinstance(s, str):
-        raise TypeError(f"vertex key must be a string, got {s!r}")
-    ns, _, idx = s.partition(":")
-    return (int(ns), int(idx))
 
 
 class VertexMint:
@@ -88,14 +87,6 @@ class SimplexPoint:
     def delta(cls, v: VertexId) -> "SimplexPoint":
         return cls({v: 1.0}, _trusted=True)
 
-    @classmethod
-    def uniform(cls, vertices: Iterable[VertexId]) -> "SimplexPoint":
-        vs = list(vertices)
-        if not vs:
-            raise EmptySetError("uniform simplex point over no vertices")
-        w = 1.0 / len(vs)
-        return cls({v: w for v in vs}, _trusted=True)
-
     def weights(self) -> Dict[VertexId, float]:
         return dict(self._w)
 
@@ -125,19 +116,6 @@ class SimplexPoint:
         return f"SimplexPoint({{{inner}}})"
 
 
-def l1_distance(u: SimplexPoint, v: SimplexPoint) -> float:
-    """Sum of |u(w) - v(w)| over the union of supports; lands in [0, 2]."""
-    total = 0.0
-    vw = v._w
-    for w, x in u._w.items():
-        total += abs(x - vw.get(w, 0.0))
-    uw = u._w
-    for w, y in vw.items():
-        if w not in uw:
-            total += y
-    return total
-
-
 def convex_combine(t: float, u: SimplexPoint, v: SimplexPoint) -> SimplexPoint:
     """t*u + (1-t)*v with exact endpoints: t=0 returns v itself, t=1 returns u."""
     if t == 0.0:
@@ -160,19 +138,66 @@ def convex_combine(t: float, u: SimplexPoint, v: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(w, _trusted=True)
 
 
+def _indptr(counts) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+
+
+def _columns(verts: Sequence[VertexId]):
+    """(column of each of verts in the sorted carrier, that carrier)."""
+    carrier = sorted(set(verts))
+    col = {v: j for j, v in enumerate(carrier)}
+    return np.array([col[v] for v in verts], dtype=np.intp), carrier
+
+
 class PartitionOfUnity:
-    """A map from a subset of a host space into the l1 simplex."""
+    """A map from a subset of a host space into the l1 simplex, as CSR arrays.
+
+    Row i is the point domain.ids[i] (ascending).  Its entries are
+    indptr[i]:indptr[i+1] of `columns`, indices into the sorted carrier
+    tuple, and of `weights`, in the order its SimplexPoint lists them
+    (simplicial_retraction sums weights in that order).  The arrays are
+    read-only, so pous share them.  f(x) builds x's SimplexPoint from its row.
+    """
 
     def __init__(self, space: FiniteMetricSpace, assignment: Mapping[int, SimplexPoint]):
+        ids = np.array(list(assignment), dtype=np.intp)
+        points = list(assignment.values())
+        self._store(space, ids, _indptr([len(p) for p in points]),
+                    *_columns([v for p in points for v in p.support()]),
+                    np.array([w for p in points for w in p._w.values()], dtype=float),
+                    rows=np.argsort(ids))
+
+    def _store(self, space, ids, indptr, columns, verts, weights, rows=None) -> None:
+        """Keep the given rows, in order, of the CSR arrays (all of them by default).
+
+        The columns index the sorted verts; the vertices that no kept entry
+        uses are dropped from the carrier.
+        """
+        if rows is not None:
+            counts = np.diff(indptr)[rows]
+            kept = _indptr(counts)  # the kept rows' spans of entries, one after another
+            entries = np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
+            ids, indptr, columns, weights = ids[rows], kept, columns[entries], weights[entries]
+        if len(ids) and (ids[0] < 0 or ids[-1] >= space.n):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise InvalidInputError(f"pou point id {bad} outside space of size {space.n}")
+        used = np.unique(columns)
+        if len(used) < len(verts):
+            verts = [verts[j] for j in used.tolist()]
+            columns = np.searchsorted(used, columns)
+        for a in (ids, indptr, columns, weights):
+            a.setflags(write=False)
         self.space = space
-        self._f = {int(x): p for x, p in assignment.items()}
-        for x in self._f:
-            if not (0 <= x < space.n):
-                raise InvalidInputError(f"pou point id {x} outside space of size {space.n}")
-        self.domain = PointSubset(tuple(self._f.keys()))
-        self._carrier_cache: Optional[tuple] = None
-        self._stars_cache: Optional[Dict[VertexId, np.ndarray]] = None
-        self._dense_cache = None
+        self.domain = PointSubset(tuple(ids.tolist()))
+        self._ids, self.indptr, self.columns, self.weights = ids, indptr, columns, weights
+        self._carrier = tuple(verts)
+
+    @classmethod
+    def _from_csr(cls, space, ids, indptr, columns, verts, weights,
+                  rows=None) -> "PartitionOfUnity":
+        f = cls.__new__(cls)
+        f._store(space, ids, indptr, columns, verts, weights, rows)
+        return f
 
     @classmethod
     def empty(cls, space: FiniteMetricSpace) -> "PartitionOfUnity":
@@ -180,39 +205,37 @@ class PartitionOfUnity:
 
     @classmethod
     def constant(cls, space: FiniteMetricSpace, domain: PointSubset, v: VertexId) -> "PartitionOfUnity":
-        d = SimplexPoint.delta(v)
-        return cls(space, {x: d for x in domain})
+        m = len(domain)
+        return cls._from_csr(space, domain.array(), np.arange(m + 1),
+                             np.zeros(m, dtype=np.intp), [v], np.ones(m))
 
     def __call__(self, x: int) -> SimplexPoint:
-        return self._f[x]
+        i = bisect_left(self.domain.ids, x)
+        if self.domain.ids[i:i + 1] != (x,):
+            raise KeyError(x)
+        a, b = self.indptr[i], self.indptr[i + 1]
+        carrier = self._carrier
+        return SimplexPoint({carrier[j]: w for j, w in zip(self.columns[a:b].tolist(),
+                                                          self.weights[a:b].tolist())},
+                            _trusted=True)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._f
+        i = bisect_left(self.domain.ids, x)
+        return self.domain.ids[i:i + 1] == (x,)
 
     def items(self):
-        return self._f.items()
-
-    def mapping(self) -> Dict[int, SimplexPoint]:
-        return dict(self._f)
+        return ((x, self(x)) for x in self.domain.ids)
 
     def carrier(self) -> tuple:
         """Sorted tuple of vertices with positive weight somewhere."""
-        if self._carrier_cache is None:
-            verts = set()
-            for p in self._f.values():
-                verts.update(p.support())
-            self._carrier_cache = tuple(sorted(verts))
-        return self._carrier_cache
+        return self._carrier
 
     def stars(self) -> Dict[VertexId, np.ndarray]:
         """vertex -> ascending array of domain points with positive weight on it."""
-        if self._stars_cache is None:
-            acc: Dict[VertexId, List[int]] = {}
-            for x in sorted(self._f):
-                for v in self._f[x].support():
-                    acc.setdefault(v, []).append(x)
-            self._stars_cache = {v: np.asarray(xs, dtype=np.intp) for v, xs in acc.items()}
-        return self._stars_cache
+        points = np.repeat(self._ids, np.diff(self.indptr))
+        bounds = np.cumsum(np.bincount(self.columns, minlength=len(self._carrier)))[:-1]
+        return dict(zip(self._carrier,
+                        np.split(points[np.argsort(self.columns, kind="stable")], bounds)))
 
     def star_preimage(self, v: VertexId) -> PointSubset:
         arr = self.stars().get(v)
@@ -224,30 +247,29 @@ class PartitionOfUnity:
         The matrix row order follows the ascending domain ids; used by the
         verification kernels to vectorize l1 distances.
         """
-        if self._dense_cache is None:
-            pts = self.domain.array()
-            verts = self.carrier()
-            col = {v: j for j, v in enumerate(verts)}
-            mat = np.zeros((len(pts), len(verts)))
-            for i, x in enumerate(pts):
-                for v, w in self._f[int(x)].items():
-                    mat[i, col[v]] = w
-            mat.setflags(write=False)
-            self._dense_cache = (pts, verts, mat)
-        return self._dense_cache
+        m = len(self._ids)
+        mat = np.zeros((m, len(self._carrier)))
+        mat[np.repeat(np.arange(m), np.diff(self.indptr)), self.columns] = self.weights
+        mat.setflags(write=False)
+        return self._ids, self._carrier, mat
 
-    def merged_with(self, other: Mapping[int, SimplexPoint]) -> "PartitionOfUnity":
-        """New pou equal to self plus assignments for points not already held."""
-        f = dict(self._f)
-        for x, p in other.items():
-            if x not in f:
-                f[x] = p
-        return PartitionOfUnity(self.space, f)
+    def restricted_to(self, subset: PointSubset) -> "PartitionOfUnity":
+        """The pou on the points of its domain that lie in subset."""
+        return PartitionOfUnity._from_csr(
+            self.space, self._ids, self.indptr, self.columns, self._carrier, self.weights,
+            rows=np.flatnonzero(np.isin(self._ids, subset.array())))
 
-
-def carrier_vertices(f: PartitionOfUnity) -> set:
-    """Union of supports over the domain."""
-    return set(f.carrier())
+    def merged_with(self, *others: "PartitionOfUnity") -> "PartitionOfUnity":
+        """New pou giving each point its weights in the first of self, *others to hold it."""
+        pous = (self,) + others
+        ids = np.concatenate([f._ids for f in pous])
+        columns, verts = _columns([v for f in pous for v in f._carrier])
+        offsets = np.cumsum([0] + [len(f._carrier) for f in pous])
+        return PartitionOfUnity._from_csr(
+            self.space, ids, _indptr(np.concatenate([np.diff(f.indptr) for f in pous])),
+            np.concatenate([columns[off + f.columns] for f, off in zip(pous, offsets)]), verts,
+            np.concatenate([f.weights for f in pous]),
+            rows=np.unique(ids, return_index=True)[1])  # the first pou to hold each point
 
 
 def star_preimage_diameters(f: PartitionOfUnity):
@@ -267,64 +289,34 @@ def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],
     """Re-address weights through a vertex retraction r on a region.
 
     r maps a vertex set S2 onto S1 = image(r) and must fix S1 pointwise.
-    Weights landing on the same vertex are summed, so the total is preserved
-    exactly; points outside the region are untouched, and a point whose
-    support r does not move keeps its SimplexPoint object bit-for-bit.
+    Weights landing on the same vertex are summed in entry order, so the
+    total is preserved exactly; points outside the region are untouched, and
+    so, bit for bit, is a point whose support r does not move.
     """
     for v in r.values():
         if r.get(v, v) != v:
             raise NotARetractionError(f"r moves {vertex_key(v)}, a vertex of its image")
-    new: Dict[int, SimplexPoint] = {}
-    for x in region.ids:
-        if x not in f:
-            continue
-        p = f(x)
-        moved = False
-        for v in p.support():
-            if v not in r:
-                raise SupportEscapesError(
-                    f"support vertex {vertex_key(v)} of point {x} outside S2"
-                )
-            if r[v] != v:
-                moved = True
-        if not moved:
-            continue  # identity on this support: keep the object bit-for-bit
-        w: Dict[VertexId, float] = {}
-        for v, x_w in p.items():
-            tgt = r[v]
-            w[tgt] = w.get(tgt, 0.0) + x_w
-        new[x] = SimplexPoint(w, _trusted=True)
-    if not new:
+    g = f.restricted_to(region)
+    carrier = g.carrier()
+    verts = sorted(set(carrier) | {r[v] for v in carrier if v in r})
+    col = {v: j for j, v in enumerate(verts)}
+    target = np.array([col.get(r.get(v), -1) for v in carrier], dtype=np.intp)[g.columns]
+    rows = np.repeat(np.arange(len(g.domain)), np.diff(g.indptr))
+    if (target < 0).any():
+        k = int(np.argmax(target < 0))
+        raise SupportEscapesError(f"support vertex {vertex_key(carrier[g.columns[k]])} "
+                                  f"of point {g.domain.ids[rows[k]]} outside S2")
+    if (target == np.array([col[v] for v in carrier], dtype=np.intp)[g.columns]).all():
         return f
-    out = dict(f.mapping())
-    out.update(new)
-    return PartitionOfUnity(f.space, out)
-
-
-def skeleton_truncate(f: PartitionOfUnity, n: int) -> PartitionOfUnity:
-    """Keep the n+1 largest weights of each point and renormalize.
-
-    Ties break toward the smaller VertexId.  A point already supported on at
-    most n+1 vertices is kept unchanged (same object).  This is a heuristic
-    projection into the n-skeleton: the output must be re-verified, it carries
-    no Lipschitz guarantee of its own.
-    """
-    if n < 0:
-        raise InvalidInputError(f"skeleton dimension must be >= 0, got {n}")
-    keep = n + 1
-    out: Dict[int, SimplexPoint] = {}
-    changed = False
-    for x, p in f.items():
-        if len(p) <= keep:
-            out[x] = p
-            continue
-        ranked = sorted(p.items(), key=lambda kv: (-kv[1], kv[0]))[:keep]
-        total = math.fsum(w for _, w in ranked)
-        out[x] = SimplexPoint({v: w / total for v, w in ranked}, _trusted=True)
-        changed = True
-    if not changed:
-        return f
-    return PartitionOfUnity(f.space, out)
+    # one entry per (row, target vertex): a sum in entry order, listed where
+    # its first term was; a point r does not move keeps its entries exactly
+    _, first, group = np.unique(rows * len(verts) + target, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first))
+    np.add.at(sums, group, g.weights)
+    order = np.argsort(first)
+    return PartitionOfUnity._from_csr(
+        f.space, g._ids, _indptr(np.bincount(rows[first], minlength=len(g.domain))),
+        target[first[order]], verts, sums[order]).merged_with(f)
 
 
 def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> PartitionOfUnity:
@@ -333,23 +325,20 @@ def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> Parti
     Member k gets vertex (0, k); the star preimage of that vertex is exactly
     the member.  Raises NotACover naming an uncovered point.
     """
-    counts = np.zeros(space.n, dtype=np.intp)
-    membership: List[List[int]] = [[] for _ in range(space.n)]
     for k, member in enumerate(cover):
         if not member.ids:
             raise EmptySetError(f"cover member {k} is empty")
         member.validate_against(space)
-        for x in member.ids:
-            counts[x] += 1
-            membership[x].append(k)
+    points = np.concatenate([m.array() for m in cover] + [np.zeros(0, dtype=np.intp)])
+    members = np.repeat(np.arange(len(cover)), [len(m) for m in cover])
+    counts = np.bincount(points, minlength=space.n)
     uncovered = np.flatnonzero(counts == 0)
     if uncovered.size:
         raise NotACoverError(int(uncovered[0]))
-    assignment = {
-        x: SimplexPoint.uniform([(0, k) for k in membership[x]])
-        for x in range(space.n)
-    }
-    return PartitionOfUnity(space, assignment)
+    order = np.argsort(points, kind="stable")  # each point's members in ascending order
+    return PartitionOfUnity._from_csr(space, np.arange(space.n), _indptr(counts), members[order],
+                                      [(0, k) for k in range(len(cover))],
+                                      1.0 / counts[points[order]])
 
 
 def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
@@ -358,10 +347,5 @@ def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
     Carrier vertices are relabeled in sorted order to (namespace, 0..k-1),
     deterministically, so re-namespacing commutes with serialization.
     """
-    table = {v: (namespace, i) for i, v in enumerate(f.carrier())}
-    out = {
-        x: SimplexPoint({table[v]: w for v, w in p.items()}, _trusted=True)
-        for x, p in f.items()
-    }
-    return PartitionOfUnity(f.space, out)
-
+    return PartitionOfUnity._from_csr(f.space, f._ids, f.indptr, f.columns,
+                                      [(namespace, i) for i in range(len(f.carrier()))], f.weights)

@@ -50,6 +50,11 @@ def _walk_pou(space, ids, verts, base, step, rng):
     return PartitionOfUnity(space, assignment)
 
 
+def uniform(vertices):
+    """The barycenter of a list of distinct vertices."""
+    return SimplexPoint(dict.fromkeys(vertices, 1.0 / len(vertices)))
+
+
 def random_subset(n, size, rng):
     return PointSubset(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
 
@@ -72,9 +77,7 @@ def perturb_weight(f, x, v, amount=0.2):
     w[v] = w.get(v, 0.0) + amount
     total = sum(w.values())
     w = {k: val / total for k, val in w.items()}
-    out = f.mapping()
-    out[x] = SimplexPoint(w)
-    return PartitionOfUnity(f.space, out)
+    return PartitionOfUnity(f.space, {x: SimplexPoint(w)}).merged_with(f)
 
 
 def smallest_weight_vertex(f, x):

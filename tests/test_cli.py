@@ -354,13 +354,30 @@ MALFORMED = {
                                lambda obj: obj["entries"].update({0: [["0:0", 1.0]]}),
                                "cert.pou.json: not valid JSON (duplicate key '0')"),
     "pou point assigned twice": ("cert.pou.json",
-                                 lambda obj: obj["entries"].update({"-0": obj["entries"]["0"]}),
+                                 lambda obj: obj["entries"].update({"00": obj["entries"]["0"]}),
                                  "cert.pou.json: pou assigns point 0 twice"),
+    "pou point key with an underscore": ("cert.pou.json",  # int() reads "1_0" as 10
+                                         lambda obj: obj["entries"].update(
+                                             {"1_0": obj["entries"].pop("10")}),
+                                         "cert.pou.json: point id '1_0' is not a plain decimal"),
+    "pou vertex key with a space": ("cert.pou.json",
+                                    lambda obj: obj["entries"].update({"0": [[" 0:0", 1.0]]}),
+                                    "cert.pou.json: vertex key ' 0:0' of point 0 is not two "
+                                    "plain decimals joined by ':'"),
+    "report epsilon a string": ("cert.report.json",
+                                lambda obj: obj.update(epsilon=str(obj["epsilon"])),
+                                "cert.report.json: epsilon '0.8' is not a number"),
+    "report bound a boolean": ("cert.report.json", lambda obj: obj.update(bound=True),
+                               "cert.report.json: bound True is not a number"),
     "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes"), "tree.json"),
     "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two"),
                                   "tree.json"),
     "tree radius NaN": ("tree.json", lambda obj: obj.update(radii=[float("nan")]),
                         "tree.json: tree radius nan"),
+    "tree radius a string": ("tree.json", lambda obj: obj.update(radii=["10.0"]),
+                             "tree.json: tree radius '10.0' is not a number"),
+    "tree radius a boolean": ("tree.json", lambda obj: obj.update(radii=[True]),
+                              "tree.json: tree radius True is not a number"),
     "tree level not an integer": ("tree.json",  # int() would make it the root's level 1
                                   lambda obj: next(nd for nd in obj["nodes"]
                                                    if nd["level"] == 1).update(level=1.5),
@@ -424,7 +441,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
-    for name in ("space.json", "tree.json", "cert.pou.json"):
+    for name in ("space.json", "tree.json", "cert.pou.json", "cert.report.json"):
         shutil.copy(clean_artifacts / name, tmp_path / name)
     target, edit, message = MALFORMED[case]
     obj = json.loads((tmp_path / target).read_text())
@@ -433,6 +450,9 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
     if target == "tree.json":
         args = ["certify", "--space", "space.json", "--tree", "tree.json",
                 "--epsilon", "0.8", "--modulus", "linear:2", "--out", "again"]
+    elif target == "cert.report.json":
+        args = ["verify", "--space", "space.json", "--pou", "cert.pou.json",
+                "--report", "cert.report.json"]
     else:
         args = ["verify", "--space", "space.json", "--pou", "cert.pou.json",
                 "--epsilon", "0.8"]

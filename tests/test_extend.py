@@ -43,7 +43,7 @@ from coarsecert.simplex import (
 )
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph
-from .genutil import perturb_weight, random_lipschitz_pou, random_subset
+from .genutil import perturb_weight, random_lipschitz_pou, random_subset, uniform
 
 
 def dummy_tree(arity):
@@ -111,7 +111,7 @@ class TestPaste:
         f = random_lipschitz_pou(p10, range(10), 0.05, rng)
         g = PartitionOfUnity.constant(p10, p10.all_points(), (9, 0))
         h = paste(f, g, r=8.0, epsilon=1.0, delta=0.02, check_inputs=False)
-        assert all(h(x) is f(x) for x in range(10))
+        assert all(h(x) == f(x) for x in range(10))
 
     def test_single_point_formula(self, p100):
         # h(x) = {w: a(x), v: 1-a(x)} with a(x) = min(d(x, 0)/r, 1)
@@ -140,7 +140,7 @@ class TestPaste:
         dist = dist_to_set_all(p100, f.domain)
         for x in range(100):
             if dist[x] >= 20.0:
-                assert h(x) is g(x)
+                assert h(x) == g(x)
 
     def test_precondition_names(self, p10):
         f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0))})
@@ -206,7 +206,7 @@ class TestExtendPou:
         a = random_subset(100, 40, rng)
         f = random_lipschitz_pou(p100, a.ids, 1 / 39, rng)
         g = extend_pou(f, 1.0, mint=VertexMint())
-        assert all(g(x) is f(x) for x in a.ids)
+        assert all(g(x) == f(x) for x in a.ids)
 
     def test_rejects_non_lipschitz_input(self, p10):
         f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0)),
@@ -295,8 +295,8 @@ class TestExtendOverBoundedPiece:
                                                      input_bound=measured_bound(f))
         assert branch == 1
         assert g.domain == piece  # the piece's new points only
-        g = f.merged_with(g.mapping())
-        assert all(g(x) is f(x) for x in range(50))
+        g = f.merged_with(g)
+        assert all(g(x) == f(x) for x in range(50))
 
     def test_near_piece_branch2(self, p200):
         rng = np.random.default_rng(7)
@@ -306,8 +306,8 @@ class TestExtendOverBoundedPiece:
         g, bound, branch = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=VertexMint())
         assert branch == 2
         assert g.domain == piece  # the piece's new points only
-        g = f.merged_with(g.mapping())
-        assert all(g(x) is f(x) for x in range(50))
+        g = f.merged_with(g)
+        assert all(g(x) == f(x) for x in range(50))
         assert lipschitz_check(g, 0.5, 0.5).passed
         k_in = measured_bound(f)
         assert bound == pytest.approx(k_in + 10.0 + 50.0)
@@ -334,8 +334,8 @@ def whole_domain_extension(f, piece, r_m, budget, mint):
     dist_piece = dist_to_set_all(f.space, piece, r_m)
     a_near = [x for x in f.domain.ids if dist_piece[x] < r_m]
     if not a_near:
-        d = SimplexPoint.delta((mint.namespace(), 0))
-        return f.merged_with({x: d for x in piece.ids if x not in f}), 1
+        new = PointSubset(tuple(x for x in piece.ids if x not in f))
+        return f.merged_with(PartitionOfUnity.constant(f.space, new, (mint.namespace(), 0))), 1
     target = PointSubset(f.domain.ids + piece.ids)
     g = extend_pou(f, budget, target=target, mint=mint, check_inputs=False)
     region = PointSubset(tuple(x for x in target.ids if dist_piece[x] < r_m))
@@ -362,7 +362,7 @@ class TestPieceLocalExtension:
         piece = PointSubset(tuple(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
                                              replace=False)))
         vertices = [(0, k) for k in range(4)]
-        f = PartitionOfUnity(sp, {int(x): SimplexPoint.uniform(
+        f = PartitionOfUnity(sp, {int(x): uniform(
             [vertices[k] for k in rng.choice(4, size=int(rng.integers(1, 5)), replace=False)])
             for x in a})
         r_m = float(rng.uniform(0.01, 1.5)) * sp.diameter()
@@ -378,10 +378,10 @@ class TestPieceLocalExtension:
         assert branch == branch_old
         assert bound == (3.0 + r_m if branch == 2 else 3.0)
         assert set(g.domain.ids) == set(piece.ids) - set(a.tolist())
-        got = f.merged_with(g.mapping())
+        got = f.merged_with(g)
         assert got.domain.ids == expect.domain.ids
         assert all(got(x) == expect(x) for x in expect.domain.ids)  # weights compared exactly
-        assert all(got(x) is f(x) for x in f.domain.ids)
+        assert all(got(x) == f(x) for x in f.domain.ids)
         assert mint_new.namespace() == mint_old.namespace()
 
     def test_no_whole_domain_pou_per_piece(self, monkeypatch):
@@ -446,7 +446,7 @@ class TestExtendOverDisjointFamily:
         piece = PointSubset(tuple(range(100, 121)))
         mint_a, mint_b = VertexMint(start=40), VertexMint(start=40)
         direct, _, _ = extend_over_bounded_piece(f, piece, 50.0, 0.5, mint=mint_a)
-        direct = f.merged_with(direct.mapping())
+        direct = f.merged_with(direct)
         glued, _ = extend_over_disjoint_family(
             f, [piece], R=10.0, budget=0.5,
             extender=lambda ff, t, u: extend_over_bounded_piece(
@@ -474,8 +474,7 @@ class TestExtendOverDisjointFamily:
         pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
 
         def bad_extender(ff, t, u):
-            new = {x: SimplexPoint.delta((99, 0)) for x in pieces[t].ids}
-            return ff.merged_with(new), 1.0
+            return ff.merged_with(PartitionOfUnity.constant(ff.space, pieces[t], (99, 0))), 1.0
 
         with pytest.raises(VerificationFailedError, match="carrier"):
             extend_over_disjoint_family(f, pieces, R=90.0, budget=1.9,
@@ -645,7 +644,7 @@ class TestPieceLocalBlend:
 
         def simplex_point(namespace, k):
             picked = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
-            return SimplexPoint.uniform([(namespace, int(i)) for i in picked])
+            return uniform([(namespace, int(i)) for i in picked])
 
         f = PartitionOfUnity(sp, {int(x): simplex_point(0, 3) for x in a})
         g = PartitionOfUnity(sp, {int(x): simplex_point(1, 2) for x in target})
@@ -659,7 +658,7 @@ class TestPieceLocalBlend:
         got = f.merged_with(_alpha_blend(f, g, r))
         assert got.domain.ids == tuple(expect)
         assert all(got(x) == expect[x] for x in expect)  # weights compared exactly
-        assert all(got(int(x)) is f(int(x)) for x in a)
+        assert all(got(int(x)) == f(int(x)) for x in a)
 
 
 class TestTableFreeRows:

@@ -71,8 +71,8 @@ class TestBoundedPieceRealization:
                 f, piece, r_m, u, mint=mint, input_bound=k_in)
             branch_seen[branch] += 1
             assert set(g.domain.ids) == set(piece.ids) - set(a.ids)  # new points only
-            g = f.merged_with(g.mapping())
-            assert all(g(x) is f(x) for x in a.ids)  # exact on the input
+            g = f.merged_with(g)
+            assert all(g(x) == f(x) for x in a.ids)  # exact on the input
             assert set(g.domain.ids) == set(a.ids) | set(piece.ids)
             assert lipschitz_check(g, u, u, mode="full").worst_slack >= -1e-9
             k_piece = diameter(space, piece)
@@ -124,7 +124,7 @@ class TestDisjointFamilyRealization:
                 f, pieces, R, u, extender, input_bound=k_in)
             if len(pieces) > 1:
                 glued_multi += 1
-            assert all(h(x) is f(x) for x in a.ids)
+            assert all(h(x) == f(x) for x in a.ids)
             covered = set(a.ids).union(*[set(p.ids) for p in pieces])
             assert set(h.domain.ids) == covered
             assert lipschitz_check(h, u, u, mode="full").worst_slack >= -1e-9
@@ -144,7 +144,7 @@ class TestCoboundedExtensionRealization:
             f = random_lipschitz_pou(space, a.ids, delta, rng, namespace=1)
             u = random_lipschitz_pou(space, range(space.n), delta, rng, namespace=2)
             g, bound = extend_pou_cobounded(f, u, eps, mint=mint)
-            assert all(g(x) is f(x) for x in a.ids)
+            assert all(g(x) == f(x) for x in a.ids)
             assert lipschitz_check(g, eps, eps, mode="full").worst_slack >= -1e-9
             assert cobounded_check(g, bound).passed
             k, q = measured_bound(f), measured_bound(u)

@@ -1,8 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsecert import jsonio, metric
 from coarsecert.errors import (
     InvalidInputError,
     NotACoverError,
@@ -15,17 +19,22 @@ from coarsecert.simplex import (
     SimplexPoint,
     VertexMint,
     barycentric_pou,
-    carrier_vertices,
     convex_combine,
-    l1_distance,
     renamespace,
     simplicial_retraction,
-    skeleton_truncate,
     star_preimage_diameters,
 )
+from coarsecert.extend import extend_over_disjoint_family
 from coarsecert.verify import lebesgue_check
 
+from .conftest import path_space
+
 A, B, C = (0, 0), (0, 1), (0, 2)
+
+
+def l1(u, v):
+    """Sum of |u(w) - v(w)| over the union of the supports."""
+    return sum(abs(u.get(w) - v.get(w)) for w in set(u.support()) | set(v.support()))
 
 
 def simplex_points(max_verts=5):
@@ -49,26 +58,6 @@ class TestSimplexPoint:
         assert set(p.support()) == {A}
 
 
-class TestL1Distance:
-    def test_identical(self):
-        p = SimplexPoint({A: 0.5, B: 0.5})
-        assert l1_distance(p, p) == 0.0
-
-    def test_disjoint_deltas(self):
-        assert l1_distance(SimplexPoint.delta(A), SimplexPoint.delta(B)) == 2.0
-
-    def test_half_half_vs_delta(self):
-        assert l1_distance(SimplexPoint({A: 0.5, B: 0.5}), SimplexPoint.delta(A)) == 1.0
-
-    @given(simplex_points(), simplex_points(), simplex_points())
-    @settings(max_examples=200, deadline=None)
-    def test_metric_properties(self, u, v, w):
-        duv = l1_distance(u, v)
-        assert 0.0 <= duv <= 2.0 + 1e-12
-        assert duv == l1_distance(v, u)
-        assert duv <= l1_distance(u, w) + l1_distance(w, v) + 1e-12
-
-
 class TestConvexCombine:
     def test_endpoints_exact(self):
         u, v = SimplexPoint.delta(A), SimplexPoint({B: 0.25, C: 0.75})
@@ -88,15 +77,15 @@ class TestConvexCombine:
 class TestPartitionOfUnity:
     def test_carrier(self, p10):
         f = PartitionOfUnity.constant(p10, p10.all_points(), A)
-        assert carrier_vertices(f) == {A}
+        assert set(f.carrier()) == {A}
 
     def test_carrier_empty(self, p10):
-        assert carrier_vertices(PartitionOfUnity.empty(p10)) == set()
+        assert set(PartitionOfUnity.empty(p10).carrier()) == set()
 
     def test_carrier_two(self, p10):
         f = PartitionOfUnity(p10, {0: SimplexPoint.delta(A),
                                    1: SimplexPoint({A: 0.5, B: 0.5})})
-        assert carrier_vertices(f) == {A, B}
+        assert set(f.carrier()) == {A, B}
 
     def test_star_diams_constant(self, p10):
         f = PartitionOfUnity.constant(p10, p10.all_points(), A)
@@ -127,7 +116,7 @@ class TestSimplicialRetraction:
     def test_identity(self, p5):
         f = PartitionOfUnity(p5, {x: SimplexPoint({A: 0.5, B: 0.5}) for x in range(5)})
         out = simplicial_retraction(f, {A: A, B: B}, self.region(p5))
-        assert all(out(x) is f(x) for x in range(5))
+        assert all(out(x) == f(x) for x in range(5))
 
     def test_merge(self, p5):
         f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.5})})
@@ -157,7 +146,7 @@ class TestSimplicialRetraction:
                                   4: SimplexPoint({A: 0.5, B: 0.5})})
         out = simplicial_retraction(f, {A: A, B: A}, PointSubset((0,)))
         assert out(0).weights() == {A: 1.0}
-        assert out(4) is f(4)
+        assert out(4) == f(4)
 
     def test_contracts_l1(self, p10):
         rng = np.random.default_rng(7)
@@ -170,44 +159,7 @@ class TestSimplicialRetraction:
         out = simplicial_retraction(f, r, self.region(p10))
         for x in range(10):
             for y in range(x + 1, 10):
-                assert l1_distance(out(x), out(y)) <= l1_distance(f(x), f(y)) + 1e-12
-
-
-class TestSkeletonTruncate:
-    def test_small_support_unchanged(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.5})})
-        assert skeleton_truncate(f, 1) is f
-
-    def test_keep_top_two(self, p5):
-        # oracle: keep {0.5, 0.3}, renormalize by 0.8
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.3, C: 0.2})})
-        out = skeleton_truncate(f, 1)
-        assert out(0).weights() == {A: 0.5 / 0.8, B: 0.3 / 0.8}
-        assert out(0).get(A) == pytest.approx(0.625)
-        assert out(0).get(B) == pytest.approx(0.375)
-
-    def test_n_zero_argmax_tiebreak(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({B: 0.4, A: 0.4, C: 0.2})})
-        out = skeleton_truncate(f, 0)
-        assert out(0).weights() == {A: 1.0}  # tie broken toward smaller id
-
-    def test_idempotent_and_support_bound(self, p10):
-        rng = np.random.default_rng(11)
-        verts = [(0, i) for i in range(6)]
-        f = PartitionOfUnity(p10, {
-            x: SimplexPoint({v: w for v, w in zip(verts, rng.dirichlet(np.ones(6)))})
-            for x in range(10)
-        })
-        for n in range(4):
-            out = skeleton_truncate(f, n)
-            again = skeleton_truncate(out, n)
-            assert all(len(out(x)) <= n + 1 for x in range(10))
-            assert all(again(x).weights() == out(x).weights() for x in range(10))
-
-    def test_kept_vertices_had_positive_weight(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.3, C: 0.2})})
-        out = skeleton_truncate(f, 0)
-        assert set(out(0).support()) <= set(f(0).support())
+                assert l1(out(x), out(y)) <= l1(f(x), f(y)) + 1e-12
 
 
 class TestBarycentric:
@@ -239,7 +191,7 @@ class TestBarycentric:
         # the pou's star family IS the cover, so Lebesgue checks agree at all M
         members = [PointSubset(tuple(range(6))), PointSubset(tuple(range(4, 10)))]
         f = barycentric_pou(p10, members)
-        stars = [f.star_preimage(v) for v in sorted(carrier_vertices(f))]
+        stars = [f.star_preimage(v) for v in f.carrier()]
         for m in [0.5, 1.0, 2.0, 3.0, 5.0]:
             assert (lebesgue_check(p10, stars, m).passed
                     == lebesgue_check(p10, members, m).passed)
@@ -255,6 +207,130 @@ class TestVertexMint:
     def test_renamespace_disjoint(self, p5):
         f = PartitionOfUnity(p5, {x: SimplexPoint({A: 0.5, B: 0.5}) for x in range(5)})
         g = renamespace(f, 7)
-        assert carrier_vertices(f) & carrier_vertices(g) == set()
+        assert set(f.carrier()) & set(g.carrier()) == set()
         for x in range(5):
             assert sorted(g(x).weights().values()) == sorted(f(x).weights().values())
+
+
+# ---------------------------------------------------------------------------
+# the CSR storage against dict formulas
+# ---------------------------------------------------------------------------
+
+N = 12
+SPACE = path_space(N)
+with pytest.MonkeyPatch.context() as _mp:
+    _mp.setattr(metric, "DENSE_LIMIT", 0)
+    FREE = path_space(N)
+
+
+@st.composite
+def assignments(draw, namespaces=(0, 1, 2)):
+    """{point: [(vertex, weight), ...]}: each point's entries in the order they are listed."""
+    verts = [(ns, i) for ns in namespaces for i in range(3)]
+    out = {}
+    for x in draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N)):
+        vs = draw(st.lists(st.sampled_from(verts), unique=True, min_size=1, max_size=5))
+        ws = draw(st.lists(st.floats(0.01, 1.0), min_size=len(vs), max_size=len(vs)))
+        total = math.fsum(ws)
+        out[x] = [(v, w / total) for v, w in zip(vs, ws)]
+    return out
+
+
+def make(a, space=SPACE):
+    return PartitionOfUnity(space, {x: SimplexPoint(dict(es)) for x, es in a.items()})
+
+
+def entries(f):
+    """{point: [(vertex, weight), ...]} as f lists them."""
+    return {x: list(f(x).items()) for x in f.domain.ids}
+
+
+class TestCsrStorage:
+    @given(assignments())
+    @settings(max_examples=100, deadline=None)
+    def test_carrier_stars_dense(self, a):
+        f = make(a)
+        carrier = sorted({v for es in a.values() for v, _ in es})
+        assert f.carrier() == tuple(carrier)
+        assert entries(f) == a and f.domain.ids == tuple(sorted(a))
+        stars = f.stars()
+        assert sorted(stars) == carrier
+        for v in carrier:
+            assert stars[v].tolist() == sorted(x for x, es in a.items() if v in dict(es))
+        pts, verts, mat = f.dense()
+        expect = np.zeros((len(a), len(carrier)))
+        for i, x in enumerate(sorted(a)):
+            for v, w in a[x]:
+                expect[i, carrier.index(v)] = w
+        assert pts.tolist() == sorted(a) and verts == tuple(carrier)
+        assert np.array_equal(mat, expect)
+
+    @given(assignments(), assignments(), assignments())
+    @settings(max_examples=100, deadline=None)
+    def test_merged_with(self, a, b, c):
+        got = make(a).merged_with(make(b), make(c))
+        assert entries(got) == {x: es for x, es in sorted({**c, **b, **a}.items())}
+        assert got.carrier() == tuple(sorted({v for es in entries(got).values() for v, _ in es}))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_glue(self, data):
+        a = data.draw(assignments())
+        gs = [data.draw(assignments(namespaces=(10 + t,)))
+              for t in range(data.draw(st.integers(1, 3)))]
+        pieces = [PointSubset(tuple(data.draw(st.lists(st.sampled_from(sorted(g)), unique=True))
+                                    if g else ())) for g in gs]  # overlapping, in general
+        h, _ = extend_over_disjoint_family(
+            make(a), pieces, R=1.0, budget=1.0, extender=lambda ff, t, u: (make(gs[t]), 0.0),
+            input_bound=0.0, verify_family=False)
+        expect = dict(a)
+        for g, piece in zip(gs, pieces):
+            for x in piece.ids:
+                expect.setdefault(x, g[x])  # the input, then the first piece, keeps a point
+        assert entries(h) == {x: es for x, es in sorted(expect.items())}
+
+    @given(assignments(), st.integers(1, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_renamespace(self, a, ns):
+        table = {v: (ns, i) for i, v in enumerate(sorted({v for es in a.values() for v, _ in es}))}
+        got = renamespace(make(a), ns)
+        assert entries(got) == {x: [(table[v], w) for v, w in a[x]] for x in sorted(a)}
+
+    @given(assignments(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplicial_retraction(self, a, data):
+        f = make(a)
+        image = data.draw(st.lists(st.sampled_from(f.carrier() or (A,)), unique=True, min_size=1))
+        r = {v: v for v in image}
+        for v in f.carrier():
+            r.setdefault(v, data.draw(st.sampled_from(image)))
+        region = data.draw(st.lists(st.integers(0, N - 1), unique=True))
+        got = simplicial_retraction(f, r, PointSubset(tuple(region)))
+        expect = {}
+        for x in sorted(a):
+            if x not in region:
+                expect[x] = a[x]
+                continue
+            w = {}
+            for v, wv in a[x]:  # summed in entry order
+                w[r[v]] = w.get(r[v], 0.0) + wv
+            expect[x] = list(w.items())
+        assert entries(got) == expect
+
+    def test_retraction_sums_in_entry_order(self, p5):
+        # the three weights sum to 1 - 2^-53 in this order, to 1 in vertex order
+        D = (0, 3)
+        f = PartitionOfUnity(p5, {0: SimplexPoint({B: 0.469, D: 0.431, C: 0.1})})
+        got = simplicial_retraction(f, {A: A, B: A, C: A, D: A}, p5.all_points())
+        assert got(0).weights() == {A: (0.469 + 0.431) + 0.1}
+        assert (0.469 + 0.431) + 0.1 != (0.469 + 0.1) + 0.431
+
+    @given(assignments(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_json_save_load_save(self, a, table):
+        space = SPACE if table else FREE
+        f = make(a, space)
+        text = jsonio.dumps_canonical(jsonio.pou_to_json(f))
+        again = jsonio.pou_from_json(json.loads(text), space)
+        assert jsonio.dumps_canonical(jsonio.pou_to_json(again)) == text
+        assert dict(again.items()) == dict(f.items())
