@@ -53,8 +53,10 @@ class TriangleViolationError(MetricError):
 
 
 class ShortestPathViolationError(MetricError):
-    """d(x,y) of a graph table is not the shortest-path distance its edges give.
+    """d(x,y) of a certified graph row is not the shortest-path distance its edges give.
 
+    Every graph whose edges weigh more than METRIC_TOL certifies rows at
+    load: all of them with a table, a seeded pool of them without one.
     edge is the edge (u,y) into y that the entry fails on: too far above
     d(x,u) + w(u,y), or too far below it while that edge is the closest way in.
     """

@@ -4,7 +4,8 @@ All files are UTF-8 JSON with a schema version field "v": 1, written with
 sorted keys and a trailing newline so identical runs produce byte-identical
 files.  Weights round-trip exactly: they are emitted through Python's
 shortest-exact float representation (17 significant digits suffice and are
-never exceeded).
+never exceeded).  Infinity and NaN are not JSON (RFC 8259), so writing one
+raises ValueError; a report field with no finite value is written as null.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ SCHEMA_VERSION = 1
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def save_json(path: Union[str, Path], obj: dict) -> None:

@@ -40,17 +40,18 @@ construction does not already guarantee:
 
 The triangle inequality is then checked in one of three ways:
 
-- a graph table is checked against its own edges in O(n*E): every entry
-  off the diagonal must equal, within METRIC_TOL, the least d(x,u) + w(u,y)
-  over the edges (u,y) into y.  That makes the table the graph's
-  shortest-path metric, so it is a metric;
+- a graph is checked against its own edges: every entry off the diagonal
+  of a certified row must equal, within METRIC_TOL, the least
+  d(x,u) + w(u,y) over the edges (u,y) into y.  A table certifies all its
+  rows in O(n*E), which makes it the graph's shortest-path metric; a
+  table-free graph certifies the seeded pool of rows the sample draws;
 - any other table of n <= 2000 is compared with its own shortest-path
   closure (Floyd-Warshall), exhaustively;
-- tables above 2000 points and table-free spaces get a seeded pool of rows
+- clouds and matrices above 2000 points get a seeded pool of rows
   checked against each other (at least 10*n^2 triples).
 
 The tolerance of the graph check adds up per hop: each edge test allows
-METRIC_TOL, so an accepted table is within h*METRIC_TOL of the graph metric
+METRIC_TOL, so a certified row is within h*METRIC_TOL of the graph metric
 on pairs joined by h-edge paths and satisfies the triangle inequality up to
 METRIC_TOL per edge of the paths involved.  That argument needs every edge
 weight above METRIC_TOL; a graph with a lighter edge gets the closure check
@@ -295,18 +296,22 @@ def _lp_rows(coords: np.ndarray, ids: np.ndarray, p: float) -> np.ndarray:
 def _validate(space: FiniteMetricSpace) -> None:
     """Raise the first axiom violation found, with a concrete witness."""
     dmat, n, graph = space._dmat, space.n, space._graph
-    if dmat is None:
-        _validate_triangle_sampled(space)
-        return
     if graph is None and space._coords is None:  # a table given as such
         _validate_table_axioms(dmat, n)
-    # the edge certificate is sound only for edges heavier than its tolerance
+    # the edge certificate is sound only for edges heavier than its tolerance;
+    # a table decides how many rows it certifies, never whether it runs
     if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
-        _validate_shortest_paths(space)
-    elif n <= EXHAUSTIVE_TRIANGLE_LIMIT:
+        _validate_shortest_paths(space, np.arange(n) if dmat is not None else _sample_pool(n))
+    elif dmat is not None and n <= EXHAUSTIVE_TRIANGLE_LIMIT:
         _validate_triangle_exhaustive(dmat, n)
     else:
         _validate_triangle_sampled(space)
+
+
+def _sample_pool(n: int) -> np.ndarray:
+    """The seeded sources, ascending: ceil(sqrt(10n)) of them, or all n if fewer."""
+    rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
+    return np.sort(rng.choice(n, size=min(n, math.ceil(math.sqrt(10.0 * n))), replace=False))
 
 
 def _validate_table_axioms(dmat: np.ndarray, n: int) -> None:
@@ -348,10 +353,10 @@ def _validate_table_axioms(dmat: np.ndarray, n: int) -> None:
             raise ZeroOffDiagonalError(lo + x, y)
 
 
-def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
-    """Certify a graph table as the shortest-path metric of the graph's edges.
+def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
+    """Certify the rows of ids (ascending) as the shortest-path metric of the edges.
 
-    For every source x and target y != x, with m(x,y) the least
+    For every source x in ids and target y != x, with m(x,y) the least
     d(x,u) + w(u,y) over the edges (u,y) into y, two tests:
 
     - feasibility, d(x,y) <= m(x,y) + METRIC_TOL: no edge shortens a path;
@@ -362,30 +367,32 @@ def _validate_shortest_paths(space: FiniteMetricSpace) -> None:
     back from z lowers d(y,.) by more than w_min - METRIC_TOL > 0 per step,
     so it reaches y after some k steps and gives d(y,z) >= d_G(y,z) -
     k*METRIC_TOL.  Together they give the triangle inequality up to
-    (h + k)*METRIC_TOL, for edge weights above METRIC_TOL.  Sources go in
-    chunks of TABLE_CHUNK_CELLS edge cells, so the temporaries stay a
-    few MB; the cost is O(n*E).
+    (h + k)*METRIC_TOL when the rows of x and y are certified, for edge
+    weights above METRIC_TOL.  A Dijkstra row passes exactly: each entry is
+    the least rounded d(x,u) + w(u,y).  Rows come from space.rows in blocks
+    of at most ROW_BLOCK_CELLS cells and TABLE_CHUNK_CELLS edge cells, so
+    the temporaries stay a few MB; the cost is O(len(ids)*E).
     """
-    dmat, n = space._dmat, space.n
+    n = space.n
     if n < 2:
         return
     into = space._graph.tocsc()  # column y lists the edges (u, y) into y
     starts, src, w = into.indptr[:-1], into.indices, into.data
-    step = max(1, TABLE_CHUNK_CELLS // src.size)
-    for lo in range(0, n, step):
-        block = dmat[lo:lo + step]
+    step = max(1, min(TABLE_CHUNK_CELLS // src.size, ROW_BLOCK_CELLS // n))
+    for lo in range(0, len(ids), step):
+        sources = ids[lo:lo + step]
+        block = space.rows(sources)
         least = np.minimum.reduceat(block[:, src] + w, starts, axis=1)
         bad = ~(np.abs(block - least) <= METRIC_TOL)  # NaN is bad too
-        diag = np.arange(len(block))
-        bad[diag, lo + diag] = False
+        bad[np.arange(len(block)), sources] = False
         if bad.any():
             i, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            x = lo + int(i)
+            x, row = int(sources[i]), block[i]
             edges = np.arange(starts[y], into.indptr[y + 1])
-            k = edges[int(np.argmin(dmat[x, src[edges]] + w[edges]))]
+            k = edges[int(np.argmin(row[src[edges]] + w[edges]))]
             u = int(src[k])
             raise ShortestPathViolationError(x, int(y), u, float(w[k]),
-                                             float(dmat[x, y]), float(dmat[x, u]))
+                                             float(row[y]), float(row[u]))
 
 
 def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
@@ -417,16 +424,13 @@ def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
 
 
 def _validate_triangle_sampled(space: FiniteMetricSpace) -> None:
-    """Sampled triangle validation over distance rows.
+    """Sampled triangle validation over distance rows, for spaces no edges certify.
 
-    Draws a pool of ceil(sqrt(10n)) seeded sources so that checking every
-    (x, y) pool pair against every z covers at least 10*n^2 triples while
-    computing only pool-many distance rows.
+    Checking every (x, y) pair of the seeded pool (_sample_pool) against
+    every z covers at least 10*n^2 triples while computing only pool-many
+    distance rows.
     """
-    n = space.n
-    rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
-    pool_size = min(n, int(math.ceil(math.sqrt(10.0 * n))))
-    pool = np.sort(rng.choice(n, size=pool_size, replace=False))
+    pool = _sample_pool(space.n)
     rows = {int(s): space.row(int(s)) for s in pool}
     for x in pool:
         row_x = rows[int(x)]

@@ -93,7 +93,7 @@ class LipschitzReport:
             "lambda": self.lam,
             "C": self.C,
             "tolerance": self.tolerance,
-            "worst_slack": self.worst_slack,
+            "worst_slack": None if math.isinf(self.worst_slack) else self.worst_slack,
             "witness": list(self.witness_pair) if self.witness_pair else None,
             "pairs_checked": self.pairs_checked,
             "restricted_radius": self.restricted_radius,

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -523,6 +524,58 @@ def test_table_free_cloud_duplicate_exit_two(tmp_path):
                        "space.json: d(0,4199)=0 for distinct points 0 != 4199",
                        error="ZeroOffDiagonalError")
     assert not (tmp_path / "tree.json").exists()
+
+
+def heavy_path(n):
+    """Path edges weighing 100 to 200: distances near 6e5, whose last bit is above METRIC_TOL."""
+    r = random.Random(1)
+    return [[i, i + 1, 100 * (1 + r.random())] for i in range(n - 1)]
+
+
+def test_heavy_float_path_loads_on_both_lanes(tmp_path):
+    # a triangle sample with a flat 1e-9 tolerance rejected it above the
+    # table limit; both lanes certify their rows against the edges instead
+    for n in (4000, 4200):
+        assert metric.load_graph(n, heavy_path(n)).has_table == (n <= metric.DENSE_LIMIT)
+    jsonio.save_json(tmp_path / "heavy.json",
+                     jsonio.space_to_json("graph", 4200, heavy_path(4200), {"grid_shape": [4200]}))
+    assert run("decompose", "--space", tmp_path / "heavy.json", "--strategy", "bricks",
+               "--R", 79, "--block-scale", 80, "--out", tmp_path / "tree.json") == 0
+
+
+def strict_json(path):
+    """A JSON file's object, refusing Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_check_over_no_pair_writes_null(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # one point: the certificate's Lipschitz check has no pair to examine
+    assert run("generate", "--kind", "path", "--n", 1, "--out", "one.json") == 0
+    assert run("decompose", "--space", "one.json", "--strategy", "bricks",
+               "--R", 1, "--block-scale", 2, "--out", "one.tree.json") == 0
+    assert run("certify", "--space", "one.json", "--tree", "one.tree.json",
+               "--epsilon", 0.4, "--modulus", "linear:4", "--out", "one") == 0
+    lip = strict_json("one.report.json")["lipschitz"]
+    assert lip["pairs_checked"] == 0 and lip["worst_slack"] is None
+    # three points 10 apart: no pair within the restricted radius 2/eps - 1 = 4
+    jsonio.save_json("three.json", jsonio.space_to_json(
+        "graph", 3, [[0, 1, 10.0], [1, 2, 10.0]], {"grid_shape": [3]}))
+    assert run("decompose", "--space", "three.json", "--strategy", "bricks",
+               "--R", 79, "--block-scale", 80, "--out", "three.tree.json") == 0
+    assert run("certify", "--space", "three.json", "--tree", "three.tree.json",
+               "--epsilon", 0.4, "--modulus", "linear:4", "--out", "three") == 0
+    assert run("verify", "--space", "three.json", "--pou", "three.pou.json",
+               "--report", "three.report.json", "--mode", "restricted", "--out", "v.json") == 0
+    lip = strict_json("v.json")["reports"][0]
+    assert lip["pairs_checked"] == 0 and lip["worst_slack"] is None
+
+
+def test_non_finite_value_is_never_written():
+    with pytest.raises(ValueError):
+        jsonio.dumps_canonical({"worst_slack": float("inf")})
 
 
 def test_integral_floats_load(clean_artifacts, tmp_path):

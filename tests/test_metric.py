@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 from coarsecert.errors import (
     AsymmetryError,
     BadNormError,
+    CoarseCertError,
     DisconnectedError,
     EmptySetError,
     InvalidInputError,
@@ -195,7 +196,7 @@ class TestGraphCertificate:
     def test_certificate_rejects_what_closure_rejects(self, n, seed):
         rng = np.random.default_rng(seed)
         sp = random_graph(rng, n)  # the loader's own table is accepted
-        metric._validate_shortest_paths(sp)
+        metric._validate_shortest_paths(sp, np.arange(n))
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         rel = 10 ** rng.uniform(-6, 0) * rng.choice([-1.0, 1.0])
         table = corrupted(sp, x, y, 1.0 + rel)
@@ -208,7 +209,7 @@ class TestGraphCertificate:
         # the edges into it, whether or not it breaks a triangle
         if closure_rejects or abs(table[x, y] - sp._dmat[x, y]) > 2 * METRIC_TOL:
             with pytest.raises(ShortestPathViolationError):
-                metric._validate_shortest_paths(with_table(sp, table))
+                metric._validate_shortest_paths(with_table(sp, table), np.arange(n))
 
     def test_edges_below_tolerance_get_the_closure_check(self):
         # three pairs joined by an edge of weight 1e-10, each pair 1 from a
@@ -224,7 +225,7 @@ class TestGraphCertificate:
             table[block] = 0.01
             table.T[block] = 0.01
         bad = with_table(sp, table)
-        metric._validate_shortest_paths(bad)  # not sound here, so not used
+        metric._validate_shortest_paths(bad, np.arange(7))  # not sound here, so not used
         with pytest.raises(TriangleViolationError):
             metric._validate(bad)
 
@@ -254,10 +255,81 @@ class TestGraphCertificate:
 
         monkeypatch.setattr(metric, "floyd_warshall", boom)
         monkeypatch.setattr(metric, "_validate_triangle_sampled", boom)
-        for n in (300, 3000):  # both sides of the old exhaustive limit
+        # both sides of the old exhaustive limit, and above the table limit
+        for n in (300, 3000, 4200):
             sp = load_graph(n, [(i, i + 1, 1.0 + (i % 3) / 2) for i in range(n - 1)])
-            assert sp.has_table
+            assert sp.has_table == (n <= metric.DENSE_LIMIT)
             assert sp.d(0, 3) == 4.5
+
+    @pytest.mark.parametrize("factor, test", [(1.25, "feasibility"), (0.999, "tightness")])
+    def test_corrupted_pool_row_names_witness(self, monkeypatch, factor, test):
+        # a table-free graph certifies the seeded pool's rows against its edges
+        sp = random_graph(np.random.default_rng(17), 60)
+        pool = metric._sample_pool(60)
+        a, b = int(pool[3]), 41
+        real = metric.dijkstra
+
+        def corrupt(graph, *args, indices, **kwargs):
+            rows = real(graph, *args, indices=indices, **kwargs)
+            rows[np.asarray(indices) == a, b] *= factor
+            return rows
+
+        monkeypatch.setattr(metric, "dijkstra", corrupt)
+        free = FiniteMetricSpace(60, "graph", graph=sp._graph)
+        with pytest.raises(ShortestPathViolationError) as err:
+            metric._validate(free)
+        (x, y), (u, y_in) = err.value.pair, err.value.edge
+        w = err.value.weight
+        d = sp._dmat[x].copy()  # the table is the stacked Dijkstra rows
+        if x == a:
+            d[b] *= factor
+        assert x == a and y_in == y and sp._graph[u, y] == w
+        assert err.value.values == (d[y], d[u])
+        if test == "feasibility":
+            assert d[y] > d[u] + w + METRIC_TOL
+        else:  # below the least way in, which the edge attains
+            into = sp._graph[:, y].tocoo()
+            assert d[y] < d[u] + w - METRIC_TOL
+            assert d[u] + w == min(d[v] + wv for v, wv in zip(into.row, into.data))
+
+    def test_light_edges_table_free_get_the_sample(self, monkeypatch):
+        # an edge at or below METRIC_TOL breaks the certificate's proof, so a
+        # table-free graph with one falls back to the triangle sample
+        def boom(*args):
+            raise AssertionError("the edge certificate is not sound here")
+
+        sampled = []
+        real = metric._validate_triangle_sampled
+        monkeypatch.setattr(metric, "_validate_shortest_paths", boom)
+        monkeypatch.setattr(metric, "_validate_triangle_sampled",
+                            lambda space: sampled.append(space.n) or real(space))
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        sp = load_graph(7, [(0, 1, 1e-10), (2, 3, 1.0), (4, 5, 1.0),
+                            (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)])
+        assert not sp.has_table and sampled == [7]
+
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.floats(0.0, 8.0))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_lanes_agree_at_any_weight_scale(self, n, seed, exponent):
+        # near 1e8 a distance's last bit is above METRIC_TOL, which a flat
+        # tolerance on triangles would reject on one lane and not the other
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        edges = [(int(rng.integers(0, i)), i, scale * rng.uniform(0.5, 1.5)) for i in range(1, n)]
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            u, v = rng.integers(0, n, 2)
+            edges.append((int(u), int(v), scale * rng.uniform(0.5, 1.5)))
+        outcomes = []
+        for limit in (metric.DENSE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metric, "DENSE_LIMIT", limit)
+                try:
+                    load_graph(n, edges)
+                    outcomes.append(None)
+                except CoarseCertError as exc:
+                    outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] is None  # a Dijkstra row passes its certificate exactly
 
 
 class TestLoadPoints:
