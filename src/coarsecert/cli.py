@@ -88,9 +88,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    modulus = parse_modulus(args.modulus)  # before the space's validation
     space = jsonio.load_space(args.space)
     tree = jsonio.load_tree(args.tree)
-    modulus = parse_modulus(args.modulus)
     out = args.out
     try:
         result = build_certificate(

@@ -179,6 +179,7 @@ class UnderflowError_(CoarseCertError):
 
     def __init__(self, level: int, detail: str = ""):
         self.level = level
+        self.detail = detail
         msg = f"budget underflow at level {level}; consider a linear modulus"
         super().__init__(msg + (f" ({detail})" if detail else ""))
 

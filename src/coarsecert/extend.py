@@ -96,8 +96,8 @@ class Modulus:
 
     def __post_init__(self):
         if self.kind == "linear":
-            if not (self.c > 1):
-                raise InvalidInputError(f"linear modulus needs c > 1, got {self.c!r}")
+            if not (1 < self.c < math.inf):  # E(eps) = eps/inf is 0
+                raise InvalidInputError(f"linear modulus needs a finite c > 1, got {self.c!r}")
         elif self.kind != "paper":
             raise InvalidInputError(f"unknown modulus kind {self.kind!r}")
 
@@ -149,7 +149,10 @@ def parse_modulus(text: str) -> Modulus:
     if text == "paper":
         return Modulus(kind="paper")
     if text.startswith("linear:"):
-        return Modulus(kind="linear", c=float(text.split(":", 1)[1]))
+        try:
+            return Modulus(kind="linear", c=float(text.split(":", 1)[1]))
+        except (ValueError, InvalidInputError) as exc:
+            raise InvalidInputError(f"modulus spec {text!r}: {exc}") from None
     raise InvalidInputError(f"unknown modulus spec {text!r}")
 
 
@@ -218,7 +221,7 @@ def budget_schedule(tree: DecompositionTree, epsilon: float, modulus: Modulus,
         try:
             return modulus.power(epsilon, k)
         except UnderflowError_ as exc:
-            raise UnderflowError_(level, str(exc)) from None
+            raise UnderflowError_(level, exc.detail) from None
 
     bottom = tuple(power_at(i + 1, P[0] - P[i]) for i in range(m))
     delta_leaf = bottom[-1]

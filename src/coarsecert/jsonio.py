@@ -88,11 +88,16 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
     data = obj.get("data")
     meta = obj.get("meta") or {}
     if kind == "matrix":
+        if len(data) != n:
+            raise InvalidInputError(f"matrix has {len(data)} rows but n is {n}")
         return load_matrix(data, meta=meta)
     if kind == "graph":
         return load_graph(n, data, meta=meta)
     if kind == "points":
-        return load_points(data["coords"], data["p"], meta=meta)
+        coords = data["coords"]
+        if len(coords) != n:
+            raise InvalidInputError(f"points space has {len(coords)} points but n is {n}")
+        return load_points(coords, data["p"], meta=meta)
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 

@@ -38,24 +38,28 @@ construction does not already guarantee:
 - load_points rules out overflowing distances and points at distance 0
   (_check_distinct); |a - b| is exactly |b - a|, so its rows are symmetric.
 
-The triangle inequality is then checked in one of three ways:
+The triangle inequality is then checked in one of two ways:
 
 - a graph is checked against its own edges: every entry off the diagonal
   of a certified row must equal, within METRIC_TOL, the least
   d(x,u) + w(u,y) over the edges (u,y) into y.  A table certifies all its
   rows in O(n*E), which makes it the graph's shortest-path metric; a
   table-free graph certifies the seeded pool of rows the sample draws;
-- any other table of n <= 2000 is compared with its own shortest-path
-  closure (Floyd-Warshall), exhaustively;
-- clouds and matrices above 2000 points get a seeded pool of rows
-  checked against each other (at least 10*n^2 triples).
+- any other space gets the row check (_validate_triangles): for x and y
+  among the checked rows and every z, d(x,z) <= d(x,y) + d(y,z) +
+  METRIC_TOL.  A table of n <= 2000 checks all its rows, so every triple;
+  above that a seeded pool of rows is checked (at least 10*n^2 triples).
+  The limit decides how many rows are checked, never what a verdict
+  means.  A table within METRIC_TOL of its own shortest-path closure
+  (Floyd-Warshall) passes every triple, since the closure of (x,z) is at
+  most d(x,y) + d(y,z), so that is tried first, as a fast accept.
 
 The tolerance of the graph check adds up per hop: each edge test allows
 METRIC_TOL, so a certified row is within h*METRIC_TOL of the graph metric
 on pairs joined by h-edge paths and satisfies the triangle inequality up to
 METRIC_TOL per edge of the paths involved.  That argument needs every edge
-weight above METRIC_TOL; a graph with a lighter edge gets the closure check
-or the sample instead.
+weight above METRIC_TOL; a graph with a lighter edge gets the row check
+instead.
 """
 
 from __future__ import annotations
@@ -303,9 +307,12 @@ def _validate(space: FiniteMetricSpace) -> None:
     if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
         _validate_shortest_paths(space, np.arange(n) if dmat is not None else _sample_pool(n))
     elif dmat is not None and n <= EXHAUSTIVE_TRIANGLE_LIMIT:
-        _validate_triangle_exhaustive(dmat, n)
+        # closure(x,z) <= d(x,y) + d(y,z) as rounded, so a table within
+        # tolerance of its closure passes every triple: a fast accept
+        if not (dmat <= floyd_warshall(dmat) + METRIC_TOL).all():
+            _validate_triangles(space, np.arange(n))
     else:
-        _validate_triangle_sampled(space)
+        _validate_triangles(space, _sample_pool(n))
 
 
 def _sample_pool(n: int) -> np.ndarray:
@@ -395,53 +402,37 @@ def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
                                              float(row[y]), float(row[u]))
 
 
-def _validate_triangle_exhaustive(dmat: np.ndarray, n: int) -> None:
-    if n < 3:
-        return
-    # A nonnegative zero-diagonal matrix satisfies the triangle inequality iff
-    # it equals its own shortest-path closure (up to tolerance).
-    closure = floyd_warshall(dmat)
-    gap = dmat - closure
-    if gap.max() <= METRIC_TOL:
-        return
-    x, z = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    x, z = int(x), int(z)
-    # hunt the one-step witness: the closure shrank, so a direct violating
-    # triple exists somewhere; find one through x or fall back to a scan
-    through = dmat[x] + dmat[:, z]
-    y = int(np.argmin(through))
-    if dmat[x, z] > through[y] + METRIC_TOL:
-        raise TriangleViolationError(x, y, z, float(dmat[x, z]), float(dmat[x, y]), float(dmat[y, z]))
-    for a in range(n):
-        through = dmat[a][:, None] + dmat  # through[b, c] = d(a,b)+d(b,c)
-        worst = through.min(axis=0)
-        viol = np.flatnonzero(dmat[a] > worst + METRIC_TOL)
-        if viol.size:
-            c = int(viol[0])
-            b = int(np.argmin(through[:, c]))
-            raise TriangleViolationError(a, b, c, float(dmat[a, c]), float(dmat[a, b]), float(dmat[b, c]))
-    raise TriangleViolationError(x, y, z, float(dmat[x, z]), float(dmat[x, y]), float(dmat[y, z]))
+def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
+    """Check d(x,z) <= d(x,y) + d(y,z) + METRIC_TOL for x, y in ids and every z.
 
-
-def _validate_triangle_sampled(space: FiniteMetricSpace) -> None:
-    """Sampled triangle validation over distance rows, for spaces no edges certify.
-
-    Checking every (x, y) pair of the seeded pool (_sample_pool) against
-    every z covers at least 10*n^2 triples while computing only pool-many
-    distance rows.
+    The witness is the first x of ids with a violation, its least z, and the
+    first y of ids attaining the least d(x,y) + d(y,z).  The rows of ids are
+    read block by block into one array; a block of x's rows then keeps a
+    running minimum over y of d(x,y) + d(y,.), so every other temporary
+    holds at most ROW_BLOCK_CELLS cells.
     """
-    pool = _sample_pool(space.n)
-    rows = {int(s): space.row(int(s)) for s in pool}
-    for x in pool:
-        row_x = rows[int(x)]
-        for y in pool:
-            row_y = rows[int(y)]
-            rhs = row_x[int(y)] + row_y
-            bad = np.flatnonzero(row_x > rhs + METRIC_TOL)
-            if bad.size:
-                z = int(bad[0])
-                raise TriangleViolationError(int(x), int(y), z, float(row_x[z]),
-                                             float(row_x[int(y)]), float(row_y[z]))
+    rows = np.empty((len(ids), space.n))
+    for lo, block in row_blocks(space, ids):
+        rows[lo:lo + len(block)] = block
+        del block  # not held while the next one is built
+    step = max(1, ROW_BLOCK_CELLS // space.n)
+    least = np.empty((min(step, len(ids)), space.n))  # reused: fresh blocks cost RSS
+    through = np.empty_like(least)
+    for lo in range(0, len(ids), step):
+        d_x = rows[lo:lo + step]
+        best, via = least[:len(d_x)], through[:len(d_x)]
+        best.fill(math.inf)
+        for y, d_y in zip(ids, rows):
+            np.add(d_x[:, y, None], d_y, out=via)
+            np.minimum(best, via, out=best)
+        best += METRIC_TOL
+        bad = d_x > best
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            z = int(np.argmax(bad[i]))
+            j = int(np.argmin(d_x[i, ids] + rows[:, z]))
+            raise TriangleViolationError(int(ids[lo + i]), int(ids[j]), z, float(d_x[i, z]),
+                                         float(d_x[i, ids[j]]), float(rows[j, z]))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +468,8 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     us, vs, ws = [], [], []
     for e in edges:
         u, v, w = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint"), e[2]
+        if len(e) != 3:
+            raise InvalidInputError(f"edge ({u},{v}) has {len(e)} fields, expected 3")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
         if _not_a_number(w):

@@ -396,6 +396,15 @@ MALFORMED = {
                               "space.json: edge (0,1) has non-finite weight nan"),
     "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
                                   "space.json: malformed artifact (IndexError"),
+    "graph edge with a fourth field": ("space.json",
+                                       lambda obj: obj["data"][0].append("x"),
+                                       "space.json: edge (0,1) has 4 fields, expected 3"),
+    "matrix with fewer rows than n": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+        "space.json: matrix has 3 rows but n is 40"),
+    "points fewer than n": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[0.0], [1.0], [2.0]], "p": 2}),
+        "space.json: points space has 3 points but n is 40"),
     "graph edge endpoint not an integer": ("space.json",
                                            lambda obj: obj["data"][1].__setitem__(0, 1.5),
                                            "space.json: edge endpoint 1.5 is not an integer"),
@@ -483,6 +492,20 @@ def test_nan_scale_exit_two(clean_artifacts, tmp_path, flags, message):
     assert_input_error(tmp_path, ["decompose", "--space", "space.json", "--strategy", *flags,
                                   "--out", "tree.json"], message)
     assert not (tmp_path / "tree.json").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("linear:abc", "modulus spec 'linear:abc': could not convert string to float: 'abc'"),
+    ("linear:inf", "modulus spec 'linear:inf': linear modulus needs a finite c > 1, got inf"),
+])
+def test_bad_modulus_exit_two(clean_artifacts, tmp_path, spec, message):
+    # exit 1 means a certificate failed its verification; a bad spec is input
+    for name in ("space.json", "tree.json"):
+        shutil.copy(clean_artifacts / name, tmp_path / name)
+    assert_input_error(tmp_path, ["certify", "--space", "space.json", "--tree", "tree.json",
+                                  "--epsilon", "0.8", "--modulus", spec, "--out", "cert"],
+                       message)
+    assert not (tmp_path / "cert.pou.json").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])

@@ -84,6 +84,19 @@ class TestDefaultModulus:
         with pytest.raises(InvalidInputError):
             parse_modulus("cubic")
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("linear:abc", "could not convert string to float: 'abc'"),
+        ("linear:", "could not convert string to float: ''"),
+        ("linear:inf", "linear modulus needs a finite c > 1, got inf"),
+        ("linear:1e400", "linear modulus needs a finite c > 1, got inf"),
+        ("linear:nan", "linear modulus needs a finite c > 1, got nan"),
+    ])
+    def test_parse_names_bad_spec(self, spec, reason):
+        # c = inf would make every budget 0 and fail later as an underflow
+        with pytest.raises(InvalidInputError) as err:
+            parse_modulus(spec)
+        assert str(err.value) == f"modulus spec {spec!r}: {reason}"
+
     def test_power_matches_composition(self):
         E = default_modulus()
         x = 1.0
@@ -522,6 +535,8 @@ class TestBudgetSchedule:
         with pytest.raises(UnderflowError_) as err:
             budget_schedule(dummy_tree((8,)), 1.0, default_modulus())
         assert err.value.level == 2
+        assert str(err.value) == ("budget underflow at level 2; consider a linear modulus "
+                                  "(E^k(1.0) below 1e-300)")
 
     def test_deep_tree_linear_modulus_survives(self):
         sch = budget_schedule(dummy_tree((2, 2, 2, 2)), 1.0, Modulus("linear", c=4.0))

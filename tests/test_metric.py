@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import floyd_warshall, shortest_path
 
 from coarsecert.errors import (
     AsymmetryError,
@@ -84,23 +84,87 @@ class TestLoadMatrix:
         with pytest.raises(InvalidInputError):
             load_matrix([[0, math.inf], [math.inf, 0]])
 
-    @given(st.integers(3, 6), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce_oracle(self, n, seed):
-        # oracle: exhaustive triple loop over a random symmetric grid
+    @given(st.integers(3, 12), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_bruteforce_oracle(self, n, seed, near):
+        # oracle: exhaustive triple loop over a random symmetric grid, or over
+        # a random metric with a few entries moved by about the tolerance
         rng = np.random.default_rng(seed)
         m = np.round(rng.uniform(0.5, 3.0, (n, n)), 3)
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
-        ok = all(
-            m[x, z] <= m[x, y] + m[y, z] + 1e-9
-            for x in range(n) for y in range(n) for z in range(n)
-        )
-        if ok:
+        if near:
+            m = shortest_path(m)
+            for _ in range(int(rng.integers(1, 4))):
+                x, y = (int(v) for v in rng.choice(n, 2, replace=False))
+                m[x, y] += rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-10, math.log10(3e-9))
+                m[y, x] = m[x, y]
+        witness = oracle_witness(m, range(n))
+        if witness is None:
             assert load_matrix(m).n == n
         else:
-            with pytest.raises(TriangleViolationError):
+            with pytest.raises(TriangleViolationError) as err:
                 load_matrix(m)
+            assert err.value.triple == witness
+
+    @pytest.mark.parametrize("n", [8, 2100])
+    def test_chain_loads_on_both_sides_of_the_limit(self, n):
+        # every triple holds within 9e-10, though d(0, n-1) is (n - 1)*4.5e-10
+        # above the path of unit steps
+        sp = load_matrix(chain_matrix(n))
+        assert (n <= metric.EXHAUSTIVE_TRIANGLE_LIMIT) == (n == 8)
+        assert sp.d(0, n - 1) > (n - 1) + METRIC_TOL
+
+    @pytest.mark.parametrize("n, seed", [(20, 0), (40, 1), (60, 2)])
+    def test_sampled_witness_is_the_oracles(self, monkeypatch, n, seed):
+        # the rows of the seeded pool are checked against every z, with the
+        # witness rule of the exhaustive check
+        monkeypatch.setattr(metric, "EXHAUSTIVE_TRIANGLE_LIMIT", 0)
+        rng = np.random.default_rng(seed)
+        m = np.round(rng.uniform(0.5, 3.0, (n, n)), 3)
+        m = (m + m.T) / 2.0
+        np.fill_diagonal(m, 0.0)
+        pool = metric._sample_pool(n)
+        assert len(pool) < n
+        witness = oracle_witness(m, pool)
+        assert witness is not None
+        with pytest.raises(TriangleViolationError) as err:
+            load_matrix(m)
+        assert err.value.triple == witness
+
+    def test_valid_tables_pass_by_the_closure(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a table equal to its closure needs no triple check")
+
+        monkeypatch.setattr(metric, "_validate_triangles", boom)
+        rng = np.random.default_rng(5)
+        coords = rng.uniform(0.0, 100.0, (300, 2))
+        table = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+        assert load_matrix(table).n == 300
+        assert load_points(coords.tolist(), p=2).has_table
+
+
+def chain_matrix(n):
+    """d(i, i±1) = 1 and d(i, j) = |i - j|*(1 + 4.5e-10) otherwise."""
+    idx = np.arange(n, dtype=np.float64)
+    m = np.abs(idx[:, None] - idx[None, :]) * (1.0 + 4.5e-10)
+    step = np.arange(n - 1)
+    m[step, step + 1] = m[step + 1, step] = 1.0
+    return m
+
+
+def oracle_witness(m, ids):
+    """The first violating triple by a plain loop: the least x of ids with a
+    violation, its least z, and the least y of ids attaining the least
+    d(x,y) + d(y,z); None if every triple holds within METRIC_TOL."""
+    ids = [int(v) for v in ids]
+    for x in ids:
+        for z in range(len(m)):
+            through = [m[x, y] + m[y, z] for y in ids]
+            least = min(through)
+            if m[x, z] > least + METRIC_TOL:
+                return x, ids[through.index(least)], z
+    return None
 
 
 class TestLoadGraph:
@@ -200,11 +264,7 @@ class TestGraphCertificate:
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         rel = 10 ** rng.uniform(-6, 0) * rng.choice([-1.0, 1.0])
         table = corrupted(sp, x, y, 1.0 + rel)
-        try:
-            metric._validate_triangle_exhaustive(table, n)
-            closure_rejects = False
-        except TriangleViolationError:
-            closure_rejects = True
+        closure_rejects = n >= 3 and (table - floyd_warshall(table)).max() > METRIC_TOL
         # one changed entry is off by more than the per-edge tolerance from
         # the edges into it, whether or not it breaks a triangle
         if closure_rejects or abs(table[x, y] - sp._dmat[x, y]) > 2 * METRIC_TOL:
@@ -254,7 +314,7 @@ class TestGraphCertificate:
             raise AssertionError("graph tables are certified by their edges")
 
         monkeypatch.setattr(metric, "floyd_warshall", boom)
-        monkeypatch.setattr(metric, "_validate_triangle_sampled", boom)
+        monkeypatch.setattr(metric, "_validate_triangles", boom)
         # both sides of the old exhaustive limit, and above the table limit
         for n in (300, 3000, 4200):
             sp = load_graph(n, [(i, i + 1, 1.0 + (i % 3) / 2) for i in range(n - 1)])
@@ -299,10 +359,10 @@ class TestGraphCertificate:
             raise AssertionError("the edge certificate is not sound here")
 
         sampled = []
-        real = metric._validate_triangle_sampled
+        real = metric._validate_triangles
         monkeypatch.setattr(metric, "_validate_shortest_paths", boom)
-        monkeypatch.setattr(metric, "_validate_triangle_sampled",
-                            lambda space: sampled.append(space.n) or real(space))
+        monkeypatch.setattr(metric, "_validate_triangles",
+                            lambda space, ids: sampled.append(space.n) or real(space, ids))
         monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         sp = load_graph(7, [(0, 1, 1e-10), (2, 3, 1.0), (4, 5, 1.0),
                             (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)])
@@ -395,6 +455,21 @@ class TestLoadPoints:
         assert held < 8 * sp.n  # not one row kept (all 4200 were 141 MB)
         assert near[2100].tolist() == list(range(2096, 2105))
         assert near[0].tolist() == list(range(5))
+
+    def test_triangle_check_reads_rows_in_blocks(self):
+        # the pool's rows go into one array block by block; one rows call
+        # for the whole pool would hold a second pool-sized block as well
+        n = 5000
+        coords = np.random.default_rng(3).uniform(0.0, 100.0, (n, 2))
+        sp = FiniteMetricSpace(n, "points", coords=coords, p_norm=2.0)
+        pool = metric._sample_pool(n)
+        tracemalloc.start()
+        try:
+            metric._validate_triangles(sp, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (len(pool) * n + 4 * metric.ROW_BLOCK_CELLS)
 
     @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 10_000),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
