@@ -11,7 +11,6 @@ from .metric import (
     PointSubset,
     Retraction,
     diameter,
-    dist_to_set,
     load_graph,
     load_matrix,
     load_points,

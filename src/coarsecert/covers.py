@@ -40,6 +40,7 @@ from .metric import (
     row_blocks,
 )
 from .verify import (
+    SLACK_TOL,
     CoverFamily,
     lebesgue_check,
     multiplicity,
@@ -273,7 +274,7 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
             raise ConstructionFailedError(
                 f"greedy family not {R}-disjoint", rep.to_json())
     bound = uniformly_bounded_check(space, pieces)
-    if bound.bound > target_diam + 1e-9:
+    if bound.bound > target_diam + SLACK_TOL:
         raise ConstructionFailedError(
             f"piece diameter {bound.bound} exceeds target {target_diam}",
             bound.to_json())
@@ -360,7 +361,7 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
             f"multiplicity {mult.maximum} exceeds level count {len(levels)}",
             mult.to_json())
     bound = uniformly_bounded_check(space, family)
-    if bound.bound > input_bound + 2 * s + 1e-9:
+    if bound.bound > input_bound + 2 * s + SLACK_TOL:
         raise ConstructionFailedError(
             f"output bound {bound.bound} exceeds {input_bound} + 2s",
             bound.to_json())

@@ -248,8 +248,7 @@ def measured_bound(f: PartitionOfUnity) -> float:
     """Tight coboundedness of a pou; 0 for an empty domain."""
     if len(f.domain) == 0:
         return 0.0
-    _, worst = star_preimage_diameters(f)
-    return worst
+    return float(star_preimage_diameters(f).max())
 
 
 def _require_lipschitz(f: PartitionOfUnity, delta: float, who: str) -> None:
@@ -450,7 +449,6 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
                                 R: float, budget: float,
                                 extender: Callable[[PartitionOfUnity, int, float], tuple],
                                 input_bound: Optional[float] = None,
-                                strict_budget: bool = True,
                                 verify_family: bool = True,
                                 budget_warnings: Optional[list] = None):
     """Extend a pou over every piece of an R-disjoint family and glue.
@@ -461,7 +459,9 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
     vertices minted per piece must be pairwise disjoint, which is asserted by
     set intersection before the glue.  Gluing is sound when the budget is at
     least 2/(R + 1): cross-piece pairs sit at distance above R, where the
-    additive slack alone covers the maximal simplex distance.
+    additive slack alone covers the maximal simplex distance.  A smaller
+    budget raises BudgetTooSmallError, unless budget_warnings is a list, which
+    then records it and leaves the verdict to the verifier.
 
     Returns (pou, bound) with bound = 2 * max piece bound + input bound.
     """
@@ -475,11 +475,9 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
             raise NotRDisjointError(rep.witness)
     required = 2.0 / (R + 1.0)
     if budget < required * (1.0 - _REL_TOL):
-        if strict_budget:
+        if budget_warnings is None:
             raise BudgetTooSmallError(budget, required)
-        if budget_warnings is not None:
-            budget_warnings.append(
-                {"budget": budget, "required": required, "R": R})
+        budget_warnings.append({"budget": budget, "required": required, "R": R})
 
     base_carrier = set(f.carrier())
     seen_new: set = set()
@@ -567,9 +565,10 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
     mint = VertexMint()
     leaf_bound = validation.leaf_bound
     r_claim = schedule.R_required[tree.m - 1] if tree.m >= 2 else None
-    strict = schedule_mode == "conservative"
     counters = {"branch1": 0, "branch2": 0}
     warnings: List[dict] = []
+    # conservative mode refuses a short glue budget; paper mode records it
+    recorded = None if schedule_mode == "conservative" else warnings
 
     def extend_node(f: PartitionOfUnity, node: TreeNode, u: float,
                     k_in: float) -> Tuple[PartitionOfUnity, float]:
@@ -592,8 +591,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
             h, k = extend_over_disjoint_family(
                 h, pieces, tree.radii[i - 1], u_j,
                 lambda ff, t, uu: extend_node(ff, children[t], uu, k_snapshot),
-                input_bound=k, strict_budget=strict,
-                verify_family=False, budget_warnings=warnings)
+                input_bound=k, verify_family=False, budget_warnings=recorded)
         return h, k
 
     root = tree.root

@@ -28,7 +28,10 @@ def dumps_canonical(obj) -> str:
 
 
 def save_json(path: Union[str, Path], obj: dict) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    except OSError as exc:  # a missing directory is an input error, not a failed check
+        raise InvalidInputError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -50,7 +53,7 @@ def load_json(path: Union[str, Path]) -> dict:
         raise InvalidInputError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
-    if obj.get("v") != SCHEMA_VERSION:
+    if obj.get("v") is True or obj.get("v") != SCHEMA_VERSION:  # true == 1 in Python
         raise InvalidInputError(f"{path}: unsupported schema version {obj.get('v')!r}")
     return obj
 

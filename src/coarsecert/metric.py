@@ -34,7 +34,8 @@ construction does not already guarantee:
   positivity off the diagonal) in blocks of rows, allocating no n x n
   temporary;
 - load_graph needs none of them: positive weights on a connected graph give
-  a zero diagonal and positive distances elsewhere;
+  a zero diagonal and positive distances elsewhere.  It rules out
+  overflowing distances, scanning rows only when the edges' total overflows;
 - load_points rules out overflowing distances and points at distance 0
   (_check_distinct); |a - b| is exactly |b - a|, so its rows are symmetric.
 
@@ -389,7 +390,8 @@ def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
     for lo in range(0, len(ids), step):
         sources = ids[lo:lo + step]
         block = space.rows(sources)
-        least = np.minimum.reduceat(block[:, src] + w, starts, axis=1)
+        with np.errstate(over="ignore"):  # a sum above every float shortens nothing
+            least = np.minimum.reduceat(block[:, src] + w, starts, axis=1)
         bad = ~(np.abs(block - least) <= METRIC_TOL)  # NaN is bad too
         bad[np.arange(len(block)), sources] = False
         if bad.any():
@@ -422,9 +424,10 @@ def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
         d_x = rows[lo:lo + step]
         best, via = least[:len(d_x)], through[:len(d_x)]
         best.fill(math.inf)
-        for y, d_y in zip(ids, rows):
-            np.add(d_x[:, y, None], d_y, out=via)
-            np.minimum(best, via, out=best)
+        with np.errstate(over="ignore"):  # a sum above every float bounds anything
+            for y, d_y in zip(ids, rows):
+                np.add(d_x[:, y, None], d_y, out=via)
+                np.minimum(best, via, out=best)
         best += METRIC_TOL
         bad = d_x > best
         if bad.any():
@@ -459,8 +462,8 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     """Build a space whose metric is weighted shortest-path distance.
 
     The graph must be connected; a stranded component representative is named
-    otherwise.  A zero-weight edge between distinct points would force a zero
-    off-diagonal distance and is rejected outright.
+    otherwise.  A zero-weight edge between distinct points (a zero distance off
+    the diagonal) and a distance that overflows to inf are rejected outright.
     """
     n = as_int(n, "vertex count")
     if n <= 0:
@@ -512,6 +515,16 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     # the rows _compute_row returns, stacked: the same directed search
     dmat = shortest_path(adj, method="D", directed=True) if n <= DENSE_LIMIT else None
     space = FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
+    with np.errstate(over="ignore"):  # each edge is stored both ways: twice the total
+        total_finite = math.isfinite(adj.data.sum())
+    # a distance sums distinct edges, so while twice their total is finite no
+    # rounded sum overflows; otherwise name the first pair whose sum does
+    if not total_finite:
+        for lo, rows in row_blocks(space, np.arange(n)):
+            bad = np.argwhere(np.isinf(rows))  # row-major: the first is the least pair
+            if bad.size:
+                i, y = bad[0]
+                raise InvalidInputError(f"graph distance from point {lo + i} to point {y} overflows")
     _validate(space)
     return space
 
@@ -582,24 +595,16 @@ def _check_distinct(arr: np.ndarray, p: float) -> None:
 # geometric primitives
 # ---------------------------------------------------------------------------
 
-def dist_to_set(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
-    """min over points of a of d(x, .); zero exactly when x is in a."""
-    if not a.ids:
-        raise EmptySetError("dist_to_set of empty subset")
-    return float(space.row(x)[a.array()].min())
-
-
 def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
                     limit: float = math.inf) -> np.ndarray:
     """dist(x, a) for every x, shape (n,): the least entry of a's rows.
 
+    The one distance-to-set primitive: every set query reads the set's rows.
     Bit-equal to nearest_point_retraction's dist field wherever at most
-    limit; an entry above limit is exact or inf.  On a float-weighted graph,
-    with or without a table, a row may differ from its column in the last
-    bits, so an entry may differ there from dist_to_set, which reads x's row.
+    limit; an entry above limit is exact or inf.
     """
     if not a.ids:
-        raise EmptySetError("dist_to_set of empty subset")
+        raise EmptySetError("dist_to_set_all of empty subset")
     return space.distances_to(a.array(), limit)
 
 

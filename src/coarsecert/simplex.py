@@ -9,8 +9,8 @@ independently built pieces are guaranteed disjoint carriers.
 
 A PartitionOfUnity is stored once, as compressed sparse rows (CSR) over its
 ascending domain, each entry a carrier column and a weight; its carrier,
-stars and dense matrix, and every operation on whole pous, are array
-operations on those rows.
+star preimages (with their diameters, one array in carrier order) and dense
+matrix, and every operation on whole pous, are array operations on those rows.
 
 Everything here is immutable after construction and all operations are pure.
 Fresh namespaces come from a VertexMint that each construction run creates
@@ -230,16 +230,12 @@ class PartitionOfUnity:
         """Sorted tuple of vertices with positive weight somewhere."""
         return self._carrier
 
-    def stars(self) -> Dict[VertexId, np.ndarray]:
-        """vertex -> ascending array of domain points with positive weight on it."""
-        points = np.repeat(self._ids, np.diff(self.indptr))
-        bounds = np.cumsum(np.bincount(self.columns, minlength=len(self._carrier)))[:-1]
-        return dict(zip(self._carrier,
-                        np.split(points[np.argsort(self.columns, kind="stable")], bounds)))
-
     def star_preimage(self, v: VertexId) -> PointSubset:
-        arr = self.stars().get(v)
-        return PointSubset(tuple(arr) if arr is not None else ())
+        j = bisect_left(self._carrier, v)
+        if self._carrier[j:j + 1] != (v,):
+            return PointSubset(())
+        points = np.repeat(self._ids, np.diff(self.indptr))
+        return PointSubset(tuple(points[self.columns == j].tolist()))
 
     def dense(self):
         """(points array, vertex list, weight matrix) over the carrier.
@@ -272,16 +268,18 @@ class PartitionOfUnity:
             rows=np.unique(ids, return_index=True)[1])  # the first pou to hold each point
 
 
-def star_preimage_diameters(f: PartitionOfUnity):
-    """Per-vertex star preimage diameters and their max (the tight bound).
+def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
+    """Diameter of each vertex's star preimage, in f.carrier() order.
 
-    Returns (dict vertex -> diameter, max diameter).  The max over an empty
-    carrier is 0.0.
+    One stable sort of the entries by column groups each vertex's domain
+    points, ascending.  Raises EmptySetError on an empty domain.
     """
     if len(f.domain) == 0:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
-    out = {v: diameter(f.space, PointSubset(tuple(pts))) for v, pts in f.stars().items()}
-    return out, max(out.values(), default=0.0)
+    points = np.repeat(f._ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
+    bounds = np.cumsum(np.bincount(f.columns, minlength=len(f.carrier())))[:-1]
+    return np.array([diameter(f.space, PointSubset(tuple(star.tolist())))
+                     for star in np.split(points, bounds)])
 
 
 def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],

@@ -292,17 +292,12 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
 # ---------------------------------------------------------------------------
 
 def cobounded_check(f: PartitionOfUnity, M: float) -> CoboundedReport:
-    """Check every star preimage has diameter at most M; names the worst vertex."""
+    """Check every star preimage has diameter at most M; names the least worst vertex."""
     _require_finite(M=M)
-    diams, _ = star_preimage_diameters(f)
-    worst_v = None
-    worst_d = -1.0
-    for v in sorted(diams):
-        if diams[v] > worst_d:
-            worst_d = diams[v]
-            worst_v = v
-    return CoboundedReport(bound=float(M), tight_bound=worst_d,
-                           worst_vertex=worst_v, vertices_checked=len(diams))
+    diams = star_preimage_diameters(f)
+    k = int(np.argmax(diams))
+    return CoboundedReport(bound=float(M), tight_bound=float(diams[k]),
+                           worst_vertex=f.carrier()[k], vertices_checked=len(diams))
 
 
 # ---------------------------------------------------------------------------

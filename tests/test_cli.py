@@ -394,6 +394,13 @@ MALFORMED = {
     "graph edge weight NaN": ("space.json",
                               lambda obj: obj["data"][0].__setitem__(2, float("nan")),
                               "space.json: edge (0,1) has non-finite weight nan"),
+    "graph distances overflow": ("space.json",  # 1e-10 sends it to the row check
+                                 lambda obj: obj.update(data=[[0, 1, 1e308], [1, 2, 1e308]] + [
+                                     [x, x + 1, 1e-10 if x == 2 else 1.0]
+                                     for x in range(2, obj["n"] - 1)]),
+                                 "space.json: graph distance from point 0 to point 2 overflows"),
+    "space schema version a boolean": ("space.json", lambda obj: obj.update(v=True),
+                                       "space.json: unsupported schema version True"),
     "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
                                   "space.json: malformed artifact (IndexError"),
     "graph edge with a fourth field": ("space.json",
@@ -526,6 +533,21 @@ def test_missing_input_file_exit_two(clean_artifacts):
                        "nothing.pou.json: cannot read")
 
 
+@pytest.mark.parametrize("command", ["generate", "decompose", "certify", "verify"])
+def test_output_in_missing_directory_exit_two(clean_artifacts, command):
+    # exit 1 means a failed verification; an unwritable --out is input
+    args = {"generate": ["--kind", "path", "--n", "5"],
+            "decompose": ["--space", "space.json", "--strategy", "bricks",
+                          "--R", "10", "--block-scale", "11"],
+            "certify": ["--space", "space.json", "--tree", "tree.json",
+                        "--epsilon", "0.8", "--modulus", "linear:2"],
+            "verify": ["--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"]}
+    out = "missing/out" if command == "certify" else "missing/out.json"
+    assert_input_error(clean_artifacts, [command, *args[command], "--out", out],
+                       f"{out}{'.pou.json' if command == 'certify' else ''}: cannot write")
+    assert not (clean_artifacts / "missing").exists()
+
+
 def test_table_free_cloud_overflow_exit_two(tmp_path):
     # above the dense-table limit; the only overflowing pair, 4198-4199, is
     # one the sampled triangle check does not reach
@@ -605,6 +627,7 @@ def test_integral_floats_load(clean_artifacts, tmp_path):
     # 2.0 is the integer 2; only values that int() would change are refused
     space = json.loads((clean_artifacts / "space.json").read_text())
     space["data"][1][:2] = [1.0, 2.0]
+    space["v"] = 1.0
     tree = json.loads((clean_artifacts / "tree.json").read_text())
     tree["nodes"][-1]["level"] = float(tree["nodes"][-1]["level"])
     (tmp_path / "space.json").write_text(json.dumps(space))

@@ -479,6 +479,16 @@ class TestExtendOverDisjointFamily:
         with pytest.raises(BudgetTooSmallError):
             extend_over_disjoint_family(f, pieces, R=90.0, budget=0.01, extender=None)
 
+    def test_budget_too_small_recorded(self, p200):
+        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((1, 0))})
+        pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
+        warnings = []
+        h, _ = extend_over_disjoint_family(
+            f, pieces, R=90.0, budget=0.01, budget_warnings=warnings,
+            extender=lambda ff, t, u: (PartitionOfUnity.constant(ff.space, pieces[t], (2 + t, 0)), 1.0))
+        assert warnings == [{"budget": 0.01, "required": 2.0 / 91.0, "R": 90.0}]
+        assert h.domain.ids == (0, 50, 51, 150, 151)
+
     def test_carrier_collision_caught(self, p200):
         # an extender that reuses one namespace across pieces violates the
         # carrier discipline and must be stopped before the glue

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from coarsecert.metric import (
     PointSubset,
     closed_set_ball,
     diameter,
-    dist_to_set,
     dist_to_set_all,
     load_graph,
     load_matrix,
@@ -203,6 +203,36 @@ class TestLoadGraph:
     def test_edge_out_of_range(self):
         with pytest.raises(InvalidInputError):
             load_graph(2, [(0, 5, 1.0)])
+
+    @pytest.mark.parametrize("n, light, dense", [
+        (4, 1e-10, True), (4, 1e-10, False), (4, 1.0, True), (4, 1.0, False),
+        (4200, 1.0, False)])  # 4200 points are above the table limit
+    def test_overflowing_distance_rejected(self, monkeypatch, dense, n, light):
+        # d(0, 2) = 1e308 + 1e308: it used to load as inf when the light edge
+        # sent the graph to the row check (inf > inf is false), and otherwise
+        # to fail the edge check on inf - inf with three RuntimeWarnings
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        edges = [(0, 1, 1e308), (1, 2, 1e308), (2, 3, light)] + [(x, x + 1, 1.0)
+                                                                  for x in range(3, n - 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match="graph distance from point 0 to point 2 overflows"):
+                load_graph(n, edges)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("light", [1.0, 1e-10])
+    def test_overflowing_total_loads(self, monkeypatch, dense, light):
+        # the edges sum past the largest float, but no distance does
+        if not dense:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = load_graph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, light)])
+        assert sp.has_table == dense
+        assert [sp.row(x).tolist() for x in range(3)] == [
+            [0.0, 1e308, light], [1e308, 0.0, 1e308], [light, 1e308, 0.0]]
 
 
 def random_graph(rng, n):
@@ -566,18 +596,18 @@ class TestLoadPoints:
 class TestPrimitives:
     def test_dist_to_set_member(self, p5):
         a = PointSubset((0, 2))
-        assert dist_to_set(p5, 2, a) == 0.0
+        assert dist_to_set_all(p5, a)[2] == 0.0
 
     def test_dist_to_set_path(self, p5):
-        assert dist_to_set(p5, 3, PointSubset((0,))) == 3.0
+        assert dist_to_set_all(p5, PointSubset((0,)))[3] == 3.0
 
     def test_dist_to_set_whole_space(self, p5):
         a = p5.all_points()
-        assert all(dist_to_set(p5, x, a) == 0.0 for x in range(5))
+        assert all(dist_to_set_all(p5, a)[x] == 0.0 for x in range(5))
 
     def test_dist_to_set_empty(self, p5):
         with pytest.raises(EmptySetError):
-            dist_to_set(p5, 0, PointSubset(()))
+            dist_to_set_all(p5, PointSubset(()))[0]
 
     def test_set_ball_strict(self, p10):
         assert set_ball(p10, PointSubset((0,)), 3.0).ids == (0, 1, 2)
@@ -658,7 +688,7 @@ class TestBigSpaceLane:
 
     def test_primitives(self, big_path):
         a = PointSubset((0, 4000))
-        assert dist_to_set(big_path, 1000, a) == 1000.0
+        assert dist_to_set_all(big_path, a)[1000] == 1000.0
         assert set_ball(big_path, PointSubset((0,)), 2.0).ids == (0, 1)
         p = nearest_point_retraction(big_path, a)
         assert p(1999) == 0 and p(2001) == 4000 and p(2000) == 0

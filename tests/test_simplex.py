@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coarsecert import jsonio, metric
 from coarsecert.errors import (
+    EmptySetError,
     InvalidInputError,
     NotACoverError,
     NotARetractionError,
@@ -24,8 +25,8 @@ from coarsecert.simplex import (
     simplicial_retraction,
     star_preimage_diameters,
 )
-from coarsecert.extend import extend_over_disjoint_family
-from coarsecert.verify import lebesgue_check
+from coarsecert.extend import extend_over_disjoint_family, measured_bound
+from coarsecert.verify import cobounded_check, lebesgue_check
 
 from .conftest import path_space
 
@@ -89,24 +90,24 @@ class TestPartitionOfUnity:
 
     def test_star_diams_constant(self, p10):
         f = PartitionOfUnity.constant(p10, p10.all_points(), A)
-        diams, worst = star_preimage_diameters(f)
-        assert diams == {A: 9.0}
-        assert worst == 9.0
+        diams = star_preimage_diameters(f)
+        assert f.carrier() == (A,) and diams.tolist() == [9.0]
+        assert measured_bound(f) == 9.0
 
     def test_star_diams_barycentric_blocks(self, p10):
         # oracle: star preimages equal the cover members exactly, so both
         # diameters are diam({0..4}) = diam({5..9}) = 4 on the path
         f = barycentric_pou(p10, [PointSubset(tuple(range(5))),
                                   PointSubset(tuple(range(5, 10)))])
-        diams, worst = star_preimage_diameters(f)
-        assert diams == {(0, 0): 4.0, (0, 1): 4.0}
-        assert worst == 4.0
+        diams = star_preimage_diameters(f)
+        assert f.carrier() == ((0, 0), (0, 1)) and diams.tolist() == [4.0, 4.0]
+        assert measured_bound(f) == 4.0
 
     def test_star_diams_single_point(self, p10):
         f = PartitionOfUnity(p10, {3: SimplexPoint({A: 0.5, B: 0.5})})
-        diams, worst = star_preimage_diameters(f)
-        assert set(diams.values()) == {0.0}
-        assert worst == 0.0
+        diams = star_preimage_diameters(f)
+        assert f.carrier() == (A, B) and diams.tolist() == [0.0, 0.0]
+        assert measured_bound(f) == 0.0
 
 
 class TestSimplicialRetraction:
@@ -253,10 +254,8 @@ class TestCsrStorage:
         carrier = sorted({v for es in a.values() for v, _ in es})
         assert f.carrier() == tuple(carrier)
         assert entries(f) == a and f.domain.ids == tuple(sorted(a))
-        stars = f.stars()
-        assert sorted(stars) == carrier
-        for v in carrier:
-            assert stars[v].tolist() == sorted(x for x, es in a.items() if v in dict(es))
+        for v in [(ns, i) for ns in range(3) for i in range(4)]:  # (ns, 3) is never drawn
+            assert f.star_preimage(v).ids == tuple(sorted(x for x, es in a.items() if v in dict(es)))
         pts, verts, mat = f.dense()
         expect = np.zeros((len(a), len(carrier)))
         for i, x in enumerate(sorted(a)):
@@ -264,6 +263,36 @@ class TestCsrStorage:
                 expect[i, carrier.index(v)] = w
         assert pts.tolist() == sorted(a) and verts == tuple(carrier)
         assert np.array_equal(mat, expect)
+
+    @given(assignments(), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_star_preimage_diameters(self, a, tied, table):
+        if tied:  # every vertex gets a twin with its star, and so its diameter
+            a = {x: [(v, w / 2) for v, w in es] + [((9, 3 * v[0] + v[1]), w / 2) for v, w in es]
+                 for x, es in a.items()}
+        f = make(a, SPACE if table else FREE)
+        if not a:
+            assert measured_bound(f) == 0.0
+            for check in (star_preimage_diameters, lambda g: cobounded_check(g, 1.0)):
+                with pytest.raises(EmptySetError):
+                    check(f)
+            return
+        # the per-vertex dict and the sorted strict-> scan they replace
+        stars = {v: sorted(x for x, es in a.items() if v in dict(es))
+                 for v in {v for es in a.values() for v, _ in es}}
+        diams = {v: metric.diameter(f.space, PointSubset(tuple(pts))) for v, pts in stars.items()}
+        worst_v, worst_d = None, -1.0
+        for v in sorted(diams):
+            if diams[v] > worst_d:
+                worst_v, worst_d = v, diams[v]
+        got = star_preimage_diameters(f)
+        assert got.tolist() == [diams[v] for v in f.carrier()]
+        assert measured_bound(f) == max(diams.values())
+        rep = cobounded_check(f, 3.0)
+        assert (rep.tight_bound, rep.worst_vertex, rep.vertices_checked) == (
+            worst_d, worst_v, len(diams))
+        if tied:
+            assert worst_v[0] != 9 and diams[worst_v] == diams[(9, 3 * worst_v[0] + worst_v[1])]
 
     @given(assignments(), assignments(), assignments())
     @settings(max_examples=100, deadline=None)
