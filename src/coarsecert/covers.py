@@ -306,10 +306,18 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
     U* = {x : dist(x, U') <= s}.  The closed enlargement keeps the s-ball
     around U' inside U*, which is what the open-ball Lebesgue check needs.
 
+    Precondition: the trimmed members U' cover the space, that is, every
+    point lies in a member of some level and farther than s from every
+    member of the earlier levels.  Levels that are 2s-disjoint and jointly
+    cover need not satisfy it: on a path, brick_tree's two families of
+    adjacent 160-point blocks at s = 79.5 leave point 160 (one step from the
+    first block) in no trimmed member, and the Lebesgue check fails there.
+
     Guarantees are verified post-hoc: the output covers the space, has
-    Lebesgue number >= s, is uniformly bounded by the input bound plus 2s,
-    and has multiplicity at most the level count (at most one member per
-    level up to the first level containing the point).
+    Lebesgue number >= s (when the precondition holds), is uniformly
+    bounded by the input bound plus 2s, and has multiplicity at most the
+    level count (at most one member per level up to the first level
+    containing the point).  A failed check raises ConstructionFailedError.
     """
     if s <= 0:
         raise InvalidInputError(f"scale s must be > 0, got {s!r}")

@@ -142,6 +142,14 @@ def _indptr(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
 
 
+def row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """(indptr of the CSR rows at rows, kept one after another, and their entries)."""
+    counts = indptr[rows + 1] - indptr[rows]
+    kept = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=kept[1:])
+    return kept, np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
+
+
 def _columns(verts: Sequence[VertexId]):
     """(column of each of verts in the sorted carrier, that carrier)."""
     carrier = sorted(set(verts))
@@ -154,7 +162,8 @@ class PartitionOfUnity:
 
     Row i is the point domain.ids[i] (ascending).  Its entries are
     indptr[i]:indptr[i+1] of `columns`, indices into the sorted carrier
-    tuple, and of `weights`, in the order its SimplexPoint lists them
+    tuple (each at most once), and of `weights`, in the order its
+    SimplexPoint lists them
     (simplicial_retraction sums weights in that order).  The arrays are
     read-only, so pous share them.  f(x) builds x's SimplexPoint from its row.
     """
@@ -174,9 +183,7 @@ class PartitionOfUnity:
         uses are dropped from the carrier.
         """
         if rows is not None:
-            counts = np.diff(indptr)[rows]
-            kept = _indptr(counts)  # the kept rows' spans of entries, one after another
-            entries = np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
+            kept, entries = row_entries(indptr, rows)
             ids, indptr, columns, weights = ids[rows], kept, columns[entries], weights[entries]
         if len(ids) and (ids[0] < 0 or ids[-1] >= space.n):
             bad = ids[0] if ids[0] < 0 else ids[-1]
@@ -240,8 +247,9 @@ class PartitionOfUnity:
     def dense(self):
         """(points array, vertex list, weight matrix) over the carrier.
 
-        The matrix row order follows the ascending domain ids; used by the
-        verification kernels to vectorize l1 distances.
+        The matrix row order follows the ascending domain ids.  It is the
+        reference that tests compare the slack kernel with: the kernel reads
+        the CSR arrays and never builds this n x carrier matrix.
         """
         m = len(self._ids)
         mat = np.zeros((m, len(self._carrier)))

@@ -7,13 +7,19 @@ tolerance (-1e-9) is recorded in every report.
 
 Every pairwise check reads each source row once and keeps the first
 minimum under strict <, so witnesses are lexicographically least.  The
-Lipschitz kernel compares one domain position's weight and distance rows
-with its partners' (later positions, or in restricted mode the later ones
-closer than the radius) at a time, in blocks of partners of at most
-metric.ROW_BLOCK_CELLS weight cells; the distance rows come in blocks
-(metric.row_blocks), cut off at the restricted radius.  Worker threads take
-contiguous blocks of positions, reduced in block order, so reports do not
-depend on the worker count.
+Lipschitz kernel reads the pou's CSR arrays and never builds its dense
+n x carrier matrix.  It takes the pairs (i, j) of domain positions (every
+later position j, or in restricted mode the later ones closer than the
+radius) in blocks of metric.ROW_BLOCK_CELLS/16 pairs that may span
+positions, with the distances from blocks of rows (metric.row_blocks) cut
+off at the restricted radius.  Each l1 has the bits of numpy's row sum of
+|f(x) - f(y)| over the carrier: a sum adds exact zeros, so two
+single-entry rows give |u - v| or u + v directly, and every other pair is
+scattered into buffers of carrier-wide rows (ROW_BLOCK_CELLS/4 cells) and
+summed there, since numpy's pairwise association makes a sum of 3 or more
+terms depend on its order.  Restricted mode's largest weight sum follows
+the same rule.  Worker threads take contiguous blocks of positions,
+reduced in block order, so reports do not depend on the worker count.
 R-disjointness takes one distance to each member (metric.cross_minima) and
 scans the rows of one member only to name a witness.
 """
@@ -38,7 +44,13 @@ from .metric import (
     nearest_scan,
     row_blocks,
 )
-from .simplex import PartitionOfUnity, VertexId, star_preimage_diameters, vertex_key
+from .simplex import (
+    PartitionOfUnity,
+    VertexId,
+    row_entries,
+    star_preimage_diameters,
+    vertex_key,
+)
 
 SLACK_TOL = 1e-9
 
@@ -230,6 +242,80 @@ def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]
                 yield i, pos[near[later]], row[near[later]]
 
 
+def _pair_blocks(partners, size: int):
+    """(i, j, d) arrays of at most size pairs: the pairs partners yields, in order.
+
+    A block's pairs may come from several positions, and a position's from
+    several blocks.  The arrays are views of buffers the next block reuses.
+    """
+    ii, jj, dd = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
+    held = 0
+    for i, js, d in partners:
+        lo = 0
+        while lo < js.size:
+            take = min(size - held, js.size - lo)
+            ii[held:held + take] = i
+            jj[held:held + take] = js[lo:lo + take]
+            dd[held:held + take] = d[lo:lo + take]
+            held, lo = held + take, lo + take
+            if held == size:
+                yield ii, jj, dd
+                held = 0
+    if held:
+        yield ii[:held], jj[:held], dd[:held]
+
+
+class _SlackKernel:
+    """l1(f(x), f(y)) from f's CSR arrays, with the bits of a dense row sum.
+
+    Single-entry rows keep their column and weight; every other row is
+    scattered into one of two buffers of carrier-wide rows when a pair
+    needs it.  One kernel per worker thread, since the buffers are reused.
+    """
+
+    def __init__(self, f: PartitionOfUnity):
+        self.f = f
+        width = max(1, len(f.carrier()))
+        self.height = max(1, ROW_BLOCK_CELLS // 4 // width)
+        self.single = np.diff(f.indptr) == 1
+        lead = f.indptr[:-1][self.single]  # the entry of each single-entry row
+        self.column = np.full(len(self.single), -1, dtype=np.intp)
+        self.weight = np.zeros(len(self.single))
+        self.column[self.single], self.weight[self.single] = f.columns[lead], f.weights[lead]
+        self.bufs = np.zeros((2, self.height, width))
+
+    def _dense(self, rows, buf):
+        """f's dense rows at rows, written over the first rows of buf."""
+        block = buf[:len(rows)]
+        block.fill(0.0)
+        kept, k = row_entries(self.f.indptr, rows)
+        flat = np.repeat(np.arange(0, block.size, buf.shape[1]), np.diff(kept))
+        flat += self.f.columns[k]  # the entries' cells, row-major
+        block.reshape(-1)[flat] = self.f.weights[k]
+        return block
+
+    def row_sums_max(self) -> float:
+        """The largest row sum of f's dense matrix, 0.0 without rows."""
+        top = float(self.weight.max(initial=0.0))
+        rows = np.flatnonzero(~self.single)
+        for lo in range(0, len(rows), self.height):
+            block = self._dense(rows[lo:lo + self.height], self.bufs[0])
+            top = max(top, float(block.sum(axis=1).max()))
+        return top
+
+    def l1(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """l1 between the rows of each pair (ii[k], jj[k]) of domain positions."""
+        wi, wj = self.weight[ii], self.weight[jj]
+        out = np.where(self.column[ii] == self.column[jj], np.abs(wi - wj), wi + wj)
+        other = np.flatnonzero(~(self.single[ii] & self.single[jj]))
+        for lo in range(0, len(other), self.height):
+            k = other[lo:lo + self.height]
+            diff = self._dense(ii[k], self.bufs[0])
+            np.subtract(diff, self._dense(jj[k], self.bufs[1]), out=diff)
+            out[k] = np.abs(diff, out=diff).sum(axis=1)
+        return out
+
+
 def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full",
                     workers: int = 1) -> LipschitzReport:
     """Check d(f(x), f(y)) <= lam*d(x,y) + C over the domain.
@@ -254,27 +340,24 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     elif mode != "full":
         raise BadModeError(f"unknown mode {mode!r}")
 
-    pts, _, mat = f.dense()
+    pts = f.domain.array()
     if mode == "restricted":
-        s_max = float(mat.sum(axis=1).max(initial=0.0))
+        s_max = _SlackKernel(f).row_sums_max()
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
         restricted_radius = 2.0 * s / lam - 1.0
 
-    chunk = max(1, ROW_BLOCK_CELLS // max(1, mat.shape[1]))  # partners per block
-
     def run(positions):
-        # an l1 is one row sum over all carrier columns, so its bits do not
-        # depend on how pairs are grouped
+        # each block's first minimum, in (i, j) order, replaces the running one
+        # only when strictly below it
+        kernel = _SlackKernel(f)
         worst, witness, count = math.inf, None, 0
-        for i, js, d in _partners(f.space, pts, restricted_radius, positions):
-            count += js.size
-            for lo in range(0, js.size, chunk):
-                diff = mat[js[lo:lo + chunk]]
-                np.subtract(mat[i], diff, out=diff)
-                slack = lam * d[lo:lo + chunk] + C - np.abs(diff, out=diff).sum(axis=1)
-                k = int(np.argmin(slack))
-                if slack[k] < worst:
-                    worst, witness = float(slack[k]), (int(pts[i]), int(pts[js[lo + k]]))
+        for ii, jj, d in _pair_blocks(_partners(f.space, pts, restricted_radius, positions),
+                                      max(1, ROW_BLOCK_CELLS // 16)):
+            count += ii.size
+            slack = lam * d + C - kernel.l1(ii, jj)
+            k = int(np.argmin(slack))
+            if slack[k] < worst:
+                worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
         return worst, witness, count
 
     workers = min(workers, os.cpu_count() or 1)

@@ -10,6 +10,7 @@ from coarsecert.covers import (
     tree_validate,
 )
 from coarsecert.errors import (
+    ConstructionFailedError,
     InvalidInputError,
     NotACoverError,
     NotAGridError,
@@ -112,6 +113,18 @@ class TestPointFiniteTransform:
         fam = point_finite_transform(p100, levels, s=1.0)
         assert lebesgue_check(p100, fam, 1.0).passed
         assert multiplicity(p100, fam).maximum <= len(levels)
+
+    def test_brick_families_break_the_precondition(self):
+        # the root families of a p2000 brick tree are 2s-disjoint at s = 79.5
+        # and jointly cover, but point 160 lies within s of the earlier-level
+        # block 0..159, so no trimmed member keeps it and its ball escapes
+        sp = path_space(2000)
+        tree = brick_tree(sp, [159.0], 160.0)
+        levels = [[tree.node(c).members for c in fam] for fam in tree.root.families]
+        assert [m.ids[0] for m in levels[0][:2]] == [0, 320] and levels[1][0].ids[0] == 160
+        with pytest.raises(ConstructionFailedError,
+                           match="Lebesgue number < 79.5 at point 160"):
+            point_finite_transform(sp, levels, s=79.5)
 
     def test_net_must_cover(self, p100):
         with pytest.raises(NotACoverError):

@@ -345,6 +345,103 @@ class TestStreamedSlackKernel:
         assert peak < 16 * 2**20
 
 
+def mixed_pou(space, carrier, rng, multi_sum=1.0):
+    """Single-vertex points mixed with points of 2 to `carrier` vertices.
+
+    A single weight lies within 2e-10 of 1 and is seldom exactly 1.0; the
+    single points sit on a quarter of the carrier, so many pairs share a
+    vertex with unequal weights.  Multi-vertex weights sum to multi_sum.
+    """
+    out = {}
+    for x in range(space.n):
+        if rng.random() < 0.5:
+            v = int(rng.integers(0, max(1, carrier // 4)))
+            out[x] = SimplexPoint({(0, v): 1.0 + float(rng.integers(-2, 3)) * 1e-10})
+        else:
+            k = int(rng.integers(2, carrier + 1))
+            verts = rng.choice(carrier, size=k, replace=False)
+            w = rng.dirichlet(np.ones(k)) * multi_sum
+            out[x] = SimplexPoint({(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0})
+    return PartitionOfUnity(space, out)
+
+
+class TestCsrSlackKernel:
+    """The kernel reads the CSR arrays and keeps the bits of the dense formula."""
+
+    @pytest.mark.parametrize("carrier", [7, 9, 130])
+    def test_l1_bit_equal_to_dense_rows(self, p400, carrier):
+        f = mixed_pou(p400, carrier, np.random.default_rng(carrier))
+        pts, verts, mat = f.dense()
+        assert len(verts) == carrier
+        ii, jj = np.triu_indices(len(pts), k=1)
+        got = verify._SlackKernel(f).l1(ii, jj)
+        for lo in range(0, len(ii), 4096):
+            expect = np.abs(mat[ii[lo:lo + 4096]] - mat[jj[lo:lo + 4096]]).sum(axis=1)
+            assert np.array_equal(got[lo:lo + 4096], expect)
+        # single-vertex pairs on one vertex with unequal weights: l1 = |u - v| > 0
+        single = np.diff(f.indptr) == 1
+        col, w = f.columns[f.indptr[:-1]], f.weights[f.indptr[:-1]]
+        shared = single[ii] & single[jj] & (col[ii] == col[jj]) & (w[ii] != w[jj])
+        assert shared.any() and (got[shared] > 0).all()
+        assert (w[single] != 1.0).any() and (w[single] == 1.0).any()
+
+    @pytest.mark.parametrize("carrier", [7, 9, 130])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["full", "restricted"])
+    def test_mixed_supports_bit_equal_to_block_formula(self, p400, carrier, workers, mode):
+        f = mixed_pou(p400, carrier, np.random.default_rng(carrier))
+        pts = f.dense()[0]
+        eps = 0.05
+        rep = lipschitz_check(f, eps, eps, mode=mode, workers=workers)
+        if mode == "full":
+            pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
+        else:
+            near = distance_block(p400, pts) < rep.restricted_radius
+            pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
+        assert block_slack(f, eps, eps, pairs_i, pairs_j, 997) == (rep.worst_slack, rep.witness_pair)
+        assert rep.pairs_checked == len(pairs_i)
+
+    @pytest.mark.parametrize("carrier", [9, 130])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restricted_radius_from_multi_entry_sums(self, p400, carrier, workers):
+        # single weights stay within 2e-10 of 1, below tolerance/4, so the
+        # largest sum, and the radius, come from the multi-vertex rows
+        f = mixed_pou(p400, carrier, np.random.default_rng(carrier + 1), multi_sum=1 + 8e-10)
+        pts, _, mat = f.dense()
+        sums = mat.sum(axis=1)
+        k = int(np.argmax(sums))
+        assert sums[k] > 1 + verify.SLACK_TOL / 4 and f.indptr[k + 1] - f.indptr[k] > 1
+        eps = 0.05
+        rep = lipschitz_check(f, eps, eps, mode="restricted", workers=workers)
+        assert rep.restricted_radius == 2.0 * float(sums[k]) / eps - 1.0
+        near = distance_block(p400, pts) < rep.restricted_radius
+        pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
+        assert block_slack(f, eps, eps, pairs_i, pairs_j, 997) == (rep.worst_slack, rep.witness_pair)
+        assert rep.pairs_checked == len(pairs_i)
+        assert lipschitz_check(f, eps, eps, mode="full", workers=workers).passed == rep.passed
+
+    @pytest.mark.parametrize("mode", ["full", "restricted"])
+    def test_dense_matrix_never_built(self, monkeypatch, mode):
+        # the dense matrix of this pou alone is 600 x 1000 floats, 4.8 MB
+        sp = path_space(600)
+        f = random_pou(sp, 1000, np.random.default_rng(3))
+        assert len(f.carrier()) == 1000
+
+        def refuse(self):
+            raise AssertionError("the kernel read the dense matrix")
+
+        monkeypatch.setattr(PartitionOfUnity, "dense", refuse)
+        tracemalloc.start()
+        try:
+            rep = lipschitz_check(f, 0.1, 0.1, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == 600 * 599 // 2 or mode == "restricted"
+        assert rep.pairs_checked > 0
+        assert peak < 600 * 1000 * 8
+
+
 class TestCobounded:
     def test_singleton_stars(self, p10):
         f = barycentric_pou(p10, [PointSubset((x,)) for x in range(10)])
