@@ -27,6 +27,15 @@ decided inside that class alone.  The set primitives at the end of this
 module keep a running minimum over row blocks in ascending id order, so no
 |A| x n block is ever built and a set query holds O(n) plus one block.
 
+A graph's diameter reads a row only while it can raise the running
+maximum: a read row v bounds every member w by ecc(v) + d(v, w), and w's
+row is skipped once that bound times 1 + 4*n*eps is at most the maximum.
+A Dijkstra entry is a rounded sum along a path of at most n - 1 edges, so
+it lies within a factor (1 +- eps)^(n-1) of the graph distance, which obeys
+the triangle inequality exactly; so a skipped row holds no larger entry,
+and the diameter is the max over every row, bit for bit (diameter).  A
+matrix or a cloud reads every row.
+
 Metric axioms are validated eagerly at load.  Each loader checks what its
 construction does not already guarantee:
 
@@ -627,12 +636,38 @@ def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> Point
 
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
-    """Max pairwise distance within a; 0 for singletons.
+    """Max pairwise distance within a: the largest entry of a's rows on a; 0 for singletons.
 
     The first point's row gives its eccentricity e within a, and every
-    distance within a is at most 2e; the other rows come in blocks cut off
-    a little above 2e.  A row whose entries in a do not all come back
-    (rounding beyond the margin) is computed in full instead.
+    distance within a is at most 2e, so the other rows come cut off a little
+    above 2e.  A row whose entries in a do not all come back (rounding
+    beyond the margin) is computed in full instead.
+
+    A matrix or a point cloud reads every row: a matrix above
+    EXHAUSTIVE_TRIANGLE_LIMIT points has only a pool of rows checked for
+    the triangle inequality, and a cloud's diff ** p may underflow.  On a
+    graph, with or without a table, a row is read only while it can raise
+    the running maximum, worst (the eccentricity bounds of Takes and
+    Kosters).  A read row v with eccentricity ecc(v) within a bounds every
+    member w by ub[w] = min over read v of ecc(v) + d(v, w), and w's row is
+    dropped once ub[w] * (1 + slack) <= worst, with slack = 4 * n * eps.
+
+    That is exact.  A Dijkstra entry is a rounded sum along a path of at
+    most n - 1 edges, and relaxation keeps it at most the rounded sum along
+    a shortest path, so it lies within a factor (1 +- eps)^(n-1) of the graph
+    distance.  The graph distance obeys the triangle inequality exactly, so
+    every entry d(w, u) with u in a is at most (ecc(v) + d(v, w)) times those
+    factors, and slack covers them and the roundings of the bound itself.  A
+    dropped row has no entry above worst, so the result is the max over
+    every row, bit for bit.
+
+    The pick order: after the first row, pairs of single rows, the open
+    member of largest ub and then the one of least lower bound lb[w] = max
+    over read v of max(d(v, w), ecc(v) - d(v, w)) (the most central), for as
+    long as a pair closes some other member.  Then the open members in
+    blocks of row_blocks' size, the bounds updated after each.
+    No row is read twice.  A set no row can prune, such as leaves of a star,
+    reads each of its rows once, as a scan would.
     """
     if not a.ids:
         raise EmptySetError("diameter of empty subset")
@@ -640,13 +675,43 @@ def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
         return 0.0
     ids = a.array()
     cols = ids if len(ids) < space.n else slice(None)  # the whole space: no gather
-    worst = float(space.row(ids[0])[cols].max())
-    rest = ids[1:]
-    for lo, rows in row_blocks(space, rest, 2.0 * worst * (1.0 + DIAMETER_MARGIN)):
-        maxima = rows[:, cols].max(axis=1)
-        for k in np.flatnonzero(np.isinf(maxima)):
-            maxima[k] = space.row(rest[lo + k])[cols].max()
-        worst = max(worst, float(maxima.max()))
+    first = space.row(ids[0])[cols]
+    limit = 2.0 * float(first.max()) * (1.0 + DIAMETER_MARGIN)
+    prune = space._graph is not None
+    slack = 4 * space.n * np.finfo(np.float64).eps
+    worst = 0.0
+    todo = np.ones(len(ids), dtype=bool)  # members whose rows may raise worst
+    ub, lb = np.full(len(ids), math.inf), np.zeros(len(ids))
+
+    def take(k, rows):  # rows: the rows of ids[k], exact on a
+        nonlocal worst
+        todo[k] = False
+        ecc = rows.max(axis=1)
+        worst = max(worst, float(ecc.max()))
+        if prune:
+            np.minimum(ub, (rows + ecc[:, None]).min(axis=0), out=ub)
+            np.maximum(lb, np.maximum(rows, ecc[:, None] - rows).max(axis=0), out=lb)
+            todo[ub * (1.0 + slack) <= worst] = False
+
+    def read(k):
+        rows = space.rows(ids[k], limit)[:, cols]
+        for i in np.flatnonzero(np.isinf(rows).any(axis=1)):
+            rows[i] = space.row(ids[k[i]])[cols]
+        take(k, rows)
+
+    take(np.array([0]), first[None, :])
+    while prune and todo.any():
+        before = np.count_nonzero(todo)
+        for central in (False, True):
+            open_ = np.flatnonzero(todo)
+            if open_.size:
+                i = np.argmin(lb[open_]) if central else np.argmax(ub[open_])
+                read(open_[i:i + 1])
+        if np.count_nonzero(todo) >= before - 2:
+            break
+    step = max(1, ROW_BLOCK_CELLS // space.n)
+    while todo.any():
+        read(np.flatnonzero(todo)[:step])
     return worst
 
 

@@ -268,9 +268,12 @@ def _pair_blocks(partners, size: int):
 class _SlackKernel:
     """l1(f(x), f(y)) from f's CSR arrays, with the bits of a dense row sum.
 
-    Single-entry rows keep their column and weight; every other row is
-    scattered into one of two buffers of carrier-wide rows when a pair
-    needs it.  One kernel per worker thread, since the buffers are reused.
+    Single-entry rows keep their column and weight.  A pair with a wider
+    row is summed over a carrier-wide difference: x's dense row, scattered
+    once for the run of pairs that share x, minus y's entries subtracted in
+    place (each column at most once per row, and a - 0.0 is a, so these are
+    the bits of the dense subtraction).  One kernel per worker thread,
+    since the buffers are reused.
     """
 
     def __init__(self, f: PartitionOfUnity):
@@ -284,13 +287,18 @@ class _SlackKernel:
         self.column[self.single], self.weight[self.single] = f.columns[lead], f.weights[lead]
         self.bufs = np.zeros((2, self.height, width))
 
+    def _cells(self, rows, block):
+        """(the flat cell in block of each entry of f's rows at rows, the entries)."""
+        kept, k = row_entries(self.f.indptr, rows)
+        flat = np.repeat(np.arange(0, block.size, block.shape[1]), np.diff(kept))
+        flat += self.f.columns[k]  # row-major
+        return flat, k
+
     def _dense(self, rows, buf):
         """f's dense rows at rows, written over the first rows of buf."""
         block = buf[:len(rows)]
         block.fill(0.0)
-        kept, k = row_entries(self.f.indptr, rows)
-        flat = np.repeat(np.arange(0, block.size, buf.shape[1]), np.diff(kept))
-        flat += self.f.columns[k]  # the entries' cells, row-major
+        flat, k = self._cells(rows, block)
         block.reshape(-1)[flat] = self.f.weights[k]
         return block
 
@@ -310,8 +318,12 @@ class _SlackKernel:
         other = np.flatnonzero(~(self.single[ii] & self.single[jj]))
         for lo in range(0, len(other), self.height):
             k = other[lo:lo + self.height]
-            diff = self._dense(ii[k], self.bufs[0])
-            np.subtract(diff, self._dense(jj[k], self.bufs[1]), out=diff)
+            run = np.ones(len(k), dtype=bool)  # pairs come in (i, j) order
+            np.not_equal(ii[k[1:]], ii[k[:-1]], out=run[1:])
+            diff = np.take(self._dense(ii[k[run]], self.bufs[0]), np.cumsum(run) - 1, axis=0,
+                           out=self.bufs[1][:len(k)])
+            flat, e = self._cells(jj[k], diff)
+            diff.reshape(-1)[flat] -= self.f.weights[e]
             out[k] = np.abs(diff, out=diff).sum(axis=1)
         return out
 

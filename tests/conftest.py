@@ -44,6 +44,11 @@ def weighted_graph(rng, n, integral, table=False):
     for _ in range(n):
         u, v = rng.integers(0, n, 2)
         edges.append((int(u), int(v), weight()))
+    return graph_space(n, edges, table)
+
+
+def graph_space(n, edges, table):
+    """load_graph on either lane: with its distance table or without one."""
     with pytest.MonkeyPatch.context() as mp:
         if not table:
             mp.setattr(metric, "DENSE_LIMIT", 0)

@@ -37,7 +37,7 @@ from coarsecert.metric import (
     nearest_point_retraction,
     set_ball,
 )
-from .conftest import integer_graph, path_space, weighted_graph
+from .conftest import graph_space, integer_graph, path_space, weighted_graph
 
 
 class TestLoadMatrix:
@@ -780,6 +780,81 @@ class TestCutOffQueries:
             p = nearest_point_retraction(sp, a)
             assert np.array_equal(p.dist, least)
             assert np.array_equal(p.mapping, first) and np.array_equal(p.mapping[ids], ids)
+
+
+def rows_read(monkeypatch):
+    """Every source passed to FiniteMetricSpace.row and .rows, in call order."""
+    sources = []
+    row, rows = FiniteMetricSpace.row, FiniteMetricSpace.rows
+
+    def counted_row(self, x):
+        sources.append(int(x))
+        return row(self, x)
+
+    def counted_rows(self, ids, limit=math.inf):
+        sources.extend(int(x) for x in ids)
+        return rows(self, ids, limit)
+
+    monkeypatch.setattr(FiniteMetricSpace, "row", counted_row)
+    monkeypatch.setattr(FiniteMetricSpace, "rows", counted_rows)
+    return sources
+
+
+class TestPrunedDiameter:
+    """A graph's diameter reads only rows that can raise it, and equals the full scan."""
+
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(), st.booleans(),
+           st.sampled_from(["random", "star", "cycle"]), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_max_of_every_row(self, n, seed, integral, table, shape, block):
+        rng = np.random.default_rng(seed)
+
+        def weight():
+            return float(rng.integers(1, 4)) if integral else float(rng.uniform(0.05, 10.0))
+        if shape == "random":
+            sp = weighted_graph(rng, n, integral, table=table)
+            sets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                    for _ in range(4)]
+        elif shape == "star":  # the leaves: no row prunes another, and the centre is outside
+            sp = graph_space(n + 1, [(0, i, weight()) for i in range(1, n + 1)], table)
+            sets = [np.arange(1, n + 1), rng.choice(np.arange(1, n + 1), size=min(n, 3),
+                                                       replace=False)]
+        else:  # a cycle: every point is as central as any other
+            sp = graph_space(n + 1, [(i, (i + 1) % (n + 1), weight()) for i in range(n + 1)],
+                             table)
+            sets = [np.arange(n + 1), np.arange(0, n + 1, 2), rng.choice(n + 1, size=n // 2 + 1,
+                                                                        replace=False)]
+        assert sp.has_table == table
+        full = np.stack([sp.row(x) for x in range(sp.n)])
+        with pytest.MonkeyPatch.context() as mp:  # blocks of 1 to 4 rows, the bounds updated after each
+            mp.setattr(metric, "ROW_BLOCK_CELLS", block * sp.n)
+            for ids in sets:
+                ids = np.sort(ids)
+                assert diameter(sp, PointSubset(tuple(ids.tolist()))) == full[np.ix_(ids, ids)].max()
+            assert sp.diameter() == full.max()
+
+    def test_path_interval_reads_few_rows(self, monkeypatch):
+        sp = graph_space(1500, [(i, i + 1, 1.0) for i in range(1499)], table=False)
+        sources = rows_read(monkeypatch)
+        assert diameter(sp, PointSubset(tuple(range(200, 1200)))) == 999.0
+        assert len(sources) <= 8 and len(set(sources)) == len(sources)
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "table-free"])
+    def test_star_leaves_read_each_row_once(self, monkeypatch, table):
+        sp = graph_space(301, [(0, i, 1.0) for i in range(1, 301)], table)
+        sources = rows_read(monkeypatch)
+        assert diameter(sp, PointSubset(tuple(range(1, 301)))) == 2.0
+        assert sorted(sources) == list(range(1, 301))
+
+    def test_clouds_and_matrices_read_every_row(self):
+        cloud = load_points([[float(x), float(x % 7)] for x in range(40)], 2)
+        matrix = load_matrix([[abs(i - j) for j in range(40)] for i in range(40)])
+        for sp in (cloud, matrix):
+            expect = max(sp.d(x, y) for x in range(5, 35) for y in range(5, 35))
+            with pytest.MonkeyPatch.context() as mp:
+                sources = rows_read(mp)
+                assert diameter(sp, PointSubset(tuple(range(5, 35)))) == expect
+            assert sorted(sources) == list(range(5, 35))
 
 
 def table_space(table):
