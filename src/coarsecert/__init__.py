@@ -19,7 +19,6 @@ from .metric import (
 )
 from .simplex import (
     PartitionOfUnity,
-    SimplexPoint,
     VertexId,
     VertexMint,
     barycentric_pou,

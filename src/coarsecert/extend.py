@@ -57,7 +57,6 @@ from .metric import (
 )
 from .simplex import (
     PartitionOfUnity,
-    SimplexPoint,
     VertexMint,
     convex_combine,
     renamespace,
@@ -272,17 +271,16 @@ def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Partitio
     searches and may differ in the last bits.
     """
     space = f.space
-    new = [x for x in g.domain.ids if x not in f]
-    if not new:
+    new = PointSubset(tuple(x for x in g.domain.ids if x not in f))
+    if not new.ids:
         return PartitionOfUnity.empty(space)
-    near = np.flatnonzero(dist_to_set_all(space, PointSubset(tuple(new)), 2.0 * r) < 2.0 * r)
+    near = np.flatnonzero(dist_to_set_all(space, new, 2.0 * r) < 2.0 * r)
     sources = np.array([y for y in near.tolist() if y in f], dtype=np.intp)
     dist, nearest = nearest_scan(space, sources, r)  # exact below r, as the whole scan
-    out: Dict[int, SimplexPoint] = {}
-    for x in new:
-        alpha = min(dist[x] / r, 1.0)
-        out[x] = g(x) if alpha == 1.0 else convex_combine(alpha, g(x), f(int(nearest[x])))
-    return PartitionOfUnity(space, out)
+    g = g.restricted_to(new)
+    ids = g.domain.array()
+    return PartitionOfUnity._from_csr(
+        space, ids, *convex_combine(np.minimum(dist[ids] / r, 1.0), g, f, nearest[ids]))
 
 
 def _blend_fresh(f: PartitionOfUnity, points: PointSubset, epsilon: float,

@@ -18,7 +18,7 @@ from typing import Callable, Tuple, Union
 from .covers import DecompositionTree
 from .errors import CoarseCertError, InvalidInputError
 from .metric import FiniteMetricSpace, as_float, as_int, load_graph, load_matrix, load_points
-from .simplex import PartitionOfUnity, SimplexPoint, vertex_key
+from .simplex import PartitionOfUnity, vertex_key
 
 SCHEMA_VERSION = 1
 
@@ -138,7 +138,7 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
             raise InvalidInputError(f"pou references unknown point id {x}")
         if x in assignment:
             raise InvalidInputError(f"pou assigns point {x} twice")
-        weights = {}
+        weights = assignment[x] = {}
         for vk, w in pairs:
             ns, _, idx = vk.partition(":") if isinstance(vk, str) else ("", "", "")
             if not (_plain_decimal(ns) and _plain_decimal(idx)):
@@ -150,7 +150,6 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise InvalidInputError(f"weight {w!r} of point {x} is not a JSON number")
             weights[v] = float(w)
-        assignment[x] = SimplexPoint(weights)
     return PartitionOfUnity(space, assignment)
 
 

@@ -1,16 +1,20 @@
 """Sparse arithmetic on the l1 simplex and partitions of unity.
 
-A SimplexPoint is a finite map from vertices to strictly positive weights
-summing to 1; a PartitionOfUnity assigns one to each point of a subset of a
-host metric space.  Vertices carry a (namespace, index) identity: namespace 0
-is reserved for user-supplied vertices (cover members, explicit inputs) and
-every extension run mints its vertices inside a fresh namespace, which is how
-independently built pieces are guaranteed disjoint carriers.
+A point of the l1 simplex is a finite map from vertices to strictly positive
+weights summing to 1; a PartitionOfUnity assigns one to each point of a
+subset of a host metric space.  Vertices carry a (namespace, index) identity:
+namespace 0 is reserved for user-supplied vertices (cover members, explicit
+inputs) and every extension run mints its vertices inside a fresh namespace,
+which is how independently built pieces are guaranteed disjoint carriers.
 
 A PartitionOfUnity is stored once, as compressed sparse rows (CSR) over its
-ascending domain, each entry a carrier column and a weight; its carrier,
-star preimages (with their diameters, one array in carrier order) and dense
-matrix, and every operation on whole pous, are array operations on those rows.
+ascending domain, each entry a carrier column and a weight, and this is the
+only form a pou takes.  Rows from outside (a pou file, or {point: {vertex:
+weight}} dicts) pass one weight validator; the blend convex_combine builds
+its rows from the rows of its two inputs.  The carrier, star preimages (with
+their diameters, one array in carrier order) and dense matrix, and every
+operation on whole pous, are array operations on those rows; f(x) reads one
+row back as a {vertex: weight} dict.
 
 Everything here is immutable after construction and all operations are pure.
 Fresh namespaces come from a VertexMint that each construction run creates
@@ -58,86 +62,6 @@ class VertexMint:
             return next(self._counter)
 
 
-class SimplexPoint:
-    """A point of the l1 simplex: positive finite weights summing to 1."""
-
-    __slots__ = ("_w",)
-
-    def __init__(self, weights: Mapping[VertexId, float], _trusted: bool = False):
-        if _trusted:
-            self._w = dict(weights)
-            return
-        w = {}
-        for v, x in weights.items():
-            x = float(x)
-            if not math.isfinite(x):
-                raise InvalidInputError(f"non-finite weight {x!r} on vertex {v}")
-            if x < 0:
-                raise InvalidInputError(f"negative weight {x!r} on vertex {v}")
-            if x > 0:
-                w[(int(v[0]), int(v[1]))] = x
-        if not w:
-            raise InvalidInputError("simplex point needs at least one positive weight")
-        total = math.fsum(w.values())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidInputError(f"weights sum to {total!r}, not 1")
-        self._w = w
-
-    @classmethod
-    def delta(cls, v: VertexId) -> "SimplexPoint":
-        return cls({v: 1.0}, _trusted=True)
-
-    def weights(self) -> Dict[VertexId, float]:
-        return dict(self._w)
-
-    def support(self):
-        return self._w.keys()
-
-    def get(self, v: VertexId) -> float:
-        return self._w.get(v, 0.0)
-
-    def sum(self) -> float:
-        return math.fsum(self._w.values())
-
-    def items(self):
-        return self._w.items()
-
-    def __len__(self):
-        return len(self._w)
-
-    def __eq__(self, other):
-        return isinstance(other, SimplexPoint) and self._w == other._w
-
-    def __hash__(self):
-        return hash(frozenset(self._w.items()))
-
-    def __repr__(self):
-        inner = ", ".join(f"{vertex_key(v)}: {x:.6g}" for v, x in sorted(self._w.items()))
-        return f"SimplexPoint({{{inner}}})"
-
-
-def convex_combine(t: float, u: SimplexPoint, v: SimplexPoint) -> SimplexPoint:
-    """t*u + (1-t)*v with exact endpoints: t=0 returns v itself, t=1 returns u."""
-    if t == 0.0:
-        return v
-    if t == 1.0:
-        return u
-    if not (0.0 <= t <= 1.0):
-        raise InvalidInputError(f"combination parameter {t!r} outside [0, 1]")
-    s = 1.0 - t
-    w: Dict[VertexId, float] = {}
-    for vert, x in u._w.items():
-        w[vert] = t * x
-    for vert, y in v._w.items():
-        w[vert] = w.get(vert, 0.0) + s * y
-    for vert in [k for k, x in w.items() if x == 0.0]:
-        del w[vert]
-    total = math.fsum(w.values())
-    if abs(total - 1.0) > RENORM_TRIGGER:
-        w = {k: x / total for k, x in w.items()}
-    return SimplexPoint(w, _trusted=True)
-
-
 def _indptr(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
 
@@ -157,24 +81,55 @@ def _columns(verts: Sequence[VertexId]):
     return np.array([col[v] for v in verts], dtype=np.intp), carrier
 
 
+def _checked_rows(ids, counts, verts, weights):
+    """Rows given from outside, checked, as the arguments of PartitionOfUnity._store.
+
+    Point ids[i] has the next counts[i] of verts and weights.  Weights must
+    be finite and non-negative; zeros are dropped, and each row must keep
+    some whose fsum is within SUM_TOL of 1.  The first faulty row is named.
+    """
+    ids, weights = np.array(ids, dtype=np.intp), np.array(weights, dtype=float)
+    rows = np.repeat(np.arange(len(ids)), counts)
+    keep = weights > 0  # not -0.0, not NaN
+    indptr = _indptr(np.bincount(rows[keep], minlength=len(ids)))
+    bad = np.flatnonzero(~(weights >= 0) | np.isinf(weights))
+    empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+    first = min(rows[bad[:1]].tolist() + empty[:1].tolist() + [len(ids)])
+    kept, bounds = weights[keep].tolist(), indptr.tolist()
+    for i in range(first):
+        try:
+            total = math.fsum(kept[bounds[i]:bounds[i + 1]])
+        except OverflowError:  # finite weights whose sum is not
+            total = math.inf
+        if abs(total - 1.0) > SUM_TOL:
+            raise InvalidInputError(f"weights of point {ids[i]} sum to {total!r}, not 1")
+    if len(bad) and rows[bad[0]] == first:
+        w, v = float(weights[bad[0]]), vertex_key(verts[bad[0]])
+        kind = "negative" if math.isfinite(w) else "non-finite"
+        raise InvalidInputError(f"{kind} weight {w!r} on vertex {v} of point {ids[first]}")
+    if first < len(ids):
+        raise InvalidInputError(f"point {ids[first]} has no positive weight")
+    columns, carrier = _columns(verts)
+    return ids, indptr, columns[keep], carrier, weights[keep], np.argsort(ids)
+
+
 class PartitionOfUnity:
     """A map from a subset of a host space into the l1 simplex, as CSR arrays.
 
     Row i is the point domain.ids[i] (ascending).  Its entries are
     indptr[i]:indptr[i+1] of `columns`, indices into the sorted carrier
-    tuple (each at most once), and of `weights`, in the order its
-    SimplexPoint lists them
-    (simplicial_retraction sums weights in that order).  The arrays are
-    read-only, so pous share them.  f(x) builds x's SimplexPoint from its row.
+    tuple (each at most once), and of `weights`, in the order they were
+    given or blended (simplicial_retraction sums weights in that order).
+    The arrays are read-only, so pous share them.  f(x) reads x's row as a
+    {vertex: weight} dict in that order.
     """
 
-    def __init__(self, space: FiniteMetricSpace, assignment: Mapping[int, SimplexPoint]):
-        ids = np.array(list(assignment), dtype=np.intp)
+    def __init__(self, space: FiniteMetricSpace,
+                 assignment: Mapping[int, Mapping[VertexId, float]]):
         points = list(assignment.values())
-        self._store(space, ids, _indptr([len(p) for p in points]),
-                    *_columns([v for p in points for v in p.support()]),
-                    np.array([w for p in points for w in p._w.values()], dtype=float),
-                    rows=np.argsort(ids))
+        self._store(space, *_checked_rows(list(assignment), [len(p) for p in points],
+                                          [v for p in points for v in p],
+                                          [w for p in points for w in p.values()]))
 
     def _store(self, space, ids, indptr, columns, verts, weights, rows=None) -> None:
         """Keep the given rows, in order, of the CSR arrays (all of them by default).
@@ -216,15 +171,14 @@ class PartitionOfUnity:
         return cls._from_csr(space, domain.array(), np.arange(m + 1),
                              np.zeros(m, dtype=np.intp), [v], np.ones(m))
 
-    def __call__(self, x: int) -> SimplexPoint:
+    def __call__(self, x: int) -> Dict[VertexId, float]:
         i = bisect_left(self.domain.ids, x)
         if self.domain.ids[i:i + 1] != (x,):
             raise KeyError(x)
         a, b = self.indptr[i], self.indptr[i + 1]
         carrier = self._carrier
-        return SimplexPoint({carrier[j]: w for j, w in zip(self.columns[a:b].tolist(),
-                                                          self.weights[a:b].tolist())},
-                            _trusted=True)
+        return {carrier[j]: w for j, w in zip(self.columns[a:b].tolist(),
+                                              self.weights[a:b].tolist())}
 
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.domain.ids, x)
@@ -274,6 +228,46 @@ class PartitionOfUnity:
             np.concatenate([columns[off + f.columns] for f, off in zip(pous, offsets)]), verts,
             np.concatenate([f.weights for f in pous]),
             rows=np.unique(ids, return_index=True)[1])  # the first pou to hold each point
+
+
+def convex_combine(t: np.ndarray, g: PartitionOfUnity, f: PartitionOfUnity, src: np.ndarray):
+    """(indptr, columns, verts, weights): row i is t[i]*g's row i + (1-t[i])*f(src[i]).
+
+    verts is the sorted union of the two carriers.  A row at t = 1 is g's
+    row, and one at t = 0 is f(src[i]), untouched.  Otherwise, with s = 1 - t,
+    it lists g's vertices in g's order at t*x (t*x + s*y if f(src[i]) has y
+    there too), then f(src[i])'s others in its order at s*y, drops exact
+    zeros, and is divided by its fsum if that is more than RENORM_TRIGGER
+    from 1.  src is read only where t < 1.
+    """
+    outside = t[~((t >= 0.0) & (t <= 1.0))]
+    if len(outside):
+        raise InvalidInputError(f"combination parameter {float(outside[0])!r} outside [0, 1]")
+    grows, frows = np.flatnonzero(t > 0.0), np.flatnonzero(t < 1.0)
+    missing = src[frows][~np.isin(src[frows], f._ids)]
+    if len(missing):
+        raise KeyError(int(missing[0]))
+    columns, verts = _columns(g._carrier + f._carrier)
+    gptr, gent = row_entries(g.indptr, grows)
+    fptr, fent = row_entries(f.indptr, np.searchsorted(f._ids, src[frows]))
+    grow, frow = np.repeat(grows, np.diff(gptr)), np.repeat(frows, np.diff(fptr))
+    gcol, fcol = columns[g.columns[gent]], columns[len(g._carrier) + f.columns[fent]]
+    gw, fw = t[grow] * g.weights[gent], (1.0 - t[frow]) * f.weights[fent]
+    _, gi, fi = np.intersect1d(grow * len(verts) + gcol, frow * len(verts) + fcol,
+                               assume_unique=True, return_indices=True)
+    gw[gi] += fw[fi]  # a vertex in both rows, listed where g lists it
+    rows, columns, weights = (np.concatenate((a, np.delete(b, fi)))
+                              for a, b in ((grow, frow), (gcol, fcol), (gw, fw)))
+    nonzero = np.flatnonzero(weights)
+    order = nonzero[np.argsort(rows[nonzero], kind="stable")]  # g's entries first in a row
+    columns, weights = columns[order], weights[order]
+    indptr = _indptr(np.bincount(rows[order], minlength=len(t)))
+    listed, bounds = weights.tolist(), indptr.tolist()
+    for i in np.flatnonzero((t > 0.0) & (t < 1.0)).tolist():
+        total = math.fsum(listed[bounds[i]:bounds[i + 1]])
+        if abs(total - 1.0) > RENORM_TRIGGER:
+            weights[bounds[i]:bounds[i + 1]] /= total
+    return indptr, columns, verts, weights
 
 
 def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:

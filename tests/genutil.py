@@ -8,10 +8,12 @@ handed to a test has therefore been verified to meet its stated precondition
 by the independent checker itself.
 """
 
+import math
+
 import numpy as np
 
 from coarsecert.metric import PointSubset
-from coarsecert.simplex import PartitionOfUnity, SimplexPoint
+from coarsecert.simplex import RENORM_TRIGGER, PartitionOfUnity
 from coarsecert.verify import lipschitz_check
 
 
@@ -27,7 +29,7 @@ def random_lipschitz_pou(space, domain_ids, delta, rng, n_vertices=4, namespace=
             return f
         scale /= 2.0
     # constant pou: zero simplex displacement, passes any (delta, delta)
-    w = SimplexPoint({v: float(x) for v, x in zip(verts, base) if x > 0})
+    w = {v: float(x) for v, x in zip(verts, base) if x > 0}
     return PartitionOfUnity(space, {x: w for x in ids})
 
 
@@ -46,13 +48,35 @@ def _walk_pou(space, ids, verts, base, step, rng):
         weights = {v: float(w) for v, w in zip(verts, cur) if w > 0}
         total = sum(weights.values())
         weights = {v: w / total for v, w in weights.items()}
-        assignment[x] = SimplexPoint(weights)
+        assignment[x] = weights
     return PartitionOfUnity(space, assignment)
 
 
 def uniform(vertices):
     """The barycenter of a list of distinct vertices."""
-    return SimplexPoint(dict.fromkeys(vertices, 1.0 / len(vertices)))
+    return dict.fromkeys(vertices, 1.0 / len(vertices))
+
+
+def blend_point(t, u, v):
+    """t*u + (1-t)*v of two {vertex: weight} dicts, point by point.
+
+    The reference for the blend: u's vertices first, then v's others, exact
+    zeros dropped, renormalized past RENORM_TRIGGER, and u or v itself at
+    t = 1 or t = 0.
+    """
+    if t == 0.0:
+        return dict(v)
+    if t == 1.0:
+        return dict(u)
+    s = 1.0 - t
+    w = {vert: t * x for vert, x in u.items()}
+    for vert, y in v.items():
+        w[vert] = w.get(vert, 0.0) + s * y
+    w = {vert: x for vert, x in w.items() if x != 0.0}
+    total = math.fsum(w.values())
+    if abs(total - 1.0) > RENORM_TRIGGER:
+        w = {vert: x / total for vert, x in w.items()}
+    return w
 
 
 def random_subset(n, size, rng):
@@ -72,12 +96,11 @@ def min_gap_pair(space, ids):
 
 def perturb_weight(f, x, v, amount=0.2):
     """Add `amount` to the weight of vertex v at point x, renormalized."""
-    p = f(x)
-    w = p.weights()
+    w = f(x)
     w[v] = w.get(v, 0.0) + amount
     total = sum(w.values())
     w = {k: val / total for k, val in w.items()}
-    return PartitionOfUnity(f.space, {x: SimplexPoint(w)}).merged_with(f)
+    return PartitionOfUnity(f.space, {x: w}).merged_with(f)
 
 
 def smallest_weight_vertex(f, x):
@@ -85,7 +108,7 @@ def smallest_weight_vertex(f, x):
     p = f(x)
     best_v, best_w = None, None
     for v in f.carrier():
-        w = p.get(v)
+        w = p.get(v, 0.0)
         if best_w is None or w < best_w or (w == best_w and v < best_v):
             best_v, best_w = v, w
     return best_v

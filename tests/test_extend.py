@@ -35,15 +35,13 @@ from coarsecert.extend import (
 from coarsecert.metric import PointSubset, dist_to_set_all
 from coarsecert.simplex import (
     PartitionOfUnity,
-    SimplexPoint,
     VertexMint,
     barycentric_pou,
-    convex_combine,
     simplicial_retraction,
 )
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph
-from .genutil import perturb_weight, random_lipschitz_pou, random_subset, uniform
+from .genutil import blend_point, perturb_weight, random_lipschitz_pou, random_subset, uniform
 
 
 def dummy_tree(arity):
@@ -128,7 +126,7 @@ class TestPaste:
 
     def test_single_point_formula(self, p100):
         # h(x) = {w: a(x), v: 1-a(x)} with a(x) = min(d(x, 0)/r, 1)
-        f = PartitionOfUnity(p100, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p100, {0: {(1, 0): 1.0}})
         g = PartitionOfUnity.constant(p100, p100.all_points(), (2, 0))
         r, eps = 16.0, 0.5
         delta = min(eps / 3 - 2 / (3 * r), eps / (4 * r + 7))
@@ -140,7 +138,7 @@ class TestPaste:
                 expect[(2, 0)] = alpha
             if alpha < 1:
                 expect[(1, 0)] = 1.0 - alpha
-            got = h(x).weights()
+            got = h(x)
             assert set(got) == set(expect)
             for v, w in expect.items():
                 assert got[v] == pytest.approx(w, abs=1e-15)
@@ -156,7 +154,7 @@ class TestPaste:
                 assert h(x) == g(x)
 
     def test_precondition_names(self, p10):
-        f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p10, {0: {(1, 0): 1.0}})
         g = PartitionOfUnity.constant(p10, p10.all_points(), (2, 0))
         with pytest.raises(PreconditionViolatedError, match="4/epsilon"):
             paste(f, g, r=3.0, epsilon=1.0, delta=0.001, check_inputs=False)
@@ -166,8 +164,8 @@ class TestPaste:
             paste(f, g, r=8.0, epsilon=1.0, delta=0.05, check_inputs=False)
 
     def test_lipschitz_precondition_enforced(self, p10):
-        f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0)),
-                                   1: SimplexPoint.delta((1, 1))})
+        f = PartitionOfUnity(p10, {0: {(1, 0): 1.0},
+                                   1: {(1, 1): 1.0}})
         g = PartitionOfUnity.constant(p10, p10.all_points(), (2, 0))
         with pytest.raises(PreconditionViolatedError, match="Lipschitz"):
             paste(f, g, r=8.0, epsilon=1.0, delta=1.0 / 39, check_inputs=True)
@@ -209,7 +207,7 @@ class TestExtendPou:
         dist = dist_to_set_all(p100, a)
         for x in range(100):
             alpha = min(dist[x] / r, 1.0)
-            got = g(x).weights()
+            got = g(x)
             assert got.get((77, 0), 0.0) == pytest.approx(alpha, abs=1e-15)
             assert got.get((1, 0), 0.0) == pytest.approx(1 - alpha, abs=1e-15)
         assert lipschitz_check(g, 1.0, 1.0).passed
@@ -222,8 +220,8 @@ class TestExtendPou:
         assert all(g(x) == f(x) for x in a.ids)
 
     def test_rejects_non_lipschitz_input(self, p10):
-        f = PartitionOfUnity(p10, {0: SimplexPoint.delta((1, 0)),
-                                   1: SimplexPoint.delta((1, 1))})
+        f = PartitionOfUnity(p10, {0: {(1, 0): 1.0},
+                                   1: {(1, 1): 1.0}})
         with pytest.raises(PreconditionViolatedError):
             extend_pou(f, 1.0, mint=VertexMint())
 
@@ -258,7 +256,7 @@ class TestExtendPouCobounded:
         # (delta, delta)-Lipschitz for the schedule delta); the verifier is
         # the authority on the output, and both checks pass at eps = 0.4
         u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((50, 0))})
+        f = PartitionOfUnity(p200, {0: {(50, 0): 1.0}})
         eps = 0.4
         g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
         assert lipschitz_check(g, eps, eps).passed
@@ -268,7 +266,7 @@ class TestExtendPouCobounded:
 
     def test_carriers_forced_disjoint(self, p200):
         u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((0, 0))})
+        f = PartitionOfUnity(p200, {0: {(0, 0): 1.0}})
         # u also uses namespace 0: without re-namespacing these would collide
         g, _ = extend_pou_cobounded(f, u, 0.4, check_inputs=False, mint=VertexMint())
         carrier_ns = {v[0] for v in g.carrier()}
@@ -277,14 +275,14 @@ class TestExtendPouCobounded:
 
     def test_corrupted_input_flips_verifier(self, p200):
         u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((50, 0))})
+        f = PartitionOfUnity(p200, {0: {(50, 0): 1.0}})
         eps = 0.4
         g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
         assert lipschitz_check(g, eps, eps).passed
         # corrupt one weight on a certificate that passed: push the majority
         # vertex at a triple-overlap point
         x = 30
-        v = max(g(x).weights().items(), key=lambda kv: kv[1])[0]
+        v = max(g(x).items(), key=lambda kv: kv[1])[0]
         gc = perturb_weight(g, x, v)
         assert not lipschitz_check(gc, eps, eps).passed
 
@@ -297,7 +295,7 @@ class TestExtendOverBoundedPiece:
             f, piece, r_m=50.0, budget=0.5, mint=VertexMint(start=5))
         assert branch == 1
         assert bound == 10.0  # input 0 + piece diameter
-        assert all(g(x).weights() == {(5, 0): 1.0} for x in piece.ids)
+        assert all(g(x) == {(5, 0): 1.0} for x in piece.ids)
 
     def test_far_piece_branch1(self, p200):
         rng = np.random.default_rng(6)
@@ -352,8 +350,8 @@ def whole_domain_extension(f, piece, r_m, budget, mint):
     target = PointSubset(f.domain.ids + piece.ids)
     g = extend_pou(f, budget, target=target, mint=mint, check_inputs=False)
     region = PointSubset(tuple(x for x in target.ids if dist_piece[x] < r_m))
-    s1 = set().union(*(f(x).support() for x in a_near))
-    s2 = set().union(*(g(x).support() for x in region.ids))
+    s1 = set().union(*(f(x) for x in a_near))
+    s2 = set().union(*(g(x) for x in region.ids))
     retract = {v: (v if v in s1 else min(s1)) for v in s2}
     return simplicial_retraction(g, retract, region), 2
 
@@ -464,23 +462,23 @@ class TestExtendOverDisjointFamily:
             f, [piece], R=10.0, budget=0.5,
             extender=lambda ff, t, u: extend_over_bounded_piece(
                 ff, piece, 50.0, u, mint=mint_b))
-        assert all(glued(x).weights() == direct(x).weights()
+        assert all(glued(x) == direct(x)
                    for x in glued.domain.ids)
 
     def test_not_r_disjoint(self, p200):
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
         pieces = [PointSubset((10, 11)), PointSubset((13, 14))]
         with pytest.raises(NotRDisjointError):
             extend_over_disjoint_family(f, pieces, R=5.0, budget=1.0, extender=None)
 
     def test_budget_too_small(self, p200):
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
         pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
         with pytest.raises(BudgetTooSmallError):
             extend_over_disjoint_family(f, pieces, R=90.0, budget=0.01, extender=None)
 
     def test_budget_too_small_recorded(self, p200):
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
         pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
         warnings = []
         h, _ = extend_over_disjoint_family(
@@ -493,7 +491,7 @@ class TestExtendOverDisjointFamily:
         # an extender that reuses one namespace across pieces violates the
         # carrier discipline and must be stopped before the glue
         from coarsecert.errors import VerificationFailedError
-        f = PartitionOfUnity(p200, {0: SimplexPoint.delta((1, 0))})
+        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
         pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
 
         def bad_extender(ff, t, u):
@@ -678,11 +676,11 @@ class TestPieceLocalBlend:
         # through the first minimum over all of a's full rows
         nearest = a[np.argmin(full[a], axis=0)]
         dist = full[a].min(axis=0)
-        expect = {int(x): convex_combine(min(dist[x] / r, 1.0), g(x), f(int(nearest[x])))
+        expect = {int(x): blend_point(min(dist[x] / r, 1.0), g(x), f(int(nearest[x])))
                   for x in target}
         got = f.merged_with(_alpha_blend(f, g, r))
         assert got.domain.ids == tuple(expect)
-        assert all(got(x) == expect[x] for x in expect)  # weights compared exactly
+        assert all(list(got(x).items()) == list(expect[x].items()) for x in expect)
         assert all(got(int(x)) == f(int(x)) for x in a)
 
 

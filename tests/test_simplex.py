@@ -16,8 +16,8 @@ from coarsecert.errors import (
 )
 from coarsecert.metric import PointSubset
 from coarsecert.simplex import (
+    SUM_TOL,
     PartitionOfUnity,
-    SimplexPoint,
     VertexMint,
     barycentric_pou,
     convex_combine,
@@ -29,50 +29,89 @@ from coarsecert.extend import extend_over_disjoint_family, measured_bound
 from coarsecert.verify import cobounded_check, lebesgue_check
 
 from .conftest import path_space
+from .genutil import blend_point
 
 A, B, C = (0, 0), (0, 1), (0, 2)
 
 
 def l1(u, v):
     """Sum of |u(w) - v(w)| over the union of the supports."""
-    return sum(abs(u.get(w) - v.get(w)) for w in set(u.support()) | set(v.support()))
+    return sum(abs(u.get(w, 0.0) - v.get(w, 0.0)) for w in set(u) | set(v))
+
+
+def blend_rows(t, g, f, src):
+    """convex_combine's rows, each a list of (vertex, weight) in entry order."""
+    indptr, columns, verts, weights = convex_combine(
+        np.array(t, dtype=float), g, f, np.array(src, dtype=np.intp))
+    bounds = indptr.tolist()
+    return [[(verts[j], w) for j, w in zip(columns[lo:hi].tolist(), weights[lo:hi].tolist())]
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def simplex_points(max_verts=5):
     return (
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=max_verts)
-        .map(lambda ws: SimplexPoint({(0, i): w / sum(ws) for i, w in enumerate(ws)}))
+        .map(lambda ws: {(0, i): w / sum(ws) for i, w in enumerate(ws)})
     )
 
 
-class TestSimplexPoint:
-    def test_must_sum_to_one(self):
-        with pytest.raises(InvalidInputError):
-            SimplexPoint({A: 0.5, B: 0.4})
+class TestWeightValidation:
+    def message(self, space, weights):
+        """The error for point 2's weights, between a good point and a bad one."""
+        with pytest.raises(InvalidInputError) as err:
+            PartitionOfUnity(space, {4: {A: 1.0}, 2: weights, 0: {A: 0.5}})
+        return str(err.value)
 
-    def test_negative_weight(self):
-        with pytest.raises(InvalidInputError):
-            SimplexPoint({A: 1.5, B: -0.5})
+    def test_must_sum_to_one(self, p5):
+        assert self.message(p5, {A: 0.5, B: 0.4}) == "weights of point 2 sum to 0.9, not 1"
 
-    def test_zero_weights_dropped(self):
-        p = SimplexPoint({A: 1.0, B: 0.0})
-        assert set(p.support()) == {A}
+    def test_negative_weight(self, p5):
+        assert (self.message(p5, {A: 1.5, B: -0.5})
+                == "negative weight -0.5 on vertex 0:1 of point 2")
+
+    def test_non_finite_weight(self, p5):
+        assert (self.message(p5, {A: 1.0, B: math.inf, C: -0.5})
+                == "non-finite weight inf on vertex 0:1 of point 2")
+
+    @pytest.mark.parametrize("weights", [{A: 0.0, B: -0.0}, {}])
+    def test_no_positive_weight(self, p5, weights):
+        assert self.message(p5, weights) == "point 2 has no positive weight"
+
+    def test_zero_weights_dropped(self, p5):
+        f = PartitionOfUnity(p5, {0: {A: 1.0, B: 0.0}, 1: {C: -0.0, A: 1.0}})
+        assert f(0) == f(1) == {A: 1.0} and f.carrier() == (A,)
 
 
 class TestConvexCombine:
-    def test_endpoints_exact(self):
-        u, v = SimplexPoint.delta(A), SimplexPoint({B: 0.25, C: 0.75})
-        assert convex_combine(0.0, u, v) is v
-        assert convex_combine(1.0, u, v) is u
+    def test_endpoints_exact(self, p5):
+        # rows that drift from 1, which a blend at 0 < t < 1 renormalizes, are copied
+        g = PartitionOfUnity(p5, {0: {B: 0.5 + 4e-10, A: 0.5}, 1: {A: 0.25, C: 0.75}})
+        f = PartitionOfUnity(p5, {3: {C: 0.75 + 4e-10, B: 0.25}})
+        assert blend_rows([1.0, 0.0], g, f, [-1, 3]) == [[(B, 0.5 + 4e-10), (A, 0.5)],
+                                                       [(C, 0.75 + 4e-10), (B, 0.25)]]
 
-    def test_half(self):
-        got = convex_combine(0.5, SimplexPoint.delta(A), SimplexPoint.delta(B))
-        assert got.weights() == {A: 0.5, B: 0.5}
+    def test_half(self, p5):
+        g = PartitionOfUnity(p5, {0: {A: 1.0}})
+        f = PartitionOfUnity(p5, {3: {B: 1.0}})
+        assert blend_rows([0.5], g, f, [3]) == [[(A, 0.5), (B, 0.5)]]
 
     @given(st.floats(0, 1), simplex_points(), simplex_points())
     @settings(max_examples=200, deadline=None)
-    def test_sums_to_one(self, t, u, v):
-        assert abs(convex_combine(t, u, v).sum() - 1.0) <= 1e-9
+    def test_sums_to_one(self, p5, t, u, v):
+        g, f = PartitionOfUnity(p5, {0: u}), PartitionOfUnity(p5, {1: v})
+        (row,) = blend_rows([t], g, f, [1])
+        assert abs(math.fsum(w for _, w in row) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("t", [1.5, -0.5, math.nan])
+    def test_parameter_outside_unit_interval(self, p5, t):
+        f = PartitionOfUnity(p5, {0: {A: 1.0}})
+        with pytest.raises(InvalidInputError, match="outside \\[0, 1\\]"):
+            convex_combine(np.array([t]), f, f, np.array([0]))
+
+    def test_source_outside_f(self, p5):
+        f = PartitionOfUnity(p5, {0: {A: 1.0}})
+        with pytest.raises(KeyError):
+            convex_combine(np.array([0.5]), f, f, np.array([2]))
 
 
 class TestPartitionOfUnity:
@@ -84,8 +123,8 @@ class TestPartitionOfUnity:
         assert set(PartitionOfUnity.empty(p10).carrier()) == set()
 
     def test_carrier_two(self, p10):
-        f = PartitionOfUnity(p10, {0: SimplexPoint.delta(A),
-                                   1: SimplexPoint({A: 0.5, B: 0.5})})
+        f = PartitionOfUnity(p10, {0: {A: 1.0},
+                                   1: {A: 0.5, B: 0.5}})
         assert set(f.carrier()) == {A, B}
 
     def test_star_diams_constant(self, p10):
@@ -104,7 +143,7 @@ class TestPartitionOfUnity:
         assert measured_bound(f) == 4.0
 
     def test_star_diams_single_point(self, p10):
-        f = PartitionOfUnity(p10, {3: SimplexPoint({A: 0.5, B: 0.5})})
+        f = PartitionOfUnity(p10, {3: {A: 0.5, B: 0.5}})
         diams = star_preimage_diameters(f)
         assert f.carrier() == (A, B) and diams.tolist() == [0.0, 0.0]
         assert measured_bound(f) == 0.0
@@ -115,45 +154,45 @@ class TestSimplicialRetraction:
         return space.all_points()
 
     def test_identity(self, p5):
-        f = PartitionOfUnity(p5, {x: SimplexPoint({A: 0.5, B: 0.5}) for x in range(5)})
+        f = PartitionOfUnity(p5, {x: {A: 0.5, B: 0.5} for x in range(5)})
         out = simplicial_retraction(f, {A: A, B: B}, self.region(p5))
         assert all(out(x) == f(x) for x in range(5))
 
     def test_merge(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.5})})
+        f = PartitionOfUnity(p5, {0: {A: 0.5, B: 0.5}})
         out = simplicial_retraction(f, {A: A, B: A}, self.region(p5))
-        assert out(0).weights() == {A: 1.0}
+        assert out(0) == {A: 1.0}
 
     def test_three_way(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 1 / 3, B: 1 / 3, C: 1 / 3})})
+        f = PartitionOfUnity(p5, {0: {A: 1 / 3, B: 1 / 3, C: 1 / 3}})
         out = simplicial_retraction(f, {A: A, B: A, C: C}, self.region(p5))
-        w = out(0).weights()
+        w = out(0)
         assert w[A] == pytest.approx(2 / 3)
         assert w[C] == pytest.approx(1 / 3)
-        assert out(0).sum() == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(out(0).values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_not_a_retraction(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint.delta(A)})
+        f = PartitionOfUnity(p5, {0: {A: 1.0}})
         with pytest.raises(NotARetractionError):
             simplicial_retraction(f, {A: B, B: A}, self.region(p5))
 
     def test_support_escapes(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, C: 0.5})})
+        f = PartitionOfUnity(p5, {0: {A: 0.5, C: 0.5}})
         with pytest.raises(SupportEscapesError):
             simplicial_retraction(f, {A: A, B: A}, self.region(p5))
 
     def test_off_region_untouched(self, p5):
-        f = PartitionOfUnity(p5, {0: SimplexPoint({A: 0.5, B: 0.5}),
-                                  4: SimplexPoint({A: 0.5, B: 0.5})})
+        f = PartitionOfUnity(p5, {0: {A: 0.5, B: 0.5},
+                                  4: {A: 0.5, B: 0.5}})
         out = simplicial_retraction(f, {A: A, B: A}, PointSubset((0,)))
-        assert out(0).weights() == {A: 1.0}
+        assert out(0) == {A: 1.0}
         assert out(4) == f(4)
 
     def test_contracts_l1(self, p10):
         rng = np.random.default_rng(7)
         verts = [(0, i) for i in range(4)]
         f = PartitionOfUnity(p10, {
-            x: SimplexPoint({v: w for v, w in zip(verts, rng.dirichlet(np.ones(4)))})
+            x: {v: w for v, w in zip(verts, rng.dirichlet(np.ones(4)))}
             for x in range(10)
         })
         r = {verts[0]: verts[0], verts[1]: verts[0], verts[2]: verts[2], verts[3]: verts[2]}
@@ -168,13 +207,13 @@ class TestBarycentric:
         cover = [PointSubset((x,)) for x in range(5)]
         f = barycentric_pou(p5, cover)
         for x in range(5):
-            assert f(x).weights() == {(0, x): 1.0}
+            assert f(x) == {(0, x): 1.0}
 
     def test_two_blocks_overlap(self, p10):
         f = barycentric_pou(p10, [PointSubset(tuple(range(6))),
                                   PointSubset(tuple(range(4, 10)))])
-        assert f(4).weights() == {(0, 0): 0.5, (0, 1): 0.5}
-        assert f(0).weights() == {(0, 0): 1.0}
+        assert f(4) == {(0, 0): 0.5, (0, 1): 0.5}
+        assert f(0) == {(0, 0): 1.0}
 
     def test_missing_point(self, p10):
         cover = [PointSubset(tuple(range(7))), PointSubset((8, 9))]
@@ -206,11 +245,11 @@ class TestVertexMint:
         assert min(seen) >= 1
 
     def test_renamespace_disjoint(self, p5):
-        f = PartitionOfUnity(p5, {x: SimplexPoint({A: 0.5, B: 0.5}) for x in range(5)})
+        f = PartitionOfUnity(p5, {x: {A: 0.5, B: 0.5} for x in range(5)})
         g = renamespace(f, 7)
         assert set(f.carrier()) & set(g.carrier()) == set()
         for x in range(5):
-            assert sorted(g(x).weights().values()) == sorted(f(x).weights().values())
+            assert sorted(g(x).values()) == sorted(f(x).values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +264,23 @@ with pytest.MonkeyPatch.context() as _mp:
 
 
 @st.composite
-def assignments(draw, namespaces=(0, 1, 2)):
-    """{point: [(vertex, weight), ...]}: each point's entries in the order they are listed."""
+def assignments(draw, namespaces=(0, 1, 2), min_size=0, drift=False):
+    """{point: [(vertex, weight), ...]}: each point's entries in the order they are listed.
+
+    With drift, a row's weights sum to 1 only within SUM_TOL.
+    """
     verts = [(ns, i) for ns in namespaces for i in range(3)]
     out = {}
-    for x in draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N)):
+    for x in draw(st.lists(st.integers(0, N - 1), unique=True, min_size=min_size, max_size=N)):
         vs = draw(st.lists(st.sampled_from(verts), unique=True, min_size=1, max_size=5))
         ws = draw(st.lists(st.floats(0.01, 1.0), min_size=len(vs), max_size=len(vs)))
-        total = math.fsum(ws)
+        total = math.fsum(ws) / (1.0 + (draw(st.floats(-0.9, 0.9)) * SUM_TOL if drift else 0.0))
         out[x] = [(v, w / total) for v, w in zip(vs, ws)]
     return out
 
 
 def make(a, space=SPACE):
-    return PartitionOfUnity(space, {x: SimplexPoint(dict(es)) for x, es in a.items()})
+    return PartitionOfUnity(space, {x: dict(es) for x, es in a.items()})
 
 
 def entries(f):
@@ -318,6 +360,18 @@ class TestCsrStorage:
                 expect.setdefault(x, g[x])  # the input, then the first piece, keeps a point
         assert entries(h) == {x: es for x, es in sorted(expect.items())}
 
+    @given(assignments(drift=True), assignments(min_size=1, drift=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_convex_combine(self, a, b, data):
+        # rows at t in {0, 1, uniform} from the sources in b, against the
+        # point formula: the same weights, bit for bit, in the same order;
+        # t = 5e-324 sends t*x to 0 for x < 1, so a zero is dropped
+        t = [data.draw(st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)) for _ in a]
+        src = [data.draw(st.sampled_from(sorted(b))) for _ in a]
+        assert blend_rows(t, make(a), make(b), src) == [
+            list(blend_point(tx, dict(a[x]), dict(b[y])).items())
+            for tx, x, y in zip(t, sorted(a), src)]
+
     @given(assignments(), st.integers(1, 50))
     @settings(max_examples=100, deadline=None)
     def test_renamespace(self, a, ns):
@@ -349,9 +403,9 @@ class TestCsrStorage:
     def test_retraction_sums_in_entry_order(self, p5):
         # the three weights sum to 1 - 2^-53 in this order, to 1 in vertex order
         D = (0, 3)
-        f = PartitionOfUnity(p5, {0: SimplexPoint({B: 0.469, D: 0.431, C: 0.1})})
+        f = PartitionOfUnity(p5, {0: {B: 0.469, D: 0.431, C: 0.1}})
         got = simplicial_retraction(f, {A: A, B: A, C: A, D: A}, p5.all_points())
-        assert got(0).weights() == {A: (0.469 + 0.431) + 0.1}
+        assert got(0) == {A: (0.469 + 0.431) + 0.1}
         assert (0.469 + 0.431) + 0.1 != (0.469 + 0.1) + 0.431
 
     @given(assignments(), st.booleans())

@@ -10,7 +10,7 @@ from coarsecert import metric, verify
 from coarsecert.covers import greedy_decomposition
 from coarsecert.errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
 from coarsecert.metric import PointSubset, diameter, load_graph
-from coarsecert.simplex import PartitionOfUnity, SimplexPoint, barycentric_pou
+from coarsecert.simplex import PartitionOfUnity, barycentric_pou
 from coarsecert.verify import (
     CoverFamily,
     cobounded_check,
@@ -63,7 +63,7 @@ class TestLipschitz:
 
     def test_p2_delta_pair_worst_slack(self):
         p2 = load_graph(2, [(0, 1, 1.0)])
-        f = PartitionOfUnity(p2, {0: SimplexPoint.delta(A), 1: SimplexPoint.delta(B)})
+        f = PartitionOfUnity(p2, {0: {A: 1.0}, 1: {B: 1.0}})
         rep = lipschitz_check(f, 0.5, 0.5)
         assert not rep.passed
         assert rep.worst_slack == pytest.approx(0.5 * 1 + 0.5 - 2.0)  # -1
@@ -75,7 +75,7 @@ class TestLipschitz:
             lipschitz_check(f, 0.5, 0.6, mode="restricted")
 
     def test_single_point_domain_trivial(self, p10):
-        f = PartitionOfUnity(p10, {3: SimplexPoint.delta(A)})
+        f = PartitionOfUnity(p10, {3: {A: 1.0}})
         rep = lipschitz_check(f, 1.0, 1.0)
         assert rep.passed and rep.pairs_checked == 0
 
@@ -84,7 +84,7 @@ class TestLipschitz:
         # past what eps*d + eps = 2 covers at d = 2/eps - 1 = 3
         p2 = load_graph(2, [(0, 1, 3.0)])
         w = 1.0 + 9e-10
-        f = PartitionOfUnity(p2, {0: SimplexPoint({A: w}), 1: SimplexPoint({B: w})})
+        f = PartitionOfUnity(p2, {0: {A: w}, 1: {B: w}})
         full = lipschitz_check(f, 0.5, 0.5, mode="full")
         rest = lipschitz_check(f, 0.5, 0.5, mode="restricted")
         assert not full.passed and not rest.passed
@@ -202,7 +202,7 @@ class TestLipschitz:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             f = PartitionOfUnity(p100, {
-                x: SimplexPoint({(0, int(rng.integers(0, 50))): 1.0}) for x in ids
+                x: {(0, int(rng.integers(0, 50))): 1.0} for x in ids
             })
             rep = lipschitz_check(f, eps, eps)
             assert rep.passed
@@ -216,7 +216,7 @@ def random_pou(space, n_vertices, rng):
         k = int(rng.integers(1, n_vertices + 1))
         verts = rng.choice(n_vertices, size=k, replace=False)
         w = rng.dirichlet(np.ones(k))
-        out[x] = SimplexPoint({(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0})
+        out[x] = {(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0}
     return PartitionOfUnity(space, out)
 
 
@@ -356,12 +356,12 @@ def mixed_pou(space, carrier, rng, multi_sum=1.0):
     for x in range(space.n):
         if rng.random() < 0.5:
             v = int(rng.integers(0, max(1, carrier // 4)))
-            out[x] = SimplexPoint({(0, v): 1.0 + float(rng.integers(-2, 3)) * 1e-10})
+            out[x] = {(0, v): 1.0 + float(rng.integers(-2, 3)) * 1e-10}
         else:
             k = int(rng.integers(2, carrier + 1))
             verts = rng.choice(carrier, size=k, replace=False)
             w = rng.dirichlet(np.ones(k)) * multi_sum
-            out[x] = SimplexPoint({(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0})
+            out[x] = {(0, int(v)): float(wv) for v, wv in zip(verts, w) if wv > 0}
     return PartitionOfUnity(space, out)
 
 
