@@ -36,8 +36,9 @@ the triangle inequality exactly; so a skipped row holds no larger entry,
 and the diameter is the max over every row, bit for bit (diameter).  A
 matrix or a cloud reads every row.
 
-Metric axioms are validated eagerly at load.  Each loader checks what its
-construction does not already guarantee:
+Metric axioms are validated eagerly at load, unless the loader can prove
+that every distance it will ever return is exact (below).  Each loader
+checks what its construction does not already guarantee:
 
 - load_matrix checks the table axioms (zero diagonal, symmetry, signs,
   positivity off the diagonal) in blocks of rows, allocating no n x n
@@ -70,6 +71,36 @@ on pairs joined by h-edge paths and satisfies the triangle inequality up to
 METRIC_TOL per edge of the paths involved.  That argument needs every edge
 weight above METRIC_TOL; a graph with a lighter edge gets the row check
 instead.
+
+Exact sums skip every check above (_exact_grid).  Let g be the least
+exponent of the lowest set bit over the values, read from np.frexp, so
+each value is an integer multiple of 2**g.  A float64 has a 53-bit
+significand, so every integer multiple of 2**g below 2**53 * 2**g and at
+most the largest float is a float, and a float sum or difference of two
+such multiples is exact whenever the exact result is one of them.
+
+- load_graph: the graph is exact when the sum over the stored weights,
+  which is twice the edge total, is below 2**53 * 2**g and finite.  Every
+  relaxation candidate d(u) + w(u, v) is then such a multiple: by
+  induction d(u) is an exact shortest-path distance, which sums distinct
+  edges, so both terms are at most the edge total.  So every float
+  addition of Dijkstra is exact, and every row it returns (from the table,
+  a block, a cut-off query or a multi-source call) is the graph's
+  shortest-path metric, which obeys every axiom exactly.
+- load_points with p in {1, inf}: the cloud is exact when the coordinates'
+  spreads (max - min per dimension), summed, are below 2**53 * 2**g and
+  finite, g taken over the nonzero coordinates.  Every |a_k - b_k| is then
+  a multiple of 2**g at most its spread, and every partial sum or max of
+  them in _lp_row and _lp_rows is at most the summed spreads, so each row
+  is the exact lp distance.
+
+The sum of the values / 2**g is rounded, and compared with 2**53 strictly:
+2**53 is a float and rounding is monotone, so the rounded sum is below it
+only when the exact sum is, and then it is exact; scaled back by 2**g it
+is finite only when the exact total is at most the largest float.  Any
+other graph or cloud, and every matrix, gets the checks above unchanged.
+The rule is decided in the loaders, not in _validate, because it covers
+only rows that this module computes.
 """
 
 from __future__ import annotations
@@ -325,6 +356,23 @@ def _validate(space: FiniteMetricSpace) -> None:
         _validate_triangles(space, _sample_pool(n))
 
 
+def _exact_grid(values: np.ndarray, terms: np.ndarray) -> bool:
+    """Whether values lie on one grid 2**g with terms summing to a float below 2**53 * 2**g.
+
+    g is the least exponent of the lowest set bit over the nonzero values:
+    |v| = m * 2**e with m * 2**53 an integer M, whose lowest set bit M & -M
+    is read off by np.frexp again.  A term that scales past the largest
+    float is inf, and so is a sum of terms past it, scaled back.
+    """
+    mant, exp = np.frexp(np.abs(values[values != 0]))
+    ints = np.ldexp(mant, 53).astype(np.int64)
+    low = exp - 53 + np.frexp((ints & -ints).astype(np.float64))[1] - 1
+    g = int(low.min()) if low.size else 0
+    with np.errstate(over="ignore"):
+        k = np.ldexp(terms, -g).sum()
+        return bool(k < 2.0 ** 53 and np.isfinite(np.ldexp(k, g)))
+
+
 def _sample_pool(n: int) -> np.ndarray:
     """The seeded sources, ascending: ceil(sqrt(10n)) of them, or all n if fewer."""
     rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
@@ -534,7 +582,8 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
             if bad.size:
                 i, y = bad[0]
                 raise InvalidInputError(f"graph distance from point {lo + i} to point {y} overflows")
-    _validate(space)
+    if not _exact_grid(adj.data, adj.data):  # exact sums make every row the graph metric
+        _validate(space)
     return space
 
 
@@ -568,7 +617,9 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
     # table, positive off the diagonal once the points are distinct
     dmat = np.stack([_lp_row(arr, x, p) for x in range(n)]) if n <= DENSE_LIMIT else None
     space = FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=p, meta=meta)
-    _validate(space)
+    # for p in {1, inf}, exact differences make every row the lp metric itself
+    if not (p in (1.0, math.inf) and _exact_grid(arr, arr.max(axis=0) - arr.min(axis=0))):
+        _validate(space)
     return space
 
 

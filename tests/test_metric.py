@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -420,6 +421,188 @@ class TestGraphCertificate:
                     outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] is None  # a Dijkstra row passes its certificate exactly
+
+
+def fraction_distances(n, edges):
+    """Floyd-Warshall over Fractions on the loader's edges: the exact graph metric."""
+    d = [[Fraction(0) if x == y else math.inf for y in range(n)] for x in range(n)]
+    for u, v, w in edges:
+        if u != v:
+            d[u][v] = d[v][u] = min(d[u][v], Fraction(w))
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                if d[x][k] + d[k][y] < d[x][y]:
+                    d[x][y] = d[x][k] + d[k][y]
+    return d
+
+
+def fraction_exact(n, edges):
+    """The exact-sum rule worked in Fractions: twice the edge total below 2**53 grains."""
+    best = {}
+    for u, v, w in edges:
+        if u != v:
+            key = (min(u, v), max(u, v))
+            best[key] = min(best.get(key, math.inf), Fraction(w))
+    grain = min(Fraction(w.numerator & -w.numerator, w.denominator) for w in best.values())
+    return 2 * sum(best.values()) / grain < 2 ** 53
+
+
+def counted(monkeypatch, name):
+    """Replace metric.<name> by a wrapper that counts its calls."""
+    calls, real = [], getattr(metric, name)
+    monkeypatch.setattr(metric, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def boom(*args):
+    raise AssertionError("an exact space needs no metric check")
+
+
+class TestExactSums:
+    """Graphs and lp clouds whose every float sum is exact skip the metric checks."""
+
+    @given(st.integers(2, 12), st.integers(0, 10_000),
+           st.sampled_from(["small", "eighths", "boundary"]), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_the_exact_metric(self, n, seed, kind, table):
+        # weights in {1, 2, 3}, in k/8, or integers scaled by 2**s whose stored
+        # total lands near 2**53 grains, so on either side of the rule
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** int(rng.integers(-20, 21))
+        high = int(2.0 ** 53 / (2 * n - 1) * 2.0 ** rng.uniform(-0.5, 1.5))
+
+        def weight():
+            if kind == "small":
+                return float(rng.integers(1, 4))
+            if kind == "eighths":
+                return int(rng.integers(1, 80)) / 8
+            return int(rng.integers(1, high)) * scale
+
+        edges = [(int(rng.integers(0, i)), i, weight()) for i in range(1, n)]
+        edges += [(int(u), int(v), weight()) for u, v in rng.integers(0, n, (n, 2))]
+        exact = fraction_exact(n, edges)
+        assert exact or kind == "boundary"
+        with pytest.MonkeyPatch.context() as mp:
+            checks = counted(mp, "_validate")
+            sp = graph_space(n, edges, table)
+        assert sp.has_table == table and len(checks) == (not exact)
+        if exact:
+            d = fraction_distances(n, edges)
+            assert all(sp.row(x).tolist() == d[x] for x in range(n))
+            assert np.array_equal(sp.rows(np.arange(n)), np.stack([sp.row(x) for x in range(n)]))
+
+    @pytest.mark.parametrize("values, exact", [
+        ([2.0 ** 53 - 1, 1.0], False),   # a total of exactly 2**53 grains
+        ([2.0 ** 53, 1.0], False),       # one grain above it, rounded to 2**53
+        ([2.0 ** 53 - 2, 1.0], True),    # one grain below it
+        ([(2.0 ** 53 - 1) / 8, 1 / 8], False),  # the same with a grain of 2**-3
+        ([(2.0 ** 53 - 2) / 8, 1 / 8], True),
+        ([0.1] * 4, False),              # 0.1 is 3602879701896397 * 2**-55
+        ([0.1] * 2, True),               # ... and twice is below 2**53 of them
+        ([5e-324, 1e-323, 1.5e-323], True),  # subnormal: grain 2**-1074
+        ([5e-324, 1.0], False),          # 1.0 is 2**1074 grains: inf, not an error
+        ([1e308, 1e308], False),         # the sum overflows, though not in grains
+        ([2.0 ** 1023, 2.0 ** 1023], False),  # 2 grains of 2**1023, past the largest float
+        ([2.0 ** 1023, 2.0 ** 1022], True),   # 3 grains of 2**1022, a float
+        ([1e308, 0.5], False),           # 1e308 / 2**-1 overflows
+        ([1e-10, 1.0], False),           # the light edge's grain is far below 1.0's
+        ([], True),
+    ])
+    def test_predicate(self, values, exact):
+        values = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metric._exact_grid(values, values) == exact
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    def test_boundary_graph_on_both_sides(self, table):
+        # a 3-point path whose stored weights sum to 2**53 grains gets the
+        # certificate; one grain of edge total less, and it needs none
+        checks = []
+        for big, expect in ((2.0 ** 52 - 1, 1), (2.0 ** 52 - 2, 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counted(mp, "_validate_shortest_paths")
+                sp = graph_space(3, [(0, 1, big / 8), (1, 2, 1 / 8)], table)
+            checks.append(len(calls))
+            assert sp.d(0, 2) == (big + 1) / 8
+        assert checks == [1, 0]
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    def test_subnormal_and_huge_weights_load_without_warnings(self, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = graph_space(4, [(0, 1, 5e-324), (1, 2, 1e-323), (2, 3, 5e-324)], table)
+            huge = graph_space(3, [(0, 1, 1e308), (1, 2, 0.5)], table)
+        assert tiny.d(0, 3) == 2e-323 and huge.d(0, 2) == 1e308
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    def test_light_edge_beside_unit_keeps_the_row_check(self, monkeypatch, table):
+        # a table passes the row check by its closure, a table-free graph by its rows
+        monkeypatch.setattr(metric, "_validate_shortest_paths", boom)
+        closure = counted(monkeypatch, "floyd_warshall")
+        rows = counted(monkeypatch, "_validate_triangles")
+        sp = graph_space(3, [(0, 1, 1e-10), (1, 2, 1.0)], table)
+        assert sp.d(0, 2) == 1.0 + 1e-10
+        assert (len(closure), len(rows)) == ((1, 0) if table else (0, 1))
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    def test_exact_graph_skips_every_check(self, monkeypatch, table):
+        for name in ("_validate_shortest_paths", "_validate_triangles", "floyd_warshall"):
+            monkeypatch.setattr(metric, name, boom)
+        sp = weighted_graph(np.random.default_rng(8), 300, integral=True, table=table)
+        assert sp.has_table == table
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    def test_float_graph_keeps_the_certificate(self, monkeypatch, table):
+        calls = counted(monkeypatch, "_validate_shortest_paths")
+        sp = weighted_graph(np.random.default_rng(8), 300, integral=False, table=table)
+        assert sp.has_table == table and len(calls) == 1
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_integer_grid_cloud_skips_the_row_check(self, monkeypatch, table, p):
+        for name in ("_validate_triangles", "floyd_warshall"):
+            monkeypatch.setattr(metric, name, boom)
+        if not table:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        grid = [[float(x), float(y)] for x in range(50) for y in range(30)]
+        sp = load_points(grid, p=p)
+        assert sp.has_table == table and sp.d(0, 1499) == (49 + 29 if p == 1 else 49)
+
+    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("step, p", [(1.0, 2), (0.1, 1)])
+    def test_other_clouds_keep_the_row_check(self, monkeypatch, table, step, p):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        for name in ("_validate_triangles", "floyd_warshall"):
+            monkeypatch.setattr(metric, name, reached)
+        if not table:
+            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        grid = [[x * step, y * step] for x in range(50) for y in range(30)]
+        with pytest.raises(Reached):
+            load_points(grid, p=p)
+
+    @given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 10_000),
+           st.sampled_from([1.0, math.inf]), st.integers(-30, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_cloud_rows_equal_the_exact_metric(self, n, d, seed, p, s):
+        rng = np.random.default_rng(seed)
+        coords = (rng.permutation(40 * n)[:n, None] + 40 * n * rng.integers(-3, 4, (n, d)))
+        coords = (coords * 2.0 ** s).tolist()
+        exact = [[Fraction(c) for c in pt] for pt in coords]
+        with pytest.MonkeyPatch.context() as mp:
+            checks = counted(mp, "_validate")
+            sp = load_points(coords, p)
+        assert not checks
+        for x in range(n):
+            diffs = [[abs(a - b) for a, b in zip(exact[x], pt)] for pt in exact]
+            expect = [sum(r) if p == 1 else max(r) for r in diffs]
+            assert sp.row(x).tolist() == expect
 
 
 class TestLoadPoints:
