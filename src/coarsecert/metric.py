@@ -7,22 +7,23 @@ so every operation here is a pure function and safe under concurrent
 readers.
 
 A graph's distance from x is its Dijkstra row from x, and a cloud's its lp
-row (_lp_row).  For n <= 4096 (DENSE_LIMIT) a space keeps these rows
-stacked as a dense float64 table: the same rows, bit for bit, so the limit
-decides what is cached and never what a distance is.  A graph's row may
-differ from its column in the last bits when float weights are summed in
-different orders; nothing here assumes otherwise.  Above the limit a space
-keeps no distances at all: FiniteMetricSpace.row computes one row and
-returns it, and a question that needs many rows asks for them in blocks
-(FiniteMetricSpace.rows) cut off at the largest distance it can use.  On a
-table-free graph a block is one Dijkstra call from all of its sources with
-that limit, and a distance to a set is one multi-source Dijkstra call
+row (_lp_row).  A graph keeps no distances at any size: FiniteMetricSpace.row
+computes one row and returns it, and a question that needs many rows asks
+for them in blocks (FiniteMetricSpace.rows) cut off at the largest distance
+it can use.  A block is one Dijkstra call from all of its sources with that
+limit, and a distance to a set is one multi-source Dijkstra call
 (FiniteMetricSpace.distances_to).  Both give the single-source rows' bits
 wherever they answer: a vertex's Dijkstra distance is the least rounded
-d(u) + w(u, v) over its neighbours u, whatever the order of the search.
-A point cloud's block is built a coordinate at a time where that gives the
-rows' bits (_lp_rows).
-Only FiniteMetricSpace reads the table, so whether a space has one is
+d(u) + w(u, v) over its neighbours u, whatever the order of the search.  A
+graph's row may differ from its column in the last bits when float weights
+are summed in different orders; nothing here assumes otherwise.
+A matrix is its table.  A cloud of n <= 4096 points (DENSE_LIMIT) keeps its
+lp rows stacked as a dense float64 table, the same rows bit for bit, since
+its triangle check reads the table (below); a larger cloud keeps none, and
+builds a block a coordinate at a time where that gives the rows' bits
+(_lp_rows).  For a graph DENSE_LIMIT only decides how many rows are
+certified at load.
+Only FiniteMetricSpace reads a table, so whether a space has one is
 decided inside that class alone.  The set primitives at the end of this
 module keep a running minimum over row blocks in ascending id order, so no
 |A| x n block is ever built and a set query holds O(n) plus one block.
@@ -33,8 +34,14 @@ row is skipped once that bound times 1 + 4*n*eps is at most the maximum.
 A Dijkstra entry is a rounded sum along a path of at most n - 1 edges, so
 it lies within a factor (1 +- eps)^(n-1) of the graph distance, which obeys
 the triangle inequality exactly; so a skipped row holds no larger entry,
-and the diameter is the max over every row, bit for bit (diameter).  A
-matrix or a cloud reads every row.
+and the diameter is the max over every row, bit for bit (_diameter_loop).  A
+matrix or a cloud reads every row.  The diameters of many sets (diameters)
+run that loop for all of them in lockstep, so a graph's many small sets,
+such as star preimages, share one Dijkstra call per block of rows.  Each
+set still picks exactly the rows it would pick alone, since its picks read
+only its own rows, and each of those rows has the same bits from a block
+cut off at a larger limit: a larger limit only makes more entries exact.
+So every diameter keeps its bits.
 
 Metric axioms are validated eagerly at load, unless the loader can prove
 that every distance it will ever return is exact (below).  Each loader
@@ -53,17 +60,19 @@ The triangle inequality is then checked in one of two ways:
 
 - a graph is checked against its own edges: every entry off the diagonal
   of a certified row must equal, within METRIC_TOL, the least
-  d(x,u) + w(u,y) over the edges (u,y) into y.  A table certifies all its
-  rows in O(n*E), which makes it the graph's shortest-path metric; a
-  table-free graph certifies the seeded pool of rows the sample draws;
+  d(x,u) + w(u,y) over the edges (u,y) into y.  A graph of n <= DENSE_LIMIT
+  points certifies all its rows, in blocks, in O(n*E), which makes them
+  its shortest-path metric; a larger one certifies the seeded pool of rows
+  the sample draws;
 - any other space gets the row check (_validate_triangles): for x and y
   among the checked rows and every z, d(x,z) <= d(x,y) + d(y,z) +
-  METRIC_TOL.  A table of n <= 2000 checks all its rows, so every triple;
-  above that a seeded pool of rows is checked (at least 10*n^2 triples).
-  The limit decides how many rows are checked, never what a verdict
-  means.  A table within METRIC_TOL of its own shortest-path closure
-  (Floyd-Warshall) passes every triple, since the closure of (x,z) is at
-  most d(x,y) + d(y,z), so that is tried first, as a fast accept.
+  METRIC_TOL.  A matrix, or another space of n <= DENSE_LIMIT points, with
+  n <= 2000 checks all its rows, so every triple; otherwise a seeded pool
+  of rows is checked (at least 10*n^2 triples).  The limits decide how
+  many rows are checked, never what a verdict means.  A table within
+  METRIC_TOL of its own shortest-path closure (Floyd-Warshall) passes
+  every triple, since the closure of (x,z) is at most d(x,y) + d(y,z), so
+  that is tried first, as a fast accept.
 
 The tolerance of the graph check adds up per hop: each edge test allows
 METRIC_TOL, so a certified row is within h*METRIC_TOL of the graph metric
@@ -84,8 +93,8 @@ such multiples is exact whenever the exact result is one of them.
   relaxation candidate d(u) + w(u, v) is then such a multiple: by
   induction d(u) is an exact shortest-path distance, which sums distinct
   edges, so both terms are at most the edge total.  So every float
-  addition of Dijkstra is exact, and every row it returns (from the table,
-  a block, a cut-off query or a multi-source call) is the graph's
+  addition of Dijkstra is exact, and every row it returns (alone, in a
+  block, from a cut-off query or a multi-source call) is the graph's
   shortest-path metric, which obeys every axiom exactly.
 - load_points with p in {1, inf}: the cloud is exact when the coordinates'
   spreads (max - min per dimension), summed, are below 2**53 * 2**g and
@@ -111,7 +120,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
+from scipy.sparse.csgraph import shortest_path  # noqa: F401  unused; bench/tracer.py wraps it
 
 from .errors import (
     AsymmetryError,
@@ -256,8 +266,8 @@ class FiniteMetricSpace:
     def rows(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
         """The rows of ids (an index array), stacked; exact wherever <= limit.
 
-        An entry above limit is exact or inf: a table-free graph runs one
-        Dijkstra call from all of ids, cut off at limit.
+        An entry above limit is exact or inf: a graph runs one Dijkstra
+        call from all of ids, cut off at limit.
         """
         if self._dmat is not None:
             return self._dmat[ids]
@@ -270,7 +280,7 @@ class FiniteMetricSpace:
     def distances_to(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
         """dist(x, ids) for every x, the least entry of ids' rows; exact wherever <= limit.
 
-        A table-free graph answers by one multi-source Dijkstra call, others
+        A graph answers by one multi-source Dijkstra call, a table or a cloud
         by a running minimum over blocks of rows.  Above limit, exact or inf.
         """
         if self._dmat is None and self._graph is not None:
@@ -343,14 +353,16 @@ def _validate(space: FiniteMetricSpace) -> None:
     dmat, n, graph = space._dmat, space.n, space._graph
     if graph is None and space._coords is None:  # a table given as such
         _validate_table_axioms(dmat, n)
-    # the edge certificate is sound only for edges heavier than its tolerance;
-    # a table decides how many rows it certifies, never whether it runs
+    # the size decides how many rows are checked, never whether a check runs;
+    # a matrix has all its rows at hand
+    every_row = n <= DENSE_LIMIT or dmat is not None
+    # the edge certificate is sound only for edges heavier than its tolerance
     if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
-        _validate_shortest_paths(space, np.arange(n) if dmat is not None else _sample_pool(n))
-    elif dmat is not None and n <= EXHAUSTIVE_TRIANGLE_LIMIT:
+        _validate_shortest_paths(space, np.arange(n) if every_row else _sample_pool(n))
+    elif every_row and n <= EXHAUSTIVE_TRIANGLE_LIMIT:
         # closure(x,z) <= d(x,y) + d(y,z) as rounded, so a table within
         # tolerance of its closure passes every triple: a fast accept
-        if not (dmat <= floyd_warshall(dmat) + METRIC_TOL).all():
+        if dmat is None or not (dmat <= floyd_warshall(dmat) + METRIC_TOL).all():
             _validate_triangles(space, np.arange(n))
     else:
         _validate_triangles(space, _sample_pool(n))
@@ -569,9 +581,7 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
             stranded = int(np.flatnonzero(labels != labels[0])[0])
             raise DisconnectedError(stranded)
 
-    # the rows _compute_row returns, stacked: the same directed search
-    dmat = shortest_path(adj, method="D", directed=True) if n <= DENSE_LIMIT else None
-    space = FiniteMetricSpace(n, "graph", dmat=dmat, graph=adj, meta=meta)
+    space = FiniteMetricSpace(n, "graph", graph=adj, meta=meta)
     with np.errstate(over="ignore"):  # each edge is stored both ways: twice the total
         total_finite = math.isfinite(adj.data.sum())
     # a distance sums distinct edges, so while twice their total is finite no
@@ -687,55 +697,98 @@ def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> Point
 
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
-    """Max pairwise distance within a: the largest entry of a's rows on a; 0 for singletons.
+    """Max pairwise distance within a; 0 for a singleton (diameters)."""
+    return float(diameters(space, [a])[0])
 
-    The first point's row gives its eccentricity e within a, and every
-    distance within a is at most 2e, so the other rows come cut off a little
-    above 2e.  A row whose entries in a do not all come back (rounding
-    beyond the margin) is computed in full instead.
+
+def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarray:
+    """The diameter of each of sets: the largest entry of its rows on it; 0 for singletons.
+
+    Every set runs its own _diameter_loop, and all of them run in lockstep:
+    each round gathers the rows that every open set wants next into blocks
+    of at most ROW_BLOCK_CELLS cells (space.rows), each cut off at the
+    largest limit among its sets, and hands each set its rows.  The first
+    round reads every set's first row, uncut.  A set's picks depend only on
+    its own rows, and a larger limit only makes more entries exact, so each
+    set reads the rows it would read alone and its diameter has the same
+    bits; a graph's many small sets share one Dijkstra call per block.
+    """
+    arrays = [a.array() for a in sets]
+    if any(not ids.size for ids in arrays):
+        raise EmptySetError("diameter of empty subset")
+    out = np.zeros(len(arrays))
+    step = max(1, ROW_BLOCK_CELLS // space.n)
+    loops = {s: _diameter_loop(space, ids, step) for s, ids in enumerate(arrays) if ids.size > 1}
+    wants = {s: next(loop) for s, loop in loops.items()}  # s: (positions in set s, limit)
+    while wants:
+        owners = np.repeat(list(wants), [len(k) for k, _ in wants.values()])
+        sources = np.concatenate([arrays[s][k] for s, (k, _) in wants.items()])
+        got = {s: [] for s in wants}
+        for lo in range(0, len(sources), step):
+            block = owners[lo:lo + step].tolist()
+            limit = max(wants[s][1] for s in block)
+            for s, row in zip(block, space.rows(sources[lo:lo + step], limit)):
+                got[s].append(row[arrays[s]])  # only the set's entries are kept
+        for s, rows in got.items():
+            try:
+                wants[s] = loops[s].send(np.stack(rows))
+            except StopIteration as done:
+                out[s] = done.value
+                del wants[s]
+    return out
+
+
+def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int):
+    """One set's diameter, as a generator driven by diameters.
+
+    It yields (k, limit): the positions in ids of the rows it reads next,
+    and a cut-off for them.  It is sent those rows on ids, stacked, exact
+    wherever at most limit, and returns the largest entry of every row.
+
+    The first point's row gives its eccentricity e within the set, and every
+    distance within the set is at most 2e, so the other rows may come cut
+    off a little above 2e.  A row whose entries in the set do not all come
+    back (rounding beyond the margin) is computed in full instead.
 
     A matrix or a point cloud reads every row: a matrix above
     EXHAUSTIVE_TRIANGLE_LIMIT points has only a pool of rows checked for
     the triangle inequality, and a cloud's diff ** p may underflow.  On a
-    graph, with or without a table, a row is read only while it can raise
-    the running maximum, worst (the eccentricity bounds of Takes and
-    Kosters).  A read row v with eccentricity ecc(v) within a bounds every
-    member w by ub[w] = min over read v of ecc(v) + d(v, w), and w's row is
-    dropped once ub[w] * (1 + slack) <= worst, with slack = 4 * n * eps.
+    graph a row is read only while it can raise the running maximum, worst
+    (the eccentricity bounds of Takes and Kosters).  A read row v with
+    eccentricity ecc(v) within the set bounds every member w by ub[w] = min
+    over read v of ecc(v) + d(v, w), and w's row is dropped once
+    ub[w] * (1 + slack) <= worst, with slack = 4 * n * eps.
 
     That is exact.  A Dijkstra entry is a rounded sum along a path of at
     most n - 1 edges, and relaxation keeps it at most the rounded sum along
     a shortest path, so it lies within a factor (1 +- eps)^(n-1) of the graph
     distance.  The graph distance obeys the triangle inequality exactly, so
-    every entry d(w, u) with u in a is at most (ecc(v) + d(v, w)) times those
-    factors, and slack covers them and the roundings of the bound itself.  A
-    dropped row has no entry above worst, so the result is the max over
-    every row, bit for bit.
+    every entry d(w, u) with u in the set is at most (ecc(v) + d(v, w)) times
+    those factors, and slack covers them and the roundings of the bound
+    itself.  A dropped row has no entry above worst, so the result is the
+    max over every row, bit for bit.
 
     The pick order: after the first row, pairs of single rows, the open
     member of largest ub and then the one of least lower bound lb[w] = max
     over read v of max(d(v, w), ecc(v) - d(v, w)) (the most central), for as
     long as a pair closes some other member.  Then the open members in
-    blocks of row_blocks' size, the bounds updated after each.
-    No row is read twice.  A set no row can prune, such as leaves of a star,
-    reads each of its rows once, as a scan would.
+    blocks of step rows, the bounds updated after each.  No row is read
+    twice.  A set no row can prune, such as leaves of a star, reads each of
+    its rows once, as a scan would.
     """
-    if not a.ids:
-        raise EmptySetError("diameter of empty subset")
-    if len(a.ids) == 1:
-        return 0.0
-    ids = a.array()
-    cols = ids if len(ids) < space.n else slice(None)  # the whole space: no gather
-    first = space.row(ids[0])[cols]
-    limit = 2.0 * float(first.max()) * (1.0 + DIAMETER_MARGIN)
+    first = np.array([0])
+    rows = yield first, math.inf
+    limit = 2.0 * float(rows.max()) * (1.0 + DIAMETER_MARGIN)
     prune = space._graph is not None
     slack = 4 * space.n * np.finfo(np.float64).eps
     worst = 0.0
     todo = np.ones(len(ids), dtype=bool)  # members whose rows may raise worst
     ub, lb = np.full(len(ids), math.inf), np.zeros(len(ids))
 
-    def take(k, rows):  # rows: the rows of ids[k], exact on a
+    def take(k, rows):  # rows: the rows of ids[k] on ids, cut off at limit or above
         nonlocal worst
+        for i in np.flatnonzero(np.isinf(rows).any(axis=1)):
+            rows[i] = space.row(ids[k[i]])[ids]
         todo[k] = False
         ecc = rows.max(axis=1)
         worst = max(worst, float(ecc.max()))
@@ -744,25 +797,20 @@ def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
             np.maximum(lb, np.maximum(rows, ecc[:, None] - rows).max(axis=0), out=lb)
             todo[ub * (1.0 + slack) <= worst] = False
 
-    def read(k):
-        rows = space.rows(ids[k], limit)[:, cols]
-        for i in np.flatnonzero(np.isinf(rows).any(axis=1)):
-            rows[i] = space.row(ids[k[i]])[cols]
-        take(k, rows)
-
-    take(np.array([0]), first[None, :])
+    take(first, rows)
     while prune and todo.any():
         before = np.count_nonzero(todo)
         for central in (False, True):
             open_ = np.flatnonzero(todo)
             if open_.size:
                 i = np.argmin(lb[open_]) if central else np.argmax(ub[open_])
-                read(open_[i:i + 1])
+                k = open_[i:i + 1]
+                take(k, (yield k, limit))
         if np.count_nonzero(todo) >= before - 2:
             break
-    step = max(1, ROW_BLOCK_CELLS // space.n)
     while todo.any():
-        read(np.flatnonzero(todo)[:step])
+        k = np.flatnonzero(todo)[:step]
+        take(k, (yield k, limit))
     return worst
 
 

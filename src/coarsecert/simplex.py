@@ -38,7 +38,7 @@ from .errors import (
     NotARetractionError,
     SupportEscapesError,
 )
-from .metric import FiniteMetricSpace, PointSubset, diameter
+from .metric import FiniteMetricSpace, PointSubset, diameters
 
 SUM_TOL = 1e-9          # invariant: |sum - 1| within this after any op
 RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
@@ -280,8 +280,8 @@ def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
     points = np.repeat(f._ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
     bounds = np.cumsum(np.bincount(f.columns, minlength=len(f.carrier())))[:-1]
-    return np.array([diameter(f.space, PointSubset(tuple(star.tolist())))
-                     for star in np.split(points, bounds)])
+    return diameters(f.space, [PointSubset(tuple(star.tolist()))
+                               for star in np.split(points, bounds)])
 
 
 def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],

@@ -40,7 +40,7 @@ from .metric import (
     FiniteMetricSpace,
     PointSubset,
     cross_minima,
-    diameter,
+    diameters,
     nearest_scan,
     row_blocks,
 )
@@ -427,7 +427,7 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
     """Exact max member diameter (the tight uniform bound)."""
     fam = _as_family(family)
-    diams = [diameter(space, member) for member in fam.members]
+    diams = diameters(space, fam.members).tolist()
     worst = int(np.argmax(diams))
     return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
                              diameters=diams)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from coarsecert import metric
-from coarsecert.metric import load_graph
+from coarsecert.metric import FiniteMetricSpace, load_graph
 
 
 def path_space(n, meta=True):
@@ -32,7 +33,7 @@ def integer_graph(rng, n):
 
 
 def weighted_graph(rng, n, integral, table=False):
-    """A connected graph on n points, without a distance table unless asked.
+    """A connected graph on n points, over an oracle table only if asked (graph_space).
 
     Integral weights in {1, 2, 3} make many distance ties.  Others, drawn
     from [0.05, 10), make Dijkstra rows that may differ from their
@@ -48,11 +49,33 @@ def weighted_graph(rng, n, integral, table=False):
 
 
 def graph_space(n, edges, table):
-    """load_graph on either lane: with its distance table or without one."""
+    """load_graph on either lane.
+
+    With table, every row is certified at load (n <= DENSE_LIMIT) and the
+    space answers from an oracle table (with_table); without, only the
+    seeded pool is certified and every row is a Dijkstra call.
+    """
     with pytest.MonkeyPatch.context() as mp:
         if not table:
             mp.setattr(metric, "DENSE_LIMIT", 0)
-        return load_graph(n, edges)
+        sp = load_graph(n, edges)
+    return with_table(sp) if table else sp
+
+
+def dijkstra_table(sp):
+    """The all-pairs Dijkstra table of a graph space's edges, by scipy's shortest_path."""
+    return shortest_path(sp._graph, method="D", directed=True)
+
+
+def with_table(sp, table=None):
+    """sp's edges and meta over a distance table, not validated: an oracle lane.
+
+    The table defaults to dijkstra_table(sp), built here and not by the
+    space's own row queries, which the new space never makes: its table
+    answers every distance query.
+    """
+    table = dijkstra_table(sp) if table is None else table
+    return FiniteMetricSpace(sp.n, sp.provenance, dmat=table, graph=sp._graph, meta=sp.meta)
 
 
 def rgg_space(n, radius, seed):

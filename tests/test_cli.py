@@ -19,6 +19,7 @@ from coarsecert import cli, covers, jsonio, metric
 from coarsecert.cli import main
 from coarsecert.covers import tree_validate
 from coarsecert.verify import lipschitz_check
+from .conftest import with_table
 from .genutil import perturb_weight, random_lipschitz_pou
 
 
@@ -603,11 +604,17 @@ def heavy_path(n):
     return [[i, i + 1, 100 * (1 + r.random())] for i in range(n - 1)]
 
 
-def test_heavy_float_path_loads_on_both_lanes(tmp_path):
+def test_heavy_float_path_loads_on_both_lanes(tmp_path, monkeypatch):
     # a triangle sample with a flat 1e-9 tolerance rejected it above the
-    # table limit; both lanes certify their rows against the edges instead
+    # dense limit; both lanes certify their rows against the edges instead:
+    # every row up to the limit, the seeded pool above it
+    certified, real = [], metric._validate_shortest_paths
+    monkeypatch.setattr(metric, "_validate_shortest_paths",
+                        lambda space, ids: certified.append(len(ids)) or real(space, ids))
     for n in (4000, 4200):
-        assert metric.load_graph(n, heavy_path(n)).has_table == (n <= metric.DENSE_LIMIT)
+        assert not metric.load_graph(n, heavy_path(n)).has_table
+    assert (4000 <= metric.DENSE_LIMIT < 4200
+            and certified == [4000, len(metric._sample_pool(4200))])
     jsonio.save_json(tmp_path / "heavy.json",
                      jsonio.space_to_json("graph", 4200, heavy_path(4200), {"grid_shape": [4200]}))
     assert run("decompose", "--space", tmp_path / "heavy.json", "--strategy", "bricks",
@@ -828,10 +835,19 @@ PINNED_DIGESTS = {
 
 
 def pipeline_artifacts(workdir, table):
-    """Each artifact of bricks, certify and both verify modes on workdir/space.json, as bytes."""
+    """Each artifact of bricks, certify and both verify modes on workdir/space.json, as bytes.
+
+    On the dense lane every row is certified at load and the space answers
+    from an all-pairs table built by the test (with_table); on the
+    table-free lane the seeded pool is certified and every row is a
+    Dijkstra call.
+    """
     with pytest.MonkeyPatch.context() as mp:
         if table == "table-free":
             mp.setattr(metric, "DENSE_LIMIT", 0)
+        else:
+            load = jsonio.load_graph
+            mp.setattr(jsonio, "load_graph", lambda *args, **kw: with_table(load(*args, **kw)))
         mp.chdir(workdir)
         assert jsonio.load_space("space.json").has_table == (table == "dense")
         assert run("decompose", "--space", "space.json", "--strategy", "bricks",

@@ -25,7 +25,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
-from .conftest import path_space
+from .conftest import path_space, with_table
 
 
 def rng_of(*rs):
@@ -160,9 +160,9 @@ class TestBrickTree1D:
     def test_trivial_tree_up_to_the_diameter(self, monkeypatch, dense):
         # diameter 11: block_scale 11 gets the trivial tree, 10.5 does not;
         # the check reads rows cut off at block_scale, never a full row
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         sp = path_space(12)
+        if dense:  # the oracle lane: an all-pairs table built here
+            sp = with_table(sp)
         assert sp.has_table == dense
         full = []
         compute_row = metric.FiniteMetricSpace._compute_row

@@ -38,7 +38,15 @@ from coarsecert.metric import (
     nearest_point_retraction,
     set_ball,
 )
-from .conftest import graph_space, integer_graph, path_space, weighted_graph
+from coarsecert.simplex import barycentric_pou, star_preimage_diameters
+from .conftest import (
+    dijkstra_table,
+    graph_space,
+    integer_graph,
+    path_space,
+    weighted_graph,
+    with_table,
+)
 
 
 class TestLoadMatrix:
@@ -231,9 +239,10 @@ class TestLoadGraph:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sp = load_graph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, light)])
-        assert sp.has_table == dense
-        assert [sp.row(x).tolist() for x in range(3)] == [
-            [0.0, 1e308, light], [1e308, 0.0, 1e308], [light, 1e308, 0.0]]
+        expect = [[0.0, 1e308, light], [1e308, 0.0, 1e308], [light, 1e308, 0.0]]
+        assert not sp.has_table and [sp.row(x).tolist() for x in range(3)] == expect
+        if dense:  # every row was checked at load; they are the all-pairs table's
+            assert dijkstra_table(sp).tolist() == expect
 
 
 def random_graph(rng, n):
@@ -246,34 +255,39 @@ def random_graph(rng, n):
     return load_graph(n, edges)
 
 
-def with_table(sp, table):
-    """A graph space with sp's edges and the given table, not validated."""
-    return FiniteMetricSpace(sp.n, "graph", dmat=table, graph=sp._graph)
-
-
 def corrupted(sp, x, y, factor):
-    table = sp._dmat.copy()
+    """The all-pairs Dijkstra table of sp with d(x, y) and d(y, x) scaled by factor."""
+    table = dijkstra_table(sp)
     table[x, y] = table[y, x] = table[x, y] * factor
     return table
 
 
+def rows_from(mp, table):
+    """Make every FiniteMetricSpace.rows call answer from table, as a faulty search would."""
+    mp.setattr(FiniteMetricSpace, "rows", lambda self, ids, limit=math.inf: table[ids])
+
+
 class TestGraphCertificate:
-    """Graph tables are checked against their own edges, not by a closure."""
+    """Graph rows are checked against their own edges, not by a closure.
+
+    A faulty row is injected through FiniteMetricSpace.rows, which every
+    check reads its rows from.
+    """
 
     # raised: the entry is above a way in; lowered: a neighbor of the entry
     # is now above a way in through it; slightly lowered: the entry is below
     # every way in
     @pytest.mark.parametrize("factor, test", [(1.25, "feasibility"), (0.8, "feasibility"),
                                               (0.999, "tightness")])
-    def test_corrupted_entry_names_witness(self, factor, test):
+    def test_corrupted_entry_names_witness(self, monkeypatch, factor, test):
         sp = random_graph(np.random.default_rng(17), 60)
         a, b = 23, 41
-        bad = with_table(sp, corrupted(sp, a, b, factor))
+        d = corrupted(sp, a, b, factor)
+        rows_from(monkeypatch, d)
         with pytest.raises(ShortestPathViolationError) as err:
-            metric._validate(bad)
+            metric._validate(sp)
         assert isinstance(err.value, MetricError)
         (x, y), (u, y_in) = err.value.pair, err.value.edge
-        d = bad._dmat
         w = err.value.weight
         assert y_in == y and sp._graph[u, y] == w
         assert err.value.values == (d[x, y], d[x, u])
@@ -290,7 +304,7 @@ class TestGraphCertificate:
     @settings(max_examples=60, deadline=None)
     def test_certificate_rejects_what_closure_rejects(self, n, seed):
         rng = np.random.default_rng(seed)
-        sp = random_graph(rng, n)  # the loader's own table is accepted
+        sp = random_graph(rng, n)  # the loader's own rows are accepted
         metric._validate_shortest_paths(sp, np.arange(n))
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         rel = 10 ** rng.uniform(-6, 0) * rng.choice([-1.0, 1.0])
@@ -298,47 +312,51 @@ class TestGraphCertificate:
         closure_rejects = n >= 3 and (table - floyd_warshall(table)).max() > METRIC_TOL
         # one changed entry is off by more than the per-edge tolerance from
         # the edges into it, whether or not it breaks a triangle
-        if closure_rejects or abs(table[x, y] - sp._dmat[x, y]) > 2 * METRIC_TOL:
-            with pytest.raises(ShortestPathViolationError):
-                metric._validate_shortest_paths(with_table(sp, table), np.arange(n))
+        if closure_rejects or abs(table[x, y] - dijkstra_table(sp)[x, y]) > 2 * METRIC_TOL:
+            with pytest.MonkeyPatch.context() as mp:
+                rows_from(mp, table)
+                with pytest.raises(ShortestPathViolationError):
+                    metric._validate_shortest_paths(sp, np.arange(n))
 
-    def test_edges_below_tolerance_get_the_closure_check(self):
+    def test_edges_below_tolerance_get_the_closure_check(self, monkeypatch):
         # three pairs joined by an edge of weight 1e-10, each pair 1 from a
-        # hub 6.  With so light an edge the per-edge tests accept a table
+        # hub 6.  With so light an edge the per-edge tests accept rows
         # whose pair-to-pair distances are made up: here pairs 0 and 1, and
-        # pairs 0 and 2, sit 0.01 apart while pairs 1 and 2 sit 2 apart
+        # pairs 0 and 2, sit 0.01 apart while pairs 1 and 2 sit 2 apart.
+        # The row check over every row rejects them
         eps = 1e-10
         sp = load_graph(7, [(0, 1, eps), (2, 3, eps), (4, 5, eps),
                             (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)])
-        table = sp._dmat.copy()
+        table = dijkstra_table(sp)
         for p, q in ((0, 1), (0, 2)):
             block = np.ix_(range(2 * p, 2 * p + 2), range(2 * q, 2 * q + 2))
             table[block] = 0.01
             table.T[block] = 0.01
-        bad = with_table(sp, table)
-        metric._validate_shortest_paths(bad, np.arange(7))  # not sound here, so not used
+        rows_from(monkeypatch, table)
+        metric._validate_shortest_paths(sp, np.arange(7))  # not sound here, so not used
         with pytest.raises(TriangleViolationError):
-            metric._validate(bad)
+            metric._validate(sp)
 
     @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_table_is_stacked_table_free_rows(self, n, seed, integral):
-        # the dense limit decides whether rows are kept, never what they hold
+        # the rows are the all-pairs Dijkstra table, bit for bit, on either lane
         table = weighted_graph(np.random.default_rng(seed), n, integral, table=True)
         free = weighted_graph(np.random.default_rng(seed), n, integral)
         assert table.has_table and not free.has_table
         assert np.array_equal(table._dmat, np.stack([free.row(x) for x in range(n)]))
 
     def test_graph_tables_skip_table_axiom_scans(self, monkeypatch):
-        # a float-weighted table may differ from its transpose in the last
-        # bits, as table-free rows do; the table scans would name that
+        # float-weighted rows may differ from their columns in the last
+        # bits; the table scans would name that
         def boom(*args):
             raise AssertionError("positive weights make the table axioms hold")
 
         monkeypatch.setattr(metric, "_validate_table_axioms", boom)
         sp = random_graph(np.random.default_rng(4), 60)
-        assert not np.array_equal(sp._dmat, sp._dmat.T)
-        assert np.allclose(sp._dmat, sp._dmat.T, rtol=1e-12, atol=0)
+        full = sp.rows(np.arange(60))
+        assert not np.array_equal(full, full.T)
+        assert np.allclose(full, full.T, rtol=1e-12, atol=0)
 
     def test_graph_tables_skip_closure_and_sample(self, monkeypatch):
         def boom(*args):
@@ -346,34 +364,28 @@ class TestGraphCertificate:
 
         monkeypatch.setattr(metric, "floyd_warshall", boom)
         monkeypatch.setattr(metric, "_validate_triangles", boom)
-        # both sides of the old exhaustive limit, and above the table limit
+        # both sides of the old exhaustive limit, and above the dense limit
         for n in (300, 3000, 4200):
             sp = load_graph(n, [(i, i + 1, 1.0 + (i % 3) / 2) for i in range(n - 1)])
-            assert sp.has_table == (n <= metric.DENSE_LIMIT)
+            assert not sp.has_table
             assert sp.d(0, 3) == 4.5
 
     @pytest.mark.parametrize("factor, test", [(1.25, "feasibility"), (0.999, "tightness")])
     def test_corrupted_pool_row_names_witness(self, monkeypatch, factor, test):
-        # a table-free graph certifies the seeded pool's rows against its edges
+        # above the dense limit a graph certifies the seeded pool's rows
+        # against its edges
         sp = random_graph(np.random.default_rng(17), 60)
         pool = metric._sample_pool(60)
         a, b = int(pool[3]), 41
-        real = metric.dijkstra
-
-        def corrupt(graph, *args, indices, **kwargs):
-            rows = real(graph, *args, indices=indices, **kwargs)
-            rows[np.asarray(indices) == a, b] *= factor
-            return rows
-
-        monkeypatch.setattr(metric, "dijkstra", corrupt)
-        free = FiniteMetricSpace(60, "graph", graph=sp._graph)
+        table = dijkstra_table(sp)
+        table[a, b] *= factor  # row a only
+        monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        rows_from(monkeypatch, table)
         with pytest.raises(ShortestPathViolationError) as err:
-            metric._validate(free)
+            metric._validate(sp)
         (x, y), (u, y_in) = err.value.pair, err.value.edge
         w = err.value.weight
-        d = sp._dmat[x].copy()  # the table is the stacked Dijkstra rows
-        if x == a:
-            d[b] *= factor
+        d = table[x]
         assert x == a and y_in == y and sp._graph[u, y] == w
         assert err.value.values == (d[y], d[u])
         if test == "feasibility":
@@ -538,13 +550,18 @@ class TestExactSums:
 
     @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
     def test_light_edge_beside_unit_keeps_the_row_check(self, monkeypatch, table):
-        # a table passes the row check by its closure, a table-free graph by its rows
+        # a graph keeps no table, so it passes the row check by its rows:
+        # every row up to the dense limit, the seeded pool above it
         monkeypatch.setattr(metric, "_validate_shortest_paths", boom)
         closure = counted(monkeypatch, "floyd_warshall")
-        rows = counted(monkeypatch, "_validate_triangles")
+        checked, real = [], metric._validate_triangles
+        monkeypatch.setattr(metric, "_validate_triangles",
+                            lambda space, ids: checked.append(ids) or real(space, ids))
         sp = graph_space(3, [(0, 1, 1e-10), (1, 2, 1.0)], table)
         assert sp.d(0, 2) == 1.0 + 1e-10
-        assert (len(closure), len(rows)) == ((1, 0) if table else (0, 1))
+        assert len(closure) == 0 and len(checked) == 1
+        expect = np.arange(3) if table else metric._sample_pool(3)
+        assert np.array_equal(checked[0], expect)
 
     @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
     def test_exact_graph_skips_every_check(self, monkeypatch, table):
@@ -903,6 +920,8 @@ class TestStreamedScan:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 90))
         sp = integer_graph(rng, n)
+        if dense:  # the oracle lane: an all-pairs table built here
+            sp = with_table(sp)
         assert sp.has_table == dense
         ties = 0
         for size in sorted({1, 2, max(1, n // 3), n}):
@@ -1040,6 +1059,103 @@ class TestPrunedDiameter:
             assert sorted(sources) == list(range(5, 35))
 
 
+class TestDiameters:
+    """diameters runs every set's pruned loop in lockstep, with diameter's bits."""
+
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.integers(1, 4), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_max_over_an_oracle_table(self, n, seed, block, cut):
+        # weights in {0.1, 0.2, 0.3}: sums that round, and many ties
+        rng = np.random.default_rng(seed)
+        edges = [(int(rng.integers(0, i)), i, 0.1 * int(rng.integers(1, 4))) for i in range(1, n)]
+        edges += [(int(u), int(v), 0.1 * int(rng.integers(1, 4)))
+                  for u, v in rng.integers(0, n, (n, 2))]
+        sp = load_graph(n, edges)
+        table = dijkstra_table(sp)
+        sets = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                for _ in range(int(rng.integers(1, 8)))]
+        sets += [np.array([int(rng.integers(0, n))]), np.arange(n)]
+        rng.shuffle(sets)
+        expect = np.array([table[np.ix_(ids, ids)].max() for ids in sets])
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of 1 to 4 rows, so a set's picks may straddle two blocks;
+            # a cut-off below the diameter makes rows come back incomplete
+            mp.setattr(metric, "ROW_BLOCK_CELLS", block * n)
+            if cut:
+                mp.setattr(metric, "DIAMETER_MARGIN", -0.75)
+            got = metric.diameters(sp, [PointSubset(tuple(ids.tolist())) for ids in sets])
+        assert got.dtype == np.float64 and np.array_equal(got, expect)
+
+    def test_matrices_and_clouds_equal_per_set_diameter(self):
+        rng = np.random.default_rng(6)
+        cloud = load_points(rng.normal(size=(60, 3)).tolist(), 2)
+        matrix = load_matrix([[abs(i - j) ** 0.5 for j in range(60)] for i in range(60)])
+        for sp in (cloud, matrix):
+            sets = [PointSubset(tuple(rng.choice(60, size=k, replace=False).tolist()))
+                    for k in (1, 2, 7, 30, 60)]
+            got = metric.diameters(sp, sets)
+            assert got.tolist() == [diameter(sp, a) for a in sets]
+            assert got.tolist() == [max(sp.d(x, y) for x in a for y in a) for a in sets]
+
+    def test_empty_set_raises(self, p10):
+        with pytest.raises(EmptySetError):
+            metric.diameters(p10, [PointSubset((1, 2)), PointSubset(())])
+
+    def test_star_diameters_share_dijkstra_calls(self, monkeypatch):
+        # 500 three-point blocks: one call per row was over 1500 calls
+        sp = path_space(1500)
+        f = barycentric_pou(sp, [PointSubset(tuple(range(x, x + 3))) for x in range(0, 1500, 3)])
+        calls, real = [], metric.dijkstra
+        monkeypatch.setattr(metric, "dijkstra", lambda *args, **kw: calls.append(1)
+                            or real(*args, **kw))
+        assert star_preimage_diameters(f).tolist() == [2.0] * 500
+        assert 0 < len(calls) <= 100
+
+
+class TestGraphsKeepNoTable:
+    """A graph keeps no distance table at any size; the dense limit sets how many rows are certified."""
+
+    @staticmethod
+    def float_path(n):
+        rng = np.random.default_rng(2)
+        return [(i, i + 1, float(rng.uniform(1.0, 2.0))) for i in range(n - 1)]
+
+    def test_every_row_certified_below_the_dense_limit(self, monkeypatch):
+        certified, real = [], metric._validate_shortest_paths
+        monkeypatch.setattr(metric, "_validate_shortest_paths",
+                            lambda space, ids: certified.append(ids) or real(space, ids))
+        sp = load_graph(3000, self.float_path(3000))
+        assert not sp.has_table and 3000 <= metric.DENSE_LIMIT
+        assert len(certified) == 1 and np.array_equal(certified[0], np.arange(3000))
+
+    def test_corrupted_row_outside_the_pool_named(self, monkeypatch):
+        # the pool alone would never read row a
+        edges = self.float_path(3000)
+        a = int(np.setdiff1d(np.arange(1500, 3000), metric._sample_pool(3000))[0])
+        b = a + 700  # raised, it also puts b + 1 below its least way in, later in row a
+        real = FiniteMetricSpace.rows
+
+        def corrupt(self, ids, limit=math.inf):
+            rows = real(self, ids, limit)
+            rows[np.asarray(ids) == a, b] *= 1.25
+            return rows
+
+        monkeypatch.setattr(FiniteMetricSpace, "rows", corrupt)
+        with pytest.raises(ShortestPathViolationError) as err:
+            load_graph(3000, edges)
+        assert err.value.pair == (a, b)
+
+    def test_load_and_diameter_hold_no_table(self):
+        tracemalloc.start()
+        try:
+            sp = path_space(4000)
+            assert sp.diameter() == 3999.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # a table alone would be 4000 * 4000 * 8 bytes = 128 MB
+
+
 def table_space(table):
     """A matrix space over the given table, not validated."""
     return FiniteMetricSpace(len(table), "matrix", dmat=table)
@@ -1090,12 +1206,13 @@ class TestAxiomBlocks:
         assert err.value.pair == first_witness((zero == 0) & ~np.eye(10, dtype=bool)) == (5, 6)
 
     def test_graph_tables_equal_whole_table_formulas(self):
-        # a graph's table is the directed all-pairs Dijkstra as it comes, not
+        # a graph's rows are the directed all-pairs Dijkstra as it comes, not
         # min(d, d.T), and uniform weights are summed edge by edge, not hop
         # counts times the weight (6 * 0.3 differs from 0.3 + ... + 0.3)
         sp = random_graph(np.random.default_rng(4), 10)
-        assert np.array_equal(sp._dmat, shortest_path(sp._graph, method="D", directed=True))
+        all_rows = np.arange(10)
+        assert np.array_equal(sp.rows(all_rows), shortest_path(sp._graph, method="D", directed=True))
         scaled = load_graph(10, [(i, i + 1, 0.3) for i in range(9)])
         sums = np.cumsum([0.0] + [0.3] * 9)
-        hops = np.abs(np.arange(10)[:, None] - np.arange(10)[None, :])
-        assert np.array_equal(scaled._dmat, sums[hops]) and sums[6] != 6 * 0.3
+        hops = np.abs(all_rows[:, None] - all_rows[None, :])
+        assert np.array_equal(scaled.rows(all_rows), sums[hops]) and sums[6] != 6 * 0.3

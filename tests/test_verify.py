@@ -20,7 +20,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
-from .conftest import integer_graph, path_space, weighted_graph
+from .conftest import integer_graph, path_space, weighted_graph, with_table
 from .genutil import random_lipschitz_pou
 
 A, B = (0, 0), (0, 1)
@@ -113,10 +113,11 @@ class TestLipschitz:
                 assert rest.restricted_radius == radius
 
     def test_restricted_same_on_both_lanes(self, p200, monkeypatch):
-        # the pair gather reads the table on p200 and runs limited Dijkstra
-        # on its table-free copy; the pairs and the report must not differ
+        # the pair gather reads an all-pairs table built here and runs
+        # limited Dijkstra on the space; the pairs and the report must not differ
         monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         free = path_space(200)
+        p200 = with_table(p200)
         assert p200.has_table and not free.has_table
         f = random_lipschitz_pou(p200, range(200), 0.3, np.random.default_rng(5))
         g = PartitionOfUnity(free, dict(f.items()))
@@ -134,9 +135,9 @@ class TestLipschitz:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_gather_on_subset_domain(self, monkeypatch, dense):
         # a 60-point domain in a 4150-point path: most neighbours are not in it
-        if dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 4150)
         big = load_graph(4150, [(i, i + 1, 1.0) for i in range(4149)])
+        if dense:  # the oracle lane: an all-pairs table built here
+            big = with_table(big)
         assert big.has_table == dense
         rng = np.random.default_rng(9)
         ids = sorted(rng.choice(4150, size=60, replace=False).tolist())
@@ -316,6 +317,7 @@ class TestStreamedSlackKernel:
         # block's stretch of the brute-force enumeration, on both lanes
         monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         free = path_space(400)
+        p400 = with_table(p400)
         assert p400.has_table and not free.has_table
         pts = np.arange(0, 400, 400 // m)[:m]
         cuts = sorted({0, 1, m // 3, m // 2, m - 1, m})
@@ -526,6 +528,8 @@ class TestPairwiseOracle:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 50))
         sp = integer_graph(rng, n)
+        if dense:  # the oracle lane: an all-pairs table built here
+            sp = with_table(sp)
         assert sp.has_table == dense
         ties = 0
         for _ in range(6):
@@ -652,6 +656,8 @@ class TestLebesgue:
             rng = np.random.default_rng(300 + seed)
             n = int(rng.integers(2, 40))
             sp = integer_graph(rng, n)
+            if dense:  # the oracle lane: an all-pairs table built here
+                sp = with_table(sp)
             assert sp.has_table == dense
             d = [[sp.d(x, y) for y in range(n)] for x in range(n)]
             # members are closed balls around random centres, then every
@@ -678,6 +684,8 @@ class TestLebesgue:
         if not dense:
             monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         sp = path_space(5)
+        if dense:  # the oracle lane: an all-pairs table built here
+            sp = with_table(sp)
         assert sp.has_table == dense
         for m in (-1.0, 0.0):
             rep = lebesgue_check(sp, blocks((0, 2), (3, 4)), m)
