@@ -533,7 +533,6 @@ class CertificateResult:
 def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
                       epsilon: float, modulus: Optional[Modulus] = None,
                       schedule_mode: str = "conservative",
-                      workers: int = 1,
                       verify_mode: str = "restricted") -> CertificateResult:
     """Build and verify a certificate over a validated decomposition tree.
 
@@ -548,8 +547,6 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
     modulus = modulus or default_modulus()
     if not (0.0 < epsilon < 2.0):
         raise BadEpsilonError(f"epsilon must be in (0, 2), got {epsilon!r}")
-    if workers < 1:  # lipschitz_check would say so, but only after the whole build
-        raise InvalidInputError(f"workers must be >= 1, got {workers!r}")
     validation = tree_validate(space, tree)
     if not validation.passed:
         raise InvalidInputError(
@@ -598,7 +595,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
 
     if pou.domain.ids != tuple(range(space.n)):
         raise VerificationFailedError("certificate does not cover the space")
-    lip = lipschitz_check(pou, epsilon, epsilon, mode=verify_mode, workers=workers)
+    lip = lipschitz_check(pou, epsilon, epsilon, mode=verify_mode)
     cob = cobounded_check(pou, bound)
     result = CertificateResult(
         pou=pou, bound=bound, schedule=schedule, lipschitz=lip, cobounded=cob,

@@ -538,10 +538,13 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     if n <= 0:
         raise InvalidInputError("graph needs at least one vertex")
     us, vs, ws = [], [], []
-    for e in edges:
-        u, v, w = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint"), e[2]
+    for k, e in enumerate(edges):
+        if len(e) < 2:
+            raise InvalidInputError(f"edge #{k} has {len(e)} fields, expected 3")
+        u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
         if len(e) != 3:
             raise InvalidInputError(f"edge ({u},{v}) has {len(e)} fields, expected 3")
+        w = e[2]
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
         if _not_a_number(w):

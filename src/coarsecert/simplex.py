@@ -18,14 +18,13 @@ row back as a {vertex: weight} dict.
 
 Everything here is immutable after construction and all operations are pure.
 Fresh namespaces come from a VertexMint that each construction run creates
-and passes down; its counter increments atomically.
+and passes down.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -51,15 +50,13 @@ def vertex_key(v: VertexId) -> str:
 
 
 class VertexMint:
-    """Atomic source of fresh vertex namespaces (>= 1) for one construction run."""
+    """Source of fresh vertex namespaces (>= 1) for one construction run."""
 
     def __init__(self, start: int = 1):
         self._counter = itertools.count(start)
-        self._lock = threading.Lock()
 
     def namespace(self) -> int:
-        with self._lock:
-            return next(self._counter)
+        return next(self._counter)
 
 
 def _indptr(counts) -> np.ndarray:

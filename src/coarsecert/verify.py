@@ -18,17 +18,14 @@ single-entry rows give |u - v| or u + v directly, and every other pair is
 scattered into buffers of carrier-wide rows (ROW_BLOCK_CELLS/4 cells) and
 summed there, since numpy's pairwise association makes a sum of 3 or more
 terms depend on its order.  Restricted mode's largest weight sum follows
-the same rule.  Worker threads take contiguous blocks of positions,
-reduced in block order, so reports do not depend on the worker count.
-R-disjointness takes one distance to each member (metric.cross_minima) and
-scans the rows of one member only to name a witness.
+the same rule.  R-disjointness takes one distance to each member
+(metric.cross_minima) and scans the rows of one member only to name a
+witness.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -220,7 +217,7 @@ def _require_finite(**claims) -> None:
             raise InvalidInputError(f"claimed {name} = {value!r} is not finite")
 
 
-def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float], positions):
+def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
     """(i, js, d) per domain position i: the ascending positions j > i paired with i.
 
     All of them without a radius; with one, those with d(pts[i], pts[j]) <
@@ -229,10 +226,9 @@ def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]
     """
     pos = np.full(space.n, -1, dtype=np.intp)  # domain position of each id
     pos[pts] = np.arange(len(pts))
-    positions = np.asarray(positions, dtype=np.intp)
     limit = math.inf if radius is None else radius
-    for lo, rows in row_blocks(space, pts[positions], limit):
-        for i, row in zip(positions[lo:lo + len(rows)], rows):
+    for lo, rows in row_blocks(space, pts, limit):
+        for i, row in enumerate(rows, lo):
             if radius is None:
                 js = np.arange(i + 1, len(pts))
                 yield i, js, row[pts[js]]
@@ -272,8 +268,8 @@ class _SlackKernel:
     row is summed over a carrier-wide difference: x's dense row, scattered
     once for the run of pairs that share x, minus y's entries subtracted in
     place (each column at most once per row, and a - 0.0 is a, so these are
-    the bits of the dense subtraction).  One kernel per worker thread,
-    since the buffers are reused.
+    the bits of the dense subtraction).  Every call reuses the buffers, so
+    a kernel serves one caller at a time.
     """
 
     def __init__(self, f: PartitionOfUnity):
@@ -328,8 +324,8 @@ class _SlackKernel:
         return out
 
 
-def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full",
-                    workers: int = 1) -> LipschitzReport:
+def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
+                    mode: str = "full") -> LipschitzReport:
     """Check d(f(x), f(y)) <= lam*d(x,y) + C over the domain.
 
     Full mode checks every unordered pair.  Restricted mode requires
@@ -337,12 +333,9 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
     s is the largest weight sum of the pou, or 1 when every sum lies within
     tolerance/4 of 1.  Pairs at or beyond that radius satisfy
     eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1), so the two
-    modes agree on pass/fail.  The report is the same at any worker count;
-    at most os.cpu_count() threads run.
+    modes agree on pass/fail.
     """
     _require_finite(lam=lam, C=C)
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers!r}")
     restricted_radius = None
     if mode == "restricted":
         if lam != C:
@@ -353,33 +346,23 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float, mode: str = "full
         raise BadModeError(f"unknown mode {mode!r}")
 
     pts = f.domain.array()
+    kernel = _SlackKernel(f)
     if mode == "restricted":
-        s_max = _SlackKernel(f).row_sums_max()
+        s_max = kernel.row_sums_max()
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
         restricted_radius = 2.0 * s / lam - 1.0
 
-    def run(positions):
-        # each block's first minimum, in (i, j) order, replaces the running one
-        # only when strictly below it
-        kernel = _SlackKernel(f)
-        worst, witness, count = math.inf, None, 0
-        for ii, jj, d in _pair_blocks(_partners(f.space, pts, restricted_radius, positions),
-                                      max(1, ROW_BLOCK_CELLS // 16)):
-            count += ii.size
-            slack = lam * d + C - kernel.l1(ii, jj)
-            k = int(np.argmin(slack))
-            if slack[k] < worst:
-                worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
-        return worst, witness, count
-
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:  # contiguous blocks of positions, reduced in block order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, np.array_split(np.arange(len(pts)), workers)))
-    else:
-        results = [run(range(len(pts)))]
-    worst, witness, _ = min(results, key=lambda r: r[0])  # the first of equal minima
-    return LipschitzReport(lam, C, worst, witness, sum(r[2] for r in results), restricted_radius)
+    # each block's first minimum, in (i, j) order, replaces the running one
+    # only when strictly below it
+    worst, witness, count = math.inf, None, 0
+    for ii, jj, d in _pair_blocks(_partners(f.space, pts, restricted_radius),
+                                  max(1, ROW_BLOCK_CELLS // 16)):
+        count += ii.size
+        slack = lam * d + C - kernel.l1(ii, jj)
+        k = int(np.argmin(slack))
+        if slack[k] < worst:
+            worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
+    return LipschitzReport(lam, C, worst, witness, count, restricted_radius)
 
 
 # ---------------------------------------------------------------------------

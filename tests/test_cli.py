@@ -429,7 +429,7 @@ MALFORMED = {
     "space schema version a boolean": ("space.json", lambda obj: obj.update(v=True),
                                        "space.json: unsupported schema version True"),
     "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
-                                  "space.json: malformed artifact (IndexError"),
+                                  "space.json: edge (0,1) has 2 fields, expected 3"),
     "graph edge with a fourth field": ("space.json",
                                        lambda obj: obj["data"][0].append("x"),
                                        "space.json: edge (0,1) has 4 fields, expected 3"),
@@ -814,10 +814,11 @@ class TestDeterminism:
         run("decompose", "--space", space, "--strategy", "bricks",
             "--R", 64, "--block-scale", 65, "--out", tree)
         outs = []
-        for tag, workers in (("a", 1), ("b", 4), ("c", 1)):
+        # --workers is accepted and ignored: it must not change a byte
+        for tag, extra in (("a", ()), ("b", ("--workers", 4)), ("c", ())):
             assert run("certify", "--space", space, "--tree", tree,
                        "--epsilon", 0.5, "--modulus", "linear:4",
-                       "--workers", workers, "--out", tmp_path / tag) == 0
+                       *extra, "--out", tmp_path / tag) == 0
             outs.append(tuple((tmp_path / f"{tag}{sfx}").read_bytes()
                               for sfx in (".pou.json", ".report.json", ".schedule.json")))
         assert outs[0] == outs[1] == outs[2]

@@ -213,6 +213,16 @@ class TestLoadGraph:
         with pytest.raises(InvalidInputError):
             load_graph(2, [(0, 5, 1.0)])
 
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 1), r"edge \(0,1\) has 2 fields, expected 3"),
+        ((0, 1, 1.0, 7), r"edge \(0,1\) has 4 fields, expected 3"),
+        ((0,), "edge #1 has 1 fields, expected 3"),
+        ((), "edge #1 has 0 fields, expected 3")])
+    def test_edge_field_count_named(self, edge, message):
+        # the count is checked before the weight is read: no IndexError
+        with pytest.raises(InvalidInputError, match=message):
+            load_graph(3, [(1, 2, 1.0), edge])
+
     @pytest.mark.parametrize("n, light, dense", [
         (4, 1e-10, True), (4, 1e-10, False), (4, 1.0, True), (4, 1.0, False),
         (4200, 1.0, False)])  # 4200 points are above the table limit

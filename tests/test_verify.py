@@ -125,10 +125,9 @@ class TestLipschitz:
         b = lipschitz_check(g, 0.2, 0.2, mode="restricted")
         assert a.pairs_checked > 0 and a.to_json() == b.to_json()
         pts = f.dense()[0]
-        everything = range(len(pts))
         for (i, got, d), (k, expect, e) in zip(
-                verify._partners(free, pts, a.restricted_radius, everything),
-                verify._partners(p200, pts, a.restricted_radius, everything), strict=True):
+                verify._partners(free, pts, a.restricted_radius),
+                verify._partners(p200, pts, a.restricted_radius), strict=True):
             assert i == k and np.array_equal(got, expect) and got.dtype == expect.dtype
             assert np.array_equal(d, e) and np.array_equal(d, p200.row(int(pts[i]))[pts[got]])
 
@@ -157,43 +156,6 @@ class TestLipschitz:
                     worst = min(worst, 0.05 * d + 0.05 - l1)
         assert rep.pairs_checked == count
         assert rep.worst_slack == worst
-
-    def test_workers_bit_identical(self, p200):
-        rng = np.random.default_rng(17)
-        f = random_lipschitz_pou(p200, range(200), 0.3, rng)
-        reps = [lipschitz_check(f, 0.4, 0.4, workers=w).to_json() for w in (1, 2, 4)]
-        assert reps[0] == reps[1] == reps[2]
-
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_workers_below_one_rejected(self, p10, workers):
-        f = PartitionOfUnity.constant(p10, p10.all_points(), A)
-        with pytest.raises(InvalidInputError, match="workers must be >= 1"):
-            lipschitz_check(f, 0.4, 0.4, workers=workers)
-
-    def test_threads_capped_at_cpu_count(self, p200, monkeypatch):
-        # the pool here records its size and maps inline: no thread starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(verify, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-        rng = np.random.default_rng(18)
-        f = random_lipschitz_pou(p200, range(200), 0.3, rng)
-        rep = lipschitz_check(f, 0.4, 0.4, workers=64)
-        assert sizes == [3]
-        assert rep.to_json() == lipschitz_check(f, 0.4, 0.4, workers=1).to_json()
 
     def test_spread_domain_always_passes(self, p100):
         # every pair at distance >= 2/eps - 1: the additive slack alone
@@ -254,18 +216,20 @@ class TestStreamedSlackKernel:
 
     # 7 columns sum sequentially, 9 with numpy's 8 accumulators, 130 with its
     # recursive pairwise split; the oracle sums blocks of `chunk` pairs, a
-    # height that has nothing to do with how the kernel groups pairs
+    # height that has nothing to do with how the kernel groups pairs, and the
+    # kernel's pair blocks and buffers are cut to 1/`cut` of their size
     @pytest.mark.parametrize("carrier", [7, 9, 130])
     @pytest.mark.parametrize("chunk", [65536, 997])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cut", [1, 2])
     @pytest.mark.parametrize("mode", ["full", "restricted"])
-    def test_bit_equal_to_block_formula(self, p400, carrier, chunk, workers, mode):
+    def test_bit_equal_to_block_formula(self, p400, carrier, chunk, cut, mode, monkeypatch):
         rng = np.random.default_rng(carrier)
         f = random_pou(p400, carrier, rng)
         pts, verts, mat = f.dense()
         assert len(verts) == carrier
         eps = 0.05
-        rep = lipschitz_check(f, eps, eps, mode=mode, workers=workers)
+        monkeypatch.setattr(verify, "ROW_BLOCK_CELLS", metric.ROW_BLOCK_CELLS // cut)
+        rep = lipschitz_check(f, eps, eps, mode=mode)
         if mode == "full":
             pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
         else:
@@ -287,7 +251,7 @@ class TestStreamedSlackKernel:
         eps = 0.05
         expect = lipschitz_check(f, eps, eps, mode=mode)
         monkeypatch.setattr(verify, "ROW_BLOCK_CELLS", 3 * carrier + 1)
-        rep = lipschitz_check(f, eps, eps, mode=mode, workers=2)
+        rep = lipschitz_check(f, eps, eps, mode=mode)
         assert (rep.worst_slack, rep.witness_pair, rep.pairs_checked) == (
             expect.worst_slack, expect.witness_pair, expect.pairs_checked)
         if mode == "full":
@@ -313,19 +277,16 @@ class TestStreamedSlackKernel:
 
     @pytest.mark.parametrize("m", [2, 3, 17, 400])
     def test_pair_chunks_follow_triu_order(self, m, p400, monkeypatch):
-        # the pairs of any contiguous block of positions, in order, are that
-        # block's stretch of the brute-force enumeration, on both lanes
+        # the pairs, in order, are the brute-force enumeration, on both lanes
         monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         free = path_space(400)
         p400 = with_table(p400)
         assert p400.has_table and not free.has_table
         pts = np.arange(0, 400, 400 // m)[:m]
-        cuts = sorted({0, 1, m // 3, m // 2, m - 1, m})
         for radius in (None, 0.5, 30.0, 1e9):  # every pair, none, some, every pair
             expect = brute_pairs(p400, pts, radius)
             for space in (p400, free):
-                got = [(i, int(j), dj) for lo, hi in zip(cuts, cuts[1:])
-                       for i, js, d in verify._partners(space, pts, radius, range(lo, hi))
+                got = [(i, int(j), dj) for i, js, d in verify._partners(space, pts, radius)
                        for j, dj in zip(js, d)]
                 assert [(i, j) for i, j, _ in got] == expect
                 assert all(dj == p400.d(int(pts[i]), int(pts[j])) for i, j, dj in got)
@@ -388,13 +349,16 @@ class TestCsrSlackKernel:
         assert (w[single] != 1.0).any() and (w[single] == 1.0).any()
 
     @pytest.mark.parametrize("carrier", [7, 9, 130])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cut", [1, 2])
     @pytest.mark.parametrize("mode", ["full", "restricted"])
-    def test_mixed_supports_bit_equal_to_block_formula(self, p400, carrier, workers, mode):
+    def test_mixed_supports_bit_equal_to_block_formula(self, p400, carrier, cut, mode,
+                                                       monkeypatch):
+        # pair blocks and kernel buffers cut to 1/cut of their size keep every bit
         f = mixed_pou(p400, carrier, np.random.default_rng(carrier))
         pts = f.dense()[0]
         eps = 0.05
-        rep = lipschitz_check(f, eps, eps, mode=mode, workers=workers)
+        monkeypatch.setattr(verify, "ROW_BLOCK_CELLS", metric.ROW_BLOCK_CELLS // cut)
+        rep = lipschitz_check(f, eps, eps, mode=mode)
         if mode == "full":
             pairs_i, pairs_j = np.triu_indices(len(pts), k=1)
         else:
@@ -404,23 +368,25 @@ class TestCsrSlackKernel:
         assert rep.pairs_checked == len(pairs_i)
 
     @pytest.mark.parametrize("carrier", [9, 130])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_restricted_radius_from_multi_entry_sums(self, p400, carrier, workers):
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_restricted_radius_from_multi_entry_sums(self, p400, carrier, cut, monkeypatch):
         # single weights stay within 2e-10 of 1, below tolerance/4, so the
-        # largest sum, and the radius, come from the multi-vertex rows
+        # largest sum, and the radius, come from the multi-vertex rows, read
+        # in blocks cut to 1/cut of their size
+        monkeypatch.setattr(verify, "ROW_BLOCK_CELLS", metric.ROW_BLOCK_CELLS // cut)
         f = mixed_pou(p400, carrier, np.random.default_rng(carrier + 1), multi_sum=1 + 8e-10)
         pts, _, mat = f.dense()
         sums = mat.sum(axis=1)
         k = int(np.argmax(sums))
         assert sums[k] > 1 + verify.SLACK_TOL / 4 and f.indptr[k + 1] - f.indptr[k] > 1
         eps = 0.05
-        rep = lipschitz_check(f, eps, eps, mode="restricted", workers=workers)
+        rep = lipschitz_check(f, eps, eps, mode="restricted")
         assert rep.restricted_radius == 2.0 * float(sums[k]) / eps - 1.0
         near = distance_block(p400, pts) < rep.restricted_radius
         pairs_i, pairs_j = np.nonzero(np.triu(near, k=1))
         assert block_slack(f, eps, eps, pairs_i, pairs_j, 997) == (rep.worst_slack, rep.witness_pair)
         assert rep.pairs_checked == len(pairs_i)
-        assert lipschitz_check(f, eps, eps, mode="full", workers=workers).passed == rep.passed
+        assert lipschitz_check(f, eps, eps, mode="full").passed == rep.passed
 
     @pytest.mark.parametrize("mode", ["full", "restricted"])
     def test_dense_matrix_never_built(self, monkeypatch, mode):
