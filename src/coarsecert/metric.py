@@ -147,11 +147,10 @@ DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccent
 
 
 def as_int(value, what: str) -> int:
-    """int(value), refusing a value that int() would change (1.5, "3") and booleans."""
-    i = int(value)
-    if i != value or isinstance(value, (bool, np.bool_)):
+    """int(value), refusing a string, a boolean and a value that int() would change (1.5)."""
+    if _not_a_number(value) or int(value) != value:
         raise InvalidInputError(f"{what} {value!r} is not an integer")
-    return i
+    return int(value)
 
 
 def _not_a_number(value) -> bool:
@@ -539,6 +538,8 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         raise InvalidInputError("graph needs at least one vertex")
     us, vs, ws = [], [], []
     for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple, np.ndarray)):
+            raise InvalidInputError(f"edge #{k} is not an array")
         if len(e) < 2:
             raise InvalidInputError(f"edge #{k} has {len(e)} fields, expected 3")
         u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
@@ -710,8 +711,9 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
     Every set runs its own _diameter_loop, and all of them run in lockstep:
     each round gathers the rows that every open set wants next into blocks
     of at most ROW_BLOCK_CELLS cells (space.rows), each cut off at the
-    largest limit among its sets, and hands each set its rows.  The first
-    round reads every set's first row, uncut.  A set's picks depend only on
+    largest limit among its sets, and hands each set its rows.  A set's
+    first row comes cut off at (|set| - 1) heaviest edges of a graph, and
+    uncut if it misses a member there.  A set's picks depend only on
     its own rows, and a larger limit only makes more entries exact, so each
     set reads the rows it would read alone and its diameter has the same
     bits; a graph's many small sets share one Dijkstra call per block.
@@ -721,7 +723,9 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
         raise EmptySetError("diameter of empty subset")
     out = np.zeros(len(arrays))
     step = max(1, ROW_BLOCK_CELLS // space.n)
-    loops = {s: _diameter_loop(space, ids, step) for s, ids in enumerate(arrays) if ids.size > 1}
+    heaviest = math.inf if space._graph is None else float(space._graph.data.max(initial=0.0))
+    loops = {s: _diameter_loop(space, ids, step, heaviest)
+             for s, ids in enumerate(arrays) if ids.size > 1}
     wants = {s: next(loop) for s, loop in loops.items()}  # s: (positions in set s, limit)
     while wants:
         owners = np.repeat(list(wants), [len(k) for k, _ in wants.values()])
@@ -741,14 +745,15 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
     return out
 
 
-def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int):
+def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int, heaviest: float):
     """One set's diameter, as a generator driven by diameters.
 
     It yields (k, limit): the positions in ids of the rows it reads next,
     and a cut-off for them.  It is sent those rows on ids, stacked, exact
     wherever at most limit, and returns the largest entry of every row.
 
-    The first point's row gives its eccentricity e within the set, and every
+    The first point's row (cut off a little above |ids| - 1 heaviest edges,
+    or else uncut) gives its eccentricity e within the set, and every
     distance within the set is at most 2e, so the other rows may come cut
     off a little above 2e.  A row whose entries in the set do not all come
     back (rounding beyond the margin) is computed in full instead.
@@ -780,7 +785,9 @@ def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int):
     its rows once, as a scan would.
     """
     first = np.array([0])
-    rows = yield first, math.inf
+    rows = yield first, (len(ids) - 1) * heaviest * (1.0 + DIAMETER_MARGIN)
+    if np.isinf(rows).any():
+        rows = yield first, math.inf
     limit = 2.0 * float(rows.max()) * (1.0 + DIAMETER_MARGIN)
     prune = space._graph is not None
     slack = 4 * space.n * np.finfo(np.float64).eps

@@ -8,11 +8,11 @@ tolerance (-1e-9) is recorded in every report.
 Every pairwise check reads each source row once and keeps the first
 minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel reads the pou's CSR arrays and never builds its dense
-n x carrier matrix.  It takes the pairs (i, j) of domain positions (every
-later position j, or in restricted mode the later ones closer than the
-radius) in blocks of metric.ROW_BLOCK_CELLS/16 pairs that may span
-positions, with the distances from blocks of rows (metric.row_blocks) cut
-off at the restricted radius.  Each l1 has the bits of numpy's row sum of
+n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j
+(in restricted mode only those closer than the radius), in (i, j) order
+from one mask over each block of rows (metric.row_blocks, cut off at the
+restricted radius), in arrays of ROW_BLOCK_CELLS/16 pairs that run across
+rows and blocks.  Each l1 has the bits of numpy's row sum of
 |f(x) - f(y)| over the carrier: a sum adds exact zeros, so two
 single-entry rows give |u - v| or u + v directly, and every other pair is
 scattered into buffers of carrier-wide rows (ROW_BLOCK_CELLS/4 cells) and
@@ -217,46 +217,39 @@ def _require_finite(**claims) -> None:
             raise InvalidInputError(f"claimed {name} = {value!r} is not finite")
 
 
-def _partners(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
-    """(i, js, d) per domain position i: the ascending positions j > i paired with i.
+def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
+    """(i, j, d) arrays of ROW_BLOCK_CELLS/16 pairs each, the last maybe fewer.
 
-    All of them without a radius; with one, those with d(pts[i], pts[j]) <
-    radius.  d holds those distances, read from pts[i]'s row, which comes in
-    a block of rows cut off at the radius.
+    The pairs of domain positions i < j (with a radius, only those with
+    d(pts[i], pts[j]) < radius) in (i, j) order, and d their distances.
+    Each block of rows (row_blocks, cut off at the radius; columns in domain
+    order) is masked once and read in runs of about one array's pairs, so a
+    run's flat indices number at most sqrt(cells x array size).  Arrays
+    carry pairs across blocks, and are views of buffers the next one reuses.
     """
-    pos = np.full(space.n, -1, dtype=np.intp)  # domain position of each id
-    pos[pts] = np.arange(len(pts))
-    limit = math.inf if radius is None else radius
-    for lo, rows in row_blocks(space, pts, limit):
-        for i, row in enumerate(rows, lo):
-            if radius is None:
-                js = np.arange(i + 1, len(pts))
-                yield i, js, row[pts[js]]
-            else:  # ascending ids, so ascending positions
-                near = np.flatnonzero(row < radius)
-                later = pos[near] > i
-                yield i, pos[near[later]], row[near[later]]
-
-
-def _pair_blocks(partners, size: int):
-    """(i, j, d) arrays of at most size pairs: the pairs partners yields, in order.
-
-    A block's pairs may come from several positions, and a position's from
-    several blocks.  The arrays are views of buffers the next block reuses.
-    """
+    size = max(1, ROW_BLOCK_CELLS // 16)
+    m = len(pts)
     ii, jj, dd = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
     held = 0
-    for i, js, d in partners:
-        lo = 0
-        while lo < js.size:
-            take = min(size - held, js.size - lo)
-            ii[held:held + take] = i
-            jj[held:held + take] = js[lo:lo + take]
-            dd[held:held + take] = d[lo:lo + take]
-            held, lo = held + take, lo + take
-            if held == size:
-                yield ii, jj, dd
-                held = 0
+    for lo, rows in row_blocks(space, pts, math.inf if radius is None else radius):
+        if m < space.n:
+            rows = rows[:, pts]
+        later = np.arange(m) > np.arange(lo, lo + len(rows))[:, None]
+        if radius is not None:
+            later &= rows < radius
+        cells = later.reshape(-1)  # row-major: the (i, j) order
+        run = cells.size * size // max(1, np.count_nonzero(cells))
+        for c in range(0, cells.size, run):
+            flat = np.flatnonzero(cells[c:c + run]) + c
+            for a in range(-held, flat.size, size):  # after the held pairs, flat[a:a + size]
+                k = flat[max(a, 0):a + size]
+                r, end = k // m, held + k.size  # numpy's % is slower than k - r * m
+                ii[held:end], jj[held:end] = lo + r, k - r * m
+                dd[held:end] = rows.reshape(-1)[k]
+                held = end
+                if held == size:
+                    yield ii, jj, dd
+                    held = 0
     if held:
         yield ii[:held], jj[:held], dd[:held]
 
@@ -352,11 +345,10 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
         restricted_radius = 2.0 * s / lam - 1.0
 
-    # each block's first minimum, in (i, j) order, replaces the running one
+    # each array's first minimum, in (i, j) order, replaces the running one
     # only when strictly below it
     worst, witness, count = math.inf, None, 0
-    for ii, jj, d in _pair_blocks(_partners(f.space, pts, restricted_radius),
-                                  max(1, ROW_BLOCK_CELLS // 16)):
+    for ii, jj, d in _pairs(f.space, pts, restricted_radius):
         count += ii.size
         slack = lam * d + C - kernel.l1(ii, jj)
         k = int(np.argmin(slack))

@@ -430,6 +430,17 @@ MALFORMED = {
                                        "space.json: unsupported schema version True"),
     "graph edge without weight": ("space.json", lambda obj: obj["data"][0].pop(),
                                   "space.json: edge (0,1) has 2 fields, expected 3"),
+    "graph edge a number": ("space.json", lambda obj: obj["data"].insert(1, 5),
+                            "space.json: edge #1 is not an array"),
+    "graph edge null": ("space.json", lambda obj: obj["data"].insert(1, None),
+                        "space.json: edge #1 is not an array"),
+    "graph edge a string": ("space.json", lambda obj: obj["data"].insert(1, "ab"),
+                            "space.json: edge #1 is not an array"),
+    "graph edge an object": ("space.json", lambda obj: obj["data"].insert(1, {"u": 0}),
+                             "space.json: edge #1 is not an array"),
+    "graph edge endpoint a string": ("space.json",
+                                     lambda obj: obj["data"][1].__setitem__(1, "a"),
+                                     "space.json: edge endpoint 'a' is not an integer"),
     "graph edge with a fourth field": ("space.json",
                                        lambda obj: obj["data"][0].append("x"),
                                        "space.json: edge (0,1) has 4 fields, expected 3"),

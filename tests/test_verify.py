@@ -125,11 +125,12 @@ class TestLipschitz:
         b = lipschitz_check(g, 0.2, 0.2, mode="restricted")
         assert a.pairs_checked > 0 and a.to_json() == b.to_json()
         pts = f.dense()[0]
-        for (i, got, d), (k, expect, e) in zip(
-                verify._partners(free, pts, a.restricted_radius),
-                verify._partners(p200, pts, a.restricted_radius), strict=True):
-            assert i == k and np.array_equal(got, expect) and got.dtype == expect.dtype
-            assert np.array_equal(d, e) and np.array_equal(d, p200.row(int(pts[i]))[pts[got]])
+        for got, expect in zip(verify._pairs(free, pts, a.restricted_radius),
+                               verify._pairs(p200, pts, a.restricted_radius), strict=True):
+            for x, y in zip(got, expect):
+                assert np.array_equal(x, y) and x.dtype == y.dtype
+            ii, jj, d = got
+            assert np.array_equal(d, [p200.d(int(pts[i]), int(pts[j])) for i, j in zip(ii, jj)])
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_gather_on_subset_domain(self, monkeypatch, dense):
@@ -212,7 +213,7 @@ def brute_pairs(space, pts, radius):
 
 
 class TestStreamedSlackKernel:
-    """The per-position kernel equals the whole-block formula, bit for bit."""
+    """The streamed kernel equals the whole-block formula, bit for bit."""
 
     # 7 columns sum sequentially, 9 with numpy's 8 accumulators, 130 with its
     # recursive pairwise split; the oracle sums blocks of `chunk` pairs, a
@@ -286,10 +287,30 @@ class TestStreamedSlackKernel:
         for radius in (None, 0.5, 30.0, 1e9):  # every pair, none, some, every pair
             expect = brute_pairs(p400, pts, radius)
             for space in (p400, free):
-                got = [(i, int(j), dj) for i, js, d in verify._partners(space, pts, radius)
-                       for j, dj in zip(js, d)]
+                got = [(int(i), int(j), dj) for ii, jj, d in verify._pairs(space, pts, radius)
+                       for i, j, dj in zip(ii, jj, d)]
                 assert [(i, j) for i, j, _ in got] == expect
                 assert all(dj == p400.d(int(pts[i]), int(pts[j])) for i, j, dj in got)
+
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(),
+           st.integers(1, 4), st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_pairs_span_blocks(self, n, seed, limited, height, size):
+        # blocks of `height` rows and arrays of `size` pairs, so that arrays
+        # carry pairs across blocks: the arrays, joined, are the enumeration
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral=False)
+        pts = np.flatnonzero(rng.random(n) < 0.6)
+        radius = float(rng.uniform(0.0, 20.0)) if limited else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "ROW_BLOCK_CELLS", height * n)
+            mp.setattr(verify, "ROW_BLOCK_CELLS", 16 * size)
+            arrays = [[z.copy() for z in a] for a in verify._pairs(sp, pts, radius)]
+        assert all(len(ii) == size for ii, _, _ in arrays[:-1])
+        assert all(0 < len(ii) <= size for ii, _, _ in arrays[-1:])
+        ii, jj, d = (np.concatenate(z) for z in zip(*arrays)) if arrays else ([], [], [])
+        assert list(zip(ii, jj)) == brute_pairs(sp, pts, radius)
+        assert [sp.d(int(pts[i]), int(pts[j])) for i, j in zip(ii, jj)] == list(d)
 
     def test_full_mode_memory(self):
         sp = path_space(600)
