@@ -15,6 +15,8 @@ import math
 from pathlib import Path
 from typing import Callable, Tuple, Union
 
+import numpy as np
+
 from .covers import DecompositionTree
 from .errors import CoarseCertError, InvalidInputError
 from .metric import FiniteMetricSpace, as_float, as_int, load_graph, load_matrix, load_points
@@ -27,9 +29,11 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def save_json(path: Union[str, Path], obj: dict) -> None:
+def save_json(path: Union[str, Path], obj: Union[dict, str]) -> None:
+    """Write obj's canonical text, or obj itself if it is already text."""
+    text = obj if isinstance(obj, str) else dumps_canonical(obj)
     try:
-        Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:  # a missing directory is an input error, not a failed check
         raise InvalidInputError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
@@ -112,12 +116,27 @@ def load_space(path: Union[str, Path]) -> FiniteMetricSpace:
 # partitions of unity
 # ---------------------------------------------------------------------------
 
-def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> dict:
-    keys = [vertex_key(v) for v in pou.carrier()]
-    cols, weights, bounds = pou.columns.tolist(), pou.weights.tolist(), pou.indptr.tolist()
-    entries = {str(x): [[keys[j], w] for j, w in sorted(zip(cols[a:b], weights[a:b]))]
-               for x, a, b in zip(pou.domain.ids, bounds, bounds[1:])}
-    return {"v": SCHEMA_VERSION, "space": space_ref, "entries": entries}
+def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> str:
+    """The pou file's text: dumps_canonical of {"v", "space", "entries"}.
+
+    entries maps each point id, as a string, to its row as [vertex key,
+    weight] pairs in carrier order.  The text is rendered one row at a time
+    rather than built as that dict.
+    """
+    if not np.isfinite(pou.weights).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    heads = [f'["{vertex_key(v)}",' for v in pou.carrier()]
+    counts = np.diff(pou.indptr)
+    order = np.lexsort((pou.columns, np.repeat(np.arange(len(counts)), counts)))
+    cols, weights = pou.columns[order].tolist(), pou.weights[order].tolist()
+    bounds, names = pou.indptr.tolist(), [str(x) for x in pou.domain.ids]
+    rows = []
+    for i in sorted(range(len(names)), key=names.__getitem__):  # keys sort as strings
+        a, b = bounds[i], bounds[i + 1]
+        row = ",".join([f"{heads[j]}{w!r}]" for j, w in zip(cols[a:b], weights[a:b])])
+        rows.append(f'"{names[i]}":[{row}]')
+    return (f'{{"entries":{{{",".join(rows)}}},"space":{json.dumps(space_ref)},'
+            f'"v":{SCHEMA_VERSION}}}\n')
 
 
 def _plain_decimal(text) -> bool:
@@ -125,32 +144,65 @@ def _plain_decimal(text) -> bool:
     return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
+def _vertex(vk, x: int):
+    """The vertex whose key is vk, an entry of point x."""
+    ns, _, idx = vk.partition(":") if isinstance(vk, str) else ("", "", "")
+    if not (_plain_decimal(ns) and _plain_decimal(idx)):
+        raise InvalidInputError(
+            f"vertex key {vk!r} of point {x} is not two plain decimals joined by ':'")
+    return int(ns), int(idx)
+
+
+def _no_repeat(x: int, row: list) -> None:
+    """Name the first vertex that point x's row lists a second time."""
+    seen = set()
+    for v in row:
+        if v in seen:
+            raise InvalidInputError(f"point {x} lists vertex {vertex_key(v)} twice")
+        seen.add(v)
+
+
 def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
+    """The pou of a parsed pou file, read in one pass into flat rows.
+
+    The first fault in file order is named: a point's repeated vertex is
+    looked for at the end of its row, or before naming a later fault in it.
+    """
     entries = obj.get("entries")
     if not isinstance(entries, dict):
         raise InvalidInputError("pou file needs an 'entries' object")
-    assignment = {}
+    ids, counts, verts, weights = [], [], [], []
+    seen, parsed = bytearray(space.n), {}  # parsed: vertex key text -> vertex
     for key, pairs in entries.items():
         if not _plain_decimal(key):
             raise InvalidInputError(f"point id {key!r} is not a plain decimal")
         x = int(key)
         if not (0 <= x < space.n):
             raise InvalidInputError(f"pou references unknown point id {x}")
-        if x in assignment:
+        if seen[x]:
             raise InvalidInputError(f"pou assigns point {x} twice")
-        weights = assignment[x] = {}
-        for vk, w in pairs:
-            ns, _, idx = vk.partition(":") if isinstance(vk, str) else ("", "", "")
-            if not (_plain_decimal(ns) and _plain_decimal(idx)):
-                raise InvalidInputError(
-                    f"vertex key {vk!r} of point {x} is not two plain decimals joined by ':'")
-            v = (int(ns), int(idx))
-            if v in weights:
-                raise InvalidInputError(f"point {x} lists vertex {vertex_key(v)} twice")
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise InvalidInputError(f"weight {w!r} of point {x} is not a JSON number")
-            weights[v] = float(w)
-    return PartitionOfUnity(space, assignment)
+        seen[x] = 1
+        start = len(verts)
+        try:
+            for vk, w in pairs:
+                v = parsed.get(vk) if type(vk) is str else None
+                if v is None:
+                    v = _vertex(vk, x)
+                    parsed[vk] = v
+                verts.append(v)
+                if type(w) is not float:
+                    if isinstance(w, bool) or not isinstance(w, (int, float)):
+                        raise InvalidInputError(f"weight {w!r} of point {x} is not a JSON number")
+                    w = float(w)
+                weights.append(w)
+        except (InvalidInputError, TypeError, ValueError, OverflowError):
+            _no_repeat(x, verts[start:])  # an earlier entry's fault comes first
+            raise
+        if len(verts) - start > 1:
+            _no_repeat(x, verts[start:])
+        ids.append(x)
+        counts.append(len(verts) - start)
+    return PartitionOfUnity._from_rows(space, ids, counts, verts, weights)
 
 
 def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUnity:

@@ -115,6 +115,7 @@ only rows that this module computes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -147,31 +148,33 @@ DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccent
 
 
 def as_int(value, what: str) -> int:
-    """int(value), refusing a string, a boolean and a value that int() would change (1.5)."""
-    if _not_a_number(value) or int(value) != value:
+    """int(value), refusing a non-number and a value that int() would change (1.5)."""
+    if not _real(value) or int(value) != value:
         raise InvalidInputError(f"{what} {value!r} is not an integer")
     return int(value)
 
 
-def _not_a_number(value) -> bool:
-    """A string or a boolean, which float() and np.asarray read as numbers."""
-    return isinstance(value, (str, bool, np.bool_))
+def _real(value) -> bool:
+    """A real number: not a string or boolean, which float() and np.asarray read as
+    numbers, nor a null, array or object, which they refuse with a bare TypeError."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def as_float(value, what: str) -> float:
-    """float(value), refusing a string or a boolean that float() would read."""
-    if _not_a_number(value):
+    """float(value), refusing anything that is not a real number."""
+    if not _real(value):
         raise InvalidInputError(f"{what} {value!r} is not a number")
     return float(value)
 
 
 def _refuse_non_numbers(rows, what: str) -> None:
-    """Name the first string or boolean in a sequence of rows of numbers."""
+    """Name the first entry that is not a real number in a sequence of rows of numbers."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
         return
     for i, row in enumerate(rows):
         for j, value in enumerate(row):
-            if _not_a_number(value):
+            if not _real(value):
                 raise InvalidInputError(f"{what} [{i}][{j}] {value!r} is not a number")
 
 
@@ -182,8 +185,8 @@ class PointSubset:
     ids: tuple
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        if list(ids) != sorted(set(ids)):
+        ids = tuple(map(int, self.ids))
+        if any(map(operator.ge, ids, ids[1:])):  # not strictly ascending
             ids = tuple(sorted(set(ids)))
         object.__setattr__(self, "ids", ids)
 
@@ -548,7 +551,7 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         w = e[2]
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-        if _not_a_number(w):
+        if not _real(w):
             raise InvalidInputError(f"edge ({u},{v}) weight {w!r} is not a number")
         w = float(w)
         if not math.isfinite(w):
@@ -605,7 +608,7 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
     """Build a space with the lp metric on a coordinate cloud, p in [1, inf]."""
     if isinstance(p, str) and p.lower() in ("inf", "infinity"):
         p = math.inf
-    elif _not_a_number(p):
+    elif not _real(p):
         raise InvalidInputError(f"p {p!r} is neither a number nor 'inf'")
     if not (p >= 1):
         raise BadNormError(f"p must be >= 1, got {p!r}")

@@ -92,14 +92,19 @@ def _checked_rows(ids, counts, verts, weights):
     bad = np.flatnonzero(~(weights >= 0) | np.isinf(weights))
     empty = np.flatnonzero(indptr[1:] == indptr[:-1])
     first = min(rows[bad[:1]].tolist() + empty[:1].tolist() + [len(ids)])
-    kept, bounds = weights[keep].tolist(), indptr.tolist()
-    for i in range(first):
+    kept, sizes = weights[keep], np.diff(indptr[:first + 1])
+    lone = np.flatnonzero((sizes == 1) & (np.abs(kept[indptr[:first]] - 1.0) > SUM_TOL))
+    stop = lone[0] if len(lone) else first  # a row of one weight sums to it
+    for i in np.flatnonzero(sizes[:stop] > 1).tolist():
         try:
-            total = math.fsum(kept[bounds[i]:bounds[i + 1]])
+            total = math.fsum(kept[indptr[i]:indptr[i + 1]].tolist())
         except OverflowError:  # finite weights whose sum is not
             total = math.inf
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidInputError(f"weights of point {ids[i]} sum to {total!r}, not 1")
+    if stop < first:
+        total = kept[indptr[stop]].item()
+        raise InvalidInputError(f"weights of point {ids[stop]} sum to {total!r}, not 1")
     if len(bad) and rows[bad[0]] == first:
         w, v = float(weights[bad[0]]), vertex_key(verts[bad[0]])
         kind = "negative" if math.isfinite(w) else "non-finite"
@@ -127,6 +132,11 @@ class PartitionOfUnity:
         self._store(space, *_checked_rows(list(assignment), [len(p) for p in points],
                                           [v for p in points for v in p],
                                           [w for p in points for w in p.values()]))
+
+    @classmethod
+    def _from_rows(cls, space, ids, counts, verts, weights) -> "PartitionOfUnity":
+        """The pou of rows given from outside as flat lists (see _checked_rows)."""
+        return cls._from_csr(space, *_checked_rows(ids, counts, verts, weights))
 
     def _store(self, space, ids, indptr, columns, verts, weights, rows=None) -> None:
         """Keep the given rows, in order, of the CSR arrays (all of them by default).

@@ -10,17 +10,17 @@ minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel reads the pou's CSR arrays and never builds its dense
 n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j
 (in restricted mode only those closer than the radius), in (i, j) order
-from one mask over each block of rows (metric.row_blocks, cut off at the
-restricted radius), in arrays of ROW_BLOCK_CELLS/16 pairs that run across
-rows and blocks.  Each l1 has the bits of numpy's row sum of
-|f(x) - f(y)| over the carrier: a sum adds exact zeros, so two
-single-entry rows give |u - v| or u + v directly, and every other pair is
-scattered into buffers of carrier-wide rows (ROW_BLOCK_CELLS/4 cells) and
-summed there, since numpy's pairwise association makes a sum of 3 or more
-terms depend on its order.  Restricted mode's largest weight sum follows
-the same rule.  R-disjointness takes one distance to each member
-(metric.cross_minima) and scans the rows of one member only to name a
-witness.
+from one mask over the later columns of each block of rows
+(metric.row_blocks, cut off at the restricted radius), in arrays of
+ROW_BLOCK_CELLS/16 pairs that run across rows and blocks.  Each l1 has
+the bits of numpy's row sum of |f(x) - f(y)| over the carrier: a sum adds
+exact zeros, so two single-entry rows give |u - v| or u + v directly, and
+every other pair is scattered into buffers of carrier-wide rows
+(ROW_BLOCK_CELLS/4 cells) and summed there, since numpy's pairwise
+association makes a sum of 3 or more terms depend on its order.
+Restricted mode's largest weight sum follows the same rule.
+R-disjointness takes one distance to each member (metric.cross_minima)
+and scans the rows of one member only to name a witness.
 """
 
 from __future__ import annotations
@@ -223,9 +223,11 @@ def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
     The pairs of domain positions i < j (with a radius, only those with
     d(pts[i], pts[j]) < radius) in (i, j) order, and d their distances.
     Each block of rows (row_blocks, cut off at the radius; columns in domain
-    order) is masked once and read in runs of about one array's pairs, so a
-    run's flat indices number at most sqrt(cells x array size).  Arrays
-    carry pairs across blocks, and are views of buffers the next one reuses.
+    order) is masked once over its columns after its first row's position,
+    and read in runs of whole rows of about one array's pairs: a run's
+    pairs are its mask's nonzero cells, each row's numbered from its count.
+    Arrays carry pairs across blocks, and are views of buffers the next one
+    reuses.
     """
     size = max(1, ROW_BLOCK_CELLS // 16)
     m = len(pts)
@@ -234,18 +236,24 @@ def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
     for lo, rows in row_blocks(space, pts, math.inf if radius is None else radius):
         if m < space.n:
             rows = rows[:, pts]
-        later = np.arange(m) > np.arange(lo, lo + len(rows))[:, None]
-        if radius is not None:
-            later &= rows < radius
-        cells = later.reshape(-1)  # row-major: the (i, j) order
-        run = cells.size * size // max(1, np.count_nonzero(cells))
-        for c in range(0, cells.size, run):
-            flat = np.flatnonzero(cells[c:c + run]) + c
-            for a in range(-held, flat.size, size):  # after the held pairs, flat[a:a + size]
-                k = flat[max(a, 0):a + size]
-                r, end = k // m, held + k.size  # numpy's % is slower than k - r * m
-                ii[held:end], jj[held:end] = lo + r, k - r * m
-                dd[held:end] = rows.reshape(-1)[k]
+        h, w = len(rows), m - lo - 1
+        rows = rows[:, lo + 1:]  # positions after lo
+        near = np.ones((h, w), dtype=bool) if radius is None else rows < radius
+        t = min(h, w)
+        near[:, :t] &= np.arange(t) >= np.arange(h)[:, None]  # j > i
+        counts = near.sum(axis=1, dtype=np.int32)  # twice as fast as an intp count
+        step = max(1, h * size // max(1, int(counts.sum())))
+        for g in range(0, h, step):
+            mask = near[g:g + step]
+            r, c = np.repeat(np.arange(len(mask)), counts[g:g + step]), np.flatnonzero(mask)
+            c -= r * w  # the run's flat cells, row by row, less each row's start
+            c += lo + 1
+            r += lo + g
+            d = rows[g:g + step][mask]
+            for a in range(-held, r.size, size):  # after the held pairs, [a:a + size]
+                k = slice(max(a, 0), a + size)
+                end = held + len(r[k])
+                ii[held:end], jj[held:end], dd[held:end] = r[k], c[k], d[k]
                 held = end
                 if held == size:
                     yield ii, jj, dd

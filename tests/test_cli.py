@@ -1,25 +1,28 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coarsecert
 from coarsecert import cli, covers, jsonio, metric
 from coarsecert.cli import main
 from coarsecert.covers import tree_validate
+from coarsecert.simplex import PartitionOfUnity
 from coarsecert.verify import lipschitz_check
-from .conftest import with_table
+from .conftest import path_space, with_table
 from .genutil import perturb_weight, random_lipschitz_pou
 
 
@@ -400,6 +403,17 @@ MALFORMED = {
     "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes"), "tree.json"),
     "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two"),
                                   "tree.json"),
+    "tree depth null": ("tree.json", lambda obj: obj.update(m=None),
+                        "tree.json: tree depth None is not an integer"),
+    "tree member id null": ("tree.json",
+                            lambda obj: obj["nodes"][-1]["members"].insert(0, None),
+                            "tree.json: member id None is not an integer"),
+    "report epsilon null": ("cert.report.json", lambda obj: obj.update(epsilon=None),
+                            "cert.report.json: epsilon None is not a number"),
+    "points coordinate null": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[0.0], [None]] + [[float(x)] for x in range(2, obj["n"])],
+                             "p": 2}),
+        "space.json: coordinate [1][0] None is not a number"),
     "tree radius NaN": ("tree.json", lambda obj: obj.update(radii=[float("nan")]),
                         "tree.json: tree radius nan"),
     "tree radius a string": ("tree.json", lambda obj: obj.update(radii=["10.0"]),
@@ -441,6 +455,18 @@ MALFORMED = {
     "graph edge endpoint a string": ("space.json",
                                      lambda obj: obj["data"][1].__setitem__(1, "a"),
                                      "space.json: edge endpoint 'a' is not an integer"),
+    "graph edge endpoint null": ("space.json",
+                                 lambda obj: obj["data"][1].__setitem__(1, None),
+                                 "space.json: edge endpoint None is not an integer"),
+    "graph edge endpoint an array": ("space.json",
+                                     lambda obj: obj["data"][1].__setitem__(1, [2]),
+                                     "space.json: edge endpoint [2] is not an integer"),
+    "graph edge weight null": ("space.json",
+                               lambda obj: obj["data"][0].__setitem__(2, None),
+                               "space.json: edge (0,1) weight None is not a number"),
+    "graph edge weight an object": ("space.json",
+                                    lambda obj: obj["data"][0].__setitem__(2, {}),
+                                    "space.json: edge (0,1) weight {} is not a number"),
     "graph edge with a fourth field": ("space.json",
                                        lambda obj: obj["data"][0].append("x"),
                                        "space.json: edge (0,1) has 4 fields, expected 3"),
@@ -815,6 +841,68 @@ class TestRoundTrips:
         path2 = tmp_path / "g.pou.json"
         jsonio.save_json(path2, jsonio.pou_to_json(reloaded, space_ref="s"))
         assert path.read_bytes() == path2.read_bytes()
+
+    @staticmethod
+    def _reference_text(f, space_ref):
+        """The pou file as dumps_canonical of its dict: rows in (vertex, weight) order."""
+        entries = {str(x): [[f"{v[0]}:{v[1]}", w] for v, w in sorted(f(x).items())]
+                   for x in f.domain.ids}
+        return jsonio.dumps_canonical({"v": 1, "space": space_ref, "entries": entries})
+
+    @given(st.dictionaries(
+               st.integers(0, 119),
+               st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                               st.floats(1e-3, 1e3), min_size=1, max_size=4),
+               max_size=30),
+           st.text(max_size=8) | st.just('a"b\\c\u00e9\u4e2d'))
+    @example({2: {(0, 1): 0.30000000000000004, (11, 2): 0.7},  # 17 digits
+              10: {(10, 0): 1.0},
+              100: {(3, 4): 0.1, (12, 0): 0.2, (0, 12): 0.7}},  # "10" < "100" < "2"
+             'a"b\\c\u00e9')
+    @settings(max_examples=100, deadline=None)
+    def test_pou_text_is_canonical_dumps(self, raw, space_ref):
+        # each row rescaled to sum to 1, in a key order that is not the sorted one
+        assignment = {x: {v: w / math.fsum(row.values()) for v, w in reversed(row.items())}
+                      for x, row in raw.items()}
+        f = PartitionOfUnity(path_space(120), assignment)
+        text = jsonio.pou_to_json(f, space_ref=space_ref)
+        assert text == self._reference_text(f, space_ref)
+        assert jsonio.pou_to_json(jsonio.pou_from_json(json.loads(text), f.space),
+                                  space_ref=space_ref) == text
+
+    def test_pou_text_refuses_non_finite_weight(self):
+        sp = path_space(3)
+        f = PartitionOfUnity._from_csr(sp, np.arange(3), np.arange(4), np.zeros(3, dtype=np.intp),
+                                       [(0, 0)], np.array([1.0, math.inf, 1.0]))
+        with pytest.raises(ValueError):
+            jsonio.pou_to_json(f)
+
+    def test_pou_load_memory_below_parsed_file(self):
+        # a pou shaped like a certificate's on a 6000-point path: one vertex per
+        # block of 40 points, and two on the 5 points either side of a seam
+        n = 6000
+        entries = {}
+        for x in range(n):
+            b, k = divmod(x, 40)
+            if 0 < b and k < 5:
+                t = (k + 6) / 11 + x * 1e-9
+                entries[str(x)] = [[f"1:{b - 1}", 1 - t], [f"1:{b}", t]]
+            else:
+                entries[str(x)] = [[f"1:{b}", 1.0]]
+        text = json.dumps({"v": 1, "space": "p6000", "entries": entries})
+        space = path_space(n)
+        del entries
+        tracemalloc.start()
+        try:
+            obj = json.loads(text)
+            parsed = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f = jsonio.pou_from_json(obj, space)
+            peak = tracemalloc.get_traced_memory()[1] - parsed
+        finally:
+            tracemalloc.stop()
+        assert len(f.domain) == n
+        assert peak < parsed, (peak, parsed)
 
 
 class TestDeterminism:

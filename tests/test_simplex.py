@@ -413,7 +413,7 @@ class TestCsrStorage:
     def test_json_save_load_save(self, a, table):
         space = SPACE if table else FREE
         f = make(a, space)
-        text = jsonio.dumps_canonical(jsonio.pou_to_json(f))
+        text = jsonio.pou_to_json(f)
         again = jsonio.pou_from_json(json.loads(text), space)
-        assert jsonio.dumps_canonical(jsonio.pou_to_json(again)) == text
+        assert jsonio.pou_to_json(again) == text
         assert dict(again.items()) == dict(f.items())
