@@ -193,7 +193,11 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
                 if type(w) is not float:
                     if isinstance(w, bool) or not isinstance(w, (int, float)):
                         raise InvalidInputError(f"weight {w!r} of point {x} is not a JSON number")
-                    w = float(w)
+                    try:
+                        w = float(w)
+                    except OverflowError:
+                        raise InvalidInputError(
+                            f"weight {w!r} of point {x} is too large for a float") from None
                 weights.append(w)
         except (InvalidInputError, TypeError, ValueError, OverflowError):
             _no_repeat(x, verts[start:])  # an earlier entry's fault comes first

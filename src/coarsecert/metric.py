@@ -17,6 +17,20 @@ wherever they answer: a vertex's Dijkstra distance is the least rounded
 d(u) + w(u, v) over its neighbours u, whatever the order of the search.  A
 graph's row may differ from its column in the last bits when float weights
 are summed in different orders; nothing here assumes otherwise.
+
+A block of rows cut off at a finite limit L is computed on its ball's own
+subgraph (ball_blocks), with the same bits.  A Dijkstra value is the least
+fixed point of d(v) = min over in-neighbours u of fl(d(u) + w(u, v)), with
+d = 0 at the sources.  Rounding is monotone and w > 0, so fl(d(u) + w) >=
+d(u): every in-neighbour that sets a value d(v) <= L has d(u) <= L, and
+following those neighbours back from v reaches the source through points
+within L of it.  The multi-source value is at most each single source's
+value, since each single-source solution bounds the multi-source least
+fixed point from above, so all those points lie in the block's ball
+{x : multi-source d(x) <= L}.  The ball's subgraph keeps every edge between
+points of the ball, so its search meets each such chain and gives every
+value <= L the whole graph's bits; with fewer edges it gives no smaller
+value anywhere, so it cuts off past L what the whole graph cuts off.
 A matrix is its table.  A cloud of n <= 4096 points (DENSE_LIMIT) keeps its
 lp rows stacked as a dense float64 table, the same rows bit for bit, since
 its triangle check reads the table (below); a larger cloud keeps none, and
@@ -37,7 +51,7 @@ the triangle inequality exactly; so a skipped row holds no larger entry,
 and the diameter is the max over every row, bit for bit (_diameter_loop).  A
 matrix or a cloud reads every row.  The diameters of many sets (diameters)
 run that loop for all of them in lockstep, so a graph's many small sets,
-such as star preimages, share one Dijkstra call per block of rows.  Each
+such as star preimages, share one ball block (ball_blocks) of rows.  Each
 set still picks exactly the rows it would pick alone, since its picks read
 only its own rows, and each of those rows has the same bits from a block
 cut off at a larger limit: a larger limit only makes more entries exact.
@@ -148,8 +162,9 @@ DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccent
 
 
 def as_int(value, what: str) -> int:
-    """int(value), refusing a non-number and a value that int() would change (1.5)."""
-    if not _real(value) or int(value) != value:
+    """int(value), refusing a non-number, NaN, an infinity and a value that int() would change (1.5)."""
+    if (not _real(value) or not (isinstance(value, (int, np.integer)) or math.isfinite(value))
+            or int(value) != value):
         raise InvalidInputError(f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -162,10 +177,21 @@ def _real(value) -> bool:
 
 
 def as_float(value, what: str) -> float:
-    """float(value), refusing anything that is not a real number."""
+    """float(value), refusing anything that is not a real number, or an int past every float."""
     if not _real(value):
         raise InvalidInputError(f"{what} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{what} {value!r} is too large for a float") from None
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """(indptr of the CSR rows at rows, kept one after another, and their entries)."""
+    counts = indptr[rows + 1] - indptr[rows]
+    kept = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=kept[1:])
+    return kept, np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
 
 
 def _refuse_non_numbers(rows, what: str) -> None:
@@ -548,12 +574,9 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
         u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
         if len(e) != 3:
             raise InvalidInputError(f"edge ({u},{v}) has {len(e)} fields, expected 3")
-        w = e[2]
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-        if not _real(w):
-            raise InvalidInputError(f"edge ({u},{v}) weight {w!r} is not a number")
-        w = float(w)
+        w = as_float(e[2], f"edge ({u},{v}) weight")
         if not math.isfinite(w):
             raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
         if w < 0:
@@ -712,14 +735,16 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
     """The diameter of each of sets: the largest entry of its rows on it; 0 for singletons.
 
     Every set runs its own _diameter_loop, and all of them run in lockstep:
-    each round gathers the rows that every open set wants next into blocks
-    of at most ROW_BLOCK_CELLS cells (space.rows), each cut off at the
-    largest limit among its sets, and hands each set its rows.  A set's
-    first row comes cut off at (|set| - 1) heaviest edges of a graph, and
-    uncut if it misses a member there.  A set's picks depend only on
-    its own rows, and a larger limit only makes more entries exact, so each
-    set reads the rows it would read alone and its diameter has the same
-    bits; a graph's many small sets share one Dijkstra call per block.
+    each round reads the rows that every open set wants next through one
+    ball_blocks call, each row cut off at its set's limit (a block at the
+    largest of its rows'), and hands each set its rows on it, with inf
+    where a member lies outside the block's ball.  Rows wanted uncut come
+    last, so the blocks before them keep small balls.  A set's first row
+    comes cut off at (|set| - 1) heaviest edges of a graph, and uncut if it
+    misses a member there.  A set's picks depend only on its own rows, and
+    a larger limit only makes more entries exact, so each set reads the
+    rows it would read alone and its diameter has the same bits; a graph's
+    many small sets share each block's two Dijkstra calls.
     """
     arrays = [a.array() for a in sets]
     if any(not ids.size for ids in arrays):
@@ -731,17 +756,24 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
              for s, ids in enumerate(arrays) if ids.size > 1}
     wants = {s: next(loop) for s, loop in loops.items()}  # s: (positions in set s, limit)
     while wants:
-        owners = np.repeat(list(wants), [len(k) for k, _ in wants.values()])
-        sources = np.concatenate([arrays[s][k] for s, (k, _) in wants.items()])
-        got = {s: [] for s in wants}
-        for lo in range(0, len(sources), step):
-            block = owners[lo:lo + step].tolist()
-            limit = max(wants[s][1] for s in block)
-            for s, row in zip(block, space.rows(sources[lo:lo + step], limit)):
-                got[s].append(row[arrays[s]])  # only the set's entries are kept
-        for s, rows in got.items():
+        order = sorted(wants, key=lambda s: math.isinf(wants[s][1]))  # uncut rows last
+        picks = [wants[s][0] for s in order]
+        height = [len(k) for k in picks]
+        width = np.repeat([len(arrays[s]) for s in order], height)  # each row's set size
+        cells = np.zeros(len(width) + 1, dtype=np.intp)  # each row's first cell in members
+        np.cumsum(width, out=cells[1:])
+        members = np.concatenate([np.tile(arrays[s], len(k)) for s, k in zip(order, picks)])
+        got = np.empty(len(members))
+        for lo, ball, rows in ball_blocks(space,
+                                          np.concatenate([arrays[s][k] for s, k in zip(order, picks)]),
+                                          np.repeat([wants[s][1] for s in order], height)):
+            a, b = cells[lo], cells[lo + len(rows)]
+            at = np.minimum(np.searchsorted(ball, members[a:b]), len(ball) - 1)
+            got[a:b] = rows[np.repeat(np.arange(len(rows)), width[lo:lo + len(rows)]), at]
+            got[a:b][ball[at] != members[a:b]] = math.inf  # outside the ball: past the limit
+        for s, k, a in zip(order, picks, cells[np.cumsum([0] + height[:-1])]):
             try:
-                wants[s] = loops[s].send(np.stack(rows))
+                wants[s] = loops[s].send(got[a:a + len(k) * len(arrays[s])].reshape(len(k), -1))
             except StopIteration as done:
                 out[s] = done.value
                 del wants[s]
@@ -838,23 +870,86 @@ def row_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.in
         yield lo, space.rows(ids[lo:lo + step], limit)
 
 
+def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
+    """(lo, ball, rows) block by block: rows holds the rows of ids[lo:lo + len(rows)] on ball.
+
+    ball lists, ascending, every point within limit of the block's sources,
+    and rows are exact wherever at most limit; above it exact or inf, as in
+    FiniteMetricSpace.rows.  limit is one number or one per id, and a block
+    is cut off at the largest of its ids' limits.
+
+    A table, a cloud, and ids all cut off at inf have every point as their
+    ball and the blocks of row_blocks.  On a graph, a block's ball comes
+    from one multi-source Dijkstra call, and its rows from one call on the
+    ball's own subgraph (module docstring), split by sources past
+    ROW_BLOCK_CELLS cells; a block cut off at inf reads whole rows.  The
+    search is O(n), so it runs once per block, and the next block's sources
+    are sized from this block's ball, taking the ball to grow like its
+    sources, for rows of about max(n, ROW_BLOCK_CELLS/16) cells: the search
+    at most doubles a block's cells, and a small graph's block holds about
+    one of verify._pairs' pair arrays.
+    """
+    limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
+    graph, everyone = space._graph, np.arange(space.n)
+    if space._dmat is not None or graph is None or np.isinf(limits).all():
+        for lo, rows in row_blocks(space, ids):
+            yield lo, everyone, rows
+        return
+    target = max(ROW_BLOCK_CELLS // 16, space.n)
+    lo, size = 0, max(1, target // space.n)
+    while lo < len(ids):
+        if math.isinf(limits[lo]):
+            size = max(1, ROW_BLOCK_CELLS // space.n)
+        sources = ids[lo:lo + size]
+        cut = float(limits[lo:lo + size].max())
+        ball, sub, local = everyone, graph, sources
+        if not math.isinf(cut):
+            near = dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut)
+            inside = np.isfinite(near)
+            if not inside.all():
+                ball = np.flatnonzero(inside)
+                sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
+        step = max(1, ROW_BLOCK_CELLS // len(ball))
+        for a in range(0, len(local), step):
+            yield lo + a, ball, dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
+        lo += len(sources)
+        size = max(1, math.isqrt(target * len(sources) // len(ball)))
+
+
+def _ball_subgraph(graph: csr_matrix, ball: np.ndarray, inside: np.ndarray) -> csr_matrix:
+    """graph's edges between points of ball, numbered by place in ball, from its CSR arrays.
+
+    ball is ascending, and inside is the mask of its points over every point.
+    """
+    kept, k = row_entries(graph.indptr, ball)
+    far = graph.indices[k]
+    keep = inside[far]
+    indptr = np.zeros(len(k) + 1, dtype=np.intp)  # kept edges before each entry
+    np.cumsum(keep, out=indptr[1:])
+    return csr_matrix((graph.data[k[keep]], np.searchsorted(ball, far[keep]), indptr[kept]),
+                      shape=(len(ball), len(ball)))
+
+
 def nearest_scan(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
     """(dist, nearest): dist(x, ids) and the smallest id attaining it.
 
     Both are exact wherever dist(x, ids) <= limit; elsewhere dist is above
     limit (or inf) and nearest means nothing (-1 where no row reached x).  A
-    running minimum over ids' rows in ascending id order, one block of rows
-    at a time: a row takes over an entry only where it is strictly smaller,
-    so the smallest id keeps a tie, as argmin over the stacked block would.
+    running minimum over ids' rows in ascending id order, one ball block at
+    a time (ball_blocks; a row is inf off its block's ball): a row takes over
+    an entry only where it is strictly smaller, so the smallest id keeps a
+    tie, as argmin over the stacked block would.
     """
     dist = np.full(space.n, math.inf)
     nearest = np.full(space.n, -1, dtype=np.intp)
-    closer = np.empty(space.n, dtype=bool)
-    for lo, rows in row_blocks(space, ids, limit):
+    for lo, ball, rows in ball_blocks(space, ids, limit):
+        best, which = dist[ball], nearest[ball]
+        closer = np.empty(len(ball), dtype=bool)
         for i, row in zip(ids[lo:lo + len(rows)], rows):
-            np.less(row, dist, out=closer)
-            np.minimum(dist, row, out=dist)
-            nearest[closer] = i
+            np.less(row, best, out=closer)
+            np.minimum(best, row, out=best)
+            which[closer] = i
+        dist[ball], nearest[ball] = best, which
     return dist, nearest
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotARetractionError,
     SupportEscapesError,
 )
-from .metric import FiniteMetricSpace, PointSubset, diameters
+from .metric import FiniteMetricSpace, PointSubset, diameters, row_entries
 
 SUM_TOL = 1e-9          # invariant: |sum - 1| within this after any op
 RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
@@ -61,14 +61,6 @@ class VertexMint:
 
 def _indptr(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-
-
-def row_entries(indptr: np.ndarray, rows: np.ndarray):
-    """(indptr of the CSR rows at rows, kept one after another, and their entries)."""
-    counts = indptr[rows + 1] - indptr[rows]
-    kept = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(counts, out=kept[1:])
-    return kept, np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
 
 
 def _columns(verts: Sequence[VertexId]):

@@ -10,8 +10,8 @@ minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel reads the pou's CSR arrays and never builds its dense
 n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j
 (in restricted mode only those closer than the radius), in (i, j) order
-from one mask over the later columns of each block of rows
-(metric.row_blocks, cut off at the restricted radius), in arrays of
+from one mask over the later columns of each block of rows on its ball
+(metric.ball_blocks, cut off at the restricted radius), in arrays of
 ROW_BLOCK_CELLS/16 pairs that run across rows and blocks.  Each l1 has
 the bits of numpy's row sum of |f(x) - f(y)| over the carrier: a sum adds
 exact zeros, so two single-entry rows give |u - v| or u + v directly, and
@@ -36,15 +36,16 @@ from .metric import (
     ROW_BLOCK_CELLS,
     FiniteMetricSpace,
     PointSubset,
+    ball_blocks,
     cross_minima,
     diameters,
     nearest_scan,
     row_blocks,
+    row_entries,
 )
 from .simplex import (
     PartitionOfUnity,
     VertexId,
-    row_entries,
     star_preimage_diameters,
     vertex_key,
 )
@@ -222,32 +223,36 @@ def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
 
     The pairs of domain positions i < j (with a radius, only those with
     d(pts[i], pts[j]) < radius) in (i, j) order, and d their distances.
-    Each block of rows (row_blocks, cut off at the radius; columns in domain
-    order) is masked once over its columns after its first row's position,
-    and read in runs of whole rows of about one array's pairs: a run's
-    pairs are its mask's nonzero cells, each row's numbered from its count.
-    Arrays carry pairs across blocks, and are views of buffers the next one
-    reuses.
+    Each ball block of rows (ball_blocks, cut off at the radius) is taken
+    on the domain positions in its ball after its first row's position,
+    masked once, and read in runs of whole rows of about one array's pairs:
+    a run's pairs are its mask's nonzero cells, each row's numbered from
+    its count.  Arrays carry pairs across blocks, and are views of buffers
+    the next one reuses.
     """
     size = max(1, ROW_BLOCK_CELLS // 16)
     m = len(pts)
     ii, jj, dd = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
     held = 0
-    for lo, rows in row_blocks(space, pts, math.inf if radius is None else radius):
-        if m < space.n:
-            rows = rows[:, pts]
-        h, w = len(rows), m - lo - 1
-        rows = rows[:, lo + 1:]  # positions after lo
+    for lo, ball, rows in ball_blocks(space, pts, math.inf if radius is None else radius):
+        at = np.minimum(np.searchsorted(pts, ball), m - 1)
+        hit = pts[at] == ball  # the ball's points in the domain, at positions at[hit]
+        cols = at[hit]
+        first = int(np.searchsorted(cols, lo, side="right"))  # positions after lo
+        rows = rows[:, first:] if hit.all() else rows[:, np.flatnonzero(hit)[first:]]
+        cols = cols[first:]
+        h, w = rows.shape
         near = np.ones((h, w), dtype=bool) if radius is None else rows < radius
-        t = min(h, w)
-        near[:, :t] &= np.arange(t) >= np.arange(h)[:, None]  # j > i
+        later = np.searchsorted(cols, np.arange(lo, lo + h), side="right")  # each row's j > i
+        t = int(later[-1])
+        near[:, :t] &= np.arange(t) >= later[:, None]
         counts = near.sum(axis=1, dtype=np.int32)  # twice as fast as an intp count
         step = max(1, h * size // max(1, int(counts.sum())))
         for g in range(0, h, step):
             mask = near[g:g + step]
             r, c = np.repeat(np.arange(len(mask)), counts[g:g + step]), np.flatnonzero(mask)
             c -= r * w  # the run's flat cells, row by row, less each row's start
-            c += lo + 1
+            c = cols[c]
             r += lo + g
             d = rows[g:g + step][mask]
             for a in range(-held, r.size, size):  # after the held pairs, [a:a + size]

@@ -405,6 +405,23 @@ MALFORMED = {
                                   "tree.json"),
     "tree depth null": ("tree.json", lambda obj: obj.update(m=None),
                         "tree.json: tree depth None is not an integer"),
+    "tree depth NaN": ("tree.json", lambda obj: obj.update(m=float("nan")),
+                       "tree.json: tree depth nan is not an integer"),
+    "tree member id Infinity": ("tree.json",
+                                lambda obj: obj["nodes"][-1]["members"].insert(0, float("inf")),
+                                "tree.json: member id inf is not an integer"),
+    "pou weight past every float": ("cert.pou.json",
+                                    lambda obj: obj["entries"].update({"0": [["0:0", 10**400]]}),
+                                    f"cert.pou.json: weight {10**400} of point 0 is too large "
+                                    "for a float"),
+    "graph edge weight past every float": ("space.json",
+                                           lambda obj: obj["data"][0].__setitem__(2, 10**400),
+                                           f"space.json: edge (0,1) weight {10**400} is too "
+                                           "large for a float"),
+    "report epsilon past every float": ("cert.report.json",
+                                        lambda obj: obj.update(epsilon=10**400),
+                                        f"cert.report.json: epsilon {10**400} is too large "
+                                        "for a float"),
     "tree member id null": ("tree.json",
                             lambda obj: obj["nodes"][-1]["members"].insert(0, None),
                             "tree.json: member id None is not an integer"),

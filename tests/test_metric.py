@@ -995,20 +995,21 @@ class TestCutOffQueries:
 
 
 def rows_read(monkeypatch):
-    """Every source passed to FiniteMetricSpace.row and .rows, in call order."""
+    """Every source whose row FiniteMetricSpace.row or metric.ball_blocks gives, in order."""
     sources = []
-    row, rows = FiniteMetricSpace.row, FiniteMetricSpace.rows
+    row, blocks = FiniteMetricSpace.row, metric.ball_blocks
 
     def counted_row(self, x):
         sources.append(int(x))
         return row(self, x)
 
-    def counted_rows(self, ids, limit=math.inf):
-        sources.extend(int(x) for x in ids)
-        return rows(self, ids, limit)
+    def counted_blocks(space, ids, limit=math.inf):
+        for lo, ball, rows in blocks(space, ids, limit):
+            sources.extend(int(x) for x in ids[lo:lo + len(rows)])
+            yield lo, ball, rows
 
     monkeypatch.setattr(FiniteMetricSpace, "row", counted_row)
-    monkeypatch.setattr(FiniteMetricSpace, "rows", counted_rows)
+    monkeypatch.setattr(metric, "ball_blocks", counted_blocks)
     return sources
 
 
@@ -1122,6 +1123,92 @@ class TestDiameters:
                             limits.append(limit) or real(*args, limit=limit, **kw))
         assert star_preimage_diameters(f).tolist() == [2.0] * 500
         assert 0 < len(limits) <= 100 and max(limits) < math.inf
+
+
+def rounding_graph(rng, n, kind):
+    """A connected table-free graph on n points whose sums round, with many ties.
+
+    kind "float": weights from [0.05, 10); "tenths": weights in {0.1, 0.2,
+    0.3}, whose sums round and tie; "vanishing": weights 1e20 and 1.0, so
+    that 1e20 + 1 is 1e20 and an edge adds nothing to a path past it.
+    """
+    def weight():
+        if kind == "float":
+            return float(rng.uniform(0.05, 10.0))
+        if kind == "tenths":
+            return 0.1 * int(rng.integers(1, 4))
+        return 1e20 if rng.random() < 0.5 else 1.0
+    edges = [(int(rng.integers(0, i)), i, weight()) for i in range(1, n)]
+    edges += [(int(u), int(v), weight()) for u, v in rng.integers(0, n, (n, 2))]
+    return graph_space(n, edges, table=False)
+
+
+def drawn_limit(rng, full, kind):
+    """A cut-off: 0, an attained distance, or a value drawn between the distances."""
+    if kind == "zero":
+        return 0.0
+    if kind == "attained":
+        return float(rng.choice(full.ravel()))
+    return float(rng.uniform(0.0, full.max()))
+
+
+class TestBallBlocks:
+    """ball_blocks gives the bits of full rows wherever they are within the limit."""
+
+    graphs = st.sampled_from(["float", "tenths", "vanishing"])
+    limits = st.sampled_from(["zero", "attained", "between"])
+
+    @given(st.integers(1, 30), st.integers(0, 10_000), graphs, limits, st.booleans(),
+           st.sampled_from([1, 4, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_within_the_limit_are_full_rows(self, n, seed, kind, limit_kind, per_id, cells):
+        rng = np.random.default_rng(seed)
+        sp = rounding_graph(rng, n, kind)
+        full = np.stack([sp.row(x) for x in range(n)])
+        # any order, gaps between ids, and one limit per id or one for all
+        ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        limit = (np.array([drawn_limit(rng, full, limit_kind) for _ in ids]) if per_id
+                 else drawn_limit(rng, full, limit_kind))
+        limits = np.broadcast_to(limit, ids.shape)
+        with pytest.MonkeyPatch.context() as mp:  # calls of one row up to whole balls
+            mp.setattr(metric, "ROW_BLOCK_CELLS", cells * n)
+            blocks = list(metric.ball_blocks(sp, ids, limit))
+        assert [lo for lo, _, _ in blocks] == np.cumsum([0] + [len(r) for _, _, r in blocks[:-1]]).tolist()
+        assert sum(len(rows) for _, _, rows in blocks) == len(ids)
+        for lo, ball, rows in blocks:
+            assert np.array_equal(ball, np.unique(ball)) and rows.shape == (len(rows), len(ball))
+            for x, lim, row in zip(ids[lo:lo + len(rows)], limits[lo:lo + len(rows)], rows):
+                want = full[x]
+                assert set(np.flatnonzero(want <= lim)) <= set(ball.tolist())
+                # exact within the limit; above it exact or inf
+                assert ((row == want[ball]) | (np.isinf(row) & (want[ball] > lim))).all()
+
+    @given(st.integers(2, 30), st.integers(0, 10_000), graphs, limits)
+    @settings(max_examples=100, deadline=None)
+    def test_routed_callers_keep_full_row_bits(self, n, seed, kind, limit_kind):
+        from coarsecert import verify
+        rng = np.random.default_rng(seed)
+        sp = rounding_graph(rng, n, kind)
+        full = np.stack([sp.row(x) for x in range(n)])
+        limit = drawn_limit(rng, full, limit_kind)
+        ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        # restricted pairs: every pair closer than the limit, in (i, j) order, with its bits
+        got = [(int(i), int(j), d) for ii, jj, dd in verify._pairs(sp, ids, limit)
+               for i, j, d in zip(ii, jj, dd)]
+        expect = [(i, j, full[ids[i], ids[j]]) for i in range(len(ids))
+                  for j in range(i + 1, len(ids)) if full[ids[i], ids[j]] < limit]
+        assert got == expect
+        # nearest_scan: the running minimum and its least id, wherever within the limit
+        block = full[ids]
+        least, first = block.min(axis=0), ids[np.argmin(block, axis=0)]
+        dist, nearest = metric.nearest_scan(sp, ids, limit)
+        inside = least <= limit
+        assert np.array_equal(dist[inside], least[inside]) and (dist[~inside] > limit).all()
+        assert np.array_equal(nearest[inside], first[inside])
+        # diameters: each set's cut-off rows keep every diameter's bits
+        sets = [ids, np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))]
+        got = metric.diameters(sp, [PointSubset(tuple(s.tolist())) for s in sets])
+        assert got.tolist() == [full[np.ix_(s, s)].max() for s in sets]
 
 
 class TestGraphsKeepNoTable:

@@ -132,6 +132,26 @@ class TestLipschitz:
             ii, jj, d = got
             assert np.array_equal(d, [p200.d(int(pts[i]), int(pts[j])) for i, j in zip(ii, jj)])
 
+    def test_restricted_reads_balls_not_whole_rows(self, monkeypatch):
+        # a whole cut-off row per position returns n**2 cells; ball blocks
+        # return one O(n) ball search per block plus rows on its ball, and
+        # blocks of about sqrt(n) sources balance the two at about 2n*sqrt(n)
+        n = 20000
+        sp = path_space(n)
+        f = barycentric_pou(sp, [PointSubset(tuple(range(x, min(x + 4, n)))) for x in range(0, n, 4)])
+        cells, real = [], metric.dijkstra
+
+        def counted(*args, **kw):
+            out = real(*args, **kw)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(metric, "dijkstra", counted)
+        rep = lipschitz_check(f, 0.2, 0.2, mode="restricted")
+        assert rep.witness_pair == (3, 4) and rep.restricted_radius == 9.0  # the first block edge
+        assert rep.pairs_checked == 8 * n - 36  # the pairs 1 to 8 apart
+        assert sum(cells) < 4 * n * math.isqrt(n)
+
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_gather_on_subset_domain(self, monkeypatch, dense):
         # a 60-point domain in a 4150-point path: most neighbours are not in it
@@ -296,8 +316,9 @@ class TestStreamedSlackKernel:
            st.integers(1, 4), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
     def test_pairs_span_blocks(self, n, seed, limited, height, size):
-        # blocks of `height` rows and arrays of `size` pairs, so that arrays
-        # carry pairs across blocks: the arrays, joined, are the enumeration
+        # blocks of `height` whole rows (or ball blocks split past height * n
+        # cells) and arrays of `size` pairs, so that arrays carry pairs across
+        # blocks: the arrays, joined, are the enumeration
         rng = np.random.default_rng(seed)
         sp = weighted_graph(rng, n, integral=False)
         pts = np.flatnonzero(rng.random(n) < 0.6)
