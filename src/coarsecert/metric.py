@@ -759,18 +759,19 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
         order = sorted(wants, key=lambda s: math.isinf(wants[s][1]))  # uncut rows last
         picks = [wants[s][0] for s in order]
         height = [len(k) for k in picks]
-        width = np.repeat([len(arrays[s]) for s in order], height)  # each row's set size
-        cells = np.zeros(len(width) + 1, dtype=np.intp)  # each row's first cell in members
-        np.cumsum(width, out=cells[1:])
+        sources = np.concatenate([arrays[s][k] for s, k in zip(order, picks)])
+        limits = np.repeat([wants[s][1] for s in order], height)
+        # row r of the round, on its set, goes to got[cells[r]:cells[r + 1]]
         members = np.concatenate([np.tile(arrays[s], len(k)) for s, k in zip(order, picks)])
+        width = np.repeat([len(arrays[s]) for s in order], height)
+        cells = np.zeros(len(width) + 1, dtype=np.intp)
+        np.cumsum(width, out=cells[1:])
         got = np.empty(len(members))
-        for lo, ball, rows in ball_blocks(space,
-                                          np.concatenate([arrays[s][k] for s, k in zip(order, picks)]),
-                                          np.repeat([wants[s][1] for s in order], height)):
+        for lo, ball, rows in ball_blocks(space, sources, limits):
             a, b = cells[lo], cells[lo + len(rows)]
             at = np.minimum(np.searchsorted(ball, members[a:b]), len(ball) - 1)
             got[a:b] = rows[np.repeat(np.arange(len(rows)), width[lo:lo + len(rows)]), at]
-            got[a:b][ball[at] != members[a:b]] = math.inf  # outside the ball: past the limit
+            got[a:b][ball[at] != members[a:b]] = math.inf  # off the ball: past the limit
         for s, k, a in zip(order, picks, cells[np.cumsum([0] + height[:-1])]):
             try:
                 wants[s] = loops[s].send(got[a:a + len(k) * len(arrays[s])].reshape(len(k), -1))
@@ -883,8 +884,9 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     from one multi-source Dijkstra call, and its rows from one call on the
     ball's own subgraph (module docstring), split by sources past
     ROW_BLOCK_CELLS cells; a block cut off at inf reads whole rows.  The
-    search is O(n), so it runs once per block, and the next block's sources
-    are sized from this block's ball, taking the ball to grow like its
+    search is O(n), so it runs once per block.  The first block takes as
+    many sources as a block of whole rows (row_blocks), and each next one is
+    sized from the last one's ball, taking the ball to grow like its
     sources, for rows of about max(n, ROW_BLOCK_CELLS/16) cells: the search
     at most doubles a block's cells, and a small graph's block holds about
     one of verify._pairs' pair arrays.
@@ -895,11 +897,11 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
         for lo, rows in row_blocks(space, ids):
             yield lo, everyone, rows
         return
-    target = max(ROW_BLOCK_CELLS // 16, space.n)
-    lo, size = 0, max(1, target // space.n)
+    target, whole = max(ROW_BLOCK_CELLS // 16, space.n), max(1, ROW_BLOCK_CELLS // space.n)
+    lo, size = 0, whole
     while lo < len(ids):
         if math.isinf(limits[lo]):
-            size = max(1, ROW_BLOCK_CELLS // space.n)
+            size = whole
         sources = ids[lo:lo + size]
         cut = float(limits[lo:lo + size].max())
         ball, sub, local = everyone, graph, sources
