@@ -892,8 +892,9 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     one of verify._pairs' pair arrays.
     """
     limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
-    graph, everyone = space._graph, np.arange(space.n)
+    graph = space._graph
     if space._dmat is not None or graph is None or np.isinf(limits).all():
+        everyone = np.arange(space.n)
         for lo, rows in row_blocks(space, ids):
             yield lo, everyone, rows
         return
@@ -904,13 +905,13 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
             size = whole
         sources = ids[lo:lo + size]
         cut = float(limits[lo:lo + size].max())
-        ball, sub, local = everyone, graph, sources
-        if not math.isinf(cut):
-            near = dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut)
-            inside = np.isfinite(near)
-            if not inside.all():
-                ball = np.flatnonzero(inside)
-                sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
+        inside = (None if math.isinf(cut) else np.isfinite(
+            dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut)))
+        if inside is None or inside.all():
+            ball, sub, local = np.arange(space.n), graph, sources
+        else:
+            ball = np.flatnonzero(inside)
+            sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
         step = max(1, ROW_BLOCK_CELLS // len(ball))
         for a in range(0, len(local), step):
             yield lo + a, ball, dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
