@@ -162,7 +162,7 @@ DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccent
 
 
 def as_int(value, what: str) -> int:
-    """int(value), refusing a non-number, NaN, an infinity and a value that int() would change (1.5)."""
+    """int(value), refusing a non-number, NaN, infinities and a value int() would change (1.5)."""
     if (not _real(value) or not (isinstance(value, (int, np.integer)) or math.isfinite(value))
             or int(value) != value):
         raise InvalidInputError(f"{what} {value!r} is not an integer")

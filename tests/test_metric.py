@@ -24,7 +24,7 @@ from coarsecert.errors import (
     TriangleViolationError,
     ZeroOffDiagonalError,
 )
-from coarsecert import metric
+from coarsecert import metric, verify
 from coarsecert.metric import (
     METRIC_TOL,
     FiniteMetricSpace,
@@ -1173,8 +1173,9 @@ class TestBallBlocks:
         with pytest.MonkeyPatch.context() as mp:  # calls of one row up to whole balls
             mp.setattr(metric, "ROW_BLOCK_CELLS", cells * n)
             blocks = list(metric.ball_blocks(sp, ids, limit))
-        assert [lo for lo, _, _ in blocks] == np.cumsum([0] + [len(r) for _, _, r in blocks[:-1]]).tolist()
-        assert sum(len(rows) for _, _, rows in blocks) == len(ids)
+        heights = [len(rows) for _, _, rows in blocks]  # the blocks cover ids in order
+        assert [lo for lo, _, _ in blocks] == np.cumsum([0] + heights[:-1]).tolist()
+        assert sum(heights) == len(ids)
         for lo, ball, rows in blocks:
             assert np.array_equal(ball, np.unique(ball)) and rows.shape == (len(rows), len(ball))
             for x, lim, row in zip(ids[lo:lo + len(rows)], limits[lo:lo + len(rows)], rows):
@@ -1186,7 +1187,6 @@ class TestBallBlocks:
     @given(st.integers(2, 30), st.integers(0, 10_000), graphs, limits)
     @settings(max_examples=100, deadline=None)
     def test_routed_callers_keep_full_row_bits(self, n, seed, kind, limit_kind):
-        from coarsecert import verify
         rng = np.random.default_rng(seed)
         sp = rounding_graph(rng, n, kind)
         full = np.stack([sp.row(x) for x in range(n)])
