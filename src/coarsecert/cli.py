@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     space = jsonio.load_space(args.space)
     pou = jsonio.load_pou(args.pou, space)
     if len(pou.domain) != space.n:
-        missing = next(x for x in range(space.n) if x not in pou)
+        missing = np.flatnonzero(~np.isin(np.arange(space.n), pou.domain.ids))[0]
         raise VerificationFailedError(f"pou does not cover point {missing}")
     _check_workers(args)
     reports = []

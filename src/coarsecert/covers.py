@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,12 +82,9 @@ class DecompositionTree:
                 raise InvalidInputError(f"tree radius {r!r} must be finite and >= 0")
 
     def node(self, node_id: int) -> TreeNode:
-        return self._index()[node_id]
-
-    def _index(self) -> Dict[int, TreeNode]:
         if not hasattr(self, "_node_index"):
             self._node_index = {nd.id: nd for nd in self.nodes}
-        return self._node_index
+        return self._node_index[node_id]
 
     @property
     def root(self) -> TreeNode:
@@ -105,7 +102,7 @@ class DecompositionTree:
                 {
                     "id": nd.id,
                     "level": nd.level,
-                    "members": list(nd.members.ids),
+                    "members": nd.members.ids.tolist(),
                     "families": [list(fam) for fam in nd.families],
                 }
                 for nd in self.nodes
@@ -114,17 +111,36 @@ class DecompositionTree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompositionTree":
-        nodes = [
-            TreeNode(
-                id=as_int(nd["id"], "node id"),
-                level=as_int(nd["level"], "node level"),
-                members=PointSubset(tuple(as_int(x, "member id") for x in nd["members"])),
-                families=[[as_int(c, "child id") for c in fam] for fam in nd.get("families", [])],
-            )
-            for nd in obj["nodes"]
-        ]
-        return cls(m=as_int(obj["m"], "tree depth"), arity=tuple(obj.get("arity", [])),
-                   radii=tuple(obj.get("radii", [])), nodes=nodes)
+        nodes = [_node_from_json(k, nd) for k, nd in enumerate(_array(obj["nodes"], "tree nodes"))]
+        return cls(m=as_int(obj["m"], "tree depth"),
+                   arity=tuple(_array(obj.get("arity", []), "tree arity")),
+                   radii=tuple(_array(obj.get("radii", []), "tree radii")), nodes=nodes)
+
+
+def _array(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{what} is not an array")
+    return value
+
+
+def _node_from_json(k: int, nd) -> TreeNode:
+    """Tree node #k of a tree file, naming a malformed field or a point listed twice."""
+    if not isinstance(nd, dict):
+        raise InvalidInputError(f"tree node #{k} is not an object")
+    node_id = as_int(nd["id"], "node id")
+    level = as_int(nd["level"], "node level")
+    ids = [as_int(x, "member id") for x in _array(nd["members"], f"node {node_id} members")]
+    try:
+        members = PointSubset(ids)
+    except OverflowError:  # no intp holds it, so no space does
+        raise InvalidInputError(f"node {node_id}: point id {max(ids, key=abs)} outside every space")
+    if len(members) < len(ids):
+        values, counts = np.unique(ids, return_counts=True)
+        raise InvalidInputError(f"node {node_id} lists point {values[counts > 1][0]} twice")
+    families = [[as_int(c, "child id") for c in _array(fam, f"node {node_id} family {j}")]
+                for j, fam in enumerate(_array(nd.get("families", []),
+                                               f"node {node_id} families"))]
+    return TreeNode(id=node_id, level=level, members=members, families=families)
 
 
 @dataclass
@@ -193,9 +209,9 @@ def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeVali
             return fail("structure", f"node {nd.id} is unreachable")
 
     root = roots[0]
-    if root.members.ids != tuple(range(space.n)):
-        missing = sorted(set(range(space.n)) - set(root.members.ids))
-        return fail("1", f"root misses point {missing[0]}" if missing else "root has extra points")
+    missing = _uncovered(space, [root.members])
+    if len(missing):
+        return fail("1", f"root misses point {missing[0]}")
 
     for nd in sorted(tree.nodes, key=lambda x: x.id):
         if nd.level >= tree.m:
@@ -204,7 +220,7 @@ def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeVali
         n_i, r_i = tree.arity[i - 1], tree.radii[i - 1]
         if len(nd.families) > n_i:
             return fail("2", f"node {nd.id} has {len(nd.families)} families > n_{i}={n_i}")
-        union = set()
+        union = [np.empty(0, dtype=np.intp)]
         for k, fam in enumerate(nd.families):
             if not fam:
                 return fail("2", f"node {nd.id} family {k} is empty")
@@ -214,10 +230,9 @@ def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeVali
                 x, y, s, t = rep.witness
                 return fail("2",
                             f"node {nd.id} family {k}: d({x},{y})={rep.min_cross:g} <= R_{i}={r_i:g}")
-            for m_ in members:
-                union.update(m_.ids)
-        if union != set(nd.members.ids):
-            diff = sorted(set(nd.members.ids) ^ union)
+            union += [m_.ids for m_ in members]
+        diff = np.setxor1d(nd.members.ids, np.concatenate(union))
+        if len(diff):
             return fail("2", f"node {nd.id}: families do not union to the node (point {diff[0]})")
 
     leaves = [nd for nd in tree.nodes if nd.level == tree.m]
@@ -250,7 +265,7 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
         seed = int(np.flatnonzero(uncovered)[0])
         row = space.rows(np.array([seed]), radius)[0]  # exact up to the radius
         claim = np.flatnonzero(uncovered & (row <= radius))
-        pieces.append(PointSubset(tuple(int(x) for x in claim)))
+        pieces.append(PointSubset(claim))
         uncovered[claim] = False
 
     # one distance to each piece gives its cross minima with every later piece
@@ -322,42 +337,30 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
     if s <= 0:
         raise InvalidInputError(f"scale s must be > 0, got {s!r}")
     levels = [list(level) for level in levels]
-    covered = np.zeros(space.n, dtype=bool)
     for k, level in enumerate(levels):
         rep = r_disjoint_check(space, level, 2 * s)
         if not rep.passed:
             raise NotTwoSDisjointError(k, rep.witness)
-        for member in level:
-            covered[member.array()] = True
-    if not covered.all():
-        raise NotACoverError(int(np.flatnonzero(~covered)[0]))
+    members = [m for level in levels for m in level]
+    missing = _uncovered(space, members)
+    if len(missing):
+        raise NotACoverError(int(missing[0]))
 
-    input_bound = uniformly_bounded_check(
-        space, [m for level in levels for m in level]).bound
+    input_bound = uniformly_bounded_check(space, members).bound
 
-    removed = np.zeros(space.n, dtype=bool)
+    removed = np.zeros(space.n, dtype=bool)  # within s of an earlier level's member
     out_members: List[PointSubset] = []
     for level in levels:
-        enlarged_this_level = []
+        trimmed = [m.ids[~removed[m.ids]] for m in level]
+        out_members += [closed_set_ball(space, PointSubset(t), s) for t in trimmed if len(t)]
         for member in level:
-            trimmed = [x for x in member.ids if not removed[x]]
-            if trimmed:
-                star = closed_set_ball(space, PointSubset(tuple(trimmed)), s)
-                out_members.append(star)
-            ball = dist_to_set_all(space, member, s) <= s
-            enlarged_this_level.append(ball)
-        for ball in enlarged_this_level:
-            removed |= ball
+            removed |= dist_to_set_all(space, member, s) <= s
 
     family = CoverFamily(tuple(out_members))
 
-    masks_cover = np.zeros(space.n, dtype=bool)
-    for member in out_members:
-        masks_cover[member.array()] = True
-    if not masks_cover.all():
-        raise ConstructionFailedError(
-            f"transform output does not cover point "
-            f"{int(np.flatnonzero(~masks_cover)[0])}")
+    missing = _uncovered(space, out_members)
+    if len(missing):
+        raise ConstructionFailedError(f"transform output does not cover point {missing[0]}")
     leb = lebesgue_check(space, family, s)
     if not leb.passed:
         raise ConstructionFailedError(
@@ -384,16 +387,17 @@ def net_ball_levels(space: FiniteMetricSpace, net: Sequence[int],
     singleton levels, the canonical well-formed input for the cover
     transform at any scale.
     """
-    levels = []
-    for x in net:
-        ball = closed_set_ball(space, PointSubset((int(x),)), r)
-        levels.append([ball])
-    covered = np.zeros(space.n, dtype=bool)
-    for level in levels:
-        covered[level[0].array()] = True
-    if not covered.all():
-        raise NotACoverError(int(np.flatnonzero(~covered)[0]))
+    levels = [[closed_set_ball(space, PointSubset([x]), r)] for x in net]
+    missing = _uncovered(space, [level[0] for level in levels])
+    if len(missing):
+        raise NotACoverError(int(missing[0]))
     return levels
+
+
+def _uncovered(space: FiniteMetricSpace, members: Sequence[PointSubset]) -> np.ndarray:
+    """The points of the space in no member, ascending."""
+    return np.setdiff1d(np.arange(space.n),
+                        np.concatenate([m.ids for m in members] + [np.empty(0, dtype=np.intp)]))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +449,7 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
         raise ScaleTooSmallError(f"block_scale must be >= 1, got {block_scale!r}")
     # diameter <= block_scale, from rows cut off at block_scale: the first
     # block that reaches farther (or not at all) settles it
-    everyone = space.all_points().array()
+    everyone = np.arange(space.n)
     if all(rows.max() <= block_scale for _, rows in row_blocks(space, everyone, block_scale)):
         root = TreeNode(id=0, level=1, members=space.all_points())
         return DecompositionTree(m=1, arity=(), radii=(), nodes=[root])
@@ -459,9 +463,7 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
             raise ScaleTooSmallError(
                 f"block_scale {block_scale!r} <= R_1 {r1!r}: families cannot "
                 f"stay R_1-disjoint while covering")
-        n = shape[0]
-        blocks = [PointSubset(tuple(range(lo, min(lo + b, n))))
-                  for lo in range(0, n, b)]
+        blocks = [PointSubset(np.arange(lo, min(lo + b, shape[0]))) for lo in range(0, shape[0], b)]
         tree = _depth2_tree(space, blocks, [i % 2 for i in range(len(blocks))], r1, 2)
     else:
         w, h = shape
@@ -474,7 +476,7 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
         bricks: List[PointSubset] = []
         colors: List[int] = []
         for t in range((h + b - 1) // b):
-            y_lo, y_hi = t * b, min((t + 1) * b, h)
+            ys = np.arange(t * b, min((t + 1) * b, h))
             j_lo = -((sigma * t) // b + 1)
             j_hi = (w - sigma * t) // b + 1
             for j in range(j_lo, j_hi + 1):
@@ -482,10 +484,7 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
                 x_hi = min(w, (j + 1) * b + sigma * t)
                 if x_lo >= x_hi:
                     continue
-                ids = tuple(x * h + y
-                            for x in range(x_lo, x_hi)
-                            for y in range(y_lo, y_hi))
-                bricks.append(PointSubset(ids))
+                bricks.append(PointSubset((np.arange(x_lo, x_hi)[:, None] * h + ys).ravel()))
                 colors.append((j + 2 * t) % 3)
         tree = _depth2_tree(space, bricks, colors, r1, 3)
     return tree

@@ -271,14 +271,14 @@ def _alpha_blend(f: PartitionOfUnity, g: PartitionOfUnity, r: float) -> Partitio
     searches and may differ in the last bits.
     """
     space = f.space
-    new = PointSubset(tuple(x for x in g.domain.ids if x not in f))
-    if not new.ids:
+    new = PointSubset(g.domain.ids[~np.isin(g.domain.ids, f.domain.ids)])
+    if len(new) == 0:
         return PartitionOfUnity.empty(space)
     near = np.flatnonzero(dist_to_set_all(space, new, 2.0 * r) < 2.0 * r)
-    sources = np.array([y for y in near.tolist() if y in f], dtype=np.intp)
+    sources = near[np.isin(near, f.domain.ids)]
     dist, nearest = nearest_scan(space, sources, r)  # exact below r, as the whole scan
     g = g.restricted_to(new)
-    ids = g.domain.array()
+    ids = g.domain.ids
     return PartitionOfUnity._from_csr(
         space, ids, *convex_combine(np.minimum(dist[ids] / r, 1.0), g, f, nearest[ids]))
 
@@ -301,7 +301,7 @@ def paste(f: PartitionOfUnity, g: PartitionOfUnity, r: float, epsilon: float,
     """
     if len(f.domain) == 0:
         raise EmptySetError("paste needs a nonempty subset pou")
-    if not set(f.domain.ids) <= set(g.domain.ids):
+    if not np.isin(f.domain.ids, g.domain.ids).all():
         raise InvalidInputError("paste: f's domain must lie inside g's domain")
     if r < 4.0 / epsilon:
         raise PreconditionViolatedError("r >= 4/epsilon", f"r={r!r}, epsilon={epsilon!r}")
@@ -336,12 +336,12 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
     modulus = modulus or default_modulus()
     space = f.space
     target = target if target is not None else space.all_points()
-    if not set(f.domain.ids) <= set(target.ids):
+    if not np.isin(f.domain.ids, target.ids).all():
         raise InvalidInputError("extension target must contain the input domain")
     delta = modulus(epsilon)
     if check_inputs:
         _require_lipschitz(f, delta, "f")
-    if f.domain.ids == target.ids:
+    if len(f.domain) == len(target):  # target holds f's domain
         return f
     return f.merged_with(_blend_fresh(f, target, epsilon, mint))
 
@@ -363,7 +363,7 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
         raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
     modulus = modulus or default_modulus()
     space = f.space
-    if u.domain.ids != space.all_points().ids:
+    if len(u.domain) != space.n:
         raise InvalidInputError("the cobounded pou must cover the whole space")
     K = measured_bound(f) if K is None else float(K)
     Q = measured_bound(u) if Q is None else float(Q)
@@ -378,7 +378,7 @@ def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: floa
                 raise PreconditionViolatedError(
                     f"{name} is {bound:g}-cobounded",
                     f"tight bound {rep.tight_bound:g}")
-    if f.domain.ids == space.all_points().ids:
+    if len(f.domain) == space.n:
         return f, K
     u_fresh = renamespace(u, mint.namespace())
     g = f.merged_with(_alpha_blend(f, u_fresh, r))
@@ -407,14 +407,14 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
     outside f's domain, and bound is the composed coboundedness formula of
     f extended by it: input + piece bound (+ r_m for branch 2).
     """
-    if not piece.ids:
+    if len(piece) == 0:
         raise EmptySetError("cannot extend over an empty piece")
     space = f.space
     k_piece = diameter(space, piece) if piece_bound is None else float(piece_bound)
     k_in = (measured_bound(f) if input_bound is None else float(input_bound))
-    new = PointSubset(tuple(x for x in piece.ids if x not in f))
+    new = PointSubset(piece.ids[~np.isin(piece.ids, f.domain.ids)])
 
-    a_near: List[int] = []
+    a_near = np.empty(0, dtype=np.intp)
     if len(f.domain):
         if r_m is not None and budget < (2.0 / (r_m + 1.0)) * (1.0 - _REL_TOL):
             # pairs across the piece's neighborhood boundary sit at distance
@@ -424,9 +424,9 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
                 f"budget={budget!r}, r_m={r_m!r}")
         reach = math.inf if r_m is None else r_m  # only distances below r_m are read
         near = np.flatnonzero(dist_to_set_all(space, piece, reach) < reach)
-        a_near = [x for x in near.tolist() if x in f]
+        a_near = near[np.isin(near, f.domain.ids)]
 
-    if not a_near:
+    if len(a_near) == 0:
         return PartitionOfUnity.constant(space, new, (mint.namespace(), 0)), k_in + k_piece, 1
 
     if r_m is None:
@@ -434,10 +434,10 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
     if not (0.0 < budget < math.inf):
         raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
     bound = k_in + k_piece + r_m
-    if not new.ids:
+    if len(new) == 0:
         return PartitionOfUnity.empty(space), bound, 2
     g = _blend_fresh(f, new, budget, mint)
-    s1 = set(f.restricted_to(PointSubset(tuple(a_near))).carrier())
+    s1 = set(f.restricted_to(PointSubset(a_near)).carrier())
     s1_min = min(s1)
     retract = {v: (v if v in s1 else s1_min) for v in g.carrier()}
     return simplicial_retraction(g, retract, new), bound, 2
@@ -593,7 +593,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
     f0 = PartitionOfUnity.empty(space)
     pou, bound = extend_node(f0, root, epsilon, 0.0)
 
-    if pou.domain.ids != tuple(range(space.n)):
+    if len(pou.domain) != space.n:
         raise VerificationFailedError("certificate does not cover the space")
     lip = lipschitz_check(pou, epsilon, epsilon, mode=verify_mode)
     cob = cobounded_check(pou, bound)

@@ -129,7 +129,7 @@ def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> str:
     counts = np.diff(pou.indptr)
     order = np.lexsort((pou.columns, np.repeat(np.arange(len(counts)), counts)))
     cols, weights = pou.columns[order].tolist(), pou.weights[order].tolist()
-    bounds, names = pou.indptr.tolist(), [str(x) for x in pou.domain.ids]
+    bounds, names = pou.indptr.tolist(), [str(x) for x in pou.domain.ids.tolist()]
     rows = []
     for i in sorted(range(len(names)), key=names.__getitem__):  # keys sort as strings
         a, b = bounds[i], bounds[i + 1]

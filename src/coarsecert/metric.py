@@ -4,7 +4,9 @@ A FiniteMetricSpace is n points with ids 0..n-1 and a validated metric.
 Spaces come from three loaders (explicit matrix, weighted graph via
 shortest paths, point cloud with an lp norm) and are immutable afterwards,
 so every operation here is a pure function and safe under concurrent
-readers.
+readers.  A set of points is a PointSubset: one read-only, strictly
+ascending intp array of ids, which the set primitives and their callers
+index, mask and search as a whole, never one point at a time.
 
 A graph's distance from x is its Dijkstra row from x, and a cloud's its lp
 row (_lp_row).  A graph keeps no distances at any size: FiniteMetricSpace.row
@@ -129,7 +131,6 @@ only rows that this module computes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -204,20 +205,27 @@ def _refuse_non_numbers(rows, what: str) -> None:
                 raise InvalidInputError(f"{what} [{i}][{j}] {value!r} is not a number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSubset:
-    """An ascending, duplicate-free tuple of point ids of a host space."""
+    """Point ids of a host space: `ids`, one read-only, strictly ascending intp array.
 
-    ids: tuple
+    Takes a tuple, list, range or integer array; iterating gives ints.  Ids not
+    strictly ascending are sorted and deduplicated; a writeable array is copied.
+    """
+
+    ids: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(map(int, self.ids))
-        if any(map(operator.ge, ids, ids[1:])):  # not strictly ascending
-            ids = tuple(sorted(set(ids)))
+        ids = np.asarray(self.ids, dtype=np.intp)
+        if (np.diff(ids) <= 0).any():
+            ids = np.unique(ids)
+        elif ids is self.ids and ids.flags.writeable:
+            ids = ids.copy()
+        ids.setflags(write=False)
         object.__setattr__(self, "ids", ids)
 
     def validate_against(self, space: "FiniteMetricSpace") -> None:
-        if self.ids and (self.ids[0] < 0 or self.ids[-1] >= space.n):
+        if len(self.ids) and (self.ids[0] < 0 or self.ids[-1] >= space.n):
             bad = self.ids[0] if self.ids[0] < 0 else self.ids[-1]
             raise InvalidInputError(f"point id {bad} outside space of size {space.n}")
 
@@ -225,14 +233,14 @@ class PointSubset:
         return len(self.ids)
 
     def __iter__(self):
-        return iter(self.ids)
+        return iter(self.ids.tolist())
 
     def __contains__(self, x):
-        i = np.searchsorted(self.array(), x)
-        return i < len(self.ids) and self.ids[i] == x
+        i = np.searchsorted(self.ids, x)
+        return bool(i < len(self.ids) and self.ids[i] == x)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.ids, dtype=np.intp)
+    def __eq__(self, other):
+        return isinstance(other, PointSubset) and np.array_equal(self.ids, other.ids)
 
 
 @dataclass(frozen=True)
@@ -327,7 +335,7 @@ class FiniteMetricSpace:
         return diameter(self, self.all_points())
 
     def all_points(self) -> PointSubset:
-        return PointSubset(tuple(range(self.n)))
+        return PointSubset(np.arange(self.n))
 
 
 def _lp_row(coords: np.ndarray, x: int, p: float) -> np.ndarray:
@@ -703,27 +711,27 @@ def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
     Bit-equal to nearest_point_retraction's dist field wherever at most
     limit; an entry above limit is exact or inf.
     """
-    if not a.ids:
+    if len(a) == 0:
         raise EmptySetError("dist_to_set_all of empty subset")
-    return space.distances_to(a.array(), limit)
+    return space.distances_to(a.ids, limit)
 
 
 def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
     """The open ball {x : dist(x, a) < r} around a set, r > 0."""
-    if not a.ids:
+    if len(a) == 0:
         raise EmptySetError("set_ball of empty subset")
     if r <= 0:
         raise InvalidInputError(f"ball radius must be > 0, got {r!r}")
-    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a, r) < r)))
+    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) < r))
 
 
 def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
     """The closed enlargement {x : dist(x, a) <= r}; r >= 0 allowed."""
-    if not a.ids:
+    if len(a) == 0:
         raise EmptySetError("closed_set_ball of empty subset")
     if r < 0:
         raise InvalidInputError(f"ball radius must be >= 0, got {r!r}")
-    return PointSubset(tuple(np.flatnonzero(dist_to_set_all(space, a, r) <= r)))
+    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) <= r))
 
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
@@ -746,7 +754,7 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
     rows it would read alone and its diameter has the same bits; a graph's
     many small sets share each block's two Dijkstra calls.
     """
-    arrays = [a.array() for a in sets]
+    arrays = [a.ids for a in sets]
     if any(not ids.size for ids in arrays):
         raise EmptySetError("diameter of empty subset")
     out = np.zeros(len(arrays))
@@ -965,10 +973,10 @@ def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
     """
     if len(members) < 2:
         return
-    ids = np.concatenate([m.array() for m in members])
+    ids = np.concatenate([m.ids for m in members])
     starts = np.cumsum([0] + [len(m) for m in members[:-1]])
     for s in range(len(members) - 1):
-        dist = space.distances_to(members[s].array())
+        dist = space.distances_to(members[s].ids)
         lo = starts[s + 1]
         yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
 
@@ -980,11 +988,10 @@ def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retrac
     smallest id winning ties, and dist(x, a) for every x, returned as the
     retraction's dist field.
     """
-    if not a.ids:
+    if len(a) == 0:
         raise EmptySetError("retraction onto empty subset")
-    ids = a.array()
-    dist, mapping = nearest_scan(space, ids)
-    mapping[ids] = ids  # fixes a exactly (d=0 is already the unique min)
+    dist, mapping = nearest_scan(space, a.ids)
+    mapping[a.ids] = a.ids  # fixes a exactly (d=0 is already the unique min)
     mapping.setflags(write=False)
     dist.setflags(write=False)
     return Retraction(subset=a, mapping=mapping, dist=dist)

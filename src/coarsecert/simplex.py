@@ -110,7 +110,8 @@ def _checked_rows(ids, counts, verts, weights):
 class PartitionOfUnity:
     """A map from a subset of a host space into the l1 simplex, as CSR arrays.
 
-    Row i is the point domain.ids[i] (ascending).  Its entries are
+    Row i is the point domain.ids[i]: the domain's ascending id array is the
+    one row index, shared with the domain, never copied.  Its entries are
     indptr[i]:indptr[i+1] of `columns`, indices into the sorted carrier
     tuple (each at most once), and of `weights`, in the order they were
     given or blended (simplicial_retraction sums weights in that order).
@@ -139,18 +140,16 @@ class PartitionOfUnity:
         if rows is not None:
             kept, entries = row_entries(indptr, rows)
             ids, indptr, columns, weights = ids[rows], kept, columns[entries], weights[entries]
-        if len(ids) and (ids[0] < 0 or ids[-1] >= space.n):
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise InvalidInputError(f"pou point id {bad} outside space of size {space.n}")
+        ids.setflags(write=False)
+        self.space, self.domain = space, PointSubset(ids)  # shares ids
+        self.domain.validate_against(space)
         used = np.unique(columns)
         if len(used) < len(verts):
             verts = [verts[j] for j in used.tolist()]
             columns = np.searchsorted(used, columns)
-        for a in (ids, indptr, columns, weights):
+        for a in (indptr, columns, weights):
             a.setflags(write=False)
-        self.space = space
-        self.domain = PointSubset(tuple(ids.tolist()))
-        self._ids, self.indptr, self.columns, self.weights = ids, indptr, columns, weights
+        self.indptr, self.columns, self.weights = indptr, columns, weights
         self._carrier = tuple(verts)
 
     @classmethod
@@ -167,24 +166,22 @@ class PartitionOfUnity:
     @classmethod
     def constant(cls, space: FiniteMetricSpace, domain: PointSubset, v: VertexId) -> "PartitionOfUnity":
         m = len(domain)
-        return cls._from_csr(space, domain.array(), np.arange(m + 1),
+        return cls._from_csr(space, domain.ids, np.arange(m + 1),
                              np.zeros(m, dtype=np.intp), [v], np.ones(m))
 
     def __call__(self, x: int) -> Dict[VertexId, float]:
-        i = bisect_left(self.domain.ids, x)
-        if self.domain.ids[i:i + 1] != (x,):
+        if x not in self.domain:
             raise KeyError(x)
+        i = np.searchsorted(self.domain.ids, x)
         a, b = self.indptr[i], self.indptr[i + 1]
-        carrier = self._carrier
-        return {carrier[j]: w for j, w in zip(self.columns[a:b].tolist(),
-                                              self.weights[a:b].tolist())}
+        return {self._carrier[j]: w for j, w in zip(self.columns[a:b].tolist(),
+                                                    self.weights[a:b].tolist())}
 
     def __contains__(self, x: int) -> bool:
-        i = bisect_left(self.domain.ids, x)
-        return self.domain.ids[i:i + 1] == (x,)
+        return x in self.domain
 
     def items(self):
-        return ((x, self(x)) for x in self.domain.ids)
+        return ((x, self(x)) for x in self.domain)
 
     def carrier(self) -> tuple:
         """Sorted tuple of vertices with positive weight somewhere."""
@@ -193,9 +190,8 @@ class PartitionOfUnity:
     def star_preimage(self, v: VertexId) -> PointSubset:
         j = bisect_left(self._carrier, v)
         if self._carrier[j:j + 1] != (v,):
-            return PointSubset(())
-        points = np.repeat(self._ids, np.diff(self.indptr))
-        return PointSubset(tuple(points[self.columns == j].tolist()))
+            return PointSubset([])
+        return PointSubset(np.repeat(self.domain.ids, np.diff(self.indptr))[self.columns == j])
 
     def dense(self):
         """(points array, vertex list, weight matrix) over the carrier.
@@ -204,22 +200,22 @@ class PartitionOfUnity:
         reference that tests compare the slack kernel with: the kernel reads
         the CSR arrays and never builds this n x carrier matrix.
         """
-        m = len(self._ids)
+        m = len(self.domain)
         mat = np.zeros((m, len(self._carrier)))
         mat[np.repeat(np.arange(m), np.diff(self.indptr)), self.columns] = self.weights
         mat.setflags(write=False)
-        return self._ids, self._carrier, mat
+        return self.domain.ids, self._carrier, mat
 
     def restricted_to(self, subset: PointSubset) -> "PartitionOfUnity":
         """The pou on the points of its domain that lie in subset."""
         return PartitionOfUnity._from_csr(
-            self.space, self._ids, self.indptr, self.columns, self._carrier, self.weights,
-            rows=np.flatnonzero(np.isin(self._ids, subset.array())))
+            self.space, self.domain.ids, self.indptr, self.columns, self._carrier, self.weights,
+            rows=np.flatnonzero(np.isin(self.domain.ids, subset.ids)))
 
     def merged_with(self, *others: "PartitionOfUnity") -> "PartitionOfUnity":
         """New pou giving each point its weights in the first of self, *others to hold it."""
         pous = (self,) + others
-        ids = np.concatenate([f._ids for f in pous])
+        ids = np.concatenate([f.domain.ids for f in pous])
         columns, verts = _columns([v for f in pous for v in f._carrier])
         offsets = np.cumsum([0] + [len(f._carrier) for f in pous])
         return PartitionOfUnity._from_csr(
@@ -243,12 +239,12 @@ def convex_combine(t: np.ndarray, g: PartitionOfUnity, f: PartitionOfUnity, src:
     if len(outside):
         raise InvalidInputError(f"combination parameter {float(outside[0])!r} outside [0, 1]")
     grows, frows = np.flatnonzero(t > 0.0), np.flatnonzero(t < 1.0)
-    missing = src[frows][~np.isin(src[frows], f._ids)]
+    missing = src[frows][~np.isin(src[frows], f.domain.ids)]
     if len(missing):
         raise KeyError(int(missing[0]))
     columns, verts = _columns(g._carrier + f._carrier)
     gptr, gent = row_entries(g.indptr, grows)
-    fptr, fent = row_entries(f.indptr, np.searchsorted(f._ids, src[frows]))
+    fptr, fent = row_entries(f.indptr, np.searchsorted(f.domain.ids, src[frows]))
     grow, frow = np.repeat(grows, np.diff(gptr)), np.repeat(frows, np.diff(fptr))
     gcol, fcol = columns[g.columns[gent]], columns[len(g._carrier) + f.columns[fent]]
     gw, fw = t[grow] * g.weights[gent], (1.0 - t[frow]) * f.weights[fent]
@@ -277,10 +273,9 @@ def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
     """
     if len(f.domain) == 0:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
-    points = np.repeat(f._ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
+    points = np.repeat(f.domain.ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
     bounds = np.cumsum(np.bincount(f.columns, minlength=len(f.carrier())))[:-1]
-    return diameters(f.space, [PointSubset(tuple(star.tolist()))
-                               for star in np.split(points, bounds)])
+    return diameters(f.space, [PointSubset(star) for star in np.split(points, bounds)])
 
 
 def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],
@@ -314,7 +309,7 @@ def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],
     np.add.at(sums, group, g.weights)
     order = np.argsort(first)
     return PartitionOfUnity._from_csr(
-        f.space, g._ids, _indptr(np.bincount(rows[first], minlength=len(g.domain))),
+        f.space, g.domain.ids, _indptr(np.bincount(rows[first], minlength=len(g.domain))),
         target[first[order]], verts, sums[order]).merged_with(f)
 
 
@@ -325,10 +320,10 @@ def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> Parti
     the member.  Raises NotACover naming an uncovered point.
     """
     for k, member in enumerate(cover):
-        if not member.ids:
+        if len(member) == 0:
             raise EmptySetError(f"cover member {k} is empty")
         member.validate_against(space)
-    points = np.concatenate([m.array() for m in cover] + [np.zeros(0, dtype=np.intp)])
+    points = np.concatenate([m.ids for m in cover] + [np.zeros(0, dtype=np.intp)])
     members = np.repeat(np.arange(len(cover)), [len(m) for m in cover])
     counts = np.bincount(points, minlength=space.n)
     uncovered = np.flatnonzero(counts == 0)
@@ -346,5 +341,5 @@ def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
     Carrier vertices are relabeled in sorted order to (namespace, 0..k-1),
     deterministically, so re-namespacing commutes with serialization.
     """
-    return PartitionOfUnity._from_csr(f.space, f._ids, f.indptr, f.columns,
+    return PartitionOfUnity._from_csr(f.space, f.domain.ids, f.indptr, f.columns,
                                       [(namespace, i) for i in range(len(f.carrier()))], f.weights)

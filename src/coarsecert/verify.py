@@ -60,13 +60,11 @@ class CoverFamily:
     members: Tuple[PointSubset, ...]
 
     def __post_init__(self):
-        members = tuple(
-            m if isinstance(m, PointSubset) else PointSubset(tuple(m))
-            for m in self.members
-        )
+        members = tuple(m if isinstance(m, PointSubset) else PointSubset(m)
+                        for m in self.members)
         object.__setattr__(self, "members", members)
         for k, m in enumerate(members):
-            if not m.ids:
+            if len(m) == 0:
                 raise EmptySetError(f"cover family member {k} is empty")
 
     def __len__(self):
@@ -351,7 +349,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
     elif mode != "full":
         raise BadModeError(f"unknown mode {mode!r}")
 
-    pts = f.domain.array()
+    pts = f.domain.ids
     kernel = _SlackKernel(f)
     if mode == "restricted":
         s_max = kernel.row_sums_max()
@@ -405,8 +403,8 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
     if win is None or not best <= R:
         return DisjointReport(R=R, min_cross=best, witness=None)
     s, t = win
-    dist, nearest = nearest_scan(space, fam.members[s].array(), best)
-    ys = fam.members[t].array()
+    dist, nearest = nearest_scan(space, fam.members[s].ids, best)
+    ys = fam.members[t].ids
     ys = ys[dist[ys] == best]
     x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
     return DisjointReport(R=R, min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
@@ -424,7 +422,7 @@ def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessRepo
 def _member_masks(space: FiniteMetricSpace, fam: CoverFamily) -> np.ndarray:
     masks = np.zeros((len(fam.members), space.n), dtype=bool)
     for k, member in enumerate(fam.members):
-        masks[k, member.array()] = True
+        masks[k, member.ids] = True
     return masks
 
 

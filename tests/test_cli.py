@@ -447,6 +447,30 @@ MALFORMED = {
     "tree member id negative": ("tree.json",
                                 lambda obj: obj["nodes"][-1]["members"].insert(0, -3),
                                 "point id -3 outside space of size 40"),
+    "tree member listed twice": ("tree.json",  # the leaf 0..10 would load as a set
+                                 lambda obj: obj["nodes"][1]["members"].append(5),
+                                 "tree.json: node 1 lists point 5 twice"),
+    "tree member id past every index": ("tree.json",  # PointSubset's intp cannot hold it
+                                        lambda obj: obj["nodes"][-1]["members"].insert(0, 2**63),
+                                        "tree.json: node 4: point id 9223372036854775808 "
+                                        "outside every space"),
+    "tree nodes not an array": ("tree.json", lambda obj: obj.update(nodes=3),
+                                "tree.json: tree nodes is not an array"),
+    "tree node not an object": ("tree.json", lambda obj: obj["nodes"].__setitem__(1, 5),
+                                "tree.json: tree node #1 is not an object"),
+    "tree members a number": ("tree.json", lambda obj: obj["nodes"][1].update(members=5),
+                              "tree.json: node 1 members is not an array"),
+    "tree members null": ("tree.json", lambda obj: obj["nodes"][1].update(members=None),
+                          "tree.json: node 1 members is not an array"),
+    "tree families a number": ("tree.json", lambda obj: obj["nodes"][0].update(families=3),
+                               "tree.json: node 0 families is not an array"),
+    "tree family not an array": ("tree.json",
+                                 lambda obj: obj["nodes"][0]["families"].__setitem__(0, 5),
+                                 "tree.json: node 0 family 0 is not an array"),
+    "tree arity a number": ("tree.json", lambda obj: obj.update(arity=2),
+                            "tree.json: tree arity is not an array"),
+    "tree radii a number": ("tree.json", lambda obj: obj.update(radii=10.0),
+                            "tree.json: tree radii is not an array"),
     "graph space data null": ("space.json", lambda obj: obj.update(data=None),
                               "space.json"),
     "graph edge weight NaN": ("space.json",
@@ -819,7 +843,7 @@ class TestRoundTrips:
         path = tmp_path / "f.pou.json"
         jsonio.save_json(path, jsonio.pou_to_json(f, space_ref="p100"))
         g = jsonio.load_pou(path, sp)
-        assert g.domain.ids == f.domain.ids
+        assert np.array_equal(g.domain.ids, f.domain.ids)
         for x in range(100):
             assert g(x) == f(x)  # bit-exact round trip
 

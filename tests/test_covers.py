@@ -37,13 +37,13 @@ class TestGreedy:
         # conflict radius below the minimum positive distance: one family
         families = greedy_decomposition(p10, R=0.5, target_diam=0.8)
         assert len(families) == 1
-        assert [m.ids for m in families[0]] == [(x,) for x in range(10)]
+        assert [m.ids.tolist() for m in families[0]] == [[x] for x in range(10)]
 
     def test_p100_two_families(self, p100):
         families = greedy_decomposition(p100, R=2.0, target_diam=4.0)
         assert len(families) == 2
-        pieces = sorted(m.ids for fam in families for m in fam)
-        assert pieces == [tuple(range(k, min(k + 3, 100))) for k in range(0, 100, 3)]
+        pieces = sorted(m.ids.tolist() for fam in families for m in fam)
+        assert pieces == [list(range(k, min(k + 3, 100))) for k in range(0, 100, 3)]
         for fam in families:
             assert r_disjoint_check(p100, fam, 2.0).passed
         assert uniformly_bounded_check(
@@ -83,16 +83,16 @@ class TestPointFiniteTransform:
         fam = point_finite_transform(sp, [level], s=1.0)
         assert multiplicity(sp, fam).maximum == 1
         # s-enlargements of 2s-disjoint sets stay disjoint
-        assert [m_.ids for m_ in fam.members] == [(0, 1, 2), (3, 4, 5)]
+        assert [m_.ids.tolist() for m_ in fam.members] == [[0, 1, 2], [3, 4, 5]]
 
     def test_p20_two_level_instance(self, p20):
         # hand-enumerated: level-1 members enlarge to {0..4}, {9..14}; the
         # level-2 members lose those closed 1-neighborhoods and enlarge back
         levels = [rng_of((0, 3), (10, 13)), rng_of((4, 9), (14, 19))]
         fam = point_finite_transform(p20, levels, s=1.0)
-        got = [m.ids for m in fam.members]
-        assert got == [tuple(range(0, 5)), tuple(range(9, 15)),
-                       tuple(range(4, 10)), tuple(range(14, 20))]
+        got = [m.ids.tolist() for m in fam.members]
+        assert got == [list(range(0, 5)), list(range(9, 15)),
+                       list(range(4, 10)), list(range(14, 20))]
         assert lebesgue_check(p20, fam, 1.0).passed
         assert multiplicity(p20, fam).maximum <= 2
         assert uniformly_bounded_check(p20, fam).bound <= 5.0 + 2.0
@@ -138,13 +138,13 @@ class TestBrickTree1D:
         tree = brick_tree(sp, [10.0], 11.0)
         assert tree.m == 2 and tree.arity == (2,) and tree.radii == (10.0,)
         fams = tree.root.families
-        mem = lambda ids: [tree.node(c).members.ids for c in ids]
-        assert mem(fams[0]) == [tuple(range(0, 11)), tuple(range(22, 33)),
-                                tuple(range(44, 55)), tuple(range(66, 77)),
-                                tuple(range(88, 99))]
-        assert mem(fams[1]) == [tuple(range(11, 22)), tuple(range(33, 44)),
-                                tuple(range(55, 66)), tuple(range(77, 88)),
-                                (99,)]
+        mem = lambda ids: [tree.node(c).members.ids.tolist() for c in ids]
+        assert mem(fams[0]) == [list(range(0, 11)), list(range(22, 33)),
+                                list(range(44, 55)), list(range(66, 77)),
+                                list(range(88, 99))]
+        assert mem(fams[1]) == [list(range(11, 22)), list(range(33, 44)),
+                                list(range(55, 66)), list(range(77, 88)),
+                                [99]]
         check = tree_validate(sp, tree)
         assert check.passed
         assert check.leaf_bound == 10.0

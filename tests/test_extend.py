@@ -347,7 +347,7 @@ def whole_domain_extension(f, piece, r_m, budget, mint):
     if not a_near:
         new = PointSubset(tuple(x for x in piece.ids if x not in f))
         return f.merged_with(PartitionOfUnity.constant(f.space, new, (mint.namespace(), 0))), 1
-    target = PointSubset(f.domain.ids + piece.ids)
+    target = PointSubset(np.concatenate((f.domain.ids, piece.ids)))
     g = extend_pou(f, budget, target=target, mint=mint, check_inputs=False)
     region = PointSubset(tuple(x for x in target.ids if dist_piece[x] < r_m))
     s1 = set().union(*(f(x) for x in a_near))
@@ -390,7 +390,7 @@ class TestPieceLocalExtension:
         assert bound == (3.0 + r_m if branch == 2 else 3.0)
         assert set(g.domain.ids) == set(piece.ids) - set(a.tolist())
         got = f.merged_with(g)
-        assert got.domain.ids == expect.domain.ids
+        assert np.array_equal(got.domain.ids, expect.domain.ids)
         assert all(got(x) == expect(x) for x in expect.domain.ids)  # weights compared exactly
         assert all(got(x) == f(x) for x in f.domain.ids)
         assert mint_new.namespace() == mint_old.namespace()
@@ -485,7 +485,7 @@ class TestExtendOverDisjointFamily:
             f, pieces, R=90.0, budget=0.01, budget_warnings=warnings,
             extender=lambda ff, t, u: (PartitionOfUnity.constant(ff.space, pieces[t], (2 + t, 0)), 1.0))
         assert warnings == [{"budget": 0.01, "required": 2.0 / 91.0, "R": 90.0}]
-        assert h.domain.ids == (0, 50, 51, 150, 151)
+        assert h.domain.ids.tolist() == [0, 50, 51, 150, 151]
 
     def test_carrier_collision_caught(self, p200):
         # an extender that reuses one namespace across pieces violates the
@@ -574,6 +574,26 @@ class TestBuildCertificate:
         # independent re-verification, full mode
         assert lipschitz_check(res.pou, 0.4, 0.4, mode="full").passed
         assert measured_bound(res.pou) <= res.bound
+
+    def test_no_membership_test_per_point(self, monkeypatch):
+        # the table-free bench lane's path and tree: point sets are tested as
+        # arrays, never one point at a time
+        sp = path_space(6000)
+        tree = brick_tree(sp, [159.0], 160.0)
+        calls = []
+
+        def counted(inner):
+            def call(*args):
+                calls.append(inner.__qualname__)
+                return inner(*args)
+            return call
+
+        for cls, name in ((PartitionOfUnity, "__contains__"), (PointSubset, "__contains__"),
+                          (PointSubset, "__iter__")):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+        res = build_certificate(sp, tree, 0.2, parse_modulus("linear:4"))
+        assert res.passed and res.branch_counts["branch2"] > 0
+        assert calls == []
 
     def test_schedule_mismatch(self, p400):
         lin = Modulus("linear", c=4.0)
@@ -679,7 +699,7 @@ class TestPieceLocalBlend:
         expect = {int(x): blend_point(min(dist[x] / r, 1.0), g(x), f(int(nearest[x])))
                   for x in target}
         got = f.merged_with(_alpha_blend(f, g, r))
-        assert got.domain.ids == tuple(expect)
+        assert got.domain.ids.tolist() == list(expect)
         assert all(list(got(x).items()) == list(expect[x].items()) for x in expect)
         assert all(got(int(x)) == f(int(x)) for x in a)
 

@@ -804,6 +804,32 @@ class TestLoadPoints:
 
 
 class TestPrimitives:
+    @given(st.lists(st.integers(-5, 40), max_size=12),
+           st.sampled_from(["tuple", "list", "array", "int32"]))
+    @settings(max_examples=150, deadline=None)
+    def test_point_subset_contract(self, ids, form):
+        given_ids = {"tuple": tuple, "list": list, "array": np.array,
+                     "int32": lambda v: np.array(v, dtype=np.int32)}[form](ids)
+        expect = sorted(set(ids))
+        a = PointSubset(given_ids)
+        assert a.ids.dtype == np.intp and not a.ids.flags.writeable
+        assert a.ids.tolist() == expect and (np.diff(a.ids) > 0).all()
+        assert len(a) == len(expect) and list(a) == expect
+        assert all(type(x) is int for x in a)
+        for x in range(-6, 42):
+            assert (x in a) == (x in expect)
+        assert a == PointSubset(expect) and a != PointSubset(expect + [99])
+        assert (a == PointSubset(range(len(expect)))) == (expect == list(range(len(expect))))
+        if form == "array":  # the caller's array is neither frozen nor shared
+            given_ids[:] = 0
+            assert a.ids.tolist() == expect
+
+    def test_point_subset_shares_a_read_only_array(self):
+        ids = np.arange(5)
+        ids.setflags(write=False)
+        assert PointSubset(ids).ids is ids
+        assert PointSubset(range(3)).ids.tolist() == [0, 1, 2] and len(PointSubset(())) == 0
+
     def test_dist_to_set_member(self, p5):
         a = PointSubset((0, 2))
         assert dist_to_set_all(p5, a)[2] == 0.0
@@ -820,25 +846,25 @@ class TestPrimitives:
             dist_to_set_all(p5, PointSubset(()))[0]
 
     def test_set_ball_strict(self, p10):
-        assert set_ball(p10, PointSubset((0,)), 3.0).ids == (0, 1, 2)
+        assert set_ball(p10, PointSubset((0,)), 3.0).ids.tolist() == [0, 1, 2]
 
     def test_set_ball_small_radius(self, p10):
         a = PointSubset((3, 7))
-        assert set_ball(p10, a, 1.0).ids == a.ids
+        assert set_ball(p10, a, 1.0) == a
 
     def test_set_ball_whole(self, p10):
-        assert set_ball(p10, PointSubset((0,)), 100.0).ids == tuple(range(10))
+        assert set_ball(p10, PointSubset((0,)), 100.0).ids.tolist() == list(range(10))
 
     def test_closed_ball(self, p10):
-        assert closed_set_ball(p10, PointSubset((0,)), 3.0).ids == (0, 1, 2, 3)
+        assert closed_set_ball(p10, PointSubset((0,)), 3.0).ids.tolist() == [0, 1, 2, 3]
 
     def test_set_ball_monotone(self, p10):
         a = PointSubset((2, 9))
         prev = set()
         for r in [0.5, 1.0, 2.5, 4.0, 9.5]:
-            cur = set(set_ball(p10, a, r).ids)
+            cur = set(set_ball(p10, a, r))
             assert prev <= cur
-            assert set(a.ids) <= cur
+            assert set(a) <= cur
             prev = cur
 
     def test_diameter(self, p10, cycle4):
@@ -899,7 +925,7 @@ class TestBigSpaceLane:
     def test_primitives(self, big_path):
         a = PointSubset((0, 4000))
         assert dist_to_set_all(big_path, a)[1000] == 1000.0
-        assert set_ball(big_path, PointSubset((0,)), 2.0).ids == (0, 1)
+        assert set_ball(big_path, PointSubset((0,)), 2.0).ids.tolist() == [0, 1]
         p = nearest_point_retraction(big_path, a)
         assert p(1999) == 0 and p(2001) == 4000 and p(2000) == 0
 
@@ -936,7 +962,7 @@ class TestStreamedScan:
         ties = 0
         for size in sorted({1, 2, max(1, n // 3), n}):
             a = PointSubset(tuple(rng.choice(n, size=size, replace=False).tolist()))
-            ids = a.array()
+            ids = a.ids
             # reference: the stacked |a| x n block, reduced down its columns
             block = np.stack([sp.row(x) for x in ids])
             k = np.argmin(block, axis=0)
@@ -986,9 +1012,9 @@ class TestCutOffQueries:
                 assert (dist[~inside] > limit).all()
                 cut = dist_to_set_all(sp, a, limit)
                 assert np.array_equal(cut[inside], least[inside]) and (cut[~inside] > limit).all()
-                assert closed_set_ball(sp, a, limit).ids == tuple(np.flatnonzero(inside))
+                assert np.array_equal(closed_set_ball(sp, a, limit).ids, np.flatnonzero(inside))
                 if limit > 0:
-                    assert set_ball(sp, a, limit).ids == tuple(np.flatnonzero(least < limit))
+                    assert np.array_equal(set_ball(sp, a, limit).ids, np.flatnonzero(least < limit))
             p = nearest_point_retraction(sp, a)
             assert np.array_equal(p.dist, least)
             assert np.array_equal(p.mapping, first) and np.array_equal(p.mapping[ids], ids)

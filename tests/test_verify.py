@@ -560,7 +560,7 @@ class TestPairwiseOracle:
         assert ties > 0
         assert sp.diameter() == max(sp.d(x, y) for x in range(n) for y in range(n))
         for R, target in ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 3.0)):
-            got = [[piece.ids for piece in f] for f in greedy_decomposition(sp, R, target)]
+            got = [[tuple(piece) for piece in f] for f in greedy_decomposition(sp, R, target)]
             assert got == first_fit_families(sp, R, target)
 
     @given(st.integers(2, 30), st.integers(0, 10_000), st.booleans())
@@ -583,7 +583,7 @@ class TestPairwiseOracle:
             assert rep.min_cross == best
             assert rep.witness == (least[3:] + least[1:3] if best <= R else None)
         for R, target in ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 3.0)):
-            got = [[piece.ids for piece in f] for f in greedy_decomposition(sp, R, target)]
+            got = [[tuple(piece) for piece in f] for f in greedy_decomposition(sp, R, target)]
             assert got == first_fit_families(sp, R, target)
 
 
