@@ -129,7 +129,7 @@ def _node_from_json(k: int, nd) -> TreeNode:
         raise InvalidInputError(f"tree node #{k} is not an object")
     node_id = as_int(nd["id"], "node id")
     level = as_int(nd["level"], "node level")
-    ids = [as_int(x, "member id") for x in _array(nd["members"], f"node {node_id} members")]
+    ids = _member_ids(_array(nd["members"], f"node {node_id} members"))
     try:
         members = PointSubset(ids)
     except OverflowError:  # no intp holds it, so no space does
@@ -141,6 +141,27 @@ def _node_from_json(k: int, nd) -> TreeNode:
                 for j, fam in enumerate(_array(nd.get("families", []),
                                                f"node {node_id} families"))]
     return TreeNode(id=node_id, level=level, members=members, families=families)
+
+
+def _member_ids(members: list):
+    """A node's member ids: one intp array when the list converts exactly.
+
+    That is a list of ints within int64, or of ints and integral floats
+    below 2**53 in magnitude (no bool, string or null: type() tells them
+    apart without a Python call per member).  Otherwise each member goes
+    through as_int, which names the first that is not an integer.
+    """
+    kinds = set(map(type, members))
+    try:
+        if kinds <= {int}:
+            return np.array(members, dtype=np.intp)
+        if kinds <= {int, float}:
+            ids = np.array(members, dtype=np.float64)
+            if ((np.abs(ids) < 2.0 ** 53) & (ids == np.trunc(ids))).all():  # NaN fails both
+                return ids.astype(np.intp)
+    except OverflowError:  # an int past int64
+        pass
+    return [as_int(x, "member id") for x in members]
 
 
 @dataclass

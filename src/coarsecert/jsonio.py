@@ -6,14 +6,43 @@ files.  Weights round-trip exactly: they are emitted through Python's
 shortest-exact float representation (17 significant digits suffice and are
 never exceeded).  Infinity and NaN are not JSON (RFC 8259), so writing one
 raises ValueError; a report field with no finite value is written as null.
+
+A file is read in one pass over its text (_read), never as one JSON tree.
+The reader walks the top-level object itself and decodes each value with
+json's own scanner, repeated keys refused, except the values that a loader
+streams one item at a time (_Cursor):
+
+- a pou's "entries": each point's row is checked as it is decoded, into
+  flat arrays of point ids, row lengths and weights and a list of
+  vertices, which become the pou's CSR arrays once the text is dropped;
+- a space's "data": a graph's [u, v, w] items go into one float64 table
+  (_read_data), which load_graph checks as arrays.
+
+Trees and reports are small and decoded whole (load_json).  What json.loads
+would refuse, the reader refuses too, and then asks json.loads for the
+message.  The faults of a file are named in this order:
+
+1. the file cannot be read, or is not valid UTF-8 or JSON (a syntax error
+   anywhere, or a repeated key), in json's own words;
+2. the text is not a JSON object;
+3. its "v" is not 1;
+4. the first semantic fault in file order, such as a pou entry's.
+
+A fault found while streaming stops the walk and is held until the text is
+known to pass 1 to 3: the whole text is then parsed once more with
+json.loads, which names any such fault first.  A file without a fault never
+pays for that parse.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from array import array
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Callable, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +52,8 @@ from .metric import FiniteMetricSpace, as_float, as_int, load_graph, load_matrix
 from .simplex import PartitionOfUnity, vertex_key
 
 SCHEMA_VERSION = 1
+_FAULTS = (CoarseCertError, KeyError, IndexError, TypeError, ValueError, OverflowError)
+_PLAIN_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:')  # as scanstring reads it
 
 
 def dumps_canonical(obj) -> str:
@@ -48,36 +79,180 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_json(path: Union[str, Path]) -> dict:
+# ---------------------------------------------------------------------------
+# the reader
+# ---------------------------------------------------------------------------
+
+class _NotJson(Exception):
+    """The text is not one JSON object with unique keys; json.loads names why."""
+
+
+class _Held(Exception):
+    """A semantic fault of a file whose text json.loads accepts: fault."""
+
+    def __init__(self, fault: Exception):
+        self.fault = fault
+
+
+class _Cursor:
+    """JSON text read one value, object key or array item at a time; pos is the next."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self._scan = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+
+    def peek(self) -> str:
+        """The next character past whitespace, or "" at the end of the text."""
+        c = self.text[self.pos:self.pos + 1]
+        if c and c in " \t\n\r":
+            self.pos = WHITESPACE.match(self.text, self.pos).end()
+            c = self.text[self.pos:self.pos + 1]
+        return c
+
+    def value(self):
+        """The value at the cursor, decoded whole; the cursor moves past it."""
+        self.peek()
+        try:
+            value, self.pos = self._scan(self.text, self.pos)
+        except (StopIteration, ValueError):  # no value, a syntax error, a repeated key
+            raise _NotJson from None
+        return value
+
+    def _open(self, opener: str, close: str) -> bool:
+        """Step into the object or array at the cursor: True unless it is empty."""
+        if self.peek() != opener:
+            raise _NotJson
+        self.pos += 1
+        if self.peek() == close:
+            self.pos += 1
+            return False
+        return True
+
+    def _more(self, close: str) -> bool:
+        """Step past the ',' after a member (True) or the closing bracket (False)."""
+        c = self.peek()
+        self.pos += 1
+        if c == ",":
+            return True
+        if c != close:
+            raise _NotJson
+        return False
+
+    def keys(self):
+        """Each key of the object at the cursor, the cursor left at its value.
+
+        The caller reads each value before asking for the next key.  A
+        repeated key is not looked for here: the caller refuses it.
+        """
+        more = self._open("{", "}")
+        while more:
+            plain = _PLAIN_KEY.match(self.text, self.pos)
+            if plain:
+                key, self.pos = plain.group(1), plain.end()
+            else:  # an escape, a control character, or no key at all
+                if self.peek() != '"':
+                    raise _NotJson
+                try:
+                    key, self.pos = scanstring(self.text, self.pos + 1)
+                except ValueError:
+                    raise _NotJson from None
+                if self.peek() != ":":
+                    raise _NotJson
+                self.pos += 1
+            yield key
+            more = self._more("}")
+
+    def items(self):
+        """Each item of the array at the cursor, decoded whole."""
+        more = self._open("[", "]")
+        while more:
+            yield self.value()
+            more = self._more("]")
+
+
+def _read_text(path: Union[str, Path]) -> str:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a duplicate key
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{path}: expected a JSON object")
+
+
+def _check_version(path, obj: dict) -> None:
     if obj.get("v") is True or obj.get("v") != SCHEMA_VERSION:  # true == 1 in Python
         raise InvalidInputError(f"{path}: unsupported schema version {obj.get('v')!r}")
+
+
+def _walk(text: str, streams: Dict[str, Callable]) -> dict:
+    """The top-level object of text: streams[key](cursor) reads key's value, if given."""
+    cursor, obj = _Cursor(text), {}
+    for key in cursor.keys():
+        if key in obj:
+            raise _NotJson
+        read = streams.get(key)
+        obj[key] = read(cursor) if read else cursor.value()
+    if cursor.peek():
+        raise _NotJson
     return obj
 
 
-def _load(path: Union[str, Path], from_json: Callable, *args):
-    """from_json(load_json(path), *args), naming the file if a field is malformed.
+def _read(path: Union[str, Path], streams: Dict[str, Callable]) -> dict:
+    """The top-level object of the file at path, its version checked (module docstring).
 
-    A missing key or a value of the wrong type, form or range is an input
-    error, not a verification failure.  A library error, such as a metric
-    axiom's, keeps its type and witness.
+    A semantic fault that a stream raises comes out as _Held, once the
+    text is known to be valid JSON with the right version.  Text that the
+    walk refuses and json.loads reads is a bug of the walk.
     """
-    obj = load_json(path)
+    text = _read_text(path)
     try:
-        return from_json(obj, *args)
-    except CoarseCertError as exc:
+        obj = _walk(text, streams)
+    except _NotJson:
+        held = None
+    except _FAULTS as exc:
+        held = exc
+    else:
+        _check_version(path, obj)
+        return obj
+    try:
+        whole = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, a duplicate key
+        raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(whole, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    _check_version(path, whole)
+    if held is None:
+        raise AssertionError(f"{path}: the reader refused a JSON object that json.loads reads")
+    raise _Held(held)
+
+
+def load_json(path: Union[str, Path]) -> dict:
+    return _read(path, {})
+
+
+def _load(path: Union[str, Path], from_json: Callable, *args, streams=None):
+    """from_json(the object at path, *args), naming the file if a field is malformed.
+
+    streams maps a key to the reader of its value (_walk); without them the
+    file is read through load_json, the module global, so that a traced
+    run times it as JSON parsing.  A missing key or a value of the wrong type,
+    form or range is an input error, not a verification failure.  A library
+    error, such as a metric axiom's, keeps its type and witness.
+    """
+    try:
+        obj = _read(path, streams) if streams else load_json(path)
+    except _Held as held:
+        exc = held.fault
+    else:
+        try:
+            return from_json(obj, *args)
+        except _FAULTS as caught:
+            exc = caught
+    if isinstance(exc, CoarseCertError):
         exc.args = (f"{path}: {exc}",)
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(
-            f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
+        raise exc
+    raise InvalidInputError(
+        f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +264,47 @@ def space_to_json(kind: str, n: int, data, meta: dict = None) -> dict:
             "meta": meta or {}}
 
 
+def _read_data(cursor: _Cursor):
+    """A space's data: one (E, 3) float64 table where that is exactly what the file says.
+
+    That is an array whose items are all [u, v, w] arrays of JSON numbers,
+    no boolean among them (array("d") reads true as 1.0), and every
+    endpoint below 2**53 in magnitude (a larger int may round as a float).
+    Anything else, a cloud's object or most matrices' rows, is decoded
+    whole, as load_json would, and the loaders name its faults.
+    """
+    start = cursor.pos
+    if cursor.peek() == "[":
+        flat = array("d")
+        try:
+            for item in cursor.items():
+                if type(item) is not list or len(item) != 3:
+                    break
+                flat.extend(item)  # TypeError on a non-number, OverflowError past every float
+            else:
+                table = np.frombuffer(flat, dtype=np.float64).reshape(-1, 3)
+                if (cursor.text.find("true", start, cursor.pos) < 0
+                        and cursor.text.find("false", start, cursor.pos) < 0
+                        and np.abs(table[:, :2]).max(initial=0.0) < 2.0 ** 53):
+                    return table
+        except (TypeError, OverflowError):
+            pass
+        cursor.pos = start
+    return cursor.value()
+
+
 def space_from_json(obj: dict) -> FiniteMetricSpace:
-    kind = obj.get("kind")
-    n = as_int(obj.get("n", 0), "vertex count")
-    data = obj.get("data")
+    kind, data = obj.get("kind"), obj.get("data")
     meta = obj.get("meta") or {}
+    if kind == "graph":  # load_graph checks n first
+        return load_graph(obj.get("n", 0), data, meta=meta)
+    n = as_int(obj.get("n", 0), "vertex count")
+    if isinstance(data, np.ndarray):  # rows of 3 numbers, read as a table: the same numbers
+        data = data.tolist()
     if kind == "matrix":
         if len(data) != n:
             raise InvalidInputError(f"matrix has {len(data)} rows but n is {n}")
         return load_matrix(data, meta=meta)
-    if kind == "graph":
-        return load_graph(n, data, meta=meta)
     if kind == "points":
         coords = data["coords"]
         if len(coords) != n:
@@ -109,7 +314,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
 
 
 def load_space(path: Union[str, Path]) -> FiniteMetricSpace:
-    return _load(path, space_from_json)
+    return _load(path, space_from_json, streams={"data": _read_data})
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +344,9 @@ def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> str:
             f'"v":{SCHEMA_VERSION}}}\n')
 
 
+_NO_ENTRIES = "pou file needs an 'entries' object"
+
+
 def _plain_decimal(text) -> bool:
     """A string of ASCII digits; int() alone also reads "1_0", " 1" and "+1"."""
     return isinstance(text, str) and text.isascii() and text.isdigit()
@@ -162,24 +370,23 @@ def _no_repeat(x: int, row: list) -> None:
         seen.add(v)
 
 
-def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
-    """The pou of a parsed pou file, read in one pass into flat rows.
+def _pou_rows(entries, space: FiniteMetricSpace) -> tuple:
+    """PartitionOfUnity._from_rows' flat rows of (point key, row) pairs.
 
-    The first fault in file order is named: a point's repeated vertex is
-    looked for at the end of its row, or before naming a later fault in it.
+    Each pair is checked as it comes, and the point ids, row lengths and
+    weights go into arrays.  The first fault in file order is named: a
+    point's repeated vertex is looked for at the end of its row, or before
+    naming a later fault in it.
     """
-    entries = obj.get("entries")
-    if not isinstance(entries, dict):
-        raise InvalidInputError("pou file needs an 'entries' object")
-    ids, counts, verts, weights = [], [], [], []
+    ids, counts, verts, weights = array("q"), array("q"), [], array("d")
     seen, parsed = bytearray(space.n), {}  # parsed: vertex key text -> vertex
-    for key, pairs in entries.items():
+    for key, pairs in entries:
         if not _plain_decimal(key):
             raise InvalidInputError(f"point id {key!r} is not a plain decimal")
         x = int(key)
         if not (0 <= x < space.n):
             raise InvalidInputError(f"pou references unknown point id {x}")
-        if seen[x]:
+        if seen[x]:  # or a repeated key, which the reader then names
             raise InvalidInputError(f"pou assigns point {x} twice")
         seen[x] = 1
         start = len(verts)
@@ -206,11 +413,33 @@ def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
             _no_repeat(x, verts[start:])
         ids.append(x)
         counts.append(len(verts) - start)
-    return PartitionOfUnity._from_rows(space, ids, counts, verts, weights)
+    return ids, counts, verts, weights
+
+
+def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
+    """The pou of a parsed pou file."""
+    entries = obj.get("entries")
+    if not isinstance(entries, dict):
+        raise InvalidInputError(_NO_ENTRIES)
+    return PartitionOfUnity._from_rows(space, *_pou_rows(entries.items(), space))
 
 
 def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUnity:
-    return _load(path, pou_from_json, space)
+    """The pou of a pou file, its entries checked as they are read.
+
+    The rows are built into a pou once the text is read and dropped.
+    """
+    def entries(cursor: _Cursor) -> tuple:
+        if cursor.peek() != "{":
+            raise InvalidInputError(_NO_ENTRIES)
+        return _pou_rows(((key, cursor.value()) for key in cursor.keys()), space)
+
+    def from_rows(obj: dict) -> PartitionOfUnity:
+        if "entries" not in obj:
+            raise InvalidInputError(_NO_ENTRIES)
+        return PartitionOfUnity._from_rows(space, *obj["entries"])
+
+    return _load(path, from_rows, streams={"entries": entries})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ graph's row may differ from its column in the last bits when float weights
 are summed in different orders; nothing here assumes otherwise.
 
 A block of rows cut off at a finite limit L is computed on its ball's own
-subgraph (ball_blocks), with the same bits.  A Dijkstra value is the least
+subgraph (ball_blocks), or on the whole graph when the ball holds most of
+it, with the same bits.  A Dijkstra value is the least
 fixed point of d(v) = min over in-neighbours u of fl(d(u) + w(u, v)), with
 d = 0 at the sources.  Rounding is monotone and w > 0, so fl(d(u) + w) >=
 d(u): every in-neighbour that sets a value d(v) <= L has d(u) <= L, and
@@ -67,8 +68,9 @@ checks what its construction does not already guarantee:
   positivity off the diagonal) in blocks of rows, allocating no n x n
   temporary;
 - load_graph needs none of them: positive weights on a connected graph give
-  a zero diagonal and positive distances elsewhere.  It rules out
-  overflowing distances, scanning rows only when the edges' total overflows;
+  a zero diagonal and positive distances elsewhere.  It checks its edges
+  as arrays when they come as one table, and rules out overflowing
+  distances, scanning rows only when the edges' total overflows;
 - load_points rules out overflowing distances and points at distance 0
   (_check_distinct); |a - b| is exactly |b - a|, so its rows are symmetric.
 
@@ -566,42 +568,38 @@ def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) 
 def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space whose metric is weighted shortest-path distance.
 
-    The graph must be connected; a stranded component representative is named
-    otherwise.  A zero-weight edge between distinct points (a zero distance off
-    the diagonal) and a distance that overflows to inf are rejected outright.
+    edges holds [u, v, w] items: a sequence of them, or an (E, 3) float64
+    table of them in the same order.  The table is checked as arrays:
+    integral endpoints in range, finite non-negative weights, none zero
+    off the diagonal.  A sequence is checked one edge at a time
+    (_edge_arrays), and so is a table that fails, only to name its first
+    fault.  The graph must be connected; a stranded component
+    representative is named otherwise.  A zero-weight edge between
+    distinct points (a zero distance off the diagonal) and a distance that
+    overflows to inf are rejected outright.
     """
     n = as_int(n, "vertex count")
     if n <= 0:
         raise InvalidInputError("graph needs at least one vertex")
-    us, vs, ws = [], [], []
-    for k, e in enumerate(edges):
-        if not isinstance(e, (list, tuple, np.ndarray)):
-            raise InvalidInputError(f"edge #{k} is not an array")
-        if len(e) < 2:
-            raise InvalidInputError(f"edge #{k} has {len(e)} fields, expected 3")
-        u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
-        if len(e) != 3:
-            raise InvalidInputError(f"edge ({u},{v}) has {len(e)} fields, expected 3")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-        w = as_float(e[2], f"edge ({u},{v}) weight")
-        if not math.isfinite(w):
-            raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
-        if w < 0:
-            raise NegativeDistanceError(u, v, w)
-        if u == v:
-            continue
-        if w == 0.0:
-            raise ZeroOffDiagonalError(u, v)
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+    table = isinstance(edges, np.ndarray)
+    if not (table and edges.shape[1:] == (3,) and edges.dtype == np.float64
+            and n < 2 ** 53):  # past 2**53, n is not exact as a float
+        us, vs, ws = _edge_arrays(n, edges.tolist() if table else edges)
+    else:
+        u, v, w = edges.T
+        ends = np.concatenate([u, v])
+        if not (((ends >= 0) & (ends < n) & (ends == np.floor(ends))).all()
+                and (np.isfinite(w) & (w >= 0) & ((w > 0) | (u == v))).all()):
+            _edge_arrays(n, edges.tolist())
+            raise AssertionError("the per-edge check passed edges that the table check refused")
+        off = u != v
+        us, vs, ws = u[off].astype(np.intp), v[off].astype(np.intp), w[off]
     # parallel edges: keep the minimum weight before building the matrix
     # (sparse constructors sum duplicates)
-    if us:
+    if len(us):
         u_arr = np.minimum(us, vs)
         v_arr = np.maximum(us, vs)
-        w_arr = np.asarray(ws)
+        w_arr = ws
         order = np.lexsort((w_arr, v_arr, u_arr))
         u_arr, v_arr, w_arr = u_arr[order], v_arr[order], w_arr[order]
         first = np.ones(len(u_arr), dtype=bool)
@@ -633,6 +631,35 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     if not _exact_grid(adj.data, adj.data):  # exact sums make every row the graph metric
         _validate(space)
     return space
+
+
+def _edge_arrays(n: int, edges):
+    """(u, v, w) arrays of edges' items off the diagonal, naming the first faulty item."""
+    us, vs, ws = [], [], []
+    for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple, np.ndarray)):
+            raise InvalidInputError(f"edge #{k} is not an array")
+        if len(e) < 2:
+            raise InvalidInputError(f"edge #{k} has {len(e)} fields, expected 3")
+        u, v = as_int(e[0], "edge endpoint"), as_int(e[1], "edge endpoint")
+        if len(e) != 3:
+            raise InvalidInputError(f"edge ({u},{v}) has {len(e)} fields, expected 3")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
+        w = as_float(e[2], f"edge ({u},{v}) weight")
+        if not math.isfinite(w):
+            raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
+        if w < 0:
+            raise NegativeDistanceError(u, v, w)
+        if u == v:
+            continue
+        if w == 0.0:
+            raise ZeroOffDiagonalError(u, v)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return (np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp),
+            np.array(ws, dtype=np.float64))
 
 
 def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict] = None) -> FiniteMetricSpace:
@@ -891,40 +918,57 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     ball and the blocks of row_blocks.  On a graph, a block's ball comes
     from one multi-source Dijkstra call, and its rows from one call on the
     ball's own subgraph (module docstring), split by sources past
-    ROW_BLOCK_CELLS cells; a block cut off at inf reads whole rows.  The
-    search is O(n), so it runs once per block.  The first block takes as
-    many sources as a block of whole rows (row_blocks), and each next one is
-    sized from the last one's ball, taking the ball to grow like its
-    sources, for rows of about max(n, ROW_BLOCK_CELLS/16) cells: the search
-    at most doubles a block's cells, and a small graph's block holds about
-    one of verify._pairs' pair arrays.
+    ROW_BLOCK_CELLS cells.  The search is O(n), so it runs once per block.
+    The first block takes as many sources as a block of whole rows
+    (row_blocks), and each next one is sized from the last one's ball,
+    taking the ball to grow like its sources, for rows of about
+    max(n, ROW_BLOCK_CELLS/16) cells: the search at most doubles a block's
+    cells, and a small graph's block holds about one of verify._pairs' pair
+    arrays.
+
+    A block whose ball holds more than half the points, or that is cut off
+    at inf, reads whole rows on the whole graph instead, as many sources a
+    call as row_blocks takes, and its ball is every point: rows cut off at
+    the same limit have the same bits on any graph that holds the ball.
+    The blocks after it skip the search too, for as long as their rows
+    reach more than half the points.
     """
     limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
     graph = space._graph
+    everyone = np.arange(space.n)
     if space._dmat is not None or graph is None or np.isinf(limits).all():
-        everyone = np.arange(space.n)
         for lo, rows in row_blocks(space, ids):
             yield lo, everyone, rows
         return
     target, whole = max(ROW_BLOCK_CELLS // 16, space.n), max(1, ROW_BLOCK_CELLS // space.n)
-    lo, size = 0, whole
+    lo, size, wide = 0, whole, False
     while lo < len(ids):
         if math.isinf(limits[lo]):
             size = whole
         sources = ids[lo:lo + size]
         cut = float(limits[lo:lo + size].max())
-        inside = (None if math.isinf(cut) else np.isfinite(
-            dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut)))
-        if inside is None or inside.all():
-            ball, sub, local = np.arange(space.n), graph, sources
+        wide = wide or math.isinf(cut)
+        if not wide:
+            inside = np.isfinite(
+                dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut))
+            wide = 2 * np.count_nonzero(inside) > space.n
+        if wide:
+            inside = np.zeros(space.n, dtype=bool)
+            for a in range(0, len(sources), whole):
+                rows = dijkstra(graph, directed=True, indices=sources[a:a + whole], limit=cut)
+                inside |= np.isfinite(rows).any(axis=0)
+                yield lo + a, everyone, rows
         else:
             ball = np.flatnonzero(inside)
             sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
-        step = max(1, ROW_BLOCK_CELLS // len(ball))
-        for a in range(0, len(local), step):
-            yield lo + a, ball, dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
+            step = max(1, ROW_BLOCK_CELLS // len(ball))
+            for a in range(0, len(local), step):
+                rows = dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
+                yield lo + a, ball, rows
         lo += len(sources)
-        size = max(1, math.isqrt(target * len(sources) // len(ball)))
+        reach = np.count_nonzero(inside)
+        wide = 2 * reach > space.n
+        size = whole if wide else max(1, math.isqrt(target * len(sources) // reach))
 
 
 def _ball_subgraph(graph: csr_matrix, ball: np.ndarray, inside: np.ndarray) -> csr_matrix:

@@ -77,14 +77,15 @@ def _checked_rows(ids, counts, verts, weights):
     be finite and non-negative; zeros are dropped, and each row must keep
     some whose fsum is within SUM_TOL of 1.  The first faulty row is named.
     """
-    ids, weights = np.array(ids, dtype=np.intp), np.array(weights, dtype=float)
+    ids, weights = np.asarray(ids, dtype=np.intp), np.asarray(weights, dtype=float)
     rows = np.repeat(np.arange(len(ids)), counts)
     keep = weights > 0  # not -0.0, not NaN
     indptr = _indptr(np.bincount(rows[keep], minlength=len(ids)))
     bad = np.flatnonzero(~(weights >= 0) | np.isinf(weights))
     empty = np.flatnonzero(indptr[1:] == indptr[:-1])
     first = min(rows[bad[:1]].tolist() + empty[:1].tolist() + [len(ids)])
-    kept, sizes = weights[keep], np.diff(indptr[:first + 1])
+    whole = bool(keep.all())  # nothing to drop: no copies
+    kept, sizes = weights if whole else weights[keep], np.diff(indptr[:first + 1])
     lone = np.flatnonzero((sizes == 1) & (np.abs(kept[indptr[:first]] - 1.0) > SUM_TOL))
     stop = lone[0] if len(lone) else first  # a row of one weight sums to it
     for i in np.flatnonzero(sizes[:stop] > 1).tolist():
@@ -104,7 +105,7 @@ def _checked_rows(ids, counts, verts, weights):
     if first < len(ids):
         raise InvalidInputError(f"point {ids[first]} has no positive weight")
     columns, carrier = _columns(verts)
-    return ids, indptr, columns[keep], carrier, weights[keep], np.argsort(ids)
+    return ids, indptr, columns if whole else columns[keep], carrier, kept, np.argsort(ids)
 
 
 class PartitionOfUnity:

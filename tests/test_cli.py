@@ -326,7 +326,28 @@ def clean_artifacts(tmp_path_factory):
     return d
 
 
-# case -> (file to break, edit, text the error message must contain)
+def _text(edit, finish):
+    """An edit whose file text is finish(json.dumps of the edited object)."""
+    def run_edit(obj):
+        edit(obj)
+        return finish(json.dumps(obj))
+    return run_edit
+
+
+def _bad_vertex_key(obj):
+    obj["entries"].update({"0": [["abc", 1.0]]})
+
+
+def _after_out_of_range(item):
+    """Edge 1 out of range, then item in place of edge 2."""
+    def edit(obj):
+        obj["data"][1] = [1, 99, 1.0]
+        obj["data"][2] = item
+    return edit
+
+
+# case -> (file to break, edit, text the error message must contain); an edit
+# that returns text writes that text instead of the edited object
 MALFORMED = {
     "pou vertex key": ("cert.pou.json",
                        lambda obj: obj["entries"].update({"0": [["abc", 1.0]]}),
@@ -554,6 +575,40 @@ MALFORMED = {
         kind="matrix", data=[[abs(x - y) if (x, y) != (0, 1) else "1" for y in range(obj["n"])]
                              for x in range(obj["n"])]),
         "space.json: matrix entry [0][1] '1' is not a number"),
+    "pou syntax error after a bad entry": ("cert.pou.json",  # json's fault comes first
+                                           _text(_bad_vertex_key, lambda text: text[:-1]),
+                                           "cert.pou.json: not valid JSON (Expecting"),
+    "pou version after a bad entry": ("cert.pou.json",
+                                      lambda obj: _bad_vertex_key(obj) or obj.update(v=2),
+                                      "cert.pou.json: unsupported schema version 2"),
+    "pou top-level key repeated": ("cert.pou.json",
+                                   _text(lambda obj: None, lambda text: text[:-1] + ', "v": 1}'),
+                                   "cert.pou.json: not valid JSON (duplicate key 'v')"),
+    "pou with a UTF-8 BOM": ("cert.pou.json", _text(lambda obj: None, "\ufeff".__add__),
+                             "cert.pou.json: not valid JSON (Unexpected UTF-8 BOM"),
+    "pou a top-level array": ("cert.pou.json", _text(lambda obj: None, "[{}]".format),
+                              "cert.pou.json: expected a JSON object"),
+    "space with a UTF-8 BOM": ("space.json", _text(lambda obj: None, "\ufeff".__add__),
+                               "space.json: not valid JSON (Unexpected UTF-8 BOM"),
+    "graph edge a boolean after an out-of-range edge": (
+        "space.json", _after_out_of_range(True), "space.json: edge (1,99) out of range for n=40"),
+    "graph edge a string after an out-of-range edge": (
+        "space.json", _after_out_of_range("ab"), "space.json: edge (1,99) out of range for n=40"),
+    "graph edge of 2 fields after an out-of-range edge": (
+        "space.json", _after_out_of_range([2, 3]), "space.json: edge (1,99) out of range for n=40"),
+    "graph edge weight a boolean after an out-of-range edge": (
+        "space.json", _after_out_of_range([2, 3, True]),
+        "space.json: edge (1,99) out of range for n=40"),
+    "graph edge endpoint past every float after an out-of-range edge": (
+        "space.json", _after_out_of_range([2, 10**400, 1.0]),
+        "space.json: edge (1,99) out of range for n=40"),
+    "graph edge endpoint past 2**53": ("space.json",  # a float64 would read 2**53
+                                       lambda obj: obj["data"][1].__setitem__(1, 2**53 + 1),
+                                       f"space.json: edge (1,{2**53 + 1}) out of range for n=40"),
+    "graph edge repeating a key after an out-of-range edge": (  # json's fault comes first
+        "space.json", _text(_after_out_of_range({"u": 0}),
+                            lambda text: text.replace('{"u": 0}', '{"u": 0, "u": 1}')),
+        "space.json: not valid JSON (duplicate key 'u')"),
     "matrix entry a boolean": ("space.json", lambda obj: obj.update(
         kind="matrix", data=[[abs(x - y) if (x, y) != (1, 0) else True for y in range(obj["n"])]
                              for x in range(obj["n"])]),
@@ -567,8 +622,9 @@ def test_malformed_artifact_exit_two(case, clean_artifacts, tmp_path):
         shutil.copy(clean_artifacts / name, tmp_path / name)
     target, edit, message = MALFORMED[case]
     obj = json.loads((tmp_path / target).read_text())
-    edit(obj)
-    (tmp_path / target).write_text(json.dumps(obj))
+    text = edit(obj)
+    (tmp_path / target).write_text(text if isinstance(text, str) else json.dumps(obj),
+                                   encoding="utf-8")
     if target == "tree.json":
         args = ["certify", "--space", "space.json", "--tree", "tree.json",
                 "--epsilon", "0.8", "--modulus", "linear:2", "--out", "again"]
@@ -944,6 +1000,76 @@ class TestRoundTrips:
             tracemalloc.stop()
         assert len(f.domain) == n
         assert peak < parsed, (peak, parsed)
+
+
+class TestStreamedReads:
+    """Pou and space files are read one entry at a time, into arrays."""
+
+    def test_pou_load_memory_below_five_and_a_half_file_sizes(self, tmp_path):
+        # every point's one entry on one vertex; the parsed JSON tree alone took
+        # 22.6 file sizes at the last whole-tree reader, and a load 5.0 here
+        n = 20000
+        path = tmp_path / "one.pou.json"
+        jsonio.save_json(path, {"v": 1, "space": "p", "entries": {
+            str(x): [["0:0", 1.0]] for x in range(n)}})
+        space = path_space(n)
+        tracemalloc.start()
+        try:
+            f = jsonio.load_pou(path, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(f.domain) == n and f.carrier() == ((0, 0),)
+        assert peak < 5.5 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_space_load_calls_no_converter_per_edge(self, tmp_path, monkeypatch):
+        n = 20000
+        path = tmp_path / "p.json"
+        jsonio.save_json(path, jsonio.space_to_json(
+            "graph", n, [[x, x + 1, 1.0] for x in range(n - 1)]))
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for module in (jsonio, metric):
+            for name in ("as_int", "as_float"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        sp = jsonio.load_space(path)
+        assert sp.n == n and sp.d(0, n - 1) == n - 1
+        assert calls == ["as_int"]  # the vertex count
+
+    def test_tree_load_calls_no_converter_per_member(self, tmp_path, monkeypatch):
+        sp = path_space(6000)
+        path = tmp_path / "t.json"
+        jsonio.save_json(path, jsonio.tree_to_json(covers.brick_tree(sp, [159.0], 160.0)))
+        calls = []
+        monkeypatch.setattr(covers, "as_int", lambda *args: calls.append(args) or int(args[0]))
+        tree = jsonio.load_tree(path)
+        members = sum(len(nd.members) for nd in tree.nodes)
+        # ids, levels, child ids and arities: none per member
+        assert members == 2 * 6000 and len(calls) <= 3 * len(tree.nodes) + tree.m
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_any_layout_reads_the_same(self, p100_file, tmp_path, indent):
+        # json.dumps's own layouts, keys in reverse: the same space and pou
+        sp = jsonio.load_space(p100_file)
+        f = random_lipschitz_pou(sp, range(100), 0.3, np.random.default_rng(5), n_vertices=3)
+        pou_file = tmp_path / "f.pou.json"
+        jsonio.save_json(pou_file, jsonio.pou_to_json(f))
+
+        def relaid(obj):
+            if isinstance(obj, dict):
+                return {k: relaid(obj[k]) for k in reversed(list(obj))}
+            return [relaid(x) for x in obj] if isinstance(obj, list) else obj
+
+        for source in (p100_file, pou_file):
+            out = tmp_path / f"relaid.{source.name}"
+            out.write_text(json.dumps(relaid(json.loads(source.read_text())), indent=indent))
+        sp2 = jsonio.load_space(tmp_path / f"relaid.{p100_file.name}")
+        assert sp2.n == sp.n and (sp2._graph != sp._graph).nnz == 0
+        g = jsonio.load_pou(tmp_path / "relaid.f.pou.json", sp2)
+        assert jsonio.pou_to_json(g) == pou_file.read_text()
 
 
 class TestDeterminism:

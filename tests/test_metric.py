@@ -1237,6 +1237,23 @@ class TestBallBlocks:
         assert got.tolist() == [full[np.ix_(s, s)].max() for s in sets]
 
 
+    def test_wide_balls_read_whole_rows(self, monkeypatch):
+        # the table-free bench lane's certificate: 19 star preimages of about
+        # 360 points on a 6000-point path, whose first balls hold most of the
+        # graph.  Those blocks and the ones after them read whole rows with
+        # no ball search: 11 calls here, 28 when every block searched
+        from coarsecert.covers import brick_tree
+        from coarsecert.extend import build_certificate, parse_modulus
+        sp = path_space(6000)
+        res = build_certificate(sp, brick_tree(sp, [159.0], 160.0), 0.2, parse_modulus("linear:4"))
+        calls, real = [], metric.dijkstra
+        monkeypatch.setattr(metric, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+        report = verify.cobounded_check(res.pou, res.bound)
+        assert report.vertices_checked == 19 and len(calls) < 28
+        stars = [res.pou.star_preimage(v).ids for v in res.pou.carrier()]
+        assert star_preimage_diameters(res.pou).tolist() == [float(s[-1] - s[0]) for s in stars]
+
+
 class TestGraphsKeepNoTable:
     """A graph keeps no distance table at any size; the dense limit sets how many rows are certified."""
 
