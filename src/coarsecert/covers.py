@@ -37,6 +37,7 @@ from .metric import (
     closed_set_ball,
     cross_minima,
     dist_to_set_all,
+    real_array,
     row_blocks,
 )
 from .verify import (
@@ -129,11 +130,8 @@ def _node_from_json(k: int, nd) -> TreeNode:
         raise InvalidInputError(f"tree node #{k} is not an object")
     node_id = as_int(nd["id"], "node id")
     level = as_int(nd["level"], "node level")
-    ids = _member_ids(_array(nd["members"], f"node {node_id} members"))
-    try:
-        members = PointSubset(ids)
-    except OverflowError:  # no intp holds it, so no space does
-        raise InvalidInputError(f"node {node_id}: point id {max(ids, key=abs)} outside every space")
+    ids = _member_ids(node_id, _array(nd["members"], f"node {node_id} members"))
+    members = PointSubset(ids)
     if len(members) < len(ids):
         values, counts = np.unique(ids, return_counts=True)
         raise InvalidInputError(f"node {node_id} lists point {values[counts > 1][0]} twice")
@@ -143,25 +141,20 @@ def _node_from_json(k: int, nd) -> TreeNode:
     return TreeNode(id=node_id, level=level, members=members, families=families)
 
 
-def _member_ids(members: list):
-    """A node's member ids: one intp array when the list converts exactly.
+def _member_ids(node_id: int, members: list) -> np.ndarray:
+    """Node node_id's member ids as one intp array.
 
-    That is a list of ints within int64, or of ints and integral floats
-    below 2**53 in magnitude (no bool, string or null: type() tells them
-    apart without a Python call per member).  Otherwise each member goes
-    through as_int, which names the first that is not an integer.
+    The list converts through real_array when each member is an integer
+    below 2**53 in magnitude.  Otherwise the members go through as_int one
+    at a time, to name the first that is not an integer; if each is one,
+    the largest lies past 2**53, outside every space.
     """
-    kinds = set(map(type, members))
-    try:
-        if kinds <= {int}:
-            return np.array(members, dtype=np.intp)
-        if kinds <= {int, float}:
-            ids = np.array(members, dtype=np.float64)
-            if ((np.abs(ids) < 2.0 ** 53) & (ids == np.trunc(ids))).all():  # NaN fails both
-                return ids.astype(np.intp)
-    except OverflowError:  # an int past int64
-        pass
-    return [as_int(x, "member id") for x in members]
+    ids = real_array(members)
+    if ids is not None and ((np.abs(ids) < 2.0 ** 53) & (ids == np.trunc(ids))).all():  # NaN fails
+        return ids.astype(np.intp)
+    for x in members:
+        as_int(x, "member id")
+    raise InvalidInputError(f"node {node_id}: point id {max(members, key=abs)} outside every space")
 
 
 @dataclass

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from array import array
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
@@ -53,7 +52,6 @@ from .simplex import PartitionOfUnity, vertex_key
 
 SCHEMA_VERSION = 1
 _FAULTS = (CoarseCertError, KeyError, IndexError, TypeError, ValueError, OverflowError)
-_PLAIN_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:')  # as scanstring reads it
 
 
 def dumps_canonical(obj) -> str:
@@ -146,19 +144,15 @@ class _Cursor:
         """
         more = self._open("{", "}")
         while more:
-            plain = _PLAIN_KEY.match(self.text, self.pos)
-            if plain:
-                key, self.pos = plain.group(1), plain.end()
-            else:  # an escape, a control character, or no key at all
-                if self.peek() != '"':
-                    raise _NotJson
-                try:
-                    key, self.pos = scanstring(self.text, self.pos + 1)
-                except ValueError:
-                    raise _NotJson from None
-                if self.peek() != ":":
-                    raise _NotJson
-                self.pos += 1
+            if self.peek() != '"':
+                raise _NotJson
+            try:
+                key, self.pos = scanstring(self.text, self.pos + 1)
+            except ValueError:
+                raise _NotJson from None
+            if self.peek() != ":":
+                raise _NotJson
+            self.pos += 1
             yield key
             more = self._more("}")
 
@@ -414,14 +408,6 @@ def _pou_rows(entries, space: FiniteMetricSpace) -> tuple:
         ids.append(x)
         counts.append(len(verts) - start)
     return ids, counts, verts, weights
-
-
-def pou_from_json(obj: dict, space: FiniteMetricSpace) -> PartitionOfUnity:
-    """The pou of a parsed pou file."""
-    entries = obj.get("entries")
-    if not isinstance(entries, dict):
-        raise InvalidInputError(_NO_ENTRIES)
-    return PartitionOfUnity._from_rows(space, *_pou_rows(entries.items(), space))
 
 
 def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUnity:

@@ -134,6 +134,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -175,8 +176,27 @@ def as_int(value, what: str) -> int:
 def _real(value) -> bool:
     """A real number: not a string or boolean, which float() and np.asarray read as
     numbers, nor a null, array or object, which they refuse with a bare TypeError."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+    return _real_kind(type(value))
+
+
+def _real_kind(kind: type) -> bool:
+    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
+
+
+def real_array(values: Sequence) -> Optional[np.ndarray]:
+    """values as one float64 array if each is a real number (_real), else None.
+
+    type() sorts the values, with no Python call per value; an int past
+    every float gives None too.  Ints are rounded as float() rounds them.
+    On None, the caller names the fault one value at a time (as_int,
+    as_float).
+    """
+    if not all(map(_real_kind, set(map(type, values)))):
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
 
 
 def as_float(value, what: str) -> float:
@@ -568,32 +588,30 @@ def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) 
 def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space whose metric is weighted shortest-path distance.
 
-    edges holds [u, v, w] items: a sequence of them, or an (E, 3) float64
-    table of them in the same order.  The table is checked as arrays:
-    integral endpoints in range, finite non-negative weights, none zero
-    off the diagonal.  A sequence is checked one edge at a time
-    (_edge_arrays), and so is a table that fails, only to name its first
-    fault.  The graph must be connected; a stranded component
-    representative is named otherwise.  A zero-weight edge between
-    distinct points (a zero distance off the diagonal) and a distance that
-    overflows to inf are rejected outright.
+    edges holds [u, v, w] items: an iterable of them, or an (E, 3) float64
+    table of them in the same order.  Items become that table first
+    (_edge_table), which is then checked as arrays: integral endpoints in
+    range, finite non-negative weights, none zero off the diagonal.  Only
+    when the conversion or a check fails are the items read one at a time
+    (_name_edge_fault), to name the first faulty one.  The graph must be
+    connected; a stranded component representative is named otherwise.  A
+    zero-weight edge between distinct points (a zero distance off the
+    diagonal) and a distance that overflows to inf are rejected outright.
     """
     n = as_int(n, "vertex count")
     if n <= 0:
         raise InvalidInputError("graph needs at least one vertex")
-    table = isinstance(edges, np.ndarray)
-    if not (table and edges.shape[1:] == (3,) and edges.dtype == np.float64
-            and n < 2 ** 53):  # past 2**53, n is not exact as a float
-        us, vs, ws = _edge_arrays(n, edges.tolist() if table else edges)
-    else:
-        u, v, w = edges.T
-        ends = np.concatenate([u, v])
-        if not (((ends >= 0) & (ends < n) & (ends == np.floor(ends))).all()
-                and (np.isfinite(w) & (w >= 0) & ((w > 0) | (u == v))).all()):
-            _edge_arrays(n, edges.tolist())
-            raise AssertionError("the per-edge check passed edges that the table check refused")
-        off = u != v
-        us, vs, ws = u[off].astype(np.intp), v[off].astype(np.intp), w[off]
+    if n >= 2 ** 53:  # no memory holds it, and endpoints past 2**53 round as floats
+        raise InvalidInputError(f"graph of {n} vertices is too large")
+    if not isinstance(edges, (list, tuple, np.ndarray)):
+        edges = list(edges)
+    table = edges if isinstance(edges, np.ndarray) and edges.dtype == np.float64 else _edge_table(edges)
+    if not _edges_hold(n, table):
+        _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
+        raise AssertionError("the per-edge check passed edges that the table check refused")
+    u, v, w = table.T
+    off = u != v
+    us, vs, ws = u[off].astype(np.intp), v[off].astype(np.intp), w[off]
     # parallel edges: keep the minimum weight before building the matrix
     # (sparse constructors sum duplicates)
     if len(us):
@@ -633,9 +651,28 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     return space
 
 
-def _edge_arrays(n: int, edges):
-    """(u, v, w) arrays of edges' items off the diagonal, naming the first faulty item."""
-    us, vs, ws = [], [], []
+def _edge_table(edges) -> Optional[np.ndarray]:
+    """edges as an (E, 3) float64 table if each is a list, tuple or array of 3 real numbers."""
+    if not (all(issubclass(kind, (list, tuple, np.ndarray)) for kind in set(map(type, edges)))
+            and set(map(len, edges)) <= {3}):
+        return None
+    flat = real_array(list(chain.from_iterable(edges)))
+    return None if flat is None else flat.reshape(-1, 3)
+
+
+def _edges_hold(n: int, table: Optional[np.ndarray]) -> bool:
+    """Whether table is an (E, 3) table of edges on n points: integral endpoints
+    in range, finite non-negative weights, none zero off the diagonal."""
+    if table is None or table.shape[1:] != (3,):
+        return False
+    u, v, w = table.T
+    ends = table[:, :2]
+    return bool(((ends >= 0) & (ends < n) & (ends == np.floor(ends))).all()
+                and (np.isfinite(w) & (w >= 0) & ((w > 0) | (u == v))).all())
+
+
+def _name_edge_fault(n: int, edges) -> None:
+    """Name the first faulty [u, v, w] item of edges, in order; return if there is none."""
     for k, e in enumerate(edges):
         if not isinstance(e, (list, tuple, np.ndarray)):
             raise InvalidInputError(f"edge #{k} is not an array")
@@ -651,15 +688,8 @@ def _edge_arrays(n: int, edges):
             raise InvalidInputError(f"edge ({u},{v}) has non-finite weight {w!r}")
         if w < 0:
             raise NegativeDistanceError(u, v, w)
-        if u == v:
-            continue
-        if w == 0.0:
+        if w == 0.0 and u != v:
             raise ZeroOffDiagonalError(u, v)
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    return (np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp),
-            np.array(ws, dtype=np.float64))
 
 
 def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict] = None) -> FiniteMetricSpace:

@@ -475,6 +475,9 @@ MALFORMED = {
                                         lambda obj: obj["nodes"][-1]["members"].insert(0, 2**63),
                                         "tree.json: node 4: point id 9223372036854775808 "
                                         "outside every space"),
+    "tree member id past 2**53": ("tree.json",  # no space is that large
+                                  lambda obj: obj["nodes"][-1]["members"].insert(0, 2**53 + 1),
+                                  f"tree.json: node 4: point id {2**53 + 1} outside every space"),
     "tree nodes not an array": ("tree.json", lambda obj: obj.update(nodes=3),
                                 "tree.json: tree nodes is not an array"),
     "tree node not an object": ("tree.json", lambda obj: obj["nodes"].__setitem__(1, 5),
@@ -964,8 +967,11 @@ class TestRoundTrips:
         f = PartitionOfUnity(path_space(120), assignment)
         text = jsonio.pou_to_json(f, space_ref=space_ref)
         assert text == self._reference_text(f, space_ref)
-        assert jsonio.pou_to_json(jsonio.pou_from_json(json.loads(text), f.space),
-                                  space_ref=space_ref) == text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.pou.json"
+            path.write_text(text, encoding="utf-8")
+            again = jsonio.load_pou(path, f.space)
+        assert jsonio.pou_to_json(again, space_ref=space_ref) == text
 
     def test_pou_text_refuses_non_finite_weight(self):
         sp = path_space(3)
@@ -974,7 +980,7 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             jsonio.pou_to_json(f)
 
-    def test_pou_load_memory_below_parsed_file(self):
+    def test_pou_load_memory_below_parsed_file(self, tmp_path):
         # a pou shaped like a certificate's on a 6000-point path: one vertex per
         # block of 40 points, and two on the 5 points either side of a seam
         n = 6000
@@ -987,15 +993,19 @@ class TestRoundTrips:
             else:
                 entries[str(x)] = [[f"1:{b}", 1.0]]
         text = json.dumps({"v": 1, "space": "p6000", "entries": entries})
+        path = tmp_path / "f.pou.json"
+        path.write_text(text, encoding="utf-8")
         space = path_space(n)
         del entries
         tracemalloc.start()
         try:
             obj = json.loads(text)
             parsed = tracemalloc.get_traced_memory()[0]
+            del obj
+            start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            f = jsonio.pou_from_json(obj, space)
-            peak = tracemalloc.get_traced_memory()[1] - parsed
+            f = jsonio.load_pou(path, space)
+            peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert len(f.domain) == n

@@ -213,6 +213,25 @@ class TestLoadGraph:
         with pytest.raises(InvalidInputError):
             load_graph(2, [(0, 5, 1.0)])
 
+    def test_edge_list_checked_as_one_table(self, monkeypatch):
+        # a list of edges converts to the table a file's data becomes, with
+        # no converter call per field; only a fault sends it edge by edge
+        calls = []
+        for name in ("as_int", "as_float"):
+            real = getattr(metric, name)
+            monkeypatch.setattr(metric, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        sp = load_graph(500, [(x, x + 1, 1) for x in range(498)] + [[498, 499.0, np.float32(0.5)]])
+        assert calls == ["as_int"] and sp.d(0, 499) == 498.5  # the vertex count
+        with pytest.raises(InvalidInputError, match=r"edge \(3,4\) weight '1' is not a number"):
+            load_graph(500, [(x, x + 1, 1) for x in range(3)] + [(3, 4, "1"), (4, 5, True)])
+        assert calls.count("as_float") == 4
+
+    def test_vertex_count_past_two_to_the_53_refused(self):
+        # its endpoints would not be exact as floats, and no memory holds it
+        with pytest.raises(InvalidInputError, match=f"graph of {2 ** 53} vertices is too large"):
+            load_graph(2 ** 53, [])
+
     @pytest.mark.parametrize("edge, message", [
         ((0, 1), r"edge \(0,1\) has 2 fields, expected 3"),
         ((0, 1, 1.0, 7), r"edge \(0,1\) has 4 fields, expected 3"),

@@ -1,5 +1,6 @@
-import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +415,9 @@ class TestCsrStorage:
         space = SPACE if table else FREE
         f = make(a, space)
         text = jsonio.pou_to_json(f)
-        again = jsonio.pou_from_json(json.loads(text), space)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.pou.json"
+            path.write_text(text, encoding="utf-8")
+            again = jsonio.load_pou(path, space)
         assert jsonio.pou_to_json(again) == text
         assert dict(again.items()) == dict(f.items())
