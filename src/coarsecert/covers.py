@@ -112,7 +112,12 @@ class DecompositionTree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompositionTree":
-        nodes = [_node_from_json(k, nd) for k, nd in enumerate(_array(obj["nodes"], "tree nodes"))]
+        """The tree of a tree file's object, whose "nodes" are TreeNodes already.
+
+        A reader turns each node object into a TreeNode as it comes
+        (node_from_json), so a file's nodes are never held as JSON at once.
+        """
+        nodes = obj["nodes"]
         return cls(m=as_int(obj["m"], "tree depth"),
                    arity=tuple(_array(obj.get("arity", []), "tree arity")),
                    radii=tuple(_array(obj.get("radii", []), "tree radii")), nodes=nodes)
@@ -124,13 +129,19 @@ def _array(value, what: str):
     return value
 
 
-def _node_from_json(k: int, nd) -> TreeNode:
-    """Tree node #k of a tree file, naming a malformed field or a point listed twice."""
+def node_from_json(k: int, nd) -> TreeNode:
+    """Tree node #k of a tree file, naming a malformed field or a point listed twice.
+
+    Its members are a JSON array, or the int64 array a reader parsed it into.
+    """
     if not isinstance(nd, dict):
         raise InvalidInputError(f"tree node #{k} is not an object")
     node_id = as_int(nd["id"], "node id")
     level = as_int(nd["level"], "node level")
-    ids = _member_ids(node_id, _array(nd["members"], f"node {node_id} members"))
+    members = nd["members"]
+    if not isinstance(members, np.ndarray):
+        members = _array(members, f"node {node_id} members")
+    ids = _member_ids(node_id, members)
     members = PointSubset(ids)
     if len(members) < len(ids):
         values, counts = np.unique(ids, return_counts=True)
@@ -141,17 +152,23 @@ def _node_from_json(k: int, nd) -> TreeNode:
     return TreeNode(id=node_id, level=level, members=members, families=families)
 
 
-def _member_ids(node_id: int, members: list) -> np.ndarray:
-    """Node node_id's member ids as one intp array.
+def _member_ids(node_id: int, members) -> np.ndarray:
+    """Node node_id's member ids as one read-only intp array, which PointSubset keeps.
 
-    The list converts through real_array when each member is an integer
-    below 2**53 in magnitude.  Otherwise the members go through as_int one
-    at a time, to name the first that is not an integer; if each is one,
-    the largest lies past 2**53, outside every space.
+    members is a list, or an int64 array that the reader made of them.  A
+    list converts through real_array when each member is an integer.  Ids
+    pass when each is below 2**53 in magnitude.  Otherwise the members go
+    through as_int one at a time, to name the first that is not an integer;
+    if each is one, the largest lies past 2**53, outside every space.
     """
-    ids = real_array(members)
-    if ids is not None and ((np.abs(ids) < 2.0 ** 53) & (ids == np.trunc(ids))).all():  # NaN fails
-        return ids.astype(np.intp)
+    ids = members if isinstance(members, np.ndarray) else real_array(members)
+    if ids is not None and ids.dtype.kind == "f" and not (ids == np.trunc(ids)).all():
+        ids = None  # NaN too
+    if ids is not None and (not ids.size or (-2 ** 53 < ids.min() and ids.max() < 2 ** 53)):
+        ids = ids.astype(np.intp, copy=False)
+        ids.setflags(write=False)
+        return ids
+    members = members.tolist() if isinstance(members, np.ndarray) else members
     for x in members:
         as_int(x, "member id")
     raise InvalidInputError(f"node {node_id}: point id {max(members, key=abs)} outside every space")

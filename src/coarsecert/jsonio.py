@@ -16,11 +16,14 @@ streams one item at a time (_Cursor):
   flat arrays of point ids, row lengths and weights and a list of
   vertices, which become the pou's CSR arrays once the text is dropped;
 - a space's "data": a graph's [u, v, w] items go into one float64 table
-  (_read_data), which load_graph checks as arrays.
+  (_read_data), which load_graph checks as arrays;
+- a tree's "nodes": each becomes a TreeNode as soon as it is read, its
+  members taken from the text straight into an int64 array when they are
+  digits and commas alone (_read_nodes).
 
-Trees and reports are small and decoded whole (load_json).  What json.loads
-would refuse, the reader refuses too, and then asks json.loads for the
-message.  The faults of a file are named in this order:
+Reports are small and decoded whole (load_json).  What json.loads would
+refuse, the reader refuses too, and then asks json.loads for the message.
+The faults of a file are named in this order:
 
 1. the file cannot be read, or is not valid UTF-8 or JSON (a syntax error
    anywhere, or a repeated key), in json's own words;
@@ -38,16 +41,27 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .covers import DecompositionTree
+from .covers import DecompositionTree, node_from_json
 from .errors import CoarseCertError, InvalidInputError
-from .metric import FiniteMetricSpace, as_float, as_int, load_graph, load_matrix, load_points
+from .metric import (
+    ROW_BLOCK_CELLS,
+    TABLE_CHUNK_CELLS,
+    FiniteMetricSpace,
+    as_float,
+    as_int,
+    load_graph,
+    load_matrix,
+    load_points,
+    row_entries,
+)
 from .simplex import PartitionOfUnity, vertex_key
 
 SCHEMA_VERSION = 1
@@ -59,10 +73,17 @@ def dumps_canonical(obj) -> str:
 
 
 def save_json(path: Union[str, Path], obj: Union[dict, str]) -> None:
-    """Write obj's canonical text, or obj itself if it is already text."""
+    """Write obj's canonical text, or obj itself if it is already text.
+
+    The text is rendered before the file is opened, so a value that JSON
+    cannot hold leaves no file behind, and it is encoded and written
+    TABLE_CHUNK_CELLS characters at a time, never as one bytes copy.
+    """
     text = obj if isinstance(obj, str) else dumps_canonical(obj)
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            for lo in range(0, len(text), TABLE_CHUNK_CELLS):
+                out.write(text[lo:lo + TABLE_CHUNK_CELLS])
     except OSError as exc:  # a missing directory is an input error, not a failed check
         raise InvalidInputError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
@@ -156,11 +177,11 @@ class _Cursor:
             yield key
             more = self._more("}")
 
-    def items(self):
-        """Each item of the array at the cursor, decoded whole."""
+    def items(self, read: Callable = None):
+        """Each item of the array at the cursor: read(self), or the item decoded whole."""
         more = self._open("[", "]")
         while more:
-            yield self.value()
+            yield read(self) if read else self.value()
             more = self._more("]")
 
 
@@ -288,18 +309,30 @@ def _read_data(cursor: _Cursor):
 
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
+    """The space of a space file's object; its meta, which follows data, is checked last."""
+    meta = obj.get("meta")
+    space = _space_from_data(obj, meta if isinstance(meta, dict) else None)
+    if meta is not None and not isinstance(meta, dict):
+        raise InvalidInputError("space meta is not an object")
+    return space
+
+
+def _space_from_data(obj: dict, meta: Optional[dict]) -> FiniteMetricSpace:
     kind, data = obj.get("kind"), obj.get("data")
-    meta = obj.get("meta") or {}
     if kind == "graph":  # load_graph checks n first
         return load_graph(obj.get("n", 0), data, meta=meta)
     n = as_int(obj.get("n", 0), "vertex count")
     if isinstance(data, np.ndarray):  # rows of 3 numbers, read as a table: the same numbers
         data = data.tolist()
     if kind == "matrix":
+        if not isinstance(data, list):
+            raise InvalidInputError("space data is not an array")
         if len(data) != n:
             raise InvalidInputError(f"matrix has {len(data)} rows but n is {n}")
         return load_matrix(data, meta=meta)
     if kind == "points":
+        if not isinstance(data, dict):
+            raise InvalidInputError("space data is not an object")
         coords = data["coords"]
         if len(coords) != n:
             raise InvalidInputError(f"points space has {len(coords)} points but n is {n}")
@@ -319,23 +352,43 @@ def pou_to_json(pou: PartitionOfUnity, space_ref: str = "") -> str:
     """The pou file's text: dumps_canonical of {"v", "space", "entries"}.
 
     entries maps each point id, as a string, to its row as [vertex key,
-    weight] pairs in carrier order.  The text is rendered one row at a time
-    rather than built as that dict.
+    weight] pairs in carrier order.  The text is rendered from the CSR
+    arrays in blocks of ROW_BLOCK_CELLS/64 rows, in the order of the ids'
+    strings (_string_order), and joined once, rather than built as that
+    dict or as lists of every row; a non-finite weight is refused first.
     """
     if not np.isfinite(pou.weights).all():
         raise ValueError("Out of range float values are not JSON compliant")
     heads = [f'["{vertex_key(v)}",' for v in pou.carrier()]
-    counts = np.diff(pou.indptr)
-    order = np.lexsort((pou.columns, np.repeat(np.arange(len(counts)), counts)))
-    cols, weights = pou.columns[order].tolist(), pou.weights[order].tolist()
-    bounds, names = pou.indptr.tolist(), [str(x) for x in pou.domain.ids.tolist()]
-    rows = []
-    for i in sorted(range(len(names)), key=names.__getitem__):  # keys sort as strings
-        a, b = bounds[i], bounds[i + 1]
-        row = ",".join([f"{heads[j]}{w!r}]" for j, w in zip(cols[a:b], weights[a:b])])
-        rows.append(f'"{names[i]}":[{row}]')
-    return (f'{{"entries":{{{",".join(rows)}}},"space":{json.dumps(space_ref)},'
-            f'"v":{SCHEMA_VERSION}}}\n')
+    order, step = _string_order(pou.domain.ids), max(1, ROW_BLOCK_CELLS // 64)
+    parts = ['{"entries":{']
+    for lo in range(0, len(order), step):
+        rows = order[lo:lo + step]
+        kept, entries = row_entries(pou.indptr, rows)
+        entries = entries[np.lexsort((pou.columns[entries],
+                                      np.repeat(np.arange(len(rows)), np.diff(kept))))]
+        cols, weights = pou.columns[entries].tolist(), pou.weights[entries].tolist()
+        bounds = kept.tolist()
+        parts.append(("," if lo else "") + ",".join([
+            f'"{x}":[{",".join([f"{heads[j]}{w!r}]" for j, w in zip(cols[a:b], weights[a:b])])}]'
+            for x, a, b in zip(pou.domain.ids[rows].tolist(), bounds, bounds[1:])]))
+    parts.append(f'}},"space":{json.dumps(space_ref)},"v":{SCHEMA_VERSION}}}\n')
+    return "".join(parts)
+
+
+def _string_order(ids: np.ndarray) -> np.ndarray:
+    """The positions of ids (non-negative, below 2**53) in the order of their decimal strings.
+
+    That is the order sort_keys gives their keys.  Each id, padded on the
+    right with zeros to the widest id's digits, compares as its string does,
+    and of two equal after padding the shorter string, a prefix of the
+    other, comes first.
+    """
+    powers = 10 ** np.arange(17, dtype=np.int64)
+    digits = np.searchsorted(powers[1:], ids, side="right")  # each id's digits, less 1
+    padded = powers[int(digits.max(initial=0)) - digits]
+    padded *= ids
+    return np.lexsort((digits, padded))
 
 
 _NO_ENTRIES = "pou file needs an 'entries' object"
@@ -364,7 +417,7 @@ def _no_repeat(x: int, row: list) -> None:
         seen.add(v)
 
 
-def _pou_rows(entries, space: FiniteMetricSpace) -> tuple:
+def _pou_rows(entries, space: FiniteMetricSpace) -> list:
     """PartitionOfUnity._from_rows' flat rows of (point key, row) pairs.
 
     Each pair is checked as it comes, and the point ids, row lengths and
@@ -383,9 +436,15 @@ def _pou_rows(entries, space: FiniteMetricSpace) -> tuple:
         if seen[x]:  # or a repeated key, which the reader then names
             raise InvalidInputError(f"pou assigns point {x} twice")
         seen[x] = 1
+        if type(pairs) is not list:
+            raise InvalidInputError(f"point {x}'s row is not an array")
         start = len(verts)
         try:
-            for vk, w in pairs:
+            for pair in pairs:
+                if type(pair) is not list or len(pair) != 2:
+                    raise InvalidInputError(f"entry #{len(verts) - start} of point {x} "
+                                            f"is not a [vertex, weight] pair")
+                vk, w = pair
                 v = parsed.get(vk) if type(vk) is str else None
                 if v is None:
                     v = _vertex(vk, x)
@@ -400,14 +459,14 @@ def _pou_rows(entries, space: FiniteMetricSpace) -> tuple:
                         raise InvalidInputError(
                             f"weight {w!r} of point {x} is too large for a float") from None
                 weights.append(w)
-        except (InvalidInputError, TypeError, ValueError, OverflowError):
+        except InvalidInputError:
             _no_repeat(x, verts[start:])  # an earlier entry's fault comes first
             raise
         if len(verts) - start > 1:
             _no_repeat(x, verts[start:])
         ids.append(x)
         counts.append(len(verts) - start)
-    return ids, counts, verts, weights
+    return [ids, counts, verts, weights]
 
 
 def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUnity:
@@ -415,7 +474,7 @@ def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUni
 
     The rows are built into a pou once the text is read and dropped.
     """
-    def entries(cursor: _Cursor) -> tuple:
+    def entries(cursor: _Cursor) -> list:
         if cursor.peek() != "{":
             raise InvalidInputError(_NO_ENTRIES)
         return _pou_rows(((key, cursor.value()) for key in cursor.keys()), space)
@@ -423,7 +482,7 @@ def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUni
     def from_rows(obj: dict) -> PartitionOfUnity:
         if "entries" not in obj:
             raise InvalidInputError(_NO_ENTRIES)
-        return PartitionOfUnity._from_rows(space, *obj["entries"])
+        return PartitionOfUnity._from_rows(space, obj.pop("entries"))
 
     return _load(path, from_rows, streams={"entries": entries})
 
@@ -432,14 +491,75 @@ def load_pou(path: Union[str, Path], space: FiniteMetricSpace) -> PartitionOfUni
 # trees
 # ---------------------------------------------------------------------------
 
-def tree_to_json(tree: DecompositionTree) -> dict:
-    obj = tree.to_json()
-    obj["v"] = SCHEMA_VERSION
-    return obj
+def tree_to_json(tree: DecompositionTree) -> str:
+    """The tree file's text: dumps_canonical of tree.to_json() with "v".
+
+    It is rendered a node at a time, a node's members from their id array
+    in blocks of ROW_BLOCK_CELLS/64, and joined once, so no list of every
+    member is built.
+    """
+    def text(value) -> str:
+        return dumps_canonical(value)[:-1]
+
+    step = max(1, ROW_BLOCK_CELLS // 64)
+    parts = [f'{{"arity":{text(list(tree.arity))},"m":{text(tree.m)},"nodes":[']
+    for k, nd in enumerate(tree.nodes):
+        parts.append(f'{"," if k else ""}{{"families":{text([list(fam) for fam in nd.families])},'
+                     f'"id":{text(nd.id)},"level":{text(nd.level)},"members":[')
+        ids = nd.members.ids
+        parts += [("," if lo else "") + ",".join(map(str, ids[lo:lo + step].tolist()))
+                  for lo in range(0, len(ids), step)]
+        parts.append("]}")
+    parts.append(f'],"radii":{text(list(tree.radii))},"v":{SCHEMA_VERSION}}}\n')
+    return "".join(parts)
+
+
+# a members array of digits and commas alone, as the writer lays it out, and
+# what makes such text no list of JSON integers: an empty item, a leading zero
+_DIGITS = re.compile(r"\[[0-9,]*\]")
+_LEADING_ZERO = re.compile(r",0[0-9]")
+
+
+def _read_nodes(cursor: _Cursor) -> list:
+    """A tree's nodes, each turned into a TreeNode (node_from_json) as soon as it is read."""
+    if cursor.peek() != "[":
+        raise InvalidInputError("tree nodes is not an array")
+    return [node_from_json(k, nd) for k, nd in enumerate(cursor.items(_read_node))]
+
+
+def _read_node(cursor: _Cursor):
+    """The value at the cursor, decoded as json would, except a node's members (_plain_ids)."""
+    if cursor.peek() != "{":
+        return cursor.value()
+    node = {}
+    for key in cursor.keys():
+        if key in node:
+            raise _NotJson
+        found = _DIGITS.match(cursor.text, cursor.pos) if key == "members" else None
+        ids = None if found is None else _plain_ids(cursor.text[found.start() + 1:found.end() - 1])
+        if ids is None:
+            node[key] = cursor.value()
+        else:
+            node[key], cursor.pos = ids, found.end()
+    return node
+
+
+def _plain_ids(text: str):
+    """The int64 array of text, digits and commas, if json reads it as integers below 2**53.
+
+    That is when no item is empty or starts with a zero it does not end
+    with; a number past 2**53 (or past int64, which np.fromstring clamps)
+    gives None too, and json decodes it and the reader names it.
+    """
+    if (",," in text or text[:1] == "," or text[-1:] == "," or _LEADING_ZERO.search(text)
+            or (text[:1] == "0" and text[1:2].isdigit())):
+        return None
+    ids = np.fromstring(text, dtype=np.int64, sep=",")
+    return ids if not ids.size or ids.max() < 2 ** 53 else None
 
 
 def load_tree(path: Union[str, Path]) -> DecompositionTree:
-    return _load(path, DecompositionTree.from_json)
+    return _load(path, DecompositionTree.from_json, streams={"nodes": _read_nodes})
 
 
 # ---------------------------------------------------------------------------

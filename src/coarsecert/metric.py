@@ -135,7 +135,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -433,13 +433,34 @@ def _exact_grid(values: np.ndarray, terms: np.ndarray) -> bool:
     |v| = m * 2**e with m * 2**53 an integer M, whose lowest set bit M & -M
     is read off by np.frexp again.  A term that scales past the largest
     float is inf, and so is a sum of terms past it, scaled back.
+
+    Both arrays are read in blocks of TABLE_CHUNK_CELLS, and the verdict is
+    the whole arrays' in any blocking.  g is a minimum.  The terms are
+    non-negative multiples of 2**g (or inf), so scaled by 2**-g they are
+    non-negative integers, and their float sum, in any order, is below 2**53
+    exactly when their exact sum is: while every partial sum stays below
+    2**53 each addition is exact, and once one reaches it no later one falls
+    below it, since rounding is monotone and 2**53 is a float.  Below 2**53
+    the sum is exact, so the scaled-back test sees the same number.
     """
-    mant, exp = np.frexp(np.abs(values[values != 0]))
-    ints = np.ldexp(mant, 53).astype(np.int64)
-    low = exp - 53 + np.frexp((ints & -ints).astype(np.float64))[1] - 1
-    g = int(low.min()) if low.size else 0
+    flat, step, lows = values.reshape(-1), TABLE_CHUNK_CELLS, []
+    for lo in range(0, flat.size, step):
+        mant = np.abs(flat[lo:lo + step])
+        mant = mant[mant != 0]
+        if mant.size:  # in place where it can be: a block's temporaries stay few
+            exp = np.frexp(mant, out=(mant, np.empty(mant.size, dtype=np.int32)))[1]
+            ints = np.ldexp(mant, 53, out=mant).astype(np.int64)
+            del mant
+            ints &= -ints  # 2**t, whose float's exponent field holds t + 1023
+            lowest = ints.astype(np.float64).view(np.int64)
+            del ints
+            lowest >>= 52
+            lowest += exp
+            lows.append(int(lowest.min()) - 1023 - 53)
+    g = min(lows, default=0)
     with np.errstate(over="ignore"):
-        k = np.ldexp(terms, -g).sum()
+        k = sum(np.ldexp(terms.reshape(-1)[lo:lo + step], -g).sum()
+                for lo in range(0, terms.size, step))
         return bool(k < 2.0 ** 53 and np.isfinite(np.ldexp(k, g)))
 
 
@@ -585,11 +606,11 @@ def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) 
     return space
 
 
-def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
+def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space whose metric is weighted shortest-path distance.
 
-    edges holds [u, v, w] items: an iterable of them, or an (E, 3) float64
-    table of them in the same order.  Items become that table first
+    edges holds [u, v, w] items: a list or tuple of them, or an (E, 3)
+    float64 table of them in the same order.  Items become that table first
     (_edge_table), which is then checked as arrays: integral endpoints in
     range, finite non-negative weights, none zero off the diagonal.  Only
     when the conversion or a check fails are the items read one at a time
@@ -604,31 +625,12 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     if n >= 2 ** 53:  # no memory holds it, and endpoints past 2**53 round as floats
         raise InvalidInputError(f"graph of {n} vertices is too large")
     if not isinstance(edges, (list, tuple, np.ndarray)):
-        edges = list(edges)
+        raise InvalidInputError("space data is not an array")
     table = edges if isinstance(edges, np.ndarray) and edges.dtype == np.float64 else _edge_table(edges)
     if not _edges_hold(n, table):
         _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
         raise AssertionError("the per-edge check passed edges that the table check refused")
-    u, v, w = table.T
-    off = u != v
-    us, vs, ws = u[off].astype(np.intp), v[off].astype(np.intp), w[off]
-    # parallel edges: keep the minimum weight before building the matrix
-    # (sparse constructors sum duplicates)
-    if len(us):
-        u_arr = np.minimum(us, vs)
-        v_arr = np.maximum(us, vs)
-        w_arr = ws
-        order = np.lexsort((w_arr, v_arr, u_arr))
-        u_arr, v_arr, w_arr = u_arr[order], v_arr[order], w_arr[order]
-        first = np.ones(len(u_arr), dtype=bool)
-        first[1:] = (u_arr[1:] != u_arr[:-1]) | (v_arr[1:] != v_arr[:-1])
-        u_arr, v_arr, w_arr = u_arr[first], v_arr[first], w_arr[first]
-        adj = csr_matrix(
-            (np.concatenate([w_arr, w_arr]),
-             (np.concatenate([u_arr, v_arr]), np.concatenate([v_arr, u_arr]))),
-            shape=(n, n))
-    else:
-        adj = csr_matrix((n, n))
+    adj = _symmetric_csr(n, *table.T)
     if n > 1:
         ncomp, labels = connected_components(adj, directed=False)
         if ncomp > 1:
@@ -649,6 +651,35 @@ def load_graph(n: int, edges: Iterable[Sequence[float]], meta: Optional[dict] = 
     if not _exact_grid(adj.data, adj.data):  # exact sums make every row the graph metric
         _validate(space)
     return space
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_matrix:
+    """The n x n CSR matrix of the edges (u[k], v[k]) of weight w[k], stored both ways.
+
+    Self-loops are dropped, and of parallel edges only the lightest is
+    kept, where csr_matrix((data, (row, col))) would sum them.  The arrays
+    are the ones that constructor builds from the kept entries, with its
+    dtypes, made without its COO copies: one lexsort of both directions by
+    (row, col, weight) puts each row's columns in ascending order, each
+    pair's lightest weight first; indptr counts the rows' entries; and the
+    index dtype is int32 while n and the entry count fit in it, as scipy
+    picks it (csr_matrix narrows int64 arrays whose values fit).
+    """
+    e = len(u)
+    idx = np.int32 if max(n, 2 * e) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(2 * e, dtype=idx), np.empty(2 * e, dtype=idx)
+    rows[:e], rows[e:], cols[:e], cols[e:] = u, v, v, u  # integral floats below n
+    data = np.concatenate((w, w))
+    order = np.lexsort((data, cols, rows))
+    rows = rows[order]  # one at a time: fewer copies alive at once
+    cols = cols[order]
+    data = data[order]
+    del order
+    first = rows != cols  # self-loops change no distance
+    first[1:] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
+    return csr_matrix((data[first], cols[first], indptr), shape=(n, n))
 
 
 def _edge_table(edges) -> Optional[np.ndarray]:
@@ -837,6 +868,7 @@ def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarr
             at = np.minimum(np.searchsorted(ball, members[a:b]), len(ball) - 1)
             got[a:b] = rows[np.repeat(np.arange(len(rows)), width[lo:lo + len(rows)]), at]
             got[a:b][ball[at] != members[a:b]] = math.inf  # off the ball: past the limit
+            del rows  # one block alive at a time (ball_blocks)
         for s, k, a in zip(order, picks, cells[np.cumsum([0] + height[:-1])]):
             try:
                 wants[s] = loops[s].send(got[a:a + len(k) * len(arrays[s])].reshape(len(k), -1))
@@ -962,6 +994,9 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     the same limit have the same bits on any graph that holds the ball.
     The blocks after it skip the search too, for as long as their rows
     reach more than half the points.
+
+    No block is kept here once the caller resumes, so a caller that drops
+    each block before asking for the next holds one at a time.
     """
     limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
     graph = space._graph
@@ -969,6 +1004,7 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     if space._dmat is not None or graph is None or np.isinf(limits).all():
         for lo, rows in row_blocks(space, ids):
             yield lo, everyone, rows
+            del rows  # not held while the next block is computed
         return
     target, whole = max(ROW_BLOCK_CELLS // 16, space.n), max(1, ROW_BLOCK_CELLS // space.n)
     lo, size, wide = 0, whole, False
@@ -988,13 +1024,13 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
                 rows = dijkstra(graph, directed=True, indices=sources[a:a + whole], limit=cut)
                 inside |= np.isfinite(rows).any(axis=0)
                 yield lo + a, everyone, rows
+                del rows
         else:
             ball = np.flatnonzero(inside)
             sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
             step = max(1, ROW_BLOCK_CELLS // len(ball))
             for a in range(0, len(local), step):
-                rows = dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
-                yield lo + a, ball, rows
+                yield lo + a, ball, dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
         lo += len(sources)
         reach = np.count_nonzero(inside)
         wide = 2 * reach > space.n
@@ -1035,6 +1071,7 @@ def nearest_scan(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.
             np.minimum(best, row, out=best)
             which[closer] = i
         dist[ball], nearest[ball] = best, which
+        del rows, row
     return dist, nearest
 
 

@@ -67,18 +67,24 @@ def _columns(verts: Sequence[VertexId]):
     """(column of each of verts in the sorted carrier, that carrier)."""
     carrier = sorted(set(verts))
     col = {v: j for j, v in enumerate(carrier)}
-    return np.array([col[v] for v in verts], dtype=np.intp), carrier
+    return np.fromiter(map(col.__getitem__, verts), dtype=np.intp, count=len(verts)), carrier
 
 
-def _checked_rows(ids, counts, verts, weights):
+def _checked_rows(given: list):
     """Rows given from outside, checked, as the arguments of PartitionOfUnity._store.
 
-    Point ids[i] has the next counts[i] of verts and weights.  Weights must
-    be finite and non-negative; zeros are dropped, and each row must keep
-    some whose fsum is within SUM_TOL of 1.  The first faulty row is named.
+    given is [ids, counts, verts, weights]: point ids[i] has the next
+    counts[i] of verts and weights.  It is emptied, and each input dropped
+    once read, so the inputs are not alive while the rows are sorted.
+    Weights must be finite and non-negative; zeros are dropped, and each row
+    must keep some whose fsum is within SUM_TOL of 1.  The first faulty row,
+    in the given order, is named.  The rows come back in ascending id order.
     """
+    ids, counts, verts, weights = given
+    given.clear()
     ids, weights = np.asarray(ids, dtype=np.intp), np.asarray(weights, dtype=float)
     rows = np.repeat(np.arange(len(ids)), counts)
+    del counts
     keep = weights > 0  # not -0.0, not NaN
     indptr = _indptr(np.bincount(rows[keep], minlength=len(ids)))
     bad = np.flatnonzero(~(weights >= 0) | np.isinf(weights))
@@ -104,8 +110,19 @@ def _checked_rows(ids, counts, verts, weights):
         raise InvalidInputError(f"{kind} weight {w!r} on vertex {v} of point {ids[first]}")
     if first < len(ids):
         raise InvalidInputError(f"point {ids[first]} has no positive weight")
+    del rows, weights, sizes
     columns, carrier = _columns(verts)
-    return ids, indptr, columns if whole else columns[keep], carrier, kept, np.argsort(ids)
+    del verts
+    if not whole:
+        columns = columns[keep]
+    del keep
+    order = np.argsort(ids)
+    indptr, entries = row_entries(indptr, order)
+    ids = ids[order]  # one at a time, each unsorted array dropped as it goes
+    del order
+    columns = columns[entries]
+    kept = kept[entries]
+    return ids, indptr, columns, carrier, kept
 
 
 class PartitionOfUnity:
@@ -123,14 +140,17 @@ class PartitionOfUnity:
     def __init__(self, space: FiniteMetricSpace,
                  assignment: Mapping[int, Mapping[VertexId, float]]):
         points = list(assignment.values())
-        self._store(space, *_checked_rows(list(assignment), [len(p) for p in points],
-                                          [v for p in points for v in p],
-                                          [w for p in points for w in p.values()]))
+        self._store(space, *_checked_rows([list(assignment), [len(p) for p in points],
+                                           [v for p in points for v in p],
+                                           [w for p in points for w in p.values()]]))
 
     @classmethod
-    def _from_rows(cls, space, ids, counts, verts, weights) -> "PartitionOfUnity":
-        """The pou of rows given from outside as flat lists (see _checked_rows)."""
-        return cls._from_csr(space, *_checked_rows(ids, counts, verts, weights))
+    def _from_rows(cls, space, given: list) -> "PartitionOfUnity":
+        """The pou of rows given from outside as [ids, counts, verts, weights] (_checked_rows).
+
+        given is emptied: the caller keeps no other reference to its items.
+        """
+        return cls._from_csr(space, *_checked_rows(given))
 
     def _store(self, space, ids, indptr, columns, verts, weights, rows=None) -> None:
         """Keep the given rows, in order, of the CSR arrays (all of them by default).

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall, shortest_path
 
 from coarsecert.errors import (
@@ -272,6 +274,36 @@ class TestLoadGraph:
         assert not sp.has_table and [sp.row(x).tolist() for x in range(3)] == expect
         if dense:  # every row was checked at load; they are the all-pairs table's
             assert dijkstra_table(sp).tolist() == expect
+
+
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                               st.sampled_from([0.5, 1.0, 2.0, 3.0])
+                                               | st.floats(1e-3, 1e3)),
+                                     max_size=40),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_csr_equals_the_coo_built_matrix(self, n, raw, integral):
+        # parallel edges of different weights, self-loops, float and integer
+        # weights: the arrays are those csr_matrix((data, (row, col))) makes of
+        # the lightest edge of each pair, stored both ways
+        edges = [(u % n, v % n, float(round(w)) or 1.0 if integral else w) for u, v, w in raw]
+        edges += [(x, x + 1, 7.0) for x in range(n - 1)]  # connected
+        lightest = {}
+        for u, v, w in edges:
+            if u != v:
+                key = (min(u, v), max(u, v))
+                lightest[key] = min(w, lightest.get(key, math.inf))
+        pairs = sorted(lightest)
+        row = [u for u, v in pairs] + [v for u, v in pairs]
+        col = [v for u, v in pairs] + [u for u, v in pairs]
+        data = [lightest[p] for p in pairs] * 2
+        want = (csr_matrix((np.array(data), (np.array(row, dtype=np.intp),
+                                             np.array(col, dtype=np.intp))), shape=(n, n))
+                if pairs else csr_matrix((n, n)))
+        got = load_graph(n, edges)._graph
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def random_graph(rng, n):
@@ -555,6 +587,34 @@ class TestExactSums:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert metric._exact_grid(values, values) == exact
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 3.0, 0.375, 2.0 ** -40, 2.0 ** 50, 2.0 ** 51,
+                                     2.0 ** 52 - 1, 2.0 ** 53 - 2, 1e308, 5e-324]),
+                    max_size=12),
+           st.integers(1, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_give_the_whole_arrays_verdict(self, values, cells):
+        # totals on either side of 2**53 grains, in blocks of 1 to 7 cells
+        values = np.array(values)
+        terms = np.abs(values)
+        whole = metric._exact_grid(values, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "TABLE_CHUNK_CELLS", cells)
+            assert metric._exact_grid(values, terms) == whole
+            two_d = np.resize(values, (len(values), 2))  # a cloud's coordinates
+            mp.setattr(metric, "TABLE_CHUNK_CELLS", 1 << 19)
+            expect = metric._exact_grid(two_d, terms)
+            mp.setattr(metric, "TABLE_CHUNK_CELLS", cells)
+            assert metric._exact_grid(two_d, terms) == expect
+
+    @pytest.mark.parametrize("cells", range(1, 8))
+    def test_blocks_straddling_two_to_the_53(self, monkeypatch, cells):
+        # 2**53 - 1 grains pass and 2**53 fail, whichever block holds the last one
+        monkeypatch.setattr(metric, "TABLE_CHUNK_CELLS", cells)
+        below = np.array([2.0 ** 50] * 7 + [2.0 ** 50 - 2, 1.0])
+        assert metric._exact_grid(below, below)
+        at = np.array([2.0 ** 50] * 7 + [2.0 ** 50 - 1, 1.0])
+        assert not metric._exact_grid(at, at)
 
     @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
     def test_boundary_graph_on_both_sides(self, table):
@@ -1255,6 +1315,31 @@ class TestBallBlocks:
         got = metric.diameters(sp, [PointSubset(tuple(s.tolist())) for s in sets])
         assert got.tolist() == [full[np.ix_(s, s)].max() for s in sets]
 
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        # every Dijkstra call of rows comes once the last block is dropped, in
+        # ball_blocks and in the callers that drop each block they read
+        n = 300
+        sp = path_space(n)
+        monkeypatch.setattr(metric, "ROW_BLOCK_CELLS", 4 * n)
+        blocks, real = [], metric.dijkstra
+
+        def tracked(*args, **kwargs):
+            assert all(block() is None for block in blocks)
+            out = real(*args, **kwargs)
+            if out.ndim == 2:
+                blocks.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(metric, "dijkstra", tracked)
+        ids = np.arange(0, n, 7)
+        for limit in (math.inf, 250.0, 20.0):  # whole rows, wide balls, small balls
+            for lo, ball, rows in metric.ball_blocks(sp, ids, limit):
+                del rows
+            assert metric.nearest_scan(sp, ids, limit)[0][0] == 0.0
+        sets = [PointSubset(np.arange(a, a + 40)) for a in range(0, n - 40, 20)]
+        assert metric.diameters(sp, sets).tolist() == [39.0] * len(sets)
+        assert len(blocks) > 20
 
     def test_wide_balls_read_whole_rows(self, monkeypatch):
         # the table-free bench lane's certificate: 19 star preimages of about
