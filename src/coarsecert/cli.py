@@ -107,7 +107,7 @@ def cmd_certify(args) -> int:
     try:
         result = build_certificate(
             space, tree, float(args.epsilon), modulus,
-            schedule_mode=args.schedule, verify_mode=args.mode)
+            schedule_mode=args.schedule)
     except VerificationFailedError as exc:
         if exc.report is not None:
             jsonio.save_json(f"{out}.report.json", jsonio.report_to_json(exc.report))
@@ -199,7 +199,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", type=float, required=True)
     c.add_argument("--modulus", default="paper")
     c.add_argument("--schedule", default="conservative", choices=["conservative", "paper"])
-    c.add_argument("--mode", default="restricted", choices=["restricted", "full"])
     c.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     c.add_argument("--out", required=True, help="output path prefix")
     c.set_defaults(func=cmd_certify)

@@ -34,11 +34,11 @@ from .metric import (
     PointSubset,
     as_float,
     as_int,
+    ball_blocks,
     closed_set_ball,
     cross_minima,
     dist_to_set_all,
     real_array,
-    row_blocks,
 )
 from .verify import (
     SLACK_TOL,
@@ -479,9 +479,10 @@ def brick_tree(space: FiniteMetricSpace, R_schedule: Sequence[float],
     if block_scale < 1:
         raise ScaleTooSmallError(f"block_scale must be >= 1, got {block_scale!r}")
     # diameter <= block_scale, from rows cut off at block_scale: the first
-    # block that reaches farther (or not at all) settles it
-    everyone = np.arange(space.n)
-    if all(rows.max() <= block_scale for _, rows in row_blocks(space, everyone, block_scale)):
+    # block whose ball misses a point (farther than block_scale) or whose
+    # rows reach farther settles it
+    if all(len(ball) == space.n and rows.max() <= block_scale
+           for _, ball, rows in ball_blocks(space, np.arange(space.n), block_scale)):
         root = TreeNode(id=0, level=1, members=space.all_points())
         return DecompositionTree(m=1, arity=(), radii=(), nodes=[root])
     if not R_schedule:

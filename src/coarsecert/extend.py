@@ -532,8 +532,7 @@ class CertificateResult:
 
 def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
                       epsilon: float, modulus: Optional[Modulus] = None,
-                      schedule_mode: str = "conservative",
-                      verify_mode: str = "restricted") -> CertificateResult:
+                      schedule_mode: str = "conservative") -> CertificateResult:
     """Build and verify a certificate over a validated decomposition tree.
 
     Recursive descent: leaves go through the bounded-piece extension, and an
@@ -595,7 +594,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
 
     if len(pou.domain) != space.n:
         raise VerificationFailedError("certificate does not cover the space")
-    lip = lipschitz_check(pou, epsilon, epsilon, mode=verify_mode)
+    lip = lipschitz_check(pou, epsilon, epsilon, mode="restricted")
     cob = cobounded_check(pou, bound)
     result = CertificateResult(
         pou=pou, bound=bound, schedule=schedule, lipschitz=lip, cobounded=cob,

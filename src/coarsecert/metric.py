@@ -42,7 +42,7 @@ builds a block a coordinate at a time where that gives the rows' bits
 certified at load.
 Only FiniteMetricSpace reads a table, so whether a space has one is
 decided inside that class alone.  The set primitives at the end of this
-module keep a running minimum over row blocks in ascending id order, so no
+module keep a running minimum over ball blocks in ascending id order, so no
 |A| x n block is ever built and a set query holds O(n) plus one block.
 
 A graph's diameter reads a row only while it can raise the running
@@ -139,7 +139,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, floyd_warshall
 from scipy.sparse.csgraph import shortest_path  # noqa: F401  unused; bench/tracer.py wraps it
 
 from .errors import (
@@ -317,9 +317,7 @@ class FiniteMetricSpace:
             # load_graph stores both directions of every edge, so the directed
             # search sees the same graph without scipy symmetrizing it per call
             return dijkstra(self._graph, directed=True, indices=x)
-        if self._coords is not None:
-            return _lp_row(self._coords, x, self._p_norm)
-        raise InvalidInputError("space has no backing data for row queries")
+        return _lp_row(self._coords, x, self._p_norm)
 
     def rows(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
         """The rows of ids (an index array), stacked; exact wherever <= limit.
@@ -331,9 +329,7 @@ class FiniteMetricSpace:
             return self._dmat[ids]
         if self._graph is not None:  # scipy refuses a negative limit
             return dijkstra(self._graph, directed=True, indices=ids, limit=max(limit, 0.0))
-        if self._coords is not None:
-            return _lp_rows(self._coords, ids, self._p_norm)
-        return np.stack([self._compute_row(x) for x in ids])
+        return _lp_rows(self._coords, ids, self._p_norm)
 
     def distances_to(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
         """dist(x, ids) for every x, the least entry of ids' rows; exact wherever <= limit.
@@ -345,7 +341,7 @@ class FiniteMetricSpace:
             return dijkstra(self._graph, directed=True, indices=ids, min_only=True,
                             limit=max(limit, 0.0))
         out = np.full(self.n, math.inf)
-        for _, block in row_blocks(self, ids, limit):
+        for _, _, block in ball_blocks(self, ids, limit):
             np.minimum(out, block.min(axis=0), out=out)
         return out
 
@@ -527,7 +523,9 @@ def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
     weights above METRIC_TOL.  A Dijkstra row passes exactly: each entry is
     the least rounded d(x,u) + w(u,y).  Rows come from space.rows in blocks
     of at most ROW_BLOCK_CELLS cells and TABLE_CHUNK_CELLS edge cells, so
-    the temporaries stay a few MB; the cost is O(len(ids)*E).
+    the temporaries stay a few MB; the cost is O(len(ids)*E).  The blocks
+    are sized here, not by ball_blocks, because the edge gather
+    (TABLE_CHUNK_CELLS // E sources) bounds them too.
     """
     n = space.n
     if n < 2:
@@ -562,7 +560,7 @@ def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
     holds at most ROW_BLOCK_CELLS cells.
     """
     rows = np.empty((len(ids), space.n))
-    for lo, block in row_blocks(space, ids):
+    for lo, _, block in ball_blocks(space, ids):
         rows[lo:lo + len(block)] = block
         del block  # not held while the next one is built
     step = max(1, ROW_BLOCK_CELLS // space.n)
@@ -615,8 +613,8 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     range, finite non-negative weights, none zero off the diagonal.  Only
     when the conversion or a check fails are the items read one at a time
     (_name_edge_fault), to name the first faulty one.  The graph must be
-    connected; a stranded component representative is named otherwise.  A
-    zero-weight edge between distinct points (a zero distance off the
+    connected; the least id outside point 0's component is named otherwise.
+    A zero-weight edge between distinct points (a zero distance off the
     diagonal) and a distance that overflows to inf are rejected outright.
     """
     n = as_int(n, "vertex count")
@@ -631,11 +629,11 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
         _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
         raise AssertionError("the per-edge check passed edges that the table check refused")
     adj = _symmetric_csr(n, *table.T)
-    if n > 1:
-        ncomp, labels = connected_components(adj, directed=False)
-        if ncomp > 1:
-            stranded = int(np.flatnonzero(labels != labels[0])[0])
-            raise DisconnectedError(stranded)
+    # adj holds both directions, so a directed search from 0 finds its component
+    reached = np.zeros(n, dtype=bool)
+    reached[breadth_first_order(adj, 0, return_predecessors=False)] = True
+    if not reached.all():
+        raise DisconnectedError(int(np.argmin(reached)))
 
     space = FiniteMetricSpace(n, "graph", graph=adj, meta=meta)
     with np.errstate(over="ignore"):  # each edge is stored both ways: twice the total
@@ -643,7 +641,7 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     # a distance sums distinct edges, so while twice their total is finite no
     # rounded sum overflows; otherwise name the first pair whose sum does
     if not total_finite:
-        for lo, rows in row_blocks(space, np.arange(n)):
+        for lo, _, rows in ball_blocks(space, np.arange(n)):
             bad = np.argwhere(np.isinf(rows))  # row-major: the first is the least pair
             if bad.size:
                 i, y = bad[0]
@@ -957,17 +955,6 @@ def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int, heavies
     return worst
 
 
-def row_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
-    """(lo, rows) block by block: rows holds the rows of ids[lo:lo + len(rows)].
-
-    A block holds at most ROW_BLOCK_CELLS cells (at least one row) and is
-    cut off at limit, so its entries above limit may be inf.
-    """
-    step = max(1, ROW_BLOCK_CELLS // space.n)
-    for lo in range(0, len(ids), step):
-        yield lo, space.rows(ids[lo:lo + step], limit)
-
-
 def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     """(lo, ball, rows) block by block: rows holds the rows of ids[lo:lo + len(rows)] on ball.
 
@@ -977,23 +964,24 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     is cut off at the largest of its ids' limits.
 
     A table, a cloud, and ids all cut off at inf have every point as their
-    ball and the blocks of row_blocks.  On a graph, a block's ball comes
-    from one multi-source Dijkstra call, and its rows from one call on the
-    ball's own subgraph (module docstring), split by sources past
-    ROW_BLOCK_CELLS cells.  The search is O(n), so it runs once per block.
-    The first block takes as many sources as a block of whole rows
-    (row_blocks), and each next one is sized from the last one's ball,
-    taking the ball to grow like its sources, for rows of about
-    max(n, ROW_BLOCK_CELLS/16) cells: the search at most doubles a block's
-    cells, and a small graph's block holds about one of verify._pairs' pair
-    arrays.
+    ball, and blocks of ROW_BLOCK_CELLS // n whole rows (at least one) from
+    FiniteMetricSpace.rows.  On a graph, a block's ball comes from one
+    multi-source Dijkstra call, and its rows from one call on the ball's
+    own subgraph (module docstring), split by sources past ROW_BLOCK_CELLS
+    cells.  The search is O(n), so it runs once per block.  The first block
+    takes as many sources as a block of whole rows, and each next one is
+    sized from the last one's ball, taking the ball to grow like its
+    sources, for rows of about max(n, ROW_BLOCK_CELLS/16) cells: the search
+    at most doubles a block's cells, and a small graph's block holds about
+    one of verify._pairs' slices of pairs.
 
     A block whose ball holds more than half the points, or that is cut off
-    at inf, reads whole rows on the whole graph instead, as many sources a
-    call as row_blocks takes, and its ball is every point: rows cut off at
-    the same limit have the same bits on any graph that holds the ball.
-    The blocks after it skip the search too, for as long as their rows
-    reach more than half the points.
+    at inf, reads whole rows on the whole graph instead, through
+    FiniteMetricSpace.rows and as many sources a call as a block of whole
+    rows, and its ball is every point: rows cut off at the same limit have
+    the same bits on any graph that holds the ball.  The blocks after it
+    skip the search too, for as long as their rows reach more than half
+    the points.
 
     No block is kept here once the caller resumes, so a caller that drops
     each block before asking for the next holds one at a time.
@@ -1001,12 +989,14 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
     graph = space._graph
     everyone = np.arange(space.n)
+    whole = max(1, ROW_BLOCK_CELLS // space.n)
     if space._dmat is not None or graph is None or np.isinf(limits).all():
-        for lo, rows in row_blocks(space, ids):
+        for lo in range(0, len(ids), whole):
+            rows = space.rows(ids[lo:lo + whole])
             yield lo, everyone, rows
             del rows  # not held while the next block is computed
         return
-    target, whole = max(ROW_BLOCK_CELLS // 16, space.n), max(1, ROW_BLOCK_CELLS // space.n)
+    target = max(ROW_BLOCK_CELLS // 16, space.n)
     lo, size, wide = 0, whole, False
     while lo < len(ids):
         if math.isinf(limits[lo]):
@@ -1021,7 +1011,7 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
         if wide:
             inside = np.zeros(space.n, dtype=bool)
             for a in range(0, len(sources), whole):
-                rows = dijkstra(graph, directed=True, indices=sources[a:a + whole], limit=cut)
+                rows = space.rows(sources[a:a + whole], cut)
                 inside |= np.isfinite(rows).any(axis=0)
                 yield lo + a, everyone, rows
                 del rows

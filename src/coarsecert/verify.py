@@ -11,8 +11,10 @@ Lipschitz kernel reads the pou's CSR arrays and never builds its dense
 n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j
 (in restricted mode only those closer than the radius), in (i, j) order
 from one mask over the later columns of each block of rows on its ball
-(metric.ball_blocks, cut off at the restricted radius), in arrays of
-ROW_BLOCK_CELLS/16 pairs that run across rows and blocks.  Each l1 has
+(metric.ball_blocks, cut off at the restricted radius), in arrays of at
+most ROW_BLOCK_CELLS/16 pairs that run across rows but not blocks.  The
+first strict minimum in (i, j) order does not depend on where an array
+ends, and neither does any slack, so reports do not either.  Each l1 has
 the bits of numpy's row sum of |f(x) - f(y)| over the carrier: a sum adds
 exact zeros, so two single-entry rows give |u - v| or u + v directly, and
 every other pair is scattered into buffers of carrier-wide rows
@@ -40,7 +42,6 @@ from .metric import (
     cross_minima,
     diameters,
     nearest_scan,
-    row_blocks,
     row_entries,
 )
 from .simplex import (
@@ -217,21 +218,18 @@ def _require_finite(**claims) -> None:
 
 
 def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
-    """(i, j, d) arrays of ROW_BLOCK_CELLS/16 pairs each, the last maybe fewer.
+    """(i, j, d) arrays of 1 to ROW_BLOCK_CELLS/16 pairs each.
 
     The pairs of domain positions i < j (with a radius, only those with
     d(pts[i], pts[j]) < radius) in (i, j) order, and d their distances.
     Each ball block of rows (ball_blocks, cut off at the radius) is taken
     on the domain positions in its ball after its first row's position,
-    masked once, and read in runs of whole rows of about one array's pairs:
-    a run's pairs are its mask's nonzero cells, each row's numbered from
-    its count.  Arrays carry pairs across blocks, and are views of buffers
-    the next one reuses.
+    masked once, and read in runs of whole rows of about ROW_BLOCK_CELLS/16
+    pairs: a run's pairs are its mask's nonzero cells, each row's numbered
+    from its count, handed out in slices of at most ROW_BLOCK_CELLS/16.
     """
     size = max(1, ROW_BLOCK_CELLS // 16)
     m = len(pts)
-    ii, jj, dd = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
-    held = 0
     for lo, ball, rows in ball_blocks(space, pts, math.inf if radius is None else radius):
         at = np.minimum(np.searchsorted(pts, ball), m - 1)
         hit = pts[at] == ball  # the ball's points in the domain, at positions at[hit]
@@ -253,16 +251,8 @@ def _pairs(space: FiniteMetricSpace, pts: np.ndarray, radius: Optional[float]):
             c = cols[c]
             r += lo + g
             d = rows[g:g + step][mask]
-            for a in range(-held, r.size, size):  # after the held pairs, [a:a + size]
-                k = slice(max(a, 0), a + size)
-                end = held + len(r[k])
-                ii[held:end], jj[held:end], dd[held:end] = r[k], c[k], d[k]
-                held = end
-                if held == size:
-                    yield ii, jj, dd
-                    held = 0
-    if held:
-        yield ii[:held], jj[:held], dd[:held]
+            for a in range(0, r.size, size):
+                yield r[a:a + size], c[a:a + size], d[a:a + size]
 
 
 class _SlackKernel:
@@ -438,9 +428,9 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
     covered = masks.any(axis=0)
     if not covered.all():
         raise NotACoverError(int(np.flatnonzero(~covered)[0]))
-    for lo, rows in row_blocks(space, np.arange(space.n), M):
+    for lo, ball, rows in ball_blocks(space, np.arange(space.n), M):
         for x, row in enumerate(rows, lo):
-            if not masks[:, np.flatnonzero(row < M)].all(axis=1).any():
+            if not masks[:, ball[row < M]].all(axis=1).any():
                 return LebesgueReport(M=M, witness_point=x)
     return LebesgueReport(M=M, witness_point=None)
 

@@ -721,6 +721,18 @@ def test_workers_below_one_exit_two(clean_artifacts, tmp_path, capsys, workers):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("mode", ["restricted", "full"])
+def test_certify_has_no_mode(clean_artifacts, tmp_path, capsys, mode):
+    # the mandatory check is restricted (criterion 4 pins that it agrees with
+    # full mode); verify --mode full is the consumer's full check
+    d = clean_artifacts
+    assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
+               "--epsilon", 0.8, "--modulus", "linear:2", "--mode", mode,
+               "--out", tmp_path / "cert") == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_input_file_exit_two(clean_artifacts):
     assert_input_error(clean_artifacts, ["verify", "--space", "space.json",
                                          "--pou", "nothing.pou.json", "--epsilon", "0.8"],

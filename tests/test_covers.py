@@ -172,6 +172,19 @@ class TestBrickTree1D:
         assert brick_tree(sp, [3.0], 10.5).m == 2
         assert full == []
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("height", [1, 3, 64])
+    def test_trivial_tree_iff_diameter_within_scale(self, monkeypatch, dense, height):
+        # a 30-point path has diameter 29: the trivial tree exactly when
+        # block_scale >= 29, whether a block's ball misses a point (small
+        # scales) or its rows reach past block_scale (scales near 29)
+        sp = path_space(30)
+        if dense:  # the oracle lane: an all-pairs table built here
+            sp = with_table(sp)
+        monkeypatch.setattr(metric, "ROW_BLOCK_CELLS", height * 30)
+        for scale in (2.0, 9.0, 15.0, 28.0, 28.5, 29.0, 29.5, 60.0):
+            assert (brick_tree(sp, [1.0], scale).m == 1) == (scale >= 29.0)
+
     def test_scale_too_small(self):
         sp = path_space(100)
         with pytest.raises(ScaleTooSmallError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall, shortest_path
+from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from coarsecert.errors import (
     AsymmetryError,
@@ -192,6 +192,35 @@ class TestLoadGraph:
         with pytest.raises(DisconnectedError) as err:
             load_graph(2, [])
         assert err.value.representative == 1
+
+    @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_disconnected_names_least_stranded_id(self, n, k, seed):
+        # random edges inside k random parts, so a part may split further:
+        # the witness is the least id whose component is not point 0's
+        rng = np.random.default_rng(seed)
+        part = rng.integers(0, k, n)
+        edges = []
+        for x in range(n):
+            same = np.flatnonzero(part[:x] == part[x])
+            if same.size and rng.random() < 0.95:  # mostly to an earlier point of its part
+                edges.append((int(rng.choice(same)), x, float(rng.integers(1, 4))))
+            elif rng.random() < 0.5:
+                edges.append((x, x, 1.0))  # a loop joins nothing
+        for _ in range(n // 3):
+            u, v = rng.integers(0, n, 2)
+            if part[u] == part[v]:
+                edges.append((int(u), int(v), 0.5))
+        u, v = (np.array([e[i] for e in edges], dtype=int) for i in (0, 1))
+        labels = connected_components(csr_matrix((np.ones(len(edges)), (u, v)), shape=(n, n)),
+                                      directed=False)[1]
+        stranded = np.flatnonzero(labels != labels[0])
+        if stranded.size:
+            with pytest.raises(DisconnectedError) as err:
+                load_graph(n, edges)
+            assert err.value.representative == int(stranded[0])
+        else:
+            assert load_graph(n, edges).n == n
 
     def test_zero_weight_edge(self):
         with pytest.raises(ZeroOffDiagonalError):

@@ -317,8 +317,8 @@ class TestStreamedSlackKernel:
     @settings(max_examples=80, deadline=None)
     def test_pairs_span_blocks(self, n, seed, limited, height, size):
         # blocks of `height` whole rows (or ball blocks split past height * n
-        # cells) and arrays of `size` pairs, so that arrays carry pairs across
-        # blocks: the arrays, joined, are the enumeration
+        # cells) and arrays of at most `size` pairs: the arrays, joined, are
+        # the enumeration
         rng = np.random.default_rng(seed)
         sp = weighted_graph(rng, n, integral=False)
         pts = np.flatnonzero(rng.random(n) < 0.6)
@@ -327,8 +327,7 @@ class TestStreamedSlackKernel:
             mp.setattr(metric, "ROW_BLOCK_CELLS", height * n)
             mp.setattr(verify, "ROW_BLOCK_CELLS", 16 * size)
             arrays = [[z.copy() for z in a] for a in verify._pairs(sp, pts, radius)]
-        assert all(len(ii) == size for ii, _, _ in arrays[:-1])
-        assert all(0 < len(ii) <= size for ii, _, _ in arrays[-1:])
+        assert all(0 < len(ii) <= size for ii, _, _ in arrays)
         ii, jj, d = (np.concatenate(z) for z in zip(*arrays)) if arrays else ([], [], [])
         assert list(zip(ii, jj)) == brute_pairs(sp, pts, radius)
         assert [sp.d(int(pts[i]), int(pts[j])) for i, j in zip(ii, jj)] == list(d)
@@ -685,6 +684,33 @@ class TestLebesgue:
             assert rep.witness_point == expect and rep.passed == (expect is None)
             verdicts.append(rep.passed)
         assert any(verdicts) and not all(verdicts)
+
+    @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(), st.integers(1, 4),
+           st.sampled_from(["nonpositive", "a distance", "below the diameter", "above"]))
+    @settings(max_examples=80, deadline=None)
+    def test_ball_blocks_match_table(self, n, seed, integral, height, kind):
+        # a graph reads the balls of ball blocks (ball subgraphs, or whole rows
+        # once a ball holds most points), the oracle lane its table: the same
+        # report, also where M equals a distance and strict < decides
+        rng = np.random.default_rng(seed)
+        sp = weighted_graph(rng, n, integral=integral)
+        table = with_table(sp)
+        d = table._dmat
+        m = {"nonpositive": float(rng.choice([0.0, -1.5])),
+             "a distance": float(d[rng.integers(n), rng.integers(n)]),
+             "below the diameter": float(rng.uniform(0.0, d.max())),
+             "above": 2.0 * float(d.max()) + 1.0}[kind]
+        members = [np.flatnonzero(d[c] <= r) for c, r in
+                   zip(rng.integers(0, n, 4), rng.uniform(0.0, d.max(), 4))]
+        members[0] = np.union1d(members[0], rng.choice(n, size=n // 2))
+        for x in np.setdiff1d(np.arange(n), np.concatenate(members)):
+            k = int(rng.integers(0, len(members)))
+            members[k] = np.append(members[k], x)
+        cover = [PointSubset(ids) for ids in members]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "ROW_BLOCK_CELLS", height * n)
+            got = lebesgue_check(sp, cover, m)
+        assert got == lebesgue_check(table, cover, m)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_nonpositive_radius_passes(self, monkeypatch, dense):
