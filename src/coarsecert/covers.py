@@ -28,6 +28,7 @@ from .errors import (
     NotAGridError,
     NotTwoSDisjointError,
     ScaleTooSmallError,
+    required,
 )
 from .metric import (
     FiniteMetricSpace,
@@ -117,8 +118,8 @@ class DecompositionTree:
         A reader turns each node object into a TreeNode as it comes
         (node_from_json), so a file's nodes are never held as JSON at once.
         """
-        nodes = obj["nodes"]
-        return cls(m=as_int(obj["m"], "tree depth"),
+        nodes = required(obj, "nodes", "tree")
+        return cls(m=as_int(required(obj, "m", "tree"), "tree depth"),
                    arity=tuple(_array(obj.get("arity", []), "tree arity")),
                    radii=tuple(_array(obj.get("radii", []), "tree radii")), nodes=nodes)
 
@@ -136,9 +137,9 @@ def node_from_json(k: int, nd) -> TreeNode:
     """
     if not isinstance(nd, dict):
         raise InvalidInputError(f"tree node #{k} is not an object")
-    node_id = as_int(nd["id"], "node id")
-    level = as_int(nd["level"], "node level")
-    members = nd["members"]
+    node_id = as_int(required(nd, "id", f"tree node #{k}"), "node id")
+    level = as_int(required(nd, "level", f"tree node #{k}"), "node level")
+    members = required(nd, "members", f"tree node #{k}")
     if not isinstance(members, np.ndarray):
         members = _array(members, f"node {node_id} members")
     ids = _member_ids(node_id, members)

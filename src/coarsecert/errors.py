@@ -98,6 +98,13 @@ class InvalidInputError(CoarseCertError):
     """Malformed input outside the named metric-axiom violations."""
 
 
+def required(obj: dict, key: str, what: str):
+    """obj[key], or an InvalidInputError naming it, such as 'report has no "bound"'."""
+    if key not in obj:
+        raise InvalidInputError(f'{what} has no "{key}"')
+    return obj[key]
+
+
 # ---------------------------------------------------------------------------
 # simplex / partitions of unity
 # ---------------------------------------------------------------------------

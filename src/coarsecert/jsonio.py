@@ -50,7 +50,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from .covers import DecompositionTree, node_from_json
-from .errors import CoarseCertError, InvalidInputError
+from .errors import CoarseCertError, InvalidInputError, required
 from .metric import (
     ROW_BLOCK_CELLS,
     TABLE_CHUNK_CELLS,
@@ -574,7 +574,8 @@ def report_to_json(report_dict: dict) -> dict:
 
 def claims_from_json(obj: dict) -> Tuple[float, float]:
     """(epsilon, bound) that a certificate report claims."""
-    eps, bound = as_float(obj["epsilon"], "epsilon"), as_float(obj["bound"], "bound")
+    eps = as_float(required(obj, "epsilon", "report"), "epsilon")
+    bound = as_float(required(obj, "bound", "report"), "bound")
     if not (math.isfinite(eps) and math.isfinite(bound)):
         raise InvalidInputError(f"report claims epsilon {eps!r} and bound {bound!r}")
     return eps, bound

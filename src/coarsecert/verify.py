@@ -1,26 +1,35 @@
 """Independent verification of every claim a construction can make.
 
-Each check here recomputes its property by direct enumeration over the
-actual object, never trusting how the object was built.  Reports always
-carry witnesses so that failures are reproducible by hand, and the slack
-tolerance (-1e-9) is recorded in every report.
+Each check here recomputes its property from the actual object, never
+trusting how the object was built: by direct enumeration, or, for full
+mode's far pairs, by a bound proved from the object's own weights.
+Reports always carry witnesses so that failures are reproducible by hand,
+and the slack tolerance (-1e-9) is recorded in every report.
 
 Every pairwise check reads each source row once and keeps the first
 minimum under strict <, so witnesses are lexicographically least.  The
 Lipschitz kernel reads the pou's CSR arrays and never builds its dense
-n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j
-(in restricted mode only those closer than the radius), in (i, j) order
-from one mask over the later columns of each block of rows on its ball
-(metric.ball_blocks, cut off at the restricted radius), in arrays of at
-most ROW_BLOCK_CELLS/16 pairs that run across rows but not blocks.  The
-first strict minimum in (i, j) order does not depend on where an array
-ends, and neither does any slack, so reports do not either.  Each l1 has
-the bits of numpy's row sum of |f(x) - f(y)| over the carrier: a sum adds
-exact zeros, so two single-entry rows give |u - v| or u + v directly, and
-every other pair is scattered into buffers of carrier-wide rows
-(ROW_BLOCK_CELLS/4 cells) and summed there, since numpy's pairwise
-association makes a sum of 3 or more terms depend on its order.
+n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j,
+closer than a radius, in (i, j) order from one mask over the later columns
+of each block of rows on its ball (metric.ball_blocks, cut off at the
+radius), in arrays of at most ROW_BLOCK_CELLS/16 pairs that run across
+rows but not blocks.  The first strict minimum in (i, j) order does not
+depend on where an array ends, and neither does any slack, so reports do
+not either.  Each l1 has the bits of numpy's row sum of |f(x) - f(y)| over
+the carrier: a sum adds exact zeros, so two single-entry rows give |u - v|
+or u + v directly, and every other pair is scattered into buffers of
+carrier-wide rows (ROW_BLOCK_CELLS/4 cells) and summed there, since numpy's
+pairwise association makes a sum of 3 or more terms depend on its order.
 Restricted mode's largest weight sum follows the same rule.
+
+Restricted mode's radius is 2*s/eps - 1, and its report covers the pairs
+closer than that.  Full mode reports the least slack over every pair in
+O(n * ball) work: it scans the pairs closer than rho = L/lam, L a bound on
+every computed l1 (2s times 1 + 4 * carrier * eps, for numpy's summation
+error), and a pair it skips is at distance >= rho, so its computed slack
+is at least lam*rho + C - L.  When that is strictly above the scanned
+minimum, the scan holds the least slack and its first witness; otherwise
+rho doubles, up to a scan of every pair (lipschitz_check).
 R-disjointness takes one distance to each member (metric.cross_minima)
 and scans the rows of one member only to name a witness.
 """
@@ -301,6 +310,21 @@ class _SlackKernel:
             top = max(top, float(block.sum(axis=1).max()))
         return top
 
+    def l1_max(self) -> float:
+        """A bound L on every value of l1: 2 * row_sums_max() * (1 + 4 * width * eps).
+
+        Weights are finite and non-negative, so each computed |a - b| is at
+        most max(a, b) <= a + b, and a sum of w = width non-negative terms
+        in any order of additions is within a factor (1 +- eps/2)^(w-1) of
+        its exact value.  So an l1 is at most the two rows' exact sums
+        times (1 + eps/2)^(w-1), each exact sum at most row_sums_max()
+        over (1 - eps/2)^(w-1), and a single-entry pair's u + v within
+        eps/2 of 2s; 4 * w * eps covers those factors and the two roundings
+        of the bound itself.
+        """
+        width = self.bufs.shape[2]
+        return 2.0 * self.row_sums_max() * (1.0 + 4 * width * float(np.finfo(np.float64).eps))
+
     def l1(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """l1 between the rows of each pair (ii[k], jj[k]) of domain positions."""
         wi, wj = self.weight[ii], self.weight[jj]
@@ -318,19 +342,48 @@ class _SlackKernel:
         return out
 
 
+def _scan(kernel: _SlackKernel, lam: float, C: float, radius: Optional[float]):
+    """(worst, witness, count) over the pairs of kernel.f's domain that _pairs gives at radius.
+
+    worst is the least slack lam*d + C - l1, witness its first pair in (i, j)
+    order, as point ids, and count the number of pairs: each array's first
+    minimum replaces the running one only when strictly below it.
+    """
+    pts = kernel.f.domain.ids
+    worst, witness, count = math.inf, None, 0
+    for ii, jj, d in _pairs(kernel.f.space, pts, radius):
+        count += ii.size
+        slack = lam * d + C - kernel.l1(ii, jj)
+        k = int(np.argmin(slack))
+        if slack[k] < worst:
+            worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
+    return worst, witness, count
+
+
 def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
                     mode: str = "full") -> LipschitzReport:
     """Check d(f(x), f(y)) <= lam*d(x,y) + C over the domain.
 
-    Full mode checks every unordered pair.  Restricted mode requires
-    lam == C == eps and checks only pairs with d(x, y) < 2*s/eps - 1, where
-    s is the largest weight sum of the pou, or 1 when every sum lies within
-    tolerance/4 of 1.  Pairs at or beyond that radius satisfy
-    eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1), so the two
-    modes agree on pass/fail.
+    Full mode reports the least slack over every unordered pair, its first
+    witness in (i, j) order, and every pair as checked.  It scans only the
+    pairs closer than a radius rho, and bounds the rest: every l1 the
+    kernel returns is at most L (_SlackKernel.l1_max), and a pair the scan
+    skips has d >= rho (a row cut off at rho has the uncut row's bits
+    wherever it is at most rho), so, rounding being monotone, its slack is
+    at least lam*rho + C - L, evaluated in the slack's own order.  When that
+    is strictly above the scanned minimum, the scanned pairs hold the least
+    slack and its first witness.  rho starts at L/lam and doubles until the
+    bound clears or a scan takes every pair, which is the plain scan; with
+    lam <= 0 the plain scan runs at once.  An infinite minimum (no pair yet)
+    never clears.
+
+    Restricted mode requires lam == C == eps and checks only pairs with
+    d(x, y) < 2*s/eps - 1, where s is the largest weight sum of the pou, or
+    1 when every sum lies within tolerance/4 of 1.  Pairs at or beyond that
+    radius satisfy eps*d + eps >= 2*s >= l1 (up to tolerance/2 when s = 1),
+    so the two modes agree on pass/fail.
     """
     _require_finite(lam=lam, C=C)
-    restricted_radius = None
     if mode == "restricted":
         if lam != C:
             raise BadModeError("restricted mode requires lambda == C")
@@ -339,23 +392,21 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
     elif mode != "full":
         raise BadModeError(f"unknown mode {mode!r}")
 
-    pts = f.domain.ids
     kernel = _SlackKernel(f)
     if mode == "restricted":
         s_max = kernel.row_sums_max()
         s = s_max if s_max > 1.0 + SLACK_TOL / 4 else 1.0
-        restricted_radius = 2.0 * s / lam - 1.0
-
-    # each array's first minimum, in (i, j) order, replaces the running one
-    # only when strictly below it
-    worst, witness, count = math.inf, None, 0
-    for ii, jj, d in _pairs(f.space, pts, restricted_radius):
-        count += ii.size
-        slack = lam * d + C - kernel.l1(ii, jj)
-        k = int(np.argmin(slack))
-        if slack[k] < worst:
-            worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))
-    return LipschitzReport(lam, C, worst, witness, count, restricted_radius)
+        radius = 2.0 * s / lam - 1.0
+        return LipschitzReport(lam, C, *_scan(kernel, lam, C, radius), radius)
+    m = len(f.domain)
+    total = m * (m - 1) // 2
+    top = kernel.l1_max()
+    radius = top / lam if lam > 0 else None
+    while True:
+        worst, witness, count = _scan(kernel, lam, C, radius)
+        if count == total or lam * radius + C - top > worst:
+            return LipschitzReport(lam, C, worst, witness, total)
+        radius *= 2.0
 
 
 # ---------------------------------------------------------------------------

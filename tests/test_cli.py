@@ -423,6 +423,19 @@ MALFORMED = {
     "report bound a boolean": ("cert.report.json", lambda obj: obj.update(bound=True),
                                "cert.report.json: bound True is not a number"),
     "tree without nodes": ("tree.json", lambda obj: obj.pop("nodes"), "tree.json"),
+    "tree nodes missing": ("tree.json", lambda obj: obj.pop("nodes"),
+                           'tree.json: tree has no "nodes"'),
+    "tree depth missing": ("tree.json", lambda obj: obj.pop("m"), 'tree.json: tree has no "m"'),
+    "tree node id missing": ("tree.json", lambda obj: obj["nodes"][1].pop("id"),
+                             'tree.json: tree node #1 has no "id"'),
+    "tree node level missing": ("tree.json", lambda obj: obj["nodes"][1].pop("level"),
+                                'tree.json: tree node #1 has no "level"'),
+    "tree node members missing": ("tree.json", lambda obj: obj["nodes"][1].pop("members"),
+                                  'tree.json: tree node #1 has no "members"'),
+    "report bound missing": ("cert.report.json", lambda obj: obj.pop("bound"),
+                             'cert.report.json: report has no "bound"'),
+    "report epsilon missing": ("cert.report.json", lambda obj: obj.pop("epsilon"),
+                               'cert.report.json: report has no "epsilon"'),
     "tree depth not an integer": ("tree.json", lambda obj: obj.update(m="two"),
                                   "tree.json"),
     "tree depth null": ("tree.json", lambda obj: obj.update(m=None),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from coarsecert import metric, verify
 from coarsecert.covers import greedy_decomposition
 from coarsecert.errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
-from coarsecert.metric import PointSubset, diameter, load_graph
+from coarsecert.metric import PointSubset, diameter, load_graph, load_matrix, load_points
 from coarsecert.simplex import PartitionOfUnity, barycentric_pou
 from coarsecert.verify import (
     CoverFamily,
@@ -20,7 +20,7 @@ from coarsecert.verify import (
     r_disjoint_check,
     uniformly_bounded_check,
 )
-from .conftest import integer_graph, path_space, weighted_graph, with_table
+from .conftest import dijkstra_table, integer_graph, path_space, weighted_graph, with_table
 from .genutil import random_lipschitz_pou
 
 A, B = (0, 0), (0, 1)
@@ -449,6 +449,87 @@ class TestCsrSlackKernel:
         assert rep.pairs_checked == 600 * 599 // 2 or mode == "restricted"
         assert rep.pairs_checked > 0
         assert peak < 600 * 1000 * 8
+
+
+def partial_pou(space, ids, n_vertices, rng):
+    """A pou on ids with random supports of 1 to n_vertices vertices."""
+    out = {}
+    for x in ids:
+        k = int(rng.integers(1, n_vertices + 1))
+        verts = rng.choice(n_vertices, size=k, replace=False)
+        out[x] = {(0, int(v)): float(w) for v, w in zip(verts, rng.dirichlet(np.ones(k))) if w > 0}
+    return PartitionOfUnity(space, out)
+
+
+def plain_scan(f, lam, C):
+    """(worst, witness, pairs) of the scan over every pair, the full-mode oracle."""
+    return verify._scan(verify._SlackKernel(f), lam, C, None)
+
+
+class TestFullModeBound:
+    """Full mode scans near pairs and bounds the rest: the plain scan's report, bit for bit."""
+
+    @given(st.sampled_from(["float", "ties", "table", "cloud", "matrix", "gap"]),
+           st.integers(2, 30), st.integers(0, 10_000), st.floats(0.3, 1.0),
+           st.sampled_from([0.0, 1e-9, 1.0, 5.0]), st.sampled_from([-1.0, 0.0, 0.5, 3.0]))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_equals_plain_scan(self, kind, n, seed, share, lam, C):
+        rng = np.random.default_rng(seed)
+        if kind in ("float", "ties", "table"):
+            sp = weighted_graph(rng, n, integral=kind == "ties", table=kind == "table")
+        elif kind == "cloud":
+            cells = rng.choice(64, size=n, replace=False)
+            coords = np.stack([cells // 8, cells % 8], axis=1) + 0.4 * rng.random((n, 2))
+            sp = load_points(coords.tolist(), float(rng.choice([1.0, 2.0, math.inf])))
+        elif kind == "matrix":  # an integer graph's table: exact, symmetric, with ties
+            sp = load_matrix(dijkstra_table(integer_graph(rng, n)).tolist())
+        else:
+            # two unit paths one edge of (2 + t)/lam apart, each on its own
+            # vertex: the worst pair crosses the gap, past the first radius
+            k, t = int(rng.integers(0, n - 1)), float(rng.random())
+            gap = (2.0 + t) / lam if lam > 0 else 2.0 + t
+            sp = load_graph(n, [(i, i + 1, gap if i == k else 1.0) for i in range(n - 1)])
+        ids = np.flatnonzero(rng.random(n) < share).tolist() or [0]
+        if kind == "gap":
+            f = PartitionOfUnity(sp, {x: {(0, int(x > k)): 1.0} for x in ids})
+        else:
+            f = partial_pou(sp, ids, int(rng.integers(1, 7)), rng)
+        rep = lipschitz_check(f, lam, C, mode="full")
+        worst, witness, count = plain_scan(f, lam, C)
+        assert (rep.worst_slack, rep.witness_pair, rep.pairs_checked) == (worst, witness, count)
+        assert rep.restricted_radius is None
+
+    def test_far_worst_pair_found(self):
+        # the jump (4, 5) of 2.5 lies past the first radius L/lam, a little
+        # above 2: the first scan's minimum is 1 (unit steps within a side),
+        # which the bound lam*L/lam + C - L = 0 does not clear, and the
+        # second scan, at twice the radius, finds 0.5 at the jump
+        sp = load_graph(10, [(i, i + 1, 2.5 if i == 4 else 1.0) for i in range(9)])
+        f = PartitionOfUnity(sp, {x: {(0, int(x > 4)): 1.0} for x in range(10)})
+        kernel = verify._SlackKernel(f)
+        assert 2.0 < kernel.l1_max() < 2.5
+        assert verify._scan(kernel, 1.0, 0.0, kernel.l1_max())[:2] == (1.0, (0, 1))
+        rep = lipschitz_check(f, 1.0, 0.0)
+        assert (rep.worst_slack, rep.witness_pair, rep.pairs_checked) == (0.5, (4, 5), 45)
+        assert plain_scan(f, 1.0, 0.0) == (0.5, (4, 5), 45)
+
+    def test_near_pairs_only(self, monkeypatch):
+        # 2 * 10**8 pairs in all, of which full mode may hand at most 50 per
+        # point to the kernel; past that it would be the plain scan
+        n = 20000
+        sp = path_space(n)
+        f = barycentric_pou(sp, [PointSubset(tuple(range(x, min(x + 3, n)))) for x in range(0, n, 3)])
+        seen, real = [0], verify._SlackKernel.l1
+
+        def counted(self, ii, jj):
+            seen[0] += ii.size
+            assert seen[0] <= 50 * n, "full mode scanned far pairs"
+            return real(self, ii, jj)
+
+        monkeypatch.setattr(verify._SlackKernel, "l1", counted)
+        rep = lipschitz_check(f, 1.0, 1.0, mode="full")
+        assert rep.pairs_checked == n * (n - 1) // 2
+        assert (rep.worst_slack, rep.witness_pair) == (0.0, (2, 3))
 
 
 class TestCobounded:
