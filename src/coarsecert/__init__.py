@@ -4,56 +4,35 @@ The library constructs partitions of unity with controlled Lipschitz slope
 and coboundedness from nested disjoint-decomposition data, and re-verifies
 every claim by direct computation.  The verifier, not the construction, is
 the correctness authority.
+
+Each public name is imported from its home module on first access (PEP 562),
+so `import coarsecert` loads nothing, and code that only checks certificates
+never loads the construction modules `covers` and `extend`.
 """
 
-from .metric import (
-    FiniteMetricSpace,
-    PointSubset,
-    Retraction,
-    diameter,
-    load_graph,
-    load_matrix,
-    load_points,
-    nearest_point_retraction,
-    set_ball,
-)
-from .simplex import (
-    PartitionOfUnity,
-    VertexId,
-    VertexMint,
-    barycentric_pou,
-    convex_combine,
-    simplicial_retraction,
-    star_preimage_diameters,
-)
-from .verify import (
-    CoverFamily,
-    cobounded_check,
-    lebesgue_check,
-    lipschitz_check,
-    multiplicity,
-    r_disjoint_check,
-    uniformly_bounded_check,
-)
-from .covers import (
-    DecompositionTree,
-    brick_tree,
-    greedy_decomposition,
-    greedy_tree,
-    point_finite_transform,
-    tree_validate,
-)
-from .extend import (
-    BudgetSchedule,
-    Modulus,
-    budget_schedule,
-    build_certificate,
-    default_modulus,
-    extend_over_bounded_piece,
-    extend_over_disjoint_family,
-    extend_pou,
-    extend_pou_cobounded,
-    paste,
-)
+import importlib
 
+_HOMES = {name: home for home, names in (
+    ("metric", "FiniteMetricSpace PointSubset diameter load_graph load_matrix load_points"),
+    ("simplex", "PartitionOfUnity VertexId VertexMint barycentric_pou convex_combine "
+                "simplicial_retraction star_preimage_diameters"),
+    ("verify", "CoverFamily cobounded_check lebesgue_check lipschitz_check multiplicity "
+               "r_disjoint_check uniformly_bounded_check"),
+    ("covers", "DecompositionTree brick_tree greedy_decomposition greedy_tree "
+               "point_finite_transform tree_validate"),
+    ("extend", "BudgetSchedule Modulus Retraction budget_schedule build_certificate "
+               "default_modulus extend_over_bounded_piece extend_over_disjoint_family "
+               "extend_pou extend_pou_cobounded nearest_point_retraction paste set_ball"),
+) for name in names.split()}
+
+__all__ = list(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,22 +4,44 @@ Exit codes: 0 for pass, 1 for a verification failure, 2 for usage or input
 errors, so CI pipelines can gate on certificates.  All randomness sits
 behind one seeded generator whose seed is recorded in the output metadata;
 the same command line reproduces byte-identical files.
+
+Each command loads only the modules it runs: `generate` and `verify` never
+load the construction modules `covers` and `extend`, and `decompose` never
+loads `extend`.  Their functions are bound here to forwarders that import
+on first call, not imported inside each command, because the benchmark's
+tracer (bench/tracer.layer_patches) wraps these names in this module's
+namespace; they become local imports once the tracer moves (ROADMAP.md,
+item 1a).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from . import jsonio
-from .covers import brick_tree, greedy_tree, tree_validate
 from .errors import (CoarseCertError, ConstructionFailedError, InvalidInputError,
                      VerificationFailedError)
-from .extend import build_certificate, parse_modulus
 from .verify import cobounded_check, lipschitz_check
+
+
+def _forward(home: str, name: str):
+    """A stand-in for coarsecert.<home>.<name> that imports home when called."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{home}", __package__), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+brick_tree = _forward("covers", "brick_tree")
+greedy_tree = _forward("covers", "greedy_tree")
+tree_validate = _forward("covers", "tree_validate")
+build_certificate = _forward("extend", "build_certificate")
+parse_modulus = _forward("extend", "parse_modulus")
 
 
 def _generate_space(args) -> dict:

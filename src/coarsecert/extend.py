@@ -52,7 +52,6 @@ from .metric import (
     PointSubset,
     dist_to_set_all,
     diameter,
-    nearest_point_retraction,  # unused here, but bench/tracer.py wraps this name
     nearest_scan,
 )
 from .simplex import (
@@ -237,6 +236,51 @@ def budget_schedule(tree: DecompositionTree, epsilon: float, modulus: Modulus,
         N=tuple(N), P=tuple(P), R_required=r_required,
         bottom=bottom, delta_leaf=delta_leaf, modulus_spec=modulus.spec(),
     )
+
+
+# ---------------------------------------------------------------------------
+# the nearest-point retraction and set balls
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Retraction:
+    """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A).
+
+    dist holds those distances for every x, so a caller needing both the
+    nearest point and the distance to A streams A's rows once.
+    """
+
+    subset: PointSubset
+    mapping: np.ndarray  # mapping[x] = p(x), length n
+    dist: np.ndarray     # dist[x] = dist(x, A) = d(x, p(x)), length n
+
+    def __call__(self, x: int) -> int:
+        return int(self.mapping[x])
+
+
+def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:
+    """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
+
+    One scan over a's rows (nearest_scan) gives both the mapping, with the
+    smallest id winning ties, and dist(x, a) for every x, returned as the
+    retraction's dist field.
+    """
+    if len(a) == 0:
+        raise EmptySetError("retraction onto empty subset")
+    dist, mapping = nearest_scan(space, a.ids)
+    mapping[a.ids] = a.ids  # fixes a exactly (d=0 is already the unique min)
+    mapping.setflags(write=False)
+    dist.setflags(write=False)
+    return Retraction(subset=a, mapping=mapping, dist=dist)
+
+
+def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
+    """The open ball {x : dist(x, a) < r} around a set, r > 0."""
+    if len(a) == 0:
+        raise EmptySetError("set_ball of empty subset")
+    if r <= 0:
+        raise InvalidInputError(f"ball radius must be > 0, got {r!r}")
+    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) < r))
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,10 @@ import re
 from array import array
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .covers import DecompositionTree, node_from_json
 from .errors import CoarseCertError, InvalidInputError, required
 from .metric import (
     ROW_BLOCK_CELLS,
@@ -63,6 +62,9 @@ from .metric import (
     row_entries,
 )
 from .simplex import PartitionOfUnity, vertex_key
+
+if TYPE_CHECKING:  # covers is imported by the tree functions that use it, so verify never loads it
+    from .covers import DecompositionTree
 
 SCHEMA_VERSION = 1
 _FAULTS = (CoarseCertError, KeyError, IndexError, TypeError, ValueError, OverflowError)
@@ -524,6 +526,7 @@ def _read_nodes(cursor: _Cursor) -> list:
     """A tree's nodes, each turned into a TreeNode (node_from_json) as soon as it is read."""
     if cursor.peek() != "[":
         raise InvalidInputError("tree nodes is not an array")
+    from .covers import node_from_json
     return [node_from_json(k, nd) for k, nd in enumerate(cursor.items(_read_node))]
 
 
@@ -559,6 +562,7 @@ def _plain_ids(text: str):
 
 
 def load_tree(path: Union[str, Path]) -> DecompositionTree:
+    from .covers import DecompositionTree
     return _load(path, DecompositionTree.from_json, streams={"nodes": _read_nodes})
 
 

@@ -265,22 +265,6 @@ class PointSubset:
         return isinstance(other, PointSubset) and np.array_equal(self.ids, other.ids)
 
 
-@dataclass(frozen=True)
-class Retraction:
-    """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A).
-
-    dist holds those distances for every x, so a caller needing both the
-    nearest point and the distance to A streams A's rows once.
-    """
-
-    subset: PointSubset
-    mapping: np.ndarray  # mapping[x] = p(x), length n
-    dist: np.ndarray     # dist[x] = dist(x, A) = d(x, p(x)), length n
-
-    def __call__(self, x: int) -> int:
-        return int(self.mapping[x])
-
-
 class FiniteMetricSpace:
     """n points with a validated metric; the universe of every construction."""
 
@@ -794,21 +778,12 @@ def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
     """dist(x, a) for every x, shape (n,): the least entry of a's rows.
 
     The one distance-to-set primitive: every set query reads the set's rows.
-    Bit-equal to nearest_point_retraction's dist field wherever at most
-    limit; an entry above limit is exact or inf.
+    Bit-equal to nearest_scan's dist wherever at most limit; an entry above
+    limit is exact or inf.
     """
     if len(a) == 0:
         raise EmptySetError("dist_to_set_all of empty subset")
     return space.distances_to(a.ids, limit)
-
-
-def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
-    """The open ball {x : dist(x, a) < r} around a set, r > 0."""
-    if len(a) == 0:
-        raise EmptySetError("set_ball of empty subset")
-    if r <= 0:
-        raise InvalidInputError(f"ball radius must be > 0, got {r!r}")
-    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) < r))
 
 
 def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
@@ -1080,19 +1055,3 @@ def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
         dist = space.distances_to(members[s].ids)
         lo = starts[s + 1]
         yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
-
-
-def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:
-    """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
-
-    One scan over a's rows (nearest_scan) gives both the mapping, with the
-    smallest id winning ties, and dist(x, a) for every x, returned as the
-    retraction's dist field.
-    """
-    if len(a) == 0:
-        raise EmptySetError("retraction onto empty subset")
-    dist, mapping = nearest_scan(space, a.ids)
-    mapping[a.ids] = a.ids  # fixes a exactly (d=0 is already the unique min)
-    mapping.setflags(write=False)
-    dist.setflags(write=False)
-    return Retraction(subset=a, mapping=mapping, dist=dist)

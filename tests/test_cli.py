@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -1341,3 +1342,48 @@ def test_bench_tracer_patches_resolve():
     with layer_patches(Tracer("t")):
         assert cli.brick_tree is not before
     assert cli.brick_tree is before
+
+
+_LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.argv[1:]); "
+           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('coarsecert.')))); "
+           "sys.exit(code)")
+
+
+@pytest.mark.parametrize("args, code, construction", [
+    (["--help"], 0, []),
+    (["verify", "--space"], 2, []),  # an argparse error
+    (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, []),
+    (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0, []),
+    (["decompose", "--space", "space.json", "--strategy", "bricks", "--R", "10",
+      "--block-scale", "11", "--out", "t.json"], 0, ["coarsecert.covers"]),
+    (["certify", "--space", "space.json", "--tree", "tree.json", "--epsilon", "0.8",
+      "--modulus", "linear:2", "--out", "c"], 0, ["coarsecert.covers", "coarsecert.extend"]),
+], ids=["help", "usage-error", "generate", "verify", "decompose", "certify"])
+def test_command_loads_only_its_modules(clean_artifacts, tmp_path, args, code, construction):
+    # the consumer's trusted base: verify runs, and so loads, no construction module
+    for name in ("space.json", "tree.json", "cert.pou.json"):
+        shutil.copy(clean_artifacts / name, tmp_path / name)
+    env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert {"coarsecert.jsonio", "coarsecert.metric", "coarsecert.verify"} <= set(loaded)
+    assert [m for m in loaded if m in ("coarsecert.covers", "coarsecert.extend")] == construction
+
+
+class TestLazyNamespace:
+    def test_names_resolve_to_their_home(self):
+        for name in coarsecert.__all__:
+            home = importlib.import_module(f"coarsecert.{coarsecert._HOMES[name]}")
+            assert getattr(coarsecert, name) is getattr(home, name), name
+
+    def test_star_import(self):
+        ns = {}
+        exec("from coarsecert import *", ns)
+        assert all(ns[name] is getattr(coarsecert, name) for name in coarsecert.__all__)
+        assert ns["set_ball"].__module__ == "coarsecert.extend"
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            coarsecert.no_such_name

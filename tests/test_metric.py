@@ -37,9 +37,8 @@ from coarsecert.metric import (
     load_graph,
     load_matrix,
     load_points,
-    nearest_point_retraction,
-    set_ball,
 )
+from coarsecert.extend import nearest_point_retraction, set_ball
 from coarsecert.simplex import barycentric_pou, star_preimage_diameters
 from .conftest import (
     dijkstra_table,
