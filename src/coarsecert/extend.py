@@ -210,10 +210,9 @@ def budget_schedule(tree: DecompositionTree, epsilon: float, modulus: Modulus,
             prod *= a
         N.append(prod)
     P: List[int] = [0] * m
-    if m >= 1:
-        P[m - 1] = 1
-        for i in range(m - 2, -1, -1):
-            P[i] = P[i + 1] * arity[i]
+    P[m - 1] = 1  # DecompositionTree has m >= 1
+    for i in range(m - 2, -1, -1):
+        P[i] = P[i + 1] * arity[i]
 
     def power_at(level: int, k: int) -> float:
         try:

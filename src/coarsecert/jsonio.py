@@ -324,10 +324,8 @@ def _space_from_data(obj: dict, meta: Optional[dict]) -> FiniteMetricSpace:
     if kind == "graph":  # load_graph checks n first
         return load_graph(obj.get("n", 0), data, meta=meta)
     n = as_int(obj.get("n", 0), "vertex count")
-    if isinstance(data, np.ndarray):  # rows of 3 numbers, read as a table: the same numbers
-        data = data.tolist()
-    if kind == "matrix":
-        if not isinstance(data, list):
+    if kind == "matrix":  # rows of 3 numbers come as a table (_read_data): the same numbers
+        if not isinstance(data, (list, np.ndarray)):
             raise InvalidInputError("space data is not an array")
         if len(data) != n:
             raise InvalidInputError(f"matrix has {len(data)} rows but n is {n}")
@@ -335,10 +333,12 @@ def _space_from_data(obj: dict, meta: Optional[dict]) -> FiniteMetricSpace:
     if kind == "points":
         if not isinstance(data, dict):
             raise InvalidInputError("space data is not an object")
-        coords = data["coords"]
+        coords = required(data, "coords", "points data")
+        if not isinstance(coords, list):
+            raise InvalidInputError("points coords is not an array")
         if len(coords) != n:
             raise InvalidInputError(f"points space has {len(coords)} points but n is {n}")
-        return load_points(coords, data["p"], meta=meta)
+        return load_points(coords, required(data, "p", "points data"), meta=meta)
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 

@@ -39,11 +39,9 @@ lp rows stacked as a dense float64 table, the same rows bit for bit, since
 its triangle check reads the table (below); a larger cloud keeps none, and
 builds a block a coordinate at a time where that gives the rows' bits
 (_lp_rows).  For a graph DENSE_LIMIT only decides how many rows are
-certified at load.
-Only FiniteMetricSpace reads a table, so whether a space has one is
-decided inside that class alone.  The set primitives at the end of this
-module keep a running minimum over ball blocks in ascending id order, so no
-|A| x n block is ever built and a set query holds O(n) plus one block.
+certified at load.  The set primitives at the end of this module keep a
+running minimum over ball blocks in ascending id order, so no |A| x n block
+is ever built and a set query holds O(n) plus one block.
 
 A graph's diameter reads a row only while it can raise the running
 maximum: a read row v bounds every member w by ecc(v) + d(v, w), and w's
@@ -60,17 +58,20 @@ only its own rows, and each of those rows has the same bits from a block
 cut off at a larger limit: a larger limit only makes more entries exact.
 So every diameter keeps its bits.
 
-Metric axioms are validated eagerly at load, unless the loader can prove
-that every distance it will ever return is exact (below).  Each loader
-checks what its construction does not already guarantee:
+Every loader turns its rows (a matrix's, a cloud's points, a graph's [u, v,
+w] edges) into one float64 table by one C-level type scan (_real_table),
+and walks the rows one at a time only when that fails, to name the first
+fault.  Metric axioms are validated eagerly at load, unless the loader can
+prove that every distance it will ever return is exact (below).  Each
+loader checks what its construction does not already guarantee:
 
 - load_matrix checks the table axioms (zero diagonal, symmetry, signs,
   positivity off the diagonal) in blocks of rows, allocating no n x n
   temporary;
 - load_graph needs none of them: positive weights on a connected graph give
-  a zero diagonal and positive distances elsewhere.  It checks its edges
-  as arrays when they come as one table, and rules out overflowing
-  distances, scanning rows only when the edges' total overflows;
+  a zero diagonal and positive distances elsewhere.  It checks its edge
+  table as arrays and rules out overflowing distances, scanning rows only
+  when the edges' total overflows;
 - load_points rules out overflowing distances and points at distance 0
   (_check_distinct); |a - b| is exactly |b - a|, so its rows are symmetric.
 
@@ -217,14 +218,33 @@ def row_entries(indptr: np.ndarray, rows: np.ndarray):
     return kept, np.repeat(indptr[rows] - kept[:-1], counts) + np.arange(kept[-1])
 
 
-def _refuse_non_numbers(rows, what: str) -> None:
-    """Name the first entry that is not a real number in a sequence of rows of numbers."""
+def _real_table(rows, width: Optional[int] = None) -> Optional[np.ndarray]:
+    """rows as an (m, k) float64 table, k = width if given, if each is a list, tuple or
+    array of k real numbers (real_array), or rows is a 2-d integer or float array;
+    else None, and the caller walks rows to name the fault (_name_row_fault)."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
-        return
+        ok = rows.ndim == 2 and width in (None, rows.shape[1])
+        return rows.astype(np.float64, copy=False) if ok else None
+    if not all(issubclass(kind, (list, tuple, np.ndarray)) for kind in set(map(type, rows))):
+        return None
+    widths = set(map(len, rows)) or {width or 0}
+    if len(widths) != 1 or width not in (None, *widths):
+        return None
+    flat = real_array(list(chain.from_iterable(rows)))
+    return None if flat is None else flat.reshape(len(rows), widths.pop())
+
+
+def _name_row_fault(rows, what: str, entry: str, ragged=InvalidInputError) -> None:
+    """Name the first fault of rows that _real_table refused, row-major: a row that is
+    not an array, an entry that is no float (as_float), a row unlike row 0 in length."""
     for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise InvalidInputError(f"{what} {i} is not an array")
         for j, value in enumerate(row):
-            if not _real(value):
-                raise InvalidInputError(f"{what} [{i}][{j}] {value!r} is not a number")
+            as_float(value, f"{entry} [{i}][{j}]")
+        if len(row) != len(rows[0]):
+            raise ragged(f"{what} {i} has {len(row)} entries, expected {len(rows[0])}")
+    raise AssertionError("the row walk passed rows that the table check refused")
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +583,8 @@ def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
         if bad.any():
             i = int(np.argmax(bad.any(axis=1)))
             z = int(np.argmax(bad[i]))
-            j = int(np.argmin(d_x[i, ids] + rows[:, z]))
+            with np.errstate(over="ignore"):
+                j = int(np.argmin(d_x[i, ids] + rows[:, z]))
             raise TriangleViolationError(int(ids[lo + i]), int(ids[j]), z, float(d_x[i, z]),
                                          float(d_x[i, ids[j]]), float(rows[j, z]))
 
@@ -574,9 +595,10 @@ def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
 
 def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) -> FiniteMetricSpace:
     """Build a space from an explicit n x n distance grid, validating axioms."""
-    _refuse_non_numbers(matrix, "matrix entry")
-    dmat = np.asarray(matrix, dtype=np.float64)
-    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+    dmat = _real_table(matrix)
+    if dmat is None:
+        _name_row_fault(matrix, "matrix row", "matrix entry")
+    if dmat.shape[0] != dmat.shape[1]:
         raise InvalidInputError(f"matrix must be square, got shape {dmat.shape}")
     if not np.isfinite(dmat).all():
         raise InvalidInputError("matrix entries must be finite")
@@ -592,8 +614,8 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     """Build a space whose metric is weighted shortest-path distance.
 
     edges holds [u, v, w] items: a list or tuple of them, or an (E, 3)
-    float64 table of them in the same order.  Items become that table first
-    (_edge_table), which is then checked as arrays: integral endpoints in
+    array of them in the same order.  Items become a float64 table first
+    (_real_table), which is then checked as arrays: integral endpoints in
     range, finite non-negative weights, none zero off the diagonal.  Only
     when the conversion or a check fails are the items read one at a time
     (_name_edge_fault), to name the first faulty one.  The graph must be
@@ -608,10 +630,9 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
         raise InvalidInputError(f"graph of {n} vertices is too large")
     if not isinstance(edges, (list, tuple, np.ndarray)):
         raise InvalidInputError("space data is not an array")
-    table = edges if isinstance(edges, np.ndarray) and edges.dtype == np.float64 else _edge_table(edges)
+    table = _real_table(edges, 3)
     if not _edges_hold(n, table):
         _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
-        raise AssertionError("the per-edge check passed edges that the table check refused")
     adj = _symmetric_csr(n, *table.T)
     # adj holds both directions, so a directed search from 0 finds its component
     reached = np.zeros(n, dtype=bool)
@@ -664,28 +685,18 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     return csr_matrix((data[first], cols[first], indptr), shape=(n, n))
 
 
-def _edge_table(edges) -> Optional[np.ndarray]:
-    """edges as an (E, 3) float64 table if each is a list, tuple or array of 3 real numbers."""
-    if not (all(issubclass(kind, (list, tuple, np.ndarray)) for kind in set(map(type, edges)))
-            and set(map(len, edges)) <= {3}):
-        return None
-    flat = real_array(list(chain.from_iterable(edges)))
-    return None if flat is None else flat.reshape(-1, 3)
-
-
 def _edges_hold(n: int, table: Optional[np.ndarray]) -> bool:
     """Whether table is an (E, 3) table of edges on n points: integral endpoints
     in range, finite non-negative weights, none zero off the diagonal."""
-    if table is None or table.shape[1:] != (3,):
+    if table is None:
         return False
-    u, v, w = table.T
-    ends = table[:, :2]
+    ends, (u, v, w) = table[:, :2], table.T
     return bool(((ends >= 0) & (ends < n) & (ends == np.floor(ends))).all()
                 and (np.isfinite(w) & (w >= 0) & ((w > 0) | (u == v))).all())
 
 
 def _name_edge_fault(n: int, edges) -> None:
-    """Name the first faulty [u, v, w] item of edges, in order; return if there is none."""
+    """Name the first faulty [u, v, w] item of edges, in order."""
     for k, e in enumerate(edges):
         if not isinstance(e, (list, tuple, np.ndarray)):
             raise InvalidInputError(f"edge #{k} is not an array")
@@ -703,6 +714,7 @@ def _name_edge_fault(n: int, edges) -> None:
             raise NegativeDistanceError(u, v, w)
         if w == 0.0 and u != v:
             raise ZeroOffDiagonalError(u, v)
+    raise AssertionError("the per-edge check passed edges that the table check refused")
 
 
 def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict] = None) -> FiniteMetricSpace:
@@ -713,18 +725,15 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
         raise InvalidInputError(f"p {p!r} is neither a number nor 'inf'")
     if not (p >= 1):
         raise BadNormError(f"p must be >= 1, got {p!r}")
-    _refuse_non_numbers(coords, "coordinate")
-    rows = [tuple(float(c) for c in pt) for pt in coords]
-    if not rows:
+    p = as_float(p, "p")
+    arr = _real_table(coords)
+    if arr is None:
+        _name_row_fault(coords, "point", "coordinate", MixedArityError)
+    n = len(arr)
+    if not n:
         raise InvalidInputError("empty point cloud")
-    arity = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != arity:
-            raise MixedArityError(f"point {i} has arity {len(r)}, expected {arity}")
-    arr = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInputError("coordinates must be finite")
-    n, p = arr.shape[0], float(p)
     try:  # each |a_k - b_k| is within coordinate k's spread, and _lp_row is monotone
         _lp_row(np.stack([arr.min(axis=0), arr.max(axis=0)]), 0, p)
     except InvalidInputError:  # some pair may overflow: name the first, uncached

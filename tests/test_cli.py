@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -590,7 +592,39 @@ MALFORMED = {
                                            "space.json: edge endpoint 1.5 is not an integer"),
     "points space without p": ("space.json", lambda obj: obj.update(
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"])]}),
-        "space.json"),
+        'space.json: points data has no "p"'),
+    "points space without coords": ("space.json", lambda obj: obj.update(
+        kind="points", data={"p": 2}),
+        'space.json: points data has no "coords"'),
+    "points coords a number": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": obj["n"], "p": 2}),
+        "space.json: points coords is not an array"),
+    "points coords flat": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [float(x) for x in range(obj["n"])], "p": 2}),
+        "space.json: point 0 is not an array"),
+    "points point a number": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[0.0], 1.0] + [[float(x)] for x in range(2, obj["n"])],
+                             "p": 2}),
+        "space.json: point 1 is not an array"),
+    "points coordinate past every float": ("space.json", lambda obj: obj.update(
+        kind="points",
+        data={"coords": [[0.0], [10**400]] + [[float(x)] for x in range(2, obj["n"])], "p": 2}),
+        f"space.json: coordinate [1][0] {10**400} is too large for a float"),
+    "points p past every float": ("space.json", lambda obj: obj.update(
+        kind="points", data={"coords": [[float(x)] for x in range(obj["n"])], "p": 10**400}),
+        f"space.json: p {10**400} is too large for a float"),
+    "matrix row a number": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[abs(x - y) for y in range(obj["n"])] if x != 1 else 5
+                             for x in range(obj["n"])]),
+        "space.json: matrix row 1 is not an array"),
+    "matrix rows ragged": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[abs(x - y) for y in range(obj["n"] - (x == 2))]
+                             for x in range(obj["n"])]),
+        "space.json: matrix row 2 has 39 entries, expected 40"),
+    "matrix entry past every float": ("space.json", lambda obj: obj.update(
+        kind="matrix", data=[[abs(x - y) if (x, y) != (0, 1) else 10**400
+                              for y in range(obj["n"])] for x in range(obj["n"])]),
+        f"space.json: matrix entry [0][1] {10**400} is too large for a float"),
     "points space overflowing lp distance": ("space.json", lambda obj: obj.update(
         kind="points", data={"coords": [[float(x)] for x in range(obj["n"] - 1)] + [[1e200]],
                              "p": 2}),
@@ -895,59 +929,93 @@ def test_negative_zero_weight_dropped(clean_artifacts, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-# values a fuzzed artifact leaf is set to: wrong types, out-of-range ids,
-# non-integers, non-finite floats and containers where scalars belong
-FUZZ_VALUES = [None, -1, 10**6, 1.5, "x", [], {}, float("nan"), float("inf"), [[0, [1]]]]
+# what the value at a drawn JSON path becomes: wrong types, a numeric string,
+# non-finite floats, out-of-range and non-integral numbers, an int past every
+# float, containers, itself in an array; or it is dropped, or a key is added
+_WRAP, _DROP, _ADD = "<wrap>", "<drop>", "<add>"
+FUZZ_EDITS = [None, False, "1", float("nan"), math.inf, -math.inf, -1, 1.5, 10**6, 10**400,
+              [], {}, _WRAP, _DROP, _ADD]
+FUZZ_SPACES = ("space.json", "points.json", "matrix.json")
+# certify's verdicts on files that load, which name no file: the tree is no
+# decomposition of the space (tree_validate), or its arity or radii do not fit
+# epsilon's budget schedule
+CERTIFY_VERDICTS = ("tree validation failed: ", "cover family member", "budget underflow",
+                    "below schedule requirement")
 
 
 @pytest.fixture(scope="module")
-def fuzz_artifacts(tmp_path_factory):
-    """A 12-point path, its bricks tree and certificate pou, as parsed JSON."""
-    d = tmp_path_factory.mktemp("fuzz")
-    run("generate", "--kind", "path", "--n", 12, "--out", d / "space.json")
-    run("decompose", "--space", d / "space.json", "--strategy", "bricks",
-        "--R", 3, "--block-scale", 4, "--out", d / "tree.json")
-    assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
-               "--epsilon", 1.9, "--modulus", "linear:1.5", "--out", d / "cert") == 0
-    return {name: json.loads((d / name).read_text())
-            for name in ("space.json", "tree.json", "cert.pou.json")}
+def fuzz_artifacts(clean_artifacts):
+    """clean_artifacts' files, parsed, and the path's metric as a cloud and as a matrix."""
+    docs = {name: json.loads((clean_artifacts / name).read_text())
+            for name in ("space.json", "tree.json", "cert.pou.json", "cert.report.json")}
+    n = docs["space.json"]["n"]
+    docs["points.json"] = jsonio.space_to_json(
+        "points", n, {"coords": [[float(x)] for x in range(n)], "p": 1})
+    docs["matrix.json"] = jsonio.space_to_json(
+        "matrix", n, [[abs(x - y) for y in range(n)] for x in range(n)])
+    return docs
 
 
-def _leaf_paths(obj, path=()):
-    """Key/index paths to every scalar in a parsed JSON document."""
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            yield from _leaf_paths(obj[key], path + (key,))
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            yield from _leaf_paths(item, path + (i,))
-    else:
-        yield path
+def _fuzz_runs(d, target):
+    """(command, exit code, stderr) of each command that reads target, run in-process in d.
+
+    certify reads the graph space and the tree, verify every file but the tree.
+    """
+    space = d / (target if target in FUZZ_SPACES else "space.json")
+    commands = []
+    if target in ("space.json", "tree.json"):
+        commands.append(["certify", "--space", space, "--tree", d / "tree.json",
+                         "--epsilon", 0.8, "--modulus", "linear:2", "--out", d / "again"])
+    if target != "tree.json":
+        commands.append(["verify", "--space", space, "--pou", d / "cert.pou.json"] + (
+            ["--report", d / target] if target == "cert.report.json" else ["--epsilon", 0.8]))
+    for args in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*args)
+        yield args[0], code, err.getvalue()
+
+
+def test_fuzz_inputs_pass(fuzz_artifacts, tmp_path):
+    for name, doc in fuzz_artifacts.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    for target in fuzz_artifacts:
+        assert all(code == 0 for _, code, _ in _fuzz_runs(tmp_path, target)), target
 
 
 @given(data=st.data())
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=550)
 def test_fuzzed_artifact_exits_cleanly(fuzz_artifacts, data):
-    # one leaf of one artifact replaced; certify reads the space and tree,
-    # verify the space and pou; every outcome is an exit code, never an escape
+    # one edit at a drawn path of one artifact: every outcome is an exit code,
+    # never an escape, and an input error names the file and its fault
     target = data.draw(st.sampled_from(sorted(fuzz_artifacts)))
     docs = copy.deepcopy(fuzz_artifacts)
-    *parents, last = data.draw(st.sampled_from(list(_leaf_paths(docs[target]))))
-    node = docs[target]
-    for key in parents:
+    node, key = docs, target
+    while isinstance(node[key], (dict, list)) and node[key] and (
+            node is docs or data.draw(st.booleans())):
         node = node[key]
-    node[last] = data.draw(st.sampled_from(FUZZ_VALUES))
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+    edit = data.draw(st.sampled_from(FUZZ_EDITS))
+    if edit == _DROP:
+        del node[key]
+    elif edit == _ADD:
+        if isinstance(node, dict):
+            node["added"] = 0
+        else:
+            node.insert(key, 0)
+    else:
+        node[key] = [node[key]] if edit == _WRAP else edit
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for name, doc in docs.items():
             (d / name).write_text(json.dumps(doc))
-        if target != "cert.pou.json":
-            assert run("certify", "--space", d / "space.json", "--tree", d / "tree.json",
-                       "--epsilon", 1.9, "--modulus", "linear:1.5",
-                       "--out", d / "again") in (0, 1, 2)
-        if target != "tree.json":
-            assert run("verify", "--space", d / "space.json", "--pou", d / "cert.pou.json",
-                       "--epsilon", 1.9) in (0, 1, 2)
+        for command, code, err in _fuzz_runs(d, target):
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert "malformed artifact (" not in err, err
+                assert f"{d / target}: " in err or (
+                    command == "certify" and any(v in err for v in CERTIFY_VERDICTS)), err
 
 
 class TestRoundTrips:

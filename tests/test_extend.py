@@ -419,12 +419,6 @@ class TestPieceLocalExtension:
 
 
 class TestExtendOverDisjointFamily:
-    @staticmethod
-    def leaf_extender(r_m, mint):
-        def run(f, t_unused, budget, piece=None):
-            raise AssertionError("bind pieces via closure below")
-        return run
-
     def test_empty_family(self, p200):
         rng = np.random.default_rng(9)
         f = random_lipschitz_pou(p200, range(20), 0.01, rng)

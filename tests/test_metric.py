@@ -65,6 +65,13 @@ class TestLoadMatrix:
         with pytest.raises(TriangleViolationError):
             load_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
+    def test_triangle_witness_past_every_float(self):
+        # d(3, .) + d(., 3) overflows while the witness is searched, too
+        b = 1.5e308
+        with pytest.raises(TriangleViolationError) as err:
+            load_matrix([[0, 1, 3, b], [1, 0, 1, b], [3, 1, 0, b], [b, b, b, 0]])
+        assert err.value.triple == (0, 1, 2)
+
     def test_big_table_gets_sampled_triangle_check(self):
         # above the exhaustive limit the table is checked by the pooled-row
         # sample; d(i, j) = (i - j)^2 violates the triangle inequality
@@ -152,6 +159,66 @@ class TestLoadMatrix:
         table = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
         assert load_matrix(table).n == 300
         assert load_points(coords.tolist(), p=2).has_table
+
+
+# entries that float() rounds or keeps: ints past 2**53 and int64, -0.0, a subnormal
+TABLE_ENTRIES = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(-1e15, 1e15),
+                          st.sampled_from([-0.0, 2 ** 53 + 1, -(2 ** 63) - 1, 5e-324]))
+
+
+def square_rows(k_max):
+    return st.integers(1, k_max).flatmap(
+        lambda k: st.lists(st.lists(TABLE_ENTRIES, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+class TestRealTable:
+    """Rows convert as one table, to the bits float() gives each entry."""
+
+    @staticmethod
+    def floats_of(rows):
+        return np.array([[float(v) for v in row] for row in rows])
+
+    @given(st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(TABLE_ENTRIES, st.floats()), min_size=k, max_size=k),
+        min_size=1, max_size=6)), st.sampled_from([list, tuple, np.array]))
+    @settings(max_examples=200, deadline=None)
+    def test_table_has_the_bits_of_float(self, rows, form):
+        table = metric._real_table(np.array(rows) if form is np.array
+                                   else form(map(form, rows)))
+        expect = self.floats_of(rows)
+        assert table.dtype == np.float64 and table.shape == expect.shape
+        assert table.tobytes() == expect.tobytes()
+
+    @given(square_rows(5), st.sampled_from([list, tuple, np.array]))
+    @settings(max_examples=60, deadline=None)
+    def test_loaders_keep_the_bits_of_float(self, rows, form):
+        expect = self.floats_of(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_validate", lambda space: None)  # any square table loads
+            matrix = load_matrix(np.array(rows) if form is np.array else form(map(form, rows)))
+            cloud = [[i, *row] for i, row in enumerate(rows)]  # distinct points
+            points = load_points(np.array(cloud) if form is np.array
+                                 else form(map(form, cloud)), p=math.inf)
+        assert matrix._dmat.tobytes() == expect.tobytes()
+        assert points._coords.tobytes() == self.floats_of(cloud).tobytes()
+
+    def test_no_call_per_entry(self):
+        # a matrix or a cloud converts as a whole; only p is checked alone
+        with pytest.MonkeyPatch.context() as mp:
+            reals, floats = counted(mp, "_real"), counted(mp, "as_float")
+            load_matrix([[abs(i - j) for j in range(300)] for i in range(300)])
+            assert not reals and not floats
+            load_points([[x, x % 7] for x in range(2000)], p=1)
+            assert len(reals) == 2 and len(floats) == 1  # p: _real, then as_float
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], 5], "matrix row 1 is not an array"),
+        ([[0, "1"], [1], 5], r"matrix entry \[0\]\[1\] '1' is not a number"),
+        ([[0, 1], [1], [0, 10 ** 400]], "matrix row 1 has 1 entries, expected 2"),
+        ([[0, 10 ** 400], [1]], r"matrix entry \[0\]\[1\] 1000.* is too large for a float")])
+    def test_matrix_fault_named_row_major(self, rows, message):
+        with pytest.raises(InvalidInputError, match=message):
+            load_matrix(rows)
 
 
 def chain_matrix(n):
