@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import (CoarseCertError, ConstructionFailedError, InvalidInputError,
-                     VerificationFailedError)
+                     ScheduleMismatchError, UnderflowError_, VerificationFailedError)
 from .verify import cobounded_check, lipschitz_check
 
 
@@ -135,6 +135,9 @@ def cmd_certify(args) -> int:
             jsonio.save_json(f"{out}.report.json", jsonio.report_to_json(exc.report))
         print(f"certificate verification FAILED: {exc}", file=sys.stderr)
         return 1
+    except (InvalidInputError, ScheduleMismatchError, UnderflowError_) as exc:
+        exc.args = (f"{args.tree}: {exc}",)  # the tree fails validation or the budgets
+        raise
     jsonio.save_json(f"{out}.pou.json", jsonio.pou_to_json(result.pou, space_ref=str(args.space)))
     jsonio.save_json(f"{out}.report.json", jsonio.report_to_json(result.report_json()))
     jsonio.save_json(f"{out}.schedule.json", jsonio.report_to_json(result.schedule.to_json()))

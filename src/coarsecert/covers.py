@@ -257,6 +257,9 @@ def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeVali
             if not fam:
                 return fail("2", f"node {nd.id} family {k} is empty")
             members = [index[cid].members for cid in fam]
+            empty = [cid for cid, m_ in zip(fam, members) if not len(m_)]
+            if empty:
+                return fail("2", f"node {nd.id} family {k}: child {empty[0]} is empty")
             rep = r_disjoint_check(space, members, r_i)
             if not rep.passed:
                 x, y, s, t = rep.witness

@@ -44,19 +44,11 @@ running minimum over ball blocks in ascending id order, so no |A| x n block
 is ever built and a set query holds O(n) plus one block.
 
 A graph's diameter reads a row only while it can raise the running
-maximum: a read row v bounds every member w by ecc(v) + d(v, w), and w's
-row is skipped once that bound times 1 + 4*n*eps is at most the maximum.
-A Dijkstra entry is a rounded sum along a path of at most n - 1 edges, so
-it lies within a factor (1 +- eps)^(n-1) of the graph distance, which obeys
-the triangle inequality exactly; so a skipped row holds no larger entry,
-and the diameter is the max over every row, bit for bit (_diameter_loop).  A
-matrix or a cloud reads every row.  The diameters of many sets (diameters)
-run that loop for all of them in lockstep, so a graph's many small sets,
-such as star preimages, share one ball block (ball_blocks) of rows.  Each
-set still picks exactly the rows it would pick alone, since its picks read
-only its own rows, and each of those rows has the same bits from a block
-cut off at a larger limit: a larger limit only makes more entries exact.
-So every diameter keeps its bits.
+maximum, and is still the max over every row, bit for bit; a matrix or a
+cloud reads every row.  The diameters of many sets, given as one array of
+ids with set boundaries, run as one loop over flat arrays (diameters), so
+a graph's many small sets, such as star preimages, share one ball block
+(ball_blocks) of rows per round and hold no object per set.
 
 Every loader turns its rows (a matrix's, a cloud's points, a graph's [u, v,
 w] edges) into one float64 table by one C-level type scan (_real_table),
@@ -348,6 +340,10 @@ class FiniteMetricSpace:
         for _, _, block in ball_blocks(self, ids, limit):
             np.minimum(out, block.min(axis=0), out=out)
         return out
+
+    def least_gap(self) -> float:
+        """A graph's lightest edge (no distance, a rounded sum of edges, is below it); else 0."""
+        return float(self._graph.data.min(initial=math.inf)) if self._graph is not None else 0.0
 
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
         """Ids y with d(x, y) < radius (strict), ascending; empty for radius <= 0."""
@@ -806,136 +802,134 @@ def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> Point
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
     """Max pairwise distance within a; 0 for a singleton (diameters)."""
-    return float(diameters(space, [a])[0])
+    return float(diameters(space, *concat_sets([a]))[0])
 
 
-def diameters(space: FiniteMetricSpace, sets: Sequence[PointSubset]) -> np.ndarray:
-    """The diameter of each of sets: the largest entry of its rows on it; 0 for singletons.
+def concat_sets(sets: Sequence[PointSubset]):
+    """(ids, indptr): the sets' ids one after another, set s at ids[indptr[s]:indptr[s + 1]]."""
+    return np.concatenate([a.ids for a in sets]), np.cumsum([0] + [len(a) for a in sets])
 
-    Every set runs its own _diameter_loop, and all of them run in lockstep:
-    each round reads the rows that every open set wants next through one
-    ball_blocks call, each row cut off at its set's limit (a block at the
-    largest of its rows'), and hands each set its rows on it, with inf
-    where a member lies outside the block's ball.  Rows wanted uncut come
-    last, so the blocks before them keep small balls.  A set's first row
-    comes cut off at (|set| - 1) heaviest edges of a graph, and uncut if it
-    misses a member there.  A set's picks depend only on its own rows, and
-    a larger limit only makes more entries exact, so each set reads the
-    rows it would read alone and its diameter has the same bits; a graph's
-    many small sets share each block's two Dijkstra calls.
+
+_FIRST, _FAR, _CENTRAL, _BLOCK, _DONE = range(5)  # what a set's diameter reads next
+
+
+def diameters(space: FiniteMetricSpace, ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The diameter of each set ids[indptr[s]:indptr[s + 1]] (ascending ids); 0 for a singleton.
+
+    The first point's row, cut off a little above |s| - 1 heaviest edges
+    of a graph, or read again uncut if it misses a member, gives its
+    eccentricity e within s; every distance within s is at most 2e, so the
+    other rows come cut off a little above 2e, and one that misses a member
+    (rounding beyond the margin) is read in full.  A matrix or a cloud reads
+    every row: a matrix above EXHAUSTIVE_TRIANGLE_LIMIT points has only a
+    pool of rows checked for the triangle inequality, and a cloud's diff ** p
+    may underflow.  On a graph a row is read only while it can raise the
+    running maximum worst (the eccentricity bounds of Takes and Kosters): a
+    read row v bounds every member w by ub[w] = min over read v of ecc(v) +
+    d(v, w), and w's row is dropped once ub[w] * (1 + 4 * n * eps) <= worst.
+    That is exact: a Dijkstra entry is a rounded sum along a path of at most
+    n - 1 edges, at most the rounded sum along a shortest path, so within a
+    factor (1 +- eps)^(n-1) of the graph distance, which obeys the triangle
+    inequality; the slack covers those factors and the bound's own
+    roundings, so a dropped row holds no entry above worst.
+
+    The picks: after the first row, pairs of single rows, the open member of
+    largest ub and then the one of least lb[w] = max over read v of
+    max(d(v, w), ecc(v) - d(v, w)) (the most central), the first on ties,
+    while a pair closes another member; then the open members in blocks of
+    ROW_BLOCK_CELLS // n rows.  No row is read twice.
+
+    All sets run at once over flat arrays: per member an open flag, ub and
+    lb, per set its phase, worst and cut-off.  A round reads every open set's
+    next rows by one ball_blocks call (uncut rows last, so the blocks before
+    them keep small balls), gathers each row on its set by one searchsorted
+    per block, and updates the bounds by np.minimum.at and np.maximum.at.
+    Min and max do not depend on order, and a set's picks read only its own
+    bounds, so it picks the rows it would pick alone; a larger cut-off only
+    makes more entries exact, so each diameter keeps its bits.
     """
-    arrays = [a.ids for a in sets]
-    if any(not ids.size for ids in arrays):
+    size = np.diff(indptr)
+    if (size == 0).any():
         raise EmptySetError("diameter of empty subset")
-    out = np.zeros(len(arrays))
     step = max(1, ROW_BLOCK_CELLS // space.n)
-    heaviest = math.inf if space._graph is None else float(space._graph.data.max(initial=0.0))
-    loops = {s: _diameter_loop(space, ids, step, heaviest)
-             for s, ids in enumerate(arrays) if ids.size > 1}
-    wants = {s: next(loop) for s, loop in loops.items()}  # s: (positions in set s, limit)
-    while wants:
-        order = sorted(wants, key=lambda s: math.isinf(wants[s][1]))  # uncut rows last
-        picks = [wants[s][0] for s in order]
-        height = [len(k) for k in picks]
-        sources = np.concatenate([arrays[s][k] for s, k in zip(order, picks)])
-        limits = np.repeat([wants[s][1] for s in order], height)
-        # row r of the round, on its set, goes to got[cells[r]:cells[r + 1]]
-        members = np.concatenate([np.tile(arrays[s], len(k)) for s, k in zip(order, picks)])
-        width = np.repeat([len(arrays[s]) for s in order], height)
-        cells = np.zeros(len(width) + 1, dtype=np.intp)
-        np.cumsum(width, out=cells[1:])
-        got = np.empty(len(members))
-        for lo, ball, rows in ball_blocks(space, sources, limits):
-            a, b = cells[lo], cells[lo + len(rows)]
-            at = np.minimum(np.searchsorted(ball, members[a:b]), len(ball) - 1)
-            got[a:b] = rows[np.repeat(np.arange(len(rows)), width[lo:lo + len(rows)]), at]
-            got[a:b][ball[at] != members[a:b]] = math.inf  # off the ball: past the limit
-            del rows  # one block alive at a time (ball_blocks)
-        for s, k, a in zip(order, picks, cells[np.cumsum([0] + height[:-1])]):
-            try:
-                wants[s] = loops[s].send(got[a:a + len(k) * len(arrays[s])].reshape(len(k), -1))
-            except StopIteration as done:
-                out[s] = done.value
-                del wants[s]
-    return out
-
-
-def _diameter_loop(space: FiniteMetricSpace, ids: np.ndarray, step: int, heaviest: float):
-    """One set's diameter, as a generator driven by diameters.
-
-    It yields (k, limit): the positions in ids of the rows it reads next,
-    and a cut-off for them.  It is sent those rows on ids, stacked, exact
-    wherever at most limit, and returns the largest entry of every row.
-
-    The first point's row (cut off a little above |ids| - 1 heaviest edges,
-    or else uncut) gives its eccentricity e within the set, and every
-    distance within the set is at most 2e, so the other rows may come cut
-    off a little above 2e.  A row whose entries in the set do not all come
-    back (rounding beyond the margin) is computed in full instead.
-
-    A matrix or a point cloud reads every row: a matrix above
-    EXHAUSTIVE_TRIANGLE_LIMIT points has only a pool of rows checked for
-    the triangle inequality, and a cloud's diff ** p may underflow.  On a
-    graph a row is read only while it can raise the running maximum, worst
-    (the eccentricity bounds of Takes and Kosters).  A read row v with
-    eccentricity ecc(v) within the set bounds every member w by ub[w] = min
-    over read v of ecc(v) + d(v, w), and w's row is dropped once
-    ub[w] * (1 + slack) <= worst, with slack = 4 * n * eps.
-
-    That is exact.  A Dijkstra entry is a rounded sum along a path of at
-    most n - 1 edges, and relaxation keeps it at most the rounded sum along
-    a shortest path, so it lies within a factor (1 +- eps)^(n-1) of the graph
-    distance.  The graph distance obeys the triangle inequality exactly, so
-    every entry d(w, u) with u in the set is at most (ecc(v) + d(v, w)) times
-    those factors, and slack covers them and the roundings of the bound
-    itself.  A dropped row has no entry above worst, so the result is the
-    max over every row, bit for bit.
-
-    The pick order: after the first row, pairs of single rows, the open
-    member of largest ub and then the one of least lower bound lb[w] = max
-    over read v of max(d(v, w), ecc(v) - d(v, w)) (the most central), for as
-    long as a pair closes some other member.  Then the open members in
-    blocks of step rows, the bounds updated after each.  No row is read
-    twice.  A set no row can prune, such as leaves of a star, reads each of
-    its rows once, as a scan would.
-    """
-    first = np.array([0])
-    rows = yield first, (len(ids) - 1) * heaviest * (1.0 + DIAMETER_MARGIN)
-    if np.isinf(rows).any():
-        rows = yield first, math.inf
-    limit = 2.0 * float(rows.max()) * (1.0 + DIAMETER_MARGIN)
     prune = space._graph is not None
+    heaviest = float(space._graph.data.max(initial=0.0)) if prune else math.inf
     slack = 4 * space.n * np.finfo(np.float64).eps
-    worst = 0.0
-    todo = np.ones(len(ids), dtype=bool)  # members whose rows may raise worst
-    ub, lb = np.full(len(ids), math.inf), np.zeros(len(ids))
+    todo, ub, lb = np.ones(len(ids), dtype=bool), np.full(len(ids), math.inf), np.zeros(len(ids))
+    worst, before = np.zeros(len(size)), np.zeros(len(size), dtype=np.intp)
+    live = np.flatnonzero(size > 1)
+    phase, limit = np.full(len(size), _FIRST), np.full(len(size), math.inf)
+    limit[live] = (size[live] - 1) * heaviest * (1.0 + DIAMETER_MARGIN)
 
-    def take(k, rows):  # rows: the rows of ids[k] on ids, cut off at limit or above
-        nonlocal worst
-        for i in np.flatnonzero(np.isinf(rows).any(axis=1)):
-            rows[i] = space.row(ids[k[i]])[ids]
-        todo[k] = False
-        ecc = rows.max(axis=1)
-        worst = max(worst, float(ecc.max()))
+    def next_rows():
+        """(positions in ids, sets) of the round's rows, uncut ones last: each set's first
+        member, or the first of its open members of least key, or the first step of them."""
+        sets = live[phase[live] != _FIRST]
+        _, at = row_entries(indptr, sets)
+        owner = np.repeat(sets, size[sets])[todo[at]]
+        at, now = at[todo[at]], phase[owner]
+        key = np.where(now == _FAR, -ub[at], np.where(now == _CENTRAL, lb[at], 0.0))
+        head = np.flatnonzero(np.diff(owner, prepend=-1))
+        runs, i = np.diff(head, append=len(at)), np.arange(len(at))
+        least = key == np.repeat(np.minimum.reduceat(key, head), runs)
+        first = np.repeat(np.minimum.reduceat(np.where(least, i, len(at)), head), runs)
+        pick = np.zeros(len(ids), dtype=bool)
+        pick[at[(i >= first) & (i < first + np.where(now == _BLOCK, step, 1))]] = True
+        pick[indptr[live[phase[live] == _FIRST]]] = True
+        pos = np.flatnonzero(pick)
+        owner = np.searchsorted(indptr, pos, side="right") - 1
+        order = np.concatenate((np.flatnonzero(np.isfinite(limit[owner])),
+                                np.flatnonzero(np.isinf(limit[owner]))))
+        return pos[order], owner[order]
+
+    def read_round(pos, owner):
+        """Read the round's rows, take them into the bounds, move each set that read one
+        on, and return the sets still live; every temporary is gone before the next round."""
+        width = size[owner]
+        # row r of the round, on its set's ids[k], goes to got[cells[r]:cells[r + 1]]
+        got, a = np.empty(width.sum()), 0
+        for lo, ball, rows in ball_blocks(space, ids[pos], limit[owner]):
+            members = ids[row_entries(indptr, owner[lo:lo + len(rows)])[1]]
+            i = np.minimum(np.searchsorted(ball, members), len(ball) - 1)
+            block = got[a:a + len(members)]
+            block[:] = rows[np.repeat(np.arange(len(rows)), width[lo:lo + len(rows)]), i]
+            block[ball[i] != members] = math.inf  # off the ball: past the limit
+            a += len(members)
+            del rows  # one block alive at a time (ball_blocks)
+        cells, k = row_entries(indptr, owner)
+        ecc = np.maximum.reduceat(got, cells[:-1])
+        again = np.isinf(ecc) & (phase[owner] == _FIRST)
+        limit[owner[again]] = math.inf  # read again uncut next round
+        for r in np.flatnonzero(np.isinf(ecc) & ~again):
+            got[cells[r]:cells[r + 1]] = space.row(ids[pos[r]])[ids[k[cells[r]:cells[r + 1]]]]
+            ecc[r] = got[cells[r]:cells[r + 1]].max()
+        r = np.flatnonzero(~again)
+        _, c = row_entries(cells, r)
+        pos, owner, ecc, width, k, d = pos[r], owner[r], ecc[r], width[r], k[c], got[c]
+        opened = phase[owner] == _FIRST
+        limit[owner[opened]] = 2.0 * ecc[opened] * (1.0 + DIAMETER_MARGIN)
+        todo[pos] = False
+        np.maximum.at(worst, owner, ecc)
         if prune:
-            np.minimum(ub, (rows + ecc[:, None]).min(axis=0), out=ub)
-            np.maximum(lb, np.maximum(rows, ecc[:, None] - rows).max(axis=0), out=lb)
-            todo[ub * (1.0 + slack) <= worst] = False
+            e = np.repeat(ecc, width)
+            np.minimum.at(ub, k, d + e)
+            np.maximum.at(lb, k, np.maximum(d, e - d))
+            todo[k[ub[k] * (1.0 + slack) <= np.repeat(worst[owner], width)]] = False
+        # each set that read rows moves on: to a far pick after its first row or a pair
+        # that closed another member, to a central one after a far one, else to blocks
+        sets = owner[np.flatnonzero(np.diff(owner, prepend=-1))]  # a set's rows are adjacent
+        _, at = row_entries(indptr, sets)
+        left = np.bincount(np.repeat(np.arange(len(sets)), size[sets])[todo[at]],
+                           minlength=len(sets))
+        now = phase[sets]
+        far = (now == _FIRST) & prune | (now == _CENTRAL) & (left < before[sets] - 2)
+        now = np.where(now == _FAR, _CENTRAL, np.where(far, _FAR, _BLOCK))
+        phase[sets] = np.where(left == 0, _DONE, now)
+        before[sets[far]] = left[far]
+        return live[phase[live] != _DONE]
 
-    take(first, rows)
-    while prune and todo.any():
-        before = np.count_nonzero(todo)
-        for central in (False, True):
-            open_ = np.flatnonzero(todo)
-            if open_.size:
-                i = np.argmin(lb[open_]) if central else np.argmax(ub[open_])
-                k = open_[i:i + 1]
-                take(k, (yield k, limit))
-        if np.count_nonzero(todo) >= before - 2:
-            break
-    while todo.any():
-        k = np.flatnonzero(todo)[:step]
-        take(k, (yield k, limit))
+    while live.size:
+        live = read_round(*next_rows())
     return worst
 
 
@@ -1058,9 +1052,8 @@ def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
     """
     if len(members) < 2:
         return
-    ids = np.concatenate([m.ids for m in members])
-    starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+    ids, starts = concat_sets(members)
     for s in range(len(members) - 1):
         dist = space.distances_to(members[s].ids)
         lo = starts[s + 1]
-        yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:] - lo)
+        yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:-1] - lo)

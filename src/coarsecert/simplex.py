@@ -295,8 +295,7 @@ def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
     if len(f.domain) == 0:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
     points = np.repeat(f.domain.ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
-    bounds = np.cumsum(np.bincount(f.columns, minlength=len(f.carrier())))[:-1]
-    return diameters(f.space, [PointSubset(star) for star in np.split(points, bounds)])
+    return diameters(f.space, points, _indptr(np.bincount(f.columns, minlength=len(f.carrier()))))
 
 
 def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],

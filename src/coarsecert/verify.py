@@ -48,6 +48,7 @@ from .metric import (
     FiniteMetricSpace,
     PointSubset,
     ball_blocks,
+    concat_sets,
     cross_minima,
     diameters,
     nearest_scan,
@@ -372,10 +373,11 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
     wherever it is at most rho), so, rounding being monotone, its slack is
     at least lam*rho + C - L, evaluated in the slack's own order.  When that
     is strictly above the scanned minimum, the scanned pairs hold the least
-    slack and its first witness.  rho starts at L/lam and doubles until the
-    bound clears or a scan takes every pair, which is the plain scan; with
-    lam <= 0 the plain scan runs at once.  An infinite minimum (no pair yet)
-    never clears.
+    slack and its first witness.  rho starts at L/lam, or at twice the
+    space's least gap if larger (no pair is closer than the gap), and
+    doubles until the bound clears or a scan takes every pair, which is the
+    plain scan; with lam <= 0 the plain scan runs at once.  An infinite
+    minimum (no pair yet) never clears.
 
     Restricted mode requires lam == C == eps and checks only pairs with
     d(x, y) < 2*s/eps - 1, where s is the largest weight sum of the pou, or
@@ -401,7 +403,7 @@ def lipschitz_check(f: PartitionOfUnity, lam: float, C: float,
     m = len(f.domain)
     total = m * (m - 1) // 2
     top = kernel.l1_max()
-    radius = top / lam if lam > 0 else None
+    radius = max(top / lam, 2.0 * f.space.least_gap()) if lam > 0 else None
     while True:
         worst, witness, count = _scan(kernel, lam, C, radius)
         if count == total or lam * radius + C - top > worst:
@@ -454,7 +456,7 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
     """Exact max member diameter (the tight uniform bound)."""
     fam = _as_family(family)
-    diams = diameters(space, fam.members).tolist()
+    diams = diameters(space, *concat_sets(fam.members)).tolist()
     worst = int(np.argmax(diams))
     return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
                              diameters=diams)

@@ -936,11 +936,26 @@ _WRAP, _DROP, _ADD = "<wrap>", "<drop>", "<add>"
 FUZZ_EDITS = [None, False, "1", float("nan"), math.inf, -math.inf, -1, 1.5, 10**6, 10**400,
               [], {}, _WRAP, _DROP, _ADD]
 FUZZ_SPACES = ("space.json", "points.json", "matrix.json")
-# certify's verdicts on files that load, which name no file: the tree is no
-# decomposition of the space (tree_validate), or its arity or radii do not fit
-# epsilon's budget schedule
-CERTIFY_VERDICTS = ("tree validation failed: ", "cover family member", "budget underflow",
-                    "below schedule requirement")
+
+
+@pytest.mark.parametrize("edit, verdict", [
+    (lambda t: t["nodes"][0].update(members=[]),
+     "InvalidInputError: {}: tree validation failed: clause 1, root misses point 0"),
+    (lambda t: t["nodes"][1].update(members=[]),
+     "InvalidInputError: {}: tree validation failed: clause 2, node 0 family 0: child 1 is empty"),
+    (lambda t: t.update(arity=[10**400]), "UnderflowError_: {}: budget underflow at level 2"),
+    (lambda t: t.update(radii=[1.5]),
+     "ScheduleMismatchError: {}: tree radius R_1=1.5 below schedule requirement 9.0"),
+])
+def test_certify_verdicts_name_the_tree(clean_artifacts, tmp_path, capsys, edit, verdict):
+    # a tree that loads but fails validation or the budgets: exit 2, naming the file
+    tree = json.loads((clean_artifacts / "tree.json").read_text())
+    edit(tree)
+    (tmp_path / "bad.json").write_text(json.dumps(tree))
+    assert run("certify", "--space", clean_artifacts / "space.json",
+               "--tree", tmp_path / "bad.json", "--epsilon", 0.8, "--modulus", "linear:2",
+               "--out", tmp_path / "again") == 2
+    assert verdict.format(tmp_path / "bad.json") in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -1014,8 +1029,7 @@ def test_fuzzed_artifact_exits_cleanly(fuzz_artifacts, data):
             assert code in (0, 1, 2)
             if code == 2:
                 assert "malformed artifact (" not in err, err
-                assert f"{d / target}: " in err or (
-                    command == "certify" and any(v in err for v in CERTIFY_VERDICTS)), err
+                assert f"{d / target}: " in err, err
 
 
 class TestRoundTrips:

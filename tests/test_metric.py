@@ -1271,7 +1271,7 @@ class TestPrunedDiameter:
 
 
 class TestDiameters:
-    """diameters runs every set's pruned loop in lockstep, with diameter's bits."""
+    """diameters runs every set's pruned loop at once, over flat arrays, with diameter's bits."""
 
     @given(st.integers(2, 40), st.integers(0, 10_000), st.integers(1, 4), st.booleans())
     @settings(max_examples=120, deadline=None)
@@ -1294,7 +1294,8 @@ class TestDiameters:
             mp.setattr(metric, "ROW_BLOCK_CELLS", block * n)
             if cut:
                 mp.setattr(metric, "DIAMETER_MARGIN", -0.75)
-            got = metric.diameters(sp, [PointSubset(tuple(ids.tolist())) for ids in sets])
+            got = metric.diameters(
+                sp, *metric.concat_sets([PointSubset(tuple(ids.tolist())) for ids in sets]))
         assert got.dtype == np.float64 and np.array_equal(got, expect)
 
     def test_matrices_and_clouds_equal_per_set_diameter(self):
@@ -1304,13 +1305,77 @@ class TestDiameters:
         for sp in (cloud, matrix):
             sets = [PointSubset(tuple(rng.choice(60, size=k, replace=False).tolist()))
                     for k in (1, 2, 7, 30, 60)]
-            got = metric.diameters(sp, sets)
+            got = metric.diameters(sp, *metric.concat_sets(sets))
             assert got.tolist() == [diameter(sp, a) for a in sets]
             assert got.tolist() == [max(sp.d(x, y) for x in a for y in a) for a in sets]
 
     def test_empty_set_raises(self, p10):
         with pytest.raises(EmptySetError):
-            metric.diameters(p10, [PointSubset((1, 2)), PointSubset(())])
+            metric.diameters(p10, *metric.concat_sets([PointSubset((1, 2)), PointSubset(())]))
+
+    @given(st.integers(0, 10_000), st.sampled_from(["float", "tenths", "vanishing", "matrix",
+                                                    "cloud"]),
+           st.sampled_from([1, 3, 64]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_many_tiny_sets_equal_the_oracle_table(self, seed, kind, cells, cut):
+        # many sets of two to four points among singletons and a few large
+        # sets, as the stars of a pou give them, passed as flat arrays
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 50))
+        if kind in ("matrix", "cloud"):
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
+            sp = load_points(rng.normal(size=(n, 2)).tolist(), p)
+            if kind == "matrix":
+                sp = load_matrix(np.stack([sp.row(x) for x in range(n)]).tolist())
+        else:
+            sp = rounding_graph(rng, n, kind)
+        table = np.stack([sp.row(x) for x in range(n)])
+        sizes = rng.choice([1, 2, 3, 4, n], size=int(rng.integers(1, 80)),
+                           p=[0.2, 0.3, 0.2, 0.2, 0.1])
+        sets = [np.sort(rng.choice(n, size=min(k, n), replace=False)) for k in sizes]
+        indptr = np.cumsum([0] + [len(s) for s in sets])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "ROW_BLOCK_CELLS", cells * n)
+            if cut:  # rows come back incomplete, first rows and later ones
+                mp.setattr(metric, "DIAMETER_MARGIN", -0.75)
+            got = metric.diameters(sp, np.concatenate(sets), indptr)
+        expect = np.array([table[np.ix_(s, s)].max() for s in sets])
+        assert got.dtype == np.float64 and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("lane, rows, calls", [("tablefree-p6000", 58, 4),
+                                                   ("dense-p2000", 22, 4),
+                                                   ("verify-wide", 1500, 3)])
+    def test_bench_star_rows_pinned(self, monkeypatch, lane, rows, calls):
+        # the rows each benchmark lane's star preimages read, and the rounds
+        # (ball_blocks calls) that read them
+        from coarsecert.covers import brick_tree
+        from coarsecert.extend import build_certificate, parse_modulus
+        if lane == "verify-wide":
+            sp = path_space(1500)
+            f = barycentric_pou(sp, [PointSubset(np.arange(x, x + 3)) for x in range(0, 1500, 3)])
+        else:
+            sp = path_space(6000 if lane == "tablefree-p6000" else 2000)
+            f = build_certificate(sp, brick_tree(sp, [159.0], 160.0), 0.2,
+                                  parse_modulus("linear:4")).pou
+        read, real = [], metric.ball_blocks
+        monkeypatch.setattr(metric, "ball_blocks", lambda space, ids, limit=math.inf:
+                            read.append(len(ids)) or real(space, ids, limit))
+        star_preimage_diameters(f)
+        assert (sum(read), len(read)) == (rows, calls)
+
+    def test_small_stars_hold_little_memory(self):
+        # 5000 three-point stars: flat arrays, no per-star objects (14 MB when
+        # each star ran its own loop)
+        sp = path_space(15000)
+        f = barycentric_pou(sp, [PointSubset(np.arange(x, x + 3)) for x in range(0, 15000, 3)])
+        tracemalloc.start()
+        try:
+            diams = star_preimage_diameters(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diams.tolist() == [2.0] * 5000
+        assert peak < 4 << 20, peak
 
     def test_star_diameters_share_dijkstra_calls(self, monkeypatch):
         # 500 three-point blocks: one call per row was over 1500 calls; each
@@ -1407,7 +1472,8 @@ class TestBallBlocks:
         assert np.array_equal(nearest[inside], first[inside])
         # diameters: each set's cut-off rows keep every diameter's bits
         sets = [ids, np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))]
-        got = metric.diameters(sp, [PointSubset(tuple(s.tolist())) for s in sets])
+        got = metric.diameters(
+            sp, *metric.concat_sets([PointSubset(tuple(s.tolist())) for s in sets]))
         assert got.tolist() == [full[np.ix_(s, s)].max() for s in sets]
 
 
@@ -1433,7 +1499,7 @@ class TestBallBlocks:
                 del rows
             assert metric.nearest_scan(sp, ids, limit)[0][0] == 0.0
         sets = [PointSubset(np.arange(a, a + 40)) for a in range(0, n - 40, 20)]
-        assert metric.diameters(sp, sets).tolist() == [39.0] * len(sets)
+        assert metric.diameters(sp, *metric.concat_sets(sets)).tolist() == [39.0] * len(sets)
         assert len(blocks) > 20
 
     def test_wide_balls_read_whole_rows(self, monkeypatch):

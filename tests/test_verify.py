@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -512,6 +513,22 @@ class TestFullModeBound:
         rep = lipschitz_check(f, 1.0, 0.0)
         assert (rep.worst_slack, rep.witness_pair, rep.pairs_checked) == (0.5, (4, 5), 45)
         assert plain_scan(f, 1.0, 0.0) == (0.5, (4, 5), 45)
+
+    def test_large_lam_starts_past_the_lightest_edge(self, monkeypatch):
+        # rho starts at twice the least edge, not at L/lam: no pair is closer
+        # than the edge, so with lam = 1e12 the doubling from L/lam made 40
+        # scans; now the first takes the adjacent pairs and the bound clears
+        n = 300
+        sp = path_space(n)
+        f = barycentric_pou(sp, [PointSubset(tuple(range(x, x + 3))) for x in range(0, n, 3)])
+        radii, real = [], verify._scan
+        monkeypatch.setattr(verify, "_scan", lambda *args: radii.append(args[3]) or real(*args))
+        rep = lipschitz_check(f, 1e12, 0.5)
+        assert len(radii) <= 2 and radii[0] == 2.0
+        assert json.dumps(rep.to_json(), sort_keys=True) == (
+            '{"C": 0.5, "check": "lipschitz", "lambda": 1000000000000.0, "pairs_checked": 44850, '
+            '"pass": true, "restricted_radius": null, "tolerance": 1e-09, "witness": [2, 3], '
+            '"worst_slack": 999999999998.5}')
 
     def test_near_pairs_only(self, monkeypatch):
         # 2 * 10**8 pairs in all, of which full mode may hand at most 50 per
