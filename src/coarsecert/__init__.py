@@ -7,17 +7,17 @@ the correctness authority.
 
 Each public name is imported from its home module on first access (PEP 562),
 so `import coarsecert` loads nothing, and code that only checks certificates
-never loads the construction modules `covers` and `extend`.
+never loads the construction modules `construct`, `covers` and `extend`.
 """
 
 import importlib
 
 _HOMES = {name: home for home, names in (
     ("metric", "FiniteMetricSpace PointSubset diameter load_graph load_matrix load_points"),
-    ("simplex", "PartitionOfUnity VertexId VertexMint barycentric_pou convex_combine "
-                "simplicial_retraction star_preimage_diameters"),
-    ("verify", "CoverFamily cobounded_check lebesgue_check lipschitz_check multiplicity "
-               "r_disjoint_check uniformly_bounded_check"),
+    ("simplex", "PartitionOfUnity VertexId star_preimage_diameters"),
+    ("verify", "cobounded_check lipschitz_check"),
+    ("construct", "CoverFamily VertexMint barycentric_pou convex_combine lebesgue_check "
+                  "multiplicity r_disjoint_check simplicial_retraction uniformly_bounded_check"),
     ("covers", "DecompositionTree brick_tree greedy_decomposition greedy_tree "
                "point_finite_transform tree_validate"),
     ("extend", "BudgetSchedule Modulus Retraction budget_schedule build_certificate "

@@ -6,12 +6,12 @@ behind one seeded generator whose seed is recorded in the output metadata;
 the same command line reproduces byte-identical files.
 
 Each command loads only the modules it runs: `generate` and `verify` never
-load the construction modules `covers` and `extend`, and `decompose` never
-loads `extend`.  Their functions are bound here to forwarders that import
-on first call, not imported inside each command, because the benchmark's
-tracer (bench/tracer.layer_patches) wraps these names in this module's
-namespace; they become local imports once the tracer moves (ROADMAP.md,
-item 1a).
+load the construction modules `construct`, `covers` and `extend`, and
+`decompose` never loads `extend`.  Their functions are bound here to
+forwarders that import on first call, not imported inside each command,
+because the benchmark's tracer (bench/tracer.layer_patches) wraps these
+names in this module's namespace; they become local imports once the
+tracer moves (ROADMAP.md, item 1a).
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ def _generate_space(args) -> dict:
     if kind == "random-geometric":
         n = int(args.n)
         radius = float(args.radius)
+        if not 0 <= radius < np.inf:  # NaN and negatives join no pair; JSON has no inf
+            raise InvalidInputError(f"random-geometric radius must be finite and >= 0, got {radius!r}")
         rng = np.random.default_rng(seed)
         coords = rng.random((n, 2))
         edges = []

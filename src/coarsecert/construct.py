@@ -1,0 +1,315 @@
+"""Cover family checks and pou builders: the code that only constructions run.
+
+R-disjointness (one distance to each member, metric.cross_minima), uniform
+boundedness, Lebesgue numbers and multiplicity check what `covers` and `extend`
+build; convex_combine, simplicial_retraction, renamespace and barycentric_pou
+build pous on `simplex`'s store, under the fresh namespaces of a VertexMint.
+`decompose` and `certify` load this module; `verify` never loads it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
+
+from .errors import (EmptySetError, InvalidInputError, NotACoverError, NotARetractionError,
+                     SupportEscapesError)
+from .metric import (FiniteMetricSpace, PointSubset, ball_blocks, concat_sets, cross_minima,
+                     diameters, nearest_scan, row_entries)
+from .simplex import PartitionOfUnity, VertexId, _columns, _indptr, vertex_key
+from .verify import SLACK_TOL
+
+RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
+
+
+@dataclass(frozen=True)
+class CoverFamily:
+    """A tuple of nonempty subsets."""
+
+    members: Tuple[PointSubset, ...]
+
+    def __post_init__(self):
+        members = tuple(m if isinstance(m, PointSubset) else PointSubset(m)
+                        for m in self.members)
+        object.__setattr__(self, "members", members)
+        for k, m in enumerate(members):
+            if len(m) == 0:
+                raise EmptySetError(f"cover family member {k} is empty")
+
+    def __len__(self):
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+
+def _as_family(family) -> CoverFamily:
+    if isinstance(family, CoverFamily):
+        return family
+    return CoverFamily(tuple(family))
+
+
+@dataclass
+class DisjointReport:
+    R: float
+    min_cross: float
+    witness: Optional[Tuple[int, int, int, int]]  # (x, y, member s, member t)
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    def to_json(self) -> dict:
+        return {
+            "check": "r_disjoint",
+            "pass": self.passed,
+            "R": self.R,
+            "tolerance": SLACK_TOL,
+            "min_cross_distance": None if math.isinf(self.min_cross) else self.min_cross,
+            "witness": list(self.witness) if self.witness else None,
+        }
+
+
+@dataclass
+class BoundednessReport:
+    bound: float
+    worst_member: int
+    diameters: List[float]
+
+    def to_json(self) -> dict:
+        return {
+            "check": "uniformly_bounded",
+            "pass": True,
+            "tolerance": SLACK_TOL,
+            "bound": self.bound,
+            "worst_member": self.worst_member,
+            "diameters": self.diameters,
+        }
+
+
+@dataclass
+class LebesgueReport:
+    M: float
+    witness_point: Optional[int]
+
+    @property
+    def passed(self) -> bool:
+        return self.witness_point is None
+
+    def to_json(self) -> dict:
+        return {
+            "check": "lebesgue",
+            "pass": self.passed,
+            "tolerance": SLACK_TOL,
+            "M": self.M,
+            "witness": self.witness_point,
+        }
+
+
+@dataclass
+class MultiplicityReport:
+    maximum: int
+    histogram: Dict[int, int]
+    per_point: np.ndarray
+
+    def to_json(self) -> dict:
+        return {
+            "check": "multiplicity",
+            "pass": True,
+            "tolerance": SLACK_TOL,
+            "maximum": self.maximum,
+            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
+        }
+
+
+def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointReport:
+    """Check cross-member pairs are at distance > R; witness the closest pair.
+
+    The witness (x, y, s, t) has the least distance, then the least (s, t),
+    x and y; it is rebuilt for the winning (s, t) from a scan of s's rows
+    cut off at that distance.
+    """
+    if math.isnan(R):  # no distance compares with NaN, which would read as a pass
+        raise InvalidInputError(f"R = {R!r} is not a number")
+    fam = _as_family(family)
+    best, win = math.inf, None
+    for s, cross in enumerate(cross_minima(space, fam.members)):
+        k = int(np.argmin(cross))
+        if cross[k] < best:
+            best, win = float(cross[k]), (s, s + 1 + k)
+    if win is None or not best <= R:
+        return DisjointReport(R=R, min_cross=best, witness=None)
+    s, t = win
+    dist, nearest = nearest_scan(space, fam.members[s].ids, best)
+    ys = fam.members[t].ids
+    ys = ys[dist[ys] == best]
+    x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
+    return DisjointReport(R=R, min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
+
+
+def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
+    """Exact max member diameter (the tight uniform bound)."""
+    fam = _as_family(family)
+    diams = diameters(space, *concat_sets(fam.members)).tolist()
+    worst = int(np.argmax(diams))
+    return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
+                             diameters=diams)
+
+
+def _member_masks(space: FiniteMetricSpace, fam: CoverFamily) -> np.ndarray:
+    masks = np.zeros((len(fam.members), space.n), dtype=bool)
+    for k, member in enumerate(fam.members):
+        masks[k, member.ids] = True
+    return masks
+
+
+def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
+    """Pass iff every open M-ball is contained in some cover member.
+
+    The witness is the first point whose ball escapes every member.
+    """
+    if math.isnan(M):  # a NaN ball holds no point, which would read as a pass
+        raise InvalidInputError(f"M = {M!r} is not a number")
+    fam = _as_family(cover)
+    masks = _member_masks(space, fam)
+    covered = masks.any(axis=0)
+    if not covered.all():
+        raise NotACoverError(int(np.flatnonzero(~covered)[0]))
+    for lo, ball, rows in ball_blocks(space, np.arange(space.n), M):
+        for x, row in enumerate(rows, lo):
+            if not masks[:, ball[row < M]].all(axis=1).any():
+                return LebesgueReport(M=M, witness_point=x)
+    return LebesgueReport(M=M, witness_point=None)
+
+
+def multiplicity(space: FiniteMetricSpace, cover) -> MultiplicityReport:
+    """Max number of members containing a point, plus the full histogram."""
+    fam = _as_family(cover)
+    counts = _member_masks(space, fam).sum(axis=0)
+    values, freq = np.unique(counts, return_counts=True)
+    return MultiplicityReport(
+        maximum=int(counts.max()) if counts.size else 0,
+        histogram={int(v): int(c) for v, c in zip(values, freq)},
+        per_point=counts,
+    )
+
+
+class VertexMint:
+    """Source of fresh vertex namespaces (>= 1) for one construction run."""
+
+    def __init__(self, start: int = 1):
+        self._counter = itertools.count(start)
+
+    def namespace(self) -> int:
+        return next(self._counter)
+
+
+def convex_combine(t: np.ndarray, g: PartitionOfUnity, f: PartitionOfUnity, src: np.ndarray):
+    """(indptr, columns, verts, weights): row i is t[i]*g's row i + (1-t[i])*f(src[i]).
+
+    verts is the sorted union of the two carriers.  A row at t = 1 is g's
+    row, and one at t = 0 is f(src[i]), untouched.  Otherwise, with s = 1 - t,
+    it lists g's vertices in g's order at t*x (t*x + s*y if f(src[i]) has y
+    there too), then f(src[i])'s others in its order at s*y, drops exact
+    zeros, and is divided by its fsum if that is more than RENORM_TRIGGER
+    from 1.  src is read only where t < 1.
+    """
+    outside = t[~((t >= 0.0) & (t <= 1.0))]
+    if len(outside):
+        raise InvalidInputError(f"combination parameter {float(outside[0])!r} outside [0, 1]")
+    grows, frows = np.flatnonzero(t > 0.0), np.flatnonzero(t < 1.0)
+    missing = src[frows][~np.isin(src[frows], f.domain.ids)]
+    if len(missing):
+        raise KeyError(int(missing[0]))
+    columns, verts = _columns(g._carrier + f._carrier)
+    gptr, gent = row_entries(g.indptr, grows)
+    fptr, fent = row_entries(f.indptr, np.searchsorted(f.domain.ids, src[frows]))
+    grow, frow = np.repeat(grows, np.diff(gptr)), np.repeat(frows, np.diff(fptr))
+    gcol, fcol = columns[g.columns[gent]], columns[len(g._carrier) + f.columns[fent]]
+    gw, fw = t[grow] * g.weights[gent], (1.0 - t[frow]) * f.weights[fent]
+    _, gi, fi = np.intersect1d(grow * len(verts) + gcol, frow * len(verts) + fcol,
+                               assume_unique=True, return_indices=True)
+    gw[gi] += fw[fi]  # a vertex in both rows, listed where g lists it
+    rows, columns, weights = (np.concatenate((a, np.delete(b, fi)))
+                              for a, b in ((grow, frow), (gcol, fcol), (gw, fw)))
+    nonzero = np.flatnonzero(weights)
+    order = nonzero[np.argsort(rows[nonzero], kind="stable")]  # g's entries first in a row
+    columns, weights = columns[order], weights[order]
+    indptr = _indptr(np.bincount(rows[order], minlength=len(t)))
+    listed, bounds = weights.tolist(), indptr.tolist()
+    for i in np.flatnonzero((t > 0.0) & (t < 1.0)).tolist():
+        total = math.fsum(listed[bounds[i]:bounds[i + 1]])
+        if abs(total - 1.0) > RENORM_TRIGGER:
+            weights[bounds[i]:bounds[i + 1]] /= total
+    return indptr, columns, verts, weights
+
+
+def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],
+                          region: PointSubset) -> PartitionOfUnity:
+    """Re-address weights through a vertex retraction r on a region.
+
+    r maps a vertex set S2 onto S1 = image(r) and must fix S1 pointwise.
+    Weights landing on the same vertex are summed in entry order, so the
+    total is preserved exactly; points outside the region are untouched, and
+    so, bit for bit, is a point whose support r does not move.
+    """
+    for v in r.values():
+        if r.get(v, v) != v:
+            raise NotARetractionError(f"r moves {vertex_key(v)}, a vertex of its image")
+    g = f.restricted_to(region)
+    carrier = g.carrier()
+    verts = sorted(set(carrier) | {r[v] for v in carrier if v in r})
+    col = {v: j for j, v in enumerate(verts)}
+    target = np.array([col.get(r.get(v), -1) for v in carrier], dtype=np.intp)[g.columns]
+    rows = np.repeat(np.arange(len(g.domain)), np.diff(g.indptr))
+    if (target < 0).any():
+        k = int(np.argmax(target < 0))
+        raise SupportEscapesError(f"support vertex {vertex_key(carrier[g.columns[k]])} "
+                                  f"of point {g.domain.ids[rows[k]]} outside S2")
+    if (target == np.array([col[v] for v in carrier], dtype=np.intp)[g.columns]).all():
+        return f
+    # one entry per (row, target vertex): a sum in entry order, listed where
+    # its first term was; a point r does not move keeps its entries exactly
+    _, first, group = np.unique(rows * len(verts) + target, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first))
+    np.add.at(sums, group, g.weights)
+    order = np.argsort(first)
+    return PartitionOfUnity._from_csr(
+        f.space, g.domain.ids, _indptr(np.bincount(rows[first], minlength=len(g.domain))),
+        target[first[order]], verts, sums[order]).merged_with(f)
+
+
+def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> PartitionOfUnity:
+    """Uniform weights over the cover members containing each point.
+
+    Member k gets vertex (0, k); the star preimage of that vertex is exactly
+    the member.  Raises NotACover naming an uncovered point.
+    """
+    for k, member in enumerate(cover):
+        if len(member) == 0:
+            raise EmptySetError(f"cover member {k} is empty")
+        member.validate_against(space)
+    points = np.concatenate([m.ids for m in cover] + [np.zeros(0, dtype=np.intp)])
+    members = np.repeat(np.arange(len(cover)), [len(m) for m in cover])
+    counts = np.bincount(points, minlength=space.n)
+    uncovered = np.flatnonzero(counts == 0)
+    if uncovered.size:
+        raise NotACoverError(int(uncovered[0]))
+    order = np.argsort(points, kind="stable")  # each point's members in ascending order
+    return PartitionOfUnity._from_csr(space, np.arange(space.n), _indptr(counts), members[order],
+                                      [(0, k) for k in range(len(cover))],
+                                      1.0 / counts[points[order]])
+
+
+def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
+    """Copy of f with its carrier relabeled into one fresh namespace.
+
+    Carrier vertices are relabeled in sorted order to (namespace, 0..k-1),
+    deterministically, so re-namespacing commutes with serialization.
+    """
+    return PartitionOfUnity._from_csr(f.space, f.domain.ids, f.indptr, f.columns,
+                                      [(namespace, i) for i in range(len(f.carrier()))], f.weights)

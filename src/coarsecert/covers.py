@@ -8,9 +8,9 @@ all arities <= 2 are the straight-decomposition special case.
 
 Constructions here are greedy and deterministic: existence is what matters,
 not optimality.  Cover and family constructions re-check their output with
-the verify module before returning it.  Trees are checked by tree_validate
-where they are written (`coarsecert decompose`) and where they are read
-(build_certificate), not by the functions that build them.
+`construct`'s family checks before returning it.  Trees are checked by
+tree_validate where they are written (`coarsecert decompose`) and where
+they are read (build_certificate), not by the functions that build them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .construct import (
+    CoverFamily,
+    lebesgue_check,
+    multiplicity,
+    r_disjoint_check,
+    uniformly_bounded_check,
+)
 from .errors import (
     ConstructionFailedError,
     InvalidInputError,
@@ -41,14 +48,7 @@ from .metric import (
     dist_to_set_all,
     real_array,
 )
-from .verify import (
-    SLACK_TOL,
-    CoverFamily,
-    lebesgue_check,
-    multiplicity,
-    r_disjoint_check,
-    uniformly_bounded_check,
-)
+from .verify import SLACK_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .construct import (
+    VertexMint,
+    convex_combine,
+    r_disjoint_check,
+    renamespace,
+    simplicial_retraction,
+)
 from .covers import DecompositionTree, TreeNode, tree_validate
 from .errors import (
     BadEpsilonError,
@@ -54,20 +61,12 @@ from .metric import (
     diameter,
     nearest_scan,
 )
-from .simplex import (
-    PartitionOfUnity,
-    VertexMint,
-    convex_combine,
-    renamespace,
-    simplicial_retraction,
-    star_preimage_diameters,
-)
+from .simplex import PartitionOfUnity, star_preimage_diameters
 from .verify import (
     CoboundedReport,
     LipschitzReport,
     cobounded_check,
     lipschitz_check,
-    r_disjoint_check,
 )
 
 BUDGET_FLOOR = 1e-300

@@ -1,4 +1,4 @@
-"""Sparse arithmetic on the l1 simplex and partitions of unity.
+"""Partitions of unity into the l1 simplex, stored as sparse rows.
 
 A point of the l1 simplex is a finite map from vertices to strictly positive
 weights summing to 1; a PartitionOfUnity assigns one to each point of a
@@ -10,53 +10,31 @@ which is how independently built pieces are guaranteed disjoint carriers.
 A PartitionOfUnity is stored once, as compressed sparse rows (CSR) over its
 ascending domain, each entry a carrier column and a weight, and this is the
 only form a pou takes.  Rows from outside (a pou file, or {point: {vertex:
-weight}} dicts) pass one weight validator; the blend convex_combine builds
-its rows from the rows of its two inputs.  The carrier, star preimages (with
-their diameters, one array in carrier order) and dense matrix, and every
-operation on whole pous, are array operations on those rows; f(x) reads one
-row back as a {vertex: weight} dict.
-
-Everything here is immutable after construction and all operations are pure.
-Fresh namespaces come from a VertexMint that each construction run creates
-and passes down.
+weight}} dicts) pass one weight validator.  The carrier, star preimages (with
+their diameters, one array in carrier order), dense matrix, restriction and
+merge are array operations on those rows; f(x) reads one row back as a
+{vertex: weight} dict.  Everything here is immutable after construction and
+all operations are pure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    EmptySetError,
-    InvalidInputError,
-    NotACoverError,
-    NotARetractionError,
-    SupportEscapesError,
-)
+from .errors import EmptySetError, InvalidInputError
 from .metric import FiniteMetricSpace, PointSubset, diameters, row_entries
 
-SUM_TOL = 1e-9          # invariant: |sum - 1| within this after any op
-RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
+SUM_TOL = 1e-9  # invariant: |sum - 1| within this after any op
 
 VertexId = Tuple[int, int]  # (namespace, index)
 
 
 def vertex_key(v: VertexId) -> str:
     return f"{v[0]}:{v[1]}"
-
-
-class VertexMint:
-    """Source of fresh vertex namespaces (>= 1) for one construction run."""
-
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
-
-    def namespace(self) -> int:
-        return next(self._counter)
 
 
 def _indptr(counts) -> np.ndarray:
@@ -132,7 +110,7 @@ class PartitionOfUnity:
     one row index, shared with the domain, never copied.  Its entries are
     indptr[i]:indptr[i+1] of `columns`, indices into the sorted carrier
     tuple (each at most once), and of `weights`, in the order they were
-    given or blended (simplicial_retraction sums weights in that order).
+    given or built (a simplicial retraction sums weights in that order).
     The arrays are read-only, so pous share them.  f(x) reads x's row as a
     {vertex: weight} dict in that order.
     """
@@ -246,46 +224,6 @@ class PartitionOfUnity:
             rows=np.unique(ids, return_index=True)[1])  # the first pou to hold each point
 
 
-def convex_combine(t: np.ndarray, g: PartitionOfUnity, f: PartitionOfUnity, src: np.ndarray):
-    """(indptr, columns, verts, weights): row i is t[i]*g's row i + (1-t[i])*f(src[i]).
-
-    verts is the sorted union of the two carriers.  A row at t = 1 is g's
-    row, and one at t = 0 is f(src[i]), untouched.  Otherwise, with s = 1 - t,
-    it lists g's vertices in g's order at t*x (t*x + s*y if f(src[i]) has y
-    there too), then f(src[i])'s others in its order at s*y, drops exact
-    zeros, and is divided by its fsum if that is more than RENORM_TRIGGER
-    from 1.  src is read only where t < 1.
-    """
-    outside = t[~((t >= 0.0) & (t <= 1.0))]
-    if len(outside):
-        raise InvalidInputError(f"combination parameter {float(outside[0])!r} outside [0, 1]")
-    grows, frows = np.flatnonzero(t > 0.0), np.flatnonzero(t < 1.0)
-    missing = src[frows][~np.isin(src[frows], f.domain.ids)]
-    if len(missing):
-        raise KeyError(int(missing[0]))
-    columns, verts = _columns(g._carrier + f._carrier)
-    gptr, gent = row_entries(g.indptr, grows)
-    fptr, fent = row_entries(f.indptr, np.searchsorted(f.domain.ids, src[frows]))
-    grow, frow = np.repeat(grows, np.diff(gptr)), np.repeat(frows, np.diff(fptr))
-    gcol, fcol = columns[g.columns[gent]], columns[len(g._carrier) + f.columns[fent]]
-    gw, fw = t[grow] * g.weights[gent], (1.0 - t[frow]) * f.weights[fent]
-    _, gi, fi = np.intersect1d(grow * len(verts) + gcol, frow * len(verts) + fcol,
-                               assume_unique=True, return_indices=True)
-    gw[gi] += fw[fi]  # a vertex in both rows, listed where g lists it
-    rows, columns, weights = (np.concatenate((a, np.delete(b, fi)))
-                              for a, b in ((grow, frow), (gcol, fcol), (gw, fw)))
-    nonzero = np.flatnonzero(weights)
-    order = nonzero[np.argsort(rows[nonzero], kind="stable")]  # g's entries first in a row
-    columns, weights = columns[order], weights[order]
-    indptr = _indptr(np.bincount(rows[order], minlength=len(t)))
-    listed, bounds = weights.tolist(), indptr.tolist()
-    for i in np.flatnonzero((t > 0.0) & (t < 1.0)).tolist():
-        total = math.fsum(listed[bounds[i]:bounds[i + 1]])
-        if abs(total - 1.0) > RENORM_TRIGGER:
-            weights[bounds[i]:bounds[i + 1]] /= total
-    return indptr, columns, verts, weights
-
-
 def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
     """Diameter of each vertex's star preimage, in f.carrier() order.
 
@@ -296,70 +234,3 @@ def star_preimage_diameters(f: PartitionOfUnity) -> np.ndarray:
         raise EmptySetError("star_preimage_diameters of empty-domain pou")
     points = np.repeat(f.domain.ids, np.diff(f.indptr))[np.argsort(f.columns, kind="stable")]
     return diameters(f.space, points, _indptr(np.bincount(f.columns, minlength=len(f.carrier()))))
-
-
-def simplicial_retraction(f: PartitionOfUnity, r: Mapping[VertexId, VertexId],
-                          region: PointSubset) -> PartitionOfUnity:
-    """Re-address weights through a vertex retraction r on a region.
-
-    r maps a vertex set S2 onto S1 = image(r) and must fix S1 pointwise.
-    Weights landing on the same vertex are summed in entry order, so the
-    total is preserved exactly; points outside the region are untouched, and
-    so, bit for bit, is a point whose support r does not move.
-    """
-    for v in r.values():
-        if r.get(v, v) != v:
-            raise NotARetractionError(f"r moves {vertex_key(v)}, a vertex of its image")
-    g = f.restricted_to(region)
-    carrier = g.carrier()
-    verts = sorted(set(carrier) | {r[v] for v in carrier if v in r})
-    col = {v: j for j, v in enumerate(verts)}
-    target = np.array([col.get(r.get(v), -1) for v in carrier], dtype=np.intp)[g.columns]
-    rows = np.repeat(np.arange(len(g.domain)), np.diff(g.indptr))
-    if (target < 0).any():
-        k = int(np.argmax(target < 0))
-        raise SupportEscapesError(f"support vertex {vertex_key(carrier[g.columns[k]])} "
-                                  f"of point {g.domain.ids[rows[k]]} outside S2")
-    if (target == np.array([col[v] for v in carrier], dtype=np.intp)[g.columns]).all():
-        return f
-    # one entry per (row, target vertex): a sum in entry order, listed where
-    # its first term was; a point r does not move keeps its entries exactly
-    _, first, group = np.unique(rows * len(verts) + target, return_index=True, return_inverse=True)
-    sums = np.zeros(len(first))
-    np.add.at(sums, group, g.weights)
-    order = np.argsort(first)
-    return PartitionOfUnity._from_csr(
-        f.space, g.domain.ids, _indptr(np.bincount(rows[first], minlength=len(g.domain))),
-        target[first[order]], verts, sums[order]).merged_with(f)
-
-
-def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> PartitionOfUnity:
-    """Uniform weights over the cover members containing each point.
-
-    Member k gets vertex (0, k); the star preimage of that vertex is exactly
-    the member.  Raises NotACover naming an uncovered point.
-    """
-    for k, member in enumerate(cover):
-        if len(member) == 0:
-            raise EmptySetError(f"cover member {k} is empty")
-        member.validate_against(space)
-    points = np.concatenate([m.ids for m in cover] + [np.zeros(0, dtype=np.intp)])
-    members = np.repeat(np.arange(len(cover)), [len(m) for m in cover])
-    counts = np.bincount(points, minlength=space.n)
-    uncovered = np.flatnonzero(counts == 0)
-    if uncovered.size:
-        raise NotACoverError(int(uncovered[0]))
-    order = np.argsort(points, kind="stable")  # each point's members in ascending order
-    return PartitionOfUnity._from_csr(space, np.arange(space.n), _indptr(counts), members[order],
-                                      [(0, k) for k in range(len(cover))],
-                                      1.0 / counts[points[order]])
-
-
-def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
-    """Copy of f with its carrier relabeled into one fresh namespace.
-
-    Carrier vertices are relabeled in sorted order to (namespace, 0..k-1),
-    deterministically, so re-namespacing commutes with serialization.
-    """
-    return PartitionOfUnity._from_csr(f.space, f.domain.ids, f.indptr, f.columns,
-                                      [(namespace, i) for i in range(len(f.carrier()))], f.weights)

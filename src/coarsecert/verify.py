@@ -1,15 +1,16 @@
-"""Independent verification of every claim a construction can make.
+"""Independent verification of a certificate: its Lipschitz and coboundedness claims.
 
-Each check here recomputes its property from the actual object, never
-trusting how the object was built: by direct enumeration, or, for full
-mode's far pairs, by a bound proved from the object's own weights.
-Reports always carry witnesses so that failures are reproducible by hand,
-and the slack tolerance (-1e-9) is recorded in every report.
+These two checks are all that `coarsecert verify` runs.  Each recomputes
+its property from the actual pou, never trusting how the pou was built:
+by direct enumeration, or, for full mode's far pairs, by a bound proved
+from the pou's own weights.  Reports always carry witnesses so that
+failures are reproducible by hand, and the slack tolerance (-1e-9) is
+recorded in every report.
 
-Every pairwise check reads each source row once and keeps the first
-minimum under strict <, so witnesses are lexicographically least.  The
-Lipschitz kernel reads the pou's CSR arrays and never builds its dense
-n x carrier matrix.  It takes the pairs (i, j) of domain positions, i < j,
+The Lipschitz check reads each source row once and keeps the first
+minimum under strict <, so its witness is lexicographically least.  Its
+kernel reads the pou's CSR arrays and never builds its dense n x carrier
+matrix.  It takes the pairs (i, j) of domain positions, i < j,
 closer than a radius, in (i, j) order from one mask over the later columns
 of each block of rows on its ball (metric.ball_blocks, cut off at the
 radius), in arrays of at most ROW_BLOCK_CELLS/16 pairs that run across
@@ -30,30 +31,18 @@ error), and a pair it skips is at distance >= rho, so its computed slack
 is at least lam*rho + C - L.  When that is strictly above the scanned
 minimum, the scan holds the least slack and its first witness; otherwise
 rho doubles, up to a scan of every pair (lipschitz_check).
-R-disjointness takes one distance to each member (metric.cross_minima)
-and scans the rows of one member only to name a witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
-from .metric import (
-    ROW_BLOCK_CELLS,
-    FiniteMetricSpace,
-    PointSubset,
-    ball_blocks,
-    concat_sets,
-    cross_minima,
-    diameters,
-    nearest_scan,
-    row_entries,
-)
+from .errors import BadModeError, InvalidInputError
+from .metric import ROW_BLOCK_CELLS, FiniteMetricSpace, ball_blocks, row_entries
 from .simplex import (
     PartitionOfUnity,
     VertexId,
@@ -62,33 +51,6 @@ from .simplex import (
 )
 
 SLACK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CoverFamily:
-    """A tuple of nonempty subsets."""
-
-    members: Tuple[PointSubset, ...]
-
-    def __post_init__(self):
-        members = tuple(m if isinstance(m, PointSubset) else PointSubset(m)
-                        for m in self.members)
-        object.__setattr__(self, "members", members)
-        for k, m in enumerate(members):
-            if len(m) == 0:
-                raise EmptySetError(f"cover family member {k} is empty")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def _as_family(family) -> CoverFamily:
-    if isinstance(family, CoverFamily):
-        return family
-    return CoverFamily(tuple(family))
 
 
 @dataclass
@@ -140,79 +102,6 @@ class CoboundedReport:
             "tight_bound": self.tight_bound,
             "witness": vertex_key(self.worst_vertex) if self.worst_vertex else None,
             "vertices_checked": self.vertices_checked,
-        }
-
-
-@dataclass
-class DisjointReport:
-    R: float
-    min_cross: float
-    witness: Optional[Tuple[int, int, int, int]]  # (x, y, member s, member t)
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-    def to_json(self) -> dict:
-        return {
-            "check": "r_disjoint",
-            "pass": self.passed,
-            "R": self.R,
-            "tolerance": SLACK_TOL,
-            "min_cross_distance": None if math.isinf(self.min_cross) else self.min_cross,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
-
-@dataclass
-class BoundednessReport:
-    bound: float
-    worst_member: int
-    diameters: List[float]
-
-    def to_json(self) -> dict:
-        return {
-            "check": "uniformly_bounded",
-            "pass": True,
-            "tolerance": SLACK_TOL,
-            "bound": self.bound,
-            "worst_member": self.worst_member,
-            "diameters": self.diameters,
-        }
-
-
-@dataclass
-class LebesgueReport:
-    M: float
-    witness_point: Optional[int]
-
-    @property
-    def passed(self) -> bool:
-        return self.witness_point is None
-
-    def to_json(self) -> dict:
-        return {
-            "check": "lebesgue",
-            "pass": self.passed,
-            "tolerance": SLACK_TOL,
-            "M": self.M,
-            "witness": self.witness_point,
-        }
-
-
-@dataclass
-class MultiplicityReport:
-    maximum: int
-    histogram: Dict[int, int]
-    per_point: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "check": "multiplicity",
-            "pass": True,
-            "tolerance": SLACK_TOL,
-            "maximum": self.maximum,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
 
@@ -422,79 +311,3 @@ def cobounded_check(f: PartitionOfUnity, M: float) -> CoboundedReport:
     k = int(np.argmax(diams))
     return CoboundedReport(bound=float(M), tight_bound=float(diams[k]),
                            worst_vertex=f.carrier()[k], vertices_checked=len(diams))
-
-
-# ---------------------------------------------------------------------------
-# families
-# ---------------------------------------------------------------------------
-
-def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointReport:
-    """Check cross-member pairs are at distance > R; witness the closest pair.
-
-    The witness (x, y, s, t) has the least distance, then the least (s, t),
-    x and y; it is rebuilt for the winning (s, t) from a scan of s's rows
-    cut off at that distance.
-    """
-    if math.isnan(R):  # no distance compares with NaN, which would read as a pass
-        raise InvalidInputError(f"R = {R!r} is not a number")
-    fam = _as_family(family)
-    best, win = math.inf, None
-    for s, cross in enumerate(cross_minima(space, fam.members)):
-        k = int(np.argmin(cross))
-        if cross[k] < best:
-            best, win = float(cross[k]), (s, s + 1 + k)
-    if win is None or not best <= R:
-        return DisjointReport(R=R, min_cross=best, witness=None)
-    s, t = win
-    dist, nearest = nearest_scan(space, fam.members[s].ids, best)
-    ys = fam.members[t].ids
-    ys = ys[dist[ys] == best]
-    x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
-    return DisjointReport(R=R, min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
-
-
-def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
-    """Exact max member diameter (the tight uniform bound)."""
-    fam = _as_family(family)
-    diams = diameters(space, *concat_sets(fam.members)).tolist()
-    worst = int(np.argmax(diams))
-    return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
-                             diameters=diams)
-
-
-def _member_masks(space: FiniteMetricSpace, fam: CoverFamily) -> np.ndarray:
-    masks = np.zeros((len(fam.members), space.n), dtype=bool)
-    for k, member in enumerate(fam.members):
-        masks[k, member.ids] = True
-    return masks
-
-
-def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
-    """Pass iff every open M-ball is contained in some cover member.
-
-    The witness is the first point whose ball escapes every member.
-    """
-    if math.isnan(M):  # a NaN ball holds no point, which would read as a pass
-        raise InvalidInputError(f"M = {M!r} is not a number")
-    fam = _as_family(cover)
-    masks = _member_masks(space, fam)
-    covered = masks.any(axis=0)
-    if not covered.all():
-        raise NotACoverError(int(np.flatnonzero(~covered)[0]))
-    for lo, ball, rows in ball_blocks(space, np.arange(space.n), M):
-        for x, row in enumerate(rows, lo):
-            if not masks[:, ball[row < M]].all(axis=1).any():
-                return LebesgueReport(M=M, witness_point=x)
-    return LebesgueReport(M=M, witness_point=None)
-
-
-def multiplicity(space: FiniteMetricSpace, cover) -> MultiplicityReport:
-    """Max number of members containing a point, plus the full histogram."""
-    fam = _as_family(cover)
-    counts = _member_masks(space, fam).sum(axis=0)
-    values, freq = np.unique(counts, return_counts=True)
-    return MultiplicityReport(
-        maximum=int(counts.max()) if counts.size else 0,
-        histogram={int(v): int(c) for v, c in zip(values, freq)},
-        per_point=counts,
-    )

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from coarsecert.metric import PointSubset
-from coarsecert.simplex import RENORM_TRIGGER, PartitionOfUnity
+from coarsecert.construct import RENORM_TRIGGER
+from coarsecert.simplex import PartitionOfUnity
 from coarsecert.verify import lipschitz_check
 
 

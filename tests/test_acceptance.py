@@ -20,15 +20,14 @@ from coarsecert.cli import main as cli_main
 from coarsecert.covers import brick_tree, greedy_decomposition, net_ball_levels, point_finite_transform
 from coarsecert.extend import Modulus, budget_schedule, default_modulus, extend_pou, measured_bound, paste
 from coarsecert.metric import PointSubset
-from coarsecert.simplex import VertexMint
-from coarsecert.verify import (
-    cobounded_check,
+from coarsecert.construct import (
+    VertexMint,
     lebesgue_check,
-    lipschitz_check,
     multiplicity,
     r_disjoint_check,
     uniformly_bounded_check,
 )
+from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, rgg_space
 from .genutil import (
     min_gap_pair,

@@ -67,6 +67,13 @@ class TestGenerate:
         assert run("generate", "--kind", "random-geometric", "--n", 200,
                    "--seed", 7, "--radius", 0.15, "--out", out) == 0
 
+    @pytest.mark.parametrize("radius", ["nan", "-1", "inf"])
+    def test_random_geometric_bad_radius(self, tmp_path, radius):
+        assert_input_error(tmp_path, ["generate", "--kind", "random-geometric", "--n", "20",
+                                      "--radius", radius, "--out", "rgg.json"],
+                           f"random-geometric radius must be finite and >= 0, got {float(radius)!r}")
+        assert not (tmp_path / "rgg.json").exists()
+
     def test_random_geometric_disconnected(self, tmp_path):
         out = tmp_path / "rgg.json"
         assert run("generate", "--kind", "random-geometric", "--n", 200,
@@ -1426,6 +1433,7 @@ def test_bench_tracer_patches_resolve():
     assert cli.brick_tree is before
 
 
+_CONSTRUCTION = ("coarsecert.construct", "coarsecert.covers", "coarsecert.extend")
 _LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.argv[1:]); "
            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('coarsecert.')))); "
            "sys.exit(code)")
@@ -1437,9 +1445,10 @@ _LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.a
     (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, []),
     (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0, []),
     (["decompose", "--space", "space.json", "--strategy", "bricks", "--R", "10",
-      "--block-scale", "11", "--out", "t.json"], 0, ["coarsecert.covers"]),
+      "--block-scale", "11", "--out", "t.json"], 0, ["coarsecert.construct", "coarsecert.covers"]),
     (["certify", "--space", "space.json", "--tree", "tree.json", "--epsilon", "0.8",
-      "--modulus", "linear:2", "--out", "c"], 0, ["coarsecert.covers", "coarsecert.extend"]),
+      "--modulus", "linear:2", "--out", "c"], 0,
+     ["coarsecert.construct", "coarsecert.covers", "coarsecert.extend"]),
 ], ids=["help", "usage-error", "generate", "verify", "decompose", "certify"])
 def test_command_loads_only_its_modules(clean_artifacts, tmp_path, args, code, construction):
     # the consumer's trusted base: verify runs, and so loads, no construction module
@@ -1451,7 +1460,7 @@ def test_command_loads_only_its_modules(clean_artifacts, tmp_path, args, code, c
     assert proc.returncode == code, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert {"coarsecert.jsonio", "coarsecert.metric", "coarsecert.verify"} <= set(loaded)
-    assert [m for m in loaded if m in ("coarsecert.covers", "coarsecert.extend")] == construction
+    assert [m for m in loaded if m in _CONSTRUCTION] == construction
 
 
 class TestLazyNamespace:

@@ -19,7 +19,7 @@ from coarsecert.errors import (
 )
 from coarsecert import metric
 from coarsecert.metric import PointSubset, load_matrix
-from coarsecert.verify import (
+from coarsecert.construct import (
     lebesgue_check,
     multiplicity,
     r_disjoint_check,

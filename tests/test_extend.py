@@ -33,12 +33,8 @@ from coarsecert.extend import (
     paste,
 )
 from coarsecert.metric import PointSubset, dist_to_set_all
-from coarsecert.simplex import (
-    PartitionOfUnity,
-    VertexMint,
-    barycentric_pou,
-    simplicial_retraction,
-)
+from coarsecert.construct import VertexMint, barycentric_pou, simplicial_retraction
+from coarsecert.simplex import PartitionOfUnity
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph
 from .genutil import blend_point, perturb_weight, random_lipschitz_pou, random_subset, uniform

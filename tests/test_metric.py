@@ -39,7 +39,8 @@ from coarsecert.metric import (
     load_points,
 )
 from coarsecert.extend import nearest_point_retraction, set_ball
-from coarsecert.simplex import barycentric_pou, star_preimage_diameters
+from coarsecert.construct import barycentric_pou
+from coarsecert.simplex import star_preimage_diameters
 from .conftest import (
     dijkstra_table,
     graph_space,

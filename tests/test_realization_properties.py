@@ -19,8 +19,8 @@ from coarsecert.extend import (
     measured_bound,
 )
 from coarsecert.metric import PointSubset, closed_set_ball, diameter
-from coarsecert.simplex import VertexMint
-from coarsecert.verify import cobounded_check, lipschitz_check, r_disjoint_check
+from coarsecert.construct import VertexMint, r_disjoint_check
+from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, rgg_space
 from .genutil import random_lipschitz_pou, random_subset
 

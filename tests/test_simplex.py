@@ -16,18 +16,17 @@ from coarsecert.errors import (
     SupportEscapesError,
 )
 from coarsecert.metric import PointSubset
-from coarsecert.simplex import (
-    SUM_TOL,
-    PartitionOfUnity,
+from coarsecert.simplex import SUM_TOL, PartitionOfUnity, star_preimage_diameters
+from coarsecert.construct import (
     VertexMint,
     barycentric_pou,
     convex_combine,
+    lebesgue_check,
     renamespace,
     simplicial_retraction,
-    star_preimage_diameters,
 )
 from coarsecert.extend import extend_over_disjoint_family, measured_bound
-from coarsecert.verify import cobounded_check, lebesgue_check
+from coarsecert.verify import cobounded_check
 
 from .conftest import path_space
 from .genutil import blend_point

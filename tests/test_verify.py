@@ -11,16 +11,16 @@ from coarsecert import metric, verify
 from coarsecert.covers import greedy_decomposition
 from coarsecert.errors import BadModeError, EmptySetError, InvalidInputError, NotACoverError
 from coarsecert.metric import PointSubset, diameter, load_graph, load_matrix, load_points
-from coarsecert.simplex import PartitionOfUnity, barycentric_pou
-from coarsecert.verify import (
+from coarsecert.construct import (
     CoverFamily,
-    cobounded_check,
+    barycentric_pou,
     lebesgue_check,
-    lipschitz_check,
     multiplicity,
     r_disjoint_check,
     uniformly_bounded_check,
 )
+from coarsecert.simplex import PartitionOfUnity
+from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import dijkstra_table, integer_graph, path_space, weighted_graph, with_table
 from .genutil import random_lipschitz_pou
 
