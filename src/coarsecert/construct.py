@@ -1,6 +1,17 @@
-"""Cover family checks and pou builders: the code that only constructions run.
+"""Set searches, cover family checks and pou builders: the code that only constructions run.
 
-R-disjointness (one distance to each member, metric.cross_minima), uniform
+The set searches answer distances to a set of points A.  On a graph, the
+distance to A is one multi-source Dijkstra call (dist_to_set_all), which
+gives the least entry of A's rows bit for bit wherever it answers: a
+vertex's Dijkstra distance is the least rounded d(u) + w(u, v) over its
+neighbours u, whatever the order of the search.  A table or a cloud, and
+nearest_scan on any space, keep a running minimum over A's ball blocks
+(metric.ball_blocks) in ascending id order, so no |A| x n block is ever
+built and a set query holds O(n) plus one block.  Every search calls
+Dijkstra as metric.dijkstra, directly or through ball_blocks, so a wrapper
+of that one name sees every call.
+
+R-disjointness (one distance to each member, cross_minima), uniform
 boundedness, Lebesgue numbers and multiplicity check what `covers` and `extend`
 build; convex_combine, simplicial_retraction, renamespace and barycentric_pou
 build pous on `simplex`'s store, under the fresh namespaces of a VertexMint.
@@ -12,18 +23,92 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import metric
 from .errors import (EmptySetError, InvalidInputError, NotACoverError, NotARetractionError,
                      SupportEscapesError)
-from .metric import (FiniteMetricSpace, PointSubset, ball_blocks, concat_sets, cross_minima,
-                     diameters, nearest_scan, row_entries)
+from .metric import (FiniteMetricSpace, PointSubset, ball_blocks, concat_sets, diameters,
+                     row_entries)
 from .simplex import PartitionOfUnity, VertexId, _columns, _indptr, vertex_key
 from .verify import SLACK_TOL
 
 RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
+
+
+def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
+                    limit: float = math.inf) -> np.ndarray:
+    """dist(x, a) for every x, shape (n,): the least entry of a's rows.
+
+    The one distance-to-set primitive: every set query reads the set's rows.
+    A graph answers by one multi-source Dijkstra call, a table or a cloud by
+    a running minimum over blocks of rows.  Bit-equal to nearest_scan's dist
+    wherever at most limit; an entry above limit is exact or inf.
+    """
+    if len(a) == 0:
+        raise EmptySetError("dist_to_set_all of empty subset")
+    if math.isnan(limit):  # no distance compares with NaN, which would read as far
+        raise InvalidInputError(f"limit = {limit!r} is not a number")
+    if not space.has_table and space._graph is not None:  # scipy refuses a negative limit
+        return metric.dijkstra(space._graph, directed=True, indices=a.ids, min_only=True,
+                               limit=max(limit, 0.0))
+    out = np.full(space.n, math.inf)
+    for _, _, block in ball_blocks(space, a.ids, limit):
+        np.minimum(out, block.min(axis=0), out=out)
+    return out
+
+
+def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
+    """The closed enlargement {x : dist(x, a) <= r}; r >= 0 allowed."""
+    if len(a) == 0:
+        raise EmptySetError("closed_set_ball of empty subset")
+    if not r >= 0:  # NaN too: no distance is <= NaN, so its ball would be empty
+        raise InvalidInputError(f"ball radius must be >= 0, got {r!r}")
+    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) <= r))
+
+
+def nearest_scan(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
+    """(dist, nearest): dist(x, ids) and the smallest id attaining it.
+
+    Both are exact wherever dist(x, ids) <= limit; elsewhere dist is above
+    limit (or inf) and nearest means nothing (-1 where no row reached x).  A
+    running minimum over ids' rows in ascending id order, one ball block at
+    a time (ball_blocks; a row is inf off its block's ball): a row takes over
+    an entry only where it is strictly smaller, so the smallest id keeps a
+    tie, as argmin over the stacked block would.
+    """
+    if math.isnan(limit):
+        raise InvalidInputError(f"limit = {limit!r} is not a number")
+    dist = np.full(space.n, math.inf)
+    nearest = np.full(space.n, -1, dtype=np.intp)
+    for lo, ball, rows in ball_blocks(space, ids, limit):
+        best, which = dist[ball], nearest[ball]
+        closer = np.empty(len(ball), dtype=bool)
+        for i, row in zip(ids[lo:lo + len(rows)], rows):
+            np.less(row, best, out=closer)
+            np.minimum(best, row, out=best)
+            which[closer] = i
+        dist[ball], nearest[ball] = best, which
+        del rows, row
+    return dist, nearest
+
+
+def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
+    """cross per nonempty member s but the last, in order.
+
+    cross[k] is the least distance from members[s] to members[s + 1 + k]
+    over members[s]'s rows: the minimum of dist_to_set_all(members[s]) over
+    the later member, bit-equal to the minimum over the two members' block.
+    """
+    if len(members) < 2:
+        return
+    ids, starts = concat_sets(members)
+    for s in range(len(members) - 1):
+        dist = dist_to_set_all(space, members[s])
+        lo = starts[s + 1]
+        yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:-1] - lo)
 
 
 @dataclass(frozen=True)

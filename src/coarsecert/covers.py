@@ -23,6 +23,9 @@ import numpy as np
 
 from .construct import (
     CoverFamily,
+    closed_set_ball,
+    cross_minima,
+    dist_to_set_all,
     lebesgue_check,
     multiplicity,
     r_disjoint_check,
@@ -43,9 +46,6 @@ from .metric import (
     as_float,
     as_int,
     ball_blocks,
-    closed_set_ball,
-    cross_minima,
-    dist_to_set_all,
     real_array,
 )
 from .verify import SLACK_TOL

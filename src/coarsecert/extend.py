@@ -38,6 +38,8 @@ import numpy as np
 from .construct import (
     VertexMint,
     convex_combine,
+    dist_to_set_all,
+    nearest_scan,
     r_disjoint_check,
     renamespace,
     simplicial_retraction,
@@ -54,13 +56,7 @@ from .errors import (
     UnderflowError_,
     VerificationFailedError,
 )
-from .metric import (
-    FiniteMetricSpace,
-    PointSubset,
-    dist_to_set_all,
-    diameter,
-    nearest_scan,
-)
+from .metric import FiniteMetricSpace, PointSubset, diameter
 from .simplex import PartitionOfUnity, star_preimage_diameters
 from .verify import (
     CoboundedReport,
@@ -270,15 +266,6 @@ def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retrac
     mapping.setflags(write=False)
     dist.setflags(write=False)
     return Retraction(subset=a, mapping=mapping, dist=dist)
-
-
-def set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
-    """The open ball {x : dist(x, a) < r} around a set, r > 0."""
-    if len(a) == 0:
-        raise EmptySetError("set_ball of empty subset")
-    if r <= 0:
-        raise InvalidInputError(f"ball radius must be > 0, got {r!r}")
-    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) < r))
 
 
 # ---------------------------------------------------------------------------

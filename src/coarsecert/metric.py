@@ -13,12 +13,11 @@ row (_lp_row).  A graph keeps no distances at any size: FiniteMetricSpace.row
 computes one row and returns it, and a question that needs many rows asks
 for them in blocks (FiniteMetricSpace.rows) cut off at the largest distance
 it can use.  A block is one Dijkstra call from all of its sources with that
-limit, and a distance to a set is one multi-source Dijkstra call
-(FiniteMetricSpace.distances_to).  Both give the single-source rows' bits
-wherever they answer: a vertex's Dijkstra distance is the least rounded
-d(u) + w(u, v) over its neighbours u, whatever the order of the search.  A
-graph's row may differ from its column in the last bits when float weights
-are summed in different orders; nothing here assumes otherwise.
+limit, and gives the single-source rows' bits wherever it answers: a
+vertex's Dijkstra distance is the least rounded d(u) + w(u, v) over its
+neighbours u, whatever the order of the search.  A graph's row may differ
+from its column in the last bits when float weights are summed in
+different orders; nothing here assumes otherwise.
 
 A block of rows cut off at a finite limit L is computed on its ball's own
 subgraph (ball_blocks), or on the whole graph when the ball holds most of
@@ -39,9 +38,7 @@ lp rows stacked as a dense float64 table, the same rows bit for bit, since
 its triangle check reads the table (below); a larger cloud keeps none, and
 builds a block a coordinate at a time where that gives the rows' bits
 (_lp_rows).  For a graph DENSE_LIMIT only decides how many rows are
-certified at load.  The set primitives at the end of this module keep a
-running minimum over ball blocks in ascending id order, so no |A| x n block
-is ever built and a set query holds O(n) plus one block.
+certified at load.
 
 A graph's diameter reads a row only while it can raise the running
 maximum, and is still the max over every row, bit for bit; a matrix or a
@@ -326,20 +323,6 @@ class FiniteMetricSpace:
         if self._graph is not None:  # scipy refuses a negative limit
             return dijkstra(self._graph, directed=True, indices=ids, limit=max(limit, 0.0))
         return _lp_rows(self._coords, ids, self._p_norm)
-
-    def distances_to(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
-        """dist(x, ids) for every x, the least entry of ids' rows; exact wherever <= limit.
-
-        A graph answers by one multi-source Dijkstra call, a table or a cloud
-        by a running minimum over blocks of rows.  Above limit, exact or inf.
-        """
-        if self._dmat is None and self._graph is not None:
-            return dijkstra(self._graph, directed=True, indices=ids, min_only=True,
-                            limit=max(limit, 0.0))
-        out = np.full(self.n, math.inf)
-        for _, _, block in ball_blocks(self, ids, limit):
-            np.minimum(out, block.min(axis=0), out=out)
-        return out
 
     def least_gap(self) -> float:
         """A graph's lightest edge (no distance, a rounded sum of edges, is below it); else 0."""
@@ -778,28 +761,6 @@ def _check_distinct(arr: np.ndarray, p: float) -> None:
 # geometric primitives
 # ---------------------------------------------------------------------------
 
-def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
-                    limit: float = math.inf) -> np.ndarray:
-    """dist(x, a) for every x, shape (n,): the least entry of a's rows.
-
-    The one distance-to-set primitive: every set query reads the set's rows.
-    Bit-equal to nearest_scan's dist wherever at most limit; an entry above
-    limit is exact or inf.
-    """
-    if len(a) == 0:
-        raise EmptySetError("dist_to_set_all of empty subset")
-    return space.distances_to(a.ids, limit)
-
-
-def closed_set_ball(space: FiniteMetricSpace, a: PointSubset, r: float) -> PointSubset:
-    """The closed enlargement {x : dist(x, a) <= r}; r >= 0 allowed."""
-    if len(a) == 0:
-        raise EmptySetError("closed_set_ball of empty subset")
-    if r < 0:
-        raise InvalidInputError(f"ball radius must be >= 0, got {r!r}")
-    return PointSubset(np.flatnonzero(dist_to_set_all(space, a, r) <= r))
-
-
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
     """Max pairwise distance within a; 0 for a singleton (diameters)."""
     return float(diameters(space, *concat_sets([a]))[0])
@@ -1017,43 +978,3 @@ def _ball_subgraph(graph: csr_matrix, ball: np.ndarray, inside: np.ndarray) -> c
     np.cumsum(keep, out=indptr[1:])
     return csr_matrix((graph.data[k[keep]], np.searchsorted(ball, far[keep]), indptr[kept]),
                       shape=(len(ball), len(ball)))
-
-
-def nearest_scan(space: FiniteMetricSpace, ids: np.ndarray, limit: float = math.inf):
-    """(dist, nearest): dist(x, ids) and the smallest id attaining it.
-
-    Both are exact wherever dist(x, ids) <= limit; elsewhere dist is above
-    limit (or inf) and nearest means nothing (-1 where no row reached x).  A
-    running minimum over ids' rows in ascending id order, one ball block at
-    a time (ball_blocks; a row is inf off its block's ball): a row takes over
-    an entry only where it is strictly smaller, so the smallest id keeps a
-    tie, as argmin over the stacked block would.
-    """
-    dist = np.full(space.n, math.inf)
-    nearest = np.full(space.n, -1, dtype=np.intp)
-    for lo, ball, rows in ball_blocks(space, ids, limit):
-        best, which = dist[ball], nearest[ball]
-        closer = np.empty(len(ball), dtype=bool)
-        for i, row in zip(ids[lo:lo + len(rows)], rows):
-            np.less(row, best, out=closer)
-            np.minimum(best, row, out=best)
-            which[closer] = i
-        dist[ball], nearest[ball] = best, which
-        del rows, row
-    return dist, nearest
-
-
-def cross_minima(space: FiniteMetricSpace, members: Sequence[PointSubset]):
-    """cross per nonempty member s but the last, in order.
-
-    cross[k] is the least distance from members[s] to members[s + 1 + k]
-    over members[s]'s rows: the minimum of dist_to_set_all(members[s]) over
-    the later member, bit-equal to the minimum over the two members' block.
-    """
-    if len(members) < 2:
-        return
-    ids, starts = concat_sets(members)
-    for s in range(len(members) - 1):
-        dist = space.distances_to(members[s].ids)
-        lo = starts[s + 1]
-        yield np.minimum.reduceat(dist[ids[lo:]], starts[s + 1:-1] - lo)

@@ -1473,7 +1473,7 @@ class TestLazyNamespace:
         ns = {}
         exec("from coarsecert import *", ns)
         assert all(ns[name] is getattr(coarsecert, name) for name in coarsecert.__all__)
-        assert ns["set_ball"].__module__ == "coarsecert.extend"
+        assert ns["paste"].__module__ == "coarsecert.extend"
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

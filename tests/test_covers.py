@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,11 @@ class TestPointFiniteTransform:
     def test_net_must_cover(self, p100):
         with pytest.raises(NotACoverError):
             net_ball_levels(p100, net=[0, 50], r=3.0)
+
+    def test_nan_radius_refused(self, p5):
+        # a NaN ball used to come back empty, read as "point 0 is not covered"
+        with pytest.raises(InvalidInputError, match="ball radius must be >= 0, got nan"):
+            net_ball_levels(p5, [0, 3], math.nan)
 
 
 class TestBrickTree1D:

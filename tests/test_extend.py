@@ -32,8 +32,9 @@ from coarsecert.extend import (
     parse_modulus,
     paste,
 )
-from coarsecert.metric import PointSubset, dist_to_set_all
-from coarsecert.construct import VertexMint, barycentric_pou, simplicial_retraction
+from coarsecert.metric import PointSubset
+from coarsecert.construct import (VertexMint, barycentric_pou, dist_to_set_all,
+                                  simplicial_retraction)
 from coarsecert.simplex import PartitionOfUnity
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph

@@ -26,20 +26,18 @@ from coarsecert.errors import (
     TriangleViolationError,
     ZeroOffDiagonalError,
 )
-from coarsecert import metric, verify
+from coarsecert import construct, metric, verify
 from coarsecert.metric import (
     METRIC_TOL,
     FiniteMetricSpace,
     PointSubset,
-    closed_set_ball,
     diameter,
-    dist_to_set_all,
     load_graph,
     load_matrix,
     load_points,
 )
-from coarsecert.extend import nearest_point_retraction, set_ball
-from coarsecert.construct import barycentric_pou
+from coarsecert.extend import nearest_point_retraction
+from coarsecert.construct import barycentric_pou, closed_set_ball, dist_to_set_all, nearest_scan
 from coarsecert.simplex import star_preimage_diameters
 from .conftest import (
     dijkstra_table,
@@ -1020,27 +1018,17 @@ class TestPrimitives:
         with pytest.raises(EmptySetError):
             dist_to_set_all(p5, PointSubset(()))[0]
 
-    def test_set_ball_strict(self, p10):
-        assert set_ball(p10, PointSubset((0,)), 3.0).ids.tolist() == [0, 1, 2]
-
-    def test_set_ball_small_radius(self, p10):
-        a = PointSubset((3, 7))
-        assert set_ball(p10, a, 1.0) == a
-
-    def test_set_ball_whole(self, p10):
-        assert set_ball(p10, PointSubset((0,)), 100.0).ids.tolist() == list(range(10))
-
     def test_closed_ball(self, p10):
         assert closed_set_ball(p10, PointSubset((0,)), 3.0).ids.tolist() == [0, 1, 2, 3]
 
-    def test_set_ball_monotone(self, p10):
-        a = PointSubset((2, 9))
-        prev = set()
-        for r in [0.5, 1.0, 2.5, 4.0, 9.5]:
-            cur = set(set_ball(p10, a, r))
-            assert prev <= cur
-            assert set(a) <= cur
-            prev = cur
+    def test_nan_radius_and_limit_refused(self, p5):
+        # no distance compares with NaN: the ball came back empty, the searches all far
+        a = PointSubset((0, 3))
+        for search in (lambda: closed_set_ball(p5, a, math.nan),
+                       lambda: dist_to_set_all(p5, a, math.nan),
+                       lambda: nearest_scan(p5, a.ids, math.nan)):
+            with pytest.raises(InvalidInputError, match="nan"):
+                search()
 
     def test_diameter(self, p10, cycle4):
         assert diameter(p10, PointSubset((4,))) == 0.0
@@ -1067,6 +1055,41 @@ class TestPrimitives:
     def test_retraction_empty(self, p5):
         with pytest.raises(EmptySetError):
             nearest_point_retraction(p5, PointSubset(()))
+
+
+class TestSetSearches:
+    """The set searches live in construct, and each calls metric.dijkstra."""
+
+    MOVED = ("dist_to_set_all", "closed_set_ball", "nearest_scan", "cross_minima")
+
+    def test_metric_keeps_no_set_search(self):
+        assert [name for name in self.MOVED if hasattr(metric, name)] == []
+        assert not hasattr(FiniteMetricSpace, "distances_to")
+        assert all(callable(getattr(construct, name)) for name in self.MOVED)
+
+    def test_every_search_calls_metric_dijkstra(self, monkeypatch):
+        sp = path_space(6)
+        assert not sp.has_table
+        calls, real = [], metric.dijkstra
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "dijkstra", counted)
+        a, b = PointSubset((0, 1)), PointSubset((4, 5))
+        searches = {
+            "dist_to_set_all": lambda: construct.dist_to_set_all(sp, a)[3],
+            "closed_set_ball": lambda: construct.closed_set_ball(sp, a, 1.0).ids.tolist(),
+            "nearest_scan": lambda: construct.nearest_scan(sp, a.ids)[1][3],
+            "cross_minima": lambda: [c.tolist() for c in construct.cross_minima(sp, [a, b])],
+        }
+        expect = {"dist_to_set_all": 2.0, "closed_set_ball": [0, 1, 2], "nearest_scan": 1,
+                  "cross_minima": [[3.0]]}
+        for name, search in searches.items():
+            before = len(calls)
+            assert search() == expect[name], name
+            assert len(calls) > before, name
 
 
 @pytest.fixture(scope="module")
@@ -1100,7 +1123,6 @@ class TestBigSpaceLane:
     def test_primitives(self, big_path):
         a = PointSubset((0, 4000))
         assert dist_to_set_all(big_path, a)[1000] == 1000.0
-        assert set_ball(big_path, PointSubset((0,)), 2.0).ids.tolist() == [0, 1]
         p = nearest_point_retraction(big_path, a)
         assert p(1999) == 0 and p(2001) == 4000 and p(2000) == 0
 
@@ -1180,7 +1202,7 @@ class TestCutOffQueries:
                 mp.setattr(metric, "DIAMETER_MARGIN", -0.75)
                 assert diameter(sp, a) == block[:, ids].max()
             for limit in (float(rng.choice(least)), float(rng.uniform(0.0, full.max()))):
-                dist, nearest = metric.nearest_scan(sp, ids, limit)
+                dist, nearest = nearest_scan(sp, ids, limit)
                 inside = least <= limit
                 assert np.array_equal(dist[inside], least[inside])
                 assert np.array_equal(nearest[inside], first[inside])
@@ -1188,8 +1210,6 @@ class TestCutOffQueries:
                 cut = dist_to_set_all(sp, a, limit)
                 assert np.array_equal(cut[inside], least[inside]) and (cut[~inside] > limit).all()
                 assert np.array_equal(closed_set_ball(sp, a, limit).ids, np.flatnonzero(inside))
-                if limit > 0:
-                    assert np.array_equal(set_ball(sp, a, limit).ids, np.flatnonzero(least < limit))
             p = nearest_point_retraction(sp, a)
             assert np.array_equal(p.dist, least)
             assert np.array_equal(p.mapping, first) and np.array_equal(p.mapping[ids], ids)
@@ -1467,7 +1487,7 @@ class TestBallBlocks:
         # nearest_scan: the running minimum and its least id, wherever within the limit
         block = full[ids]
         least, first = block.min(axis=0), ids[np.argmin(block, axis=0)]
-        dist, nearest = metric.nearest_scan(sp, ids, limit)
+        dist, nearest = nearest_scan(sp, ids, limit)
         inside = least <= limit
         assert np.array_equal(dist[inside], least[inside]) and (dist[~inside] > limit).all()
         assert np.array_equal(nearest[inside], first[inside])
@@ -1498,7 +1518,7 @@ class TestBallBlocks:
         for limit in (math.inf, 250.0, 20.0):  # whole rows, wide balls, small balls
             for lo, ball, rows in metric.ball_blocks(sp, ids, limit):
                 del rows
-            assert metric.nearest_scan(sp, ids, limit)[0][0] == 0.0
+            assert nearest_scan(sp, ids, limit)[0][0] == 0.0
         sets = [PointSubset(np.arange(a, a + 40)) for a in range(0, n - 40, 20)]
         assert metric.diameters(sp, *metric.concat_sets(sets)).tolist() == [39.0] * len(sets)
         assert len(blocks) > 20

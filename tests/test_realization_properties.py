@@ -18,8 +18,8 @@ from coarsecert.extend import (
     extend_pou_cobounded,
     measured_bound,
 )
-from coarsecert.metric import PointSubset, closed_set_ball, diameter
-from coarsecert.construct import VertexMint, r_disjoint_check
+from coarsecert.metric import PointSubset, diameter
+from coarsecert.construct import VertexMint, closed_set_ball, r_disjoint_check
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, rgg_space
 from .genutil import random_lipschitz_pou, random_subset
