@@ -45,16 +45,17 @@ parse_modulus = _forward("extend", "parse_modulus")
 
 
 def _generate_space(args) -> dict:
-    kind = args.kind
-    seed = int(args.seed)
+    for flag in ("seed", "n", "width", "height"):
+        if getattr(args, flag) < 0:
+            raise InvalidInputError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    kind, seed, n = args.kind, args.seed, args.n
     meta = {"generator": kind, "seed": seed}
     if kind == "path":
-        n = int(args.n)
         edges = [[i, i + 1, 1.0] for i in range(n - 1)]
         meta["grid_shape"] = [n]
         return jsonio.space_to_json("graph", n, edges, meta)
     if kind == "grid":
-        w, h = int(args.width), int(args.height)
+        w, h = args.width, args.height
         edges = []
         for x in range(w):
             for y in range(h):
@@ -66,12 +67,10 @@ def _generate_space(args) -> dict:
         meta["grid_shape"] = [w, h]
         return jsonio.space_to_json("graph", w * h, edges, meta)
     if kind == "tree-graph":
-        n = int(args.n)
         rng = np.random.default_rng(seed)
         edges = [[int(rng.integers(0, i)), i, 1.0] for i in range(1, n)]
         return jsonio.space_to_json("graph", n, edges, meta)
     if kind == "random-geometric":
-        n = int(args.n)
         radius = float(args.radius)
         if not 0 <= radius < np.inf:  # NaN and negatives join no pair; JSON has no inf
             raise InvalidInputError(f"random-geometric radius must be finite and >= 0, got {radius!r}")

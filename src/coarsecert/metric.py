@@ -33,12 +33,9 @@ fixed point from above, so all those points lie in the block's ball
 points of the ball, so its search meets each such chain and gives every
 value <= L the whole graph's bits; with fewer edges it gives no smaller
 value anywhere, so it cuts off past L what the whole graph cuts off.
-A matrix is its table.  A cloud of n <= 4096 points (DENSE_LIMIT) keeps its
-lp rows stacked as a dense float64 table, the same rows bit for bit, since
-its triangle check reads the table (below); a larger cloud keeps none, and
+A matrix is its table.  A cloud keeps only its coordinates at any size, and
 builds a block a coordinate at a time where that gives the rows' bits
-(_lp_rows).  For a graph DENSE_LIMIT only decides how many rows are
-certified at load.
+(_lp_rows).
 
 A graph's diameter reads a row only while it can raise the running
 maximum, and is still the max over every row, bit for bit; a matrix or a
@@ -74,13 +71,10 @@ The triangle inequality is then checked in one of two ways:
   the sample draws;
 - any other space gets the row check (_validate_triangles): for x and y
   among the checked rows and every z, d(x,z) <= d(x,y) + d(y,z) +
-  METRIC_TOL.  A matrix, or another space of n <= DENSE_LIMIT points, with
-  n <= 2000 checks all its rows, so every triple; otherwise a seeded pool
-  of rows is checked (at least 10*n^2 triples).  The limits decide how
-  many rows are checked, never what a verdict means.  A table within
-  METRIC_TOL of its own shortest-path closure (Floyd-Warshall) passes
-  every triple, since the closure of (x,z) is at most d(x,y) + d(y,z), so
-  that is tried first, as a fast accept.
+  METRIC_TOL.  A space of n <= EXHAUSTIVE_TRIANGLE_LIMIT points checks all
+  its rows, so every triple, after a closure as a fast accept; otherwise a
+  seeded pool of rows is checked (at least 10*n^2 triples).  The limits
+  decide how many rows are checked, never what a verdict means.
 
 The tolerance of the graph check adds up per hop: each edge test allows
 METRIC_TOL, so a certified row is within h*METRIC_TOL of the graph metric
@@ -116,8 +110,8 @@ The sum of the values / 2**g is rounded, and compared with 2**53 strictly:
 only when the exact sum is, and then it is exact; scaled back by 2**g it
 is finite only when the exact total is at most the largest float.  Any
 other graph or cloud, and every matrix, gets the checks above unchanged.
-The rule is decided in the loaders, not in _validate, because it covers
-only rows that this module computes.
+The rule is decided in the loaders, which call the checks themselves,
+because it covers only rows that this module computes.
 """
 
 from __future__ import annotations
@@ -385,26 +379,6 @@ def _lp_rows(coords: np.ndarray, ids: np.ndarray, p: float) -> np.ndarray:
 # validation
 # ---------------------------------------------------------------------------
 
-def _validate(space: FiniteMetricSpace) -> None:
-    """Raise the first axiom violation found, with a concrete witness."""
-    dmat, n, graph = space._dmat, space.n, space._graph
-    if graph is None and space._coords is None:  # a table given as such
-        _validate_table_axioms(dmat, n)
-    # the size decides how many rows are checked, never whether a check runs;
-    # a matrix has all its rows at hand
-    every_row = n <= DENSE_LIMIT or dmat is not None
-    # the edge certificate is sound only for edges heavier than its tolerance
-    if graph is not None and graph.data.min(initial=math.inf) > METRIC_TOL:
-        _validate_shortest_paths(space, np.arange(n) if every_row else _sample_pool(n))
-    elif every_row and n <= EXHAUSTIVE_TRIANGLE_LIMIT:
-        # closure(x,z) <= d(x,y) + d(y,z) as rounded, so a table within
-        # tolerance of its closure passes every triple: a fast accept
-        if dmat is None or not (dmat <= floyd_warshall(dmat) + METRIC_TOL).all():
-            _validate_triangles(space, np.arange(n))
-    else:
-        _validate_triangles(space, _sample_pool(n))
-
-
 def _exact_grid(values: np.ndarray, terms: np.ndarray) -> bool:
     """Whether values lie on one grid 2**g with terms summing to a float below 2**53 * 2**g.
 
@@ -447,6 +421,11 @@ def _sample_pool(n: int) -> np.ndarray:
     """The seeded sources, ascending: ceil(sqrt(10n)) of them, or all n if fewer."""
     rng = np.random.default_rng(TRIANGLE_SAMPLE_SEED)
     return np.sort(rng.choice(n, size=min(n, math.ceil(math.sqrt(10.0 * n))), replace=False))
+
+
+def _checked_rows(n: int, limit: int) -> np.ndarray:
+    """The rows a load check reads: every id when n <= limit, else the seeded pool."""
+    return np.arange(n) if n <= limit else _sample_pool(n)
 
 
 def _validate_table_axioms(dmat: np.ndarray, n: int) -> None:
@@ -536,18 +515,36 @@ def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
 def _validate_triangles(space: FiniteMetricSpace, ids: np.ndarray) -> None:
     """Check d(x,z) <= d(x,y) + d(y,z) + METRIC_TOL for x, y in ids and every z.
 
-    The witness is the first x of ids with a violation, its least z, and the
-    first y of ids attaining the least d(x,y) + d(y,z).  The rows of ids are
-    read block by block into one array; a block of x's rows then keeps a
-    running minimum over y of d(x,y) + d(y,.), so every other temporary
-    holds at most ROW_BLOCK_CELLS cells.
+    The rows of ids are read block by block into one array; when ids are
+    every point, a matrix gives its own table instead, and a table within
+    METRIC_TOL of its Floyd-Warshall closure c passes at once.  The accept
+    admits only what the triple loop (_check_triples) admits: c never
+    exceeds the table, and its step through y makes c(x,z) at most the
+    rounded c(x,y) + c(y,z), read from rows x and y as the loop reads them,
+    so, rounding being monotone, the rounded d(x,y) + d(y,z); the rounded
+    c(x,z) + METRIC_TOL is then at most the loop's bound.  An entry scipy
+    reads as no edge only raises c.  Otherwise the loop names the witness.
     """
-    rows = np.empty((len(ids), space.n))
-    for lo, _, block in ball_blocks(space, ids):
-        rows[lo:lo + len(block)] = block
-        del block  # not held while the next one is built
-    step = max(1, ROW_BLOCK_CELLS // space.n)
-    least = np.empty((min(step, len(ids)), space.n))  # reused: fresh blocks cost RSS
+    if len(ids) == space.n and space._dmat is not None:
+        rows = space._dmat
+    else:
+        rows = np.empty((len(ids), space.n))
+        for lo, _, block in ball_blocks(space, ids):
+            rows[lo:lo + len(block)] = block
+            del block  # not held while the next one is built
+    if len(ids) < space.n or not (rows <= floyd_warshall(rows) + METRIC_TOL).all():
+        _check_triples(rows, ids)
+
+
+def _check_triples(rows: np.ndarray, ids: np.ndarray) -> None:
+    """The triple loop of _validate_triangles over the rows of ids, stacked in rows:
+    the witness is the first x of ids with a violation, its least z, and the first y
+    of ids attaining the least d(x,y) + d(y,z).  A block of x's rows keeps a running
+    minimum over y of d(x,y) + d(y,.), so every temporary holds at most
+    ROW_BLOCK_CELLS cells."""
+    n = rows.shape[1]
+    step = max(1, ROW_BLOCK_CELLS // n)
+    least = np.empty((min(step, len(ids)), n))  # reused: fresh blocks cost RSS
     through = np.empty_like(least)
     for lo in range(0, len(ids), step):
         d_x = rows[lo:lo + step]
@@ -585,7 +582,8 @@ def load_matrix(matrix: Sequence[Sequence[float]], meta: Optional[dict] = None) 
     if n == 0:
         raise InvalidInputError("empty matrix")
     space = FiniteMetricSpace(n, "matrix", dmat=np.ascontiguousarray(dmat), meta=meta)
-    _validate(space)
+    _validate_table_axioms(space._dmat, n)
+    _validate_triangles(space, _checked_rows(n, EXHAUSTIVE_TRIANGLE_LIMIT))
     return space
 
 
@@ -631,7 +629,10 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
                 i, y = bad[0]
                 raise InvalidInputError(f"graph distance from point {lo + i} to point {y} overflows")
     if not _exact_grid(adj.data, adj.data):  # exact sums make every row the graph metric
-        _validate(space)
+        if space.least_gap() > METRIC_TOL:  # the edge certificate needs edges above it
+            _validate_shortest_paths(space, _checked_rows(n, DENSE_LIMIT))
+        else:
+            _validate_triangles(space, _checked_rows(n, EXHAUSTIVE_TRIANGLE_LIMIT))
     return space
 
 
@@ -719,13 +720,10 @@ def load_points(coords: Sequence[Sequence[float]], p: float, meta: Optional[dict
         for x in range(n):
             _lp_row(arr, x, p)
     _check_distinct(arr, p)
-    # |a - b| is exactly |b - a|, so the rows form a symmetric zero-diagonal
-    # table, positive off the diagonal once the points are distinct
-    dmat = np.stack([_lp_row(arr, x, p) for x in range(n)]) if n <= DENSE_LIMIT else None
-    space = FiniteMetricSpace(n, "points", dmat=dmat, coords=arr, p_norm=p, meta=meta)
+    space = FiniteMetricSpace(n, "points", coords=arr, p_norm=p, meta=meta)
     # for p in {1, inf}, exact differences make every row the lp metric itself
     if not (p in (1.0, math.inf) and _exact_grid(arr, arr.max(axis=0) - arr.min(axis=0))):
-        _validate(space)
+        _validate_triangles(space, _checked_rows(n, EXHAUSTIVE_TRIANGLE_LIMIT))
     return space
 
 

@@ -243,7 +243,8 @@ def _scan(kernel: _SlackKernel, lam: float, C: float, radius: Optional[float]):
     worst, witness, count = math.inf, None, 0
     for ii, jj, d in _pairs(kernel.f.space, pts, radius):
         count += ii.size
-        slack = lam * d + C - kernel.l1(ii, jj)
+        with np.errstate(over="ignore"):  # an overflow gives the infinity of its sign: the verdict
+            slack = lam * d + C - kernel.l1(ii, jj)
         k = int(np.argmin(slack))
         if slack[k] < worst:
             worst, witness = float(slack[k]), (int(pts[ii[k]]), int(pts[jj[k]]))

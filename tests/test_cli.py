@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,17 @@ class TestGenerate:
                                       "--radius", radius, "--out", "rgg.json"],
                            f"random-geometric radius must be finite and >= 0, got {float(radius)!r}")
         assert not (tmp_path / "rgg.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "tree-graph", "--n", "10", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--kind", "random-geometric", "--n", "10", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--kind", "random-geometric", "--n", "-3"], "--n must be >= 0, got -3"),
+        (["--kind", "grid", "--width", "-3", "--height", "-2"], "--width must be >= 0, got -3"),
+    ], ids=["tree-seed", "rgg-seed", "rgg-n", "grid-width"])
+    def test_negative_count_or_seed(self, tmp_path, flags, message):
+        # a traceback, or a 6-point grid refused as disconnected, before
+        assert_input_error(tmp_path, ["generate", *flags, "--out", "g.json"], message)
+        assert not (tmp_path / "g.json").exists()
 
     def test_random_geometric_disconnected(self, tmp_path):
         out = tmp_path / "rgg.json"
@@ -214,6 +226,19 @@ class TestVerify:
                    "--epsilon", 0.4, "--mode", "restricted", "--out", out) == 0
         rep = json.loads(out.read_text())
         assert rep["reports"][0]["pass"] is True
+
+    def test_overflowing_slack_passes_without_warnings(self, cert, tmp_path):
+        # lam * d + C overflows to +inf, the right slack: the claim holds
+        space, pou = cert
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("verify", "--space", space, "--pou", pou, "--lam", 1e308,
+                       "--C", 1e308, "--out", out) == 0
+        assert out.read_text() == (
+            '{"reports":[{"C":1e+308,"check":"lipschitz","lambda":1e+308,"pairs_checked":79800,'
+            '"pass":true,"restricted_radius":null,"tolerance":1e-09,"witness":null,'
+            '"worst_slack":null}],"v":1}\n')
 
     def test_perturbed_exit_one(self, cert, tmp_path):
         space, pou_path = cert
@@ -810,8 +835,8 @@ def test_output_in_missing_directory_exit_two(clean_artifacts, command):
 
 
 def test_table_free_cloud_overflow_exit_two(tmp_path):
-    # above the dense-table limit; the only overflowing pair, 4198-4199, is
-    # one the sampled triangle check does not reach
+    # the only overflowing pair, 4198-4199, is one the sampled triangle
+    # check does not reach
     coords = [[float(x)] for x in range(4198)] + [[-1e154], [1e154]]
     jsonio.save_json(tmp_path / "space.json",
                      jsonio.space_to_json("points", 4200, {"coords": coords, "p": 2}))
@@ -821,7 +846,7 @@ def test_table_free_cloud_overflow_exit_two(tmp_path):
 
 
 def test_table_free_cloud_duplicate_exit_two(tmp_path):
-    # above the dense-table limit, point 4199 repeats point 0
+    # point 4199 repeats point 0, which no sampled row need meet
     coords = [[float(x)] for x in range(4199)] + [[0.0]]
     jsonio.save_json(tmp_path / "space.json",
                      jsonio.space_to_json("points", 4200, {"coords": coords, "p": 2}))

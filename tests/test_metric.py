@@ -149,15 +149,18 @@ class TestLoadMatrix:
         assert err.value.triple == witness
 
     def test_valid_tables_pass_by_the_closure(self, monkeypatch):
+        # a matrix, or a cloud's stacked rows, equal to its closure skips the triple loop
         def boom(*args):
             raise AssertionError("a table equal to its closure needs no triple check")
 
-        monkeypatch.setattr(metric, "_validate_triangles", boom)
+        monkeypatch.setattr(metric, "_check_triples", boom)
+        closure = counted(monkeypatch, "floyd_warshall")
         rng = np.random.default_rng(5)
         coords = rng.uniform(0.0, 100.0, (300, 2))
         table = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
         assert load_matrix(table).n == 300
-        assert load_points(coords.tolist(), p=2).has_table
+        assert load_points(coords.tolist(), p=2)._dmat is None
+        assert len(closure) == 2
 
 
 # entries that float() rounds or keeps: ints past 2**53 and int64, -0.0, a subnormal
@@ -193,7 +196,8 @@ class TestRealTable:
     def test_loaders_keep_the_bits_of_float(self, rows, form):
         expect = self.floats_of(rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric, "_validate", lambda space: None)  # any square table loads
+            for name in ("_validate_table_axioms", "_validate_triangles"):
+                mp.setattr(metric, name, lambda *args: None)  # any square table loads
             matrix = load_matrix(np.array(rows) if form is np.array else form(map(form, rows)))
             cloud = [[i, *row] for i, row in enumerate(rows)]  # distinct points
             points = load_points(np.array(cloud) if form is np.array
@@ -440,7 +444,7 @@ class TestGraphCertificate:
         d = corrupted(sp, a, b, factor)
         rows_from(monkeypatch, d)
         with pytest.raises(ShortestPathViolationError) as err:
-            metric._validate(sp)
+            random_graph(np.random.default_rng(17), 60)  # the same graph, loaded again
         assert isinstance(err.value, MetricError)
         (x, y), (u, y_in) = err.value.pair, err.value.edge
         w = err.value.weight
@@ -480,8 +484,8 @@ class TestGraphCertificate:
         # pairs 0 and 2, sit 0.01 apart while pairs 1 and 2 sit 2 apart.
         # The row check over every row rejects them
         eps = 1e-10
-        sp = load_graph(7, [(0, 1, eps), (2, 3, eps), (4, 5, eps),
-                            (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)])
+        edges = [(0, 1, eps), (2, 3, eps), (4, 5, eps), (0, 6, 1.0), (2, 6, 1.0), (4, 6, 1.0)]
+        sp = load_graph(7, edges)
         table = dijkstra_table(sp)
         for p, q in ((0, 1), (0, 2)):
             block = np.ix_(range(2 * p, 2 * p + 2), range(2 * q, 2 * q + 2))
@@ -490,7 +494,7 @@ class TestGraphCertificate:
         rows_from(monkeypatch, table)
         metric._validate_shortest_paths(sp, np.arange(7))  # not sound here, so not used
         with pytest.raises(TriangleViolationError):
-            metric._validate(sp)
+            load_graph(7, edges)
 
     @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -537,7 +541,7 @@ class TestGraphCertificate:
         monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         rows_from(monkeypatch, table)
         with pytest.raises(ShortestPathViolationError) as err:
-            metric._validate(sp)
+            random_graph(np.random.default_rng(17), 60)  # the same graph, loaded again
         (x, y), (u, y_in) = err.value.pair, err.value.edge
         w = err.value.weight
         d = table[x]
@@ -626,6 +630,15 @@ def boom(*args):
     raise AssertionError("an exact space needs no metric check")
 
 
+def cloud_lane(monkeypatch, dense):
+    """Set up one of a cloud's two row-check lanes.  A cloud keeps no table on
+    either: the "dense" lane may pass by the dense Floyd-Warshall closure of
+    its rows, and the "table-free" lane refuses that accept, so the triple
+    loop (_check_triples) over the same rows gives the verdict."""
+    if not dense:
+        monkeypatch.setattr(metric, "floyd_warshall", lambda rows: np.full_like(rows, -np.inf))
+
+
 class TestExactSums:
     """Graphs and lp clouds whose every float sum is exact skip the metric checks."""
 
@@ -651,9 +664,9 @@ class TestExactSums:
         exact = fraction_exact(n, edges)
         assert exact or kind == "boundary"
         with pytest.MonkeyPatch.context() as mp:
-            checks = counted(mp, "_validate")
+            paths, rows = counted(mp, "_validate_shortest_paths"), counted(mp, "_validate_triangles")
             sp = graph_space(n, edges, table)
-        assert sp.has_table == table and len(checks) == (not exact)
+        assert sp.has_table == table and len(paths) + len(rows) == (not exact)
         if exact:
             d = fraction_distances(n, edges)
             assert all(sp.row(x).tolist() == d[x] for x in range(n))
@@ -733,18 +746,19 @@ class TestExactSums:
 
     @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
     def test_light_edge_beside_unit_keeps_the_row_check(self, monkeypatch, table):
-        # a graph keeps no table, so it passes the row check by its rows:
-        # every row up to the dense limit, the seeded pool above it
+        # a graph keeps no table, so it passes the row check by its rows: on
+        # either lane every row of 3 points, which meet the closure once and
+        # pass by it, with no triple loop
         monkeypatch.setattr(metric, "_validate_shortest_paths", boom)
+        monkeypatch.setattr(metric, "_check_triples", boom)
         closure = counted(monkeypatch, "floyd_warshall")
         checked, real = [], metric._validate_triangles
         monkeypatch.setattr(metric, "_validate_triangles",
                             lambda space, ids: checked.append(ids) or real(space, ids))
         sp = graph_space(3, [(0, 1, 1e-10), (1, 2, 1.0)], table)
         assert sp.d(0, 2) == 1.0 + 1e-10
-        assert len(closure) == 0 and len(checked) == 1
-        expect = np.arange(3) if table else metric._sample_pool(3)
-        assert np.array_equal(checked[0], expect)
+        assert len(closure) == 1 and len(checked) == 1
+        assert np.array_equal(checked[0], np.arange(3))
 
     @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
     def test_exact_graph_skips_every_check(self, monkeypatch, table):
@@ -759,30 +773,30 @@ class TestExactSums:
         sp = weighted_graph(np.random.default_rng(8), 300, integral=False, table=table)
         assert sp.has_table == table and len(calls) == 1
 
-    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     @pytest.mark.parametrize("p", [1, math.inf])
-    def test_integer_grid_cloud_skips_the_row_check(self, monkeypatch, table, p):
-        for name in ("_validate_triangles", "floyd_warshall"):
+    def test_integer_grid_cloud_skips_the_row_check(self, monkeypatch, dense, p):
+        cloud_lane(monkeypatch, dense)
+        for name in ("_validate_triangles", "floyd_warshall", "_check_triples"):
             monkeypatch.setattr(metric, name, boom)
-        if not table:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
         grid = [[float(x), float(y)] for x in range(50) for y in range(30)]
         sp = load_points(grid, p=p)
-        assert sp.has_table == table and sp.d(0, 1499) == (49 + 29 if p == 1 else 49)
+        assert sp._dmat is None and sp.d(0, 1499) == (49 + 29 if p == 1 else 49)
 
-    @pytest.mark.parametrize("table", [True, False], ids=["dense", "table-free"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     @pytest.mark.parametrize("step, p", [(1.0, 2), (0.1, 1)])
-    def test_other_clouds_keep_the_row_check(self, monkeypatch, table, step, p):
+    def test_other_clouds_keep_the_row_check(self, monkeypatch, dense, step, p):
+        # every one of the 1500 rows reaches the closure accept on the dense
+        # lane, and the triple loop on the table-free lane
         class Reached(Exception):
             pass
 
-        def reached(*args):
+        def reached(rows, *args):
+            assert rows.shape == (1500, 1500)
             raise Reached
 
-        for name in ("_validate_triangles", "floyd_warshall"):
-            monkeypatch.setattr(metric, name, reached)
-        if not table:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
+        monkeypatch.setattr(metric, "floyd_warshall" if dense else "_check_triples", reached)
         grid = [[x * step, y * step] for x in range(50) for y in range(30)]
         with pytest.raises(Reached):
             load_points(grid, p=p)
@@ -796,7 +810,7 @@ class TestExactSums:
         coords = (coords * 2.0 ** s).tolist()
         exact = [[Fraction(c) for c in pt] for pt in coords]
         with pytest.MonkeyPatch.context() as mp:
-            checks = counted(mp, "_validate")
+            checks = counted(mp, "_validate_triangles")
             sp = load_points(coords, p)
         assert not checks
         for x in range(n):
@@ -830,23 +844,21 @@ class TestLoadPoints:
     def test_overflowing_distance_rejected(self, monkeypatch, dense, coords):
         # (1e200)**2 overflows; the third point used to surface as a
         # TriangleViolationError between two infinite distances
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
         with pytest.raises(InvalidInputError, match="point 0 to point 1 overflows for p=2.0"):
             load_points(coords, p=2)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_overflowing_box_without_overflowing_pair(self, monkeypatch, dense):
         # the spread box's diagonal overflows (2 * 1.69e308), no pair's does
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
         w = 1.3e154
         sp = load_points([[0.0, w / 2], [w, w / 2], [w / 2, 0.0], [w / 2, w]], p=2)
         assert sp.d(0, 1) == w and sp.d(2, 3) == w and sp.d(0, 2) == math.hypot(w / 2, w / 2)
 
     def test_overflow_off_the_sampled_rows_rejected(self):
-        # a table-free cloud whose only overflowing pair is 4198-4199, which
-        # the seeded triangle sample does not reach
+        # a cloud whose only overflowing pair is 4198-4199, which the seeded
+        # triangle sample does not reach
         coords = [[float(x)] for x in range(4198)] + [[-1e154], [1e154]]
         with pytest.raises(InvalidInputError,
                            match="point 4198 to point 4199 overflows for p=2.0"):
@@ -868,6 +880,24 @@ class TestLoadPoints:
         assert held < 8 * sp.n  # not one row kept (all 4200 were 141 MB)
         assert near[2100].tolist() == list(range(2096, 2105))
         assert near[0].tolist() == list(range(5))
+
+    def test_clouds_hold_no_table(self):
+        # a cloud keeps only its coordinates: a table of 3000 points would
+        # hold 72 MB, and an exact cloud computes no row at all to load
+        coords = np.random.default_rng(4).uniform(0.0, 100.0, (3000, 3)).tolist()
+        grid = [[float(x), float(y)] for x in range(40) for y in range(40)]
+        tracemalloc.start()
+        try:
+            cloud = load_points(coords, p=2)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            tracemalloc.start()
+            exact = load_points(grid, p=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud._dmat is None and exact._dmat is None
+        assert held < 2**20 and peak < 2**20
 
     def test_triangle_check_reads_rows_in_blocks(self):
         # the pool's rows go into one array block by block; one rows call
@@ -894,9 +924,7 @@ class TestLoadPoints:
         coords = rng.standard_normal((n, d)) * 10 ** rng.uniform(-3, 6)
         if d > 1:
             coords[:, 0] = np.round(coords[:, 0])  # zero differences in one coordinate
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric, "DENSE_LIMIT", 0)
-            sp = load_points(coords.tolist(), p)
+        sp = load_points(coords.tolist(), p)
         ids = rng.choice(n, size=int(rng.integers(1, n + 1)))
         assert np.array_equal(sp.rows(ids), np.stack([sp.row(int(x)) for x in ids]))
 
@@ -918,16 +946,14 @@ class TestLoadPoints:
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_negative_zero_is_a_duplicate(self, monkeypatch, dense):
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
         with pytest.raises(ZeroOffDiagonalError) as err:
             load_points([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]], p=math.inf)
         assert err.value.pair == (0, 2)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_points_without_coordinates_coincide(self, monkeypatch, dense):
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
         assert load_points([[]], p=2).n == 1
         with pytest.raises(ZeroOffDiagonalError) as err:
             load_points([[], [], []], p=2)
@@ -936,8 +962,7 @@ class TestLoadPoints:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "table-free"])
     def test_underflowing_distance_rejected(self, monkeypatch, dense):
         # (1e-200)**2 underflows to 0: distinct points at lp distance 0
-        if not dense:
-            monkeypatch.setattr(metric, "DENSE_LIMIT", 0)
+        cloud_lane(monkeypatch, dense)
         coords = [[1.0], [0.0], [1e-200]]
         with pytest.raises(ZeroOffDiagonalError) as err:
             load_points(coords, p=2)
@@ -945,24 +970,21 @@ class TestLoadPoints:
         assert load_points(coords, p=1).d(1, 2) == 1e-200
 
     @given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10_000),
-           st.sampled_from([1.0, 2.0, 3.0, math.inf]), st.booleans())
+           st.sampled_from([1.0, 2.0, 3.0, math.inf]))
     @settings(max_examples=80, deadline=None)
-    def test_duplicate_witness_is_first_row_major_zero(self, n, d, seed, p, dense):
-        # the witness a scan of the whole table names, on both lanes
+    def test_duplicate_witness_is_first_row_major_zero(self, n, d, seed, p):
+        # the witness a scan of the whole table names
         rng = np.random.default_rng(seed)
         coords = rng.integers(-2, 3, size=(n, d)).astype(float)
         coords[rng.random((n, d)) < 0.3] *= -1.0  # -0.0 as well as 0.0
         if rng.random() < 0.3:  # distinct points; most other clouds repeat one
             coords[:, 0] += np.arange(n)
         zero = (np.abs(coords[:, None] - coords[None, :]).max(axis=2) == 0) & ~np.eye(n, dtype=bool)
-        with pytest.MonkeyPatch.context() as mp:
-            if not dense:
-                mp.setattr(metric, "DENSE_LIMIT", 0)
-            if not zero.any():
-                assert load_points(coords.tolist(), p).n == n
-                return
-            with pytest.raises(ZeroOffDiagonalError) as err:
-                load_points(coords.tolist(), p)
+        if not zero.any():
+            assert load_points(coords.tolist(), p).n == n
+            return
+        with pytest.raises(ZeroOffDiagonalError) as err:
+            load_points(coords.tolist(), p)
         assert err.value.pair == first_witness(zero)
 
     @given(st.integers(2, 12), st.integers(0, 10_000),
@@ -1584,11 +1606,6 @@ class TestGraphsKeepNoTable:
         assert peak < 16 * 2**20  # a table alone would be 4000 * 4000 * 8 bytes = 128 MB
 
 
-def table_space(table):
-    """A matrix space over the given table, not validated."""
-    return FiniteMetricSpace(len(table), "matrix", dmat=table)
-
-
 def first_witness(mask):
     """The first row-major True of a boolean table, as a pair."""
     return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
@@ -1616,7 +1633,7 @@ class TestAxiomBlocks:
         asym = np.abs(base - base.T)
         assert first_witness(asym == asym.max()) == expect
         with pytest.raises(AsymmetryError) as err:
-            metric._validate(table_space(base))
+            load_matrix(base)
         assert err.value.pair == expect
 
     def test_negative_and_zero_witnesses_across_blocks(self, base):
@@ -1624,13 +1641,13 @@ class TestAxiomBlocks:
         for x, y in ((7, 5), (4, 8)):
             neg[x, y] = neg[y, x] = -1.0
         with pytest.raises(NegativeDistanceError) as err:
-            metric._validate(table_space(neg))
+            load_matrix(neg)
         assert err.value.pair == first_witness(neg < 0) == (4, 8)
         zero = base.copy()
         for x, y in ((9, 8), (5, 6)):
             zero[x, y] = zero[y, x] = 0.0
         with pytest.raises(ZeroOffDiagonalError) as err:
-            metric._validate(table_space(zero))
+            load_matrix(zero)
         assert err.value.pair == first_witness((zero == 0) & ~np.eye(10, dtype=bool)) == (5, 6)
 
     def test_graph_tables_equal_whole_table_formulas(self):
