@@ -8,6 +8,8 @@ the correctness authority.
 Each public name is imported from its home module on first access (PEP 562),
 so `import coarsecert` loads nothing, and code that only checks certificates
 never loads the construction modules `construct`, `covers` and `extend`.
+A module that calls a heavy import only on some paths binds the name to a
+stand-in (_forward) instead, so that the import waits for the first call.
 """
 
 import importlib
@@ -36,3 +38,15 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{home}", __name__), name)
     globals()[name] = value
     return value
+
+
+def _forward(module: str, name: str):
+    """A stand-in for module.name that imports module when called.
+
+    module is absolute, or relative to this package (".covers").  The name
+    is looked up on every call, so a patch of module.name is seen.
+    """
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __name__), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call

@@ -5,46 +5,48 @@ errors, so CI pipelines can gate on certificates.  All randomness sits
 behind one seeded generator whose seed is recorded in the output metadata;
 the same command line reproduces byte-identical files.
 
-Each command loads only the modules it runs: `generate` and `verify` never
-load the construction modules `construct`, `covers` and `extend`, and
-`decompose` never loads `extend`.  Their functions are bound here to
-forwarders that import on first call, not imported inside each command,
-because the benchmark's tracer (bench/tracer.layer_patches) wraps these
-names in this module's namespace; they become local imports once the
-tracer moves (ROADMAP.md, item 1a).
+Each command loads only the modules it runs.  This module imports only
+argparse and `errors`, so `--help` and a usage error load no numpy, no
+scipy and no other module of the package.  A command imports numpy and
+`jsonio` (with `metric` and `simplex`) when it runs; `verify` adds
+`verify`, `decompose` adds `construct`, `covers` and `verify`, and
+`certify` adds `extend` as well.  `metric` imports scipy on the first call
+that needs it, so only graph spaces and the closure check of a float cloud
+or matrix load it.
+
+A command imports its modules before it reads a file: a module compiled
+while a file's data is held raises the process's peak RSS (by 0.1 to 0.5
+MB on the benchmark's lanes).  It still calls the functions of `covers`,
+`extend` and `verify` through the forwarders bound here, because the
+benchmark's tracer (bench/tracer.layer_patches) wraps these names in this
+module's namespace; they become plain calls once the tracer moves
+(ROADMAP.md, item 1a).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from . import jsonio
+from . import _forward
 from .errors import (CoarseCertError, ConstructionFailedError, InvalidInputError,
                      ScheduleMismatchError, UnderflowError_, VerificationFailedError)
-from .verify import cobounded_check, lipschitz_check
 
-
-def _forward(home: str, name: str):
-    """A stand-in for coarsecert.<home>.<name> that imports home when called."""
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(f".{home}", __package__), name)(*args, **kwargs)
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
-brick_tree = _forward("covers", "brick_tree")
-greedy_tree = _forward("covers", "greedy_tree")
-tree_validate = _forward("covers", "tree_validate")
-build_certificate = _forward("extend", "build_certificate")
-parse_modulus = _forward("extend", "parse_modulus")
+brick_tree = _forward(".covers", "brick_tree")
+greedy_tree = _forward(".covers", "greedy_tree")
+tree_validate = _forward(".covers", "tree_validate")
+build_certificate = _forward(".extend", "build_certificate")
+parse_modulus = _forward(".extend", "parse_modulus")
+lipschitz_check = _forward(".verify", "lipschitz_check")
+cobounded_check = _forward(".verify", "cobounded_check")
 
 
 def _generate_space(args) -> dict:
+    import numpy as np
+
+    from . import jsonio
+
     for flag in ("seed", "n", "width", "height"):
         if getattr(args, flag) < 0:
             raise InvalidInputError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
@@ -87,6 +89,8 @@ def _generate_space(args) -> dict:
 
 
 def cmd_generate(args) -> int:
+    from . import jsonio
+
     obj = _generate_space(args)
     jsonio.space_from_json(obj)  # validates (metric axioms, connectivity)
     jsonio.save_json(args.out, obj)
@@ -95,6 +99,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import covers, jsonio  # noqa: F401  (see the module docstring)
+
     space = jsonio.load_space(args.space)
     if args.strategy == "greedy":
         tree = greedy_tree(space, float(args.R), float(args.diam))
@@ -122,6 +128,8 @@ def _check_workers(args) -> None:
 
 
 def cmd_certify(args) -> int:
+    from . import extend, jsonio  # noqa: F401  (see the module docstring)
+
     modulus = parse_modulus(args.modulus)  # before the space's validation
     space = jsonio.load_space(args.space)
     tree = jsonio.load_tree(args.tree)
@@ -150,6 +158,8 @@ def cmd_certify(args) -> int:
 
 def _claims(args):
     """(lam, C, M) from the flags, with --report filling in those not given."""
+    from . import jsonio
+
     lam, c, m = args.lam, args.C, args.M
     if args.epsilon is not None:
         for flag, given in (("--lam", args.lam), ("--C", args.C)):
@@ -173,6 +183,10 @@ def _claims(args):
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from . import jsonio, verify  # noqa: F401  (see the module docstring)
+
     lam, c, m = _claims(args)
     space = jsonio.load_space(args.space)
     pou = jsonio.load_pou(args.pou, space)
@@ -232,10 +246,14 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a pou file against claims")
     v.add_argument("--space", required=True)
     v.add_argument("--pou", required=True)
-    v.add_argument("--epsilon", type=float, default=None)
-    v.add_argument("--lam", type=float, default=None)
-    v.add_argument("--C", type=float, default=None)
-    v.add_argument("--M", type=float, default=None)
+    v.add_argument("--epsilon", type=float, default=None,
+                   help="claims lam = C = EPSILON (a negative exponent form needs =: --epsilon=-1e-3)")
+    v.add_argument("--lam", type=float, default=None,
+                   help="claimed Lipschitz slope (a negative exponent form needs =: --lam=-1e308)")
+    v.add_argument("--C", type=float, default=None,
+                   help="claimed additive constant (a negative exponent form needs =: --C=-1e-3)")
+    v.add_argument("--M", type=float, default=None,
+                   help="claimed coboundedness bound (a negative exponent form needs =: --M=-1e3)")
     v.add_argument("--report", default=None,
                    help="certificate report whose epsilon and bound are the claims "
                         "to check where --epsilon / --M are not given")

@@ -119,13 +119,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra, floyd_warshall
-from scipy.sparse.csgraph import shortest_path  # noqa: F401  unused; bench/tracer.py wraps it
 
+from . import _forward
 from .errors import (
     AsymmetryError,
     BadNormError,
@@ -139,6 +137,17 @@ from .errors import (
     TriangleViolationError,
     ZeroOffDiagonalError,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
+# scipy loads on the first graph, Dijkstra search or Floyd-Warshall closure,
+# so a cloud with exact sums never imports it.  The searches are called
+# through these module names, which tests and the benchmark's tracer patch;
+# shortest_path is not called, only wrapped by bench/tracer.py.
+dijkstra = _forward("scipy.sparse.csgraph", "dijkstra")
+floyd_warshall = _forward("scipy.sparse.csgraph", "floyd_warshall")
+shortest_path = _forward("scipy.sparse.csgraph", "shortest_path")
 
 METRIC_TOL = 1e-9
 DENSE_LIMIT = 4096
@@ -610,6 +619,8 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     table = _real_table(edges, 3)
     if not _edges_hold(n, table):
         _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
+    from scipy.sparse.csgraph import breadth_first_order
+
     adj = _symmetric_csr(n, *table.T)
     # adj holds both directions, so a directed search from 0 finds its component
     reached = np.zeros(n, dtype=bool)
@@ -648,6 +659,8 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     index dtype is int32 while n and the entry count fit in it, as scipy
     picks it (csr_matrix narrows int64 arrays whose values fit).
     """
+    from scipy.sparse import csr_matrix
+
     e = len(u)
     idx = np.int32 if max(n, 2 * e) <= np.iinfo(np.int32).max else np.int64
     rows, cols = np.empty(2 * e, dtype=idx), np.empty(2 * e, dtype=idx)
@@ -969,6 +982,8 @@ def _ball_subgraph(graph: csr_matrix, ball: np.ndarray, inside: np.ndarray) -> c
 
     ball is ascending, and inside is the mask of its points over every point.
     """
+    from scipy.sparse import csr_matrix
+
     kept, k = row_entries(graph.indptr, ball)
     far = graph.indices[k]
     keep = inside[far]

@@ -68,6 +68,13 @@ class LipschitzReport:
         return self.worst_slack >= -self.tolerance
 
     def to_json(self) -> dict:
+        """The report as JSON, which has no infinity: any infinite worst slack is null.
+
+        The witness tells the two apart.  It is null for +inf, when no pair
+        was examined or every slack overflowed upwards (the claim holds, and
+        pairs_checked says which); it is a pair for -inf, when a failing
+        slack overflowed downwards.
+        """
         return {
             "check": "lipschitz",
             "pass": self.passed,

@@ -240,6 +240,27 @@ class TestVerify:
             '"pass":true,"restricted_radius":null,"tolerance":1e-09,"witness":null,'
             '"worst_slack":null}],"v":1}\n')
 
+    def test_overflowing_negative_slack_fails_with_witness(self, cert, tmp_path):
+        # lam * d overflows to -inf: the claim fails with slack -inf, which JSON
+        # writes as null, as for no pair examined; the witness tells the two apart
+        space, pou = cert
+        out = tmp_path / "rep.json"
+        assert run("verify", "--space", space, "--pou", pou, "--lam=-1e308", "--C", 0,
+                   "--out", out) == 1
+        rep = json.loads(out.read_text())["reports"][0]
+        assert rep["pass"] is False and rep["witness"] is not None
+        assert rep["worst_slack"] is None
+
+    def test_negative_exponent_claim_needs_equals(self, cert, capsys):
+        # argparse takes "-1e308" after a space for an option, not for a number
+        space, pou = cert
+        assert run("verify", "--space", space, "--pou", pou, "--lam", "-1e308", "--C", 0) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        args = cli.make_parser().parse_args(
+            ["verify", "--space", "s.json", "--pou", "p.json", "--lam=-1e308", "--C=-2e-3",
+             "--M=-1e3", "--epsilon=-5e-1"])
+        assert (args.lam, args.C, args.M, args.epsilon) == (-1e308, -2e-3, -1e3, -0.5)
+
     def test_perturbed_exit_one(self, cert, tmp_path):
         space, pou_path = cert
         sp = jsonio.load_space(space)
@@ -1458,34 +1479,63 @@ def test_bench_tracer_patches_resolve():
     assert cli.brick_tree is before
 
 
-_CONSTRUCTION = ("coarsecert.construct", "coarsecert.covers", "coarsecert.extend")
 _LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.argv[1:]); "
-           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('coarsecert.')))); "
-           "sys.exit(code)")
+           "print(json.dumps(sorted(m for m in sys.modules "
+           "if m.startswith('coarsecert.') or m in ('numpy', 'scipy')))); sys.exit(code)")
+# what each command loads: --help and usage errors only the parser, every
+# command that reads a file jsonio's stack with numpy, verify the checks, and
+# decompose and certify the construction modules; a graph loads scipy
+_PARSER = ["coarsecert.cli", "coarsecert.errors"]
+_READER = _PARSER + ["coarsecert.jsonio", "coarsecert.metric", "coarsecert.simplex", "numpy"]
+_CHECKER = _READER + ["coarsecert.verify"]
+_DECOMPOSER = _CHECKER + ["coarsecert.construct", "coarsecert.covers"]
+_CERTIFIER = _DECOMPOSER + ["coarsecert.extend"]
 
 
-@pytest.mark.parametrize("args, code, construction", [
-    (["--help"], 0, []),
-    (["verify", "--space"], 2, []),  # an argparse error
-    (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, []),
-    (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0, []),
+@pytest.fixture(scope="module")
+def l1_cloud_artifacts(tmp_path_factory):
+    """A 10 x 10 integer grid under l1, with its tree and certificate: exact sums."""
+    d = tmp_path_factory.mktemp("l1cloud")
+    coords = [[float(x), float(y)] for x in range(10) for y in range(10)]
+    jsonio.save_json(d / "cloud.json", jsonio.space_to_json("points", 100, {"coords": coords, "p": 1}))
+    assert run("decompose", "--space", d / "cloud.json", "--strategy", "greedy",
+               "--R", 49, "--diam", 80, "--out", d / "cloud.tree.json") == 0
+    assert run("certify", "--space", d / "cloud.json", "--tree", d / "cloud.tree.json",
+               "--epsilon", 0.7, "--modulus", "linear:2.5", "--out", d / "cloud") == 0
+    return d
+
+
+@pytest.mark.parametrize("args, code, loaded", [
+    (["--help"], 0, _PARSER),
+    (["verify", "--space"], 2, _PARSER),  # an argparse error
+    (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, _READER + ["scipy"]),
+    (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0,
+     _CHECKER + ["scipy"]),
     (["decompose", "--space", "space.json", "--strategy", "bricks", "--R", "10",
-      "--block-scale", "11", "--out", "t.json"], 0, ["coarsecert.construct", "coarsecert.covers"]),
+      "--block-scale", "11", "--out", "t.json"], 0, _DECOMPOSER + ["scipy"]),
     (["certify", "--space", "space.json", "--tree", "tree.json", "--epsilon", "0.8",
-      "--modulus", "linear:2", "--out", "c"], 0,
-     ["coarsecert.construct", "coarsecert.covers", "coarsecert.extend"]),
-], ids=["help", "usage-error", "generate", "verify", "decompose", "certify"])
-def test_command_loads_only_its_modules(clean_artifacts, tmp_path, args, code, construction):
-    # the consumer's trusted base: verify runs, and so loads, no construction module
+      "--modulus", "linear:2", "--out", "c"], 0, _CERTIFIER + ["scipy"]),
+    (["decompose", "--space", "cloud.json", "--strategy", "greedy", "--R", "49",
+      "--diam", "80", "--out", "t.json"], 0, _DECOMPOSER),
+    (["certify", "--space", "cloud.json", "--tree", "cloud.tree.json", "--epsilon", "0.7",
+      "--modulus", "linear:2.5", "--out", "c"], 0, _CERTIFIER),
+    (["verify", "--space", "cloud.json", "--pou", "cloud.pou.json", "--report",
+      "cloud.report.json"], 0, _CHECKER),
+], ids=["help", "usage-error", "generate", "verify", "decompose", "certify",
+        "l1-cloud-decompose", "l1-cloud-certify", "l1-cloud-verify"])
+def test_command_loads_only_its_modules(clean_artifacts, l1_cloud_artifacts, tmp_path,
+                                        args, code, loaded):
+    # the consumer's trusted base: verify runs, and so loads, no construction
+    # module; and no process loads numpy or scipy before a command needs them
     for name in ("space.json", "tree.json", "cert.pou.json"):
         shutil.copy(clean_artifacts / name, tmp_path / name)
+    for name in ("cloud.json", "cloud.tree.json", "cloud.pou.json", "cloud.report.json"):
+        shutil.copy(l1_cloud_artifacts / name, tmp_path / name)
     env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert {"coarsecert.jsonio", "coarsecert.metric", "coarsecert.verify"} <= set(loaded)
-    assert [m for m in loaded if m in _CONSTRUCTION] == construction
+    assert json.loads(proc.stdout.splitlines()[-1]) == sorted(loaded)
 
 
 class TestLazyNamespace:
