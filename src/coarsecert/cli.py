@@ -9,8 +9,8 @@ Each command loads only the modules it runs.  This module imports only
 argparse and `errors`, so `--help` and a usage error load no numpy, no
 scipy and no other module of the package.  A command imports numpy and
 `jsonio` (with `metric` and `simplex`) when it runs; `verify` adds
-`verify`, `decompose` adds `construct`, `covers` and `verify`, and
-`certify` adds `extend` as well.  `metric` imports scipy on the first call
+`verify`, `decompose` adds `construct` and `covers`, and `certify` adds
+`extend` with `verify` as well.  `metric` imports scipy on the first call
 that needs it, so only graph spaces and the closure check of a float cloud
 or matrix load it.
 
@@ -109,8 +109,7 @@ def cmd_decompose(args) -> int:
     check = tree_validate(space, tree)
     if not check.passed:
         raise ConstructionFailedError(
-            f"tree failed validation: clause {check.failed_clause}, {check.witness}",
-            check.to_json())
+            f"tree failed validation: clause {check.failed_clause}, {check.witness}")
     jsonio.save_json(args.out, jsonio.tree_to_json(tree))
     print(f"wrote depth-{tree.m} tree ({len(tree.nodes)} nodes, "
           f"leaf bound {check.leaf_bound:g}) to {args.out}")

@@ -33,7 +33,6 @@ from .errors import (EmptySetError, InvalidInputError, NotACoverError, NotARetra
 from .metric import (FiniteMetricSpace, PointSubset, ball_blocks, concat_sets, diameters,
                      row_entries)
 from .simplex import PartitionOfUnity, VertexId, _columns, _indptr, vertex_key
-from .verify import SLACK_TOL
 
 RENORM_TRIGGER = 1e-12  # renormalize combinations only past this drift
 
@@ -140,7 +139,6 @@ def _as_family(family) -> CoverFamily:
 
 @dataclass
 class DisjointReport:
-    R: float
     min_cross: float
     witness: Optional[Tuple[int, int, int, int]]  # (x, y, member s, member t)
 
@@ -148,67 +146,25 @@ class DisjointReport:
     def passed(self) -> bool:
         return self.witness is None
 
-    def to_json(self) -> dict:
-        return {
-            "check": "r_disjoint",
-            "pass": self.passed,
-            "R": self.R,
-            "tolerance": SLACK_TOL,
-            "min_cross_distance": None if math.isinf(self.min_cross) else self.min_cross,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 @dataclass
 class BoundednessReport:
     bound: float
-    worst_member: int
-    diameters: List[float]
-
-    def to_json(self) -> dict:
-        return {
-            "check": "uniformly_bounded",
-            "pass": True,
-            "tolerance": SLACK_TOL,
-            "bound": self.bound,
-            "worst_member": self.worst_member,
-            "diameters": self.diameters,
-        }
 
 
 @dataclass
 class LebesgueReport:
-    M: float
     witness_point: Optional[int]
 
     @property
     def passed(self) -> bool:
         return self.witness_point is None
 
-    def to_json(self) -> dict:
-        return {
-            "check": "lebesgue",
-            "pass": self.passed,
-            "tolerance": SLACK_TOL,
-            "M": self.M,
-            "witness": self.witness_point,
-        }
-
 
 @dataclass
 class MultiplicityReport:
     maximum: int
     histogram: Dict[int, int]
-    per_point: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "check": "multiplicity",
-            "pass": True,
-            "tolerance": SLACK_TOL,
-            "maximum": self.maximum,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
 
 
 def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointReport:
@@ -227,29 +183,21 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
         if cross[k] < best:
             best, win = float(cross[k]), (s, s + 1 + k)
     if win is None or not best <= R:
-        return DisjointReport(R=R, min_cross=best, witness=None)
+        return DisjointReport(min_cross=best, witness=None)
     s, t = win
     dist, nearest = nearest_scan(space, fam.members[s].ids, best)
     ys = fam.members[t].ids
     ys = ys[dist[ys] == best]
     x = nearest[ys].min()  # nearest[y]: the least x in s at distance best from y
-    return DisjointReport(R=R, min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
+    return DisjointReport(min_cross=best, witness=(int(x), int(ys[nearest[ys] == x][0]), s, t))
 
 
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
     """Exact max member diameter (the tight uniform bound)."""
     fam = _as_family(family)
-    diams = diameters(space, *concat_sets(fam.members)).tolist()
-    worst = int(np.argmax(diams))
-    return BoundednessReport(bound=float(diams[worst]), worst_member=worst,
-                             diameters=diams)
-
-
-def _member_masks(space: FiniteMetricSpace, fam: CoverFamily) -> np.ndarray:
-    masks = np.zeros((len(fam.members), space.n), dtype=bool)
-    for k, member in enumerate(fam.members):
-        masks[k, member.ids] = True
-    return masks
+    if not len(fam):
+        raise EmptySetError("uniformly_bounded_check of an empty family")
+    return BoundednessReport(bound=float(diameters(space, *concat_sets(fam.members)).max()))
 
 
 def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
@@ -260,27 +208,29 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
     if math.isnan(M):  # a NaN ball holds no point, which would read as a pass
         raise InvalidInputError(f"M = {M!r} is not a number")
     fam = _as_family(cover)
-    masks = _member_masks(space, fam)
+    masks = np.zeros((len(fam), space.n), dtype=bool)  # masks[k, x]: x in member k
+    for k, member in enumerate(fam.members):
+        masks[k, member.ids] = True
     covered = masks.any(axis=0)
     if not covered.all():
         raise NotACoverError(int(np.flatnonzero(~covered)[0]))
     for lo, ball, rows in ball_blocks(space, np.arange(space.n), M):
         for x, row in enumerate(rows, lo):
             if not masks[:, ball[row < M]].all(axis=1).any():
-                return LebesgueReport(M=M, witness_point=x)
-    return LebesgueReport(M=M, witness_point=None)
+                return LebesgueReport(witness_point=x)
+    return LebesgueReport(witness_point=None)
 
 
 def multiplicity(space: FiniteMetricSpace, cover) -> MultiplicityReport:
     """Max number of members containing a point, plus the full histogram."""
     fam = _as_family(cover)
-    counts = _member_masks(space, fam).sum(axis=0)
+    for member in fam.members:  # bincount would count an id past the space as a point
+        member.validate_against(space)
+    ids = [m.ids for m in fam.members]
+    counts = np.bincount(np.concatenate(ids + [np.empty(0, dtype=np.intp)]), minlength=space.n)
     values, freq = np.unique(counts, return_counts=True)
-    return MultiplicityReport(
-        maximum=int(counts.max()) if counts.size else 0,
-        histogram={int(v): int(c) for v, c in zip(values, freq)},
-        per_point=counts,
-    )
+    return MultiplicityReport(maximum=int(counts.max(initial=0)),
+                              histogram={int(v): int(c) for v, c in zip(values, freq)})
 
 
 class VertexMint:

@@ -41,6 +41,7 @@ from .errors import (
     required,
 )
 from .metric import (
+    METRIC_TOL,
     FiniteMetricSpace,
     PointSubset,
     as_float,
@@ -48,7 +49,6 @@ from .metric import (
     ball_blocks,
     real_array,
 )
-from .verify import SLACK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +183,6 @@ class TreeValidation:
     leaf_bound: Optional[float]  # K, the tight uniform bound of the leaf level
     sfdc: bool
 
-    def to_json(self) -> dict:
-        return {
-            "check": "tree_validate",
-            "pass": self.passed,
-            "failed_clause": self.failed_clause,
-            "witness": self.witness,
-            "leaf_bound": self.leaf_bound,
-            "sfdc": self.sfdc,
-        }
-
 
 def tree_validate(space: FiniteMetricSpace, tree: DecompositionTree) -> TreeValidation:
     """Re-establish the decomposition-tree clauses by direct computation.
@@ -321,13 +311,13 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     for fam in families:
         rep = r_disjoint_check(space, fam, R)
         if not rep.passed:
+            x, y, _, _ = rep.witness
             raise ConstructionFailedError(
-                f"greedy family not {R}-disjoint", rep.to_json())
+                f"greedy family not {R}-disjoint: d({x},{y})={rep.min_cross:g} <= R={R:g}")
+    # a piece's diameter may pass target_diam by the triangle tolerance of its rows
     bound = uniformly_bounded_check(space, pieces)
-    if bound.bound > target_diam + SLACK_TOL:
-        raise ConstructionFailedError(
-            f"piece diameter {bound.bound} exceeds target {target_diam}",
-            bound.to_json())
+    if bound.bound > target_diam + METRIC_TOL:
+        raise ConstructionFailedError(f"piece diameter {bound.bound} exceeds target {target_diam}")
     return families
 
 
@@ -369,7 +359,7 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
     level count (at most one member per level up to the first level
     containing the point).  A failed check raises ConstructionFailedError.
     """
-    if s <= 0:
+    if not s > 0:  # NaN too, which the 2s-disjointness check would name as R
         raise InvalidInputError(f"scale s must be > 0, got {s!r}")
     levels = [list(level) for level in levels]
     for k, level in enumerate(levels):
@@ -399,18 +389,14 @@ def point_finite_transform(space: FiniteMetricSpace, levels: Sequence[Sequence[P
     leb = lebesgue_check(space, family, s)
     if not leb.passed:
         raise ConstructionFailedError(
-            f"transform output has Lebesgue number < {s} at point {leb.witness_point}",
-            leb.to_json())
+            f"transform output has Lebesgue number < {s} at point {leb.witness_point}")
     mult = multiplicity(space, family)
     if mult.maximum > len(levels):
         raise ConstructionFailedError(
-            f"multiplicity {mult.maximum} exceeds level count {len(levels)}",
-            mult.to_json())
+            f"multiplicity {mult.maximum} exceeds level count {len(levels)}")
     bound = uniformly_bounded_check(space, family)
-    if bound.bound > input_bound + 2 * s + SLACK_TOL:
-        raise ConstructionFailedError(
-            f"output bound {bound.bound} exceeds {input_bound} + 2s",
-            bound.to_json())
+    if bound.bound > input_bound + 2 * s + METRIC_TOL:
+        raise ConstructionFailedError(f"output bound {bound.bound} exceeds {input_bound} + 2s")
     return family
 
 

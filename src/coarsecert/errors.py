@@ -153,10 +153,6 @@ class ScaleTooSmallError(CoarseCertError):
 class ConstructionFailedError(CoarseCertError):
     """A construction's mandatory post-hoc verification did not pass."""
 
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
-
 
 # ---------------------------------------------------------------------------
 # extension pipeline

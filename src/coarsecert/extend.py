@@ -59,6 +59,7 @@ from .errors import (
 from .metric import FiniteMetricSpace, PointSubset, diameter
 from .simplex import PartitionOfUnity, star_preimage_diameters
 from .verify import (
+    SLACK_TOL,
     CoboundedReport,
     LipschitzReport,
     cobounded_check,
@@ -548,7 +549,7 @@ class CertificateResult:
         return {
             "check": "certificate",
             "pass": self.passed,
-            "tolerance": self.lipschitz.tolerance,
+            "tolerance": SLACK_TOL,
             "epsilon": self.schedule.epsilon,
             "bound": self.bound,
             "lipschitz": self.lipschitz.to_json(),

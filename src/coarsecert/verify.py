@@ -61,11 +61,10 @@ class LipschitzReport:
     witness_pair: Optional[Tuple[int, int]]
     pairs_checked: int
     restricted_radius: Optional[float] = None
-    tolerance: float = SLACK_TOL
 
     @property
     def passed(self) -> bool:
-        return self.worst_slack >= -self.tolerance
+        return self.worst_slack >= -SLACK_TOL
 
     def to_json(self) -> dict:
         """The report as JSON, which has no infinity: any infinite worst slack is null.
@@ -80,7 +79,7 @@ class LipschitzReport:
             "pass": self.passed,
             "lambda": self.lam,
             "C": self.C,
-            "tolerance": self.tolerance,
+            "tolerance": SLACK_TOL,
             "worst_slack": None if math.isinf(self.worst_slack) else self.worst_slack,
             "witness": list(self.witness_pair) if self.witness_pair else None,
             "pairs_checked": self.pairs_checked,
@@ -94,18 +93,17 @@ class CoboundedReport:
     tight_bound: float
     worst_vertex: Optional[VertexId]
     vertices_checked: int
-    tolerance: float = SLACK_TOL
 
     @property
     def passed(self) -> bool:
-        return self.tight_bound <= self.bound + self.tolerance
+        return self.tight_bound <= self.bound + SLACK_TOL
 
     def to_json(self) -> dict:
         return {
             "check": "cobounded",
             "pass": self.passed,
             "bound": self.bound,
-            "tolerance": self.tolerance,
+            "tolerance": SLACK_TOL,
             "tight_bound": self.tight_bound,
             "witness": vertex_key(self.worst_vertex) if self.worst_vertex else None,
             "vertices_checked": self.vertices_checked,

@@ -1483,13 +1483,14 @@ _LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.a
            "print(json.dumps(sorted(m for m in sys.modules "
            "if m.startswith('coarsecert.') or m in ('numpy', 'scipy')))); sys.exit(code)")
 # what each command loads: --help and usage errors only the parser, every
-# command that reads a file jsonio's stack with numpy, verify the checks, and
-# decompose and certify the construction modules; a graph loads scipy
+# command that reads a file jsonio's stack with numpy, verify the checks,
+# decompose the construction modules without the checks, and certify both;
+# a graph loads scipy
 _PARSER = ["coarsecert.cli", "coarsecert.errors"]
 _READER = _PARSER + ["coarsecert.jsonio", "coarsecert.metric", "coarsecert.simplex", "numpy"]
 _CHECKER = _READER + ["coarsecert.verify"]
-_DECOMPOSER = _CHECKER + ["coarsecert.construct", "coarsecert.covers"]
-_CERTIFIER = _DECOMPOSER + ["coarsecert.extend"]
+_DECOMPOSER = _READER + ["coarsecert.construct", "coarsecert.covers"]
+_CERTIFIER = _DECOMPOSER + ["coarsecert.extend", "coarsecert.verify"]
 
 
 @pytest.fixture(scope="module")

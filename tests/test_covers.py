@@ -19,7 +19,7 @@ from coarsecert.errors import (
     NotTwoSDisjointError,
     ScaleTooSmallError,
 )
-from coarsecert import metric
+from coarsecert import covers, metric
 from coarsecert.metric import PointSubset, load_matrix
 from coarsecert.construct import (
     lebesgue_check,
@@ -50,6 +50,18 @@ class TestGreedy:
             assert r_disjoint_check(p100, fam, 2.0).passed
         assert uniformly_bounded_check(
             p100, [m for fam in families for m in fam]).bound <= 4.0
+
+    def test_disjointness_failure_names_its_witness(self, p10, monkeypatch):
+        # a conflict graph that misses every conflict puts all ten singletons
+        # in one family, which the re-check refuses at its closest pair
+        def no_conflicts(space, pieces):
+            for s in range(len(pieces) - 1):
+                yield np.full(len(pieces) - 1 - s, np.inf)
+
+        monkeypatch.setattr(covers, "cross_minima", no_conflicts)
+        with pytest.raises(ConstructionFailedError,
+                           match=r"not 1.0-disjoint: d\(0,1\)=1 <= R=1$"):
+            greedy_decomposition(p10, R=1.0, target_diam=0.5)
 
     def test_nan_diameter_rejected(self, p10):
         # a NaN radius claims no point, so the carving loop never ended
@@ -127,6 +139,12 @@ class TestPointFiniteTransform:
         with pytest.raises(ConstructionFailedError,
                            match="Lebesgue number < 79.5 at point 160"):
             point_finite_transform(sp, levels, s=79.5)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_scale_must_be_positive(self, p20, s):
+        # s <= 0 is false for NaN, which the 2s-disjointness check would name as R
+        with pytest.raises(InvalidInputError, match=f"scale s must be > 0, got {s!r}"):
+            point_finite_transform(p20, [rng_of((0, 19))], s=s)
 
     def test_net_must_cover(self, p100):
         with pytest.raises(NotACoverError):

@@ -699,6 +699,10 @@ class TestUniformlyBounded:
         with pytest.raises(EmptySetError):
             uniformly_bounded_check(p10, [PointSubset(())])
 
+    def test_empty_family(self, p10):
+        with pytest.raises(EmptySetError, match="empty family"):
+            uniformly_bounded_check(p10, [])
+
 
 class TestLebesgue:
     def test_whole_space_cover(self, p10):
@@ -837,6 +841,10 @@ class TestMultiplicity:
     def test_three_copies(self, p10):
         rep = multiplicity(p10, [p10.all_points()] * 3)
         assert rep.maximum == 3
+
+    def test_member_outside_space(self, p10):
+        with pytest.raises(InvalidInputError, match="point id 12 outside space of size 10"):
+            multiplicity(p10, [p10.all_points(), PointSubset((12,))])
 
     def test_empty_family_member_rejected(self, p10):
         with pytest.raises(EmptySetError):
