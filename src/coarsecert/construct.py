@@ -131,10 +131,16 @@ class CoverFamily:
         return iter(self.members)
 
 
-def _as_family(family) -> CoverFamily:
-    if isinstance(family, CoverFamily):
-        return family
-    return CoverFamily(tuple(family))
+def _as_family(family, space: FiniteMetricSpace) -> CoverFamily:
+    """family as a CoverFamily whose members all lie in space.
+
+    The checks index rows, masks and counts by member id: a negative id
+    would read a point counted from the end, and one past the space no point.
+    """
+    fam = family if isinstance(family, CoverFamily) else CoverFamily(tuple(family))
+    for member in fam.members:
+        member.validate_against(space)
+    return fam
 
 
 @dataclass
@@ -176,7 +182,7 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
     """
     if math.isnan(R):  # no distance compares with NaN, which would read as a pass
         raise InvalidInputError(f"R = {R!r} is not a number")
-    fam = _as_family(family)
+    fam = _as_family(family, space)
     best, win = math.inf, None
     for s, cross in enumerate(cross_minima(space, fam.members)):
         k = int(np.argmin(cross))
@@ -194,7 +200,7 @@ def r_disjoint_check(space: FiniteMetricSpace, family, R: float) -> DisjointRepo
 
 def uniformly_bounded_check(space: FiniteMetricSpace, family) -> BoundednessReport:
     """Exact max member diameter (the tight uniform bound)."""
-    fam = _as_family(family)
+    fam = _as_family(family, space)
     if not len(fam):
         raise EmptySetError("uniformly_bounded_check of an empty family")
     return BoundednessReport(bound=float(diameters(space, *concat_sets(fam.members)).max()))
@@ -207,7 +213,7 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
     """
     if math.isnan(M):  # a NaN ball holds no point, which would read as a pass
         raise InvalidInputError(f"M = {M!r} is not a number")
-    fam = _as_family(cover)
+    fam = _as_family(cover, space)
     masks = np.zeros((len(fam), space.n), dtype=bool)  # masks[k, x]: x in member k
     for k, member in enumerate(fam.members):
         masks[k, member.ids] = True
@@ -223,9 +229,7 @@ def lebesgue_check(space: FiniteMetricSpace, cover, M: float) -> LebesgueReport:
 
 def multiplicity(space: FiniteMetricSpace, cover) -> MultiplicityReport:
     """Max number of members containing a point, plus the full histogram."""
-    fam = _as_family(cover)
-    for member in fam.members:  # bincount would count an id past the space as a point
-        member.validate_against(space)
+    fam = _as_family(cover, space)
     ids = [m.ids for m in fam.members]
     counts = np.bincount(np.concatenate(ids + [np.empty(0, dtype=np.intp)]), minlength=space.n)
     values, freq = np.unique(counts, return_counts=True)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import importlib
 import io
@@ -1537,6 +1538,45 @@ def test_command_loads_only_its_modules(clean_artifacts, l1_cloud_artifacts, tmp
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == sorted(loaded)
+
+
+_EXIT_CODES = pytest.mark.parametrize("args, code", [
+    (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0),
+    (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--lam", "0.01",
+      "--C", "0.01"], 1),
+    (["verify", "--space"], 2),  # an argparse error
+    (["verify", "--space", "space.json", "--pou", "missing.json", "--epsilon", "0.8"], 2),
+], ids=["pass", "fail", "usage-error", "input-error"])
+
+
+@_EXIT_CODES
+def test_main_leaves_the_collector_as_it_found_it(clean_artifacts, monkeypatch, args, code):
+    # tests and the benchmark's tracer call main in-process: only the process
+    # entry (run) may freeze the collector
+    monkeypatch.chdir(clean_artifacts)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(args) == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# the module run as `python -m coarsecert.cli`, printing last whether the
+# collector was frozen when its exit began
+_ENTRY = ("import gc, runpy, sys\n"
+          "try:\n"
+          "    runpy.run_module('coarsecert.cli', run_name='__main__')\n"
+          "except SystemExit as exc:\n"
+          "    print(gc.get_freeze_count() > 0)\n"
+          "    raise")
+
+
+@_EXIT_CODES
+def test_process_entry_freezes_and_keeps_the_exit_code(clean_artifacts, args, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, *args], cwd=clean_artifacts, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+    assert "Traceback" not in proc.stderr
 
 
 class TestLazyNamespace:

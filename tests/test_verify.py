@@ -600,6 +600,11 @@ class TestRDisjoint:
         assert not rep.passed
         assert rep.min_cross == 0.0
 
+    def test_member_outside_space(self, p10):
+        # read a row past the space and raised a bare IndexError
+        with pytest.raises(InvalidInputError, match="point id 12 outside space of size 10"):
+            r_disjoint_check(p10, [PointSubset((0,)), PointSubset((12,))], 1.0)
+
 
 def first_fit_families(space, R, target_diam):
     """greedy_decomposition by brute force: ball carving, then first-fit colouring."""
@@ -703,6 +708,12 @@ class TestUniformlyBounded:
         with pytest.raises(EmptySetError, match="empty family"):
             uniformly_bounded_check(p10, [])
 
+    @pytest.mark.parametrize("ids, bad", [((12,), 12), ((-1, 12), -1)])
+    def test_member_outside_space(self, p10, ids, bad):
+        # (12,) read as bound 0.0, and (-1, 12) never returned
+        with pytest.raises(InvalidInputError, match=f"point id {bad} outside space of size 10"):
+            uniformly_bounded_check(p10, [p10.all_points(), PointSubset(ids)])
+
 
 class TestLebesgue:
     def test_whole_space_cover(self, p10):
@@ -733,6 +744,11 @@ class TestLebesgue:
     def test_not_a_cover(self, p10):
         with pytest.raises(NotACoverError):
             lebesgue_check(p10, blocks((0, 3), (6, 9)), 1.0)
+
+    def test_member_outside_space(self, p10):
+        # -1 read as point 9, so the cover {0..8}, {-1} passed though 9 is in no member
+        with pytest.raises(InvalidInputError, match="point id -1 outside space of size 10"):
+            lebesgue_check(p10, [PointSubset(tuple(range(9))), PointSubset((-1,))], 0.5)
 
     def test_bruteforce_oracle(self, p20):
         rng = np.random.default_rng(23)
