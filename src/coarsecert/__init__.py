@@ -24,7 +24,7 @@ _HOMES = {name: home for home, names in (
                "point_finite_transform tree_validate"),
     ("extend", "BudgetSchedule Modulus Retraction budget_schedule build_certificate "
                "default_modulus extend_over_bounded_piece extend_over_disjoint_family "
-               "extend_pou extend_pou_cobounded nearest_point_retraction paste"),
+               "extend_pou nearest_point_retraction paste"),
 ) for name in names.split()}
 
 __all__ = list(_HOMES)

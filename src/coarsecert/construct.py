@@ -13,8 +13,8 @@ of that one name sees every call.
 
 R-disjointness (one distance to each member, cross_minima), uniform
 boundedness, Lebesgue numbers and multiplicity check what `covers` and `extend`
-build; convex_combine, simplicial_retraction, renamespace and barycentric_pou
-build pous on `simplex`'s store, under the fresh namespaces of a VertexMint.
+build; convex_combine, simplicial_retraction and barycentric_pou build pous
+on `simplex`'s store, under the fresh namespaces of a VertexMint.
 `decompose` and `certify` load this module; `verify` never loads it.
 """
 
@@ -343,12 +343,3 @@ def barycentric_pou(space: FiniteMetricSpace, cover: List[PointSubset]) -> Parti
                                       [(0, k) for k in range(len(cover))],
                                       1.0 / counts[points[order]])
 
-
-def renamespace(f: PartitionOfUnity, namespace: int) -> PartitionOfUnity:
-    """Copy of f with its carrier relabeled into one fresh namespace.
-
-    Carrier vertices are relabeled in sorted order to (namespace, 0..k-1),
-    deterministically, so re-namespacing commutes with serialization.
-    """
-    return PartitionOfUnity._from_csr(f.space, f.domain.ids, f.indptr, f.columns,
-                                      [(namespace, i) for i in range(len(f.carrier()))], f.weights)

@@ -7,14 +7,23 @@ and equals g exactly off the open r-neighborhood of A.  With r >= 4/eps and
 delta small enough on both inputs the blend is (eps, eps)-Lipschitz, and
 with disjoint carriers coboundedness degrades by at most 2r + 2.
 
-On top of the blend sit: single-fresh-vertex extension at r = 8/eps, the
-cobounded variant that blends against a re-namespaced global partition of
-unity, bounded-piece extension with its two branches (far pieces get a fresh
+On top of the blend sit: single-fresh-vertex extension at r = 8/eps,
+bounded-piece extension with its two branches (far pieces get a fresh
 constant vertex; near pieces are blended against one, then carrier-retracted),
 disjoint family gluing, and the recursive certificate builder with its budget
 ladder.  A piece changes the pou only on its own points, so a piece extension
 returns a pou over just the piece's points outside the input domain, and the
 glue reads nothing else.
+
+build_certificate runs each lemma through one function: a family through
+extend_over_disjoint_family, a leaf through extend_over_bounded_piece, and
+a near leaf's extension (branch 2) through _blend_fresh, which blends by
+_alpha_blend.  paste (_alpha_blend) and extend_pou (_blend_fresh), each
+merged with f, are the public forms of the pasting and extension lemmas.
+Their tests, acceptance criteria 2 and 3 among them, check the blend
+arithmetic that build_certificate runs, but not the precondition checks in
+front of it, which build_certificate skips: the ladder asserts them, and
+the final verification decides.
 
 The budget ladder composes a modulus E (E(x) < x, non-decreasing): a node at
 level i with q families is processed in ascending family order at budgets
@@ -41,7 +50,6 @@ from .construct import (
     dist_to_set_all,
     nearest_scan,
     r_disjoint_check,
-    renamespace,
     simplicial_retraction,
 )
 from .covers import DecompositionTree, TreeNode, tree_validate
@@ -324,23 +332,28 @@ def paste(f: PartitionOfUnity, g: PartitionOfUnity, r: float, epsilon: float,
           delta: float, check_inputs: bool = True) -> PartitionOfUnity:
     """Blend a pou on a subset into a pou on the whole target domain.
 
-    Preconditions (each named on violation): r >= 4/epsilon,
-    delta <= epsilon/3 - 2/(3r), delta <= epsilon/(4r + 7), A nonempty, and
-    both inputs (delta, delta)-Lipschitz.  The Lipschitz checks run unless
-    the caller asserts them with check_inputs=False.
+    Preconditions (each named on violation): epsilon > 0, r >= 4/epsilon,
+    delta <= epsilon/3 - 2/(3r), delta <= epsilon/(4r + 7), A nonempty, f
+    and g over one space, and both inputs (delta, delta)-Lipschitz.  A NaN
+    fails every comparison.  The Lipschitz checks run unless the caller
+    asserts them with check_inputs=False.
     """
     if len(f.domain) == 0:
         raise EmptySetError("paste needs a nonempty subset pou")
+    if g.space is not f.space:
+        raise InvalidInputError("paste: f and g must lie over the same space")
     if not np.isin(f.domain.ids, g.domain.ids).all():
         raise InvalidInputError("paste: f's domain must lie inside g's domain")
-    if r < 4.0 / epsilon:
+    if not epsilon > 0:
+        raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
+    if not r >= 4.0 / epsilon:
         raise PreconditionViolatedError("r >= 4/epsilon", f"r={r!r}, epsilon={epsilon!r}")
     lim1 = epsilon / 3.0 - 2.0 / (3.0 * r)
-    if delta > lim1 + _REL_TOL * abs(lim1):
+    if not delta <= lim1 + _REL_TOL * abs(lim1):
         raise PreconditionViolatedError(
             "delta <= epsilon/3 - 2/(3r)", f"delta={delta!r}, limit={lim1!r}")
     lim2 = epsilon / (4.0 * r + 7.0)
-    if delta > lim2 + _REL_TOL * abs(lim2):
+    if not delta <= lim2 + _REL_TOL * abs(lim2):
         raise PreconditionViolatedError(
             "delta <= epsilon/(4r+7)", f"delta={delta!r}, limit={lim2!r}")
     if check_inputs:
@@ -376,45 +389,6 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
     return f.merged_with(_blend_fresh(f, target, epsilon, mint))
 
 
-def extend_pou_cobounded(f: PartitionOfUnity, u: PartitionOfUnity, epsilon: float,
-                         modulus: Optional[Modulus] = None,
-                         K: Optional[float] = None, Q: Optional[float] = None,
-                         *, mint: VertexMint,
-                         check_inputs: bool = True) -> Tuple[PartitionOfUnity, float]:
-    """Extend keeping coboundedness, by blending against a global cobounded pou.
-
-    u's vertices are re-namespaced fresh before pasting, which forces the
-    carriers disjoint; the output bound is max(K, Q) + 2r + 2 with r = 8/eps.
-    Returns (extension, bound).
-    """
-    if len(f.domain) == 0:
-        raise EmptySetError("extend_pou_cobounded needs a nonempty input pou")
-    if epsilon <= 0:
-        raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
-    modulus = modulus or default_modulus()
-    space = f.space
-    if len(u.domain) != space.n:
-        raise InvalidInputError("the cobounded pou must cover the whole space")
-    K = measured_bound(f) if K is None else float(K)
-    Q = measured_bound(u) if Q is None else float(Q)
-    delta = modulus(epsilon)
-    r = 8.0 / epsilon
-    if check_inputs:
-        _require_lipschitz(f, delta, "f")
-        _require_lipschitz(u, delta, "u")
-        for name, pou, bound in (("f", f, K), ("u", u, Q)):
-            rep = cobounded_check(pou, bound)
-            if not rep.passed:
-                raise PreconditionViolatedError(
-                    f"{name} is {bound:g}-cobounded",
-                    f"tight bound {rep.tight_bound:g}")
-    if len(f.domain) == space.n:
-        return f, K
-    u_fresh = renamespace(u, mint.namespace())
-    g = f.merged_with(_alpha_blend(f, u_fresh, r))
-    return g, max(K, Q) + 2.0 * r + 2.0
-
-
 # ---------------------------------------------------------------------------
 # bounded pieces and disjoint families
 # ---------------------------------------------------------------------------
@@ -437,6 +411,7 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
     outside f's domain, and bound is the composed coboundedness formula of
     f extended by it: input + piece bound (+ r_m for branch 2).
     """
+    piece.validate_against(f.space)
     if len(piece) == 0:
         raise EmptySetError("cannot extend over an empty piece")
     space = f.space

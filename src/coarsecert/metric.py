@@ -774,6 +774,7 @@ def _check_distinct(arr: np.ndarray, p: float) -> None:
 
 def diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
     """Max pairwise distance within a; 0 for a singleton (diameters)."""
+    a.validate_against(space)
     return float(diameters(space, *concat_sets([a]))[0])
 
 

@@ -27,18 +27,16 @@ from coarsecert.extend import (
     extend_over_bounded_piece,
     extend_over_disjoint_family,
     extend_pou,
-    extend_pou_cobounded,
     measured_bound,
     parse_modulus,
     paste,
 )
 from coarsecert.metric import PointSubset
-from coarsecert.construct import (VertexMint, barycentric_pou, dist_to_set_all,
-                                  simplicial_retraction)
+from coarsecert.construct import VertexMint, dist_to_set_all, simplicial_retraction
 from coarsecert.simplex import PartitionOfUnity
 from coarsecert.verify import cobounded_check, lipschitz_check
 from .conftest import grid_space, path_space, weighted_graph
-from .genutil import blend_point, perturb_weight, random_lipschitz_pou, random_subset, uniform
+from .genutil import blend_point, random_lipschitz_pou, random_subset, uniform
 
 
 def dummy_tree(arity):
@@ -159,6 +157,17 @@ class TestPaste:
             paste(f, g, r=8.0, epsilon=1.0, delta=0.3, check_inputs=False)
         with pytest.raises(PreconditionViolatedError, match="4r\\+7"):
             paste(f, g, r=8.0, epsilon=1.0, delta=0.05, check_inputs=False)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(BadEpsilonError, match=f"got {eps!r}"):
+                paste(f, g, r=8.0, epsilon=eps, delta=0.01, check_inputs=False)
+        with pytest.raises(PreconditionViolatedError, match="r=nan"):
+            paste(f, g, r=math.nan, epsilon=1.0, delta=0.01, check_inputs=False)
+        for check in (True, False):
+            with pytest.raises(PreconditionViolatedError, match="delta=nan"):
+                paste(f, g, r=8.0, epsilon=1.0, delta=math.nan, check_inputs=check)
+        p12 = path_space(12)
+        with pytest.raises(InvalidInputError, match="same space"):
+            paste(f, PartitionOfUnity.constant(p12, p12.all_points(), (2, 0)), 8.0, 1.0, 0.01)
 
     def test_lipschitz_precondition_enforced(self, p10):
         f = PartitionOfUnity(p10, {0: {(1, 0): 1.0},
@@ -234,57 +243,15 @@ class TestExtendPou:
             assert lipschitz_check(g, eps, eps).passed
 
 
-class TestExtendPouCobounded:
-    def overlap_cover(self, space, width=21, step=10):
-        n = space.n
-        return [PointSubset(tuple(range(lo, min(lo + width, n))))
-                for lo in range(0, n, step)]
-
-    def test_whole_domain_identity(self, p10):
-        rng = np.random.default_rng(4)
-        f = random_lipschitz_pou(p10, range(10), 0.05, rng)
-        u = PartitionOfUnity.constant(p10, p10.all_points(), (9, 9))
-        g, bound = extend_pou_cobounded(f, u, 1.0, check_inputs=False, K=3.0,
-                                        mint=VertexMint())
-        assert g is f and bound == 3.0
-
-    def test_brick_cover_instance(self, p200):
-        # inputs here are caller-asserted (a barycentric brick pou is not
-        # (delta, delta)-Lipschitz for the schedule delta); the verifier is
-        # the authority on the output, and both checks pass at eps = 0.4
-        u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: {(50, 0): 1.0}})
-        eps = 0.4
-        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
-        assert lipschitz_check(g, eps, eps).passed
-        rep = cobounded_check(g, bound)
-        assert rep.passed
-        assert bound == pytest.approx(max(0.0, 20.0) + 2 * (8 / eps) + 2)
-
-    def test_carriers_forced_disjoint(self, p200):
-        u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: {(0, 0): 1.0}})
-        # u also uses namespace 0: without re-namespacing these would collide
-        g, _ = extend_pou_cobounded(f, u, 0.4, check_inputs=False, mint=VertexMint())
-        carrier_ns = {v[0] for v in g.carrier()}
-        assert 0 in carrier_ns  # f's vertex survives on A
-        assert any(ns != 0 for ns in carrier_ns)
-
-    def test_corrupted_input_flips_verifier(self, p200):
-        u = barycentric_pou(p200, self.overlap_cover(p200))
-        f = PartitionOfUnity(p200, {0: {(50, 0): 1.0}})
-        eps = 0.4
-        g, bound = extend_pou_cobounded(f, u, eps, check_inputs=False, mint=VertexMint())
-        assert lipschitz_check(g, eps, eps).passed
-        # corrupt one weight on a certificate that passed: push the majority
-        # vertex at a triple-overlap point
-        x = 30
-        v = max(g(x).items(), key=lambda kv: kv[1])[0]
-        gc = perturb_weight(g, x, v)
-        assert not lipschitz_check(gc, eps, eps).passed
-
-
 class TestExtendOverBoundedPiece:
+    @pytest.mark.parametrize("piece_bound", [None, 5.0])
+    @pytest.mark.parametrize("ids, bad", [((7, 12), 12), ((-1, 7), -1)])
+    def test_piece_outside_space_named(self, p10, ids, bad, piece_bound):
+        f = PartitionOfUnity(p10, {0: {(1, 0): 1.0}})
+        with pytest.raises(InvalidInputError, match=f"point id {bad} outside"):
+            extend_over_bounded_piece(f, PointSubset(ids), 5.0, 0.5, mint=VertexMint(),
+                                      piece_bound=piece_bound)
+
     def test_empty_input_branch1(self, p200):
         piece = PointSubset(tuple(range(150, 161)))
         f = PartitionOfUnity.empty(p200)

@@ -1057,6 +1057,11 @@ class TestPrimitives:
         assert diameter(p10, PointSubset((2, 5, 7))) == 5.0
         assert diameter(cycle4, cycle4.all_points()) == 2.0
 
+    @pytest.mark.parametrize("ids, bad", [((7, 12), 12), ((-1, 7), -1)])
+    def test_diameter_names_an_id_outside(self, p10, ids, bad):
+        with pytest.raises(InvalidInputError, match=f"point id {bad} outside"):
+            diameter(p10, PointSubset(ids))
+
     def test_retraction_fixes_and_ties(self, p5):
         a = PointSubset((0, 4))
         p = nearest_point_retraction(p5, a)

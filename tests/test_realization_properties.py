@@ -15,7 +15,6 @@ from coarsecert.extend import (
     default_modulus,
     extend_over_bounded_piece,
     extend_over_disjoint_family,
-    extend_pou_cobounded,
     measured_bound,
 )
 from coarsecert.metric import PointSubset, diameter
@@ -131,21 +130,3 @@ class TestDisjointFamilyRealization:
             assert cobounded_check(h, bound).passed
         assert glued_multi >= 50
 
-
-class TestCoboundedExtensionRealization:
-    def test_hundred_instances(self, spaces):
-        mint = VertexMint(start=3)  # f and u below use namespaces 1 and 2
-        for i in range(100):
-            rng = np.random.default_rng(70_000 + i)
-            space = spaces[i % 3]
-            eps = float(rng.uniform(0.4, 1.2))
-            delta = E(eps)
-            a = random_subset(space.n, int(rng.integers(5, space.n // 4)), rng)
-            f = random_lipschitz_pou(space, a.ids, delta, rng, namespace=1)
-            u = random_lipschitz_pou(space, range(space.n), delta, rng, namespace=2)
-            g, bound = extend_pou_cobounded(f, u, eps, mint=mint)
-            assert all(g(x) == f(x) for x in a.ids)
-            assert lipschitz_check(g, eps, eps, mode="full").worst_slack >= -1e-9
-            assert cobounded_check(g, bound).passed
-            k, q = measured_bound(f), measured_bound(u)
-            assert bound == pytest.approx(max(k, q) + 16.0 / eps + 2.0)

@@ -22,7 +22,6 @@ from coarsecert.construct import (
     barycentric_pou,
     convex_combine,
     lebesgue_check,
-    renamespace,
     simplicial_retraction,
 )
 from coarsecert.extend import extend_over_disjoint_family, measured_bound
@@ -244,13 +243,6 @@ class TestVertexMint:
         assert len(seen) == 100
         assert min(seen) >= 1
 
-    def test_renamespace_disjoint(self, p5):
-        f = PartitionOfUnity(p5, {x: {A: 0.5, B: 0.5} for x in range(5)})
-        g = renamespace(f, 7)
-        assert set(f.carrier()) & set(g.carrier()) == set()
-        for x in range(5):
-            assert sorted(g(x).values()) == sorted(f(x).values())
-
 
 # ---------------------------------------------------------------------------
 # the CSR storage against dict formulas
@@ -371,13 +363,6 @@ class TestCsrStorage:
         assert blend_rows(t, make(a), make(b), src) == [
             list(blend_point(tx, dict(a[x]), dict(b[y])).items())
             for tx, x, y in zip(t, sorted(a), src)]
-
-    @given(assignments(), st.integers(1, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_renamespace(self, a, ns):
-        table = {v: (ns, i) for i, v in enumerate(sorted({v for es in a.values() for v, _ in es}))}
-        got = renamespace(make(a), ns)
-        assert entries(got) == {x: [(table[v], w) for v, w in a[x]] for x in sorted(a)}
 
     @given(assignments(), st.data())
     @settings(max_examples=200, deadline=None)
