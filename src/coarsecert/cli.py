@@ -11,8 +11,12 @@ scipy and no other module of the package.  A command imports numpy and
 `jsonio` (with `metric` and `simplex`) when it runs; `verify` adds
 `verify`, `decompose` adds `construct` and `covers`, and `certify` adds
 `extend` with `verify` as well.  `metric` imports scipy on the first call
-that needs it, so only graph spaces and the closure check of a float cloud
-or matrix load it.
+that needs it: a graph's first uncut or long search, or its first search
+when its sums are not exact (metric.dijkstra), and the closure check of a
+float cloud or matrix.  So `generate` loads it only for a random-geometric
+graph, whose float weights are checked at load, and `verify` not at all when
+its searches are all short on an exact graph, such as a 1500-point integer
+path with a pou of 3-point blocks.
 
 A command imports its modules before it reads a file: a module compiled
 while a file's data is held raises the process's peak RSS (by 0.1 to 0.5
@@ -22,11 +26,12 @@ benchmark's tracer (bench/tracer.layer_patches) wraps these names in this
 module's namespace; they become plain calls once the tracer moves
 (ROADMAP.md, item 1a).
 
-What a process pays besides its command (2 CPUs, medians of 15 to 20
-runs): the interpreter about 0.035 s, numpy about 0.06 s more, and scipy's
-csgraph about 0.20 s and 33 MB more on a graph.  Its exit walked every
-object those imports left, in the collections at shutdown: 0.073 s after a
-1500-point graph `verify`, against 0.007 s for a bare interpreter.  So the
+What a process pays besides its command (2 CPUs, import-only processes,
+medians of 15): the interpreter about 0.055 s and 14.2 MB, numpy about 0.10
+s and 12.6 MB more, and scipy's csgraph, where a search loads it, about
+0.26 s and 33.6 MB more.  Its exit walked every object those imports left,
+in the collections at shutdown: 0.073 s after a 1500-point graph `verify`
+that loaded scipy, against 0.007 s for a bare interpreter.  So the
 process entry is `run`, which returns `main`'s exit code and then freezes
 the collector (gc.freeze), and the same exit takes 0.012 s.  `main` stays
 free of effects on the process, because tests and the benchmark's tracer

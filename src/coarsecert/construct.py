@@ -50,9 +50,8 @@ def dist_to_set_all(space: FiniteMetricSpace, a: PointSubset,
         raise EmptySetError("dist_to_set_all of empty subset")
     if math.isnan(limit):  # no distance compares with NaN, which would read as far
         raise InvalidInputError(f"limit = {limit!r} is not a number")
-    if not space.has_table and space._graph is not None:  # scipy refuses a negative limit
-        return metric.dijkstra(space._graph, directed=True, indices=a.ids, min_only=True,
-                               limit=max(limit, 0.0))
+    if not space.has_table and space._graph is not None:  # dijkstra refuses a negative limit
+        return metric.dijkstra(space._graph, indices=a.ids, min_only=True, limit=max(limit, 0.0))
     out = np.full(space.n, math.inf)
     for _, _, block in ball_blocks(space, a.ids, limit):
         np.minimum(out, block.min(axis=0), out=out)

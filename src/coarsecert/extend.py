@@ -374,7 +374,7 @@ def extend_pou(f: PartitionOfUnity, epsilon: float, modulus: Optional[Modulus] =
     """
     if len(f.domain) == 0:
         raise EmptySetError("extend_pou needs a nonempty input pou")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise BadEpsilonError(f"epsilon must be > 0, got {epsilon!r}")
     modulus = modulus or default_modulus()
     space = f.space
@@ -421,9 +421,10 @@ def extend_over_bounded_piece(f: PartitionOfUnity, piece: PointSubset, r_m: Opti
 
     a_near = np.empty(0, dtype=np.intp)
     if len(f.domain):
-        if r_m is not None and budget < (2.0 / (r_m + 1.0)) * (1.0 - _REL_TOL):
+        if r_m is not None and not budget >= (2.0 / (r_m + 1.0)) * (1.0 - _REL_TOL):
             # pairs across the piece's neighborhood boundary sit at distance
-            # at least r_m, where only the additive budget covers the gap
+            # at least r_m, where only the additive budget covers the gap;
+            # a NaN budget covers nothing
             raise PreconditionViolatedError(
                 "budget >= 2/(r_m + 1)",
                 f"budget={budget!r}, r_m={r_m!r}")
@@ -464,7 +465,8 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
     least 2/(R + 1): cross-piece pairs sit at distance above R, where the
     additive slack alone covers the maximal simplex distance.  A smaller
     budget raises BudgetTooSmallError, unless budget_warnings is a list, which
-    then records it and leaves the verdict to the verifier.
+    then records it and leaves the verdict to the verifier; a NaN budget
+    always raises it.
 
     Returns (pou, bound) with bound = 2 * max piece bound + input bound.
     """
@@ -477,8 +479,8 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
         if not rep.passed:
             raise NotRDisjointError(rep.witness)
     required = 2.0 / (R + 1.0)
-    if budget < required * (1.0 - _REL_TOL):
-        if budget_warnings is None:
+    if not budget >= required * (1.0 - _REL_TOL):
+        if budget_warnings is None or math.isnan(budget):
             raise BudgetTooSmallError(budget, required)
         budget_warnings.append({"budget": budget, "required": required, "R": R})
 

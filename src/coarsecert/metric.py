@@ -112,12 +112,36 @@ is finite only when the exact total is at most the largest float.  Any
 other graph or cloud, and every matrix, gets the checks above unchanged.
 The rule is decided in the loaders, which call the checks themselves,
 because it covers only rows that this module computes.
+
+A graph is held as its CSR arrays (CsrGraph), with its exact flag, its
+lightest edge and its edge total T, and is wrapped as a scipy matrix only
+when a search goes to scipy.  Every search calls dijkstra, which answers as
+scipy's directed Dijkstra does, with its shapes and its bits, by one of two
+routes.  A search on an exact graph cut off at a limit with limit / least <
+NUMPY_ROUNDS takes the numpy route (_relax): a relaxation from all its
+sources at once, whose rounds each expand the cells that changed in the
+last one.  Every other search goes to scipy, which loads on the first one.
+
+- Why the numpy route gives scipy's bits.  Let L = min(limit, T).  It keeps
+  only candidates at most L, so every stored value is at most T, and so is
+  every edge: each candidate d(u) + w is a multiple of 2**g at most twice
+  the edge total, below 2**53 * 2**g, and its float sum is exact.  So every
+  value is an exact walk sum, and the fixed point is the exact multi-source
+  distance D(v) wherever D(v) <= L, and inf elsewhere.  A shortest path
+  sums distinct edges, so D(v) <= T, and D(v) <= L exactly when D(v) <=
+  limit.  scipy's rows are the same exact distances, cut off at limit.
+- Why the round bound holds.  A value lowered in round k is an exact sum
+  over a k-edge walk, at most L, of edges of at least least each, so k <=
+  limit / least, and k <= fl(limit / least) < NUMPY_ROUNDS since rounding
+  is monotone.  So at most NUMPY_ROUNDS - 1 rounds lower a value and one
+  more finds nothing: floor(limit / least) + 1 <= NUMPY_ROUNDS rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -141,11 +165,12 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-# scipy loads on the first graph, Dijkstra search or Floyd-Warshall closure,
-# so a cloud with exact sums never imports it.  The searches are called
-# through these module names, which tests and the benchmark's tracer patch;
-# shortest_path is not called, only wrapped by bench/tracer.py.
-dijkstra = _forward("scipy.sparse.csgraph", "dijkstra")
+# scipy loads on the first search that dijkstra sends to it, or the first
+# Floyd-Warshall closure, so an exact cloud never imports it, nor an exact
+# graph whose searches are all short.  The searches are called through these
+# module names, which tests and the benchmark's tracer patch; shortest_path
+# is not called, only wrapped by bench/tracer.py.
+_scipy_dijkstra = _forward("scipy.sparse.csgraph", "dijkstra")
 floyd_warshall = _forward("scipy.sparse.csgraph", "floyd_warshall")
 shortest_path = _forward("scipy.sparse.csgraph", "shortest_path")
 
@@ -156,6 +181,7 @@ TRIANGLE_SAMPLE_SEED = 0x5EED
 TABLE_CHUNK_CELLS = 1 << 19
 ROW_BLOCK_CELLS = 1 << 16  # cells of one block of distance rows (512 KiB)
 DIAMETER_MARGIN = 1e-6     # relative slack of the cut-off above twice an eccentricity
+NUMPY_ROUNDS = 8           # the most rounds a search may take on the numpy route (dijkstra)
 
 
 def as_int(value, what: str) -> int:
@@ -281,7 +307,7 @@ class FiniteMetricSpace:
     """n points with a validated metric; the universe of every construction."""
 
     def __init__(self, n: int, provenance: str, dmat: Optional[np.ndarray] = None,
-                 graph: Optional[csr_matrix] = None, coords: Optional[np.ndarray] = None,
+                 graph: Optional[CsrGraph] = None, coords: Optional[np.ndarray] = None,
                  p_norm: Optional[float] = None, meta: Optional[dict] = None):
         self.n = int(n)
         self.provenance = provenance
@@ -312,7 +338,7 @@ class FiniteMetricSpace:
         if self._graph is not None:
             # load_graph stores both directions of every edge, so the directed
             # search sees the same graph without scipy symmetrizing it per call
-            return dijkstra(self._graph, directed=True, indices=x)
+            return dijkstra(self._graph, indices=x)
         return _lp_row(self._coords, x, self._p_norm)
 
     def rows(self, ids: np.ndarray, limit: float = math.inf) -> np.ndarray:
@@ -323,13 +349,13 @@ class FiniteMetricSpace:
         """
         if self._dmat is not None:
             return self._dmat[ids]
-        if self._graph is not None:  # scipy refuses a negative limit
-            return dijkstra(self._graph, directed=True, indices=ids, limit=max(limit, 0.0))
+        if self._graph is not None:  # dijkstra refuses a negative limit
+            return dijkstra(self._graph, indices=ids, limit=max(limit, 0.0))
         return _lp_rows(self._coords, ids, self._p_norm)
 
     def least_gap(self) -> float:
         """A graph's lightest edge (no distance, a rounded sum of edges, is below it); else 0."""
-        return float(self._graph.data.min(initial=math.inf)) if self._graph is not None else 0.0
+        return self._graph.least if self._graph is not None else 0.0
 
     def neighbors_within(self, x: int, radius: float) -> np.ndarray:
         """Ids y with d(x, y) < radius (strict), ascending; empty for radius <= 0."""
@@ -382,6 +408,120 @@ def _lp_rows(coords: np.ndarray, ids: np.ndarray, p: float) -> np.ndarray:
     if not (math.isinf(p) or p == 1):
         block **= 1.0 / p
     return block
+
+
+# ---------------------------------------------------------------------------
+# graphs and their searches
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class CsrGraph:
+    """A graph as the CSR arrays of its n x n matrix, stored both ways (_symmetric_csr).
+
+    exact says that every distance of the graph is an exact sum of its
+    edges (_exact_grid); least is the lightest edge (inf with none) and
+    total the edge total, which bounds every distance: half the sum of data,
+    exactly so on an exact graph, which stores each edge twice.  The scipy
+    matrix over the same arrays (matrix) is built on first use.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    exact: bool
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @cached_property
+    def least(self) -> float:
+        return float(self.data.min(initial=math.inf))
+
+    @cached_property
+    def total(self) -> float:
+        return float(self.data.sum()) / 2.0
+
+    @cached_property
+    def matrix(self) -> csr_matrix:
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def dijkstra(graph: CsrGraph, indices, limit: float = math.inf,
+             min_only: bool = False) -> np.ndarray:
+    """scipy's directed dijkstra on graph, with its shapes and its bits: the rows of indices
+    (an id or an array of ids), or with min_only their least entry, each entry above limit inf.
+
+    Every search of this package calls this function, by its module name.
+    A call takes the numpy route (_relax) when the graph is exact and
+    limit / least < NUMPY_ROUNDS, searching up to min(limit, edge total);
+    an uncut search, a long cut-off one and any search on a graph with
+    inexact sums go to scipy (module docstring).
+    """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if graph.exact and limit / graph.least < NUMPY_ROUNDS:
+        return _relax(graph, indices, min(limit, graph.total), min_only)
+    return _scipy_dijkstra(graph.matrix, directed=True, indices=indices, limit=limit,
+                           min_only=min_only)
+
+
+def _relax(graph: CsrGraph, indices, limit: float, min_only: bool) -> np.ndarray:
+    """The numpy route of dijkstra: a multi-source, cut-off, level-synchronous relaxation.
+
+    Every row is a run of n cells of one flat array (one row with min_only,
+    every source at 0 in it).  A round expands the edges of the cells that
+    changed in the last one, keeps the candidates at most limit and below
+    the cell's value, and applies them with np.minimum.at; a cell a
+    candidate was kept for has changed, so the next round expands it.
+    """
+    n = graph.n
+    sources = np.arange(n)[indices]  # scipy's shapes, and its negative ids
+    shape = (n,) if min_only else sources.shape + (n,)
+    sources = sources.reshape(-1)
+    dist = np.full(math.prod(shape), math.inf)
+    cells = sources if min_only else sources + n * np.arange(len(sources))
+    dist[cells] = 0.0
+    while cells.size:
+        u = cells % n
+        kept, k = row_entries(graph.indptr, u)
+        runs = np.diff(kept)
+        cand = np.repeat(dist[cells], runs) + graph.data[k]
+        at = np.repeat(cells - u, runs) + graph.indices[k]
+        keep = (cand <= limit) & (cand < dist[at])
+        at, cand = at[keep], cand[keep]
+        np.minimum.at(dist, at, cand)
+        cells = np.unique(at)
+    return dist.reshape(shape)
+
+
+def _components(graph: CsrGraph) -> np.ndarray:
+    """Each point's component, labelled by its least id: min-label hooking, pointer jumping.
+
+    label[x] <= x always, and points at a point of x's component.  A round
+    jumps every label to its root, then hooks each root to the least root
+    across its members' edges; the edges hold both directions.  A round
+    that hooks nothing leaves every edge inside one tree, whose root, at
+    most every id of it, is the least.
+    """
+    label = np.arange(graph.n, dtype=graph.indices.dtype)
+    linked = label[graph.indptr[1:] != graph.indptr[:-1]]  # the points with an edge
+    if not linked.size:
+        return label
+    starts = graph.indptr[linked]
+    while True:
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+        least = np.minimum.reduceat(label[graph.indices], starts)
+        roots = label[linked]
+        if (least >= roots).all():
+            return label
+        np.minimum.at(label, roots, least)
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +632,19 @@ def _validate_shortest_paths(space: FiniteMetricSpace, ids: np.ndarray) -> None:
     k*METRIC_TOL.  Together they give the triangle inequality up to
     (h + k)*METRIC_TOL when the rows of x and y are certified, for edge
     weights above METRIC_TOL.  A Dijkstra row passes exactly: each entry is
-    the least rounded d(x,u) + w(u,y).  Rows come from space.rows in blocks
-    of at most ROW_BLOCK_CELLS cells and TABLE_CHUNK_CELLS edge cells, so
-    the temporaries stay a few MB; the cost is O(len(ids)*E).  The blocks
+    the least rounded d(x,u) + w(u,y).  The graph is stored symmetric, with
+    the lightest of parallel edges both ways, so its CSR arrays are also its
+    CSC arrays: row y lists the edges (u, y) into y, by ascending u.  Rows
+    come from space.rows in blocks of at most ROW_BLOCK_CELLS cells and
+    TABLE_CHUNK_CELLS edge cells, so the temporaries stay a few MB; the cost
+    is O(len(ids)*E).  The blocks
     are sized here, not by ball_blocks, because the edge gather
     (TABLE_CHUNK_CELLS // E sources) bounds them too.
     """
     n = space.n
     if n < 2:
         return
-    into = space._graph.tocsc()  # column y lists the edges (u, y) into y
+    into = space._graph  # row y lists the edges (u, y) into y
     starts, src, w = into.indptr[:-1], into.indices, into.data
     step = max(1, min(TABLE_CHUNK_CELLS // src.size, ROW_BLOCK_CELLS // n))
     for lo in range(0, len(ids), step):
@@ -608,6 +751,8 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     connected; the least id outside point 0's component is named otherwise.
     A zero-weight edge between distinct points (a zero distance off the
     diagonal) and a distance that overflows to inf are rejected outright.
+    Connectivity is read from the components' labels (_components), which
+    loads no scipy.
     """
     n = as_int(n, "vertex count")
     if n <= 0:
@@ -619,14 +764,10 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     table = _real_table(edges, 3)
     if not _edges_hold(n, table):
         _name_edge_fault(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
-    from scipy.sparse.csgraph import breadth_first_order
-
     adj = _symmetric_csr(n, *table.T)
-    # adj holds both directions, so a directed search from 0 finds its component
-    reached = np.zeros(n, dtype=bool)
-    reached[breadth_first_order(adj, 0, return_predecessors=False)] = True
-    if not reached.all():
-        raise DisconnectedError(int(np.argmin(reached)))
+    stranded = np.flatnonzero(_components(adj))  # point 0's component is labelled 0
+    if stranded.size:
+        raise DisconnectedError(int(stranded[0]))
 
     space = FiniteMetricSpace(n, "graph", graph=adj, meta=meta)
     with np.errstate(over="ignore"):  # each edge is stored both ways: twice the total
@@ -639,7 +780,7 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
             if bad.size:
                 i, y = bad[0]
                 raise InvalidInputError(f"graph distance from point {lo + i} to point {y} overflows")
-    if not _exact_grid(adj.data, adj.data):  # exact sums make every row the graph metric
+    if not adj.exact:  # exact sums make every row the graph metric
         if space.least_gap() > METRIC_TOL:  # the edge certificate needs edges above it
             _validate_shortest_paths(space, _checked_rows(n, DENSE_LIMIT))
         else:
@@ -647,8 +788,8 @@ def load_graph(n: int, edges: Sequence[Sequence[float]], meta: Optional[dict] = 
     return space
 
 
-def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_matrix:
-    """The n x n CSR matrix of the edges (u[k], v[k]) of weight w[k], stored both ways.
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> CsrGraph:
+    """The n x n CSR arrays of the edges (u[k], v[k]) of weight w[k], stored both ways.
 
     Self-loops are dropped, and of parallel edges only the lightest is
     kept, where csr_matrix((data, (row, col))) would sum them.  The arrays
@@ -659,8 +800,6 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     index dtype is int32 while n and the entry count fit in it, as scipy
     picks it (csr_matrix narrows int64 arrays whose values fit).
     """
-    from scipy.sparse import csr_matrix
-
     e = len(u)
     idx = np.int32 if max(n, 2 * e) <= np.iinfo(np.int32).max else np.int64
     rows, cols = np.empty(2 * e, dtype=idx), np.empty(2 * e, dtype=idx)
@@ -675,7 +814,10 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_m
     first[1:] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
-    return csr_matrix((data[first], cols[first], indptr), shape=(n, n))
+    del rows
+    data, cols = data[first], cols[first]
+    del first  # before the grid check's temporaries
+    return CsrGraph(data, cols, indptr, _exact_grid(data, data))
 
 
 def _edges_hold(n: int, table: Optional[np.ndarray]) -> bool:
@@ -937,7 +1079,8 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
     No block is kept here once the caller resumes, so a caller that drops
     each block before asking for the next holds one at a time.
     """
-    limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))  # scipy refuses a negative limit
+    # dijkstra refuses a negative limit
+    limits = np.broadcast_to(np.maximum(limit, 0.0), (len(ids),))
     graph = space._graph
     everyone = np.arange(space.n)
     whole = max(1, ROW_BLOCK_CELLS // space.n)
@@ -956,8 +1099,7 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
         cut = float(limits[lo:lo + size].max())
         wide = wide or math.isinf(cut)
         if not wide:
-            inside = np.isfinite(
-                dijkstra(graph, directed=True, indices=sources, min_only=True, limit=cut))
+            inside = np.isfinite(dijkstra(graph, indices=sources, min_only=True, limit=cut))
             wide = 2 * np.count_nonzero(inside) > space.n
         if wide:
             inside = np.zeros(space.n, dtype=bool)
@@ -971,24 +1113,24 @@ def ball_blocks(space: FiniteMetricSpace, ids: np.ndarray, limit=math.inf):
             sub, local = _ball_subgraph(graph, ball, inside), np.searchsorted(ball, sources)
             step = max(1, ROW_BLOCK_CELLS // len(ball))
             for a in range(0, len(local), step):
-                yield lo + a, ball, dijkstra(sub, directed=True, indices=local[a:a + step], limit=cut)
+                yield lo + a, ball, dijkstra(sub, indices=local[a:a + step], limit=cut)
         lo += len(sources)
         reach = np.count_nonzero(inside)
         wide = 2 * reach > space.n
         size = whole if wide else max(1, math.isqrt(target * len(sources) // reach))
 
 
-def _ball_subgraph(graph: csr_matrix, ball: np.ndarray, inside: np.ndarray) -> csr_matrix:
+def _ball_subgraph(graph: CsrGraph, ball: np.ndarray, inside: np.ndarray) -> CsrGraph:
     """graph's edges between points of ball, numbered by place in ball, from its CSR arrays.
 
     ball is ascending, and inside is the mask of its points over every point.
+    Its edges are some of graph's, on the same grid and with a smaller
+    total, so it is exact when graph is.
     """
-    from scipy.sparse import csr_matrix
-
     kept, k = row_entries(graph.indptr, ball)
     far = graph.indices[k]
     keep = inside[far]
     indptr = np.zeros(len(k) + 1, dtype=np.intp)  # kept edges before each entry
     np.cumsum(keep, out=indptr[1:])
-    return csr_matrix((graph.data[k[keep]], np.searchsorted(ball, far[keep]), indptr[kept]),
-                      shape=(len(ball), len(ball)))
+    return CsrGraph(graph.data[k[keep]], np.searchsorted(ball, far[keep]), indptr[kept],
+                    graph.exact)

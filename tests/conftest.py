@@ -64,7 +64,7 @@ def graph_space(n, edges, table):
 
 def dijkstra_table(sp):
     """The all-pairs Dijkstra table of a graph space's edges, by scipy's shortest_path."""
-    return shortest_path(sp._graph, method="D", directed=True)
+    return shortest_path(sp._graph.matrix, method="D", directed=True)
 
 
 def with_table(sp, table=None):

@@ -1381,7 +1381,7 @@ class TestStreamedReads:
             out = tmp_path / f"relaid.{source.name}"
             out.write_text(json.dumps(relaid(json.loads(source.read_text())), indent=indent))
         sp2 = jsonio.load_space(tmp_path / f"relaid.{p100_file.name}")
-        assert sp2.n == sp.n and (sp2._graph != sp._graph).nnz == 0
+        assert sp2.n == sp.n and (sp2._graph.matrix != sp._graph.matrix).nnz == 0
         g = jsonio.load_pou(tmp_path / "relaid.f.pou.json", sp2)
         assert jsonio.pou_to_json(g) == pou_file.read_text()
 
@@ -1486,7 +1486,7 @@ _LOADED = ("import json, sys; from coarsecert.cli import main; code = main(sys.a
 # what each command loads: --help and usage errors only the parser, every
 # command that reads a file jsonio's stack with numpy, verify the checks,
 # decompose the construction modules without the checks, and certify both;
-# a graph loads scipy
+# a graph loads scipy on its first uncut or long search (metric.dijkstra)
 _PARSER = ["coarsecert.cli", "coarsecert.errors"]
 _READER = _PARSER + ["coarsecert.jsonio", "coarsecert.metric", "coarsecert.simplex", "numpy"]
 _CHECKER = _READER + ["coarsecert.verify"]
@@ -1507,12 +1507,25 @@ def l1_cloud_artifacts(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def wide_artifacts(tmp_path_factory):
+    """A 1500-point unit path and the pou of its 3-point blocks: every search is short."""
+    d = tmp_path_factory.mktemp("wide")
+    edges = [[x, x + 1, 1.0] for x in range(1499)]
+    jsonio.save_json(d / "wide.json", jsonio.space_to_json("graph", 1500, edges))
+    entries = {str(x): [[f"0:{x // 3}", 1.0]] for x in range(1500)}
+    jsonio.save_json(d / "wide.pou.json", {"v": 1, "space": "wide.json", "entries": entries})
+    return d
+
+
 @pytest.mark.parametrize("args, code, loaded", [
     (["--help"], 0, _PARSER),
     (["verify", "--space"], 2, _PARSER),  # an argparse error
-    (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, _READER + ["scipy"]),
+    (["generate", "--kind", "path", "--n", "5", "--out", "p5.json"], 0, _READER),
     (["verify", "--space", "space.json", "--pou", "cert.pou.json", "--epsilon", "0.8"], 0,
-     _CHECKER + ["scipy"]),
+     _CHECKER),
+    (["verify", "--space", "wide.json", "--pou", "wide.pou.json", "--lam", "1", "--C", "1"], 0,
+     _CHECKER),
     (["decompose", "--space", "space.json", "--strategy", "bricks", "--R", "10",
       "--block-scale", "11", "--out", "t.json"], 0, _DECOMPOSER + ["scipy"]),
     (["certify", "--space", "space.json", "--tree", "tree.json", "--epsilon", "0.8",
@@ -1523,16 +1536,18 @@ def l1_cloud_artifacts(tmp_path_factory):
       "--modulus", "linear:2.5", "--out", "c"], 0, _CERTIFIER),
     (["verify", "--space", "cloud.json", "--pou", "cloud.pou.json", "--report",
       "cloud.report.json"], 0, _CHECKER),
-], ids=["help", "usage-error", "generate", "verify", "decompose", "certify",
+], ids=["help", "usage-error", "generate", "verify", "wide-verify", "decompose", "certify",
         "l1-cloud-decompose", "l1-cloud-certify", "l1-cloud-verify"])
-def test_command_loads_only_its_modules(clean_artifacts, l1_cloud_artifacts, tmp_path,
-                                        args, code, loaded):
+def test_command_loads_only_its_modules(clean_artifacts, l1_cloud_artifacts, wide_artifacts,
+                                        tmp_path, args, code, loaded):
     # the consumer's trusted base: verify runs, and so loads, no construction
     # module; and no process loads numpy or scipy before a command needs them
     for name in ("space.json", "tree.json", "cert.pou.json"):
         shutil.copy(clean_artifacts / name, tmp_path / name)
     for name in ("cloud.json", "cloud.tree.json", "cloud.pou.json", "cloud.report.json"):
         shutil.copy(l1_cloud_artifacts / name, tmp_path / name)
+    for name in ("wide.json", "wide.pou.json"):
+        shutil.copy(wide_artifacts / name, tmp_path / name)
     env = dict(os.environ, PYTHONPATH=str(Path(coarsecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)

@@ -231,6 +231,13 @@ class TestExtendPou:
         with pytest.raises(PreconditionViolatedError):
             extend_pou(f, 1.0, mint=VertexMint())
 
+    def test_bad_epsilon_named(self, p10):
+        # as paste: a NaN epsilon is refused before the modulus reads it
+        f = PartitionOfUnity(p10, {0: {(1, 0): 1.0}})
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(BadEpsilonError, match=f"got {eps!r}"):
+                extend_pou(f, eps, mint=VertexMint(), check_inputs=False)
+
     def test_seeded_instances(self, p100):
         E = default_modulus()
         mint = VertexMint()
@@ -272,6 +279,14 @@ class TestExtendOverBoundedPiece:
         assert g.domain == piece  # the piece's new points only
         g = f.merged_with(g)
         assert all(g(x) == f(x) for x in range(50))
+
+    def test_nan_budget_named(self, p200):
+        # the gate budget >= 2/(r_m + 1) fails NaN before either branch runs:
+        # a far piece (branch 1) as well as a near one
+        f = PartitionOfUnity(p200, {x: {(1, 0): 1.0} for x in range(50)})
+        for piece in (PointSubset(tuple(range(150, 161))), PointSubset(tuple(range(60, 71)))):
+            with pytest.raises(PreconditionViolatedError, match="budget=nan"):
+                extend_over_bounded_piece(f, piece, 50.0, math.nan, mint=VertexMint())
 
     def test_near_piece_branch2(self, p200):
         rng = np.random.default_rng(7)
@@ -434,6 +449,16 @@ class TestExtendOverDisjointFamily:
         pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
         with pytest.raises(BudgetTooSmallError):
             extend_over_disjoint_family(f, pieces, R=90.0, budget=0.01, extender=None)
+
+    @pytest.mark.parametrize("recorded", [None, []])
+    def test_nan_budget_refused(self, p200, recorded):
+        # NaN passes no gate, and a warning list does not take it either
+        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
+        pieces = [PointSubset((50, 51)), PointSubset((150, 151))]
+        with pytest.raises(BudgetTooSmallError, match="budget nan"):
+            extend_over_disjoint_family(f, pieces, R=90.0, budget=math.nan, extender=None,
+                                        budget_warnings=recorded)
+        assert not recorded
 
     def test_budget_too_small_recorded(self, p200):
         f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from coarsecert.errors import (
     AsymmetryError,
@@ -398,7 +400,7 @@ class TestLoadGraph:
         want = (csr_matrix((np.array(data), (np.array(row, dtype=np.intp),
                                              np.array(col, dtype=np.intp))), shape=(n, n))
                 if pairs else csr_matrix((n, n)))
-        got = load_graph(n, edges)._graph
+        got = load_graph(n, edges)._graph.matrix
         for field in ("indptr", "indices", "data"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -448,12 +450,12 @@ class TestGraphCertificate:
         assert isinstance(err.value, MetricError)
         (x, y), (u, y_in) = err.value.pair, err.value.edge
         w = err.value.weight
-        assert y_in == y and sp._graph[u, y] == w
+        assert y_in == y and sp._graph.matrix[u, y] == w
         assert err.value.values == (d[x, y], d[x, u])
         if test == "feasibility":
             assert d[x, y] > d[x, u] + w + METRIC_TOL
         else:  # below the least way in, which the edge attains
-            into = sp._graph[:, y].tocoo()
+            into = sp._graph.matrix[:, y].tocoo()
             assert d[x, y] < d[x, u] + w - METRIC_TOL
             assert d[x, u] + w == min(d[x, v] + wv for v, wv in zip(into.row, into.data))
         # the first bad row is the corrupted pair's, and the witness reads it
@@ -545,12 +547,12 @@ class TestGraphCertificate:
         (x, y), (u, y_in) = err.value.pair, err.value.edge
         w = err.value.weight
         d = table[x]
-        assert x == a and y_in == y and sp._graph[u, y] == w
+        assert x == a and y_in == y and sp._graph.matrix[u, y] == w
         assert err.value.values == (d[y], d[u])
         if test == "feasibility":
             assert d[y] > d[u] + w + METRIC_TOL
         else:  # below the least way in, which the edge attains
-            into = sp._graph[:, y].tocoo()
+            into = sp._graph.matrix[:, y].tocoo()
             assert d[y] < d[u] + w - METRIC_TOL
             assert d[u] + w == min(d[v] + wv for v, wv in zip(into.row, into.data))
 
@@ -1661,8 +1663,152 @@ class TestAxiomBlocks:
         # counts times the weight (6 * 0.3 differs from 0.3 + ... + 0.3)
         sp = random_graph(np.random.default_rng(4), 10)
         all_rows = np.arange(10)
-        assert np.array_equal(sp.rows(all_rows), shortest_path(sp._graph, method="D", directed=True))
+        assert np.array_equal(sp.rows(all_rows),
+                              shortest_path(sp._graph.matrix, method="D", directed=True))
         scaled = load_graph(10, [(i, i + 1, 0.3) for i in range(9)])
         sums = np.cumsum([0.0] + [0.3] * 9)
         hops = np.abs(all_rows[:, None] - all_rows[None, :])
         assert np.array_equal(scaled.rows(all_rows), sums[hops]) and sums[6] != 6 * 0.3
+
+
+def exact_graph(kind, size, seed):
+    """A connected exact-sum graph with many distance ties: a unit grid, or a random
+    graph with integer weights in {1, 2, 3} or dyadic ones in {1/4, ..., 2}."""
+    if kind == "grid":
+        w, h = size, 1 + seed % 6
+        edges = [(v, v + d, 1.0) for v in range(w * h) for d in (1, h)
+                 if (d == 1 and (v + 1) % h) or (d == h and v + h < w * h)]
+        return load_graph(w * h, edges)
+    rng = np.random.default_rng(seed)
+
+    def weight():
+        return float(rng.integers(1, 4)) if kind == "integer" else float(rng.integers(1, 9)) / 4
+    n = size + 1
+    edges = [(int(rng.integers(0, i)), i, weight()) for i in range(1, n)]
+    edges += [(int(u), int(v), weight()) for u, v in rng.integers(0, n, (n, 2))]
+    return load_graph(n, edges)
+
+
+def scipy_rows(graph, **query):
+    return scipy_dijkstra(graph.matrix, directed=True, **query)
+
+
+class TestNumpyRoute:
+    """metric.dijkstra's numpy route gives scipy's shapes and bits on exact graphs."""
+
+    @given(st.sampled_from(["grid", "integer", "dyadic"]), st.integers(2, 14),
+           st.integers(0, 10_000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_route_equals_scipy(self, kind, size, seed, data):
+        sp = exact_graph(kind, size, seed)
+        graph, n = sp._graph, sp.n
+        assert graph.exact
+        # limits below, at and above distances that occur, and past the edge total
+        d = float(data.draw(st.sampled_from(np.unique(dijkstra_table(sp)).tolist())))
+        limit = data.draw(st.sampled_from([max(d - graph.least / 2, 0.0), d, d + graph.least / 2,
+                                           2 * graph.total + 1]))
+        ids = st.integers(0, n - 1)
+        indices = data.draw(st.one_of(ids, st.lists(ids, max_size=6).map(
+            lambda xs: np.array(xs, dtype=np.intp))))
+        min_only = data.draw(st.booleans())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the call went to scipy")
+
+        with pytest.MonkeyPatch.context() as mp:  # every finite limit takes the numpy route
+            mp.setattr(metric, "NUMPY_ROUNDS", math.inf)
+            mp.setattr(metric, "_scipy_dijkstra", refused)
+            got = metric.dijkstra(graph, indices=indices, limit=limit, min_only=min_only)
+            inside = np.isfinite(metric.dijkstra(graph, indices=indices, limit=limit,
+                                                 min_only=True))
+            ball = np.flatnonzero(inside)
+            sub = metric._ball_subgraph(graph, ball, inside)
+            local = np.searchsorted(ball, np.atleast_1d(indices))
+            got_sub = metric.dijkstra(sub, indices=local, limit=limit, min_only=min_only)
+        want = scipy_rows(graph, indices=indices, limit=limit, min_only=min_only)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        want_sub = scipy_rows(sub, indices=local, limit=limit, min_only=min_only)
+        assert got_sub.shape == want_sub.shape and np.array_equal(got_sub, want_sub)
+        # the ball's rows are the whole graph's rows on the ball
+        if not min_only and len(local):
+            assert np.array_equal(got_sub, want.reshape(len(local), n)[:, ball])
+
+    def test_route_of_each_call(self, monkeypatch):
+        # numpy only on an exact graph while limit / least < NUMPY_ROUNDS;
+        # an uncut search, a long one and an inexact graph go to scipy
+        routes = []
+        for name in ("_relax", "_scipy_dijkstra"):
+            real = getattr(metric, name)
+            monkeypatch.setattr(metric, name, lambda *a, real=real, name=name, **k:
+                                routes.append(name) or real(*a, **k))
+        unit, double = path_space(40), load_graph(40, [(i, i + 1, 2.0) for i in range(39)])
+        drifting = load_graph(40, [(i, i + 1, 1.1) for i in range(39)])
+        assert metric.NUMPY_ROUNDS == 8 and not drifting._graph.exact
+        for sp, limit, route in ((unit, 7.0, "_relax"), (unit, 8.0, "_scipy_dijkstra"),
+                                 (unit, math.inf, "_scipy_dijkstra"),
+                                 (double, 15.0, "_relax"), (double, 16.0, "_scipy_dijkstra"),
+                                 (drifting, 1.0, "_scipy_dijkstra")):
+            routes.clear()
+            metric.dijkstra(sp._graph, indices=np.array([3]), limit=limit)
+            assert routes == [route], (limit, routes)
+
+    def test_rounds_within_the_bound(self, monkeypatch):
+        # a round reads the edges of its changed cells once (row_entries): the
+        # longest search the numpy route takes makes NUMPY_ROUNDS rounds at most
+        sp = path_space(40)
+        rounds, real = [], metric.row_entries
+        monkeypatch.setattr(metric, "row_entries", lambda *a: rounds.append(1) or real(*a))
+        limit = np.nextafter(float(metric.NUMPY_ROUNDS), 0.0)
+        row = metric.dijkstra(sp._graph, indices=20, limit=limit)
+        assert np.flatnonzero(np.isfinite(row)).tolist() == list(range(13, 28))
+        assert len(rounds) == metric.NUMPY_ROUNDS
+
+    def test_exact_graph_loads_no_scipy(self):
+        # load_graph, cut-off rows and a ball search: none of them imports scipy
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        env = dict(os.environ, PYTHONPATH=str(Path(metric.__file__).parents[1]))
+        code = ("import json, sys, numpy as np; from coarsecert import metric; "
+                "sp = metric.load_graph(300, [(i, i + 1, 1.0) for i in range(299)]); "
+                "rows = sp.rows(np.arange(0, 300, 7), 3.0); "
+                "blocks = list(metric.ball_blocks(sp, np.arange(5), 2.0)); "
+                "print(json.dumps([rows[1, 5:10].tolist(), 'scipy' in sys.modules]))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert json.loads(out) == [[2.0, 1.0, 0.0, 1.0, 2.0], False]
+
+
+class TestComponents:
+    """load_graph's connectivity labels (min-label hooking) against scipy's components."""
+
+    @staticmethod
+    def least_ids(n, u, v):
+        """Each point's least component member, from scipy's connected_components."""
+        k, labels = connected_components(csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n)),
+                                         directed=False)
+        least = np.full(k, n)
+        np.minimum.at(least, labels, np.arange(n))
+        return least[labels]
+
+    @given(st.integers(1, 60), st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                                        max_size=90))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_equal_scipy_components(self, n, pairs):
+        u, v = (np.array([p[i] % n for p in pairs], dtype=np.intp) for i in (0, 1))
+        graph = metric._symmetric_csr(n, u.astype(float), v.astype(float), np.ones(len(u)))
+        assert np.array_equal(metric._components(graph), self.least_ids(n, u, v))
+
+    @pytest.mark.parametrize("order", ["ascending", "reverse", "shuffled"])
+    def test_paths(self, order):
+        # the order of the ids along a path decides which roots hook to which;
+        # the labels, and the point named for a cut path, do not depend on it
+        n = 2000
+        ids = {"ascending": np.arange(n), "reverse": np.arange(n)[::-1],
+               "shuffled": np.random.default_rng(5).permutation(n)}[order]
+        u, v = ids[:-1], ids[1:]
+        graph = metric._symmetric_csr(n, u.astype(float), v.astype(float), np.ones(n - 1))
+        assert not metric._components(graph).any()
+        cut = metric._symmetric_csr(n, u[1:].astype(float), v[1:].astype(float), np.ones(n - 2))
+        assert np.array_equal(metric._components(cut), self.least_ids(n, u[1:], v[1:]))
