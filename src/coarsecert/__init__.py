@@ -22,9 +22,8 @@ _HOMES = {name: home for home, names in (
                   "multiplicity r_disjoint_check simplicial_retraction uniformly_bounded_check"),
     ("covers", "DecompositionTree brick_tree greedy_decomposition greedy_tree "
                "point_finite_transform tree_validate"),
-    ("extend", "BudgetSchedule Modulus Retraction budget_schedule build_certificate "
-               "default_modulus extend_over_bounded_piece extend_over_disjoint_family "
-               "extend_pou nearest_point_retraction paste"),
+    ("extend", "BudgetSchedule Modulus budget_schedule build_certificate default_modulus "
+               "extend_over_bounded_piece extend_over_disjoint_family extend_pou paste"),
 ) for name in names.split()}
 
 __all__ = list(_HOMES)

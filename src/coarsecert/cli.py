@@ -46,7 +46,7 @@ import sys
 from typing import List, Optional
 
 from . import _forward
-from .errors import (CoarseCertError, ConstructionFailedError, InvalidInputError,
+from .errors import (CoarseCertError, ConstructionFailedError, InvalidInputError, NotAGridError,
                      ScheduleMismatchError, UnderflowError_, VerificationFailedError)
 
 brick_tree = _forward(".covers", "brick_tree")
@@ -121,7 +121,11 @@ def cmd_decompose(args) -> int:
     if args.strategy == "greedy":
         tree = greedy_tree(space, float(args.R), float(args.diam))
     else:
-        tree = brick_tree(space, [float(args.R)], float(args.block_scale))
+        try:
+            tree = brick_tree(space, [float(args.R)], float(args.block_scale))
+        except NotAGridError as exc:
+            exc.args = (f"{args.space}: {exc}",)  # the space file's meta is at fault
+            raise
     check = tree_validate(space, tree)
     if not check.passed:
         raise ConstructionFailedError(

@@ -7,10 +7,10 @@ families is the node), and the leaf level is uniformly bounded.  Trees with
 all arities <= 2 are the straight-decomposition special case.
 
 Constructions here are greedy and deterministic: existence is what matters,
-not optimality.  Cover and family constructions re-check their output with
-`construct`'s family checks before returning it.  Trees are checked by
-tree_validate where they are written (`coarsecert decompose`) and where
-they are read (build_certificate), not by the functions that build them.
+not optimality.  R-disjointness is decided in one place, tree_validate's
+clause 2, where a tree is written (`coarsecert decompose`) and where it is
+read (build_certificate), not by the functions that build it.  The cover
+transform re-checks its output with `construct`'s family checks.
 """
 
 from __future__ import annotations
@@ -279,10 +279,14 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     uncovered point within target_diam/2, so piece diameters stay at most
     target_diam), then pieces are colored greedily in ascending id order on
     the conflict graph whose edges join pieces at cross-distance <= R.  One
-    family per color.  Both output properties are re-checked before return.
+    family per color: two pieces share a color only when their cross minimum
+    is above R, so each family is R-disjoint by construction.  Piece
+    diameters are checked before return.
     """
     if not target_diam > 0:  # NaN too: it would claim no point, forever
         raise InvalidInputError(f"target_diam must be > 0, got {target_diam!r}")
+    if math.isnan(R):  # no cross minimum compares with NaN: one family of every piece
+        raise InvalidInputError(f"R = {R!r} is not a number")
     uncovered = np.ones(space.n, dtype=bool)
     pieces: List[PointSubset] = []
     radius = target_diam / 2.0
@@ -308,12 +312,6 @@ def greedy_decomposition(space: FiniteMetricSpace, R: float,
     families = [[pieces[p] for p in range(len(pieces)) if colors[p] == c]
                 for c in range(max(colors) + 1)]
 
-    for fam in families:
-        rep = r_disjoint_check(space, fam, R)
-        if not rep.passed:
-            x, y, _, _ = rep.witness
-            raise ConstructionFailedError(
-                f"greedy family not {R}-disjoint: d({x},{y})={rep.min_cross:g} <= R={R:g}")
     # a piece's diameter may pass target_diam by the triangle tolerance of its rows
     bound = uniformly_bounded_check(space, pieces)
     if bound.bound > target_diam + METRIC_TOL:
@@ -425,12 +423,23 @@ def _uncovered(space: FiniteMetricSpace, members: Sequence[PointSubset]) -> np.n
 # brick decompositions for grid-like spaces
 # ---------------------------------------------------------------------------
 
-def _grid_shape(space: FiniteMetricSpace):
+def _grid_shape(space: FiniteMetricSpace) -> Tuple[int, ...]:
+    """The space's meta.grid_shape: a list of 1 or 2 integers >= 1 whose product is n.
+
+    The bricks are laid out from it, so it is checked before any is built.
+    """
     shape = space.meta.get("grid_shape")
-    if not shape or len(shape) not in (1, 2):
-        raise NotAGridError(
-            "space was not generated as a 1- or 2-dimensional grid box")
-    return tuple(int(s) for s in shape)
+    if shape is None:
+        raise NotAGridError("space was not generated as a 1- or 2-dimensional grid box")
+    try:
+        dims = (tuple(as_int(s, "grid_shape entry") for s in shape)
+                if isinstance(shape, list) and len(shape) in (1, 2) else ())
+    except InvalidInputError:
+        dims = ()
+    if len(dims) not in (1, 2) or min(dims) < 1 or math.prod(dims) != space.n:
+        raise NotAGridError(f"grid_shape {shape!r} is not 1 or 2 integers >= 1 "
+                            f"whose product is the space's {space.n} points")
+    return dims
 
 
 def _depth2_tree(space: FiniteMetricSpace, pieces: Sequence[PointSubset],

@@ -164,12 +164,6 @@ class PreconditionViolatedError(CoarseCertError):
         super().__init__(f"precondition {name} violated" + (f": {detail}" if detail else ""))
 
 
-class NotRDisjointError(CoarseCertError):
-    def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"family is not R-disjoint; witness {witness}")
-
-
 class BudgetTooSmallError(CoarseCertError):
     def __init__(self, budget: float, required: float):
         self.budget = budget

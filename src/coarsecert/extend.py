@@ -49,7 +49,7 @@ from .construct import (
     convex_combine,
     dist_to_set_all,
     nearest_scan,
-    r_disjoint_check,
+    r_disjoint_check,  # noqa: F401
     simplicial_retraction,
 )
 from .covers import DecompositionTree, TreeNode, tree_validate
@@ -58,7 +58,6 @@ from .errors import (
     BudgetTooSmallError,
     EmptySetError,
     InvalidInputError,
-    NotRDisjointError,
     PreconditionViolatedError,
     ScheduleMismatchError,
     UnderflowError_,
@@ -73,6 +72,13 @@ from .verify import (
     cobounded_check,
     lipschitz_check,
 )
+
+# bench/tracer.layer_patches wraps these three names in this module.  Nothing
+# here calls nearest_point_retraction or r_disjoint_check, and diameter runs
+# only in extend_over_bounded_piece without a piece_bound, which no command
+# gives.  The alias and the import go with ROADMAP item 1a, as
+# metric.shortest_path does.
+nearest_point_retraction = nearest_scan
 
 BUDGET_FLOOR = 1e-300
 _REL_TOL = 1e-12
@@ -239,42 +245,6 @@ def budget_schedule(tree: DecompositionTree, epsilon: float, modulus: Modulus,
         N=tuple(N), P=tuple(P), R_required=r_required,
         bottom=bottom, delta_leaf=delta_leaf, modulus_spec=modulus.spec(),
     )
-
-
-# ---------------------------------------------------------------------------
-# the nearest-point retraction and set balls
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Retraction:
-    """A total map X -> A fixing A pointwise with d(x, p(x)) = dist(x, A).
-
-    dist holds those distances for every x, so a caller needing both the
-    nearest point and the distance to A streams A's rows once.
-    """
-
-    subset: PointSubset
-    mapping: np.ndarray  # mapping[x] = p(x), length n
-    dist: np.ndarray     # dist[x] = dist(x, A) = d(x, p(x)), length n
-
-    def __call__(self, x: int) -> int:
-        return int(self.mapping[x])
-
-
-def nearest_point_retraction(space: FiniteMetricSpace, a: PointSubset) -> Retraction:
-    """p(x) = smallest-id point of a realizing dist(x, a); fixes a pointwise.
-
-    One scan over a's rows (nearest_scan) gives both the mapping, with the
-    smallest id winning ties, and dist(x, a) for every x, returned as the
-    retraction's dist field.
-    """
-    if len(a) == 0:
-        raise EmptySetError("retraction onto empty subset")
-    dist, mapping = nearest_scan(space, a.ids)
-    mapping[a.ids] = a.ids  # fixes a exactly (d=0 is already the unique min)
-    mapping.setflags(write=False)
-    dist.setflags(write=False)
-    return Retraction(subset=a, mapping=mapping, dist=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +423,12 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
                                 R: float, budget: float,
                                 extender: Callable[[PartitionOfUnity, int, float], tuple],
                                 input_bound: Optional[float] = None,
-                                verify_family: bool = True,
                                 budget_warnings: Optional[list] = None):
     """Extend a pou over every piece of an R-disjoint family and glue.
+
+    Precondition: the pieces are pairwise R-disjoint.  The caller decides it
+    (build_certificate through tree_validate's clause 2); it is not re-checked
+    here.
 
     Each piece is extended independently from the same input (extender(f, t,
     budget) returns a pou holding piece t's new points, and its bound; only
@@ -470,14 +443,9 @@ def extend_over_disjoint_family(f: PartitionOfUnity, pieces: Sequence[PointSubse
 
     Returns (pou, bound) with bound = 2 * max piece bound + input bound.
     """
-    space = f.space
     k_in = measured_bound(f) if input_bound is None else float(input_bound)
     if not pieces:
         return f, k_in
-    if verify_family:
-        rep = r_disjoint_check(space, pieces, R)
-        if not rep.passed:
-            raise NotRDisjointError(rep.witness)
     required = 2.0 / (R + 1.0)
     if not budget >= required * (1.0 - _REL_TOL):
         if budget_warnings is None or math.isnan(budget):
@@ -592,7 +560,7 @@ def build_certificate(space: FiniteMetricSpace, tree: DecompositionTree,
             h, k = extend_over_disjoint_family(
                 h, pieces, tree.radii[i - 1], u_j,
                 lambda ff, t, uu: extend_node(ff, children[t], uu, k_snapshot),
-                input_bound=k, verify_family=False, budget_warnings=recorded)
+                input_bound=k, budget_warnings=recorded)
         return h, k
 
     root = tree.root

@@ -157,6 +157,36 @@ class TestDecompose:
         assert "ConstructionFailedError" in err and "clause 2" in err
         assert not out.exists()
 
+    def test_greedy_family_is_decided_by_clause_2(self, tmp_path, monkeypatch, capsys):
+        # greedy does not re-check its colouring: a conflict search that misses
+        # every conflict puts all ten singletons in one family, and the tree's
+        # validation refuses it before the tree is written
+        def no_conflicts(space, pieces):
+            for s in range(len(pieces) - 1):
+                yield np.full(len(pieces) - 1 - s, np.inf)
+
+        space, out = tmp_path / "p10.json", tmp_path / "tree.json"
+        assert run("generate", "--kind", "path", "--n", 10, "--out", space) == 0
+        monkeypatch.setattr(covers, "cross_minima", no_conflicts)
+        assert run("decompose", "--space", space, "--strategy", "greedy",
+                   "--R", 1, "--diam", 0.5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "clause 2, node 0 family 0: d(0,1)=1 <= R_1=1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [["a"], "ab", {"a": 1}, [None], [9.5], [True], [100],
+                                       [3, 4]])
+    def test_bad_grid_shape_exit_two(self, tmp_path, capsys, shape):
+        # a 10-point path whose grid_shape is no list of 1 or 2 integers >= 1
+        # with product 10: a named input error, not a traceback or a bad tree
+        space, out = tmp_path / "p10.json", tmp_path / "tree.json"
+        jsonio.save_json(space, jsonio.space_to_json(
+            "graph", 10, [[x, x + 1, 1.0] for x in range(9)], {"grid_shape": shape}))
+        assert run("decompose", "--space", space, "--strategy", "bricks",
+                   "--R", 2, "--block-scale", 3, "--out", out) == 2
+        assert f"NotAGridError: {space}: grid_shape" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bricks_non_grid(self, tmp_path):
         space = tmp_path / "m.json"
         jsonio.save_json(space, jsonio.space_to_json(

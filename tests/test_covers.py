@@ -19,7 +19,7 @@ from coarsecert.errors import (
     NotTwoSDisjointError,
     ScaleTooSmallError,
 )
-from coarsecert import covers, metric
+from coarsecert import construct, covers, metric
 from coarsecert.metric import PointSubset, load_matrix
 from coarsecert.construct import (
     lebesgue_check,
@@ -51,22 +51,28 @@ class TestGreedy:
         assert uniformly_bounded_check(
             p100, [m for fam in families for m in fam]).bound <= 4.0
 
-    def test_disjointness_failure_names_its_witness(self, p10, monkeypatch):
-        # a conflict graph that misses every conflict puts all ten singletons
-        # in one family, which the re-check refuses at its closest pair
-        def no_conflicts(space, pieces):
-            for s in range(len(pieces) - 1):
-                yield np.full(len(pieces) - 1 - s, np.inf)
-
-        monkeypatch.setattr(covers, "cross_minima", no_conflicts)
-        with pytest.raises(ConstructionFailedError,
-                           match=r"not 1.0-disjoint: d\(0,1\)=1 <= R=1$"):
-            greedy_decomposition(p10, R=1.0, target_diam=0.5)
+    def test_one_cross_minima_pass(self, monkeypatch):
+        # the colouring's cross minima decide every family: no family is
+        # re-checked through r_disjoint_check (construct.cross_minima)
+        calls = {}
+        for module in (covers, construct):
+            def counted(*args, real=module.cross_minima, name=module.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(module, "cross_minima", counted)
+        families = greedy_decomposition(path_space(400), R=2.0, target_diam=4.0)
+        assert len(families) == 2
+        assert calls == {"coarsecert.covers": 1}
 
     def test_nan_diameter_rejected(self, p10):
         # a NaN radius claims no point, so the carving loop never ended
         with pytest.raises(InvalidInputError, match="target_diam"):
             greedy_decomposition(p10, R=1.0, target_diam=float("nan"))
+
+    def test_nan_R_rejected(self, p10):
+        # no cross minimum compares with NaN, so every piece would share one family
+        with pytest.raises(InvalidInputError, match=r"^R = nan is not a number$"):
+            greedy_decomposition(p10, R=float("nan"), target_diam=0.5)
 
     def test_singleton_pieces_match_chromatic_oracle(self, p10):
         # oracle: greedy coloring of the R-proximity graph on single points
@@ -223,6 +229,13 @@ class TestBrickTree1D:
         sp = load_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(NotAGridError):
             brick_tree(sp, [1.0], 2.0)
+
+    def test_huge_grid_shape_refused(self):
+        # a shape whose product is not n is refused before a block is laid out
+        sp = path_space(10)
+        sp.meta["grid_shape"] = [1e30]
+        with pytest.raises(NotAGridError, match=r"grid_shape \[1e\+30\]"):
+            covers._grid_shape(sp)
 
 
 class TestBrickTree2D:

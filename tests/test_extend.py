@@ -13,7 +13,6 @@ from coarsecert.errors import (
     BudgetTooSmallError,
     EmptySetError,
     InvalidInputError,
-    NotRDisjointError,
     PreconditionViolatedError,
     ScheduleMismatchError,
     UnderflowError_,
@@ -437,12 +436,6 @@ class TestExtendOverDisjointFamily:
                 ff, piece, 50.0, u, mint=mint_b))
         assert all(glued(x) == direct(x)
                    for x in glued.domain.ids)
-
-    def test_not_r_disjoint(self, p200):
-        f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})
-        pieces = [PointSubset((10, 11)), PointSubset((13, 14))]
-        with pytest.raises(NotRDisjointError):
-            extend_over_disjoint_family(f, pieces, R=5.0, budget=1.0, extender=None)
 
     def test_budget_too_small(self, p200):
         f = PartitionOfUnity(p200, {0: {(1, 0): 1.0}})

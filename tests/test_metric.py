@@ -38,7 +38,6 @@ from coarsecert.metric import (
     load_matrix,
     load_points,
 )
-from coarsecert.extend import nearest_point_retraction
 from coarsecert.construct import barycentric_pou, closed_set_ball, dist_to_set_all, nearest_scan
 from coarsecert.simplex import star_preimage_diameters
 from .conftest import (
@@ -1065,25 +1064,25 @@ class TestPrimitives:
             diameter(p10, PointSubset(ids))
 
     def test_retraction_fixes_and_ties(self, p5):
-        a = PointSubset((0, 4))
-        p = nearest_point_retraction(p5, a)
-        assert p(0) == 0 and p(4) == 4
-        assert p(2) == 0  # tie at distance 2: smaller id wins
-        assert p(3) == 4
+        _, p = nearest_scan(p5, np.array([0, 4]))
+        assert p[0] == 0 and p[4] == 4
+        assert p[2] == 0  # tie at distance 2: smaller id wins
+        assert p[3] == 4
 
     def test_retraction_exact_and_idempotent(self, p100):
         rng = np.random.default_rng(3)
         ids = sorted(rng.choice(100, size=17, replace=False).tolist())
         a = PointSubset(tuple(ids))
-        p = nearest_point_retraction(p100, a)
+        _, p = nearest_scan(p100, a.ids)
         dist = dist_to_set_all(p100, a)
         for x in range(100):
-            assert p100.d(x, p(x)) == dist[x]
-            assert p(p(x)) == p(x)
+            assert p100.d(x, p[x]) == dist[x]
+            assert p[p[x]] == p[x]
 
     def test_retraction_empty(self, p5):
-        with pytest.raises(EmptySetError):
-            nearest_point_retraction(p5, PointSubset(()))
+        # no row reaches any point: every distance is inf, with no nearest id
+        dist, nearest = nearest_scan(p5, np.empty(0, dtype=np.intp))
+        assert (dist == math.inf).all() and (nearest == -1).all()
 
 
 class TestSetSearches:
@@ -1152,23 +1151,23 @@ class TestBigSpaceLane:
     def test_primitives(self, big_path):
         a = PointSubset((0, 4000))
         assert dist_to_set_all(big_path, a)[1000] == 1000.0
-        p = nearest_point_retraction(big_path, a)
-        assert p(1999) == 0 and p(2001) == 4000 and p(2000) == 0
+        _, p = nearest_scan(big_path, a.ids)
+        assert p[1999] == 0 and p[2001] == 4000 and p[2000] == 0
 
     def test_set_queries_stream_rows(self, big_path):
         # 2000 points two apart: every point between two of them ties
         a = PointSubset(tuple(range(100, 4100, 2)))
         tracemalloc.start()
         try:
-            p = nearest_point_retraction(big_path, a)
+            p_dist, p = nearest_scan(big_path, a.ids)
             dist = dist_to_set_all(big_path, a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the stacked |a| x n block was 2000 * 4200 * 8 bytes = 67 MB
         assert peak < 40 * 8 * big_path.n
-        assert p(101) == 100 and p(4099) == 4098 and p(0) == 100 and p(4199) == 4098
-        assert dist[101] == 1.0 and dist[0] == 100.0 and np.array_equal(dist, p.dist)
+        assert p[101] == 100 and p[4099] == 4098 and p[0] == 100 and p[4199] == 4098
+        assert dist[101] == 1.0 and dist[0] == 100.0 and np.array_equal(dist, p_dist)
 
 
 class TestStreamedScan:
@@ -1195,10 +1194,9 @@ class TestStreamedScan:
             mapping = ids[k]
             mapping[ids] = ids
             ties += int(((block == block.min(axis=0)).sum(axis=0) > 1).sum())
-            p = nearest_point_retraction(sp, a)
-            assert np.array_equal(p.mapping, mapping) and p.mapping.dtype == mapping.dtype
-            assert np.array_equal(p.dist, block[k, np.arange(n)])
-            assert not p.mapping.flags.writeable and not p.dist.flags.writeable
+            p_dist, p = nearest_scan(sp, ids)
+            assert np.array_equal(p, mapping) and p.dtype == mapping.dtype
+            assert np.array_equal(p_dist, block[k, np.arange(n)])
             assert np.array_equal(dist_to_set_all(sp, a), block.min(axis=0))
         assert ties > 0 or n < 4
 
@@ -1239,9 +1237,9 @@ class TestCutOffQueries:
                 cut = dist_to_set_all(sp, a, limit)
                 assert np.array_equal(cut[inside], least[inside]) and (cut[~inside] > limit).all()
                 assert np.array_equal(closed_set_ball(sp, a, limit).ids, np.flatnonzero(inside))
-            p = nearest_point_retraction(sp, a)
-            assert np.array_equal(p.dist, least)
-            assert np.array_equal(p.mapping, first) and np.array_equal(p.mapping[ids], ids)
+            p_dist, p = nearest_scan(sp, ids)
+            assert np.array_equal(p_dist, least)
+            assert np.array_equal(p, first) and np.array_equal(p[ids], ids)
 
 
 def rows_read(monkeypatch):

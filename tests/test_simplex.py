@@ -345,7 +345,7 @@ class TestCsrStorage:
                                     if g else ())) for g in gs]  # overlapping, in general
         h, _ = extend_over_disjoint_family(
             make(a), pieces, R=1.0, budget=1.0, extender=lambda ff, t, u: (make(gs[t]), 0.0),
-            input_bound=0.0, verify_family=False)
+            input_bound=0.0)
         expect = dict(a)
         for g, piece in zip(gs, pieces):
             for x in piece.ids:
